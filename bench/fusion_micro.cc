@@ -1,8 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the optimizer-side machinery:
 // the Fuse primitive over plans of increasing depth, expression
-// simplification/fingerprinting, and whole-query optimization time — the
-// compile-time overhead the paper's rules add to the engine.
+// simplification, whole-query optimization time — the compile-time
+// overhead the paper's rules add to the engine — and how that time scales
+// with the number of scalar subqueries JoinOnKeys folds.
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "bench_gbench.h"
 #include "bench_util.h"
@@ -86,7 +89,48 @@ BENCHMARK_CAPTURE(BM_OptimizeQuery, q09_baseline, "q09", false);
 BENCHMARK_CAPTURE(BM_OptimizeQuery, q09_fused, "q09", true);
 BENCHMARK_CAPTURE(BM_OptimizeQuery, q23_baseline, "q23", false);
 BENCHMARK_CAPTURE(BM_OptimizeQuery, q23_fused, "q23", true);
+BENCHMARK_CAPTURE(BM_OptimizeQuery, q28_baseline, "q28", false);
+BENCHMARK_CAPTURE(BM_OptimizeQuery, q28_fused, "q28", true);
+BENCHMARK_CAPTURE(BM_OptimizeQuery, q88_baseline, "q88", false);
+BENCHMARK_CAPTURE(BM_OptimizeQuery, q88_fused, "q88", true);
 BENCHMARK_CAPTURE(BM_OptimizeQuery, q95_fused, "q95", true);
+
+/// Q09's shape at k buckets: k scalar-aggregate subqueries over store_sales,
+/// each with its own quantity bucket, cross-joined. JoinOnKeys folds them
+/// pairwise into one aggregate whose masks are the bucket predicates, so
+/// the per-bucket optimize time shows whether the folds stay linear.
+void BM_OptimizeScalarBuckets(benchmark::State& state) {
+  const Catalog& catalog = BenchCatalog();
+  int k = static_cast<int>(state.range(0));
+  TablePtr t = Unwrap(catalog.GetTable("store_sales"));
+  for (auto _ : state) {
+    PlanContext ctx;
+    std::optional<PlanBuilder> q;
+    for (int i = 0; i < k; ++i) {
+      PlanBuilder s = PlanBuilder::Scan(&ctx, t, {"ss_quantity", "ss_net_profit"});
+      s.Filter(eb::Between(s.Ref("ss_quantity"), eb::Int(1 + 5 * i),
+                           eb::Int(5 * (i + 1))));
+      s.Aggregate({}, {{"profit" + std::to_string(i), AggFunc::kSum,
+                        s.Ref("ss_net_profit"), nullptr, false}});
+      if (q.has_value()) {
+        q->CrossJoin(s);
+      } else {
+        q = std::move(s);
+      }
+    }
+    Optimizer optimizer(OptimizerOptions::Fused());
+    auto optimized = optimizer.Optimize(q->Build(), &ctx);
+    benchmark::DoNotOptimize(optimized);
+    if (!optimized.ok()) state.SkipWithError("optimize failed");
+  }
+  // Seconds per bucket: flat across k means the folds cost O(k) in total.
+  state.counters["per_bucket"] = benchmark::Counter(
+      k, benchmark::Counter::kIsIterationInvariantRate |
+             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_OptimizeScalarBuckets)
+    ->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Simplify(benchmark::State& state) {
   PlanContext ctx;

@@ -214,8 +214,9 @@ void TightenDomains(const ExprPtr& conjunct, DomainMap* domains) {
     case ExprKind::kOr: {
       // Single-column OR: the hull of what the branches establish.
       ColumnId common = kInvalidColumnId;
+      std::vector<ColumnId> cols;
       for (const ExprPtr& branch : e.children()) {
-        std::vector<ColumnId> cols;
+        cols.clear();
         CollectColumns(branch, &cols);
         std::sort(cols.begin(), cols.end());
         cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
@@ -226,8 +227,9 @@ void TightenDomains(const ExprPtr& conjunct, DomainMap* domains) {
       if (common == kInvalidColumnId) return;
       ColumnDomain hull;
       bool first = true;
+      DomainMap tmp;
       for (const ExprPtr& branch : e.children()) {
-        DomainMap tmp;
+        tmp.clear();
         TightenDomains(branch, &tmp);
         auto it = tmp.find(common);
         if (it == tmp.end()) return;  // branch establishes nothing
@@ -378,20 +380,20 @@ bool Implies(const ExprPtr& premise, const ExprPtr& conclusion,
   if (conclusion == nullptr || IsTrueLiteral(conclusion)) return true;
   if (premise != nullptr && IsContradiction(premise)) return true;
   DomainMap region = ambient != nullptr ? *ambient : DomainMap{};
-  std::unordered_set<std::string> premise_fps;
+  std::unordered_set<ExprPtr, ExprHash, ExprEq> premise_conjuncts;
   if (premise != nullptr && !IsTrueLiteral(premise)) {
     std::vector<ExprPtr> pconj;
     SplitConjuncts(premise, &pconj);
     for (const ExprPtr& c : pconj) {
       TightenDomains(c, &region);
-      premise_fps.insert(ExprFingerprint(c));
+      premise_conjuncts.insert(c);
     }
   }
   std::vector<ExprPtr> cconj;
   SplitConjuncts(conclusion, &cconj);
   for (const ExprPtr& c : cconj) {
     if (IsTrueLiteral(c)) continue;
-    if (premise_fps.count(ExprFingerprint(c)) > 0) continue;
+    if (premise_conjuncts.count(c) > 0) continue;
     if (!RegionSatisfies(*c, region)) return false;
   }
   return true;

@@ -38,20 +38,16 @@ Status Contextualize(Status st, std::string_view context) {
                                st.message());
 }
 
-/// Order-insensitive hash of an enforced-conjunct set (FNV-1a over sorted
-/// fingerprints), keying the walk memo per filter context.
+/// Order-insensitive hash of an enforced-conjunct set (FNV-1a over the
+/// sorted structural hashes), keying the walk memo per filter context.
 uint64_t ContextHash(const std::vector<ExprPtr>& enforced) {
-  std::vector<std::string> fps;
-  fps.reserve(enforced.size());
-  for (const ExprPtr& e : enforced) fps.push_back(ExprFingerprint(e));
-  std::sort(fps.begin(), fps.end());
+  std::vector<uint64_t> hashes;
+  hashes.reserve(enforced.size());
+  for (const ExprPtr& e : enforced) hashes.push_back(e->hash());
+  std::sort(hashes.begin(), hashes.end());
   uint64_t h = 14695981039346656037ULL;
-  for (const std::string& fp : fps) {
-    for (char c : fp) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ULL;
-    }
-    h ^= 0x1f;
+  for (uint64_t x : hashes) {
+    h ^= x;
     h *= 1099511628211ULL;
   }
   return h;

@@ -31,8 +31,8 @@ Result<BoundAggs> BindAggs(const std::vector<AggregateItem>& items,
                            const Schema& input) {
   BoundAggs out;
   out.aggs.reserve(items.size());
-  std::vector<std::string> mask_fps;      // dedupe whole masks
-  std::vector<std::string> conjunct_fps;  // dedupe conjuncts across masks
+  std::vector<ExprPtr> seen_masks;      // mask of each mask slot
+  std::vector<ExprPtr> seen_conjuncts;  // conjunct of each conjunct slot
   for (const AggregateItem& item : items) {
     BoundAgg b;
     b.item = &item;
@@ -49,9 +49,8 @@ Result<BoundAggs> BindAggs(const std::vector<AggregateItem>& items,
       if (item.mask->type() != DataType::kBool) {
         return Status::TypeError("aggregate mask must be boolean");
       }
-      std::string fp = ExprFingerprint(item.mask);
-      for (size_t i = 0; i < mask_fps.size(); ++i) {
-        if (mask_fps[i] == fp) {
+      for (size_t i = 0; i < seen_masks.size(); ++i) {
+        if (ExprEquivalent(seen_masks[i], item.mask)) {
           b.mask_slot = static_cast<int>(i);
           break;
         }
@@ -62,10 +61,9 @@ Result<BoundAggs> BindAggs(const std::vector<AggregateItem>& items,
         std::vector<int> slots;
         slots.reserve(parts.size());
         for (const ExprPtr& part : parts) {
-          std::string pfp = ExprFingerprint(part);
           int slot = -1;
-          for (size_t i = 0; i < conjunct_fps.size(); ++i) {
-            if (conjunct_fps[i] == pfp) {
+          for (size_t i = 0; i < seen_conjuncts.size(); ++i) {
+            if (ExprEquivalent(seen_conjuncts[i], part)) {
               slot = static_cast<int>(i);
               break;
             }
@@ -74,13 +72,13 @@ Result<BoundAggs> BindAggs(const std::vector<AggregateItem>& items,
             FUSIONDB_ASSIGN_OR_RETURN(BoundExpr e, BindExpr(part, input));
             slot = static_cast<int>(out.mask_set.conjuncts.size());
             out.mask_set.conjuncts.push_back(std::move(e));
-            conjunct_fps.push_back(std::move(pfp));
+            seen_conjuncts.push_back(part);
           }
           slots.push_back(slot);
         }
         b.mask_slot = static_cast<int>(out.mask_set.mask_slots.size());
         out.mask_set.mask_slots.push_back(std::move(slots));
-        mask_fps.push_back(std::move(fp));
+        seen_masks.push_back(item.mask);
       }
     }
     out.aggs.push_back(std::move(b));

@@ -1,6 +1,7 @@
 #include "expr/expr.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/check.h"
@@ -106,181 +107,312 @@ std::string Expr::ToString() const {
 }
 
 ExprPtr Expr::MakeColumnRef(ColumnId id, DataType type) {
-  auto e = std::make_shared<Expr>(ExprKind::kColumnRef, type);
+  auto e = New(ExprKind::kColumnRef, type);
   e->column_id_ = id;
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::MakeLiteral(Value v) {
-  auto e = std::make_shared<Expr>(ExprKind::kLiteral, v.type());
+  auto e = New(ExprKind::kLiteral, v.type());
   e->literal_ = std::move(v);
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::MakeCompare(CompareOp op, ExprPtr l, ExprPtr r) {
-  auto e = std::make_shared<Expr>(ExprKind::kCompare, DataType::kBool);
+  auto e = New(ExprKind::kCompare, DataType::kBool);
   e->cmp_ = op;
   e->children_ = {std::move(l), std::move(r)};
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::MakeArith(ArithOp op, ExprPtr l, ExprPtr r, DataType type) {
-  auto e = std::make_shared<Expr>(ExprKind::kArith, type);
+  auto e = New(ExprKind::kArith, type);
   e->arith_ = op;
   e->children_ = {std::move(l), std::move(r)};
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::MakeAnd(std::vector<ExprPtr> children) {
   FUSIONDB_CHECK(!children.empty(), "AND needs children");
-  auto e = std::make_shared<Expr>(ExprKind::kAnd, DataType::kBool);
+  auto e = New(ExprKind::kAnd, DataType::kBool);
   e->children_ = std::move(children);
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::MakeOr(std::vector<ExprPtr> children) {
   FUSIONDB_CHECK(!children.empty(), "OR needs children");
-  auto e = std::make_shared<Expr>(ExprKind::kOr, DataType::kBool);
+  auto e = New(ExprKind::kOr, DataType::kBool);
   e->children_ = std::move(children);
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::MakeNot(ExprPtr child) {
-  auto e = std::make_shared<Expr>(ExprKind::kNot, DataType::kBool);
+  auto e = New(ExprKind::kNot, DataType::kBool);
   e->children_ = {std::move(child)};
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::MakeIsNull(ExprPtr child) {
-  auto e = std::make_shared<Expr>(ExprKind::kIsNull, DataType::kBool);
+  auto e = New(ExprKind::kIsNull, DataType::kBool);
   e->children_ = {std::move(child)};
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::MakeCase(std::vector<ExprPtr> children, DataType type) {
   FUSIONDB_CHECK(children.size() >= 3 && children.size() % 2 == 1,
                  "CASE needs when/then pairs plus else");
-  auto e = std::make_shared<Expr>(ExprKind::kCase, type);
+  auto e = New(ExprKind::kCase, type);
   e->children_ = std::move(children);
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::MakeInList(std::vector<ExprPtr> children) {
   FUSIONDB_CHECK(children.size() >= 2, "IN needs operand and items");
-  auto e = std::make_shared<Expr>(ExprKind::kInList, DataType::kBool);
+  auto e = New(ExprKind::kInList, DataType::kBool);
   e->children_ = std::move(children);
-  return e;
+  return Seal(std::move(e));
 }
 
 namespace {
 
-void Fingerprint(const Expr& e, std::ostream& os) {
+// --- Structural hash --------------------------------------------------------
+
+/// SplitMix64 finalizer: a bijective avalanche on 64 bits.
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
+
+/// Order-sensitive fold of `v` into `h`.
+uint64_t Combine(uint64_t h, uint64_t v) {
+  return Mix(h * 0x9e3779b97f4a7c15ULL + v);
+}
+
+/// FNV-1a over the bytes of `s` (std::hash is not specified to be stable).
+uint64_t HashBytes(const std::string& s) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Exact literal identity: the type (already equal on the owning nodes),
+/// NULL-ness, then the integer, the double's bit pattern or the string's
+/// bytes. Never the rendered text, which rounds doubles.
+uint64_t HashLiteral(const Value& v) {
+  if (v.is_null()) return Combine(0, 0);
+  switch (PhysicalTypeOf(v.type())) {
+    case PhysicalType::kInt:
+      return Combine(1, static_cast<uint64_t>(v.int_value()));
+    case PhysicalType::kDouble:
+      return Combine(2, std::bit_cast<uint64_t>(v.double_value()));
+    case PhysicalType::kString:
+      return Combine(3, HashBytes(v.string_value()));
+  }
+  return 0;
+}
+
+bool SameLiteral(const Value& a, const Value& b) {
+  if (a.type() != b.type() || a.is_null() != b.is_null()) return false;
+  if (a.is_null()) return true;
+  switch (PhysicalTypeOf(a.type())) {
+    case PhysicalType::kInt:
+      return a.int_value() == b.int_value();
+    case PhysicalType::kDouble:
+      return std::bit_cast<uint64_t>(a.double_value()) ==
+             std::bit_cast<uint64_t>(b.double_value());
+    case PhysicalType::kString:
+      return a.string_value() == b.string_value();
+  }
+  return false;
+}
+
+/// `l op r` == `r Flip(op) l`.
+CompareOp Flip(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt:
+      return CompareOp::kGt;
+    case CompareOp::kLe:
+      return CompareOp::kGe;
+    case CompareOp::kGt:
+      return CompareOp::kLt;
+    case CompareOp::kGe:
+      return CompareOp::kLe;
+    case CompareOp::kEq:
+    case CompareOp::kNe:
+      return op;  // symmetric
+  }
+  return op;
+}
+
+bool IsCommutative(ArithOp op) {
+  return op == ArithOp::kAdd || op == ArithOp::kMul;
+}
+
+/// Sorted (optionally deduplicated) hashes of children[from..].
+std::vector<uint64_t> SortedChildHashes(const Expr& e, size_t from,
+                                        bool dedupe) {
+  std::vector<uint64_t> hs;
+  hs.reserve(e.children().size() - from);
+  for (size_t i = from; i < e.children().size(); ++i) {
+    hs.push_back(e.child(i)->hash());
+  }
+  std::sort(hs.begin(), hs.end());
+  if (dedupe) hs.erase(std::unique(hs.begin(), hs.end()), hs.end());
+  return hs;
+}
+
+uint64_t ComputeHash(const Expr& e) {
+  uint64_t h = Combine(static_cast<uint64_t>(e.kind()) + 1,
+                       static_cast<uint64_t>(e.type()));
   switch (e.kind()) {
     case ExprKind::kColumnRef:
-      os << "#" << e.column_id();
-      return;
+      return Combine(h, static_cast<uint64_t>(e.column_id()));
     case ExprKind::kLiteral:
-      os << "L:" << DataTypeName(e.literal().type()) << ":"
-         << e.literal().ToString();
-      return;
-    case ExprKind::kAnd:
-    case ExprKind::kOr: {
-      std::vector<std::string> parts;
-      parts.reserve(e.children().size());
-      for (const ExprPtr& c : e.children()) parts.push_back(ExprFingerprint(c));
-      std::sort(parts.begin(), parts.end());
-      parts.erase(std::unique(parts.begin(), parts.end()), parts.end());
-      os << (e.kind() == ExprKind::kAnd ? "AND(" : "OR(");
-      for (size_t i = 0; i < parts.size(); ++i) {
-        if (i > 0) os << ",";
-        os << parts[i];
-      }
-      os << ")";
-      return;
-    }
+      return Combine(h, HashLiteral(e.literal()));
     case ExprKind::kCompare: {
-      std::string l = ExprFingerprint(e.child(0));
-      std::string r = ExprFingerprint(e.child(1));
+      // Orient by operand hash, flipping the operator with the operands. On
+      // a tie either orientation is canonical, so hash the smaller operator
+      // of the pair; equality then tries both orientations.
+      uint64_t l = e.child(0)->hash();
+      uint64_t r = e.child(1)->hash();
       CompareOp op = e.compare_op();
-      // Canonicalize: orient so the smaller fingerprint is on the left,
-      // flipping the operator accordingly.
       if (r < l) {
         std::swap(l, r);
-        switch (op) {
-          case CompareOp::kLt:
-            op = CompareOp::kGt;
-            break;
-          case CompareOp::kLe:
-            op = CompareOp::kGe;
-            break;
-          case CompareOp::kGt:
-            op = CompareOp::kLt;
-            break;
-          case CompareOp::kGe:
-            op = CompareOp::kLe;
-            break;
-          case CompareOp::kEq:
-          case CompareOp::kNe:
-            break;  // =, <> are symmetric
-        }
+        op = Flip(op);
+      } else if (l == r) {
+        op = std::min(op, Flip(op));
       }
-      os << "CMP" << static_cast<int>(op) << "(" << l << "," << r << ")";
-      return;
+      h = Combine(h, static_cast<uint64_t>(op));
+      return Combine(Combine(h, l), r);
     }
     case ExprKind::kArith: {
-      std::string l = ExprFingerprint(e.child(0));
-      std::string r = ExprFingerprint(e.child(1));
-      ArithOp op = e.arith_op();
-      if ((op == ArithOp::kAdd || op == ArithOp::kMul) && r < l) {
-        std::swap(l, r);
-      }
-      os << "ARI" << static_cast<int>(op) << "(" << l << "," << r << ")";
-      return;
+      uint64_t l = e.child(0)->hash();
+      uint64_t r = e.child(1)->hash();
+      if (IsCommutative(e.arith_op()) && r < l) std::swap(l, r);
+      h = Combine(h, static_cast<uint64_t>(e.arith_op()));
+      return Combine(Combine(h, l), r);
     }
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+      for (uint64_t c : SortedChildHashes(e, 0, /*dedupe=*/true)) {
+        h = Combine(h, c);
+      }
+      return h;
+    case ExprKind::kInList:
+      h = Combine(h, e.child(0)->hash());
+      for (uint64_t c : SortedChildHashes(e, 1, /*dedupe=*/false)) {
+        h = Combine(h, c);
+      }
+      return h;
     case ExprKind::kNot:
-      os << "NOT(" << ExprFingerprint(e.child(0)) << ")";
-      return;
     case ExprKind::kIsNull:
-      os << "ISNULL(" << ExprFingerprint(e.child(0)) << ")";
-      return;
-    case ExprKind::kCase: {
-      os << "CASE(";
-      for (size_t i = 0; i < e.children().size(); ++i) {
-        if (i > 0) os << ",";
-        os << ExprFingerprint(e.child(i));
-      }
-      os << ")";
-      return;
-    }
-    case ExprKind::kInList: {
-      os << "IN(" << ExprFingerprint(e.child(0)) << ";";
-      std::vector<std::string> parts;
-      for (size_t i = 1; i < e.children().size(); ++i) {
-        parts.push_back(ExprFingerprint(e.child(i)));
-      }
-      std::sort(parts.begin(), parts.end());
-      for (size_t i = 0; i < parts.size(); ++i) {
-        if (i > 0) os << ",";
-        os << parts[i];
-      }
-      os << ")";
-      return;
-    }
+    case ExprKind::kCase:
+      for (const ExprPtr& c : e.children()) h = Combine(h, c->hash());
+      return h;
   }
+  return h;
+}
+
+// --- Structural equality -----------------------------------------------------
+
+/// Every member of `xs` has an equivalent member in `ys`.
+bool Covers(const std::vector<ExprPtr>& xs, size_t x_from,
+            const std::vector<ExprPtr>& ys, size_t y_from) {
+  for (size_t i = x_from; i < xs.size(); ++i) {
+    bool found = false;
+    for (size_t j = y_from; j < ys.size() && !found; ++j) {
+      found = ExprEquivalent(xs[i], ys[j]);
+    }
+    if (!found) return false;
+  }
+  return true;
+}
+
+/// Set equality of children[from..] (AND/OR operands, IN items). The
+/// in-order check settles the common case of identically ordered operands
+/// in one pass; unequal hashes make each failed probe O(1).
+bool SameChildSet(const Expr& a, const Expr& b, size_t from) {
+  const auto& xs = a.children();
+  const auto& ys = b.children();
+  if (xs.size() == ys.size()) {
+    bool in_order = true;
+    for (size_t i = from; i < xs.size() && in_order; ++i) {
+      in_order = ExprEquivalent(xs[i], ys[i]);
+    }
+    if (in_order) return true;
+  }
+  return Covers(xs, from, ys, from) && Covers(ys, from, xs, from);
+}
+
+bool SameChildren(const Expr& a, const Expr& b) {
+  if (a.children().size() != b.children().size()) return false;
+  for (size_t i = 0; i < a.children().size(); ++i) {
+    if (!ExprEquivalent(a.child(i), b.child(i))) return false;
+  }
+  return true;
+}
+
+/// Exact comparison of two nodes under the canonical rules (hashes already
+/// known equal).
+bool StructurallyEqual(const Expr& a, const Expr& b) {
+  if (a.kind() != b.kind() || a.type() != b.type()) return false;
+  switch (a.kind()) {
+    case ExprKind::kColumnRef:
+      return a.column_id() == b.column_id();
+    case ExprKind::kLiteral:
+      return SameLiteral(a.literal(), b.literal());
+    case ExprKind::kCompare: {
+      if (a.compare_op() == b.compare_op() &&
+          ExprEquivalent(a.child(0), b.child(0)) &&
+          ExprEquivalent(a.child(1), b.child(1))) {
+        return true;
+      }
+      return Flip(a.compare_op()) == b.compare_op() &&
+             ExprEquivalent(a.child(0), b.child(1)) &&
+             ExprEquivalent(a.child(1), b.child(0));
+    }
+    case ExprKind::kArith: {
+      if (a.arith_op() != b.arith_op()) return false;
+      if (ExprEquivalent(a.child(0), b.child(0)) &&
+          ExprEquivalent(a.child(1), b.child(1))) {
+        return true;
+      }
+      return IsCommutative(a.arith_op()) &&
+             ExprEquivalent(a.child(0), b.child(1)) &&
+             ExprEquivalent(a.child(1), b.child(0));
+    }
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+      return SameChildSet(a, b, 0);
+    case ExprKind::kInList:
+      return ExprEquivalent(a.child(0), b.child(0)) && SameChildSet(a, b, 1);
+    case ExprKind::kNot:
+    case ExprKind::kIsNull:
+    case ExprKind::kCase:
+      return SameChildren(a, b);
+  }
+  return false;
 }
 
 }  // namespace
 
-std::string ExprFingerprint(const ExprPtr& expr) {
-  std::ostringstream os;
-  Fingerprint(*expr, os);
-  return os.str();
+ExprPtr Expr::Seal(std::shared_ptr<Expr> e) {
+  e->hash_ = ComputeHash(*e);
+  return e;
 }
 
 bool ExprEquivalent(const ExprPtr& a, const ExprPtr& b) {
   if (a == b) return true;
   if (a == nullptr || b == nullptr) return false;
-  return ExprFingerprint(a) == ExprFingerprint(b);
+  if (a->hash() != b->hash()) return false;
+  return StructurallyEqual(*a, *b);
 }
 
 void CollectColumns(const ExprPtr& expr, std::vector<ColumnId>* out) {

@@ -4,6 +4,8 @@
 #ifndef FUSIONDB_EXPR_EXPR_H_
 #define FUSIONDB_EXPR_EXPR_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,12 +36,35 @@ using ExprPtr = std::shared_ptr<const Expr>;
 
 /// One expression node. Field validity depends on kind (column_id for
 /// kColumnRef, literal for kLiteral, cmp/arith for the binary kinds).
+///
+/// Every node carries a canonical 64-bit structural hash, computed once by
+/// its factory from the kind, type, payload and the children's hashes
+/// (DESIGN.md §15). The hash is never written after the factory returns,
+/// so any thread reads it without synchronization.
 class Expr {
+  struct Key {};  // restricts construction to the factories below
+
  public:
-  Expr(ExprKind kind, DataType type) : kind_(kind), type_(type) {}
+  Expr(Key, ExprKind kind, DataType type) : kind_(kind), type_(type) {}
 
   ExprKind kind() const { return kind_; }
   DataType type() const { return type_; }
+
+  /// Canonical structural hash: equivalent expressions (ExprEquivalent)
+  /// hash equally; unequal hashes prove non-equivalence.
+  uint64_t hash() const { return hash_; }
+
+  /// Simplify's memo (expr/simplifier.h): set once Simplify has returned
+  /// this very node, so later calls return it without walking the subtree.
+  /// Simplify is a pure function of structure, so the mark never goes
+  /// stale; it is the one piece of node state written after construction,
+  /// hence atomic.
+  bool simplified() const {
+    return simplified_.load(std::memory_order_relaxed);
+  }
+  void MarkSimplified() const {
+    simplified_.store(true, std::memory_order_relaxed);
+  }
 
   ColumnId column_id() const { return column_id_; }
   const Value& literal() const { return literal_; }
@@ -72,8 +97,15 @@ class Expr {
   static ExprPtr MakeInList(std::vector<ExprPtr> children);
 
  private:
+  static std::shared_ptr<Expr> New(ExprKind kind, DataType type) {
+    return std::make_shared<Expr>(Key{}, kind, type);
+  }
+  static ExprPtr Seal(std::shared_ptr<Expr> e);
+
   ExprKind kind_;
   DataType type_;
+  uint64_t hash_ = 0;
+  mutable std::atomic<bool> simplified_{false};
   ColumnId column_id_ = kInvalidColumnId;
   Value literal_;
   CompareOp cmp_ = CompareOp::kEq;
@@ -81,15 +113,28 @@ class Expr {
   std::vector<ExprPtr> children_;
 };
 
-/// Canonical string form used for structural equivalence: AND/OR children
-/// are sorted, commutative binary operators order their operands
-/// canonically. Two expressions with equal fingerprints are equivalent
-/// (the converse does not hold in general).
-std::string ExprFingerprint(const ExprPtr& expr);
-
-/// Structural equivalence via fingerprints (callers usually Simplify()
-/// first for stronger results).
+/// Structural equivalence under the canonical rules: AND/OR compare as
+/// sets of children, comparisons and commutative +/* match in either
+/// operand order (a comparison's operator flips with its operands), IN-list
+/// items compare as a set, and literals compare by exact value (type plus
+/// integer, double bit pattern or string bytes). Pointer-equal or both-null
+/// expressions are equivalent; otherwise unequal hashes short-circuit to
+/// false before the exact comparison runs. Callers usually Simplify() first
+/// for stronger results.
 bool ExprEquivalent(const ExprPtr& a, const ExprPtr& b);
+
+/// Hash/equality functors keying unordered containers by structural
+/// identity (null keys allowed).
+struct ExprHash {
+  size_t operator()(const ExprPtr& e) const {
+    return e == nullptr ? 0 : static_cast<size_t>(e->hash());
+  }
+};
+struct ExprEq {
+  bool operator()(const ExprPtr& a, const ExprPtr& b) const {
+    return ExprEquivalent(a, b);
+  }
+};
 
 /// Adds every ColumnId referenced by `expr` to `out`.
 void CollectColumns(const ExprPtr& expr, std::vector<ColumnId>* out);

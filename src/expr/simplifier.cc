@@ -87,20 +87,134 @@ ExprPtr CombineConjuncts(const std::vector<ExprPtr>& conjuncts) {
   return Expr::MakeAnd(conjuncts);
 }
 
+namespace {
+
+/// True when `absorber` is a simplified OR with a branch equivalent to the
+/// simplified `e`, so `e AND absorber` simplifies to a node structurally
+/// identical to `e` (absorption). Literals and conjunctions carrying a NULL
+/// literal are excluded: Simplify sets NULL conjuncts aside before
+/// absorbing, so the full path would keep the disjunction.
+bool AbsorbsInto(const ExprPtr& e, const ExprPtr& absorber) {
+  if (!e->simplified() || !absorber->simplified() ||
+      absorber->kind() != ExprKind::kOr || e->kind() == ExprKind::kLiteral) {
+    return false;
+  }
+  if (e->kind() == ExprKind::kAnd &&
+      std::any_of(e->children().begin(), e->children().end(),
+                  [](const ExprPtr& c) { return c->IsLiteralNull(); })) {
+    return false;
+  }
+  return std::any_of(absorber->children().begin(), absorber->children().end(),
+                     [&](const ExprPtr& branch) {
+                       return branch->hash() == e->hash() &&
+                              ExprEquivalent(branch, e);
+                     });
+}
+
+}  // namespace
+
 ExprPtr MakeConjunction(const ExprPtr& a, const ExprPtr& b) {
+  // Fast path for the shape aggregate fusion produces on every fold: a
+  // simplified mask conjoined with a compensating disjunction that already
+  // lists it. Returns what the general path below would rebuild.
+  if (a != nullptr && b != nullptr) {
+    if (AbsorbsInto(a, b)) return a;
+    if (AbsorbsInto(b, a)) return b;
+  }
   std::vector<ExprPtr> parts;
   SplitConjuncts(a, &parts);
   SplitConjuncts(b, &parts);
   return Simplify(CombineConjuncts(parts));
 }
 
-ExprPtr Simplify(const ExprPtr& expr) {
-  if (expr == nullptr) return expr;
-  if (expr->kind() == ExprKind::kColumnRef ||
-      expr->kind() == ExprKind::kLiteral) {
-    return expr;
+namespace {
+
+// Term lists up to this size are searched linearly; longer ones (the mask
+// disjunctions pairwise aggregate folds grow) through a hash index, so
+// deduplication and absorption stay O(n log n) instead of O(n^2).
+constexpr size_t kLinearScanLimit = 8;
+
+/// Equivalence lookups over a fixed list of terms.
+class TermIndex {
+ public:
+  explicit TermIndex(const std::vector<ExprPtr>& terms) : terms_(terms) {
+    if (terms.size() <= kLinearScanLimit) return;
+    by_hash_.reserve(terms.size());
+    for (size_t i = 0; i < terms.size(); ++i) {
+      by_hash_.emplace_back(terms[i]->hash(), i);
+    }
+    std::sort(by_hash_.begin(), by_hash_.end());
   }
 
+  /// True when some term other than terms[self] is equivalent to `e`.
+  bool ContainsOther(const ExprPtr& e, size_t self) const {
+    if (by_hash_.empty()) {
+      for (size_t j = 0; j < terms_.size(); ++j) {
+        if (j != self && Same(terms_[j], e)) return true;
+      }
+      return false;
+    }
+    auto it = std::lower_bound(by_hash_.begin(), by_hash_.end(),
+                               std::make_pair(e->hash(), size_t{0}));
+    for (; it != by_hash_.end() && it->first == e->hash(); ++it) {
+      if (it->second != self && ExprEquivalent(terms_[it->second], e)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  static bool Same(const ExprPtr& a, const ExprPtr& b) {
+    return a->hash() == b->hash() && ExprEquivalent(a, b);
+  }
+
+ private:
+  const std::vector<ExprPtr>& terms_;
+  std::vector<std::pair<uint64_t, size_t>> by_hash_;  // sorted
+};
+
+/// Drops every term equivalent to an earlier one, keeping order.
+void DropDuplicates(std::vector<ExprPtr>* terms) {
+  std::vector<ExprPtr>& t = *terms;
+  size_t n = t.size();
+  std::vector<bool> dup(n, false);
+  if (n <= kLinearScanLimit) {
+    for (size_t i = 1; i < n; ++i) {
+      for (size_t j = 0; j < i && !dup[i]; ++j) {
+        dup[i] = !dup[j] && TermIndex::Same(t[j], t[i]);
+      }
+    }
+  } else {
+    // Positions ascend within a run of equal hashes, so a term is a
+    // duplicate when an earlier kept term of its run is equivalent.
+    std::vector<std::pair<uint64_t, size_t>> by_hash;
+    by_hash.reserve(n);
+    for (size_t i = 0; i < n; ++i) by_hash.emplace_back(t[i]->hash(), i);
+    std::sort(by_hash.begin(), by_hash.end());
+    for (size_t r = 0; r < n;) {
+      size_t end = r + 1;
+      while (end < n && by_hash[end].first == by_hash[r].first) ++end;
+      for (size_t i = r + 1; i < end; ++i) {
+        size_t ti = by_hash[i].second;
+        for (size_t j = r; j < i && !dup[ti]; ++j) {
+          size_t tj = by_hash[j].second;
+          dup[ti] = !dup[tj] && ExprEquivalent(t[tj], t[ti]);
+        }
+      }
+      r = end;
+    }
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (dup[i]) continue;
+    if (kept != i) t[kept] = std::move(t[i]);
+    ++kept;
+  }
+  t.resize(kept);
+}
+
+/// One simplification step of a non-leaf node (children via Simplify).
+ExprPtr SimplifyNode(const ExprPtr& expr) {
   // Simplify children first.
   std::vector<ExprPtr> children;
   children.reserve(expr->children().size());
@@ -117,11 +231,10 @@ ExprPtr Simplify(const ExprPtr& expr) {
     case ExprKind::kOr: {
       bool is_and = node->kind() == ExprKind::kAnd;
       // Flatten nested AND/AND, OR/OR; drop neutral literals; short-circuit
-      // dominant literals; dedupe by fingerprint.
+      // dominant literals; dedupe structurally equivalent terms.
       std::vector<ExprPtr> flat;
-      std::vector<std::string> seen;
       bool saw_null = false;
-      std::vector<const Expr*> stack;
+      ExprPtr bool_null;  // a BOOL NULL child, re-appended as is below
       std::vector<ExprPtr> work(node->children().rbegin(),
                                 node->children().rend());
       while (!work.empty()) {
@@ -136,6 +249,9 @@ ExprPtr Simplify(const ExprPtr& expr) {
         }
         if (c->IsLiteralNull()) {
           saw_null = true;
+          if (bool_null == nullptr && c->type() == DataType::kBool) {
+            bool_null = c;
+          }
           continue;
         }
         if (is_and) {
@@ -145,12 +261,9 @@ ExprPtr Simplify(const ExprPtr& expr) {
           if (IsFalseLiteral(c)) continue;
           if (IsTrueLiteral(c)) return TrueLit();
         }
-        std::string fp = ExprFingerprint(c);
-        if (std::find(seen.begin(), seen.end(), fp) != seen.end()) continue;
-        seen.push_back(std::move(fp));
         flat.push_back(std::move(c));
       }
-      (void)stack;
+      DropDuplicates(&flat);
       if (flat.empty()) {
         // All children were neutral literals (or NULL). With a NULL child the
         // result is NULL-or-dominant; conservatively keep a NULL literal,
@@ -165,30 +278,23 @@ ExprPtr Simplify(const ExprPtr& expr) {
       // b1 AND (b1 OR b2) AND (b1 OR b2 OR b3) -> b1.
       {
         ExprKind absorber = is_and ? ExprKind::kOr : ExprKind::kAnd;
-        std::vector<std::string> fps;
-        fps.reserve(flat.size());
-        for (const ExprPtr& c : flat) fps.push_back(ExprFingerprint(c));
+        TermIndex index(flat);
         // A branch is implied when each of its pieces (conjuncts under AND,
         // disjuncts under OR) already appears among the *other* top-level
         // terms — so (x>=1 AND x<=20) absorbs ((x>=1 AND x<=20) OR ...)
         // even after the AND was flattened into separate conjuncts.
+        // The branch is a simplified node, so its pieces are exactly its
+        // children when it has the node's own kind (nested ones were
+        // flattened, neutral literals dropped) and the branch itself
+        // otherwise.
         auto implied = [&](const ExprPtr& branch, size_t self) {
-          std::vector<ExprPtr> pieces;
-          if (is_and) {
-            SplitConjuncts(branch, &pieces);
-          } else if (branch->kind() == ExprKind::kOr) {
-            pieces = branch->children();
-          } else {
-            pieces.push_back(branch);
-          }
-          if (pieces.empty()) return false;
-          for (const ExprPtr& piece : pieces) {
-            std::string pfp = ExprFingerprint(piece);
-            bool found = false;
-            for (size_t j = 0; j < flat.size() && !found; ++j) {
-              found = (j != self) && (fps[j] == pfp);
+          bool split = branch->kind() == node->kind();
+          size_t n = split ? branch->children().size() : 1;
+          for (size_t p = 0; p < n; ++p) {
+            if (!index.ContainsOther(split ? branch->child(p) : branch,
+                                     self)) {
+              return false;
             }
-            if (!found) return false;
           }
           return true;
         };
@@ -209,7 +315,10 @@ ExprPtr Simplify(const ExprPtr& expr) {
       }
       if (flat.size() == 1 && !saw_null) return flat[0];
       if (saw_null) {
-        flat.push_back(Expr::MakeLiteral(Value::Null(DataType::kBool)));
+        // Reusing the NULL child keeps a re-simplification pointer-stable.
+        flat.push_back(bool_null != nullptr
+                           ? bool_null
+                           : Expr::MakeLiteral(Value::Null(DataType::kBool)));
       }
       // Idempotence: reuse the node when flattening changed nothing.
       if (flat.size() == node->children().size()) {
@@ -257,6 +366,23 @@ ExprPtr Simplify(const ExprPtr& expr) {
     }
   }
   return node;
+}
+
+}  // namespace
+
+ExprPtr Simplify(const ExprPtr& expr) {
+  if (expr == nullptr || expr->simplified()) return expr;
+  if (expr->kind() == ExprKind::kColumnRef ||
+      expr->kind() == ExprKind::kLiteral) {
+    return expr;
+  }
+  ExprPtr out = SimplifyNode(expr);
+  // Every result is a fixed point: its children are fixed points, already
+  // flattened, deduplicated and absorbed, so a second pass would rebuild
+  // nothing and return the node itself. Marking it lets the callers that
+  // re-simplify (every optimizer sweep, every fold) return at once.
+  out->MarkSimplified();
+  return out;
 }
 
 namespace {
@@ -378,17 +504,17 @@ bool IsContradiction(const ExprPtr& raw) {
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(expr, &conjuncts);
   // p AND NOT p.
-  std::vector<std::string> positive, negative;
+  std::vector<ExprPtr> positive, negative;
   for (const ExprPtr& c : conjuncts) {
     if (c->kind() == ExprKind::kNot) {
-      negative.push_back(ExprFingerprint(c->child(0)));
+      negative.push_back(c->child(0));
     } else {
-      positive.push_back(ExprFingerprint(c));
+      positive.push_back(c);
     }
   }
-  for (const std::string& p : positive) {
-    if (std::find(negative.begin(), negative.end(), p) != negative.end()) {
-      return true;
+  for (const ExprPtr& p : positive) {
+    for (const ExprPtr& n : negative) {
+      if (ExprEquivalent(p, n)) return true;
     }
   }
   // Per-column range analysis.

@@ -16,15 +16,9 @@ namespace {
 
 ExprPtr TrueExpr() { return Expr::MakeLiteral(Value::Bool(true)); }
 
-/// Fingerprint of a possibly-null expression ("" for null).
-std::string FpOrEmpty(const ExprPtr& e) {
-  return e == nullptr ? std::string() : ExprFingerprint(e);
-}
-
-/// Fingerprint treating null masks as TRUE.
-std::string MaskFp(const ExprPtr& mask) {
-  return mask == nullptr ? ExprFingerprint(TrueExpr())
-                         : ExprFingerprint(Simplify(mask));
+/// Canonical form of an aggregate mask for reuse matching: null means TRUE.
+ExprPtr CanonicalMask(const ExprPtr& mask) {
+  return mask == nullptr ? TrueExpr() : Simplify(mask);
 }
 
 bool SameColumnSet(const std::vector<ColumnId>& a,
@@ -241,21 +235,21 @@ std::optional<FuseResult> Fuser::FuseProject(const ProjectOp& r1,
   auto sub = Fuse(r1.child(0), r2.child(0));
   if (!sub.has_value()) return std::nullopt;
   std::vector<NamedExpr> assignments = r1.exprs();
-  std::unordered_map<std::string, ColumnId> by_fp;
+  std::unordered_map<ExprPtr, ColumnId, ExprHash, ExprEq> by_expr;
   std::unordered_map<ColumnId, bool> produced;  // output ids present
   for (const NamedExpr& a : assignments) {
-    by_fp.emplace(ExprFingerprint(Simplify(a.expr)), a.id);
+    by_expr.emplace(Simplify(a.expr), a.id);
     produced[a.id] = true;
   }
   ColumnMap mapping = sub->mapping;
   for (const NamedExpr& a2 : r2.exprs()) {
     ExprPtr mapped = Simplify(ApplyMap(sub->mapping, a2.expr));
-    auto it = by_fp.find(ExprFingerprint(mapped));
-    if (it != by_fp.end()) {
+    auto it = by_expr.find(mapped);
+    if (it != by_expr.end()) {
       mapping[a2.id] = it->second;
     } else {
       assignments.push_back({a2.id, a2.name, mapped});
-      by_fp.emplace(ExprFingerprint(mapped), a2.id);
+      by_expr.emplace(mapped, a2.id);
       produced[a2.id] = true;
       mapping[a2.id] = a2.id;
     }
@@ -358,22 +352,22 @@ std::optional<FuseResult> Fuser::FuseAggregate(const AggregateOp& g1,
   struct Entry {
     AggFunc func;
     bool distinct;
-    std::string arg_fp;
-    std::string mask_fp;
+    ExprPtr arg;   // null for COUNT(*)
+    ExprPtr mask;  // CanonicalMask of the item's mask
     ColumnId id;
   };
   std::vector<Entry> entries;
-  auto add_item = [&](const AggregateItem& item) {
-    entries.push_back({item.func, item.distinct, FpOrEmpty(item.arg),
-                       MaskFp(item.mask), item.id});
-    fused_aggs.push_back(item);
+  auto add_item = [&](AggregateItem item) {
+    entries.push_back({item.func, item.distinct, item.arg,
+                       CanonicalMask(item.mask), item.id});
+    fused_aggs.push_back(std::move(item));
   };
   for (const AggregateItem& a1 : g1.aggregates()) {
     AggregateItem item = a1;
     if (!l_true) {
       item.mask = item.mask == nullptr ? l : MakeConjunction(item.mask, l);
     }
-    add_item(item);
+    add_item(std::move(item));
   }
   ColumnMap mapping = sub->mapping;
   for (const AggregateItem& a2 : g2.aggregates()) {
@@ -386,12 +380,12 @@ std::optional<FuseResult> Fuser::FuseAggregate(const AggregateOp& g1,
     }
     item.mask = mask;
     // Reuse an existing identical aggregate when available.
-    std::string arg_fp = FpOrEmpty(item.arg);
-    std::string mask_fp = MaskFp(item.mask);
+    ExprPtr canonical_mask = CanonicalMask(item.mask);
     const Entry* found = nullptr;
     for (const Entry& e : entries) {
       if (e.func == item.func && e.distinct == item.distinct &&
-          e.arg_fp == arg_fp && e.mask_fp == mask_fp) {
+          ExprEquivalent(e.arg, item.arg) &&
+          ExprEquivalent(e.mask, canonical_mask)) {
         found = &e;
         break;
       }
@@ -399,8 +393,8 @@ std::optional<FuseResult> Fuser::FuseAggregate(const AggregateOp& g1,
     if (found != nullptr) {
       mapping[a2.id] = found->id;
     } else {
-      add_item(item);
       mapping[a2.id] = item.id;
+      add_item(std::move(item));
     }
   }
 
@@ -411,10 +405,10 @@ std::optional<FuseResult> Fuser::FuseAggregate(const AggregateOp& g1,
   bool scalar = g1.IsScalar();
   auto add_comp = [&](const ExprPtr& guard, const char* name) -> ExprPtr {
     // Reuse an existing COUNT(*) with the same mask if present.
-    std::string mask_fp = MaskFp(guard);
+    ExprPtr mask = CanonicalMask(guard);
     for (const Entry& e : entries) {
-      if (e.func == AggFunc::kCountStar && !e.distinct && e.arg_fp.empty() &&
-          e.mask_fp == mask_fp) {
+      if (e.func == AggFunc::kCountStar && !e.distinct && e.arg == nullptr &&
+          ExprEquivalent(e.mask, mask)) {
         return eb::Gt(eb::Col(e.id, DataType::kInt64), eb::Int(0));
       }
     }

@@ -1,5 +1,6 @@
 #include "fusion/fuse_across.h"
 
+#include <string>
 #include <utility>
 
 #include "analysis/semantic_ledger.h"
@@ -22,21 +23,31 @@ ExprPtr AndFilters(const ExprPtr& a, const ExprPtr& b) {
 }  // namespace
 
 std::optional<size_t> CrossPlanFuser::TryAdd(const PlanPtr& plan) {
-  uint64_t fingerprint = PlanFingerprint(plan);
+  std::string canonical = PlanCanonicalString(plan);
+  uint64_t fingerprint = CanonicalStringFingerprint(canonical);
+  auto add_member = [&]() {
+    members_.push_back(plan);
+    member_fingerprints_.push_back(fingerprint);
+    member_canonicals_.push_back(std::move(canonical));
+  };
   if (plan_ == nullptr) {
     plan_ = plan;
     consumers_.push_back({nullptr, {}});
-    members_.push_back(plan);
-    member_fingerprints_.push_back(fingerprint);
+    add_member();
     return 0;
   }
-  // Identical-member overlay: the fingerprint is renumbering-stable, so a
-  // matching member computes the same relation and the new plan's output
+  // Identical-member overlay: the canonical form is renumbering-stable, so
+  // a matching member computes the same relation and the new plan's output
   // column i is the member's output column i. The new consumer reuses the
   // member's compensating filter and routes positionally through the
-  // member's mapping — no Fuse call, and no operator-kind restriction.
+  // member's mapping — no Fuse call, and no operator-kind restriction. The
+  // 64-bit fingerprint only filters candidates; the canonical strings
+  // decide, since a collision would hand this session another's rows.
   for (size_t j = 0; j < members_.size(); ++j) {
-    if (member_fingerprints_[j] != fingerprint) continue;
+    if (member_fingerprints_[j] != fingerprint ||
+        member_canonicals_[j] != canonical) {
+      continue;
+    }
     const Schema& member_schema = members_[j]->schema();
     const Schema& plan_schema = plan->schema();
     ColumnMap overlay;
@@ -45,8 +56,7 @@ std::optional<size_t> CrossPlanFuser::TryAdd(const PlanPtr& plan) {
           ApplyMap(consumers_[j].mapping, member_schema.column(i).id);
     }
     consumers_.push_back({consumers_[j].filter, std::move(overlay)});
-    members_.push_back(plan);
-    member_fingerprints_.push_back(fingerprint);
+    add_member();
     return consumers_.size() - 1;
   }
   std::optional<FuseResult> fused = fuser_.Fuse(plan_, plan);
@@ -72,8 +82,7 @@ std::optional<size_t> CrossPlanFuser::TryAdd(const PlanPtr& plan) {
     ledger->AddImplication(plan_, consumers_.back().filter,
                            fused->right_filter, "CrossPlanFuser");
   }
-  members_.push_back(plan);
-  member_fingerprints_.push_back(fingerprint);
+  add_member();
   return consumers_.size() - 1;
 }
 

@@ -19,6 +19,7 @@
 #define FUSIONDB_FUSION_FUSE_ACROSS_H_
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "fusion/fuse.h"
@@ -46,8 +47,8 @@ class CrossPlanFuser {
   explicit CrossPlanFuser(PlanContext* ctx) : fuser_(ctx), ctx_(ctx) {}
 
   /// Attempts to fold `plan` into the shared plan. The first add always
-  /// succeeds (the shared plan is just `plan`). A plan whose fingerprint
-  /// matches an existing member overlays that member's consumer directly —
+  /// succeeds (the shared plan is just `plan`). A plan whose canonical form
+  /// (PlanCanonicalString) matches an existing member overlays that member's consumer directly —
   /// exact sharing for *any* operator shape, including roots Fuse has no
   /// rule for (Window, UnionAll) — the same identity notion the spool rule
   /// uses to group duplicate subtrees (§11.1). Otherwise the add succeeds
@@ -75,6 +76,7 @@ class CrossPlanFuser {
   std::vector<CrossConsumer> consumers_;
   std::vector<PlanPtr> members_;
   std::vector<uint64_t> member_fingerprints_;  // aligned with members_
+  std::vector<std::string> member_canonicals_;  // PlanCanonicalString, ditto
 };
 
 /// One-shot form: folds all of `plans` (at least one) or fails entirely.

@@ -16,7 +16,27 @@ constexpr size_t kMaxFusionSteps = 65536;
 
 }  // namespace
 
-void OptimizerTrace::BeginPhase(std::string name) { phase_ = std::move(name); }
+void OptimizerTrace::BeginPhase(std::string name) {
+  EndPhase();
+  phase_ = std::move(name);
+  phase_open_ = true;
+  phase_start_ = std::chrono::steady_clock::now();
+}
+
+void OptimizerTrace::EndPhase() {
+  if (!phase_open_) return;
+  phase_open_ = false;
+  int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
+                   std::chrono::steady_clock::now() - phase_start_)
+                   .count();
+  for (PhaseTime& t : phase_times_) {
+    if (t.phase == phase_) {
+      t.wall_us += us;
+      return;
+    }
+  }
+  phase_times_.push_back({phase_, us});
+}
 
 void OptimizerTrace::RecordRuleAttempt(std::string_view rule, bool fired) {
   for (RulePhaseStats& s : rule_stats_) {
@@ -87,6 +107,13 @@ void OptimizerTrace::FusionResolve(int step, bool fused, std::string outcome) {
 std::string OptimizerTrace::ToString() const {
   std::ostringstream os;
   os << "== optimizer trace ==\n";
+  os << "phases (wall time):\n";
+  for (const PhaseTime& t : phase_times_) {
+    char line[96];
+    std::snprintf(line, sizeof(line), "  %-12s %10lld us\n", t.phase.c_str(),
+                  static_cast<long long>(t.wall_us));
+    os << line;
+  }
   os << "rules (per phase):\n";
   for (const RulePhaseStats& s : rule_stats_) {
     char line[160];

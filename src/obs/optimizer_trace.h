@@ -11,6 +11,7 @@
 #ifndef FUSIONDB_OBS_OPTIMIZER_TRACE_H_
 #define FUSIONDB_OBS_OPTIMIZER_TRACE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -26,6 +27,13 @@ struct RulePhaseStats {
   std::string rule;
   int64_t attempts = 0;
   int64_t fired = 0;
+};
+
+/// Wall time spent in one optimizer phase (summed when a phase runs more
+/// than once under the same trace).
+struct PhaseTime {
+  std::string phase;
+  int64_t wall_us = 0;
 };
 
 /// One successful rewrite: which rule, where it anchored, and the operator
@@ -79,8 +87,10 @@ struct CostDecision {
 class OptimizerTrace {
  public:
   /// Phase bookkeeping (normalize, decorrelate, fuse, ...). Subsequent rule
-  /// events are attributed to the current phase.
+  /// events are attributed to the current phase, and its wall time runs
+  /// until EndPhase (or the next BeginPhase).
   void BeginPhase(std::string name);
+  void EndPhase();
   const std::string& current_phase() const { return phase_; }
 
   /// Records one rule application attempt; `fired` when it rewrote.
@@ -108,6 +118,7 @@ class OptimizerTrace {
   void RecordSemanticChecks(int64_t plans, int64_t nodes, int64_t obligations);
 
   const std::vector<RulePhaseStats>& rule_stats() const { return rule_stats_; }
+  const std::vector<PhaseTime>& phase_times() const { return phase_times_; }
   const std::vector<RuleFiring>& firings() const { return firings_; }
   const std::vector<FusionStep>& fusion_steps() const { return fusion_steps_; }
   const std::vector<CostDecision>& cost_decisions() const {
@@ -127,6 +138,9 @@ class OptimizerTrace {
 
  private:
   std::string phase_;
+  bool phase_open_ = false;
+  std::chrono::steady_clock::time_point phase_start_;
+  std::vector<PhaseTime> phase_times_;
   std::vector<RulePhaseStats> rule_stats_;
   std::vector<RuleFiring> firings_;
   std::vector<FusionStep> fusion_steps_;

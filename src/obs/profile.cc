@@ -68,6 +68,15 @@ void WritePlanNode(const PlanPtr& plan,
 
 void WriteTrace(const OptimizerTrace& t, JsonWriter* w) {
   w->BeginObject();
+  w->Key("phases");
+  w->BeginArray();
+  for (const PhaseTime& p : t.phase_times()) {
+    w->BeginObject();
+    w->Field("phase", p.phase);
+    w->Field("wall_us", p.wall_us);
+    w->EndObject();
+  }
+  w->EndArray();
   w->Key("rules");
   w->BeginArray();
   for (const RulePhaseStats& s : t.rule_stats()) {

@@ -1,8 +1,6 @@
 #include "optimizer/optimizer.h"
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -22,36 +20,31 @@ namespace fusiondb {
 
 namespace {
 
-/// Set FUSIONDB_TRACE_OPTIMIZER=1 to log per-phase wall time to stderr.
-bool TraceEnabled() {
-  static bool enabled = std::getenv("FUSIONDB_TRACE_OPTIMIZER") != nullptr;
-  return enabled;
-}
-
-class PhaseTimer {
+/// Scopes one optimizer phase on the (nullable) trace: rule events inside
+/// are attributed to it and its wall time is recorded when the scope ends.
+class PhaseScope {
  public:
-  explicit PhaseTimer(const char* name)
-      : name_(name), start_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    if (!TraceEnabled()) return;
-    double ms = std::chrono::duration_cast<
-                    std::chrono::duration<double, std::milli>>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-    std::fprintf(stderr, "[optimizer] %-12s %8.1f ms\n", name_, ms);
+  PhaseScope(OptimizerTrace* trace, const char* name) : trace_(trace) {
+    if (trace_ != nullptr) trace_->BeginPhase(name);
   }
+  ~PhaseScope() {
+    if (trace_ != nullptr) trace_->EndPhase();
+  }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
-  const char* name_;
-  std::chrono::steady_clock::time_point start_;
+  OptimizerTrace* trace_;
 };
 
-/// Rule activity accumulated across one Optimize() call and flushed to the
-/// context's MetricsRegistry once, at scope exit (also on error paths, so
-/// failure counters survive the early return). Local plain ints keep the
-/// sweep hot path free of registry lookups.
+/// Rule activity and wall time accumulated across one Optimize() call and
+/// flushed to the context's MetricsRegistry once, at scope exit (also on
+/// error paths, so failure counters survive the early return). Local plain
+/// ints keep the sweep hot path free of registry lookups.
 struct OptCounters {
   MetricsRegistry* registry = nullptr;  // null: everything below is inert
+  std::chrono::steady_clock::time_point start =
+      std::chrono::steady_clock::now();
   int64_t attempts = 0;
   int64_t firings = 0;
   int64_t verifier_failures = 0;
@@ -72,6 +65,10 @@ struct OptCounters {
   ~OptCounters() {
     if (registry == nullptr) return;
     MetricsRegistry* r = registry;
+    r->Record(r->Histogram("fusiondb_optimizer_optimize_us"),
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count());
     r->Add(r->Counter("fusiondb_optimizer_runs_total"), 1);
     r->Add(r->Counter("fusiondb_optimizer_rule_attempts_total"), attempts);
     r->Add(r->Counter("fusiondb_optimizer_rule_firings_total"), firings);
@@ -185,10 +182,6 @@ Result<PlanPtr> RunPhase(const PlanPtr& plan,
     FUSIONDB_ASSIGN_OR_RETURN(
         current,
         SweepOnce(current, rules, ctx, semantic, counters, &changed));
-    if (TraceEnabled()) {
-      std::fprintf(stderr, "[optimizer]   pass %d: %d ops%s\n", pass,
-                   CountAllOps(current), changed ? "" : " (fixpoint)");
-    }
     if (!changed) return current;
   }
   return Status::Internal("optimizer phase did not reach a fixpoint");
@@ -253,24 +246,21 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
 
   // 1. Normalize.
   {
-    if (obs_trace != nullptr) obs_trace->BeginPhase("normalize");
-    PhaseTimer timer("normalize");
+    PhaseScope phase(obs_trace, "normalize");
     std::vector<const Rule*> rules{&simplify, &merge_filters, &merge_projects};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
   // 2. Decorrelate (always-on substrate; Apply cannot execute).
   if (options_.enable_decorrelation) {
-    if (obs_trace != nullptr) obs_trace->BeginPhase("decorrelate");
-    PhaseTimer timer("decorrelate");
+    PhaseScope phase(obs_trace, "decorrelate");
     std::vector<const Rule*> rules{&decorrelate, &merge_filters};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
   // 3. Lower DISTINCT aggregates onto MarkDistinct.
   if (options_.enable_distinct_lowering) {
-    if (obs_trace != nullptr) obs_trace->BeginPhase("lower");
-    PhaseTimer timer("lower");
+    PhaseScope phase(obs_trace, "lower");
     std::vector<const Rule*> rules{&lower_distinct};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
@@ -283,8 +273,7 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
     if (options_.enable_union_all_on_join) rules.push_back(&union_on_join);
     if (options_.enable_union_all_fuse) rules.push_back(&union_fuse);
     if (!rules.empty()) {
-      if (obs_trace != nullptr) obs_trace->BeginPhase("fuse");
-      PhaseTimer timer("fuse");
+      PhaseScope phase(obs_trace, "fuse");
       rules.push_back(&simplify);
       FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
     }
@@ -292,8 +281,7 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
 
   // 5. Distinct/semi-join interplay (the Q95 pipeline, Section V.D).
   if (options_.enable_semijoin_rewrites) {
-    if (obs_trace != nullptr) obs_trace->BeginPhase("distinct");
-    PhaseTimer timer("distinct");
+    PhaseScope phase(obs_trace, "distinct");
     std::vector<const Rule*> rules{&semi_to_distinct, &push_distinct,
                                    &merge_projects};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
@@ -301,23 +289,20 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
 
   // 6. Fusion again: phase 5 exposes new JoinOnKeys opportunities.
   if (options_.enable_join_on_keys) {
-    if (obs_trace != nullptr) obs_trace->BeginPhase("fuse2");
-    PhaseTimer timer("fuse2");
+    PhaseScope phase(obs_trace, "fuse2");
     std::vector<const Rule*> rules{&join_on_keys, &simplify};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
   // 7. Cleanup: simplify, push filters toward (and into) scans, prune.
   {
-    if (obs_trace != nullptr) obs_trace->BeginPhase("cleanup");
-    PhaseTimer timer("cleanup");
+    PhaseScope phase(obs_trace, "cleanup");
     std::vector<const Rule*> rules{&simplify, &merge_filters, &merge_projects,
                                    &filter_pushdown, &push_into_scan};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
   if (options_.enable_column_pruning) {
-    if (obs_trace != nullptr) obs_trace->BeginPhase("prune");
-    PhaseTimer timer("prune");
+    PhaseScope phase(obs_trace, "prune");
     int ops_before = obs_trace != nullptr ? CountAllOps(current) : 0;
     PlanPtr pre_prune = current;
     FUSIONDB_ASSIGN_OR_RETURN(current, PruneColumns(current));
@@ -343,8 +328,7 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   // materialize once versus re-execute per consumer — against cardinality
   // estimates overlaid with measured feedback from earlier runs.
   if (options_.spool_mode != SpoolMode::kOff) {
-    if (obs_trace != nullptr) obs_trace->BeginPhase("spool");
-    PhaseTimer timer("spool");
+    PhaseScope phase(obs_trace, "spool");
     int ops_before = obs_trace != nullptr ? CountAllOps(current) : 0;
     PlanPtr pre_spool = current;
     CardinalityEstimator estimator(options_.feedback);

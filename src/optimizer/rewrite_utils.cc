@@ -33,11 +33,11 @@ bool CoveredBy(const ExprPtr& e, const Schema& schema) {
   return true;
 }
 
-/// x = x (same fingerprint on both sides of an equality).
+/// x = x (structurally equivalent operands on both sides of an equality).
 bool IsTrivialSelfEquality(const ExprPtr& e) {
   return e->kind() == ExprKind::kCompare &&
          e->compare_op() == CompareOp::kEq &&
-         ExprFingerprint(e->child(0)) == ExprFingerprint(e->child(1));
+         ExprEquivalent(e->child(0), e->child(1));
 }
 
 }  // namespace
@@ -147,24 +147,27 @@ Result<PlanPtr> RebuildJoin(const NaryJoin& nary) {
 Result<PlanPtr> RestoreSchema(const PlanPtr& plan, const Schema& original,
                               const ColumnMap& map) {
   bool identity = true;
-  std::vector<NamedExpr> exprs;
-  exprs.reserve(original.num_columns());
   for (const ColumnInfo& c : original.columns()) {
     ColumnId source = ApplyMap(map, c.id);
-    int idx = plan->schema().IndexOf(source);
-    if (idx < 0) {
+    if (!plan->schema().Contains(source)) {
       return Status::Internal("schema restoration: column #" +
                               std::to_string(source) + " missing");
     }
     if (source != c.id) identity = false;
-    exprs.push_back({c.id, c.name,
-                     Expr::MakeColumnRef(source, plan->schema().column(idx).type)});
   }
   // A superset schema with untouched ids needs no projection: parents
   // reference columns by id, and column pruning trims extras later. This
   // also keeps join trees flattenable for the n-ary fusion rules.
   if (identity) {
     return plan;
+  }
+  std::vector<NamedExpr> exprs;
+  exprs.reserve(original.num_columns());
+  for (const ColumnInfo& c : original.columns()) {
+    ColumnId source = ApplyMap(map, c.id);
+    const ColumnInfo& info =
+        plan->schema().column(plan->schema().IndexOf(source));
+    exprs.push_back({c.id, c.name, Expr::MakeColumnRef(source, info.type)});
   }
   return std::static_pointer_cast<const LogicalOp>(
       std::make_shared<ProjectOp>(plan, std::move(exprs)));

@@ -19,15 +19,19 @@ Result<PlanPtr> SimplifyExpressionsRule::Apply(const PlanPtr& plan,
     }
     case OpKind::kProject: {
       const auto& proj = Cast<ProjectOp>(*plan);
+      // Copy the assignments (names included) only once one changes.
+      std::vector<ExprPtr> simplified;
+      simplified.reserve(proj.exprs().size());
       bool changed = false;
-      std::vector<NamedExpr> exprs;
-      exprs.reserve(proj.exprs().size());
       for (const NamedExpr& e : proj.exprs()) {
-        ExprPtr s = Simplify(e.expr);
-        changed |= (s != e.expr);
-        exprs.push_back({e.id, e.name, std::move(s)});
+        simplified.push_back(Simplify(e.expr));
+        changed |= (simplified.back() != e.expr);
       }
       if (!changed) return plan;
+      std::vector<NamedExpr> exprs = proj.exprs();
+      for (size_t i = 0; i < exprs.size(); ++i) {
+        exprs[i].expr = std::move(simplified[i]);
+      }
       return std::static_pointer_cast<const LogicalOp>(
           std::make_shared<ProjectOp>(proj.child(0), std::move(exprs)));
     }
@@ -41,20 +45,21 @@ Result<PlanPtr> SimplifyExpressionsRule::Apply(const PlanPtr& plan,
     }
     case OpKind::kAggregate: {
       const auto& agg = Cast<AggregateOp>(*plan);
+      // Copy the items (names included) only once a mask changes.
+      std::vector<ExprPtr> masks;
+      masks.reserve(agg.aggregates().size());
       bool changed = false;
-      std::vector<AggregateItem> items;
-      items.reserve(agg.aggregates().size());
       for (const AggregateItem& a : agg.aggregates()) {
-        AggregateItem item = a;
-        if (item.mask != nullptr) {
-          ExprPtr s = Simplify(item.mask);
-          if (IsTrueLiteral(s)) s = nullptr;
-          changed |= (s != a.mask);
-          item.mask = std::move(s);
-        }
-        items.push_back(std::move(item));
+        ExprPtr s = Simplify(a.mask);
+        if (IsTrueLiteral(s)) s = nullptr;
+        changed |= (s != a.mask);
+        masks.push_back(std::move(s));
       }
       if (!changed) return plan;
+      std::vector<AggregateItem> items = agg.aggregates();
+      for (size_t i = 0; i < items.size(); ++i) {
+        items[i].mask = std::move(masks[i]);
+      }
       return std::static_pointer_cast<const LogicalOp>(
           std::make_shared<AggregateOp>(agg.child(0), agg.group_by(),
                                         std::move(items)));

@@ -1,6 +1,7 @@
 #include "plan/plan_fingerprint.h"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -75,14 +76,38 @@ void AssignDefinitions(const LogicalOp& op, ColumnCanon* canon) {
 
 std::string CanonExpr(const ExprPtr& e, ColumnCanon* canon);
 
+/// Exact, unambiguous literal text: doubles in shortest round-trip form
+/// (Value::ToString rounds them to 6 significant digits) and strings
+/// length-prefixed, so distinct values never serialize alike.
+std::string CanonLiteral(const Value& v) {
+  if (v.is_null()) return "NULL";
+  switch (v.type()) {
+    case DataType::kFloat64: {
+      char buf[64];
+      auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v.double_value());
+      FUSIONDB_CHECK(ec == std::errc(), "double does not serialize");
+      return std::string(buf, end);
+    }
+    case DataType::kString:
+      return "s" + std::to_string(v.string_value().size()) + ":" +
+             v.string_value();
+    case DataType::kBool:
+    case DataType::kInt64:
+    case DataType::kDate:
+      return v.ToString();
+  }
+  return v.ToString();
+}
+
 std::string CanonExprOrNull(const ExprPtr& e, ColumnCanon* canon) {
   return e == nullptr ? std::string("_") : CanonExpr(e, canon);
 }
 
 /// Canonical expression serialization with ordinal column references.
-/// Mirrors ExprFingerprint's canonicalization (sorted AND/OR operands,
-/// oriented commutative comparisons) so renumbering-stable fingerprints keep
-/// the same equivalences.
+/// Canonicalizes like the structural expression hash (sorted, deduplicated
+/// AND/OR operands, oriented comparisons and commutative arithmetic, sorted
+/// IN items), but orders by serialized text rather than by hash: ordinals
+/// replace ColumnIds here, so the ids' hashes would not be stable.
 std::string CanonExpr(const ExprPtr& e, ColumnCanon* canon) {
   std::ostringstream os;
   switch (e->kind()) {
@@ -91,7 +116,7 @@ std::string CanonExpr(const ExprPtr& e, ColumnCanon* canon) {
       break;
     case ExprKind::kLiteral:
       os << "lit" << static_cast<int>(e->type()) << ":"
-         << e->literal().ToString();
+         << CanonLiteral(e->literal());
       break;
     case ExprKind::kCompare: {
       std::string l = CanonExpr(e->child(0), canon);
@@ -299,7 +324,7 @@ void Serialize(const LogicalOp& op, ColumnCanon* canon, std::ostringstream* os) 
         if (r > 0) *os << "|";
         for (size_t c = 0; c < v.rows()[r].size(); ++c) {
           if (c > 0) *os << ",";
-          *os << v.rows()[r][c].ToString();
+          *os << CanonLiteral(v.rows()[r][c]);
         }
       }
       *os << "}";
@@ -361,9 +386,12 @@ std::string PlanCanonicalString(const PlanPtr& plan) {
 }
 
 uint64_t PlanFingerprint(const PlanPtr& plan) {
-  std::string s = PlanCanonicalString(plan);
+  return CanonicalStringFingerprint(PlanCanonicalString(plan));
+}
+
+uint64_t CanonicalStringFingerprint(std::string_view canonical) {
   uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64-bit offset basis
-  for (unsigned char c : s) {
+  for (unsigned char c : canonical) {
     hash ^= c;
     hash *= 0x100000001b3ULL;  // FNV prime
   }

@@ -10,17 +10,20 @@
 // deterministic post-order walk of the subtree (scan/project/aggregate/...
 // output columns in schema order, children left-to-right before parents),
 // so the numbering depends only on plan structure. AND/OR operands and
-// commutative comparisons are ordered canonically, mirroring
-// ExprFingerprint. Spool ids are ignored (they are allocation artifacts).
+// commutative comparisons are ordered canonically under the same rules as
+// the structural expression hash (expr/expr.h). Literals serialize exactly.
+// Spool ids are ignored (they are allocation artifacts).
 //
 // Equal fingerprints mean structurally identical computations up to id
-// renumbering; as with any hash, collisions are possible but the canonical
-// string (exposed for tests and debugging) is collision-free.
+// renumbering; as with any hash, collisions are possible, so callers that
+// act on identity (CrossPlanFuser's overlay) confirm with the canonical
+// string, which is collision-free.
 #ifndef FUSIONDB_PLAN_PLAN_FINGERPRINT_H_
 #define FUSIONDB_PLAN_PLAN_FINGERPRINT_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "plan/logical_plan.h"
 
@@ -32,6 +35,11 @@ std::string PlanCanonicalString(const PlanPtr& plan);
 
 /// FNV-1a 64-bit hash of PlanCanonicalString(plan).
 uint64_t PlanFingerprint(const PlanPtr& plan);
+
+/// The hash step of PlanFingerprint, for callers that keep the canonical
+/// string: PlanFingerprint(p) == CanonicalStringFingerprint(
+/// PlanCanonicalString(p)).
+uint64_t CanonicalStringFingerprint(std::string_view canonical);
 
 /// Fingerprint rendered for traces/JSON ("fp:0123456789abcdef").
 std::string FingerprintToString(uint64_t fingerprint);

@@ -1,9 +1,9 @@
 #include "sql/binder.h"
 
 #include <cctype>
-#include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "expr/expr_builder.h"
@@ -24,18 +24,41 @@ struct Scope {
   std::vector<ScopeColumn> columns;
 };
 
-/// Post-aggregation binding context: plain column references must be group
-/// keys; aggregate calls map (by structural fingerprint) to the output
-/// columns of the AggregateOp underneath.
-struct AggContext {
-  std::set<ColumnId> group_ids;
-  std::map<std::string, ColumnInfo> calls;
-};
-
 std::string Lower(std::string s) {
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return s;
 }
+
+/// One aggregate call: the function, DISTINCT, and the bound argument (null
+/// for COUNT(*)). Calls with equivalent arguments are the same call.
+struct CallKey {
+  CallKey(const std::string& func, bool distinct, ExprPtr arg)
+      : func(Lower(func)), distinct(distinct), arg(std::move(arg)) {}
+
+  std::string func;
+  bool distinct;
+  ExprPtr arg;
+
+  bool operator==(const CallKey& o) const {
+    return func == o.func && distinct == o.distinct &&
+           ExprEquivalent(arg, o.arg);
+  }
+};
+
+struct CallKeyHash {
+  size_t operator()(const CallKey& k) const {
+    return std::hash<std::string>()(k.func) ^ (k.distinct ? 1 : 0) ^
+           ExprHash()(k.arg);
+  }
+};
+
+/// Post-aggregation binding context: plain column references must be group
+/// keys; aggregate calls map (by structural identity) to the output columns
+/// of the AggregateOp underneath.
+struct AggContext {
+  std::set<ColumnId> group_ids;
+  std::unordered_map<CallKey, ColumnInfo, CallKeyHash> calls;
+};
 
 class Binder {
  public:
@@ -382,12 +405,6 @@ class Binder {
     return false;
   }
 
-  static std::string CallKey(const std::string& func, bool distinct,
-                             const ExprPtr& arg) {
-    return Lower(func) + (distinct ? "|d|" : "|a|") +
-           (arg == nullptr ? "*" : ExprFingerprint(arg));
-  }
-
   /// Collects each distinct aggregate call under `e` into `agg->calls`,
   /// binding arguments against the pre-aggregation scope.
   bool CollectAggregates(const AstExpr& e, const Scope& scope,
@@ -433,7 +450,7 @@ class Binder {
         return false;
       }
     }
-    std::string key = CallKey(e.name, e.distinct, arg);
+    CallKey key(e.name, e.distinct, arg);
     if (agg->calls.count(key) > 0) return true;  // deduplicated
     AggregateItem item;
     item.id = ctx_->NextId();
@@ -441,7 +458,8 @@ class Binder {
     item.func = func;
     item.arg = arg;
     item.distinct = e.distinct;
-    agg->calls[key] = {item.id, item.name, item.result_type()};
+    agg->calls.emplace(std::move(key),
+                       ColumnInfo{item.id, item.name, item.result_type()});
     items->push_back(std::move(item));
     return true;
   }

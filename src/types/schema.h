@@ -4,9 +4,10 @@
 #ifndef FUSIONDB_TYPES_SCHEMA_H_
 #define FUSIONDB_TYPES_SCHEMA_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -27,7 +28,7 @@ struct ColumnInfo {
   DataType type = DataType::kInt64;
 };
 
-/// Ordered column list with O(1) id lookup.
+/// Ordered column list with O(log n) id lookup.
 class Schema {
  public:
   Schema() = default;
@@ -39,12 +40,18 @@ class Schema {
   const ColumnInfo& column(size_t i) const { return columns_[i]; }
   const std::vector<ColumnInfo>& columns() const { return columns_; }
 
-  /// Position of `id` in this schema, or -1 if absent.
+  /// Position of `id` in this schema (the last one if it repeats), or -1
+  /// if absent.
   int IndexOf(ColumnId id) const {
-    auto it = index_.find(id);
-    return it == index_.end() ? -1 : it->second;
+    auto it = std::upper_bound(
+        index_.begin(), index_.end(), id,
+        [](ColumnId v, const std::pair<ColumnId, int>& e) {
+          return v < e.first;
+        });
+    if (it == index_.begin() || (it - 1)->first != id) return -1;
+    return (it - 1)->second;
   }
-  bool Contains(ColumnId id) const { return index_.count(id) > 0; }
+  bool Contains(ColumnId id) const { return IndexOf(id) >= 0; }
 
   /// Looks up a column by name; fails if absent or ambiguous.
   Result<ColumnInfo> FindByName(const std::string& name) const;
@@ -52,23 +59,22 @@ class Schema {
   /// Type of column `id`; fails if absent.
   Result<DataType> TypeOf(ColumnId id) const;
 
-  void AddColumn(ColumnInfo info) {
-    index_[info.id] = static_cast<int>(columns_.size());
-    columns_.push_back(std::move(info));
-  }
-
   std::string ToString() const;
 
  private:
+  // One sorted array instead of a hash map: plans build and copy schemas
+  // on every rewrite, and this keeps each one a single allocation.
   void RebuildIndex() {
     index_.clear();
+    index_.reserve(columns_.size());
     for (size_t i = 0; i < columns_.size(); ++i) {
-      index_[columns_[i].id] = static_cast<int>(i);
+      index_.emplace_back(columns_[i].id, static_cast<int>(i));
     }
+    std::sort(index_.begin(), index_.end());
   }
 
   std::vector<ColumnInfo> columns_;
-  std::unordered_map<ColumnId, int> index_;
+  std::vector<std::pair<ColumnId, int>> index_;  // (id, position), sorted
 };
 
 }  // namespace fusiondb

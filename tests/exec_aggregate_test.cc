@@ -3,6 +3,7 @@
 // MarkDistinct (Section III.F semantics).
 #include <gtest/gtest.h>
 
+#include "exec/agg_build.h"
 #include "test_util.h"
 
 namespace fusiondb {
@@ -99,6 +100,35 @@ TEST(AggregateExecTest, MasksSelectSubsets) {
   EXPECT_EQ(ScalarInt(r, 0), 30);
   EXPECT_EQ(ScalarInt(r, 1), 30);
   EXPECT_EQ(ScalarInt(r, 2), 60);
+}
+
+// Masks that agree to 6 significant digits are still different masks: each
+// keeps its own slot, and each counts its own rows.
+TEST(AggregateExecTest, NearEqualDoubleMasksKeepSeparateSlots) {
+  TableBuilder tb("prices", {{"price", DataType::kFloat64}});
+  for (double v : {0.5, 1.00000005, 1.5}) {
+    ASSERT_TRUE(tb.AppendRow({Value::Float64(v)}).ok());
+  }
+  TablePtr prices = Unwrap(tb.Build());
+  PlanContext ctx;
+  PlanBuilder b = PlanBuilder::Scan(&ctx, prices, {"price"});
+  ExprPtr above1 = eb::Gt(b.Ref("price"), eb::Dbl(1.0));
+  ExprPtr above1e7 = eb::Gt(b.Ref("price"), eb::Dbl(1.0000001));
+  b.Aggregate({}, {{"n1", AggFunc::kCountStar, nullptr, above1, false},
+                   {"n1e7", AggFunc::kCountStar, nullptr, above1e7, false}});
+  PlanPtr plan = b.Build();
+
+  const auto& agg = Cast<AggregateOp>(*plan);
+  internal::BoundAggs bound = Unwrap(
+      internal::BindAggs(agg.aggregates(), agg.child(0)->schema()));
+  ASSERT_EQ(bound.aggs.size(), 2u);
+  EXPECT_NE(bound.aggs[0].mask_slot, bound.aggs[1].mask_slot);
+  EXPECT_EQ(bound.mask_set.num_masks(), 2u);
+  EXPECT_EQ(bound.mask_set.conjuncts.size(), 2u);
+
+  QueryResult r = MustExecute(plan);
+  EXPECT_EQ(ScalarInt(r, 0), 2);  // 1.00000005 and 1.5
+  EXPECT_EQ(ScalarInt(r, 1), 1);  // 1.5 only
 }
 
 TEST(AggregateExecTest, MaskedGroupStillProducesRow) {

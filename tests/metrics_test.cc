@@ -463,6 +463,32 @@ TEST(MetricsExecTest, ExecCountersMatchQueryResult) {
   EXPECT_EQ(wall->count, 1);
 }
 
+// Every Optimize call with a registry on its context records one
+// optimize-time observation next to the rule counters.
+TEST(MetricsOptimizerTest, OptimizeRecordsWallTimeHistogram) {
+  const Catalog& catalog = SharedTpcds();
+  const tpcds::TpcdsQuery& query = tpcds::Queries().front();
+  MetricsRegistry registry;
+  for (int i = 0; i < 2; ++i) {
+    PlanContext ctx;
+    ctx.set_metrics(&registry);
+    PlanPtr plan = Unwrap(query.build(catalog, &ctx));
+    Unwrap(Optimizer(OptimizerOptions::Fused()).Optimize(plan, &ctx));
+  }
+  MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.Counter("fusiondb_optimizer_runs_total"), 2);
+  EXPECT_GT(snap.Counter("fusiondb_optimizer_rule_firings_total"), 0);
+  const HistogramSnapshot* optimize =
+      snap.Histogram("fusiondb_optimizer_optimize_us");
+  ASSERT_NE(optimize, nullptr);
+  EXPECT_EQ(optimize->count, 2);
+  EXPECT_GE(optimize->min, 0);
+  EXPECT_GE(optimize->max, optimize->min);
+  // Exported under the same name on the Prometheus surface.
+  EXPECT_NE(MetricsToPrometheus(snap).find("fusiondb_optimizer_optimize_us"),
+            std::string::npos);
+}
+
 // Parallel execution records the same totals as serial — the per-table
 // attribution is summed once on the driver from the merged shards.
 TEST(MetricsExecTest, ExecCountersThreadCountInvariant) {

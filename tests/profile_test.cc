@@ -4,6 +4,7 @@
 // EXPLAIN ANALYZE / JSON export surfaces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -172,6 +173,17 @@ TEST(OptimizerTraceTest, RecordsGroupByJoinToWindowFiringOnQ65) {
   }
   EXPECT_TRUE(counted);
 
+  // Every phase that ran has one wall-time entry, in execution order.
+  std::vector<std::string> phases;
+  for (const PhaseTime& t : trace.phase_times()) {
+    phases.push_back(t.phase);
+    EXPECT_GE(t.wall_us, 0) << t.phase;
+  }
+  ASSERT_GE(phases.size(), 3u);
+  EXPECT_EQ(phases.front(), "normalize");
+  EXPECT_NE(std::find(phases.begin(), phases.end(), "fuse"), phases.end());
+  EXPECT_NE(trace.ToString().find("phases (wall time):"), std::string::npos);
+
   // The fusion recursion bottoms out at the shared store_sales scans.
   bool scan_fused = false;
   for (const FusionStep& s : trace.fusion_steps()) {
@@ -258,7 +270,8 @@ TEST(ProfileExportTest, JsonProfileCarriesTreeMetricsAndTrace) {
   for (const char* needle :
        {"\"query\":\"q65\"", "\"config\":\"fused\"", "\"wall_ms\":",
         "\"metrics\":", "\"bytes_scanned\":", "\"plan\":", "\"rows_out\":",
-        "\"trace\":", "GroupByJoinToWindow", "\"fusion\":"}) {
+        "\"trace\":", "GroupByJoinToWindow", "\"fusion\":",
+        "\"phases\":[{\"phase\":\"normalize\",\"wall_us\":"}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }
 

@@ -240,6 +240,44 @@ TEST(ServerTest, DifferentFiltersShareOneScan) {
   engine.StopServer();
 }
 
+// Filters whose literals agree to 6 significant digits are different
+// queries. The identical-member overlay must not treat them as one and hand
+// the second session the first session's rows.
+TEST(ServerTest, NearEqualDoubleLiteralsAreNotOverlaid) {
+  TableBuilder tb("prices", {{"price", DataType::kFloat64}});
+  for (double v : {0.5, 1.00000005, 1.5, 2.5}) {
+    ASSERT_TRUE(tb.AppendRow({Value::Float64(v)}).ok());
+  }
+  Catalog catalog;
+  FUSIONDB_ASSERT_OK(catalog.RegisterTable(Unwrap(tb.Build())));
+  Engine engine(std::move(catalog));
+
+  auto above = [](double threshold) -> Engine::PlanBuilder {
+    return [threshold](const Catalog& c, PlanContext* ctx) -> Result<PlanPtr> {
+      PlanBuilder b =
+          PlanBuilder::Scan(ctx, Unwrap(c.GetTable("prices")), {"price"});
+      b.Filter(eb::Gt(b.Ref("price"), eb::Dbl(threshold)));
+      return b.Build();
+    };
+  };
+  PreparedQuery q1 = Unwrap(engine.Prepare(above(1.0)));
+  PreparedQuery q2 = Unwrap(engine.Prepare(above(1.0000001)));
+  ServerOptions options;
+  options.use_cost_model = false;  // share whatever folds
+  SessionManager& manager = *Unwrap(engine.StartServer(options));
+  std::vector<SessionPtr> sessions =
+      manager.SubmitBatch({q1.plan(), q2.plan()});
+  for (const SessionPtr& s : sessions) ASSERT_TRUE(s->Wait().ok());
+  EXPECT_EQ(sessions[0]->Wait()->num_rows(), 3);
+  EXPECT_EQ(sessions[1]->Wait()->num_rows(), 2);
+  ExpectIdentical(*sessions[0]->Wait(),
+                  IsolatedRun(&engine, above(1.0), OptimizerOptions::Fused()));
+  ExpectIdentical(*sessions[1]->Wait(),
+                  IsolatedRun(&engine, above(1.0000001),
+                              OptimizerOptions::Fused()));
+  engine.StopServer();
+}
+
 // Submitting before StartServer is an error; submitting after Stop() fails
 // the session instead of hanging it.
 TEST(ServerTest, SubmitAfterStopFails) {

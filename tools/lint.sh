@@ -116,6 +116,15 @@ if grep -rn --include='*.cc' --include='*.h' \
   note_failure 'src/optimizer and src/fusion must derive keys via analysis/plan_props.h (PropertyDerivation), not re-derive them ad hoc'
 fi
 
+# Expression identity is the structural hash + ExprEquivalent (expr/expr.h,
+# DESIGN.md §15). The string fingerprint it replaced rebuilt every subtree
+# through an ostringstream on every call and rounded double literals to 6
+# digits; keep it from growing back.
+if grep -rn --include='*.cc' --include='*.h' 'ExprFingerprint(' src \
+    2>/dev/null; then
+  note_failure 'use Expr::hash() / ExprEquivalent / ExprHash+ExprEq, not a string ExprFingerprint'
+fi
+
 # --- Layer 2: clang-tidy (optional) ----------------------------------------
 
 if command -v clang-tidy >/dev/null 2>&1; then
