@@ -68,15 +68,6 @@ inline bool BenchProfileEnabled() {
   return env == nullptr || std::atoi(env) != 0;
 }
 
-/// Compiled pipelines during benches; disable with FUSIONDB_BENCH_COMPILE=0
-/// to run every chain on the interpreted pull operators. tools/check.sh
-/// runs the whole-workload and fused-chain benches under both settings and
-/// gates the off-vs-on deltas with bench_diff.py (see EXPERIMENTS.md).
-inline bool BenchCompilePipelines() {
-  const char* env = std::getenv("FUSIONDB_BENCH_COMPILE");
-  return env == nullptr || std::atoi(env) != 0;
-}
-
 /// Service-metrics recording during benches; enable with
 /// FUSIONDB_BENCH_METRICS=1 to measure the registry's always-on recording
 /// cost (tools/check.sh gates the overhead at <= 2% on tpcds_overall, see
@@ -146,13 +137,12 @@ class BenchReport {
   std::vector<BenchRecord> records_;
 };
 
-/// QueryOptions carrying the bench environment knobs (profiling, pipeline
-/// compilation, metrics recording) on top of the given optimizer config.
+/// QueryOptions carrying the bench environment knobs (profiling, metrics
+/// recording) on top of the given optimizer config.
 inline QueryOptions BenchOptions(const OptimizerOptions& optimizer) {
   QueryOptions options;
   options.optimizer = optimizer;
   options.exec.profile = BenchProfileEnabled();
-  options.exec.compile_pipelines = BenchCompilePipelines();
   options.exec.metrics = BenchMetricsRegistry();
   return options;
 }

@@ -124,7 +124,7 @@ void BM_CompareColColVec(benchmark::State& state) {
 BENCHMARK(BM_CompareColColRow);
 BENCHMARK(BM_CompareColColVec);
 
-// Masked-aggregate mask evaluation: the per-chunk work AggregateExec does
+// Masked-aggregate mask evaluation: the per-morsel work the aggregate sink does
 // for a fused query's deduplicated masks — k bucket conditions evaluated as
 // selection vectors over the same chunk (paper Section III.E shape).
 void RunMaskBench(benchmark::State& state, bool row_mode) {

@@ -1,21 +1,17 @@
 // Fused-chain micro-benchmarks for the compiled-pipeline executor
 // (src/exec/pipeline.h): each measurement is a non-blocking
 // scan→filter→project(→aggregate) chain — exactly the shapes the bind-time
-// compiler fuses into one push loop per morsel. Run twice by tools/check.sh
-// (FUSIONDB_BENCH_COMPILE=0 then 1) and diffed with bench_diff.py: the
-// compiled configuration must beat the interpreted pull operators by >= 10%
-// summed over the chains (EXPERIMENTS.md).
+// compiler fuses into one push loop per morsel. Diff two runs' reports
+// with tools/bench_diff.py to see what an executor change did to them
+// (EXPERIMENTS.md).
 //
 // Plans execute as built, without the optimizer: this bench isolates the
-// *executor's* fused-vs-pull delta on a given operator chain, and the
-// simplifier would fold the stacked-filter chains into one conjunct —
-// erasing the multi-operator shape (filter→project→aggregate runs) that
-// optimized TPC-DS plans still hand the executor. Whole-plan effects are
-// tpcds_overall's job.
-//
-// The bench asserts compiled-vs-interpreted byte-identity on every chain
-// before timing it, so a run that would publish numbers for divergent
-// executions fails instead.
+// executor on a given operator chain, and the simplifier would fold the
+// stacked-filter chains into one conjunct — erasing the multi-operator
+// shape (filter→project→aggregate runs) that optimized TPC-DS plans still
+// hand the executor. Whole-plan effects are tpcds_overall's job. The same
+// seven shapes are checked against the reference evaluator by
+// tests/pipeline_test.cc.
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -31,20 +27,18 @@ namespace {
 struct Chain {
   std::string name;
   // Report config label: "chain" entries are the multi-boundary shapes the
-  // compiler exists for, gated for >= 10% speedup by tools/check.sh;
-  // "floor" entries are single-boundary or sink-dominated shapes that tie
-  // by design and ride along as honesty checks (regressions there show up
-  // in the whole-workload tpcds_overall gate instead).
+  // compiler exists for; "floor" entries are single-boundary or
+  // sink-dominated shapes whose cost is mostly decode or the sink.
   std::string config;
   std::function<PlanPtr(const Catalog&, PlanContext*)> build;
 };
 
 // The wide column set the filter/project chains carry. Fusion's savings is
-// the intermediate materialization it skips — each interpreted FilterExec
+// the intermediate materialization it skips — an operator-at-a-time filter
 // re-gathers every column of its chunk — so the chains scan the realistic
 // wide projection an analytic query keeps, not a minimal two-column one.
 // (The aggregate chains stay narrow: column pruning legitimately strips an
-// aggregation's scan down to the referenced columns in both engines.)
+// aggregation's scan down to the referenced columns.)
 const std::vector<std::string>& WideColumns() {
   static const std::vector<std::string> cols = {
       "ss_sold_date_sk",  "ss_item_sk",     "ss_customer_sk",
@@ -55,8 +49,8 @@ const std::vector<std::string>& WideColumns() {
 
 std::vector<Chain> Chains() {
   return {
-      // Single boundary: interpreted gathers once at the filter, compiled
-      // gathers once at emission — an honest floor, near-tie by design.
+      // Single boundary: the loop gathers once at emission — an honest
+      // floor.
       {"scan_filter", "floor",
        [](const Catalog& c, PlanContext* ctx) {
          TablePtr t = Unwrap(c.GetTable("store_sales"));
@@ -64,9 +58,8 @@ std::vector<Chain> Chains() {
          b.Filter(eb::Gt(b.Ref("ss_list_price"), eb::Dbl(20.0)));
          return b.Build();
        }},
-      // Three stacked filters, each passing most rows: the interpreted path
-      // re-materializes all eight columns after every stage; the compiled
-      // loop narrows one SelVector and gathers once.
+      // Three stacked filters, each passing most rows: the compiled loop
+      // narrows one SelVector and gathers once.
       {"scan_filter_chain", "chain",
        [](const Catalog& c, PlanContext* ctx) {
          TablePtr t = Unwrap(c.GetTable("store_sales"));
@@ -131,8 +124,7 @@ std::vector<Chain> Chains() {
                        nullptr, false}});
          return b.Build();
        }},
-      // Mask evaluation dominates and is shared code (agg_build) in both
-      // engines — the other honest floor entry.
+      // Mask evaluation (agg_build) dominates — the other floor entry.
       {"scan_masked_agg", "floor",
        [](const Catalog& c, PlanContext* ctx) {
          TablePtr t = Unwrap(c.GetTable("store_sales"));
@@ -162,7 +154,6 @@ RunStats TimePlan(const PlanPtr& plan) {
   for (int i = 0; i < repeats; ++i) {
     QueryResult result = Unwrap(
         ExecutePlan(plan, {.profile = BenchProfileEnabled(),
-                           .compile_pipelines = BenchCompilePipelines(),
                            .metrics = BenchMetricsRegistry()}));
     times.push_back(result.wall_ms());
     stats.bytes_scanned = result.metrics().bytes_scanned;
@@ -178,39 +169,18 @@ RunStats TimePlan(const PlanPtr& plan) {
 
 int main() {
   const Catalog& catalog = BenchCatalog();
-  bool compiled = BenchCompilePipelines();
   BenchReport report("pipeline_micro");
-  std::printf("\nFused-chain micro-bench (compile_pipelines=%s)\n\n",
-              compiled ? "on" : "off");
+  std::printf("\nFused-chain micro-bench\n\n");
   std::printf("%-24s %12s %12s %8s\n", "chain", "wall (ms)", "bytes", "rows");
 
   for (const Chain& chain : Chains()) {
     PlanContext ctx;
     PlanPtr plan = chain.build(catalog, &ctx);
-
-    // Differential guard: both execution models must render identical rows
-    // and read identical bytes before this chain's numbers count.
-    QueryResult compiled_r =
-        Unwrap(ExecutePlan(plan, {.compile_pipelines = true}));
-    QueryResult interp_r =
-        Unwrap(ExecutePlan(plan, {.compile_pipelines = false}));
-    if (!ResultsEquivalent(compiled_r, interp_r) ||
-        compiled_r.metrics().bytes_scanned !=
-            interp_r.metrics().bytes_scanned) {
-      std::fprintf(stderr,
-                   "pipeline_micro: %s: compiled and interpreted executions "
-                   "diverge\n",
-                   chain.name.c_str());
-      return 1;
-    }
-
     RunStats stats = TimePlan(plan);
     std::printf("%-24s %12.3f %12lld %8lld\n", chain.name.c_str(),
                 stats.latency_ms, static_cast<long long>(stats.bytes_scanned),
                 static_cast<long long>(stats.rows));
-    // The config label is constant per chain across the off/on runs, so
-    // bench_diff keys still match between the two report files while its
-    // --config filter can gate just the fused-chain population.
+    // bench_diff's --config filter can select one population by label.
     report.Add({chain.name, chain.config, stats.latency_ms, stats.bytes_scanned,
                 0, 1});
   }

@@ -28,10 +28,6 @@
 //   --profile=PATH      write a JSON QueryProfile of the measured execution
 //   --threads=N         morsel-driven intra-query parallelism (0 = all
 //                       cores; default 1 = single-threaded)
-//   --no-compile-pipelines
-//                       disable bind-time pipeline compilation; every chain
-//                       runs on the interpreted pull operators (the
-//                       differential oracle — DESIGN.md §13)
 //   --server            cross-query fusion server mode: N concurrent
 //                       clients submit the same query; the session layer
 //                       batches them over the admission window and shares
@@ -84,7 +80,7 @@ void Usage() {
                "usage: run_query [query] [scale] [--sql=TEXT] [--repl] "
                "[--mode={baseline,fused,spooling,adaptive}] [--plans] "
                "[--explain] [--explain-analyze] [--trace-optimizer] "
-               "[--profile=PATH] [--threads=N] [--no-compile-pipelines] "
+               "[--profile=PATH] [--threads=N] "
                "[--server] [--clients=N] [--window-ms=M] "
                "[--metrics=PATH] [--query-log=PATH] [--slow-ms=N]\n");
 }
@@ -133,7 +129,6 @@ int main(int argc, char** argv) {
   bool trace_optimizer = false;
   std::string profile_path;
   size_t threads = 1;
-  bool compile_pipelines = true;
   bool server = false;
   int clients = 4;
   int64_t window_ms = 50;
@@ -164,8 +159,6 @@ int main(int argc, char** argv) {
       profile_path = argv[++i];
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = static_cast<size_t>(std::atoi(argv[i] + 10));
-    } else if (std::strcmp(argv[i], "--no-compile-pipelines") == 0) {
-      compile_pipelines = false;
     } else if (std::strcmp(argv[i], "--server") == 0) {
       server = true;
     } else if (std::strncmp(argv[i], "--clients=", 10) == 0) {
@@ -222,7 +215,6 @@ int main(int argc, char** argv) {
   if (repl) {
     QueryOptions repl_options = *mode_options;
     repl_options.exec.parallelism = threads;
-    repl_options.exec.compile_pipelines = compile_pipelines;
     std::fprintf(stderr, "fusiondb repl (%s mode) — one SQL statement per "
                          "line; 'exit' to quit\n", mode.c_str());
     std::string line;
@@ -265,7 +257,6 @@ int main(int argc, char** argv) {
     }
     QueryOptions options = *mode_options;
     options.exec.parallelism = threads;
-    options.exec.compile_pipelines = compile_pipelines;
     if (mode == "adaptive") {
       // Server sessions optimize once per submission; run single-pass
       // against the engine's (initially empty) feedback store.
@@ -279,31 +270,10 @@ int main(int argc, char** argv) {
     QueryResult isolated =
         Unwrap(engine.ExecuteOptimized(ref_optimized, options));
 
-    // Compiled-vs-interpreted self-check: the same plan executed with
-    // pipeline compilation toggled must read identical bytes and render
-    // identical rows (the interpreted pull path is the oracle). Any drift
-    // is an executor bug, so it fails the run like a metrics mismatch.
-    QueryOptions flipped = options;
-    flipped.exec.compile_pipelines = !compile_pipelines;
-    QueryResult cross_check =
-        Unwrap(engine.ExecuteOptimized(ref_optimized, flipped));
-    bool pipelines_reconciled = true;
-    if (!ResultsEquivalent(isolated, cross_check) ||
-        isolated.metrics().bytes_scanned !=
-            cross_check.metrics().bytes_scanned) {
-      std::fprintf(stderr,
-                   "run_query: compiled-vs-interpreted self-check FAILED: "
-                   "bytes %lld vs %lld\n",
-                   static_cast<long long>(isolated.metrics().bytes_scanned),
-                   static_cast<long long>(cross_check.metrics().bytes_scanned));
-      pipelines_reconciled = false;
-    }
-
     ServerOptions server_options;
     server_options.window.window_ms = window_ms;
     server_options.optimizer = options.optimizer;
     server_options.exec.parallelism = threads;
-    server_options.exec.compile_pipelines = compile_pipelines;
     OptimizerTrace server_trace;
     bool want_trace = trace_optimizer || !profile_path.empty();
     if (want_trace) server_options.trace = &server_trace;
@@ -416,7 +386,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(isolated.metrics().bytes_scanned));
     std::printf("\nfirst rows:\n%s",
                 (*sessions.front()->result()).ToString(5).c_str());
-    return matched == clients && reconciled && pipelines_reconciled ? 0 : 1;
+    return matched == clients && reconciled ? 0 : 1;
   }
 
   std::fprintf(stderr, "optimizing (baseline)...\n");
@@ -432,7 +402,6 @@ int main(int argc, char** argv) {
   bool want_trace = trace_optimizer || !profile_path.empty();
   QueryOptions exec_knobs = *mode_options;
   exec_knobs.exec.parallelism = threads;
-  exec_knobs.exec.compile_pipelines = compile_pipelines;
   PlanPtr optimized;
   if (mode == "adaptive") {
     std::fprintf(stderr, "optimizing (adaptive, catalog priors)...\n");

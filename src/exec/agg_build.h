@@ -1,11 +1,7 @@
 // Shared hash-aggregation build core: bound (function, mask) aggregates with
 // mask/conjunct deduplication, the group hash table, and the accumulate /
-// merge / finalize steps. AggregateExec (the pull operator) and the
-// compiled-pipeline aggregate sink (exec/pipeline.h) both build on this, so
-// the two execution paths share one accumulation discipline — identical
-// group insertion order, identical per-(group, aggregate) row order, and
-// identical memory accounting — which is what makes their outputs
-// byte-identical (DESIGN.md §13).
+// merge / finalize steps behind the compiled-pipeline aggregate sink
+// (exec/pipeline.h); WindowExec binds its items through BindAggs too.
 #ifndef FUSIONDB_EXEC_AGG_BUILD_H_
 #define FUSIONDB_EXEC_AGG_BUILD_H_
 
@@ -64,10 +60,9 @@ struct GroupEntry {
 };
 using GroupMap = std::unordered_map<std::string, GroupEntry>;
 
-/// Column-level view of one morsel's aggregate input. The pull operator
-/// points it at its input chunk's columns; the compiled pipeline points it
-/// at dense columns evaluated straight off the scan morsel — either way the
-/// accumulation loop below sees the same values in the same row order.
+/// Column-level view of one morsel's aggregate input: bare-column keys and
+/// arguments point into the morsel itself, computed ones at dense columns
+/// evaluated off it.
 struct AggInputView {
   size_t rows = 0;
   std::vector<const Column*> group_cols;

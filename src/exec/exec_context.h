@@ -56,18 +56,16 @@ struct ExecMetrics {
   int64_t spool_bytes_read = 0;
 };
 
-/// One compiled-pipeline outcome, recorded by the executor build for every
-/// chain it considered: either a successful compilation (fallback empty,
-/// ops_fused counts the covered operators, scan included) or a per-pipeline
-/// fallback to the interpreted operators with the reason that stopped the
-/// compiler. Surfaced through QueryResult into EXPLAIN ANALYZE, the profile
-/// JSON, and the fusiondb_exec_pipeline* service counters.
+/// One compiled pipeline, recorded by the executor build for every chain
+/// (exec/pipeline.h). Surfaced through QueryResult into EXPLAIN ANALYZE,
+/// the profile JSON, and fusiondb_exec_pipelines_compiled_total.
 struct PipelineRecord {
   int32_t root_op_id = -1;  // chain root's stats slot; -1 when unprofiled
   std::string root_kind;    // OpKindName of the chain root
-  int ops_fused = 0;        // operators covered by the chain, scan included
-  std::string fallback;     // empty == compiled; otherwise the reason
-  bool compiled() const { return fallback.empty(); }
+  int ops_fused = 0;  // operators covered by the chain, a scan source included
+  /// Every chain compiles; kept for report readers that count compiled
+  /// pipelines.
+  bool compiled() const { return true; }
 };
 
 /// Shared materialization buffer behind a SpoolOp id. The first consumer
@@ -248,8 +246,7 @@ class ExecContext {
     return out;
   }
 
-  /// Records one pipeline-compilation outcome (BuildExecutor, driver thread
-  /// only). Recorded for every chain considered, compiled or fallen back.
+  /// Records one compiled pipeline (BuildExecutor, driver thread only).
   void AddPipeline(PipelineRecord record) {
     pipelines_.push_back(std::move(record));
   }

@@ -1,8 +1,8 @@
 // Execution knobs. One aggregate struct travels from the entry points
 // (ExecutePlan, ExecuteFanOut, the server's session layer) into ExecContext
 // via ExecContext::Init, so every operator constructor sees one coherent
-// view of chunk_size / parallelism / profiling / pipeline compilation —
-// call sites name what they change and inherit the rest:
+// view of chunk_size / parallelism / profiling / metrics — call sites name
+// what they change and inherit the rest:
 //
 //   ExecutePlan(plan);                            // all defaults
 //   ExecutePlan(plan, {.parallelism = 4});        // 4-way morsel-driven
@@ -34,13 +34,6 @@ struct ExecOptions {
   /// timers on the driver thread). On by default; the overhead knob exists
   /// so benches can measure the instrumentation cost.
   bool profile = true;
-
-  /// Bind-time pipeline compilation (exec/pipeline.h): non-blocking
-  /// scan→filter→project(→aggregate) chains execute as one push-based loop
-  /// per morsel instead of a pull chain of operators. On by default; off
-  /// retains the interpreted pull path verbatim, which the differential
-  /// tests use as the oracle (DESIGN.md §13).
-  bool compile_pipelines = true;
 
   /// Optional service-level metrics sink (obs/metrics.h). When set, every
   /// completed execution records its query counters — bytes/rows scanned,

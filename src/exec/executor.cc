@@ -84,23 +84,16 @@ class StatsExec final : public ExecOperator {
   OperatorStats* stats_;
 };
 
-/// The factory switch, unchanged from the pre-profiling executor: children
-/// already built, `plan` is never Scan/Values/Apply here.
+/// The factory switch for the operators that are not pipelines: children
+/// already built.
 Result<ExecOperatorPtr> MakeOperator(const PlanPtr& plan,
                                      std::vector<ExecOperatorPtr> children,
                                      ExecContext* ctx) {
   using namespace internal;  // NOLINT: operator factories
   switch (plan->kind()) {
-    case OpKind::kFilter:
-      return MakeFilterExec(Cast<FilterOp>(*plan), std::move(children[0]));
-    case OpKind::kProject:
-      return MakeProjectExec(Cast<ProjectOp>(*plan), std::move(children[0]));
     case OpKind::kJoin:
       return MakeJoinExec(Cast<JoinOp>(*plan), std::move(children[0]),
                           std::move(children[1]), ctx);
-    case OpKind::kAggregate:
-      return MakeAggregateExec(Cast<AggregateOp>(*plan), std::move(children[0]),
-                               ctx);
     case OpKind::kWindow:
       return MakeWindowExec(Cast<WindowOp>(*plan), std::move(children[0]), ctx);
     case OpKind::kMarkDistinct:
@@ -117,32 +110,25 @@ Result<ExecOperatorPtr> MakeOperator(const PlanPtr& plan,
                                std::move(children[0]));
     case OpKind::kSpool:
       return MakeSpoolExec(Cast<SpoolOp>(*plan), std::move(children[0]), ctx);
-    case OpKind::kScan:
     case OpKind::kValues:
+      return MakeValuesExec(Cast<ValuesOp>(*plan));
+    case OpKind::kScan:
+    case OpKind::kFilter:
+    case OpKind::kProject:
+    case OpKind::kAggregate:
     case OpKind::kApply:
-      break;  // handled by the caller
+      break;  // pipelines and Apply are handled by the caller
   }
   return Status::NotImplemented(std::string("no executor for ") +
                                 OpKindName(plan->kind()));
-}
-
-/// True for the operator kinds that can head (or continue) a compilable
-/// non-blocking chain.
-bool IsChainKind(OpKind kind) {
-  return kind == OpKind::kFilter || kind == OpKind::kProject ||
-         kind == OpKind::kAggregate;
 }
 
 /// Recursive build with preorder operator-id assignment. Ids are handed out
 /// parent-before-children in the exact order PlanToString and the profile
 /// JSON walk the tree, which is what makes the id ↔ plan-node mapping
 /// stable with no side table.
-///
-/// `in_chain` marks nodes already covered by an enclosing pipeline attempt
-/// (compiled or fallen back): they must not re-attempt compilation, or a
-/// failed chain would re-record one fallback per member.
 Result<ExecOperatorPtr> BuildNode(const PlanPtr& plan, ExecContext* ctx,
-                                  int32_t parent, bool in_chain) {
+                                  int32_t parent) {
   using namespace internal;  // NOLINT: operator factories
   if (plan == nullptr) return Status::PlanError("null plan");
   if (plan->kind() == OpKind::kApply) {
@@ -157,44 +143,30 @@ Result<ExecOperatorPtr> BuildNode(const PlanPtr& plan, ExecContext* ctx,
                                parent);
     build_start = NowNanos();
   }
-  const bool chain_head = IsChainKind(plan->kind()) && !in_chain;
-  if (chain_head && ctx->options().compile_pipelines) {
-    // Fallible work (chain walk, expression composition, binding) happens
-    // before any interior slot is registered, so a fallback leaves the
-    // preorder id sequence exactly as the interpreted build produces it.
-    FUSIONDB_ASSIGN_OR_RETURN(ExecOperatorPtr pipe,
-                              TryCompilePipeline(plan, ctx, id));
-    if (pipe != nullptr) {
-      if (!profiled) return pipe;
-      OperatorStats* stats = ctx->op_stats(id);
-      stats->open_ns = NowNanos() - build_start;
-      return ExecOperatorPtr(new StatsExec(std::move(pipe), stats));
-    }
-  }
-  std::vector<ExecOperatorPtr> children;
-  children.reserve(plan->num_children());
-  for (const PlanPtr& c : plan->children()) {
-    // Filter/Project children of a chain node belong to the same chain.
-    const bool child_in_chain =
-        IsChainKind(plan->kind()) && (c->kind() == OpKind::kFilter ||
-                                      c->kind() == OpKind::kProject);
-    FUSIONDB_ASSIGN_OR_RETURN(ExecOperatorPtr child,
-                              BuildNode(c, ctx, id, child_in_chain));
-    children.push_back(std::move(child));
-  }
-  // Blocking operators capture building_op() in their constructors to
-  // attribute their memory accounting to their own slot.
-  ctx->set_building_op(id);
   ExecOperatorPtr op;
-  if (plan->kind() == OpKind::kScan) {
-    FUSIONDB_ASSIGN_OR_RETURN(op, MakeScanExec(Cast<ScanOp>(*plan), ctx));
-  } else if (plan->kind() == OpKind::kValues) {
-    FUSIONDB_ASSIGN_OR_RETURN(op, MakeValuesExec(Cast<ValuesOp>(*plan), ctx));
+  const OpKind kind = plan->kind();
+  if (kind == OpKind::kScan || kind == OpKind::kFilter ||
+      kind == OpKind::kProject || kind == OpKind::kAggregate) {
+    // Every non-blocking chain compiles into one push pipeline, which
+    // builds the subtree feeding it once its own slots are registered.
+    FUSIONDB_ASSIGN_OR_RETURN(
+        op, CompilePipeline(plan, ctx, id,
+                            [ctx](const PlanPtr& source, int32_t parent_id) {
+                              return BuildNode(source, ctx, parent_id);
+                            }));
   } else {
-    FUSIONDB_ASSIGN_OR_RETURN(op,
-                              MakeOperator(plan, std::move(children), ctx));
+    std::vector<ExecOperatorPtr> children;
+    children.reserve(plan->num_children());
+    for (const PlanPtr& c : plan->children()) {
+      FUSIONDB_ASSIGN_OR_RETURN(ExecOperatorPtr child, BuildNode(c, ctx, id));
+      children.push_back(std::move(child));
+    }
+    // Blocking operators capture building_op() in their constructors to
+    // attribute their memory accounting to their own slot.
+    ctx->set_building_op(id);
+    FUSIONDB_ASSIGN_OR_RETURN(op, MakeOperator(plan, std::move(children), ctx));
+    ctx->set_building_op(-1);
   }
-  ctx->set_building_op(-1);
   if (!profiled) return op;
   OperatorStats* stats = ctx->op_stats(id);
   stats->open_ns = NowNanos() - build_start;  // subtree build time
@@ -204,7 +176,7 @@ Result<ExecOperatorPtr> BuildNode(const PlanPtr& plan, ExecContext* ctx,
 }  // namespace
 
 Result<ExecOperatorPtr> BuildExecutor(const PlanPtr& plan, ExecContext* ctx) {
-  return BuildNode(plan, ctx, /*parent=*/-1, /*in_chain=*/false);
+  return BuildNode(plan, ctx, /*parent=*/-1);
 }
 
 void RecordExecutionMetrics(MetricsRegistry* registry,
@@ -213,19 +185,8 @@ void RecordExecutionMetrics(MetricsRegistry* registry,
                             const std::vector<PipelineRecord>& pipelines,
                             int64_t chunks, double wall_ms) {
   if (registry == nullptr) return;
-  int64_t pipelines_compiled = 0;
-  for (const PipelineRecord& p : pipelines) {
-    if (p.compiled()) {
-      ++pipelines_compiled;
-    } else {
-      registry->Add(
-          registry->Counter("fusiondb_exec_pipeline_fallbacks_total{reason=\"" +
-                            p.fallback + "\"}"),
-          1);
-    }
-  }
   registry->Add(registry->Counter("fusiondb_exec_pipelines_compiled_total"),
-                pipelines_compiled);
+                static_cast<int64_t>(pipelines.size()));
   registry->Add(registry->Counter("fusiondb_exec_queries_total"), 1);
   registry->Add(registry->Counter("fusiondb_exec_bytes_scanned_total"),
                 metrics.bytes_scanned);

@@ -13,17 +13,16 @@ namespace fusiondb {
 /// Builds the physical tree for `plan`. The plan must outlive the returned
 /// operators. Fails with kPlanError on malformed/unbound plans, and on
 /// ApplyOp (correlated subqueries must be decorrelated first). The context
-/// must already be Init()ed with the run's ExecOptions; when
-/// compile_pipelines is on, non-blocking scan→filter→project(→aggregate)
-/// chains are compiled into push-based pipelines (exec/pipeline.h).
+/// must already be Init()ed with the run's ExecOptions. Every Scan, Filter,
+/// Project and Aggregate runs inside a compiled push-based pipeline
+/// (exec/pipeline.h).
 Result<ExecOperatorPtr> BuildExecutor(const PlanPtr& plan, ExecContext* ctx);
 
 /// Records one completed execution into `registry` under the
 /// `fusiondb_exec_*` metric catalog (DESIGN.md §9.4). Per-table scan bytes
 /// and spool hit/build counters come from the stats slots, so they are only
 /// recorded when the run was profiled; the ExecMetrics totals always are.
-/// Pipeline outcomes feed fusiondb_exec_pipelines_compiled_total and
-/// fusiondb_exec_pipeline_fallbacks_total{reason=...}.
+/// Pipeline records feed fusiondb_exec_pipelines_compiled_total.
 /// No-op when `registry` is null.
 void RecordExecutionMetrics(MetricsRegistry* registry,
                             const ExecMetrics& metrics,

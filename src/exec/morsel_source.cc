@@ -1,11 +1,9 @@
-// Table scan with partition pruning and scanned-bytes accounting. The scan
-// machinery itself lives in MorselSource (morsel_source.h), shared with the
-// compiled-pipeline path; ScanExec is the thin pull-model adapter over it.
+// MorselSource: the scan (partition pruning, page decode, scanned-bytes
+// accounting) or child operator a compiled pipeline reads from.
 #include "exec/morsel_source.h"
 
 #include <optional>
 
-#include "exec/operators_internal.h"
 #include "expr/simplifier.h"
 
 namespace fusiondb::internal {
@@ -112,7 +110,10 @@ MorselSource::MorselSource(const ScanOp& op, ExecContext* ctx, int32_t op_id)
   }
 }
 
+MorselSource::MorselSource(ExecOperatorPtr child) : child_(std::move(child)) {}
+
 Result<std::optional<Chunk>> MorselSource::NextSerial() {
+  if (child_ != nullptr) return child_->Next();
   const auto& partitions = table_->partitions();
   while (true) {
     if (partition_ >= partitions.size()) return std::optional<Chunk>();
@@ -160,6 +161,14 @@ Result<std::optional<Chunk>> MorselSource::NextSerial() {
       offset_ = 0;
     }
     return std::optional<Chunk>(std::move(out));
+  }
+}
+
+Status MorselSource::DrainChild(std::vector<Chunk>* out) {
+  while (true) {
+    FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> in, child_->Next());
+    if (!in.has_value()) return Status::OK();
+    if (in->num_rows() > 0) out->push_back(std::move(*in));
   }
 }
 
@@ -216,66 +225,6 @@ Status MorselSource::ParallelPartitions(
   // the per-scan total is thread-count-invariant because the shard sums are.
   ctx_->AddScanBytes(op_id_, scan_bytes);
   return Status::OK();
-}
-
-Status MorselSource::DecodeAll(std::vector<Chunk>* out) {
-  const auto& partitions = table_->partitions();
-  std::vector<std::vector<Chunk>> per_partition(partitions.size());
-  FUSIONDB_RETURN_IF_ERROR(ParallelPartitions(
-      [&](size_t /*worker*/, size_t pi, std::vector<Chunk> slices) -> Status {
-        per_partition[pi] = std::move(slices);
-        return Status::OK();
-      }));
-  for (std::vector<Chunk>& chunks : per_partition) {
-    for (Chunk& c : chunks) out->push_back(std::move(c));
-  }
-  return Status::OK();
-}
-
-namespace {
-
-class ScanExec final : public ExecOperator {
- public:
-  ScanExec(const ScanOp& op, ExecContext* ctx)
-      : ExecOperator(op.schema()),
-        ctx_(ctx),
-        source_(op, ctx, ctx->building_op()) {}
-
-  Result<std::optional<Chunk>> Next() override {
-    // Morsel-driven path: with a pool available, the first pull decodes all
-    // surviving partitions in parallel and later pulls just stream the
-    // prepared chunks (in partition order, matching the serial output).
-    if (ctx_->pool() != nullptr) {
-      if (!parallel_scanned_) {
-        FUSIONDB_RETURN_IF_ERROR(source_.DecodeAll(&out_chunks_));
-        parallel_scanned_ = true;
-      }
-      if (out_cursor_ >= out_chunks_.size()) return std::optional<Chunk>();
-      Chunk out = std::move(out_chunks_[out_cursor_++]);
-      return std::optional<Chunk>(std::move(out));
-    }
-    return source_.NextSerial();
-  }
-
- private:
-  ExecContext* ctx_;
-  MorselSource source_;
-  // Parallel-path state: chunks prepared by DecodeAll, streamed in order.
-  bool parallel_scanned_ = false;
-  std::vector<Chunk> out_chunks_;
-  size_t out_cursor_ = 0;
-};
-
-}  // namespace
-
-Result<ExecOperatorPtr> MakeScanExec(const ScanOp& op, ExecContext* ctx) {
-  for (int c : op.table_columns()) {
-    if (c < 0 || static_cast<size_t>(c) >= op.table()->num_columns()) {
-      return Status::PlanError("scan column index out of range for table " +
-                               op.table()->name());
-    }
-  }
-  return ExecOperatorPtr(new ScanExec(op, ctx));
 }
 
 }  // namespace fusiondb::internal

@@ -1,13 +1,10 @@
-// MorselSource: the shared scan front-end — partition pruning, page decode,
-// slicing into chunk_size morsels, and scanned-bytes accounting — behind
-// both execution models. ScanExec (the pull path) streams its morsels
-// through Next(); a CompiledPipeline (exec/pipeline.h) drives the same
-// source push-style, one tight loop per morsel. Keeping one implementation
-// guarantees the two paths read identical bytes, prune identical
-// partitions, and produce identical chunk boundaries, which is what makes
-// compiled-vs-interpreted runs reconcile byte-for-byte (metrics included).
-//
-// Implemented in scan_exec.cc next to ScanExec, its original home.
+// MorselSource: the input end of a compiled pipeline (exec/pipeline.h).
+// A pipeline reads either a table scan — partition pruning, page decode,
+// slicing into chunk_size morsels, and scanned-bytes accounting — or the
+// output chunks of the operator below its chain (a join, aggregate, window,
+// sort, union, values, spool, limit or single-row check). Both sources
+// hand the pipeline the same thing, one chunk at a time, so every
+// non-blocking chain compiles whatever feeds it.
 #ifndef FUSIONDB_EXEC_MORSEL_SOURCE_H_
 #define FUSIONDB_EXEC_MORSEL_SOURCE_H_
 
@@ -17,6 +14,7 @@
 #include <vector>
 
 #include "exec/exec_context.h"
+#include "exec/operator.h"
 #include "plan/logical_plan.h"
 
 namespace fusiondb::internal {
@@ -49,22 +47,33 @@ void ApplyPruneConjunct(const ExprPtr& e, ColumnId part_col, PruneSpec* spec);
 
 class MorselSource {
  public:
-  /// `op_id` is the scan's stats slot (-1 when unprofiled); decoded bytes
-  /// are attributed to it exactly as ScanExec does.
+  /// Scan source. `op_id` is the scan's stats slot (-1 when unprofiled);
+  /// decoded bytes are attributed to it.
   MorselSource(const ScanOp& op, ExecContext* ctx, int32_t op_id);
 
-  const std::vector<DataType>& output_types() const { return types_; }
+  /// Child source: the morsels are the output chunks of `child`, the
+  /// already-built operator below the pipeline's chain.
+  explicit MorselSource(ExecOperatorPtr child);
 
-  /// Total partition count before pruning — the size callers need when
-  /// collecting per-partition results in partition order.
+  bool is_scan() const { return child_ == nullptr; }
+
+  /// Scan sources only: total partition count before pruning — the size
+  /// callers need when collecting per-partition results in partition order.
   size_t num_partitions() const { return table_->partitions().size(); }
 
-  /// Serial iteration: the next morsel of up to chunk_size rows (whole
-  /// partitions hand their decoded columns over without a copy), or nullopt
-  /// at end of table. Charges scan metrics inline on the driver thread.
+  /// Serial iteration: the next morsel, or nullopt at end of input. A scan
+  /// yields up to chunk_size rows (whole partitions hand their decoded
+  /// columns over without a copy) and charges scan metrics inline on the
+  /// driver thread; a child source yields the child's next chunk.
   Result<std::optional<Chunk>> NextSerial();
 
-  /// Parallel iteration: one ParallelFor over the partitions. For every
+  /// Child sources only: drains the child on the driver (operators are not
+  /// thread-safe) into `out`, keeping nonempty chunks in arrival order, so
+  /// workers can then process them.
+  Status DrainChild(std::vector<Chunk>* out);
+
+  /// Scan sources only — parallel iteration: one ParallelFor over the
+  /// partitions. For every
   /// surviving partition, `fn(worker, partition_index, slices)` runs on the
   /// claiming worker with the partition's morsels (sliced exactly as
   /// NextSerial slices them). Workers accumulate scan metrics into private
@@ -75,14 +84,11 @@ class MorselSource {
       const std::function<Status(size_t worker, size_t partition,
                                  std::vector<Chunk> slices)>& fn);
 
-  /// Parallel decode that keeps the chunks: appends every partition's
-  /// morsels to `out` in partition order (the serial streaming order).
-  Status DecodeAll(std::vector<Chunk>* out);
-
  private:
+  ExecOperatorPtr child_;  // set for child sources only
   TablePtr table_;
   std::vector<int> table_columns_;
-  ExecContext* ctx_;
+  ExecContext* ctx_ = nullptr;
   int32_t op_id_ = -1;
   std::vector<DataType> types_;
   PruneSpec prune_;

@@ -1,5 +1,8 @@
-// ExecOperator: base of the pull-based (Volcano-style, chunk-at-a-time)
-// streaming executor. Operators never materialize to storage; blocking
+// ExecOperator: the chunk-at-a-time interface between the executor's
+// operators. Compiled pipelines (exec/pipeline.h) push morsels through
+// their fused chains and hand their output up through Next(), as do the
+// blocking operators between them. Operators never materialize to storage;
+// blocking
 // operators (hash join build sides, aggregation, sort, window) buffer in
 // memory and account for it — exactly the engine architecture whose lack of
 // materialization points motivates the paper's fusion rewrites.

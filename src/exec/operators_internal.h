@@ -1,5 +1,6 @@
-// Factory functions for the physical operators; used only by the executor
-// translation layer (executor.cc). Each factory validates and binds the
+// Factory functions for the physical operators that are not compiled
+// pipelines (exec/pipeline.h); used only by the executor translation layer
+// (executor.cc). Each factory validates and binds the
 // corresponding logical operator against its children's schemas, surfacing
 // malformed plans as Status errors rather than crashes.
 #ifndef FUSIONDB_EXEC_OPERATORS_INTERNAL_H_
@@ -18,16 +19,8 @@ namespace fusiondb::internal {
 /// to register slots for fused operators with the same rendering.
 std::string NodeDetail(const LogicalOp& plan);
 
-Result<ExecOperatorPtr> MakeScanExec(const ScanOp& op, ExecContext* ctx);
-Result<ExecOperatorPtr> MakeFilterExec(const FilterOp& op,
-                                       ExecOperatorPtr child);
-Result<ExecOperatorPtr> MakeProjectExec(const ProjectOp& op,
-                                        ExecOperatorPtr child);
 Result<ExecOperatorPtr> MakeJoinExec(const JoinOp& op, ExecOperatorPtr left,
                                      ExecOperatorPtr right, ExecContext* ctx);
-Result<ExecOperatorPtr> MakeAggregateExec(const AggregateOp& op,
-                                          ExecOperatorPtr child,
-                                          ExecContext* ctx);
 Result<ExecOperatorPtr> MakeWindowExec(const WindowOp& op,
                                        ExecOperatorPtr child, ExecContext* ctx);
 Result<ExecOperatorPtr> MakeMarkDistinctExec(const MarkDistinctOp& op,
@@ -35,7 +28,7 @@ Result<ExecOperatorPtr> MakeMarkDistinctExec(const MarkDistinctOp& op,
                                              ExecContext* ctx);
 Result<ExecOperatorPtr> MakeUnionAllExec(const UnionAllOp& op,
                                          std::vector<ExecOperatorPtr> children);
-Result<ExecOperatorPtr> MakeValuesExec(const ValuesOp& op, ExecContext* ctx);
+Result<ExecOperatorPtr> MakeValuesExec(const ValuesOp& op);
 Result<ExecOperatorPtr> MakeSortExec(const SortOp& op, ExecOperatorPtr child,
                                      ExecContext* ctx);
 Result<ExecOperatorPtr> MakeLimitExec(const LimitOp& op, ExecOperatorPtr child);

@@ -1,13 +1,10 @@
-// CompiledPipeline: the push-based fused execution of one
-// scan→filter→project(→aggregate) chain. See exec/pipeline.h and
-// DESIGN.md §13 for the compilation model; the invariant maintained
-// throughout this file is BYTE-IDENTITY with the interpreted operators —
-// same rendered rows in the same order, same metrics, same memory
-// accounting — for any optimizer mode and any thread count. Every loop here
-// mirrors an interpreted discipline: filters chain selection vectors the
-// way FilterExec gathers, outputs evaluate through the same typed kernels
-// ProjectExec binds, and the aggregate sink reuses the exact accumulate /
-// deal / merge order of AggregateExec (exec/agg_build.h).
+// PipelineExec: the push-based fused execution of one
+// source→filter→project(→aggregate) chain. See exec/pipeline.h and
+// DESIGN.md §13 for the compilation model. Filters chain selection vectors
+// over each morsel, outputs evaluate composed expressions through the typed
+// kernels (EvalSel over survivors), and the aggregate sink accumulates
+// through exec/agg_build.h. Results and every metric are invariant under
+// the thread count.
 #include "exec/pipeline.h"
 
 #include <optional>
@@ -25,19 +22,9 @@ namespace fusiondb::internal {
 
 namespace {
 
-std::string LowerKindName(OpKind kind) {
-  std::string s = OpKindName(kind);
-  for (char& c : s) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return s;
-}
-
 /// Positions (indexes into `base`) of the rows of `subset`. Both are
 /// ascending and subset ⊆ base, so one linear merge converts a selection in
-/// morsel coordinates into the dense coordinates of the filtered rows —
-/// exactly the mask selection MaskSet::Evaluate would produce over the
-/// gathered chunk the interpreted path materializes.
+/// morsel coordinates into the dense coordinates of the filtered rows.
 SelVector PositionsIn(const SelVector& subset, const SelVector& base) {
   SelVector out;
   out.reserve(subset.size());
@@ -50,44 +37,49 @@ SelVector PositionsIn(const SelVector& subset, const SelVector& base) {
   return out;
 }
 
-/// Everything TryCompilePipeline derives from the chain, handed to the
+/// Everything CompilePipeline derives from the chain, handed to the
 /// operator. All expressions are composed down to (and bound against) the
-/// scan schema, so the pipeline evaluates them straight off decoded morsels.
+/// source schema, so the pipeline evaluates them straight off its morsels.
 struct PipelineSpec {
   std::vector<BoundExpr> filters;  // chain order, bottom-most filter first
 
   // Non-aggregate chains: one output expression per root schema column.
   std::vector<BoundExpr> outputs;
-  bool identity = false;  // outputs are the scan's columns in scan order
+  bool identity = false;  // outputs are the source's columns in source order
 
   // Aggregate chains (the aggregate is always the chain root).
   bool aggregate = false;
   bool scalar = false;
   std::vector<BoundExpr> group_exprs;
+  // Per group key: its source column index when the key is a bare column
+  // (read in place), else -1.
+  std::vector<int> group_columns;
   BoundAggs baggs;
   // Rewritten AggregateItems the BoundAggs point into (vector moves keep
   // element addresses, the WindowExec item_storage pattern).
   std::vector<AggregateItem> item_storage;
 };
 
-/// One morsel's aggregate input, evaluated to dense columns: what the
-/// interpreted path would see as the filtered+projected chunk, without ever
-/// building that chunk.
+/// One morsel's aggregate input. When every row of the morsel survived the
+/// filters, bare-column keys and arguments are read in place from `input`;
+/// everything else is evaluated to dense columns over the survivors.
 struct PreparedAggChunk {
+  Chunk input;            // the morsel itself, kept only when in_place
+  bool in_place = false;  // no row was filtered out
   size_t rows = 0;
-  std::vector<Column> group_cols;
-  std::vector<Column> arg_cols;  // parallel to the aggs; unused for COUNT(*)
-  std::vector<SelVector> masks;  // dense coordinates, mask-slot order
+  std::vector<Column> group_cols;  // evaluated keys; unused when read in place
+  std::vector<Column> arg_cols;    // parallel to the aggs; same rule
+  std::vector<SelVector> masks;    // dense coordinates, mask-slot order
 };
 
 class PipelineExec final : public ExecOperator {
  public:
-  PipelineExec(const ScanOp& scan, PipelineSpec spec, Schema schema,
-               ExecContext* ctx, int32_t root_op_id, int32_t scan_op_id)
+  PipelineExec(MorselSource source, PipelineSpec spec, Schema schema,
+               ExecContext* ctx, int32_t root_op_id)
       : ExecOperator(std::move(schema)),
         ctx_(ctx),
         root_op_id_(root_op_id),
-        source_(scan, ctx, scan_op_id),
+        source_(std::move(source)),
         spec_(std::move(spec)) {}
 
   ~PipelineExec() override {
@@ -98,7 +90,7 @@ class PipelineExec final : public ExecOperator {
 
   Result<std::optional<Chunk>> Next() override {
     if (spec_.aggregate) return NextAggregate();
-    if (ctx_->pool() != nullptr) {
+    if (ctx_->pool() != nullptr && source_.is_scan()) {
       if (!parallel_ran_) {
         FUSIONDB_RETURN_IF_ERROR(RunParallel());
         parallel_ran_ = true;
@@ -107,8 +99,8 @@ class PipelineExec final : public ExecOperator {
       Chunk out = std::move(out_chunks_[out_cursor_++]);
       return std::optional<Chunk>(std::move(out));
     }
-    // Serial push loop: each decoded morsel runs filter → output in place;
-    // morsels with no survivors never materialize anything.
+    // Serial push loop: each morsel runs filter → output in place; morsels
+    // with no survivors never materialize anything.
     while (true) {
       FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> morsel,
                                 source_.NextSerial());
@@ -121,8 +113,7 @@ class PipelineExec final : public ExecOperator {
 
  private:
   /// Chains the fused filters over one morsel: the first evaluates as a
-  /// fresh selection, the rest narrow it (visiting only survivors — the
-  /// fused equivalent of each FilterExec gathering before the next).
+  /// fresh selection, the rest narrow it (visiting only survivors).
   /// Returns false when no row survives.
   bool ApplyFilters(const Chunk& morsel, SelVector* sel) const {
     if (spec_.filters.empty()) return morsel.num_rows() > 0;
@@ -138,10 +129,10 @@ class PipelineExec final : public ExecOperator {
   }
 
   /// Emits the chain's output chunk for one morsel. When every row passes
-  /// and the chain is an identity over the scan, the decoded columns move
-  /// through untouched (FilterExec's pass-through). Otherwise each output
-  /// expression evaluates over the morsel — dense, or via EvalSel so only
-  /// surviving rows are computed.
+  /// and the chain is an identity over the source, the morsel's columns
+  /// move through untouched. Otherwise each output expression evaluates
+  /// over the morsel — dense, or via EvalSel so only surviving rows are
+  /// computed.
   Chunk BuildOutput(Chunk morsel, const SelVector& sel) const {
     bool all = AllPass(morsel, sel);
     Chunk out;
@@ -156,10 +147,9 @@ class PipelineExec final : public ExecOperator {
     return out;
   }
 
-  /// Parallel non-aggregate run: workers filter and project their claimed
-  /// partitions' morsels inside the scan's ParallelFor; outputs stream in
-  /// (partition, slice) order — the exact chunk sequence the interpreted
-  /// pull chain produces over a parallel scan.
+  /// Parallel non-aggregate run over a scan: workers filter and project
+  /// their claimed partitions' morsels inside the scan's ParallelFor;
+  /// outputs stream in (partition, slice) order, the serial order.
   Status RunParallel() {
     std::vector<std::vector<Chunk>> per_partition(source_.num_partitions());
     FUSIONDB_RETURN_IF_ERROR(source_.ParallelPartitions(
@@ -198,7 +188,7 @@ class PipelineExec final : public ExecOperator {
   /// Evaluates the deduplicated mask conjuncts over the *surviving* rows
   /// only (NarrowFilter from the filter chain's selection) and converts each
   /// to dense coordinates; masks then intersect exactly as
-  /// MaskSet::Evaluate does over a materialized chunk.
+  /// MaskSet::Evaluate does over a whole chunk.
   std::vector<SelVector> EvalMasksNarrowed(const Chunk& morsel,
                                            const SelVector& base) const {
     const MaskSet& ms = spec_.baggs.mask_set;
@@ -225,53 +215,64 @@ class PipelineExec final : public ExecOperator {
     return sels;
   }
 
-  /// Evaluates one surviving morsel's group / argument / mask inputs to
-  /// dense columns. When every row passed the filters this takes the same
-  /// EvalAll + MaskSet::Evaluate path the interpreted aggregate takes over
-  /// its input chunk; otherwise EvalSel computes surviving rows only.
-  PreparedAggChunk Prepare(const Chunk& morsel, const SelVector& sel) const {
-    const bool filtered = !AllPass(morsel, sel);
+  /// Prepares one surviving morsel's group / argument / mask inputs. When
+  /// every row passed the filters, bare-column keys and arguments stay in
+  /// the morsel (kept in the result) and only computed ones evaluate
+  /// densely; otherwise EvalSel computes every input over survivors only.
+  PreparedAggChunk Prepare(Chunk morsel, const SelVector& sel) const {
     PreparedAggChunk p;
-    p.rows = filtered ? sel.size() : morsel.num_rows();
-    p.masks = filtered ? EvalMasksNarrowed(morsel, sel)
-                       : spec_.baggs.mask_set.Evaluate(morsel);
-    p.group_cols.reserve(spec_.group_exprs.size());
-    for (const BoundExpr& g : spec_.group_exprs) {
-      p.group_cols.push_back(filtered ? g.EvalSel(morsel, sel)
-                                      : g.EvalAll(morsel));
+    p.in_place = AllPass(morsel, sel);
+    p.rows = p.in_place ? morsel.num_rows() : sel.size();
+    p.masks = p.in_place ? spec_.baggs.mask_set.Evaluate(morsel)
+                         : EvalMasksNarrowed(morsel, sel);
+    p.group_cols.resize(spec_.group_exprs.size());
+    for (size_t g = 0; g < spec_.group_exprs.size(); ++g) {
+      if (!p.in_place) {
+        p.group_cols[g] = spec_.group_exprs[g].EvalSel(morsel, sel);
+      } else if (spec_.group_columns[g] < 0) {
+        p.group_cols[g] = spec_.group_exprs[g].EvalAll(morsel);
+      }
     }
     p.arg_cols.resize(spec_.baggs.aggs.size());
     for (size_t a = 0; a < spec_.baggs.aggs.size(); ++a) {
       const BoundAgg& agg = spec_.baggs.aggs[a];
-      if (agg.arg.has_value()) {
-        p.arg_cols[a] = filtered ? agg.arg->EvalSel(morsel, sel)
-                                 : agg.arg->EvalAll(morsel);
+      if (!agg.arg.has_value()) continue;
+      if (!p.in_place) {
+        p.arg_cols[a] = agg.arg->EvalSel(morsel, sel);
+      } else if (agg.arg_column < 0) {
+        p.arg_cols[a] = agg.arg->EvalAll(morsel);
       }
     }
+    if (p.in_place) p.input = std::move(morsel);
     return p;
   }
 
-  /// Column-pointer view over a prepared morsel (masks move out — each
-  /// prepared morsel is accumulated exactly once).
-  AggInputView ViewOf(PreparedAggChunk& p) const {
+  /// Accumulates one prepared morsel into `groups` through a column-pointer
+  /// view (masks move out — each prepared morsel is accumulated once).
+  void Accumulate(PreparedAggChunk* p, GroupMap* groups,
+                  std::string* key) const {
     AggInputView view;
-    view.rows = p.rows;
-    view.group_cols.reserve(p.group_cols.size());
-    for (const Column& c : p.group_cols) view.group_cols.push_back(&c);
+    view.rows = p->rows;
+    view.group_cols.reserve(p->group_cols.size());
+    for (size_t g = 0; g < p->group_cols.size(); ++g) {
+      int col = p->in_place ? spec_.group_columns[g] : -1;
+      view.group_cols.push_back(col >= 0 ? &p->input.columns[col]
+                                         : &p->group_cols[g]);
+    }
     view.arg_cols.resize(spec_.baggs.aggs.size(), nullptr);
     for (size_t a = 0; a < spec_.baggs.aggs.size(); ++a) {
-      if (spec_.baggs.aggs[a].arg.has_value()) {
-        view.arg_cols[a] = &p.arg_cols[a];
-      }
+      const BoundAgg& agg = spec_.baggs.aggs[a];
+      if (!agg.arg.has_value()) continue;
+      int col = p->in_place ? agg.arg_column : -1;
+      view.arg_cols[a] = col >= 0 ? &p->input.columns[col] : &p->arg_cols[a];
     }
-    view.masks = std::move(p.masks);
-    return view;
+    view.masks = std::move(p->masks);
+    AccumulateView(view, spec_.baggs.aggs, groups, key);
   }
 
   Status RunAggSerial() {
     if (spec_.scalar) {
-      // Scalar aggregates emit one row even over empty input; seeded before
-      // the drain, mirroring the interpreted serial path.
+      // Scalar aggregates emit one row even over empty input.
       groups_[std::string()].states.resize(spec_.baggs.aggs.size());
     }
     std::string key;
@@ -281,36 +282,43 @@ class PipelineExec final : public ExecOperator {
       if (!morsel.has_value()) break;
       SelVector sel;
       if (!ApplyFilters(*morsel, &sel)) continue;
-      PreparedAggChunk p = Prepare(*morsel, sel);
-      AggInputView view = ViewOf(p);
-      AccumulateView(view, spec_.baggs.aggs, &groups_, &key);
+      PreparedAggChunk p = Prepare(std::move(*morsel), sel);
+      Accumulate(&p, &groups_, &key);
     }
     return Status::OK();
   }
 
-  /// Parallel aggregate: phase 1 filters and prepares surviving morsels
-  /// inside the scan's ParallelFor, kept in (partition, slice) order — the
-  /// same sequence of nonempty chunks AggregateExec::DrainParallel buffers
-  /// from its child. Phase 2 deals morsel i to partial i mod W and merges
-  /// partials in worker order, so the group map (insertion order included)
-  /// is identical to the interpreted build for the same thread count.
+  /// Parallel aggregate. A scan source filters and prepares its morsels
+  /// inside the scan's ParallelFor, kept in (partition, slice) order; a
+  /// child source is drained on the driver and its chunks are filtered and
+  /// prepared by the workers. Either way morsel i is dealt to partial
+  /// i mod W and partials merge in worker order, so the group map
+  /// (insertion order included) is deterministic for a given thread count.
   Status RunAggParallel() {
-    std::vector<std::vector<PreparedAggChunk>> per_partition(
-        source_.num_partitions());
-    FUSIONDB_RETURN_IF_ERROR(source_.ParallelPartitions(
-        [&](size_t /*worker*/, size_t pi, std::vector<Chunk> slices) -> Status {
-          std::vector<PreparedAggChunk>& out = per_partition[pi];
-          for (Chunk& morsel : slices) {
-            SelVector sel;
-            if (!ApplyFilters(morsel, &sel)) continue;
-            out.push_back(Prepare(morsel, sel));
-          }
-          return Status::OK();
-        }));
-    std::vector<PreparedAggChunk> prepared;
-    for (std::vector<PreparedAggChunk>& chunks : per_partition) {
-      for (PreparedAggChunk& p : chunks) prepared.push_back(std::move(p));
+    const bool scan = source_.is_scan();
+    std::vector<PreparedAggChunk> prepared;  // scan source
+    std::vector<Chunk> buffered;             // child source
+    if (scan) {
+      std::vector<std::vector<PreparedAggChunk>> per_partition(
+          source_.num_partitions());
+      FUSIONDB_RETURN_IF_ERROR(source_.ParallelPartitions(
+          [&](size_t /*worker*/, size_t pi,
+              std::vector<Chunk> slices) -> Status {
+            std::vector<PreparedAggChunk>& out = per_partition[pi];
+            for (Chunk& morsel : slices) {
+              SelVector sel;
+              if (!ApplyFilters(morsel, &sel)) continue;
+              out.push_back(Prepare(std::move(morsel), sel));
+            }
+            return Status::OK();
+          }));
+      for (std::vector<PreparedAggChunk>& chunks : per_partition) {
+        for (PreparedAggChunk& p : chunks) prepared.push_back(std::move(p));
+      }
+    } else {
+      FUSIONDB_RETURN_IF_ERROR(source_.DrainChild(&buffered));
     }
+    const size_t n = scan ? prepared.size() : buffered.size();
     ThreadPool* pool = ctx_->pool();
     size_t workers = pool->num_workers();
     std::vector<GroupMap> partials(workers);
@@ -320,16 +328,22 @@ class PipelineExec final : public ExecOperator {
           // `w` is the partial's index; each is claimed exactly once, so
           // the partial map is touched by a single thread.
           std::string key;
-          for (size_t ci = w; ci < prepared.size(); ci += workers) {
-            AggInputView view = ViewOf(prepared[ci]);
-            AccumulateView(view, spec_.baggs.aggs, &partials[w], &key);
+          for (size_t ci = w; ci < n; ci += workers) {
+            if (scan) {
+              Accumulate(&prepared[ci], &partials[w], &key);
+              continue;
+            }
+            SelVector sel;
+            if (!ApplyFilters(buffered[ci], &sel)) continue;
+            PreparedAggChunk p = Prepare(std::move(buffered[ci]), sel);
+            Accumulate(&p, &partials[w], &key);
           }
           return Status::OK();
         });
     FUSIONDB_RETURN_IF_ERROR(st);
     MergePartialGroups(spec_.baggs.aggs, &partials, &groups_);
     if (spec_.scalar) {
-      // Mirrors the interpreted parallel path: seeded after the merge.
+      // Scalar aggregates emit one row even over empty input.
       groups_[std::string()].states.resize(spec_.baggs.aggs.size());
     }
     return Status::OK();
@@ -350,65 +364,80 @@ class PipelineExec final : public ExecOperator {
   int64_t accounted_bytes_ = 0;
 };
 
+/// `expr` with every column reference replaced by its definition over the
+/// source schema; a reference the chain's input does not define is the
+/// plan's error.
+Result<ExprPtr> Compose(const ColumnDefs& env, const ExprPtr& expr) {
+  ExprPtr composed = SubstituteColumns(env, expr);
+  if (composed == nullptr) {
+    return Status::PlanError("expression references a column not in its input: " +
+                             expr->ToString());
+  }
+  return composed;
+}
+
 }  // namespace
 
-Result<ExecOperatorPtr> TryCompilePipeline(const PlanPtr& plan,
-                                           ExecContext* ctx,
-                                           int32_t root_op_id) {
-  auto fallback = [&](std::string reason) -> Result<ExecOperatorPtr> {
-    PipelineRecord rec;
-    rec.root_op_id = root_op_id;
-    rec.root_kind = OpKindName(plan->kind());
-    rec.fallback = std::move(reason);
-    ctx->AddPipeline(std::move(rec));
-    return ExecOperatorPtr(nullptr);
-  };
-
-  // Walk the chain: the root (Filter/Project/Aggregate), any run of
-  // Filter/Project below it, and the node the chain bottoms out at. Only a
-  // chain grounded directly on a scan compiles; anything else (a join
-  // build, another aggregate, a spool, ...) is a pipeline breaker and the
-  // chain falls back with a source-<kind> reason.
+Result<ExecOperatorPtr> CompilePipeline(const PlanPtr& plan, ExecContext* ctx,
+                                        int32_t root_op_id,
+                                        const SourceBuilder& build_source) {
+  // Walk the chain: the root (unless it is a bare scan), any run of
+  // Filter/Project below it, and the source the chain bottoms out at.
   std::vector<const LogicalOp*> chain;
-  chain.push_back(plan.get());
-  const LogicalOp* bottom = plan->child(0).get();
-  while (bottom->kind() == OpKind::kFilter ||
-         bottom->kind() == OpKind::kProject) {
-    chain.push_back(bottom);
-    bottom = bottom->child(0).get();
+  PlanPtr source = plan;
+  if (plan->kind() != OpKind::kScan) {
+    chain.push_back(plan.get());
+    source = plan->child(0);
+    while (source->kind() == OpKind::kFilter ||
+           source->kind() == OpKind::kProject) {
+      chain.push_back(source.get());
+      source = source->child(0);
+    }
   }
-  if (bottom->kind() != OpKind::kScan) {
-    return fallback("source-" + LowerKindName(bottom->kind()));
+  const bool scan = source->kind() == OpKind::kScan;
+  const Schema& source_schema = source->schema();
+  if (scan) {
+    const ScanOp& op = Cast<ScanOp>(*source);
+    for (int c : op.table_columns()) {
+      if (c < 0 || static_cast<size_t>(c) >= op.table()->num_columns()) {
+        return Status::PlanError("scan column index out of range for table " +
+                                 op.table()->name());
+      }
+    }
   }
-  const ScanOp& scan = Cast<ScanOp>(*bottom);
-  const Schema& scan_schema = scan.schema();
 
-  // Compose every chain expression down to the scan schema, walking bottom
-  // up. `env` maps each visible column id to its defining expression over
-  // the scan (identity at the scan itself); projects replace the
+  // Compose every chain expression down to the source schema, walking
+  // bottom up. `env` maps each visible column id to its defining expression
+  // over the source (identity at the source itself); projects replace the
   // environment, filters evaluate in the environment current at their
-  // depth. A reference SubstituteColumns cannot resolve, or a composed
-  // expression the binder rejects, is a bind-error fallback — the
-  // interpreted chain then either runs it or raises the real error.
+  // depth.
   ColumnDefs env;
-  for (const ColumnInfo& c : scan_schema.columns()) {
+  for (const ColumnInfo& c : source_schema.columns()) {
     env[c.id] = Expr::MakeColumnRef(c.id, c.type);
   }
   PipelineSpec spec;
   for (size_t i = chain.size(); i-- > 0;) {
     const LogicalOp* node = chain[i];
     if (node->kind() == OpKind::kFilter) {
-      ExprPtr composed = SubstituteColumns(env, Cast<FilterOp>(*node).predicate());
-      if (composed == nullptr) return fallback("bind-error");
-      Result<BoundExpr> bound = BindExpr(composed, scan_schema);
-      if (!bound.ok()) return fallback("bind-error");
-      spec.filters.push_back(std::move(bound).ValueOrDie());
+      const ExprPtr& predicate = Cast<FilterOp>(*node).predicate();
+      if (predicate == nullptr) {
+        return Status::PlanError("filter with null predicate");
+      }
+      if (predicate->type() != DataType::kBool) {
+        return Status::TypeError("filter predicate must be boolean, got " +
+                                 std::string(DataTypeName(predicate->type())));
+      }
+      FUSIONDB_ASSIGN_OR_RETURN(ExprPtr composed, Compose(env, predicate));
+      FUSIONDB_ASSIGN_OR_RETURN(BoundExpr bound,
+                                BindExpr(composed, source_schema));
+      spec.filters.push_back(std::move(bound));
     } else if (node->kind() == OpKind::kProject) {
       ColumnDefs next;
       for (const NamedExpr& e : Cast<ProjectOp>(*node).exprs()) {
-        ExprPtr composed = SubstituteColumns(env, e.expr);
-        if (composed == nullptr) return fallback("bind-error");
-        next[e.id] = std::move(composed);
+        if (e.expr == nullptr) {
+          return Status::PlanError("projection with null expr");
+        }
+        FUSIONDB_ASSIGN_OR_RETURN(next[e.id], Compose(env, e.expr));
       }
       env = std::move(next);
     }
@@ -418,77 +447,93 @@ Result<ExecOperatorPtr> TryCompilePipeline(const PlanPtr& plan,
     const AggregateOp& agg = Cast<AggregateOp>(*plan);
     spec.aggregate = true;
     spec.scalar = agg.IsScalar();
-    spec.group_exprs.reserve(agg.group_by().size());
     for (ColumnId g : agg.group_by()) {
       auto it = env.find(g);
-      if (it == env.end()) return fallback("bind-error");
-      Result<BoundExpr> bound = BindExpr(it->second, scan_schema);
-      if (!bound.ok()) return fallback("bind-error");
-      spec.group_exprs.push_back(std::move(bound).ValueOrDie());
+      if (it == env.end()) {
+        return Status::PlanError("group-by column #" + std::to_string(g) +
+                                 " not in input");
+      }
+      FUSIONDB_ASSIGN_OR_RETURN(BoundExpr bound,
+                                BindExpr(it->second, source_schema));
+      spec.group_exprs.push_back(std::move(bound));
+      spec.group_columns.push_back(
+          it->second->kind() == ExprKind::kColumnRef
+              ? source_schema.IndexOf(it->second->column_id())
+              : -1);
     }
     spec.item_storage.reserve(agg.aggregates().size());
     for (const AggregateItem& item : agg.aggregates()) {
       AggregateItem rewritten = item;
       if (item.arg != nullptr) {
-        rewritten.arg = SubstituteColumns(env, item.arg);
-        if (rewritten.arg == nullptr) return fallback("bind-error");
+        FUSIONDB_ASSIGN_OR_RETURN(rewritten.arg, Compose(env, item.arg));
       }
       if (item.mask != nullptr) {
-        rewritten.mask = SubstituteColumns(env, item.mask);
-        if (rewritten.mask == nullptr) return fallback("bind-error");
+        FUSIONDB_ASSIGN_OR_RETURN(rewritten.mask, Compose(env, item.mask));
       }
       spec.item_storage.push_back(std::move(rewritten));
     }
-    Result<BoundAggs> baggs = BindAggs(spec.item_storage, scan_schema);
-    if (!baggs.ok()) return fallback("bind-error");
-    spec.baggs = std::move(baggs).ValueOrDie();
+    FUSIONDB_ASSIGN_OR_RETURN(spec.baggs,
+                              BindAggs(spec.item_storage, source_schema));
   } else {
     const Schema& out_schema = plan->schema();
     spec.outputs.reserve(out_schema.num_columns());
-    spec.identity = out_schema.num_columns() == scan_schema.num_columns();
+    spec.identity = out_schema.num_columns() == source_schema.num_columns();
     for (size_t i = 0; i < out_schema.num_columns(); ++i) {
       auto it = env.find(out_schema.column(i).id);
-      if (it == env.end()) return fallback("bind-error");
+      if (it == env.end()) {
+        return Status::PlanError("output column #" +
+                                 std::to_string(out_schema.column(i).id) +
+                                 " not in input");
+      }
       if (spec.identity && (it->second->kind() != ExprKind::kColumnRef ||
                             it->second->column_id() !=
-                                scan_schema.column(i).id)) {
+                                source_schema.column(i).id)) {
         spec.identity = false;
       }
-      Result<BoundExpr> bound = BindExpr(it->second, scan_schema);
-      if (!bound.ok()) return fallback("bind-error");
-      spec.outputs.push_back(std::move(bound).ValueOrDie());
+      FUSIONDB_ASSIGN_OR_RETURN(BoundExpr bound,
+                                BindExpr(it->second, source_schema));
+      spec.outputs.push_back(std::move(bound));
     }
   }
 
-  // Compilation succeeded — only now touch shared executor state. Interior
-  // slots register in the same preorder the interpreted build would use
-  // (root's child first, scan last), each tagged with this pipeline's
-  // index; the scan's slot keeps receiving decoded-bytes attribution
-  // through MorselSource.
+  // The chain is valid — record it and register the fused interior slots
+  // in preorder (root's child first, a scan source last), each tagged with
+  // this pipeline's index. The record goes in before a child source is
+  // built, so records stay in preorder of their roots.
+  PipelineRecord rec;
+  rec.root_op_id = root_op_id;
+  rec.root_kind = OpKindName(plan->kind());
+  rec.ops_fused = static_cast<int>(chain.size()) + (scan ? 1 : 0);
   const int32_t pipe_index = static_cast<int32_t>(ctx->pipelines().size());
-  int32_t scan_slot = -1;
+  ctx->AddPipeline(std::move(rec));
+  int32_t parent = root_op_id;
   if (ctx->profile_enabled()) {
     ctx->op_stats(root_op_id)->pipeline = pipe_index;
-    int32_t parent = root_op_id;
     for (size_t i = 1; i < chain.size(); ++i) {
       int32_t id = ctx->RegisterOperator(OpKindName(chain[i]->kind()),
                                          NodeDetail(*chain[i]), parent);
       ctx->op_stats(id)->pipeline = pipe_index;
       parent = id;
     }
-    scan_slot =
-        ctx->RegisterOperator(OpKindName(OpKind::kScan), NodeDetail(*bottom),
-                              parent);
+  }
+  if (!scan) {
+    FUSIONDB_ASSIGN_OR_RETURN(ExecOperatorPtr child,
+                              build_source(source, parent));
+    return ExecOperatorPtr(new PipelineExec(MorselSource(std::move(child)),
+                                            std::move(spec), plan->schema(),
+                                            ctx, root_op_id));
+  }
+  // A scan source keeps its own slot for decoded-bytes attribution; a bare
+  // scan is the root itself.
+  int32_t scan_slot = root_op_id;
+  if (ctx->profile_enabled() && !chain.empty()) {
+    scan_slot = ctx->RegisterOperator(OpKindName(OpKind::kScan),
+                                      NodeDetail(*source), parent);
     ctx->op_stats(scan_slot)->pipeline = pipe_index;
   }
-  PipelineRecord rec;
-  rec.root_op_id = root_op_id;
-  rec.root_kind = OpKindName(plan->kind());
-  rec.ops_fused = static_cast<int>(chain.size()) + 1;  // chain + the scan
-  ctx->AddPipeline(std::move(rec));
-  return ExecOperatorPtr(new PipelineExec(scan, std::move(spec),
-                                          plan->schema(), ctx, root_op_id,
-                                          scan_slot));
+  return ExecOperatorPtr(new PipelineExec(
+      MorselSource(Cast<ScanOp>(*source), ctx, scan_slot), std::move(spec),
+      plan->schema(), ctx, root_op_id));
 }
 
 }  // namespace fusiondb::internal

@@ -1,36 +1,45 @@
 // Push-based compiled pipelines (DESIGN.md §13). At bind time the executor
 // splits the plan at pipeline breakers (aggregate build, join build, sort,
-// spool materialization) and compiles each non-blocking run of
-// scan→filter→project(→aggregate-sink) into one CompiledPipeline operator:
-// a single loop per decoded scan morsel that chains the filters' selection
-// vectors and evaluates composed output expressions through the existing
-// typed kernels, with no intermediate chunk materialization between the
-// fused operators. Compilation is per-pipeline, never per-query: a chain the
-// compiler cannot handle falls back to the interpreted operators for that
-// chain only, with the reason recorded in the query's PipelineRecords.
+// spool materialization, window) and compiles every non-blocking run of
+// filter→project(→aggregate-sink) into one pipeline operator: a single loop
+// per morsel that chains the filters' selection vectors and evaluates
+// composed output expressions through the typed kernels, with no
+// intermediate chunk materialization between the fused operators. A chain
+// reads from any source — a table scan, or the output chunks of whatever
+// operator sits below it — and a bare scan is a pipeline with an empty
+// chain, so this is the only executor for Scan, Filter, Project and
+// Aggregate.
 #ifndef FUSIONDB_EXEC_PIPELINE_H_
 #define FUSIONDB_EXEC_PIPELINE_H_
+
+#include <functional>
 
 #include "exec/operator.h"
 #include "plan/logical_plan.h"
 
 namespace fusiondb::internal {
 
-/// Attempts to compile the operator chain rooted at `plan` (a Filter,
-/// Project, or Aggregate chain head — the caller checks IsChainKind) down to
-/// its scan. On success, registers stats slots for the fused interior
-/// operators (keeping the preorder id ↔ plan-node mapping intact), records a
-/// compiled PipelineRecord, and returns the pipeline operator. On fallback,
-/// records the reason and returns nullptr — the caller then builds the
-/// interpreted operators for the same chain; no interior slot is registered
-/// before success, so a fallback leaves the id sequence untouched. Statuses
-/// are reserved for infrastructure failures, not compilation refusals.
+/// Builds the operator subtree that feeds a chain: `source` is the plan
+/// node below the chain's last Filter/Project, `parent_op_id` the stats
+/// slot it hangs under.
+using SourceBuilder = std::function<Result<ExecOperatorPtr>(
+    const PlanPtr& source, int32_t parent_op_id)>;
+
+/// Compiles the chain rooted at `plan` — a Scan, Filter, Project or
+/// Aggregate — into one pipeline operator. The chain is the root plus every
+/// Filter/Project directly below it; the node under that is the source. A
+/// scan source is read in place; any other source is built through
+/// `build_source` *after* the chain's interior stats slots are registered,
+/// so operator ids stay in plan preorder. Records one PipelineRecord per
+/// chain. Malformed chains (a null or non-boolean predicate, a reference to
+/// a column the input lacks, an aggregate without its argument) fail with
+/// the Status the plan earns.
 ///
 /// `root_op_id` is the chain root's already-registered stats slot (-1 when
 /// profiling is off).
-Result<ExecOperatorPtr> TryCompilePipeline(const PlanPtr& plan,
-                                           ExecContext* ctx,
-                                           int32_t root_op_id);
+Result<ExecOperatorPtr> CompilePipeline(const PlanPtr& plan, ExecContext* ctx,
+                                        int32_t root_op_id,
+                                        const SourceBuilder& build_source);
 
 }  // namespace fusiondb::internal
 

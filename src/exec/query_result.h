@@ -29,9 +29,7 @@ class QueryResult {
     return operator_stats_;
   }
 
-  /// Pipeline-compilation outcomes (compiled chains and per-pipeline
-  /// fallbacks with reasons), in plan preorder of their chain roots. Empty
-  /// when the run had compile_pipelines off or the plan had no chains.
+  /// The compiled pipelines, in plan preorder of their chain roots.
   const std::vector<PipelineRecord>& pipelines() const { return pipelines_; }
 
   int64_t num_rows() const { return num_rows_; }

@@ -34,8 +34,8 @@ class RowKeyEncoder {
 
   /// Same encoding over a column-pointer view: key columns that need not be
   /// contiguous in (or belong to) any chunk. The compiled pipeline encodes
-  /// group keys from dense columns evaluated straight off the scan morsel;
-  /// the bytes match the chunk overload column-for-column.
+  /// group keys read from its morsel or evaluated off it; the bytes match
+  /// the chunk overload column-for-column.
   static bool Encode(const std::vector<const Column*>& columns, size_t row,
                      std::string* out) {
     out->clear();

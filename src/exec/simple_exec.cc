@@ -1,62 +1,12 @@
-// Streaming operators with no buffered state: Filter, Project, UnionAll,
-// Values, Limit, EnforceSingleRow.
+// Streaming operators with no buffered state: UnionAll, Values, Limit,
+// EnforceSingleRow.
 #include <optional>
 
 #include "exec/operators_internal.h"
-#include "expr/evaluator.h"
 
 namespace fusiondb::internal {
 
 namespace {
-
-class FilterExec final : public ExecOperator {
- public:
-  FilterExec(const FilterOp& op, ExecOperatorPtr child, BoundExpr predicate)
-      : ExecOperator(op.schema()),
-        child_(std::move(child)),
-        predicate_(std::move(predicate)) {}
-
-  Result<std::optional<Chunk>> Next() override {
-    while (true) {
-      FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> in, child_->Next());
-      if (!in.has_value()) return std::optional<Chunk>();
-      SelVector sel = predicate_.EvalFilter(*in);
-      if (sel.size() == in->num_rows()) {
-        return in;  // everything passes: pass through
-      }
-      if (sel.empty()) continue;
-      return std::optional<Chunk>(in->Gather(sel));
-    }
-  }
-
- private:
-  ExecOperatorPtr child_;
-  BoundExpr predicate_;
-};
-
-class ProjectExec final : public ExecOperator {
- public:
-  ProjectExec(const ProjectOp& op, ExecOperatorPtr child,
-              std::vector<BoundExpr> exprs)
-      : ExecOperator(op.schema()),
-        child_(std::move(child)),
-        exprs_(std::move(exprs)) {}
-
-  Result<std::optional<Chunk>> Next() override {
-    FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> in, child_->Next());
-    if (!in.has_value()) return std::optional<Chunk>();
-    Chunk out;
-    out.columns.reserve(exprs_.size());
-    for (const BoundExpr& e : exprs_) {
-      out.columns.push_back(e.EvalAll(*in));
-    }
-    return std::optional<Chunk>(std::move(out));
-  }
-
- private:
-  ExecOperatorPtr child_;
-  std::vector<BoundExpr> exprs_;
-};
 
 class UnionAllExec final : public ExecOperator {
  public:
@@ -175,33 +125,6 @@ class SingleRowExec final : public ExecOperator {
 
 }  // namespace
 
-Result<ExecOperatorPtr> MakeFilterExec(const FilterOp& op,
-                                       ExecOperatorPtr child) {
-  if (op.predicate() == nullptr) {
-    return Status::PlanError("filter with null predicate");
-  }
-  if (op.predicate()->type() != DataType::kBool) {
-    return Status::TypeError("filter predicate must be boolean, got " +
-                             std::string(DataTypeName(op.predicate()->type())));
-  }
-  FUSIONDB_ASSIGN_OR_RETURN(BoundExpr bound,
-                            BindExpr(op.predicate(), child->schema()));
-  return ExecOperatorPtr(new FilterExec(op, std::move(child), std::move(bound)));
-}
-
-Result<ExecOperatorPtr> MakeProjectExec(const ProjectOp& op,
-                                        ExecOperatorPtr child) {
-  std::vector<BoundExpr> bound;
-  bound.reserve(op.exprs().size());
-  for (const NamedExpr& e : op.exprs()) {
-    if (e.expr == nullptr) return Status::PlanError("projection with null expr");
-    FUSIONDB_ASSIGN_OR_RETURN(BoundExpr b, BindExpr(e.expr, child->schema()));
-    bound.push_back(std::move(b));
-  }
-  return ExecOperatorPtr(
-      new ProjectExec(op, std::move(child), std::move(bound)));
-}
-
 Result<ExecOperatorPtr> MakeUnionAllExec(const UnionAllOp& op,
                                          std::vector<ExecOperatorPtr> children) {
   std::vector<std::vector<int>> positions;
@@ -227,8 +150,7 @@ Result<ExecOperatorPtr> MakeUnionAllExec(const UnionAllOp& op,
       new UnionAllExec(op, std::move(children), std::move(positions)));
 }
 
-Result<ExecOperatorPtr> MakeValuesExec(const ValuesOp& op, ExecContext* ctx) {
-  (void)ctx;
+Result<ExecOperatorPtr> MakeValuesExec(const ValuesOp& op) {
   return ExecOperatorPtr(new ValuesExec(op));
 }
 

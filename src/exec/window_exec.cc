@@ -1,7 +1,6 @@
-// Hash aggregation (with per-aggregate masks and DISTINCT), partitioned
-// window aggregation, and MarkDistinct. The binding and accumulation core
-// (BoundAgg/MaskSet/BindAggs, GroupMap, AccumulateView, merge/finalize) is
-// shared with the compiled-pipeline aggregate sink — see exec/agg_build.h.
+// Partitioned window aggregation and MarkDistinct. Windows bind their items
+// through the aggregate machinery of exec/agg_build.h (hash aggregation
+// itself is the compiled pipelines' aggregate sink, exec/pipeline.h).
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -16,127 +15,6 @@
 namespace fusiondb::internal {
 
 namespace {
-
-class AggregateExec final : public ExecOperator {
- public:
-  AggregateExec(const AggregateOp& op, ExecOperatorPtr child,
-                std::vector<int> group_indexes, BoundAggs aggs,
-                ExecContext* ctx)
-      : ExecOperator(op.schema()),
-        scalar_(op.IsScalar()),
-        child_(std::move(child)),
-        group_indexes_(std::move(group_indexes)),
-        aggs_(std::move(aggs.aggs)),
-        mask_set_(std::move(aggs.mask_set)),
-        ctx_(ctx),
-        op_id_(ctx->building_op()) {}
-
-  ~AggregateExec() override { ctx_->AddHashBytes(-accounted_bytes_, op_id_); }
-
-  Result<std::optional<Chunk>> Next() override {
-    if (done_) return std::optional<Chunk>();
-    done_ = true;
-    FUSIONDB_RETURN_IF_ERROR(Drain());
-    return std::optional<Chunk>(FinalizeGroups(&groups_, aggs_, OutputTypes(),
-                                               group_indexes_.size()));
-  }
-
- private:
-  /// Accumulates every row of `in` into `groups` via the shared view-based
-  /// core: masks evaluate once per chunk, expression-valued arguments
-  /// evaluate once column-at-a-time, bare-column arguments read the input
-  /// column directly.
-  void AccumulateChunk(const Chunk& in, GroupMap* groups, std::string* key) {
-    size_t rows = in.num_rows();
-    if (rows == 0) return;
-    AggInputView view;
-    view.rows = rows;
-    // One pass per distinct mask conjunct over the whole chunk; each mask is
-    // the intersection of its conjuncts' selections.
-    view.masks = mask_set_.Evaluate(in);
-    view.group_cols.reserve(group_indexes_.size());
-    for (int g : group_indexes_) view.group_cols.push_back(&in.columns[g]);
-    std::vector<Column> expr_args(aggs_.size());
-    view.arg_cols.resize(aggs_.size(), nullptr);
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      const BoundAgg& agg = aggs_[a];
-      if (agg.arg_column >= 0) {
-        view.arg_cols[a] = &in.columns[agg.arg_column];
-      } else if (agg.arg.has_value()) {
-        expr_args[a] = agg.arg->EvalAll(in);
-        view.arg_cols[a] = &expr_args[a];
-      }
-    }
-    AccumulateView(view, aggs_, groups, key);
-  }
-
-  Status Drain() {
-    if (ctx_->pool() != nullptr) {
-      FUSIONDB_RETURN_IF_ERROR(DrainParallel());
-    } else {
-      if (scalar_) {
-        GroupEntry& entry = groups_[std::string()];
-        entry.states.resize(aggs_.size());
-      }
-      std::string key;
-      while (true) {
-        FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> in, child_->Next());
-        if (!in.has_value()) break;
-        AccumulateChunk(*in, &groups_, &key);
-      }
-    }
-    accounted_bytes_ = GroupMapBytes(groups_);
-    ctx_->AddHashBytes(accounted_bytes_, op_id_);
-    return Status::OK();
-  }
-
-  /// Thread-partitioned build: the driver drains the child (Next() is not
-  /// thread-safe), chunks are dealt to workers by stride (chunk i -> partial
-  /// i mod W, deterministic for a given thread count), each worker fills a
-  /// private partial hash table, and the partials merge into `groups_` in
-  /// worker order via AggState::Merge. Only the merged table is charged to
-  /// the memory metric, matching the serial accounting.
-  Status DrainParallel() {
-    std::vector<Chunk> buffered;
-    while (true) {
-      FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> in, child_->Next());
-      if (!in.has_value()) break;
-      if (in->num_rows() > 0) buffered.push_back(std::move(*in));
-    }
-    ThreadPool* pool = ctx_->pool();
-    size_t workers = pool->num_workers();
-    std::vector<GroupMap> partials(workers);
-    ParallelRegion region(ctx_);
-    Status st = pool->ParallelFor(
-        workers, [&](size_t /*worker*/, size_t w) -> Status {
-          // `w` is the partial's index; each is claimed exactly once, so
-          // the partial map is touched by a single thread.
-          std::string key;
-          for (size_t ci = w; ci < buffered.size(); ci += workers) {
-            AccumulateChunk(buffered[ci], &partials[w], &key);
-          }
-          return Status::OK();
-        });
-    FUSIONDB_RETURN_IF_ERROR(st);
-    MergePartialGroups(aggs_, &partials, &groups_);
-    if (scalar_) {
-      // Scalar aggregates emit one row even over empty input.
-      groups_[std::string()].states.resize(aggs_.size());
-    }
-    return Status::OK();
-  }
-
-  bool scalar_;
-  ExecOperatorPtr child_;
-  std::vector<int> group_indexes_;
-  std::vector<BoundAgg> aggs_;
-  MaskSet mask_set_;
-  ExecContext* ctx_;
-  GroupMap groups_;
-  bool done_ = false;
-  int64_t accounted_bytes_ = 0;
-  int32_t op_id_ = -1;
-};
 
 class WindowExec final : public ExecOperator {
  public:
@@ -305,26 +183,6 @@ class MarkDistinctExec final : public ExecOperator {
 };
 
 }  // namespace
-
-Result<ExecOperatorPtr> MakeAggregateExec(const AggregateOp& op,
-                                          ExecOperatorPtr child,
-                                          ExecContext* ctx) {
-  std::vector<int> group_indexes;
-  group_indexes.reserve(op.group_by().size());
-  for (ColumnId g : op.group_by()) {
-    int idx = child->schema().IndexOf(g);
-    if (idx < 0) {
-      return Status::PlanError("group-by column #" + std::to_string(g) +
-                               " not in input");
-    }
-    group_indexes.push_back(idx);
-  }
-  FUSIONDB_ASSIGN_OR_RETURN(BoundAggs aggs,
-                            BindAggs(op.aggregates(), child->schema()));
-  return ExecOperatorPtr(new AggregateExec(op, std::move(child),
-                                           std::move(group_indexes),
-                                           std::move(aggs), ctx));
-}
 
 Result<ExecOperatorPtr> MakeWindowExec(const WindowOp& op,
                                        ExecOperatorPtr child,

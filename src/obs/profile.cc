@@ -187,12 +187,7 @@ std::string ProfileToJson(const QueryProfile& profile) {
       w.BeginObject();
       w.Field("root_op_id", static_cast<int64_t>(r.root_op_id));
       w.Field("root_kind", r.root_kind);
-      w.Field("compiled", r.compiled());
-      if (r.compiled()) {
-        w.Field("ops_fused", static_cast<int64_t>(r.ops_fused));
-      } else {
-        w.Field("fallback", r.fallback);
-      }
+      w.Field("ops_fused", static_cast<int64_t>(r.ops_fused));
       w.EndObject();
     }
     w.EndArray();
@@ -256,22 +251,16 @@ std::string ExplainAnalyze(const PlanPtr& plan, const QueryResult& result) {
     out += "]";
     return out;
   });
-  // Compilation outcomes per chain: compiled pipelines list their fused
-  // operator count, fallbacks their reason (DESIGN.md §13 taxonomy).
+  // One line per compiled pipeline with its fused operator count
+  // (DESIGN.md §13).
   const std::vector<PipelineRecord>& pipes = result.pipelines();
   if (!pipes.empty()) {
     text += "\npipelines:\n";
     for (size_t i = 0; i < pipes.size(); ++i) {
       const PipelineRecord& r = pipes[i];
-      if (r.compiled()) {
-        text += "  #" + std::to_string(i) + " compiled root=op" +
-                std::to_string(r.root_op_id) + " (" + r.root_kind +
-                ") ops_fused=" + std::to_string(r.ops_fused) + "\n";
-      } else {
-        text += "  #" + std::to_string(i) + " fallback root=op" +
-                std::to_string(r.root_op_id) + " (" + r.root_kind +
-                ") reason=" + r.fallback + "\n";
-      }
+      text += "  #" + std::to_string(i) + " root=op" +
+              std::to_string(r.root_op_id) + " (" + r.root_kind +
+              ") ops_fused=" + std::to_string(r.ops_fused) + "\n";
     }
   }
   return text;

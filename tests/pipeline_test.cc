@@ -1,14 +1,16 @@
-// Compiled pipelines (src/exec/pipeline.h): the interpreted pull executor is
-// the oracle, and every test here is a differential check against it —
-// compiled runs must render byte-identical rows in identical order and
-// report identical metrics. Coverage: a fixed-seed fuzz over randomized
-// scan→filter→project(→aggregate) chains, the full TPC-DS sweep under all
-// four optimizer modes, parallelism invariance (the `parallel` ctest label;
-// run under TSan via -DFUSIONDB_SANITIZE=thread + `ctest -L parallel`),
-// fallback-reason recording, and the EXPLAIN ANALYZE / service-counter
-// surfaces.
+// Compiled pipelines (src/exec/pipeline.h), the executor's only path for
+// Scan, Filter, Project and Aggregate. The oracle is the independent
+// row-at-a-time reference evaluator (tests/reference_eval.h), which shares
+// no code with src/exec. Coverage: a fixed-seed fuzz over randomized
+// scan→filter→project(→aggregate) chains, the fused-chain shapes of
+// bench/pipeline_micro, the full TPC-DS sweep under all four optimizer
+// modes, parallelism invariance of rows and metrics (the `parallel` ctest
+// label; run under TSan via -DFUSIONDB_SANITIZE=thread + `ctest -L
+// parallel`), chains fed by a join, and the EXPLAIN ANALYZE /
+// service-counter surfaces.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -20,34 +22,30 @@
 namespace fusiondb {
 namespace {
 
+using testutil::ExpectMatchesReference;
 using testutil::SharedTpcds;
 using testutil::Unwrap;
 
-/// Executes `plan` with pipeline compilation on and off and asserts the two
-/// executions are indistinguishable: same rows in the same order (the
-/// byte-identity discipline — compiled pipelines preserve chunk boundaries
-/// and accumulation order, not just multiset equality) and same metrics.
-/// Returns the compiled run for callers that inspect its PipelineRecords.
-QueryResult ExpectCompiledMatchesInterpreted(const PlanPtr& plan,
-                                             size_t parallelism = 1) {
-  QueryResult compiled = Unwrap(ExecutePlan(
-      plan, {.parallelism = parallelism, .compile_pipelines = true}));
-  QueryResult interpreted = Unwrap(ExecutePlan(
-      plan, {.parallelism = parallelism, .compile_pipelines = false}));
-  EXPECT_TRUE(ResultsEqualOrdered(compiled, interpreted))
-      << "compiled and interpreted rows diverge for plan:\n"
-      << PlanToString(plan);
-  const ExecMetrics& c = compiled.metrics();
-  const ExecMetrics& i = interpreted.metrics();
-  EXPECT_EQ(c.bytes_scanned, i.bytes_scanned) << PlanToString(plan);
-  EXPECT_EQ(c.rows_scanned, i.rows_scanned) << PlanToString(plan);
-  EXPECT_EQ(c.partitions_scanned, i.partitions_scanned) << PlanToString(plan);
-  EXPECT_EQ(c.partitions_pruned, i.partitions_pruned) << PlanToString(plan);
-  EXPECT_EQ(c.rows_produced, i.rows_produced) << PlanToString(plan);
-  EXPECT_EQ(c.peak_hash_bytes, i.peak_hash_bytes) << PlanToString(plan);
-  // The interpreted oracle never records pipeline outcomes.
-  EXPECT_TRUE(interpreted.pipelines().empty());
-  return compiled;
+/// Executes `plan` at `parallelism` and checks it against the reference
+/// evaluator. Returns the run for callers that inspect its records.
+QueryResult ExecuteAndCheck(const PlanPtr& plan, size_t parallelism = 1) {
+  QueryResult result =
+      Unwrap(ExecutePlan(plan, {.parallelism = parallelism}));
+  ExpectMatchesReference(plan, result);
+  return result;
+}
+
+/// Asserts two runs of one plan report identical metrics.
+void ExpectSameMetrics(const QueryResult& a, const QueryResult& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.metrics().bytes_scanned, b.metrics().bytes_scanned) << what;
+  EXPECT_EQ(a.metrics().rows_scanned, b.metrics().rows_scanned) << what;
+  EXPECT_EQ(a.metrics().partitions_scanned, b.metrics().partitions_scanned)
+      << what;
+  EXPECT_EQ(a.metrics().partitions_pruned, b.metrics().partitions_pruned)
+      << what;
+  EXPECT_EQ(a.metrics().rows_produced, b.metrics().rows_produced) << what;
+  EXPECT_EQ(a.metrics().peak_hash_bytes, b.metrics().peak_hash_bytes) << what;
 }
 
 // ---------------------------------------------------------------------------
@@ -112,7 +110,7 @@ ExprPtr RandomPredicate(std::mt19937* rng, PlanBuilder* b,
   }
 }
 
-TEST(PipelineFuzzTest, RandomChainsMatchInterpreted) {
+TEST(PipelineFuzzTest, RandomChainsMatchReference) {
   const Catalog& catalog = SharedTpcds(0.003);
   std::mt19937 rng(20260807);  // fixed seed: failures must reproduce
   auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
@@ -127,6 +125,7 @@ TEST(PipelineFuzzTest, RandomChainsMatchInterpreted) {
 
     // 1-2 filters, chained (exercises the NarrowFilter composition).
     size_t num_filters = 1 + pick(2);
+    int chain_ops = 1 + static_cast<int>(num_filters);  // scan + filters
     for (size_t f = 0; f < num_filters; ++f) {
       b.Filter(RandomPredicate(&rng, &b, table.columns[pick(cols.size())]));
     }
@@ -140,6 +139,7 @@ TEST(PipelineFuzzTest, RandomChainsMatchInterpreted) {
       const FuzzColumn& c = table.columns[pick(cols.size())];
       b.Project({{"derived", eb::Add(b.Ref(a.name), b.Ref(c.name))},
                  {"kept", b.Ref(table.columns[0].name)}});
+      ++chain_ops;
     }
 
     // A third of the chains end in an aggregate sink — scalar or grouped,
@@ -159,17 +159,121 @@ TEST(PipelineFuzzTest, RandomChainsMatchInterpreted) {
         const char* key = projected ? "kept" : table.columns[0].name;
         b.Aggregate({key}, std::move(specs));
       }
+      ++chain_ops;
     }
 
-    QueryResult compiled = ExpectCompiledMatchesInterpreted(b.Build());
-    // Every fuzz chain is compilable by construction; a silent fallback
-    // here means the fuzz stopped exercising the compiled path.
-    bool any_compiled = false;
-    for (const PipelineRecord& r : compiled.pipelines()) {
-      any_compiled |= r.compiled();
-    }
-    EXPECT_TRUE(any_compiled)
-        << "iter " << iter << " fell back: " << PlanToString(b.Build());
+    QueryResult result = ExecuteAndCheck(b.Build());
+    // The whole chain, scan included, runs as one pipeline.
+    ASSERT_EQ(result.pipelines().size(), 1u) << "iter " << iter;
+    EXPECT_EQ(result.pipelines()[0].ops_fused, chain_ops)
+        << "iter " << iter << ": " << PlanToString(b.Build());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The fused-chain shapes bench/pipeline_micro times, executed as built.
+// ---------------------------------------------------------------------------
+
+const std::vector<std::string>& WideColumns() {
+  static const std::vector<std::string>& cols = *new std::vector<std::string>{
+      "ss_sold_date_sk", "ss_item_sk",     "ss_customer_sk", "ss_store_sk",
+      "ss_quantity",     "ss_list_price",  "ss_sales_price", "ss_net_profit"};
+  return cols;
+}
+
+struct MicroChain {
+  const char* name;
+  int ops_fused;
+  std::function<void(PlanBuilder*)> build;  // applied to a store_sales scan
+  std::vector<std::string> columns;
+};
+
+std::vector<MicroChain> MicroChains() {
+  return {
+      {"scan_filter", 2,
+       [](PlanBuilder* b) {
+         b->Filter(eb::Gt(b->Ref("ss_list_price"), eb::Dbl(20.0)));
+       },
+       WideColumns()},
+      {"scan_filter_chain", 4,
+       [](PlanBuilder* b) {
+         b->Filter(eb::Between(b->Ref("ss_quantity"), eb::Int(2), eb::Int(95)));
+         b->Filter(eb::Gt(b->Ref("ss_list_price"), eb::Dbl(10.0)));
+         b->Filter(eb::IsNotNull(b->Ref("ss_net_profit")));
+       },
+       WideColumns()},
+      {"scan_filter_project", 3,
+       [](PlanBuilder* b) {
+         b->Filter(eb::Gt(b->Ref("ss_quantity"), eb::Int(5)));
+         b->Project({{"discount", eb::Sub(b->Ref("ss_list_price"),
+                                          b->Ref("ss_sales_price"))},
+                     {"date", b->Ref("ss_sold_date_sk")},
+                     {"item", b->Ref("ss_item_sk")},
+                     {"customer", b->Ref("ss_customer_sk")},
+                     {"store", b->Ref("ss_store_sk")},
+                     {"qty", b->Ref("ss_quantity")},
+                     {"profit", b->Ref("ss_net_profit")}});
+       },
+       WideColumns()},
+      {"scan_pipeline_deep", 5,
+       [](PlanBuilder* b) {
+         b->Filter(eb::Between(b->Ref("ss_quantity"), eb::Int(2), eb::Int(95)));
+         b->Filter(eb::Gt(b->Ref("ss_list_price"), eb::Dbl(10.0)));
+         b->Project({{"margin", eb::Sub(b->Ref("ss_sales_price"),
+                                        b->Ref("ss_net_profit"))},
+                     {"qty", b->Ref("ss_quantity")}});
+         b->Aggregate({}, {{"total_margin", AggFunc::kSum, b->Ref("margin"),
+                            nullptr, false},
+                           {"n", AggFunc::kCountStar, nullptr, nullptr, false}});
+       },
+       WideColumns()},
+      {"scan_filter_scalar_agg", 4,
+       [](PlanBuilder* b) {
+         b->Filter(eb::Between(b->Ref("ss_quantity"), eb::Int(2), eb::Int(95)));
+         b->Filter(eb::Gt(b->Ref("ss_list_price"), eb::Dbl(10.0)));
+         b->Aggregate({}, {{"total", AggFunc::kSum, b->Ref("ss_sales_price"),
+                            nullptr, false},
+                           {"n", AggFunc::kCountStar, nullptr, nullptr, false}});
+       },
+       {"ss_quantity", "ss_list_price", "ss_sales_price"}},
+      {"scan_filter_group_agg", 3,
+       [](PlanBuilder* b) {
+         b->Filter(eb::Between(b->Ref("ss_quantity"), eb::Int(1), eb::Int(90)));
+         b->Aggregate({"ss_store_sk"},
+                      {{"revenue", AggFunc::kSum, b->Ref("ss_sales_price"),
+                        nullptr, false}});
+       },
+       {"ss_store_sk", "ss_quantity", "ss_sales_price"}},
+      {"scan_masked_agg", 2,
+       [](PlanBuilder* b) {
+         std::vector<AggSpec> specs;
+         for (int i = 0; i < 2; ++i) {
+           specs.push_back({"s" + std::to_string(i), AggFunc::kSum,
+                            b->Ref("ss_list_price"),
+                            eb::Between(b->Ref("ss_quantity"), eb::Int(i * 40),
+                                        eb::Int(i * 40 + 45)),
+                            false});
+         }
+         b->Aggregate({"ss_store_sk"}, std::move(specs));
+       },
+       {"ss_store_sk", "ss_quantity", "ss_list_price"}},
+  };
+}
+
+TEST(PipelineMicroTest, FusedChainShapesMatchReference) {
+  const Catalog& catalog = SharedTpcds();
+  for (const MicroChain& chain : MicroChains()) {
+    SCOPED_TRACE(chain.name);
+    PlanContext ctx;
+    PlanBuilder b = PlanBuilder::Scan(
+        &ctx, Unwrap(catalog.GetTable("store_sales")), chain.columns);
+    chain.build(&b);
+    PlanPtr plan = b.Build();
+    QueryResult serial = ExecuteAndCheck(plan, 1);
+    QueryResult wide = ExecuteAndCheck(plan, 4);
+    ExpectSameMetrics(serial, wide, chain.name);
+    ASSERT_EQ(serial.pipelines().size(), 1u);
+    EXPECT_EQ(serial.pipelines()[0].ops_fused, chain.ops_fused);
   }
 }
 
@@ -195,7 +299,7 @@ TEST_P(PipelineTpcdsTest, SweepAllModes) {
                                : OptimizerOptions::Fused();
     PlanPtr optimized = Unwrap(Optimizer(opt).Optimize(plan, &ctx));
     SCOPED_TRACE(GetParam() + " / " + mode);
-    ExpectCompiledMatchesInterpreted(optimized);
+    ExecuteAndCheck(optimized);
   }
 }
 
@@ -223,11 +327,10 @@ TEST(PipelineParallelTest, ThreadCountInvariant) {
     PlanPtr optimized =
         Unwrap(Optimizer(OptimizerOptions::Fused()).Optimize(plan, &ctx));
     SCOPED_TRACE(q.name);
-    QueryResult serial = ExpectCompiledMatchesInterpreted(optimized, 1);
-    QueryResult wide = ExpectCompiledMatchesInterpreted(optimized, 4);
+    QueryResult serial = ExecuteAndCheck(optimized, 1);
+    QueryResult wide = ExecuteAndCheck(optimized, 4);
     EXPECT_TRUE(ResultsEqualOrdered(serial, wide)) << q.name;
-    EXPECT_EQ(serial.metrics().bytes_scanned, wide.metrics().bytes_scanned);
-    EXPECT_EQ(serial.metrics().peak_hash_bytes, wide.metrics().peak_hash_bytes);
+    ExpectSameMetrics(serial, wide, q.name);
   }
 }
 
@@ -243,18 +346,42 @@ TEST(PipelineParallelTest, CompiledAggregateParallelMatchesSerial) {
                 eb::Gt(b.Ref("ss_quantity"), eb::Int(40)), false},
                {"n", AggFunc::kCountStar, nullptr, nullptr, false}});
   PlanPtr plan = b.Build();
-  QueryResult serial = ExpectCompiledMatchesInterpreted(plan, 1);
-  QueryResult wide = ExpectCompiledMatchesInterpreted(plan, 4);
+  QueryResult serial = ExecuteAndCheck(plan, 1);
+  QueryResult wide = ExecuteAndCheck(plan, 4);
   // No Sort root pins the group order, and hash-map merge order legitimately
-  // differs across thread counts (in both engines — exec_parallel_test makes
-  // the same concession). The byte-identity contract is compiled vs
-  // interpreted at equal parallelism, asserted by the two calls above.
+  // differs across thread counts (exec_parallel_test makes the same
+  // concession); the rows and every metric must not.
   EXPECT_TRUE(ResultsEquivalent(serial, wide));
-  EXPECT_EQ(serial.metrics().bytes_scanned, wide.metrics().bytes_scanned);
+  ExpectSameMetrics(serial, wide, "grouped aggregate");
+}
+
+TEST(PipelineParallelTest, JoinFedAggregateParallelMatchesSerial) {
+  // A child-fed aggregate sink: chunks from the join are buffered on the
+  // driver, then filtered, prepared and accumulated inside the workers.
+  const Catalog& catalog = SharedTpcds();
+  PlanContext ctx;
+  PlanBuilder ss = PlanBuilder::Scan(
+      &ctx, Unwrap(catalog.GetTable("store_sales")),
+      {"ss_item_sk", "ss_quantity", "ss_sales_price"});
+  PlanBuilder item = PlanBuilder::Scan(&ctx, Unwrap(catalog.GetTable("item")),
+                                       {"i_item_sk", "i_category_id"});
+  ss.JoinOn(JoinType::kInner, item, {{"ss_item_sk", "i_item_sk"}});
+  ss.Filter(eb::Gt(ss.Ref("ss_quantity"), eb::Int(20)));
+  ss.Aggregate({"i_category_id"},
+               {{"revenue", AggFunc::kSum, ss.Ref("ss_sales_price"),
+                 eb::Lt(ss.Ref("ss_quantity"), eb::Int(70)), false},
+                {"items", AggFunc::kCount, ss.Ref("ss_item_sk"), nullptr,
+                 true},
+                {"n", AggFunc::kCountStar, nullptr, nullptr, false}});
+  PlanPtr plan = ss.Build();
+  QueryResult serial = ExecuteAndCheck(plan, 1);
+  QueryResult wide = ExecuteAndCheck(plan, 4);
+  EXPECT_TRUE(ResultsEquivalent(serial, wide));
+  ExpectSameMetrics(serial, wide, "join-fed aggregate");
 }
 
 // ---------------------------------------------------------------------------
-// Compilation outcomes: records, fallback taxonomy, observability.
+// Pipeline records and observability.
 // ---------------------------------------------------------------------------
 
 TEST(PipelineRecordTest, CompiledChainRecordsOpsFused) {
@@ -275,7 +402,7 @@ TEST(PipelineRecordTest, CompiledChainRecordsOpsFused) {
   EXPECT_EQ(rec.root_op_id, 0);
 }
 
-TEST(PipelineRecordTest, JoinFedChainFallsBackWithSourceReason) {
+TEST(PipelineRecordTest, JoinFedChainCompiles) {
   const Catalog& catalog = SharedTpcds();
   PlanContext ctx;
   PlanBuilder ss = PlanBuilder::Scan(
@@ -284,28 +411,28 @@ TEST(PipelineRecordTest, JoinFedChainFallsBackWithSourceReason) {
   PlanBuilder item = PlanBuilder::Scan(&ctx, Unwrap(catalog.GetTable("item")),
                                        {"i_item_sk"});
   ss.JoinOn(JoinType::kInner, item, {{"ss_item_sk", "i_item_sk"}});
-  // Chain head above the join: its source is a breaker, so it must fall
-  // back and say why.
+  // A chain whose source is the join: it compiles over the join's output
+  // chunks, and each bare scan below the join is a pipeline of its own.
   ss.Filter(eb::Gt(ss.Ref("ss_quantity"), eb::Int(90)));
-  QueryResult r = Unwrap(ExecutePlan(ss.Build()));
-  bool saw_join_fallback = false;
-  for (const PipelineRecord& rec : r.pipelines()) {
-    if (!rec.compiled() && rec.fallback == "source-join") {
-      saw_join_fallback = true;
-    }
-  }
-  EXPECT_TRUE(saw_join_fallback);
-}
-
-TEST(PipelineRecordTest, DisablingCompilationRecordsNothing) {
-  const Catalog& catalog = SharedTpcds();
-  PlanContext ctx;
-  PlanBuilder b = PlanBuilder::Scan(
-      &ctx, Unwrap(catalog.GetTable("item")), {"i_item_sk"});
-  b.Filter(eb::Gt(b.Ref("i_item_sk"), eb::Int(0)));
-  QueryResult r =
-      Unwrap(ExecutePlan(b.Build(), {.compile_pipelines = false}));
-  EXPECT_TRUE(r.pipelines().empty());
+  ss.Project({{"qty", ss.Ref("ss_quantity")}});
+  PlanPtr plan = ss.Build();
+  QueryResult r = ExecuteAndCheck(plan);
+  ASSERT_EQ(r.pipelines().size(), 3u);
+  // Preorder of roots: Project(op0) > Filter(op1) > Join(op2) > scans.
+  EXPECT_EQ(r.pipelines()[0].root_kind, "Project");
+  EXPECT_EQ(r.pipelines()[0].root_op_id, 0);
+  EXPECT_EQ(r.pipelines()[0].ops_fused, 2);  // project + filter
+  EXPECT_EQ(r.pipelines()[1].root_kind, "Scan");
+  EXPECT_EQ(r.pipelines()[1].root_op_id, 3);
+  EXPECT_EQ(r.pipelines()[1].ops_fused, 1);
+  EXPECT_EQ(r.pipelines()[2].root_kind, "Scan");
+  EXPECT_EQ(r.pipelines()[2].root_op_id, 4);
+  ASSERT_EQ(r.operator_stats().size(), 5u);
+  EXPECT_EQ(r.operator_stats()[1].kind, "Filter");
+  EXPECT_EQ(r.operator_stats()[1].pipeline, 0);
+  EXPECT_EQ(r.operator_stats()[2].kind, "Join");
+  EXPECT_EQ(r.operator_stats()[2].pipeline, -1);
+  EXPECT_GT(r.operator_stats()[3].bytes_scanned, 0);
 }
 
 TEST(PipelineObsTest, ExplainAnalyzeAnnotatesPipelines) {
@@ -350,10 +477,12 @@ TEST(PipelineObsTest, ServiceCountersRecordOutcomes) {
     Unwrap(ExecutePlan(ss.Build(), {.metrics = &registry}));
   }
   MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.Counter("fusiondb_exec_pipelines_compiled_total"), 1);
-  EXPECT_EQ(snap.Counter(
-                "fusiondb_exec_pipeline_fallbacks_total{reason=\"source-join\"}"),
-            1);
+  // One filter pipeline over the item scan; then the join-fed filter plus
+  // the two bare scans below the join.
+  EXPECT_EQ(snap.Counter("fusiondb_exec_pipelines_compiled_total"), 4);
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_EQ(name.find("fallback"), std::string::npos) << name;
+  }
 }
 
 }  // namespace

@@ -1,0 +1,701 @@
+#include "reference_eval.h"
+
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <numeric>
+#include <optional>
+#include <set>
+#include <sstream>
+
+#include "catalog/encoding.h"
+#include "expr/evaluator.h"
+#include "expr/simplifier.h"
+#include "plan/spool.h"
+
+namespace fusiondb::reference {
+
+namespace {
+
+/// A materialized relation: the plan node's column types and its rows.
+struct Relation {
+  std::vector<DataType> types;
+  std::vector<Row> rows;
+};
+
+std::vector<DataType> TypesOf(const Schema& schema) {
+  std::vector<DataType> types;
+  for (const ColumnInfo& c : schema.columns()) types.push_back(c.type);
+  return types;
+}
+
+/// EvalRow reads a Chunk, so expressions evaluate over this columnar copy.
+Chunk ToChunk(const std::vector<DataType>& types, const std::vector<Row>& rows) {
+  Chunk chunk = Chunk::Empty(types);
+  for (const Row& row : rows) {
+    for (size_t c = 0; c < row.size(); ++c) chunk.columns[c].AppendValue(row[c]);
+  }
+  return chunk;
+}
+
+bool IsTrue(const Value& v) { return !v.is_null() && v.bool_value(); }
+
+/// Lexicographic order over Value::Compare (NULL first); NULLs are equal
+/// to each other, so they form one group.
+struct RowLess {
+  bool operator()(const Row& a, const Row& b) const {
+    for (size_t i = 0; i < a.size(); ++i) {
+      int c = a[i].Compare(b[i]);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  }
+};
+
+Result<int> PositionOf(const Schema& schema, ColumnId id, const char* what) {
+  int idx = schema.IndexOf(id);
+  if (idx < 0) {
+    return Status::PlanError(std::string(what) + " column #" +
+                             std::to_string(id) + " not in input");
+  }
+  return idx;
+}
+
+Row Project(const Row& row, const std::vector<int>& positions) {
+  Row out;
+  out.reserve(positions.size());
+  for (int p : positions) out.push_back(row[p]);
+  return out;
+}
+
+/// One aggregate's accumulator: every non-NULL argument of the rows that
+/// pass the mask, folded at the end.
+class Accumulator {
+ public:
+  Accumulator(AggFunc func, bool distinct, DataType out_type)
+      : func_(func), distinct_(distinct), out_type_(out_type) {}
+
+  void Add(const Value* arg) {
+    ++rows_;
+    if (arg != nullptr && !arg->is_null()) values_.push_back(*arg);
+  }
+
+  Value Finish() {
+    if (distinct_) {
+      std::sort(values_.begin(), values_.end(),
+                [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
+      values_.erase(std::unique(values_.begin(), values_.end(),
+                                [](const Value& a, const Value& b) {
+                                  return a.Compare(b) == 0;
+                                }),
+                    values_.end());
+    }
+    switch (func_) {
+      case AggFunc::kCountStar:
+        return Value::Int64(rows_);
+      case AggFunc::kCount:
+        return Value::Int64(static_cast<int64_t>(values_.size()));
+      case AggFunc::kSum: {
+        if (values_.empty()) return Value::Null(out_type_);
+        if (out_type_ == DataType::kFloat64) return Value::Float64(DoubleSum());
+        int64_t sum = 0;
+        for (const Value& v : values_) sum += v.int_value();
+        return Value::Int64(sum);
+      }
+      case AggFunc::kAvg:
+        if (values_.empty()) return Value::Null(out_type_);
+        return Value::Float64(DoubleSum() /
+                              static_cast<double>(values_.size()));
+      case AggFunc::kMin:
+      case AggFunc::kMax: {
+        if (values_.empty()) return Value::Null(out_type_);
+        Value best = values_[0];
+        for (const Value& v : values_) {
+          int c = v.Compare(best);
+          if (func_ == AggFunc::kMin ? c < 0 : c > 0) best = v;
+        }
+        return best;
+      }
+    }
+    return Value::Null(out_type_);
+  }
+
+ private:
+  double DoubleSum() const {
+    double sum = 0.0;
+    for (const Value& v : values_) sum += v.AsDouble();
+    return sum;
+  }
+
+  AggFunc func_;
+  bool distinct_;
+  DataType out_type_;
+  int64_t rows_ = 0;
+  std::vector<Value> values_;
+};
+
+/// One aggregate (or window item) bound against its input: function,
+/// optional argument and mask.
+struct BoundItem {
+  AggFunc func;
+  bool distinct;
+  DataType out_type;
+  std::optional<BoundExpr> arg;
+  std::optional<BoundExpr> mask;
+};
+
+Result<BoundItem> BindItem(AggFunc func, bool distinct, DataType out_type,
+                           const ExprPtr& arg, const ExprPtr& mask,
+                           const Schema& input) {
+  BoundItem item{func, distinct, out_type, std::nullopt, std::nullopt};
+  if (arg != nullptr) {
+    FUSIONDB_ASSIGN_OR_RETURN(item.arg, BindExpr(arg, input));
+  } else if (func != AggFunc::kCountStar) {
+    return Status::PlanError("aggregate missing argument");
+  }
+  if (mask != nullptr) {
+    FUSIONDB_ASSIGN_OR_RETURN(item.mask, BindExpr(mask, input));
+  }
+  return item;
+}
+
+/// Folds `item` over the rows `members` of `input`.
+Value AggregateRows(const BoundItem& item, const Chunk& input,
+                    const std::vector<size_t>& members) {
+  Accumulator acc(item.func, item.distinct, item.out_type);
+  for (size_t r : members) {
+    if (item.mask.has_value() && !IsTrue(item.mask->EvalRow(input, r))) {
+      continue;
+    }
+    if (item.arg.has_value()) {
+      Value v = item.arg->EvalRow(input, r);
+      acc.Add(&v);
+    } else {
+      acc.Add(nullptr);
+    }
+  }
+  return acc.Finish();
+}
+
+class Evaluator {
+ public:
+  Result<Relation> Eval(const LogicalOp& plan) {
+    switch (plan.kind()) {
+      case OpKind::kScan:
+        return EvalScan(Cast<ScanOp>(plan));
+      case OpKind::kFilter:
+        return EvalFilter(Cast<FilterOp>(plan));
+      case OpKind::kProject:
+        return EvalProject(Cast<ProjectOp>(plan));
+      case OpKind::kJoin:
+        return EvalJoin(Cast<JoinOp>(plan));
+      case OpKind::kAggregate:
+        return EvalAggregate(Cast<AggregateOp>(plan));
+      case OpKind::kWindow:
+        return EvalWindow(Cast<WindowOp>(plan));
+      case OpKind::kMarkDistinct:
+        return EvalMarkDistinct(Cast<MarkDistinctOp>(plan));
+      case OpKind::kUnionAll:
+        return EvalUnionAll(Cast<UnionAllOp>(plan));
+      case OpKind::kValues:
+        return EvalValues(Cast<ValuesOp>(plan));
+      case OpKind::kSort:
+        return EvalSort(Cast<SortOp>(plan));
+      case OpKind::kLimit:
+        return EvalLimit(Cast<LimitOp>(plan));
+      case OpKind::kEnforceSingleRow:
+        return EvalSingleRow(plan);
+      case OpKind::kSpool:
+        return Eval(*plan.child(0));
+      case OpKind::kApply:
+        break;
+    }
+    return Status::PlanError(std::string("reference: cannot evaluate ") +
+                             OpKindName(plan.kind()));
+  }
+
+ private:
+  Result<Relation> EvalScan(const ScanOp& scan) {
+    Relation out{TypesOf(scan.schema()), {}};
+    for (const Partition& p : scan.table()->partitions()) {
+      std::vector<Column> cols;
+      for (int c : scan.table_columns()) {
+        FUSIONDB_ASSIGN_OR_RETURN(Column col, DecodeColumn(p.columns[c]));
+        cols.push_back(std::move(col));
+      }
+      for (size_t r = 0; r < p.num_rows(); ++r) {
+        Row row;
+        for (const Column& col : cols) row.push_back(col.GetValue(r));
+        out.rows.push_back(std::move(row));
+      }
+    }
+    return out;
+  }
+
+  Result<Relation> EvalFilter(const FilterOp& op) {
+    if (op.predicate() == nullptr) return Status::PlanError("null predicate");
+    FUSIONDB_ASSIGN_OR_RETURN(Relation in, Eval(*op.child(0)));
+    FUSIONDB_ASSIGN_OR_RETURN(BoundExpr pred,
+                              BindExpr(op.predicate(), op.child(0)->schema()));
+    Chunk chunk = ToChunk(in.types, in.rows);
+    Relation out{in.types, {}};
+    for (size_t r = 0; r < in.rows.size(); ++r) {
+      if (IsTrue(pred.EvalRow(chunk, r))) out.rows.push_back(in.rows[r]);
+    }
+    return out;
+  }
+
+  Result<Relation> EvalProject(const ProjectOp& op) {
+    FUSIONDB_ASSIGN_OR_RETURN(Relation in, Eval(*op.child(0)));
+    std::vector<BoundExpr> exprs;
+    for (const NamedExpr& e : op.exprs()) {
+      FUSIONDB_ASSIGN_OR_RETURN(BoundExpr b,
+                                BindExpr(e.expr, op.child(0)->schema()));
+      exprs.push_back(std::move(b));
+    }
+    Chunk chunk = ToChunk(in.types, in.rows);
+    Relation out{TypesOf(op.schema()), {}};
+    for (size_t r = 0; r < in.rows.size(); ++r) {
+      Row row;
+      for (const BoundExpr& e : exprs) row.push_back(e.EvalRow(chunk, r));
+      out.rows.push_back(std::move(row));
+    }
+    return out;
+  }
+
+  Result<Relation> EvalJoin(const JoinOp& op) {
+    if (op.condition() == nullptr) return Status::PlanError("null condition");
+    FUSIONDB_ASSIGN_OR_RETURN(Relation left, Eval(*op.left()));
+    FUSIONDB_ASSIGN_OR_RETURN(Relation right, Eval(*op.right()));
+    const Schema& ls = op.left()->schema();
+    const Schema& rs = op.right()->schema();
+    // Column = column conjuncts across the two sides match through a map;
+    // everything else is a residual evaluated per candidate pair.
+    std::vector<ExprPtr> conjuncts;
+    SplitConjuncts(op.condition(), &conjuncts);
+    std::vector<int> left_keys;
+    std::vector<int> right_keys;
+    std::vector<ExprPtr> residual_parts;
+    for (const ExprPtr& c : conjuncts) {
+      if (c->kind() == ExprKind::kCompare && c->compare_op() == CompareOp::kEq &&
+          c->child(0)->kind() == ExprKind::kColumnRef &&
+          c->child(1)->kind() == ExprKind::kColumnRef) {
+        ColumnId a = c->child(0)->column_id();
+        ColumnId b = c->child(1)->column_id();
+        if (ls.Contains(a) && rs.Contains(b)) {
+          left_keys.push_back(ls.IndexOf(a));
+          right_keys.push_back(rs.IndexOf(b));
+          continue;
+        }
+        if (ls.Contains(b) && rs.Contains(a)) {
+          left_keys.push_back(ls.IndexOf(b));
+          right_keys.push_back(rs.IndexOf(a));
+          continue;
+        }
+      }
+      if (!c->IsLiteralBool(true)) residual_parts.push_back(c);
+    }
+    std::vector<ColumnInfo> combined_cols = ls.columns();
+    for (const ColumnInfo& c : rs.columns()) combined_cols.push_back(c);
+    Schema combined(combined_cols);
+    std::optional<BoundExpr> residual;
+    if (!residual_parts.empty()) {
+      FUSIONDB_ASSIGN_OR_RETURN(
+          residual, BindExpr(CombineConjuncts(residual_parts), combined));
+    }
+    std::vector<DataType> combined_types = left.types;
+    combined_types.insert(combined_types.end(), right.types.begin(),
+                          right.types.end());
+
+    std::map<Row, std::vector<size_t>, RowLess> index;
+    std::vector<size_t> all_right(right.rows.size());
+    std::iota(all_right.begin(), all_right.end(), 0);
+    if (!left_keys.empty()) {
+      for (size_t r = 0; r < right.rows.size(); ++r) {
+        Row key = Project(right.rows[r], right_keys);
+        if (HasNull(key)) continue;  // NULL keys never match
+        index[std::move(key)].push_back(r);
+      }
+    }
+    const std::vector<size_t> none;
+
+    Relation out{TypesOf(op.schema()), {}};
+    for (const Row& lrow : left.rows) {
+      const std::vector<size_t>* candidates = &all_right;
+      if (!left_keys.empty()) {
+        Row key = Project(lrow, left_keys);
+        auto it = HasNull(key) ? index.end() : index.find(key);
+        candidates = it == index.end() ? &none : &it->second;
+      }
+      std::vector<Row> matches;
+      for (size_t r : *candidates) {
+        Row pair = lrow;
+        pair.insert(pair.end(), right.rows[r].begin(), right.rows[r].end());
+        matches.push_back(std::move(pair));
+      }
+      if (residual.has_value() && !matches.empty()) {
+        Chunk chunk = ToChunk(combined_types, matches);
+        std::vector<Row> kept;
+        for (size_t m = 0; m < matches.size(); ++m) {
+          if (IsTrue(residual->EvalRow(chunk, m))) {
+            kept.push_back(std::move(matches[m]));
+          }
+        }
+        matches = std::move(kept);
+      }
+      switch (op.join_type()) {
+        case JoinType::kInner:
+        case JoinType::kCross:
+          for (Row& m : matches) out.rows.push_back(std::move(m));
+          break;
+        case JoinType::kLeft:
+          if (matches.empty()) {
+            Row padded = lrow;
+            for (DataType t : right.types) padded.push_back(Value::Null(t));
+            out.rows.push_back(std::move(padded));
+          }
+          for (Row& m : matches) out.rows.push_back(std::move(m));
+          break;
+        case JoinType::kSemi:
+          if (!matches.empty()) out.rows.push_back(lrow);
+          break;
+      }
+    }
+    return out;
+  }
+
+  static bool HasNull(const Row& row) {
+    for (const Value& v : row) {
+      if (v.is_null()) return true;
+    }
+    return false;
+  }
+
+  /// Sort-based grouping: rows ordered by group key, each run of equal keys
+  /// one group.
+  Result<Relation> EvalAggregate(const AggregateOp& op) {
+    FUSIONDB_ASSIGN_OR_RETURN(Relation in, Eval(*op.child(0)));
+    const Schema& input = op.child(0)->schema();
+    std::vector<int> key_positions;
+    for (ColumnId g : op.group_by()) {
+      FUSIONDB_ASSIGN_OR_RETURN(int idx, PositionOf(input, g, "group-by"));
+      key_positions.push_back(idx);
+    }
+    std::vector<BoundItem> items;
+    for (const AggregateItem& a : op.aggregates()) {
+      FUSIONDB_ASSIGN_OR_RETURN(
+          BoundItem item, BindItem(a.func, a.distinct, a.result_type(), a.arg,
+                                   a.mask, input));
+      items.push_back(std::move(item));
+    }
+    Chunk chunk = ToChunk(in.types, in.rows);
+    std::vector<size_t> order(in.rows.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::vector<Row> keys;
+    for (const Row& row : in.rows) keys.push_back(Project(row, key_positions));
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return RowLess()(keys[a], keys[b]);
+    });
+    std::vector<std::vector<size_t>> groups;
+    for (size_t i = 0; i < order.size(); ++i) {
+      if (i == 0 || RowLess()(keys[order[i - 1]], keys[order[i]])) {
+        groups.emplace_back();
+      }
+      groups.back().push_back(order[i]);
+    }
+    // A scalar aggregate yields one row even over empty input.
+    if (op.IsScalar() && groups.empty()) groups.emplace_back();
+
+    Relation out{TypesOf(op.schema()), {}};
+    for (const std::vector<size_t>& members : groups) {
+      Row row = op.IsScalar() ? Row() : keys[members[0]];
+      for (const BoundItem& item : items) {
+        row.push_back(AggregateRows(item, chunk, members));
+      }
+      out.rows.push_back(std::move(row));
+    }
+    return out;
+  }
+
+  Result<Relation> EvalWindow(const WindowOp& op) {
+    FUSIONDB_ASSIGN_OR_RETURN(Relation in, Eval(*op.child(0)));
+    const Schema& input = op.child(0)->schema();
+    std::vector<int> key_positions;
+    for (ColumnId p : op.partition_by()) {
+      FUSIONDB_ASSIGN_OR_RETURN(int idx,
+                                PositionOf(input, p, "window partition"));
+      key_positions.push_back(idx);
+    }
+    std::vector<BoundItem> items;
+    for (const WindowItem& w : op.items()) {
+      FUSIONDB_ASSIGN_OR_RETURN(
+          BoundItem item, BindItem(w.func, /*distinct=*/false, w.result_type(),
+                                   w.arg, w.mask, input));
+      items.push_back(std::move(item));
+    }
+    Chunk chunk = ToChunk(in.types, in.rows);
+    std::map<Row, std::vector<size_t>, RowLess> partitions;
+    for (size_t r = 0; r < in.rows.size(); ++r) {
+      partitions[Project(in.rows[r], key_positions)].push_back(r);
+    }
+    std::vector<Row> results(in.rows.size());
+    for (const auto& [key, members] : partitions) {
+      for (const BoundItem& item : items) {
+        Value v = AggregateRows(item, chunk, members);
+        for (size_t r : members) results[r].push_back(v);
+      }
+    }
+    Relation out{TypesOf(op.schema()), std::move(in.rows)};
+    for (size_t r = 0; r < out.rows.size(); ++r) {
+      out.rows[r].insert(out.rows[r].end(), results[r].begin(),
+                         results[r].end());
+    }
+    return out;
+  }
+
+  Result<Relation> EvalMarkDistinct(const MarkDistinctOp& op) {
+    FUSIONDB_ASSIGN_OR_RETURN(Relation in, Eval(*op.child(0)));
+    std::vector<int> key_positions;
+    for (ColumnId c : op.distinct_columns()) {
+      FUSIONDB_ASSIGN_OR_RETURN(
+          int idx, PositionOf(op.child(0)->schema(), c, "mark-distinct"));
+      key_positions.push_back(idx);
+    }
+    std::set<Row, RowLess> seen;
+    Relation out{TypesOf(op.schema()), std::move(in.rows)};
+    for (Row& row : out.rows) {
+      bool first = seen.insert(Project(row, key_positions)).second;
+      row.push_back(Value::Bool(first));
+    }
+    return out;
+  }
+
+  Result<Relation> EvalUnionAll(const UnionAllOp& op) {
+    Relation out{TypesOf(op.schema()), {}};
+    for (size_t c = 0; c < op.num_children(); ++c) {
+      FUSIONDB_ASSIGN_OR_RETURN(Relation in, Eval(*op.child(c)));
+      std::vector<int> positions;
+      for (ColumnId id : op.input_columns()[c]) {
+        FUSIONDB_ASSIGN_OR_RETURN(
+            int idx, PositionOf(op.child(c)->schema(), id, "union input"));
+        positions.push_back(idx);
+      }
+      for (const Row& row : in.rows) out.rows.push_back(Project(row, positions));
+    }
+    return out;
+  }
+
+  Result<Relation> EvalValues(const ValuesOp& op) {
+    Relation out{TypesOf(op.schema()), op.rows()};
+    for (const Row& row : out.rows) {
+      if (row.size() != out.types.size()) {
+        return Status::PlanError("VALUES row arity mismatch");
+      }
+    }
+    return out;
+  }
+
+  Result<Relation> EvalSort(const SortOp& op) {
+    FUSIONDB_ASSIGN_OR_RETURN(Relation in, Eval(*op.child(0)));
+    std::vector<std::pair<int, bool>> keys;
+    for (const SortKey& k : op.keys()) {
+      FUSIONDB_ASSIGN_OR_RETURN(
+          int idx, PositionOf(op.child(0)->schema(), k.column, "sort key"));
+      keys.push_back({idx, k.ascending});
+    }
+    std::stable_sort(in.rows.begin(), in.rows.end(),
+                     [&](const Row& a, const Row& b) {
+                       for (const auto& [idx, asc] : keys) {
+                         int c = a[idx].Compare(b[idx]);
+                         if (c != 0) return asc ? c < 0 : c > 0;
+                       }
+                       return false;
+                     });
+    return in;
+  }
+
+  Result<Relation> EvalLimit(const LimitOp& op) {
+    if (op.limit() < 0) return Status::PlanError("negative limit");
+    FUSIONDB_ASSIGN_OR_RETURN(Relation in, Eval(*op.child(0)));
+    if (in.rows.size() > static_cast<size_t>(op.limit())) {
+      in.rows.resize(static_cast<size_t>(op.limit()));
+    }
+    return in;
+  }
+
+  Result<Relation> EvalSingleRow(const LogicalOp& op) {
+    FUSIONDB_ASSIGN_OR_RETURN(Relation in, Eval(*op.child(0)));
+    if (in.rows.size() != 1) {
+      return Status::ExecutionError("scalar subquery returned " +
+                                    std::to_string(in.rows.size()) + " rows");
+    }
+    return in;
+  }
+};
+
+// --- comparison --------------------------------------------------------------
+
+bool IsDouble(const Value& v) {
+  return PhysicalTypeOf(v.type()) == PhysicalType::kDouble;
+}
+
+bool ValuesMatch(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (IsDouble(a) || IsDouble(b)) {
+    double x = a.AsDouble();
+    double y = b.AsDouble();
+    if (x == y) return true;
+    return std::fabs(x - y) <=
+           kDoubleTolerance * std::max(std::fabs(x), std::fabs(y));
+  }
+  if (PhysicalTypeOf(a.type()) == PhysicalType::kInt &&
+      PhysicalTypeOf(b.type()) == PhysicalType::kInt) {
+    return a.int_value() == b.int_value();
+  }
+  return a.Compare(b) == 0;
+}
+
+bool RowsMatch(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!ValuesMatch(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+/// Multiset order: exact (non-double) columns first, doubles last, so rows
+/// whose doubles differ only within tolerance still line up by their keys.
+bool CanonicalLess(const Row& a, const Row& b) {
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (IsDouble(a[i]) != (pass == 1)) continue;
+      int c = a[i].Compare(b[i]);
+      if (c != 0) return c < 0;
+    }
+  }
+  return false;
+}
+
+std::string Render(const Row& row) {
+  std::string out;
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (i > 0) out += "|";
+    out += row[i].ToString();
+  }
+  return out;
+}
+
+/// Empty when `engine` and `reference` hold the same rows in any order.
+std::string CompareMultisets(std::vector<Row> engine,
+                             std::vector<Row> reference) {
+  std::sort(engine.begin(), engine.end(), CanonicalLess);
+  std::sort(reference.begin(), reference.end(), CanonicalLess);
+  std::ostringstream out;
+  size_t n = std::min(engine.size(), reference.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (!RowsMatch(engine[i], reference[i])) {
+      out << "sorted row " << i << " differs: engine [" << Render(engine[i])
+          << "] vs reference [" << Render(reference[i]) << "]";
+      break;
+    }
+  }
+  if (out.str().empty() && engine.size() == reference.size()) return "";
+  out << " (" << engine.size() << " engine rows vs " << reference.size()
+      << " reference rows)";
+  return out.str();
+}
+
+/// Empty when every row of `engine` matches a distinct row of `pool`.
+std::string CompareSubMultiset(const std::vector<Row>& engine,
+                               const std::vector<Row>& pool) {
+  std::vector<bool> used(pool.size(), false);
+  for (const Row& row : engine) {
+    bool found = false;
+    for (size_t i = 0; i < pool.size() && !found; ++i) {
+      if (!used[i] && RowsMatch(row, pool[i])) {
+        used[i] = true;
+        found = true;
+      }
+    }
+    if (!found) {
+      return "engine row [" + Render(row) +
+             "] at the LIMIT boundary is not among the reference's tied rows";
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
+Result<std::vector<Row>> Evaluate(const PlanPtr& plan) {
+  FUSIONDB_ASSIGN_OR_RETURN(Relation rel, Evaluator().Eval(*plan));
+  return std::move(rel.rows);
+}
+
+Result<Expected> EvaluateExpected(const PlanPtr& plan) {
+  Expected expected;
+  PlanPtr body = plan;
+  if (body->kind() == OpKind::kLimit) {
+    expected.limit = Cast<LimitOp>(*body).limit();
+    if (expected.limit < 0) return Status::PlanError("negative limit");
+    body = body->child(0);
+  }
+  if (body->kind() == OpKind::kSort) {
+    for (const SortKey& k : Cast<SortOp>(*body).keys()) {
+      FUSIONDB_ASSIGN_OR_RETURN(
+          int idx, PositionOf(body->schema(), k.column, "sort key"));
+      expected.order.push_back({idx, k.ascending});
+    }
+  }
+  FUSIONDB_ASSIGN_OR_RETURN(expected.rows, Evaluate(body));
+  return expected;
+}
+
+std::string Compare(const Expected& expected,
+                    const std::vector<Row>& engine_rows) {
+  auto key_cmp = [&](const Row& a, const Row& b) {
+    for (const auto& [idx, asc] : expected.order) {
+      int c = a[idx].Compare(b[idx]);
+      if (c != 0) return asc ? c : -c;
+    }
+    return 0;
+  };
+  for (size_t i = 1; i < engine_rows.size(); ++i) {
+    if (key_cmp(engine_rows[i - 1], engine_rows[i]) > 0) {
+      return "engine rows " + std::to_string(i - 1) + " and " +
+             std::to_string(i) + " are out of ORDER BY order: [" +
+             Render(engine_rows[i - 1]) + "] before [" +
+             Render(engine_rows[i]) + "]";
+    }
+  }
+  const std::vector<Row>& ref = expected.rows;
+  const size_t limit = static_cast<size_t>(expected.limit);
+  if (expected.limit < 0 || ref.size() <= limit) {
+    return CompareMultisets(engine_rows, ref);
+  }
+  if (engine_rows.size() != limit) {
+    return "LIMIT " + std::to_string(limit) + " but the engine returned " +
+           std::to_string(engine_rows.size()) + " rows";
+  }
+  if (limit == 0) return "";
+  // The reference rows are in key order, so the rows tied with the last
+  // one kept form one run [tie_begin, tie_end). Rows before the run must
+  // match exactly; the engine's remaining rows may be any of the run.
+  size_t tie_begin = limit - 1;
+  while (tie_begin > 0 && key_cmp(ref[tie_begin - 1], ref[limit - 1]) == 0) {
+    --tie_begin;
+  }
+  size_t tie_end = limit;
+  while (tie_end < ref.size() && key_cmp(ref[tie_end], ref[limit - 1]) == 0) {
+    ++tie_end;
+  }
+  std::string head = CompareMultisets(
+      std::vector<Row>(engine_rows.begin(), engine_rows.begin() + tie_begin),
+      std::vector<Row>(ref.begin(), ref.begin() + tie_begin));
+  if (!head.empty()) return "before the LIMIT boundary: " + head;
+  return CompareSubMultiset(
+      std::vector<Row>(engine_rows.begin() + tie_begin, engine_rows.end()),
+      std::vector<Row>(ref.begin() + tie_begin, ref.begin() + tie_end));
+}
+
+}  // namespace fusiondb::reference

@@ -2,13 +2,14 @@
 // stack (EXPERIMENTS.md "fuzz protocol", DESIGN.md §14).
 //
 // Every query — replayed from tests/sql_fuzz_corpus.txt, then generated by
-// sql/random_query.h from a fixed seed — is bound once and then executed
-// under all four optimizer modes (baseline / fused / spooling / adaptive),
-// each both through the compiled pipelines and the interpreted pull
-// executor. The oracle is mutual agreement:
+// sql/random_query.h from a fixed seed — is bound once, evaluated by the
+// independent reference evaluator (tests/reference_eval.h) over the bound,
+// unoptimized plan, and then executed under all four optimizer modes
+// (baseline / fused / spooling / adaptive). The oracles:
 //
-//   * within a mode, compiled and interpreted runs must return byte-identical
-//     rendered rows AND identical bytes_scanned (same plan, same scans);
+//   * every mode's rows must match the reference under its comparison
+//     rules (multiset, ORDER BY key order, LIMIT ties, 1e-9 relative
+//     tolerance on doubles);
 //   * across modes, rendered rows must match the baseline exactly (every
 //     generated query ORDER BYs all of its output positions, so ordered
 //     comparison is sound even under LIMIT);
@@ -111,6 +112,10 @@ std::optional<std::string> RunDifferential(const std::string& sql_text) {
   auto prepared = engine.Prepare(sql_text, &parse);
   if (!prepared.ok()) return "bind error: " + parse.FormatErrors();
   PreparedQuery query = std::move(prepared).ValueOrDie();
+  auto expected = reference::EvaluateExpected(query.plan());
+  if (!expected.ok()) {
+    return "reference evaluation failed: " + expected.status().ToString();
+  }
 
   static const char* kModes[] = {"baseline", "fused", "spooling", "adaptive"};
   std::vector<std::string> baseline_rows;
@@ -127,44 +132,28 @@ std::optional<std::string> RunDifferential(const std::string& sql_text) {
       return std::string("optimize failed (") + mode +
              "): " + optimized.status().ToString();
     }
-    QueryOptions compiled = options;
-    compiled.exec.compile_pipelines = true;
-    QueryOptions interpreted = options;
-    interpreted.exec.compile_pipelines = false;
-    auto compiled_result = engine.ExecuteOptimized(*optimized, compiled);
-    auto interpreted_result =
-        engine.ExecuteOptimized(*optimized, interpreted);
-    if (!compiled_result.ok() || !interpreted_result.ok()) {
-      return std::string("execute failed (") + mode + "): " +
-             (compiled_result.ok() ? interpreted_result.status().ToString()
-                                   : compiled_result.status().ToString());
+    auto result = engine.ExecuteOptimized(*optimized, options);
+    if (!result.ok()) {
+      return std::string("execute failed (") + mode +
+             "): " + result.status().ToString();
     }
-    std::vector<std::string> rows_compiled =
-        compiled_result->RenderRows(false);
-    std::vector<std::string> rows_interpreted =
-        interpreted_result->RenderRows(false);
-    if (rows_compiled != rows_interpreted) {
-      return std::string("compiled vs interpreted divergence (") + mode +
-             "): " + FirstDiff(rows_compiled, rows_interpreted);
+    std::string diff =
+        reference::Compare(*expected, testutil::RowsOf(*result));
+    if (!diff.empty()) {
+      return std::string("reference divergence (") + mode + "): " + diff;
     }
-    int64_t bytes = compiled_result->metrics().bytes_scanned;
-    if (bytes != interpreted_result->metrics().bytes_scanned) {
-      return std::string("bytes_scanned mismatch (") + mode + "): " +
-             std::to_string(bytes) + " compiled vs " +
-             std::to_string(interpreted_result->metrics().bytes_scanned) +
-             " interpreted";
-    }
+    std::vector<std::string> rows = result->RenderRows(false);
+    int64_t bytes = result->metrics().bytes_scanned;
     if (std::string(mode) == "baseline") {
-      baseline_rows = std::move(rows_compiled);
+      baseline_rows = std::move(rows);
       baseline_bytes = bytes;
       // Feed the measured cardinalities forward so this query's adaptive
       // pass optimizes against real numbers, not just catalog priors.
-      engine.feedback()->Harvest(*optimized,
-                                 compiled_result->operator_stats());
+      engine.feedback()->Harvest(*optimized, result->operator_stats());
     } else {
-      if (rows_compiled != baseline_rows) {
+      if (rows != baseline_rows) {
         return std::string("cross-mode divergence (baseline vs ") + mode +
-               "): " + FirstDiff(baseline_rows, rows_compiled);
+               "): " + FirstDiff(baseline_rows, rows);
       }
       if (bytes > baseline_bytes) {
         return std::string("scan regression (") + mode + "): " +

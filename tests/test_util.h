@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "fusiondb.h"
+#include "reference_eval.h"
 
 namespace fusiondb::testutil {
 
@@ -47,6 +48,30 @@ inline const Catalog& SharedTpcds(double scale = 0.01) {
 /// Executes a plan, failing the test on error.
 inline QueryResult MustExecute(const PlanPtr& plan, size_t chunk_size = 4096) {
   return Unwrap(ExecutePlan(plan, {.chunk_size = chunk_size}));
+}
+
+/// The engine's output rows in emission order, as the reference evaluator
+/// compares them.
+inline std::vector<reference::Row> RowsOf(const QueryResult& result) {
+  std::vector<reference::Row> rows;
+  rows.reserve(static_cast<size_t>(result.num_rows()));
+  for (const Chunk& chunk : result.chunks()) {
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      reference::Row row;
+      for (const Column& col : chunk.columns) row.push_back(col.GetValue(r));
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
+/// Checks `result`, the engine's execution of `plan`, against the
+/// independent reference evaluator (tests/reference_eval.h).
+inline void ExpectMatchesReference(const PlanPtr& plan,
+                                   const QueryResult& result) {
+  reference::Expected expected = Unwrap(reference::EvaluateExpected(plan));
+  std::string diff = reference::Compare(expected, RowsOf(result));
+  EXPECT_TRUE(diff.empty()) << diff << "\nplan:\n" << PlanToString(plan);
 }
 
 /// Builds the reconstruction of one fused side per the Fuse contract:

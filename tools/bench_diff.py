@@ -2,6 +2,7 @@
 """Compare two BENCH_<name>.json reports and flag wall-clock regressions.
 
 Usage: tools/bench_diff.py BASELINE.json CANDIDATE.json [--threshold PCT]
+           [--total] [--config NAME] [--rounds N]
 
 Records are keyed by (query, config, threads); every benchmark present in
 both reports gets a wall_ms delta line. Exits non-zero when any shared
@@ -23,8 +24,14 @@ Per-benchmark deltas are still printed for diagnosis.
 
 With --config NAME only records whose config field equals NAME are compared.
 Use it when one report mixes populations with different expectations — e.g.
-pipeline_micro's fused-chain entries (gated for speedup) vs its floor
-entries (near-ties by design, informational only).
+pipeline_micro's fused-chain entries vs its floor entries.
+
+With --rounds N each side was run N times, interleaved, to cancel drift
+on shared hardware: BASELINE.json and CANDIDATE.json name the merged
+reports, and the rounds are read from the same path with .1.json ...
+.N.json in place of .json (BENCH_x.off.json <- BENCH_x.off.1.json, ...).
+Each record keeps its best (minimum) wall_ms over the rounds; the merged
+report is written to BASELINE.json / CANDIDATE.json and then diffed.
 """
 
 import argparse
@@ -50,6 +57,26 @@ def load_records(path):
     return records
 
 
+def merge_rounds(path, rounds):
+    """Writes `path` as the best-of-`rounds` merge of its numbered rounds."""
+    stem = path[:-len(".json")] if path.endswith(".json") else path
+    reports = []
+    for i in range(1, rounds + 1):
+        round_path = f"{stem}.{i}.json"
+        try:
+            with open(round_path) as f:
+                reports.append(json.load(f))
+        except (OSError, json.JSONDecodeError) as e:
+            sys.exit(f"bench_diff: cannot read {round_path}: {e}")
+    merged = reports[0]
+    for rec, *others in zip(*(r["records"] for r in reports)):
+        rec["wall_ms"] = min([rec["wall_ms"]] + [o["wall_ms"] for o in others])
+    with open(path, "w") as f:
+        json.dump(merged, f)
+    print(f"merged {path}: best-of-{rounds} over "
+          f"{len(merged['records'])} records")
+
+
 def fmt_key(key):
     query, config, threads = key
     out = query
@@ -72,7 +99,14 @@ def main():
                              "instead of each benchmark individually")
     parser.add_argument("--config", default=None,
                         help="only compare records with this config field")
+    parser.add_argument("--rounds", type=int, default=0,
+                        help="merge N numbered rounds per side (best-of-N "
+                             "wall_ms) into the named reports first")
     args = parser.parse_args()
+
+    if args.rounds > 0:
+        merge_rounds(args.baseline, args.rounds)
+        merge_rounds(args.candidate, args.rounds)
 
     base = load_records(args.baseline)
     cand = load_records(args.candidate)

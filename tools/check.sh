@@ -18,16 +18,11 @@
 #      exit code already covers the counter-vs-attribution reconciliation);
 #      then tpcds_overall with FUSIONDB_BENCH_METRICS off and on, with
 #      tools/bench_diff.py gating the always-on recording overhead at 2%
-#   8. compiled pipelines: tpcds_overall with FUSIONDB_BENCH_COMPILE off
-#      and on (interleaved best-of-3) — compilation must not cost more
-#      than 5% on the whole workload — and pipeline_micro off vs on, where
-#      the compiled loop must beat the interpreted pull operators by at
-#      least 10% summed over the fused-chain shapes (threshold -10)
-#   9. SQL front door: run_query --sql positive + malformed-SQL negative
+#   8. SQL front door: run_query --sql positive + malformed-SQL negative
 #      (caret diagnostic, exit 2), then the differential fuzz smoke — a
 #      second fixed seed beyond the one tier-1 already ran, >= 200
 #      generated queries, every one executed under all four optimizer
-#      modes and both pipeline backends
+#      modes and checked against the reference evaluator
 #
 # Usage: tools/check.sh [-j N]
 set -eu
@@ -43,12 +38,12 @@ done
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
-echo "== [1/9] tier-1 build + tests =="
+echo "== [1/8] tier-1 build + tests =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
-echo "== [2/9] semantic verification (FUSIONDB_VERIFY_SEMANTICS=1) =="
+echo "== [2/8] semantic verification (FUSIONDB_VERIFY_SEMANTICS=1) =="
 # Every optimizer mode's full TPC-DS sweep, plus the server's cross-plan
 # folds, with the semantic tier re-proving each rewrite's obligations.
 # plan_props_test covers derivation + the per-tag negative cases;
@@ -71,20 +66,20 @@ python3 tools/bench_diff.py \
   build/bench/BENCH_tpcds_overall.semantics_off.json \
   build/bench/BENCH_tpcds_overall.semantics_on.json --threshold 5 --total
 
-echo "== [3/9] ThreadSanitizer (parallel tests) =="
+echo "== [3/8] ThreadSanitizer (parallel tests) =="
 cmake -B build-tsan -S . -DFUSIONDB_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS"
 ctest --test-dir build-tsan --output-on-failure -L parallel
 
-echo "== [4/9] UndefinedBehaviorSanitizer (full suite) =="
+echo "== [4/8] UndefinedBehaviorSanitizer (full suite) =="
 cmake -B build-ubsan -S . -DFUSIONDB_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j"$JOBS"
 ctest --test-dir build-ubsan --output-on-failure -j"$JOBS"
 
-echo "== [5/9] lint =="
+echo "== [5/8] lint =="
 tools/lint.sh build
 
-echo "== [6/9] bench smoke + adaptive regression gate =="
+echo "== [6/8] bench smoke + adaptive regression gate =="
 # Tiny scale, one repeat: this checks the benches run and that their
 # cross-config result-equivalence assertions hold, and gates adaptive
 # mode against the best static policy. Latency numbers at this scale are
@@ -110,7 +105,7 @@ python3 tools/bench_diff.py \
   build/bench/BENCH_multi_client_throughput.solo.json \
   build/bench/BENCH_multi_client_throughput.shared.json --threshold 10
 
-echo "== [7/9] service metrics smoke + overhead gate =="
+echo "== [7/8] service metrics smoke + overhead gate =="
 # Smoke: a server run with the full telemetry surface on. run_query itself
 # exits nonzero when the registry's counters fail to reconcile with the
 # summed per-session attribution blocks, or when any telemetry write
@@ -138,7 +133,9 @@ EOF
 # bench. Same --total rationale as the semantic-verification gate. The two
 # configurations are run interleaved (off/on, three rounds) and compared on
 # per-query best-of-rounds, because single process-pairs drift by more than
-# the threshold on shared hardware (same discipline as the adaptive gate).
+# the threshold on shared hardware (same discipline as the adaptive gate);
+# bench_diff.py --rounds merges each configuration's rounds into its
+# best-of-3 report before diffing.
 (cd build/bench &&
   for round in 1 2 3; do
     FUSIONDB_BENCH_SCALE=0.01 FUSIONDB_BENCH_REPEATS=3 \
@@ -149,81 +146,12 @@ EOF
     mv BENCH_tpcds_overall.json "BENCH_tpcds_overall.metrics_on.$round.json" ||
     exit 1
   done)
-python3 - build/bench <<'EOF'
-import json, sys
-d = sys.argv[1]
-for config in ("metrics_off", "metrics_on"):
-    reports = [json.load(open("%s/BENCH_tpcds_overall.%s.%d.json" % (d, config, i)))
-               for i in (1, 2, 3)]
-    merged = reports[0]
-    for rec, *others in zip(*(r["records"] for r in reports)):
-        rec["wall_ms"] = min([rec["wall_ms"]] + [o["wall_ms"] for o in others])
-    json.dump(merged, open("%s/BENCH_tpcds_overall.%s.json" % (d, config), "w"))
-    print("merged %s: best-of-3 over %d records" % (config, len(merged["records"])))
-EOF
 python3 tools/bench_diff.py \
   build/bench/BENCH_tpcds_overall.metrics_off.json \
-  build/bench/BENCH_tpcds_overall.metrics_on.json --threshold 2 --total
+  build/bench/BENCH_tpcds_overall.metrics_on.json \
+  --rounds 3 --threshold 2 --total
 
-echo "== [8/9] compiled pipelines: overhead + speedup gates =="
-# Whole-workload gate: pipeline compilation (on by default) must not cost
-# more than 5% summed over the TPC-DS sweep — joins, sorts and windows
-# break most chains there, so this bounds the bind-time compilation cost
-# plus any loss on short compiled runs. Interleaved best-of-3, same
-# drift-cancelling discipline as the metrics gate above.
-# Fused-chain gate: on the shapes the compiler exists for (pipeline_micro's
-# config=chain entries — multi-boundary scan→filter→project(→aggregate)
-# runs) the compiled loop must beat the interpreted pull operators by
-# >= 10% summed (threshold -10, --config chain). The config=floor entries
-# are near-ties by design and stay informational — their regressions are
-# bounded by the whole-workload gate above, and folding their noise into
-# the sum would drown the real chain signal at smoke scale. The bench
-# itself asserts compiled-vs-interpreted byte-identity per chain before
-# timing it. pipeline_micro gets 15 repeats: its per-chain medians at
-# repeats=3 swing ~±10% on a loaded runner, enough to flip the gate.
-(cd build/bench &&
-  for round in 1 2 3; do
-    FUSIONDB_BENCH_SCALE=0.01 FUSIONDB_BENCH_REPEATS=3 \
-      FUSIONDB_BENCH_COMPILE=0 ./tpcds_overall &&
-    mv BENCH_tpcds_overall.json "BENCH_tpcds_overall.compile_off.$round.json" &&
-    FUSIONDB_BENCH_SCALE=0.01 FUSIONDB_BENCH_REPEATS=3 \
-      FUSIONDB_BENCH_COMPILE=1 ./tpcds_overall &&
-    mv BENCH_tpcds_overall.json "BENCH_tpcds_overall.compile_on.$round.json" &&
-    FUSIONDB_BENCH_SCALE=0.05 FUSIONDB_BENCH_REPEATS=15 \
-      FUSIONDB_BENCH_COMPILE=0 ./pipeline_micro &&
-    mv BENCH_pipeline_micro.json "BENCH_pipeline_micro.compile_off.$round.json" &&
-    FUSIONDB_BENCH_SCALE=0.05 FUSIONDB_BENCH_REPEATS=15 \
-      FUSIONDB_BENCH_COMPILE=1 ./pipeline_micro &&
-    mv BENCH_pipeline_micro.json "BENCH_pipeline_micro.compile_on.$round.json" ||
-    exit 1
-  done)
-python3 - build/bench <<'EOF'
-import json, sys
-d = sys.argv[1]
-for bench in ("tpcds_overall", "pipeline_micro"):
-    for config in ("compile_off", "compile_on"):
-        reports = [json.load(open("%s/BENCH_%s.%s.%d.json" % (d, bench, config, i)))
-                   for i in (1, 2, 3)]
-        merged = reports[0]
-        for rec, *others in zip(*(r["records"] for r in reports)):
-            rec["wall_ms"] = min([rec["wall_ms"]] + [o["wall_ms"] for o in others])
-        json.dump(merged, open("%s/BENCH_%s.%s.json" % (d, bench, config), "w"))
-        print("merged %s %s: best-of-3 over %d records"
-              % (bench, config, len(merged["records"])))
-EOF
-python3 tools/bench_diff.py \
-  build/bench/BENCH_tpcds_overall.compile_off.json \
-  build/bench/BENCH_tpcds_overall.compile_on.json --threshold 5 --total
-python3 tools/bench_diff.py \
-  build/bench/BENCH_pipeline_micro.compile_off.json \
-  build/bench/BENCH_pipeline_micro.compile_on.json \
-  --threshold -10 --total --config chain
-# The canonical compiled-configuration report (consumed by the CI bench
-# trajectory and uploaded as an artifact).
-cp build/bench/BENCH_pipeline_micro.compile_on.json \
-  build/bench/BENCH_pipeline_micro.json
-
-echo "== [9/9] SQL front door + differential fuzz smoke =="
+echo "== [8/8] SQL front door + differential fuzz smoke =="
 # Positive: SQL text through the engine front door matches the named-query
 # path's own self-checks (the binary exits nonzero on any mismatch).
 build/examples/run_query --sql \

@@ -48,10 +48,29 @@ fi
 # The filter/project/aggregate hot path is vectorized; a per-row EvalRow
 # call creeping back into these files silently reverts it to boxed-Value
 # interpretation. EvalRow stays legal elsewhere (join residuals use
-# EvalRowPair; it is also the differential-test oracle).
-if grep -n 'EvalRow(' src/exec/simple_exec.cc src/exec/aggregate_exec.cc \
+# EvalRowPair; the reference evaluator under tests/ is built on it).
+if grep -n 'EvalRow(' src/exec/pipeline.cc src/exec/morsel_source.cc \
+    src/exec/agg_build.cc src/exec/simple_exec.cc src/exec/window_exec.cc \
     2>/dev/null; then
   note_failure 'hot-path executors must use EvalAll/EvalFilter, not per-row EvalRow'
+fi
+
+# One executor: every Scan/Filter/Project/Aggregate runs in a compiled
+# pipeline (exec/pipeline.h). The interpreted pull operators, the knob that
+# switched between the two paths and the bench toggle built on it were
+# deleted; keep them from growing back.
+if grep -rnE --exclude=lint.sh \
+    'FilterExec|ProjectExec|ScanExec|AggregateExec|compile_pipelines|FUSIONDB_BENCH_COMPILE' \
+    src bench examples tools 2>/dev/null; then
+  note_failure 'the interpreted pull path and its compile_pipelines knob are gone; extend exec/pipeline.h instead of adding a second executor'
+fi
+
+# The reference evaluator is the executor's oracle only while it shares no
+# code with it: it may not include executor headers (or the umbrella
+# header, which pulls them in).
+if grep -nE '#include "(exec/|fusiondb\.h)' tests/reference_eval.* \
+    2>/dev/null; then
+  note_failure 'tests/reference_eval.* must stay independent of src/exec'
 fi
 
 # ExecutePlan takes ExecOptions as designated initializers —
