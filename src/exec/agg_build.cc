@@ -1,6 +1,5 @@
 #include "exec/agg_build.h"
 
-#include "exec/row_key.h"
 #include "expr/simplifier.h"
 
 namespace fusiondb::internal {
@@ -86,88 +85,104 @@ Result<BoundAggs> BindAggs(const std::vector<AggregateItem>& items,
   return out;
 }
 
-void AccumulateView(const AggInputView& view, const std::vector<BoundAgg>& aggs,
-                    GroupMap* groups, std::string* key) {
+int64_t GroupTable::bytes() const {
+  int64_t bytes = keys.bytes() + static_cast<int64_t>(states.size()) * 64;
+  for (const KeyTable& pairs : distinct) bytes += pairs.bytes();
+  return bytes;
+}
+
+std::vector<uint32_t> AccumulateView(const AggInputView& view,
+                                     const std::vector<BoundAgg>& aggs,
+                                     GroupTable* groups) {
   size_t rows = view.rows;
-  if (rows == 0) return;
-  // Pass 1: resolve each row's group once. The map is node-based, so entry
-  // pointers stay stable across later inserts.
-  std::vector<GroupEntry*> row_groups(rows);
+  std::vector<uint32_t> ids(rows);
+  if (rows == 0) return ids;
+  const size_t num_aggs = aggs.size();
+  // Pass 1: resolve each row's group once.
   for (size_t r = 0; r < rows; ++r) {
-    RowKeyEncoder::Encode(view.group_cols, r, key);
-    auto [it, inserted] = groups->try_emplace(*key);
-    GroupEntry& entry = it->second;
-    if (inserted) {
-      entry.states.resize(aggs.size());
-      entry.representative.reserve(view.group_cols.size());
-      for (const Column* g : view.group_cols) {
-        entry.representative.push_back(g->GetValue(r));
-      }
-    }
-    row_groups[r] = &entry;
+    ids[r] = groups->keys.Insert(view.group_cols, r).id;
   }
+  groups->states.resize(groups->keys.size() * num_aggs);
+  Column id_col(DataType::kInt64);  // DISTINCT pair tables' first column
   // Pass 2: per aggregate, one walk over its mask's surviving rows. Each
   // (group, aggregate) state still sees its rows in ascending order, so
   // floating-point sums accumulate in exactly the row-at-a-time order.
   SelVector dense;
-  for (size_t a = 0; a < aggs.size(); ++a) {
+  for (size_t a = 0; a < num_aggs; ++a) {
     const BoundAgg& agg = aggs[a];
     if (agg.mask_slot < 0 && dense.size() != rows) {
       dense = SelVector::Dense(rows);
     }
     const SelVector& sel =
         agg.mask_slot >= 0 ? view.masks[agg.mask_slot] : dense;
+    AggState* states = groups->states.data() + a;
     const Column* col = view.arg_cols[a];
-    if (col != nullptr) {
+    if (col == nullptr) {
+      // COUNT(*): no argument to read.
+      for (uint32_t r : sel) ++states[ids[r] * num_aggs].mask_rows;
+    } else if (!agg.item->distinct) {
       for (uint32_t r : sel) {
-        row_groups[r]->states[a].AccumulateColumnRow(*agg.item, *col, r);
+        states[ids[r] * num_aggs].AccumulateColumnRow(*agg.item, *col, r);
       }
     } else {
-      // COUNT(*): no argument to read.
+      if (id_col.size() != rows) {
+        for (uint32_t id : ids) id_col.AppendInt(id);
+      }
       for (uint32_t r : sel) {
-        row_groups[r]->states[a].AccumulateRow(*agg.item, Value::Bool(true));
+        if (col->IsNull(r) ||
+            !groups->distinct[a].Insert({&id_col, col}, r).inserted) {
+          continue;
+        }
+        states[ids[r] * num_aggs].AccumulateColumnRow(*agg.item, *col, r);
       }
     }
   }
+  return ids;
 }
 
 void MergePartialGroups(const std::vector<BoundAgg>& aggs,
-                        std::vector<GroupMap>* partials, GroupMap* merged) {
-  for (GroupMap& pm : *partials) {
-    for (auto& [k, entry] : pm) {
-      auto [it, inserted] = merged->try_emplace(k);
-      if (inserted) {
-        it->second = std::move(entry);
-      } else {
-        GroupEntry& dst = it->second;
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          dst.states[a].Merge(*aggs[a].item, std::move(entry.states[a]));
-        }
+                        std::vector<GroupTable>* partials, GroupTable* merged) {
+  const size_t num_aggs = aggs.size();
+  for (GroupTable& part : *partials) {
+    std::vector<uint32_t> remap = merged->keys.Merge(part.keys);
+    merged->states.resize(merged->keys.size() * num_aggs);
+    for (size_t g = 0; g < remap.size(); ++g) {
+      for (size_t a = 0; a < num_aggs; ++a) {
+        if (aggs[a].item->distinct) continue;
+        merged->states[remap[g] * num_aggs + a].Merge(
+            *aggs[a].item, std::move(part.states[g * num_aggs + a]));
+      }
+    }
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const AggregateItem& item = *aggs[a].item;
+      if (!item.distinct) continue;
+      // Re-insert the partial's pairs under merged group ids; a pair
+      // counts when the merged table sees it first.
+      Column pairs[2] = {Column(DataType::kInt64), Column(item.arg->type())};
+      part.distinct[a].DecodeAll(pairs);
+      Column ids(DataType::kInt64);
+      for (size_t p = 0; p < pairs[0].size(); ++p) {
+        ids.AppendInt(remap[pairs[0].IntAt(p)]);
+      }
+      for (size_t p = 0; p < ids.size(); ++p) {
+        if (!merged->distinct[a].Insert({&ids, &pairs[1]}, p).inserted) continue;
+        merged->states[ids.IntAt(p) * num_aggs + a].AccumulateColumnRow(
+            item, pairs[1], p);
       }
     }
   }
 }
 
-int64_t GroupMapBytes(const GroupMap& groups) {
-  int64_t bytes = 0;
-  for (const auto& [k, entry] : groups) {
-    bytes += 48 + static_cast<int64_t>(k.size());
-    for (const AggState& s : entry.states) bytes += AggStateBytes(s);
-  }
-  return bytes;
-}
-
-Chunk FinalizeGroups(GroupMap* groups, const std::vector<BoundAgg>& aggs,
+Chunk FinalizeGroups(const GroupTable& groups,
+                     const std::vector<BoundAgg>& aggs,
                      const std::vector<DataType>& output_types,
                      size_t group_width) {
   Chunk out = Chunk::Empty(output_types);
-  for (auto& [k, entry] : *groups) {
-    for (size_t g = 0; g < group_width; ++g) {
-      out.columns[g].AppendValue(entry.representative[g]);
-    }
-    for (size_t a = 0; a < entry.states.size(); ++a) {
-      out.columns[group_width + a].AppendValue(
-          entry.states[a].Finalize(*aggs[a].item));
+  groups.keys.DecodeAll(out.columns.data());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    Column& col = out.columns[group_width + a];
+    for (size_t g = 0; g < groups.keys.size(); ++g) {
+      col.AppendValue(groups.states[g * aggs.size() + a].Finalize(*aggs[a].item));
     }
   }
   return out;

@@ -1,16 +1,15 @@
 // Shared hash-aggregation build core: bound (function, mask) aggregates with
-// mask/conjunct deduplication, the group hash table, and the accumulate /
-// merge / finalize steps behind the compiled-pipeline aggregate sink
-// (exec/pipeline.h); WindowExec binds its items through BindAggs too.
+// mask/conjunct deduplication, the group table, and the accumulate / merge /
+// finalize steps behind the compiled-pipeline aggregate sink
+// (exec/pipeline.h) and WindowExec's partitions.
 #ifndef FUSIONDB_EXEC_AGG_BUILD_H_
 #define FUSIONDB_EXEC_AGG_BUILD_H_
 
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/agg_state.h"
+#include "exec/key_table.h"
 #include "expr/evaluator.h"
 #include "plan/logical_plan.h"
 
@@ -52,49 +51,56 @@ struct BoundAggs {
 Result<BoundAggs> BindAggs(const std::vector<AggregateItem>& items,
                            const Schema& input);
 
-/// Per-group state plus one boxed copy of the grouping values (boxed once
-/// per group, not per row — rows key on the serialized form).
-struct GroupEntry {
-  std::vector<Value> representative;
+/// The groups of one aggregate sink or window. `keys` gives each group its
+/// id; aggregate `a` of group `g` lives at states[g * aggs + a]. A DISTINCT
+/// aggregate `a` keeps in distinct[a] the (group id, argument) pairs it has
+/// accumulated: a pair counts when it is first inserted, MarkDistinct's rule.
+struct GroupTable {
+  explicit GroupTable(size_t num_aggs) : distinct(num_aggs) {}
+
+  KeyTable keys;
   std::vector<AggState> states;
+  std::vector<KeyTable> distinct;  // one per aggregate; DISTINCT ones only
+
+  /// Memory metric: the key tables plus 64 bytes per aggregate state.
+  int64_t bytes() const;
 };
-using GroupMap = std::unordered_map<std::string, GroupEntry>;
 
 /// Column-level view of one morsel's aggregate input: bare-column keys and
 /// arguments point into the morsel itself, computed ones at dense columns
 /// evaluated off it.
 struct AggInputView {
   size_t rows = 0;
-  std::vector<const Column*> group_cols;
+  KeyColumns group_cols;
   /// Parallel to the BoundAgg vector; nullptr for COUNT(*) (no argument).
   std::vector<const Column*> arg_cols;
   /// One selection per MaskSet mask, in mask-slot order.
   std::vector<SelVector> masks;
 };
 
-/// Accumulates every row of `view` into `groups` (one hash table — the
-/// query's for the serial path, a worker-private partial for the parallel
-/// path). `key` is the reusable row-key buffer. Two passes: pass 1 resolves
-/// each row's group in row order (fixing group-map insertion order); pass 2
-/// walks each aggregate's mask selection ascending, so every (group,
-/// aggregate) state sees its rows in exactly the row-at-a-time order —
-/// floating-point sums accumulate deterministically.
-void AccumulateView(const AggInputView& view, const std::vector<BoundAgg>& aggs,
-                    GroupMap* groups, std::string* key);
+/// Accumulates every row of `view` into `groups` (a sink's table, a
+/// worker-private partial, or a window's partitions) and returns each
+/// row's group id. Two passes: pass 1 resolves each row's
+/// group in row order (fixing id order); pass 2 walks each aggregate's
+/// mask selection ascending, so every (group, aggregate) state sees its
+/// rows in exactly the row-at-a-time order — floating-point sums
+/// accumulate deterministically.
+std::vector<uint32_t> AccumulateView(const AggInputView& view,
+                                     const std::vector<BoundAgg>& aggs,
+                                     GroupTable* groups);
 
 /// Folds worker-private partials into `merged` in partial order (partial 0
-/// first), via AggState::Merge for groups present in several partials.
+/// first): groups through KeyTable::Merge, states through AggState::Merge.
+/// A DISTINCT aggregate instead re-inserts each partial's pairs under the
+/// merged group ids and accumulates the ones new to the merged table.
 /// Deterministic for a fixed worker count.
 void MergePartialGroups(const std::vector<BoundAgg>& aggs,
-                        std::vector<GroupMap>* partials, GroupMap* merged);
+                        std::vector<GroupTable>* partials, GroupTable* merged);
 
-/// Hash-table footprint for the memory metric: ~48 bytes map overhead plus
-/// key bytes per entry, plus each state's AggStateBytes.
-int64_t GroupMapBytes(const GroupMap& groups);
-
-/// Emits one row per group in map iteration order: grouping representative
-/// values first, then each aggregate's finalized value.
-Chunk FinalizeGroups(GroupMap* groups, const std::vector<BoundAgg>& aggs,
+/// Emits one row per group in id order: the decoded grouping values first,
+/// then each aggregate's finalized value.
+Chunk FinalizeGroups(const GroupTable& groups,
+                     const std::vector<BoundAgg>& aggs,
                      const std::vector<DataType>& output_types,
                      size_t group_width);
 

@@ -1,22 +1,17 @@
 // Shared aggregate accumulation machinery used by the hash-aggregation and
 // window operators. Implements the Athena-style (function, mask) pairs of
-// Section III.E, plus DISTINCT arguments.
+// Section III.E; a DISTINCT aggregate's duplicates never reach its state
+// (exec/agg_build.h drops them first).
 #ifndef FUSIONDB_EXEC_AGG_STATE_H_
 #define FUSIONDB_EXEC_AGG_STATE_H_
 
 #include <cstdint>
-#include <unordered_set>
 
 #include "expr/evaluator.h"
 #include "plan/logical_plan.h"
 #include "types/value.h"
 
 namespace fusiondb {
-
-/// Hash/equality functors so DISTINCT sets can key on single Values.
-struct ValueHashFn {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
 
 /// Accumulator for one aggregate function within one group.
 struct AggState {
@@ -26,37 +21,24 @@ struct AggState {
   double sum_d = 0.0;
   bool has_minmax = false;
   Value minmax;
-  std::unordered_set<Value, ValueHashFn> distinct;
-
-  void AccumulateRow(const AggregateItem& item, const Value& arg_value) {
-    ++mask_rows;
-    if (item.func == AggFunc::kCountStar) return;
-    if (arg_value.is_null()) return;
-    if (item.distinct) {
-      distinct.insert(arg_value);
-      return;
-    }
-    AccumulateNonDistinct(item.func, arg_value);
-  }
 
   /// Accumulates straight from a column, avoiding Value boxing for the
-  /// numeric non-distinct cases (the hot path after mask deduplication).
+  /// numeric cases (the hot path after mask deduplication).
   void AccumulateColumnRow(const AggregateItem& item, const Column& col,
                            size_t row) {
     ++mask_rows;
     if (item.func == AggFunc::kCountStar) return;
     if (col.IsNull(row)) return;
-    if (item.distinct || item.func == AggFunc::kMin ||
-        item.func == AggFunc::kMax) {
-      if (item.distinct) {
-        distinct.insert(col.GetValue(row));
-      } else {
-        AccumulateNonDistinct(item.func, col.GetValue(row));
+    ++non_null_args;
+    if (item.func == AggFunc::kMin || item.func == AggFunc::kMax) {
+      Value v = col.GetValue(row);
+      if (!has_minmax || (item.func == AggFunc::kMin ? v.Compare(minmax) < 0
+                                                     : v.Compare(minmax) > 0)) {
+        minmax = std::move(v);
+        has_minmax = true;
       }
       return;
     }
-    // COUNT / SUM / AVG over a column value.
-    ++non_null_args;
     switch (item.func) {
       case AggFunc::kSum:
       case AggFunc::kAvg:
@@ -75,38 +57,11 @@ struct AggState {
     }
   }
 
-  void AccumulateNonDistinct(AggFunc func, const Value& v) {
-    ++non_null_args;
-    switch (func) {
-      case AggFunc::kCountStar:
-      case AggFunc::kCount:
-        break;
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-        sum_i += PhysicalTypeOf(v.type()) == PhysicalType::kInt ? v.int_value()
-                                                                : 0;
-        sum_d += v.AsDouble();
-        break;
-      case AggFunc::kMin:
-        if (!has_minmax || v.Compare(minmax) < 0) {
-          minmax = v;
-          has_minmax = true;
-        }
-        break;
-      case AggFunc::kMax:
-        if (!has_minmax || v.Compare(minmax) > 0) {
-          minmax = v;
-          has_minmax = true;
-        }
-        break;
-    }
-  }
-
   /// Folds another partial state for the same (group, aggregate) into this
   /// one — the combine step of parallel partial aggregation. Valid only
   /// before Finalize. Counters and sums add; MIN/MAX keeps the winner under
-  /// `item.func`; DISTINCT sets union (still un-folded, so merged partials
-  /// finalize exactly like a serially-built state).
+  /// `item.func`. A DISTINCT aggregate's partial states are not merged:
+  /// the sink re-feeds the pairs its merged table sees first.
   void Merge(const AggregateItem& item, AggState&& other) {
     mask_rows += other.mask_rows;
     non_null_args += other.non_null_args;
@@ -122,19 +77,11 @@ struct AggState {
         minmax = std::move(other.minmax);
       }
     }
-    if (!other.distinct.empty()) {
-      if (distinct.empty()) {
-        distinct = std::move(other.distinct);
-      } else {
-        distinct.merge(other.distinct);
-      }
-    }
   }
 
   /// Final value under SQL semantics: COUNT never NULL; SUM/AVG/MIN/MAX are
   /// NULL when no rows contributed.
-  Value Finalize(const AggregateItem& item) {
-    if (item.distinct) FoldDistinct(item);
+  Value Finalize(const AggregateItem& item) const {
     DataType out_type = item.result_type();
     switch (item.func) {
       case AggFunc::kCountStar:
@@ -155,20 +102,7 @@ struct AggState {
     }
     return Value::Null(out_type);
   }
-
- private:
-  void FoldDistinct(const AggregateItem& item) {
-    for (const Value& v : distinct) {
-      AccumulateNonDistinct(item.func, v);
-    }
-    distinct.clear();
-  }
 };
-
-/// Rough per-state heap footprint for the memory metric.
-inline int64_t AggStateBytes(const AggState& s) {
-  return 64 + static_cast<int64_t>(s.distinct.size()) * 48;
-}
 
 }  // namespace fusiondb
 

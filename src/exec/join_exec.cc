@@ -1,11 +1,13 @@
 // Hash join (inner / left / semi) with nested-loop fallback for non-equi
-// and cross joins. The build side (right input) is fully buffered and
-// accounted against the working-memory metric.
+// and cross joins. The build side (right input) is fully buffered, its keys
+// get ids from a KeyTable, and a CSR row index lists each key's rows in
+// ascending order; all of it is accounted against the working-memory
+// metric.
 #include <optional>
-#include <unordered_map>
+#include <utility>
 
+#include "exec/key_table.h"
 #include "exec/operators_internal.h"
-#include "exec/row_key.h"
 #include "expr/evaluator.h"
 #include "expr/simplifier.h"
 
@@ -13,31 +15,23 @@ namespace fusiondb::internal {
 
 namespace {
 
-struct EquiKey {
-  int left_index;
-  int right_index;
-};
-
 class HashJoinExec final : public ExecOperator {
  public:
   HashJoinExec(const JoinOp& op, ExecOperatorPtr left, ExecOperatorPtr right,
-               std::vector<EquiKey> keys, std::optional<BoundExpr> residual,
-               ExecContext* ctx)
+               std::vector<int> left_keys, std::vector<int> right_keys,
+               std::optional<BoundExpr> residual, ExecContext* ctx)
       : ExecOperator(op.schema()),
         join_type_(op.join_type()),
         left_(std::move(left)),
         right_(std::move(right)),
-        keys_(std::move(keys)),
         residual_(std::move(residual)),
         ctx_(ctx),
+        left_key_indexes_(std::move(left_keys)),
+        right_key_indexes_(std::move(right_keys)),
         op_id_(ctx->building_op()) {
     right_types_.reserve(right_->schema().num_columns());
     for (const ColumnInfo& c : right_->schema().columns()) {
       right_types_.push_back(c.type);
-    }
-    for (const EquiKey& k : keys_) {
-      left_key_indexes_.push_back(k.left_index);
-      right_key_indexes_.push_back(k.right_index);
     }
   }
 
@@ -66,71 +60,69 @@ class HashJoinExec final : public ExecOperator {
       if (!in.has_value()) break;
       right_data_.AppendChunk(*in);
     }
-    size_t n = right_data_.num_rows();
-    if (!keys_.empty()) {
-      if (ctx_->pool() != nullptr && n > 1) {
-        FUSIONDB_RETURN_IF_ERROR(BuildTableParallel(n));
-      } else {
-        table_.reserve(n);
-        std::string key;
-        for (size_t r = 0; r < n; ++r) {
-          if (RowKeyEncoder::Encode(right_data_, right_key_indexes_, r, &key)) {
-            continue;  // NULL keys never join
-          }
-          table_[key].push_back(r);
-        }
-      }
+    if (!right_key_indexes_.empty()) {
+      std::vector<uint32_t> row_ids(right_data_.num_rows());
+      FUSIONDB_RETURN_IF_ERROR(BuildRowIds(&row_ids));
+      BuildRowIndex(row_ids);
     }
-    // Account buffered rows + hash entries against working memory.
-    int64_t bytes = 0;
+    // Account buffered rows, key table and row index against working memory.
+    int64_t bytes = table_.bytes();
     for (const Column& c : right_data_.columns) bytes += c.ByteSize();
-    bytes += static_cast<int64_t>(n) * 48;
+    bytes += static_cast<int64_t>(
+        (bucket_offsets_.size() + bucket_rows_.size()) * sizeof(uint32_t));
     accounted_bytes_ = bytes;
     ctx_->AddHashBytes(bytes, op_id_);
     return Status::OK();
   }
 
-  /// Thread-partitioned build phase: worker w encodes keys for the
-  /// contiguous row range [w*n/W, (w+1)*n/W) into a private partial table;
-  /// the partials merge into `table_` in worker order. Because the ranges
-  /// are contiguous and ascending, every bucket's row list comes out in
-  /// ascending row order — exactly what the serial loop produces — so probe
-  /// output is identical to single-threaded execution. The probe side stays
-  /// streaming on the driver thread.
-  Status BuildTableParallel(size_t n) {
+  /// Gives each build row its key id; a key with a NULL column gets one
+  /// too, but a probe never finds it. Under a pool, worker w inserts rows
+  /// [w*n/W, (w+1)*n/W) into a private partial table; the partials merge
+  /// into `table_` in worker order and their remaps turn partial ids into
+  /// ids here. The probe side stays streaming on the driver thread.
+  Status BuildRowIds(std::vector<uint32_t>* row_ids) {
+    size_t n = row_ids->size();
+    KeyColumns cols = KeyColumnsOf(right_data_, right_key_indexes_);
     ThreadPool* pool = ctx_->pool();
+    if (pool == nullptr || n <= 1) {
+      for (size_t r = 0; r < n; ++r) (*row_ids)[r] = table_.Insert(cols, r).id;
+      return Status::OK();
+    }
     size_t workers = pool->num_workers();
-    using PartialTable = std::unordered_map<std::string, std::vector<size_t>>;
-    std::vector<PartialTable> partials(workers);
+    std::vector<KeyTable> partials(workers);
     ParallelRegion region(ctx_);
-    Status st = pool->ParallelFor(
+    FUSIONDB_RETURN_IF_ERROR(pool->ParallelFor(
         workers, [&](size_t /*worker*/, size_t w) -> Status {
-          size_t begin = n * w / workers;
-          size_t end = n * (w + 1) / workers;
-          PartialTable& local = partials[w];
-          std::string key;
-          for (size_t r = begin; r < end; ++r) {
-            if (RowKeyEncoder::Encode(right_data_, right_key_indexes_, r,
-                                      &key)) {
-              continue;  // NULL keys never join
-            }
-            local[key].push_back(r);
+          for (size_t r = n * w / workers; r < n * (w + 1) / workers; ++r) {
+            (*row_ids)[r] = partials[w].Insert(cols, r).id;
           }
           return Status::OK();
-        });
-    FUSIONDB_RETURN_IF_ERROR(st);
-    table_.reserve(n);
-    for (PartialTable& pt : partials) {
-      for (auto& [key, rows] : pt) {
-        std::vector<size_t>& bucket = table_[key];
-        if (bucket.empty()) {
-          bucket = std::move(rows);
-        } else {
-          bucket.insert(bucket.end(), rows.begin(), rows.end());
-        }
+        }));
+    for (size_t w = 0; w < workers; ++w) {
+      std::vector<uint32_t> remap = table_.Merge(partials[w]);
+      for (size_t r = n * w / workers; r < n * (w + 1) / workers; ++r) {
+        (*row_ids)[r] = remap[(*row_ids)[r]];
       }
     }
     return Status::OK();
+  }
+
+  /// Lays the build rows out by key id (CSR): key `id`'s rows are
+  /// bucket_rows_[bucket_offsets_[id] .. bucket_offsets_[id + 1]), in
+  /// ascending row order whatever the thread count, so probe output is
+  /// identical to single-threaded execution.
+  void BuildRowIndex(const std::vector<uint32_t>& row_ids) {
+    // Count each key's rows, prefix-sum to bucket ends, then place rows
+    // last to first, which leaves each offset at its bucket's start.
+    bucket_offsets_.assign(table_.size() + 1, 0);
+    for (uint32_t id : row_ids) ++bucket_offsets_[id];
+    for (size_t i = 1; i < bucket_offsets_.size(); ++i) {
+      bucket_offsets_[i] += bucket_offsets_[i - 1];
+    }
+    bucket_rows_.resize(row_ids.size());
+    for (size_t r = row_ids.size(); r-- > 0;) {
+      bucket_rows_[--bucket_offsets_[row_ids[r]]] = static_cast<uint32_t>(r);
+    }
   }
 
   bool PairPasses(const Chunk& left_chunk, size_t lrow, size_t rrow) const {
@@ -154,22 +146,20 @@ class HashJoinExec final : public ExecOperator {
     std::vector<uint32_t> lrows;
     std::vector<uint32_t> rrows;
     bool any_null_right = false;
-    std::string key;
+    KeyColumns probe_keys = KeyColumnsOf(in, left_key_indexes_);
     for (size_t r = 0; r < rows; ++r) {
       bool matched = false;
-      if (!keys_.empty()) {
-        bool has_null =
-            RowKeyEncoder::Encode(in, left_key_indexes_, r, &key);
-        if (!has_null) {
-          auto it = table_.find(key);
-          if (it != table_.end()) {
-            for (size_t m : it->second) {
-              if (!PairPasses(in, r, m)) continue;
-              matched = true;
-              lrows.push_back(static_cast<uint32_t>(r));
-              rrows.push_back(static_cast<uint32_t>(m));
-              if (join_type_ == JoinType::kSemi) break;
-            }
+      if (!right_key_indexes_.empty()) {
+        uint32_t id = table_.Find(probe_keys, r);
+        if (id != KeyTable::kNoId) {
+          for (uint32_t i = bucket_offsets_[id]; i < bucket_offsets_[id + 1];
+               ++i) {
+            uint32_t m = bucket_rows_[i];
+            if (!PairPasses(in, r, m)) continue;
+            matched = true;
+            lrows.push_back(static_cast<uint32_t>(r));
+            rrows.push_back(m);
+            if (join_type_ == JoinType::kSemi) break;
           }
         }
       } else {
@@ -214,7 +204,6 @@ class HashJoinExec final : public ExecOperator {
   JoinType join_type_;
   ExecOperatorPtr left_;
   ExecOperatorPtr right_;
-  std::vector<EquiKey> keys_;
   std::optional<BoundExpr> residual_;
   ExecContext* ctx_;
 
@@ -222,7 +211,9 @@ class HashJoinExec final : public ExecOperator {
   std::vector<int> left_key_indexes_;
   std::vector<int> right_key_indexes_;
   Chunk right_data_;
-  std::unordered_map<std::string, std::vector<size_t>> table_;
+  KeyTable table_;
+  std::vector<uint32_t> bucket_offsets_;  // by key id, plus one end offset
+  std::vector<uint32_t> bucket_rows_;     // build rows grouped by key id
   bool built_ = false;
   int64_t accounted_bytes_ = 0;
   int32_t op_id_ = -1;
@@ -238,7 +229,8 @@ Result<ExecOperatorPtr> MakeJoinExec(const JoinOp& op, ExecOperatorPtr left,
   // Split the condition into hashable equi pairs and a bound residual.
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(op.condition(), &conjuncts);
-  std::vector<EquiKey> keys;
+  std::vector<int> left_keys;
+  std::vector<int> right_keys;
   std::vector<ExprPtr> residual_parts;
   const Schema& ls = left->schema();
   const Schema& rs = right->schema();
@@ -247,18 +239,16 @@ Result<ExecOperatorPtr> MakeJoinExec(const JoinOp& op, ExecOperatorPtr left,
     if (c->kind() == ExprKind::kCompare && c->compare_op() == CompareOp::kEq &&
         c->child(0)->kind() == ExprKind::kColumnRef &&
         c->child(1)->kind() == ExprKind::kColumnRef) {
-      ColumnId a = c->child(0)->column_id();
-      ColumnId b = c->child(1)->column_id();
-      // Keys hash on serialized bytes, so both sides must share a physical
-      // representation; mismatched pairs fall back to the residual path.
-      auto same_phys = [&](ColumnId l, ColumnId r) {
-        return PhysicalTypeOf(*ls.TypeOf(l)) == PhysicalTypeOf(*rs.TypeOf(r));
-      };
-      if (ls.Contains(a) && rs.Contains(b) && same_phys(a, b)) {
-        keys.push_back({ls.IndexOf(a), rs.IndexOf(b)});
-        is_equi = true;
-      } else if (ls.Contains(b) && rs.Contains(a) && same_phys(b, a)) {
-        keys.push_back({ls.IndexOf(b), rs.IndexOf(a)});
+      ColumnId l = c->child(0)->column_id();
+      ColumnId r = c->child(1)->column_id();
+      if (!ls.Contains(l)) std::swap(l, r);
+      // Keys hash on encoded bytes (exec/key_table.h), so both sides must
+      // share a physical representation; mismatched pairs fall back to the
+      // residual path.
+      if (ls.Contains(l) && rs.Contains(r) &&
+          PhysicalTypeOf(*ls.TypeOf(l)) == PhysicalTypeOf(*rs.TypeOf(r))) {
+        left_keys.push_back(ls.IndexOf(l));
+        right_keys.push_back(rs.IndexOf(r));
         is_equi = true;
       }
     }
@@ -276,12 +266,14 @@ Result<ExecOperatorPtr> MakeJoinExec(const JoinOp& op, ExecOperatorPtr left,
                               BindExpr(residual_expr, Schema(combined)));
     residual = std::move(bound);
   }
-  if (op.join_type() == JoinType::kCross && (!keys.empty() || residual)) {
+  if (op.join_type() == JoinType::kCross &&
+      (!left_keys.empty() || residual)) {
     return Status::PlanError("cross join must have TRUE condition");
   }
   return ExecOperatorPtr(new HashJoinExec(op, std::move(left), std::move(right),
-                                          std::move(keys), std::move(residual),
-                                          ctx));
+                                          std::move(left_keys),
+                                          std::move(right_keys),
+                                          std::move(residual), ctx));
 }
 
 }  // namespace fusiondb::internal

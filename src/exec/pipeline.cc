@@ -80,7 +80,8 @@ class PipelineExec final : public ExecOperator {
         ctx_(ctx),
         root_op_id_(root_op_id),
         source_(std::move(source)),
-        spec_(std::move(spec)) {}
+        spec_(std::move(spec)),
+        groups_(spec_.baggs.aggs.size()) {}
 
   ~PipelineExec() override {
     if (accounted_bytes_ != 0) {
@@ -173,14 +174,19 @@ class PipelineExec final : public ExecOperator {
   Result<std::optional<Chunk>> NextAggregate() {
     if (done_) return std::optional<Chunk>();
     done_ = true;
+    if (spec_.scalar) {
+      // Scalar aggregates emit one row even over empty input.
+      groups_.keys.Insert({}, 0);
+      groups_.states.resize(spec_.baggs.aggs.size());
+    }
     if (ctx_->pool() != nullptr) {
       FUSIONDB_RETURN_IF_ERROR(RunAggParallel());
     } else {
       FUSIONDB_RETURN_IF_ERROR(RunAggSerial());
     }
-    accounted_bytes_ = GroupMapBytes(groups_);
+    accounted_bytes_ = groups_.bytes();
     ctx_->AddHashBytes(accounted_bytes_, root_op_id_);
-    return std::optional<Chunk>(FinalizeGroups(&groups_, spec_.baggs.aggs,
+    return std::optional<Chunk>(FinalizeGroups(groups_, spec_.baggs.aggs,
                                                OutputTypes(),
                                                spec_.group_exprs.size()));
   }
@@ -249,8 +255,7 @@ class PipelineExec final : public ExecOperator {
 
   /// Accumulates one prepared morsel into `groups` through a column-pointer
   /// view (masks move out — each prepared morsel is accumulated once).
-  void Accumulate(PreparedAggChunk* p, GroupMap* groups,
-                  std::string* key) const {
+  void Accumulate(PreparedAggChunk* p, GroupTable* groups) const {
     AggInputView view;
     view.rows = p->rows;
     view.group_cols.reserve(p->group_cols.size());
@@ -267,15 +272,10 @@ class PipelineExec final : public ExecOperator {
       view.arg_cols[a] = col >= 0 ? &p->input.columns[col] : &p->arg_cols[a];
     }
     view.masks = std::move(p->masks);
-    AccumulateView(view, spec_.baggs.aggs, groups, key);
+    AccumulateView(view, spec_.baggs.aggs, groups);
   }
 
   Status RunAggSerial() {
-    if (spec_.scalar) {
-      // Scalar aggregates emit one row even over empty input.
-      groups_[std::string()].states.resize(spec_.baggs.aggs.size());
-    }
-    std::string key;
     while (true) {
       FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> morsel,
                                 source_.NextSerial());
@@ -283,7 +283,7 @@ class PipelineExec final : public ExecOperator {
       SelVector sel;
       if (!ApplyFilters(*morsel, &sel)) continue;
       PreparedAggChunk p = Prepare(std::move(*morsel), sel);
-      Accumulate(&p, &groups_, &key);
+      Accumulate(&p, &groups_);
     }
     return Status::OK();
   }
@@ -292,8 +292,8 @@ class PipelineExec final : public ExecOperator {
   /// inside the scan's ParallelFor, kept in (partition, slice) order; a
   /// child source is drained on the driver and its chunks are filtered and
   /// prepared by the workers. Either way morsel i is dealt to partial
-  /// i mod W and partials merge in worker order, so the group map
-  /// (insertion order included) is deterministic for a given thread count.
+  /// i mod W and partials merge in worker order, so the group table (id
+  /// order included) is deterministic for a given thread count.
   Status RunAggParallel() {
     const bool scan = source_.is_scan();
     std::vector<PreparedAggChunk> prepared;  // scan source
@@ -321,31 +321,27 @@ class PipelineExec final : public ExecOperator {
     const size_t n = scan ? prepared.size() : buffered.size();
     ThreadPool* pool = ctx_->pool();
     size_t workers = pool->num_workers();
-    std::vector<GroupMap> partials(workers);
+    std::vector<GroupTable> partials(workers,
+                                     GroupTable(spec_.baggs.aggs.size()));
     ParallelRegion region(ctx_);
     Status st = pool->ParallelFor(
         workers, [&](size_t /*worker*/, size_t w) -> Status {
           // `w` is the partial's index; each is claimed exactly once, so
-          // the partial map is touched by a single thread.
-          std::string key;
+          // the partial table is touched by a single thread.
           for (size_t ci = w; ci < n; ci += workers) {
             if (scan) {
-              Accumulate(&prepared[ci], &partials[w], &key);
+              Accumulate(&prepared[ci], &partials[w]);
               continue;
             }
             SelVector sel;
             if (!ApplyFilters(buffered[ci], &sel)) continue;
             PreparedAggChunk p = Prepare(std::move(buffered[ci]), sel);
-            Accumulate(&p, &partials[w], &key);
+            Accumulate(&p, &partials[w]);
           }
           return Status::OK();
         });
     FUSIONDB_RETURN_IF_ERROR(st);
     MergePartialGroups(spec_.baggs.aggs, &partials, &groups_);
-    if (spec_.scalar) {
-      // Scalar aggregates emit one row even over empty input.
-      groups_[std::string()].states.resize(spec_.baggs.aggs.size());
-    }
     return Status::OK();
   }
 
@@ -359,7 +355,7 @@ class PipelineExec final : public ExecOperator {
   std::vector<Chunk> out_chunks_;
   size_t out_cursor_ = 0;
   // Aggregate state.
-  GroupMap groups_;
+  GroupTable groups_;
   bool done_ = false;
   int64_t accounted_bytes_ = 0;
 };

@@ -1,16 +1,13 @@
-// Partitioned window aggregation and MarkDistinct. Windows bind their items
-// through the aggregate machinery of exec/agg_build.h (hash aggregation
-// itself is the compiled pipelines' aggregate sink, exec/pipeline.h).
+// Partitioned window aggregation and MarkDistinct. Windows accumulate their
+// partitions through the aggregate machinery of exec/agg_build.h (hash
+// aggregation itself is the compiled pipelines' aggregate sink,
+// exec/pipeline.h); both key through exec/key_table.h.
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "exec/agg_build.h"
-#include "exec/agg_state.h"
+#include "exec/key_table.h"
 #include "exec/operators_internal.h"
-#include "exec/row_key.h"
 #include "expr/evaluator.h"
-#include "expr/simplifier.h"
 
 namespace fusiondb::internal {
 
@@ -45,11 +42,11 @@ class WindowExec final : public ExecOperator {
     for (size_t c = 0; c < input_width; ++c) {
       out.columns[c].AppendRange(data_.columns[c], offset_, take);
     }
+    // Broadcast: each row takes its partition's finalized values.
+    size_t key_width = partition_indexes_.size();
     for (size_t a = 0; a < items_.size(); ++a) {
-      out.columns[input_width + a].Reserve(take);
-      for (size_t r = offset_; r < offset_ + take; ++r) {
-        out.columns[input_width + a].AppendValue(results_[a][r]);
-      }
+      out.columns[input_width + a] = finals_.columns[key_width + a].Gather(
+          row_partitions_.data() + offset_, take);
     }
     offset_ += take;
     return std::optional<Chunk>(std::move(out));
@@ -67,56 +64,38 @@ class WindowExec final : public ExecOperator {
       if (!in.has_value()) break;
       data_.AppendChunk(*in);
     }
-    size_t rows = data_.num_rows();
 
-    // Partition rows, preserving input order within each partition.
-    std::unordered_map<std::string, std::vector<size_t>> partitions;
-    std::string key;
-    for (size_t r = 0; r < rows; ++r) {
-      RowKeyEncoder::Encode(data_, partition_indexes_, r, &key);
-      partitions[key].push_back(r);
-    }
-
-    // Compute each item per partition and broadcast to member rows. Masks
-    // evaluate once as selections; partitions walk their member rows (not
-    // ascending globally), so the selections expand to byte masks for
-    // random-access membership tests.
-    std::vector<SelVector> mask_sels = mask_set_.Evaluate(data_);
-    std::vector<std::vector<uint8_t>> bitmaps;
-    bitmaps.reserve(mask_sels.size());
-    for (const SelVector& s : mask_sels) bitmaps.push_back(s.ToMask(rows));
-    // Expression-valued arguments evaluate once over the materialized data.
+    // Partitions are groups: one accumulation over the materialized rows,
+    // keyed on the partition columns, with masks evaluated once as
+    // selections and expression-valued arguments evaluated once.
     std::vector<Column> expr_args(items_.size());
+    AggInputView view;
+    view.rows = data_.num_rows();
+    view.group_cols = KeyColumnsOf(data_, partition_indexes_);
+    view.arg_cols.resize(items_.size(), nullptr);
     for (size_t a = 0; a < items_.size(); ++a) {
       const BoundAgg& item = items_[a];
-      if (item.arg_column < 0 && item.arg.has_value()) {
+      if (item.arg_column >= 0) {
+        view.arg_cols[a] = &data_.columns[item.arg_column];
+      } else if (item.arg.has_value()) {
         expr_args[a] = item.arg->EvalAll(data_);
+        view.arg_cols[a] = &expr_args[a];
       }
     }
-    results_.assign(items_.size(), std::vector<Value>(rows));
-    for (const auto& [key, members] : partitions) {
-      for (size_t a = 0; a < items_.size(); ++a) {
-        const BoundAgg& item = items_[a];
-        AggState state;
-        for (size_t r : members) {
-          if (item.mask_slot >= 0 && !bitmaps[item.mask_slot][r]) continue;
-          if (item.arg_column >= 0) {
-            state.AccumulateColumnRow(*item.item, data_.columns[item.arg_column],
-                                      r);
-          } else if (item.arg.has_value()) {
-            state.AccumulateColumnRow(*item.item, expr_args[a], r);
-          } else {
-            state.AccumulateRow(*item.item, Value::Bool(true));
-          }
-        }
-        Value v = state.Finalize(*item.item);
-        for (size_t r : members) results_[a][r] = v;
-      }
-    }
+    view.masks = mask_set_.Evaluate(data_);
+    GroupTable partitions(items_.size());
+    row_partitions_ = AccumulateView(view, items_, &partitions);
+    // One row per partition: its key, then each item's finalized value.
+    std::vector<DataType> final_types;
+    for (int idx : partition_indexes_) final_types.push_back(types[idx]);
+    std::vector<DataType> out_types = OutputTypes();
+    final_types.insert(final_types.end(), out_types.begin() + types.size(),
+                       out_types.end());
+    finals_ = FinalizeGroups(partitions, items_, final_types,
+                             partition_indexes_.size());
 
-    int64_t bytes = 0;
+    int64_t bytes = partitions.bytes();
     for (const Column& c : data_.columns) bytes += c.ByteSize();
-    bytes += static_cast<int64_t>(partitions.size()) * 64;
     accounted_bytes_ = bytes;
     ctx_->AddHashBytes(bytes, op_id_);
     return Status::OK();
@@ -130,7 +109,8 @@ class WindowExec final : public ExecOperator {
   std::vector<AggregateItem> item_storage_;
   ExecContext* ctx_;
   Chunk data_;
-  std::vector<std::vector<Value>> results_;
+  std::vector<uint32_t> row_partitions_;  // each row's partition id
+  Chunk finals_;                          // one row per partition id
   bool materialized_ = false;
   size_t offset_ = 0;
   int64_t accounted_bytes_ = 0;
@@ -155,19 +135,14 @@ class MarkDistinctExec final : public ExecOperator {
     size_t rows = in->num_rows();
     Column marker(DataType::kBool);
     marker.Reserve(rows);
-    std::string key;
+    KeyColumns keys = KeyColumnsOf(*in, key_indexes_);
+    // A row is marked when its key is inserted for the first time.
     for (size_t r = 0; r < rows; ++r) {
-      RowKeyEncoder::Encode(*in, key_indexes_, r, &key);
-      auto [it, inserted] = seen_.insert(key);
-      (void)it;
-      if (inserted) {
-        // ~48 bytes map overhead + key bytes, charged incrementally.
-        int64_t bytes = 48 + static_cast<int64_t>(key.size());
-        ctx_->AddHashBytes(bytes, op_id_);
-        accounted_bytes_ += bytes;
-      }
-      marker.AppendBool(inserted);
+      marker.AppendBool(seen_.Insert(keys, r).inserted);
     }
+    // Charged per chunk as the table grows.
+    ctx_->AddHashBytes(seen_.bytes() - accounted_bytes_, op_id_);
+    accounted_bytes_ = seen_.bytes();
     Chunk out = std::move(*in);
     out.columns.push_back(std::move(marker));
     return std::optional<Chunk>(std::move(out));
@@ -177,7 +152,7 @@ class MarkDistinctExec final : public ExecOperator {
   ExecOperatorPtr child_;
   std::vector<int> key_indexes_;
   ExecContext* ctx_;
-  std::unordered_set<std::string> seen_;
+  KeyTable seen_;
   int64_t accounted_bytes_ = 0;
   int32_t op_id_ = -1;
 };

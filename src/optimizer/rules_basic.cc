@@ -1,5 +1,7 @@
 // Substrate rules: expression simplification, filter/project normalization,
 // partition-pruning handoff and filter pushdown.
+#include <unordered_map>
+
 #include "expr/simplifier.h"
 #include "optimizer/rules.h"
 

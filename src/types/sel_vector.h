@@ -42,14 +42,6 @@ class SelVector {
   auto begin() const { return sel_.begin(); }
   auto end() const { return sel_.end(); }
 
-  /// Expands to a byte mask of width `n` (1 = selected). Used where random
-  /// membership tests beat an index walk (window partitions).
-  std::vector<uint8_t> ToMask(size_t n) const {
-    std::vector<uint8_t> mask(n, 0);
-    for (uint32_t r : sel_) mask[r] = 1;
-    return mask;
-  }
-
   /// Intersection of two ascending selections (two-pointer merge).
   static SelVector Intersect(const SelVector& a, const SelVector& b) {
     SelVector out;

@@ -41,19 +41,6 @@ int Value::Compare(const Value& other) const {
   return 0;
 }
 
-size_t Value::Hash() const {
-  if (is_null_) return 0x9e3779b97f4a7c15ULL;
-  switch (PhysicalTypeOf(type_)) {
-    case PhysicalType::kInt:
-      return std::hash<int64_t>()(int_);
-    case PhysicalType::kDouble:
-      return std::hash<double>()(double_);
-    case PhysicalType::kString:
-      return std::hash<std::string>()(string_);
-  }
-  return 0;
-}
-
 std::string Value::ToString() const {
   if (is_null_) return "NULL";
   std::ostringstream os;

@@ -4,9 +4,7 @@
 #define FUSIONDB_TYPES_VALUE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "types/data_type.h"
 
@@ -14,8 +12,8 @@ namespace fusiondb {
 
 /// A tagged scalar. NULL values keep their declared type so expression
 /// typing stays sound. Comparison follows SQL semantics only where the
-/// caller implements them; Value's operator== is *structural* (NULL == NULL)
-/// so it can serve as a hash-table key for grouping and distinct.
+/// caller implements them; Value's operator== is *structural* (NULL == NULL).
+/// The executor never hashes Values: its keys go through exec/key_table.h.
 class Value {
  public:
   Value() : type_(DataType::kInt64), is_null_(true) {}
@@ -88,8 +86,6 @@ class Value {
   /// Total order for sorting (NULLs first, then by value). Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
-  size_t Hash() const;
-
   std::string ToString() const;
 
  private:
@@ -98,29 +94,6 @@ class Value {
   int64_t int_ = 0;
   double double_ = 0.0;
   std::string string_;
-};
-
-/// Hash functor for composite keys (group-by / distinct / join keys).
-struct ValueVectorHash {
-  size_t operator()(const std::vector<Value>& vs) const {
-    size_t h = 14695981039346656037ULL;
-    for (const Value& v : vs) {
-      h ^= v.Hash();
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-};
-
-struct ValueVectorEq {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!(a[i] == b[i])) return false;
-    }
-    return true;
-  }
 };
 
 }  // namespace fusiondb

@@ -9,6 +9,7 @@
 namespace fusiondb {
 namespace {
 
+using testutil::ExpectMatchesReference;
 using testutil::MustExecute;
 using testutil::Unwrap;
 
@@ -264,6 +265,48 @@ TEST(MarkDistinctExecTest, StreamsAcrossChunks) {
   // Tiny chunks must not reset the seen-set between chunks.
   QueryResult r = MustExecute(b.Build(), /*chunk_size=*/4);
   EXPECT_EQ(ScalarInt(r, 0), 9);
+}
+
+// -0.0 == 0.0 under SQL equality, so every keyed operator must treat the two
+// zeros as one key: one group, one distinct value, a marker on the first row
+// only, and a join match across signs.
+TEST(KeyIdentityTest, NegativeZeroIsZeroForEveryKeyedOperator) {
+  PlanContext ctx;
+  auto zeros = [&] {
+    return PlanBuilder::Values(&ctx, {"x"}, {DataType::kFloat64},
+                               {{Value::Float64(0.0)},
+                                {Value::Float64(-0.0)},
+                                {Value::Float64(0.0)}});
+  };
+
+  PlanBuilder grouped = zeros();
+  grouped.Aggregate({"x"},
+                    {{"n", AggFunc::kCountStar, nullptr, nullptr, false}});
+  QueryResult groups = MustExecute(grouped.Build());
+  ExpectMatchesReference(grouped.Build(), groups);
+  EXPECT_EQ(groups.num_rows(), 1);
+
+  PlanBuilder native = zeros();
+  native.Aggregate({}, {{"d", AggFunc::kCount, native.Ref("x"), nullptr,
+                         true}});
+  QueryResult distinct = MustExecute(native.Build());
+  ExpectMatchesReference(native.Build(), distinct);
+
+  PlanBuilder lowered = zeros();
+  lowered.MarkDistinct("m", {"x"});
+  lowered.Aggregate({}, {{"d", AggFunc::kCount, lowered.Ref("x"),
+                          lowered.Ref("m"), false}});
+  QueryResult marked = MustExecute(lowered.Build());
+  ExpectMatchesReference(lowered.Build(), marked);
+  EXPECT_TRUE(ResultsEquivalent(distinct, marked));
+
+  PlanBuilder joined = zeros();
+  PlanBuilder negative = PlanBuilder::Values(
+      &ctx, {"y"}, {DataType::kFloat64}, {{Value::Float64(-0.0)}});
+  joined.JoinOn(JoinType::kInner, negative, {{"x", "y"}});
+  QueryResult matches = MustExecute(joined.Build());
+  ExpectMatchesReference(joined.Build(), matches);
+  EXPECT_EQ(matches.num_rows(), 3);
 }
 
 }  // namespace

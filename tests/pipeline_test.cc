@@ -380,6 +380,44 @@ TEST(PipelineParallelTest, JoinFedAggregateParallelMatchesSerial) {
   ExpectSameMetrics(serial, wide, "join-fed aggregate");
 }
 
+TEST(PipelineParallelTest, MaskedDistinctAggregatesMergeAcrossWorkers) {
+  // Eight partitions, one morsel each, dealt round-robin to four workers;
+  // every (group, value) pair recurs in every partition, so each worker's
+  // partial sees every pair and the merge must count each pair once.
+  TableBuilder tb("pairs", {{"p", DataType::kInt64},
+                            {"g", DataType::kString},
+                            {"k", DataType::kInt64},
+                            {"x", DataType::kFloat64}});
+  ASSERT_TRUE(tb.PartitionBy("p", 1).ok());
+  const double xs[] = {-0.0, 0.0, 1.5, 2.5, 4.0};
+  for (int64_t p = 0; p < 8; ++p) {
+    for (int64_t g = 0; g < 3; ++g) {
+      for (int64_t v = 0; v < 5; ++v) {
+        Value k = v == 4 ? Value::Null(DataType::kInt64) : Value::Int64(v * g);
+        ASSERT_TRUE(tb.AppendRow({Value::Int64(p),
+                                  Value::String(std::string(1, 'a' + g)), k,
+                                  Value::Float64(xs[(v + g) % 5])})
+                        .ok());
+      }
+    }
+  }
+  TablePtr pairs = Unwrap(tb.Build());
+  PlanContext ctx;
+  PlanBuilder b = PlanBuilder::Scan(&ctx, pairs, {"p", "g", "k", "x"});
+  b.Aggregate({"g"},
+              {{"kinds", AggFunc::kCount, b.Ref("k"),
+                eb::Lt(b.Ref("p"), eb::Int(6)), true},
+               {"spread", AggFunc::kSum, b.Ref("x"),
+                eb::Ge(b.Ref("p"), eb::Int(2)), true},
+               {"n", AggFunc::kCountStar, nullptr, nullptr, false}});
+  PlanPtr plan = b.Build();
+  QueryResult serial = ExecuteAndCheck(plan, 1);
+  QueryResult wide = ExecuteAndCheck(plan, 4);
+  EXPECT_EQ(serial.metrics().partitions_scanned, 8);
+  EXPECT_TRUE(ResultsEquivalent(serial, wide));
+  ExpectSameMetrics(serial, wide, "masked distinct aggregates");
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline records and observability.
 // ---------------------------------------------------------------------------

@@ -38,13 +38,6 @@ TEST(ValueTest, CompareOrdersNullsFirst) {
   EXPECT_LT(Value::Int64(2).Compare(Value::Float64(2.5)), 0);
 }
 
-TEST(ValueTest, HashConsistentWithEquality) {
-  EXPECT_EQ(Value::Int64(7).Hash(), Value::Int64(7).Hash());
-  EXPECT_EQ(Value::String("xy").Hash(), Value::String("xy").Hash());
-  EXPECT_EQ(Value::Null(DataType::kInt64).Hash(),
-            Value::Null(DataType::kFloat64).Hash());
-}
-
 TEST(ValueTest, ToString) {
   EXPECT_EQ(Value::Null(DataType::kInt64).ToString(), "NULL");
   EXPECT_EQ(Value::Int64(-3).ToString(), "-3");

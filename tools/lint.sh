@@ -144,6 +144,17 @@ if grep -rn --include='*.cc' --include='*.h' 'ExprFingerprint(' src \
   note_failure 'use Expr::hash() / ExprEquivalent / ExprHash+ExprEq, not a string ExprFingerprint'
 fi
 
+# One hash substrate: join, GROUP BY, window partitions, MarkDistinct and
+# DISTINCT key rows through exec/key_table.h, so they share one key
+# equality (-0.0 == 0.0, NULL handling), one memory formula and one partial
+# merge. A second map over encoded rows or boxed Values would let the III.F
+# identity COUNT(DISTINCT x) == COUNT(x) masked by MarkDistinct drift again.
+if grep -rnE --include='*.cc' --include='*.h' \
+    'RowKeyEncoder|unordered_(map|set)<std::string|unordered_set<Value' \
+    src/exec 2>/dev/null | grep -v '^src/exec/key_table\.'; then
+  note_failure 'src/exec keys rows only through exec/key_table.h (KeyTable); no second hash table over encoded rows or Values'
+fi
+
 # --- Layer 2: clang-tidy (optional) ----------------------------------------
 
 if command -v clang-tidy >/dev/null 2>&1; then
