@@ -95,6 +95,22 @@ BENCHMARK_CAPTURE(BM_OptimizeQuery, q88_baseline, "q88", false);
 BENCHMARK_CAPTURE(BM_OptimizeQuery, q88_fused, "q88", true);
 BENCHMARK_CAPTURE(BM_OptimizeQuery, q95_fused, "q95", true);
 
+/// Plan identity (PlanFingerprint) of one fused TPC-DS plan: the hash every
+/// StatsFeedback lookup, spool candidate and server group pays for.
+void BM_PlanFingerprint(benchmark::State& state, const char* name) {
+  const Catalog& catalog = BenchCatalog();
+  tpcds::TpcdsQuery query = Unwrap(tpcds::QueryByName(name));
+  PlanContext ctx;
+  PlanPtr plan = Unwrap(Optimizer(OptimizerOptions::Fused())
+                            .Optimize(Unwrap(query.build(catalog, &ctx)), &ctx));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PlanFingerprint(plan));
+  }
+}
+BENCHMARK_CAPTURE(BM_PlanFingerprint, q09_fused, "q09");
+BENCHMARK_CAPTURE(BM_PlanFingerprint, q28_fused, "q28");
+BENCHMARK_CAPTURE(BM_PlanFingerprint, q88_fused, "q88");
+
 /// Q09's shape at k buckets: k scalar-aggregate subqueries over store_sales,
 /// each with its own quantity bucket, cross-joined. JoinOnKeys folds them
 /// pairwise into one aggregate whose masks are the bucket predicates, so

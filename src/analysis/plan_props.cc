@@ -65,24 +65,6 @@ void HullInto(ColumnDomain* acc, const ColumnDomain& d) {
   }
 }
 
-CompareOp FlipCompare(CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq:
-      return CompareOp::kEq;
-    case CompareOp::kNe:
-      return CompareOp::kNe;
-    case CompareOp::kLt:
-      return CompareOp::kGt;
-    case CompareOp::kLe:
-      return CompareOp::kGe;
-    case CompareOp::kGt:
-      return CompareOp::kLt;
-    case CompareOp::kGe:
-      return CompareOp::kLe;
-  }
-  return op;
-}
-
 /// Matches `col OP literal` with the column on either side; normalizes so
 /// the column is on the left.
 bool AsColLitCompare(const Expr& e, ColumnId* col, CompareOp* op, Value* lit) {

@@ -35,23 +35,7 @@ void ApplyPruneConjunct(const ExprPtr& e, ColumnId part_col, PruneSpec* spec) {
              e->child(0)->kind() == ExprKind::kLiteral) {
     col = e->child(1).get();
     lit = e->child(0).get();
-    switch (op) {
-      case CompareOp::kLt:
-        op = CompareOp::kGt;
-        break;
-      case CompareOp::kLe:
-        op = CompareOp::kGe;
-        break;
-      case CompareOp::kGt:
-        op = CompareOp::kLt;
-        break;
-      case CompareOp::kGe:
-        op = CompareOp::kLe;
-        break;
-      case CompareOp::kEq:
-      case CompareOp::kNe:
-        break;  // symmetric; no flip needed
-    }
+    op = FlipCompare(op);
   } else {
     return;
   }

@@ -187,13 +187,13 @@ uint64_t Mix(uint64_t x) {
   return x;
 }
 
-/// Order-sensitive fold of `v` into `h`.
-uint64_t Combine(uint64_t h, uint64_t v) {
+}  // namespace
+
+uint64_t HashCombine(uint64_t h, uint64_t v) {
   return Mix(h * 0x9e3779b97f4a7c15ULL + v);
 }
 
-/// FNV-1a over the bytes of `s` (std::hash is not specified to be stable).
-uint64_t HashBytes(const std::string& s) {
+uint64_t HashBytes(std::string_view s) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : s) {
     h ^= c;
@@ -202,18 +202,37 @@ uint64_t HashBytes(const std::string& s) {
   return h;
 }
 
+CompareOp FlipCompare(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt:
+      return CompareOp::kGt;
+    case CompareOp::kLe:
+      return CompareOp::kGe;
+    case CompareOp::kGt:
+      return CompareOp::kLt;
+    case CompareOp::kGe:
+      return CompareOp::kLe;
+    case CompareOp::kEq:
+    case CompareOp::kNe:
+      return op;  // symmetric
+  }
+  return op;
+}
+
+namespace {
+
 /// Exact literal identity: the type (already equal on the owning nodes),
 /// NULL-ness, then the integer, the double's bit pattern or the string's
 /// bytes. Never the rendered text, which rounds doubles.
 uint64_t HashLiteral(const Value& v) {
-  if (v.is_null()) return Combine(0, 0);
+  if (v.is_null()) return HashCombine(0, 0);
   switch (PhysicalTypeOf(v.type())) {
     case PhysicalType::kInt:
-      return Combine(1, static_cast<uint64_t>(v.int_value()));
+      return HashCombine(1, static_cast<uint64_t>(v.int_value()));
     case PhysicalType::kDouble:
-      return Combine(2, std::bit_cast<uint64_t>(v.double_value()));
+      return HashCombine(2, std::bit_cast<uint64_t>(v.double_value()));
     case PhysicalType::kString:
-      return Combine(3, HashBytes(v.string_value()));
+      return HashCombine(3, HashBytes(v.string_value()));
   }
   return 0;
 }
@@ -231,24 +250,6 @@ bool SameLiteral(const Value& a, const Value& b) {
       return a.string_value() == b.string_value();
   }
   return false;
-}
-
-/// `l op r` == `r Flip(op) l`.
-CompareOp Flip(CompareOp op) {
-  switch (op) {
-    case CompareOp::kLt:
-      return CompareOp::kGt;
-    case CompareOp::kLe:
-      return CompareOp::kGe;
-    case CompareOp::kGt:
-      return CompareOp::kLt;
-    case CompareOp::kGe:
-      return CompareOp::kLe;
-    case CompareOp::kEq:
-    case CompareOp::kNe:
-      return op;  // symmetric
-  }
-  return op;
 }
 
 bool IsCommutative(ArithOp op) {
@@ -269,13 +270,13 @@ std::vector<uint64_t> SortedChildHashes(const Expr& e, size_t from,
 }
 
 uint64_t ComputeHash(const Expr& e) {
-  uint64_t h = Combine(static_cast<uint64_t>(e.kind()) + 1,
-                       static_cast<uint64_t>(e.type()));
+  uint64_t h = HashCombine(static_cast<uint64_t>(e.kind()) + 1,
+                           static_cast<uint64_t>(e.type()));
   switch (e.kind()) {
     case ExprKind::kColumnRef:
-      return Combine(h, static_cast<uint64_t>(e.column_id()));
+      return HashCombine(h, static_cast<uint64_t>(e.column_id()));
     case ExprKind::kLiteral:
-      return Combine(h, HashLiteral(e.literal()));
+      return HashCombine(h, HashLiteral(e.literal()));
     case ExprKind::kCompare: {
       // Orient by operand hash, flipping the operator with the operands. On
       // a tie either orientation is canonical, so hash the smaller operator
@@ -285,36 +286,36 @@ uint64_t ComputeHash(const Expr& e) {
       CompareOp op = e.compare_op();
       if (r < l) {
         std::swap(l, r);
-        op = Flip(op);
+        op = FlipCompare(op);
       } else if (l == r) {
-        op = std::min(op, Flip(op));
+        op = std::min(op, FlipCompare(op));
       }
-      h = Combine(h, static_cast<uint64_t>(op));
-      return Combine(Combine(h, l), r);
+      h = HashCombine(h, static_cast<uint64_t>(op));
+      return HashCombine(HashCombine(h, l), r);
     }
     case ExprKind::kArith: {
       uint64_t l = e.child(0)->hash();
       uint64_t r = e.child(1)->hash();
       if (IsCommutative(e.arith_op()) && r < l) std::swap(l, r);
-      h = Combine(h, static_cast<uint64_t>(e.arith_op()));
-      return Combine(Combine(h, l), r);
+      h = HashCombine(h, static_cast<uint64_t>(e.arith_op()));
+      return HashCombine(HashCombine(h, l), r);
     }
     case ExprKind::kAnd:
     case ExprKind::kOr:
       for (uint64_t c : SortedChildHashes(e, 0, /*dedupe=*/true)) {
-        h = Combine(h, c);
+        h = HashCombine(h, c);
       }
       return h;
     case ExprKind::kInList:
-      h = Combine(h, e.child(0)->hash());
+      h = HashCombine(h, e.child(0)->hash());
       for (uint64_t c : SortedChildHashes(e, 1, /*dedupe=*/false)) {
-        h = Combine(h, c);
+        h = HashCombine(h, c);
       }
       return h;
     case ExprKind::kNot:
     case ExprKind::kIsNull:
     case ExprKind::kCase:
-      for (const ExprPtr& c : e.children()) h = Combine(h, c->hash());
+      for (const ExprPtr& c : e.children()) h = HashCombine(h, c->hash());
       return h;
   }
   return h;
@@ -374,7 +375,7 @@ bool StructurallyEqual(const Expr& a, const Expr& b) {
           ExprEquivalent(a.child(1), b.child(1))) {
         return true;
       }
-      return Flip(a.compare_op()) == b.compare_op() &&
+      return FlipCompare(a.compare_op()) == b.compare_op() &&
              ExprEquivalent(a.child(0), b.child(1)) &&
              ExprEquivalent(a.child(1), b.child(0));
     }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "types/schema.h"
@@ -30,6 +31,9 @@ enum class ExprKind : uint8_t {
 
 enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 enum class ArithOp : uint8_t { kAdd, kSub, kMul, kDiv };
+
+/// `l op r` == `r FlipCompare(op) l`.
+CompareOp FlipCompare(CompareOp op);
 
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
@@ -135,6 +139,18 @@ struct ExprEq {
     return ExprEquivalent(a, b);
   }
 };
+
+// --- Structural hash primitives ---------------------------------------------
+// The building blocks of Expr::hash(), shared with PlanFingerprint
+// (plan/plan_fingerprint.h) so plans and expressions hash one way; literals
+// hash only through Expr::MakeLiteral. Stable across processes: never
+// std::hash, whose values are unspecified.
+
+/// Order-sensitive fold of `v` into `h` (SplitMix64 avalanche).
+uint64_t HashCombine(uint64_t h, uint64_t v);
+
+/// FNV-1a over the bytes of `s`.
+uint64_t HashBytes(std::string_view s);
 
 /// Adds every ColumnId referenced by `expr` to `out`.
 void CollectColumns(const ExprPtr& expr, std::vector<ColumnId>* out);

@@ -1,11 +1,9 @@
 #include "fusion/fuse_across.h"
 
-#include <string>
 #include <utility>
 
 #include "analysis/semantic_ledger.h"
 #include "expr/simplifier.h"
-#include "plan/plan_fingerprint.h"
 
 namespace fusiondb {
 
@@ -23,11 +21,9 @@ ExprPtr AndFilters(const ExprPtr& a, const ExprPtr& b) {
 }  // namespace
 
 std::optional<size_t> CrossPlanFuser::TryAdd(const PlanPtr& plan) {
-  std::string canonical = PlanCanonicalString(plan);
-  uint64_t fingerprint = CanonicalStringFingerprint(canonical);
+  CanonicalPlan canonical = Canonicalize(plan);
   auto add_member = [&]() {
     members_.push_back(plan);
-    member_fingerprints_.push_back(fingerprint);
     member_canonicals_.push_back(std::move(canonical));
   };
   if (plan_ == nullptr) {
@@ -36,16 +32,16 @@ std::optional<size_t> CrossPlanFuser::TryAdd(const PlanPtr& plan) {
     add_member();
     return 0;
   }
-  // Identical-member overlay: the canonical form is renumbering-stable, so
-  // a matching member computes the same relation and the new plan's output
+  // Identical-member overlay: canonical forms are renumbering-stable, so a
+  // matching member computes the same relation and the new plan's output
   // column i is the member's output column i. The new consumer reuses the
   // member's compensating filter and routes positionally through the
   // member's mapping — no Fuse call, and no operator-kind restriction. The
-  // 64-bit fingerprint only filters candidates; the canonical strings
-  // decide, since a collision would hand this session another's rows.
+  // 64-bit fingerprint only filters candidates; PlanEquivalent decides,
+  // since a collision would hand this session another's rows.
   for (size_t j = 0; j < members_.size(); ++j) {
-    if (member_fingerprints_[j] != fingerprint ||
-        member_canonicals_[j] != canonical) {
+    if (member_canonicals_[j].fingerprint != canonical.fingerprint ||
+        !PlanEquivalent(member_canonicals_[j].plan, canonical.plan)) {
       continue;
     }
     const Schema& member_schema = members_[j]->schema();
@@ -84,23 +80,6 @@ std::optional<size_t> CrossPlanFuser::TryAdd(const PlanPtr& plan) {
   }
   add_member();
   return consumers_.size() - 1;
-}
-
-bool CrossPlanFuser::Exact() const {
-  for (const CrossConsumer& c : consumers_) {
-    if (c.filter != nullptr) return false;
-  }
-  return true;
-}
-
-std::optional<CrossFuseResult> FuseAcrossPlans(
-    const std::vector<PlanPtr>& plans, PlanContext* ctx) {
-  if (plans.empty()) return std::nullopt;
-  CrossPlanFuser folder(ctx);
-  for (const PlanPtr& plan : plans) {
-    if (!folder.TryAdd(plan).has_value()) return std::nullopt;
-  }
-  return CrossFuseResult{folder.plan(), folder.consumers()};
 }
 
 }  // namespace fusiondb

@@ -19,10 +19,10 @@
 #define FUSIONDB_FUSION_FUSE_ACROSS_H_
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "fusion/fuse.h"
+#include "plan/plan_fingerprint.h"
 
 namespace fusiondb {
 
@@ -48,26 +48,21 @@ class CrossPlanFuser {
 
   /// Attempts to fold `plan` into the shared plan. The first add always
   /// succeeds (the shared plan is just `plan`). A plan whose canonical form
-  /// (PlanCanonicalString) matches an existing member overlays that member's consumer directly —
-  /// exact sharing for *any* operator shape, including roots Fuse has no
-  /// rule for (Window, UnionAll) — the same identity notion the spool rule
-  /// uses to group duplicate subtrees (§11.1). Otherwise the add succeeds
-  /// iff Fuse(shared, plan) does. On failure the fuser is unchanged.
+  /// (plan/plan_fingerprint.h) is PlanEquivalent to an existing member's
+  /// overlays that member's consumer directly — exact sharing for *any*
+  /// operator shape, including roots Fuse has no rule for (Window,
+  /// UnionAll) — the same identity notion the spool rule uses to group
+  /// duplicate subtrees (§11.1). Otherwise the add succeeds iff
+  /// Fuse(shared, plan) does. On failure the fuser is unchanged.
   std::optional<size_t> TryAdd(const PlanPtr& plan);
 
   /// The shared plan computing every member added so far.
   const PlanPtr& plan() const { return plan_; }
 
-  size_t num_consumers() const { return consumers_.size(); }
   const CrossConsumer& consumer(size_t i) const { return consumers_[i]; }
-  const std::vector<CrossConsumer>& consumers() const { return consumers_; }
 
   /// The member plans as added (consumer i restores members()[i]).
   const std::vector<PlanPtr>& members() const { return members_; }
-
-  /// True when every compensating filter is TRUE — the shared plan computes
-  /// exactly each member (always the case for identical members).
-  bool Exact() const;
 
  private:
   Fuser fuser_;
@@ -75,17 +70,8 @@ class CrossPlanFuser {
   PlanPtr plan_;
   std::vector<CrossConsumer> consumers_;
   std::vector<PlanPtr> members_;
-  std::vector<uint64_t> member_fingerprints_;  // aligned with members_
-  std::vector<std::string> member_canonicals_;  // PlanCanonicalString, ditto
+  std::vector<CanonicalPlan> member_canonicals_;  // aligned with members_
 };
-
-/// One-shot form: folds all of `plans` (at least one) or fails entirely.
-struct CrossFuseResult {
-  PlanPtr plan;
-  std::vector<CrossConsumer> consumers;  // aligned with `plans`
-};
-std::optional<CrossFuseResult> FuseAcrossPlans(
-    const std::vector<PlanPtr>& plans, PlanContext* ctx);
 
 }  // namespace fusiondb
 

@@ -17,6 +17,7 @@
 #ifndef FUSIONDB_OBS_OPERATOR_STATS_H_
 #define FUSIONDB_OBS_OPERATOR_STATS_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -71,30 +72,36 @@ struct OperatorStats {
   // Derived at finalize time from the parent links (never updated live).
   int64_t chunks_in = 0;
   int64_t rows_in = 0;
-  int64_t self_ns = 0;  // next_ns minus the children's next_ns
+  int64_t self_ns = 0;  // next_ns minus the timed descendants' next_ns
 };
 
 /// Fills the derived fields of a preorder-indexed stats vector: each
 /// operator's input counters are the sum of its children's outputs, and
-/// self time is cumulative time minus the children's cumulative time
-/// (clamped at zero against clock jitter). Parents precede children in
-/// preorder, so a single reverse-order pass needs no recursion.
+/// self time is cumulative time minus the time of the nearest timed
+/// operators below it (clamped at zero against clock jitter). A compiled
+/// pipeline's interior slots are never timed (the pipeline root's timer
+/// covers the whole chain), so they pass their children's time up instead
+/// of their own zero. Parents precede children in preorder, so a single
+/// reverse-order pass needs no recursion.
 inline void FinalizeOperatorStats(std::vector<OperatorStats>* stats) {
+  std::vector<int64_t> timed_below(stats->size(), 0);
   for (OperatorStats& s : *stats) {
     s.chunks_in = 0;
     s.rows_in = 0;
-    s.self_ns = s.next_ns;
   }
-  for (size_t i = stats->size(); i-- > 1;) {
-    const OperatorStats& s = (*stats)[i];
+  for (size_t i = stats->size(); i-- > 0;) {
+    OperatorStats& s = (*stats)[i];
+    bool untimed = s.parent >= 0 && s.pipeline >= 0 &&
+                   (*stats)[static_cast<size_t>(s.parent)].pipeline ==
+                       s.pipeline;
+    s.self_ns =
+        untimed ? 0 : std::max<int64_t>(s.next_ns - timed_below[i], 0);
     if (s.parent < 0) continue;
     OperatorStats& p = (*stats)[static_cast<size_t>(s.parent)];
     p.chunks_in += s.chunks_out;
     p.rows_in += s.rows_out;
-    p.self_ns -= s.next_ns;
-  }
-  for (OperatorStats& s : *stats) {
-    if (s.self_ns < 0) s.self_ns = 0;
+    timed_below[static_cast<size_t>(s.parent)] +=
+        untimed ? timed_below[i] : s.next_ns;
   }
 }
 

@@ -202,8 +202,9 @@ PlanPtr RenumberNode(const PlanPtr& plan, RenumberState* st) {
 
 }  // namespace
 
-RenumberedPlan RenumberPlan(const PlanPtr& plan, PlanContext* ctx) {
-  RenumberState st{ctx, {}, {}};
+RenumberedPlan RenumberPlan(const PlanPtr& plan, PlanContext* ctx,
+                            ColumnMap seed) {
+  RenumberState st{ctx, std::move(seed), {}};
   PlanPtr out = RenumberNode(plan, &st);
   return {std::move(out), std::move(st.map)};
 }

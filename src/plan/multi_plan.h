@@ -7,8 +7,9 @@
 // bottom-up, minting a fresh id for every defined column from the target
 // context and rewriting all references, and returns the old->new ColumnMap
 // so callers can still name the original output columns. Renumbering is
-// semantics-preserving — PlanFingerprint (which canonicalizes ids away) is
-// unchanged by construction.
+// semantics-preserving, and it is how plan identity is defined:
+// PlanFingerprint hashes the plan renumbered into a fresh context
+// (plan/plan_fingerprint.h).
 //
 // PlanBundle holds N renumbered roots over one PlanContext: a multi-root
 // plan. It is the unit the server's admission window produces and the
@@ -25,16 +26,21 @@ namespace fusiondb {
 
 /// A plan rebuilt into another PlanContext's id space, plus the mapping
 /// from the original plan's ColumnIds to the fresh ones (covers every
-/// column defined anywhere in the tree, not just the root schema).
+/// column defined anywhere in the tree, not just the root schema, plus
+/// RenumberPlan's seed).
 struct RenumberedPlan {
   PlanPtr plan;
   ColumnMap mapping;  // original id -> renumbered id
 };
 
-/// Rebuilds `plan` with every ColumnId freshly minted from `ctx`. Shared
-/// subtrees (plan DAGs, e.g. duplicated spool inputs) are renumbered once
-/// and stay shared in the output.
-RenumberedPlan RenumberPlan(const PlanPtr& plan, PlanContext* ctx);
+/// Rebuilds `plan` with every ColumnId freshly minted from `ctx`, in
+/// children-first, left-to-right, schema order. Shared subtrees (plan DAGs,
+/// e.g. duplicated spool inputs) are renumbered once and stay shared in the
+/// output. A reference to a column `plan` does not define (an Apply's inner
+/// side on its own) is rewritten through `seed`, or left as it is when
+/// `seed` does not map it.
+RenumberedPlan RenumberPlan(const PlanPtr& plan, PlanContext* ctx,
+                            ColumnMap seed = {});
 
 /// An ordered set of plan roots sharing one PlanContext id space. AddRoot
 /// renumbers the incoming plan (which may come from any context) into the
@@ -56,7 +62,6 @@ class PlanBundle {
     return roots_.size() - 1;
   }
 
-  size_t num_roots() const { return roots_.size(); }
   const Root& root(size_t i) const { return roots_[i]; }
   PlanContext* ctx() const { return ctx_; }
 

@@ -324,6 +324,9 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
   bool share = n >= 2;
   int32_t group_decisions = 0;
   int32_t group_spooled = 0;
+  // The shared plan's identity, hashed once for the cost decision and
+  // every member's sharing record.
+  uint64_t fingerprint = share ? PlanFingerprint(group->fuser.plan()) : 0;
 
   // Share-vs-solo pricing (cross-query CostDecision). The decision is
   // recorded even when use_cost_model forces sharing, so traces always
@@ -338,7 +341,7 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
 
     CostDecision record;
     record.anchor = OptimizerTrace::DescribeNode(*group->fuser.plan());
-    record.fingerprint = PlanFingerprint(group->fuser.plan());
+    record.fingerprint = fingerprint;
     record.consumers = static_cast<int>(n);
     record.reexec_cost_ns = decision.solo_cost;
     record.spool_cost_ns = decision.shared_cost;
@@ -386,7 +389,6 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
       }
       return;
     }
-    uint64_t fingerprint = PlanFingerprint(group->fuser.plan());
     int64_t bytes = result->metrics.bytes_scanned;
     int64_t execute_us = (NowNanos() - exec_start_ns) / 1000;
     report->shared_groups++;

@@ -3,7 +3,11 @@
 // and the adaptive fuse-vs-spool decision end to end.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "optimizer/spool_rule.h"
+#include "plan/spool.h"
 #include "test_util.h"
 
 namespace fusiondb {
@@ -40,20 +44,54 @@ PlanPtr DuplicatedCtePlan(PlanContext* ctx) {
 
 // --- fingerprints ----------------------------------------------------------
 
+/// Asserts that `a` and `b` are (`same`) or are not the same computation
+/// up to renumbering, by fingerprint and by PlanEquivalent alike.
+void ExpectSameIdentity(const PlanPtr& a, const PlanPtr& b, bool same) {
+  CanonicalPlan ca = Canonicalize(a);
+  CanonicalPlan cb = Canonicalize(b);
+  EXPECT_EQ(ca.fingerprint == cb.fingerprint, same);
+  EXPECT_EQ(PlanEquivalent(ca.plan, cb.plan), same);
+  EXPECT_EQ(ca.fingerprint, PlanFingerprint(a));
+}
+
 TEST(PlanFingerprintTest, DeterministicAcrossIdRenumbering) {
-  // The same logical query built in two contexts mints disjoint ColumnId
-  // ranges (the second context also burns extra ids first); fingerprints
-  // must agree anyway, else feedback from one run could never match the
-  // next run's plan.
-  PlanContext ctx1;
-  PlanPtr p1 = DuplicatedCtePlan(&ctx1);
-  PlanContext ctx2;
-  Sales(&ctx2).Build();  // shift ctx2's id counter
-  PlanPtr p2 = DuplicatedCtePlan(&ctx2);
-  EXPECT_NE(p1->schema().column(0).id, p2->schema().column(0).id)
-      << "fixture should renumber ids, or the test proves nothing";
-  EXPECT_EQ(PlanCanonicalString(p1), PlanCanonicalString(p2));
-  EXPECT_EQ(PlanFingerprint(p1), PlanFingerprint(p2));
+  // Every TPC-DS query under every mode, built and optimized in two
+  // contexts whose ColumnId ranges differ (the second burns ids first):
+  // fingerprints must agree anyway, else feedback from one run could never
+  // match the next run's plan. Across the whole sweep, equal fingerprints
+  // must mean PlanEquivalent canonical forms and vice versa.
+  const Catalog& catalog = SharedTpcds();
+  const std::pair<const char*, OptimizerOptions> modes[] = {
+      {"baseline", OptimizerOptions::Baseline()},
+      {"fused", OptimizerOptions::Fused()},
+      {"spooling", OptimizerOptions::Spooling()},
+      {"adaptive", OptimizerOptions::Adaptive(nullptr)},
+  };
+  std::vector<CanonicalPlan> sweep;
+  for (const tpcds::TpcdsQuery& q : tpcds::Queries()) {
+    for (const auto& [mode, options] : modes) {
+      SCOPED_TRACE(q.name + " / " + mode);
+      PlanContext ctx1;
+      PlanContext ctx2;
+      ctx2.NextIds(17);
+      PlanPtr p1 = Unwrap(
+          Optimizer(options).Optimize(Unwrap(q.build(catalog, &ctx1)), &ctx1));
+      PlanPtr p2 = Unwrap(
+          Optimizer(options).Optimize(Unwrap(q.build(catalog, &ctx2)), &ctx2));
+      ASSERT_NE(p1->schema().column(0).id, p2->schema().column(0).id)
+          << "fixture should renumber ids, or the test proves nothing";
+      ExpectSameIdentity(p1, p2, /*same=*/true);
+      sweep.push_back(Canonicalize(p1));
+      sweep.push_back(Canonicalize(p2));
+    }
+  }
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    for (size_t j = i + 1; j < sweep.size(); ++j) {
+      EXPECT_EQ(sweep[i].fingerprint == sweep[j].fingerprint,
+                PlanEquivalent(sweep[i].plan, sweep[j].plan))
+          << "plans " << i << " and " << j;
+    }
+  }
 }
 
 TEST(PlanFingerprintTest, SensitiveToPlanChanges) {
@@ -89,6 +127,68 @@ TEST(PlanFingerprintTest, SensitiveToPlanChanges) {
   c4.Aggregate({"ws_warehouse_sk"},
                {{"t", AggFunc::kSum, c4.Ref("ws_list_price"), nullptr, false}});
   EXPECT_NE(PlanFingerprint(c4.Build()), base);
+
+  // A filter over `sales`, with its predicate written by `predicate`.
+  auto filtered = [&ctx](ExprPtr (*predicate)(const PlanBuilder&)) {
+    PlanBuilder b = Sales(&ctx);
+    b.Filter(predicate(b));
+    return b.Build();
+  };
+
+  // Permuted AND operands are one conjunction.
+  ExpectSameIdentity(filtered([](const PlanBuilder& b) {
+                       return eb::And(eb::Gt(b.Ref("ss_quantity"), eb::Int(5)),
+                                      eb::Lt(b.Ref("ss_item_sk"), eb::Int(9)));
+                     }),
+                     filtered([](const PlanBuilder& b) {
+                       return eb::And(eb::Lt(b.Ref("ss_item_sk"), eb::Int(9)),
+                                      eb::Gt(b.Ref("ss_quantity"), eb::Int(5)));
+                     }),
+                     /*same=*/true);
+
+  // `a < 5` is `5 > a`.
+  ExpectSameIdentity(filtered([](const PlanBuilder& b) {
+                       return eb::Lt(b.Ref("ss_quantity"), eb::Int(5));
+                     }),
+                     filtered([](const PlanBuilder& b) {
+                       return eb::Gt(eb::Int(5), b.Ref("ss_quantity"));
+                     }),
+                     /*same=*/true);
+
+  // 0.0 and -0.0 are different literals.
+  ExpectSameIdentity(filtered([](const PlanBuilder& b) {
+                       return eb::Gt(b.Ref("ss_list_price"), eb::Dbl(0.0));
+                     }),
+                     filtered([](const PlanBuilder& b) {
+                       return eb::Gt(b.Ref("ss_list_price"), eb::Dbl(-0.0));
+                     }),
+                     /*same=*/false);
+
+  // Spool ids are allocation order, not structure.
+  PlanPtr cte = SalesCte(&ctx).Build();
+  ExpectSameIdentity(std::make_shared<SpoolOp>(1, cte),
+                     std::make_shared<SpoolOp>(7, cte), /*same=*/true);
+
+  // An Apply's inner side on its own references an outer column it does
+  // not define; that reference still canonicalizes, so two builds in
+  // different contexts agree.
+  auto inner_side = [](PlanContext* c) {
+    PlanBuilder outer = Sales(c);
+    PlanBuilder inner = Sales(c);
+    inner.Filter(eb::Eq(inner.Ref("ss_item_sk"),
+                        eb::Col(outer.Col("ss_item_sk"))));
+    ColumnId correlated = inner.Col("ss_store_sk").id;
+    inner.Aggregate({}, {{"avg_price", AggFunc::kAvg,
+                          inner.Ref("ss_list_price"), nullptr, false}});
+    outer.Apply(inner, {{"ss_store_sk", correlated}});
+    return Cast<ApplyOp>(*outer.Build()).subquery();
+  };
+  PlanContext other;
+  other.NextIds(17);
+  PlanPtr s1 = inner_side(&ctx);
+  PlanPtr s2 = inner_side(&other);
+  ASSERT_NE(s1->schema().column(0).id, s2->schema().column(0).id);
+  ExpectSameIdentity(s1, s2, /*same=*/true);
 }
 
 // --- cardinality estimates -------------------------------------------------

@@ -242,7 +242,10 @@ TEST(ServerTest, DifferentFiltersShareOneScan) {
 
 // Filters whose literals agree to 6 significant digits are different
 // queries. The identical-member overlay must not treat them as one and hand
-// the second session the first session's rows.
+// the second session the first session's rows. It must still recognize
+// identical plans whatever their root: a Window-rooted pair, which Fuse has
+// no rule for, whose AND operands are written in different orders shares
+// one execution.
 TEST(ServerTest, NearEqualDoubleLiteralsAreNotOverlaid) {
   TableBuilder tb("prices", {{"price", DataType::kFloat64}});
   for (double v : {0.5, 1.00000005, 1.5, 2.5}) {
@@ -260,13 +263,26 @@ TEST(ServerTest, NearEqualDoubleLiteralsAreNotOverlaid) {
       return b.Build();
     };
   };
+  auto window = [](bool low_first) -> Engine::PlanBuilder {
+    return [low_first](const Catalog& c, PlanContext* ctx) -> Result<PlanPtr> {
+      PlanBuilder b =
+          PlanBuilder::Scan(ctx, Unwrap(c.GetTable("prices")), {"price"});
+      ExprPtr low = eb::Gt(b.Ref("price"), eb::Dbl(0.7));
+      ExprPtr high = eb::Lt(b.Ref("price"), eb::Dbl(2.0));
+      b.Filter(low_first ? eb::And(low, high) : eb::And(high, low));
+      b.Window({"price"}, {{"n", AggFunc::kCountStar, nullptr, nullptr, false}});
+      return b.Build();
+    };
+  };
   PreparedQuery q1 = Unwrap(engine.Prepare(above(1.0)));
   PreparedQuery q2 = Unwrap(engine.Prepare(above(1.0000001)));
+  PreparedQuery w1 = Unwrap(engine.Prepare(window(true)));
+  PreparedQuery w2 = Unwrap(engine.Prepare(window(false)));
   ServerOptions options;
   options.use_cost_model = false;  // share whatever folds
   SessionManager& manager = *Unwrap(engine.StartServer(options));
   std::vector<SessionPtr> sessions =
-      manager.SubmitBatch({q1.plan(), q2.plan()});
+      manager.SubmitBatch({q1.plan(), q2.plan(), w1.plan(), w2.plan()});
   for (const SessionPtr& s : sessions) ASSERT_TRUE(s->Wait().ok());
   EXPECT_EQ(sessions[0]->Wait()->num_rows(), 3);
   EXPECT_EQ(sessions[1]->Wait()->num_rows(), 2);
@@ -275,6 +291,16 @@ TEST(ServerTest, NearEqualDoubleLiteralsAreNotOverlaid) {
   ExpectIdentical(*sessions[1]->Wait(),
                   IsolatedRun(&engine, above(1.0000001),
                               OptimizerOptions::Fused()));
+  EXPECT_EQ(sessions[2]->Wait()->num_rows(), 2);
+  for (size_t i : {2, 3}) {
+    EXPECT_TRUE(sessions[i]->shared());
+    EXPECT_EQ(sessions[i]->sharing().consumers, 2);
+    ExpectIdentical(*sessions[i]->Wait(),
+                    IsolatedRun(&engine, window(i == 2),
+                                OptimizerOptions::Fused()));
+  }
+  EXPECT_EQ(sessions[2]->sharing().group_fingerprint,
+            sessions[3]->sharing().group_fingerprint);
   engine.StopServer();
 }
 

@@ -144,6 +144,16 @@ if grep -rn --include='*.cc' --include='*.h' 'ExprFingerprint(' src \
   note_failure 'use Expr::hash() / ExprEquivalent / ExprHash+ExprEq, not a string ExprFingerprint'
 fi
 
+# Plan identity is the canonically renumbered plan hashed with the
+# expression hashes (plan/plan_fingerprint.h, DESIGN.md §11.1). The text
+# serializer it replaced re-implemented expression canonicalization over
+# ostringstreams; keep a second canonicalizer from growing back.
+if grep -rnE --exclude=lint.sh \
+    'PlanCanonicalString|CanonicalStringFingerprint|ColumnCanon' \
+    src tests bench examples perfbench tools 2>/dev/null; then
+  note_failure 'plan identity is Canonicalize / PlanFingerprint / PlanEquivalent (plan/plan_fingerprint.h); no plan text serializer'
+fi
+
 # One hash substrate: join, GROUP BY, window partitions, MarkDistinct and
 # DISTINCT key rows through exec/key_table.h, so they share one key
 # equality (-0.0 == 0.0, NULL handling), one memory formula and one partial
