@@ -1,8 +1,8 @@
 // Micro-benchmarks for vectorized expression evaluation: the bind-time typed
-// kernels + selection-vector path against the row-at-a-time interpreter over
-// identical synthesized chunks. Each benchmark comes as a Row/Vec pair (the
-// Row variant flips the evaluator's testing toggle) so the speedup table in
-// EXPERIMENTS.md reads straight out of BENCH_expr_micro.json.
+// kernels + selection-vector path over identical synthesized chunks. The
+// *Vec names date from when each benchmark had a row-at-a-time twin; the
+// engine no longer has a row path, so only the vectorized variants remain
+// (EXPERIMENTS.md keeps the historical row columns).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -20,7 +20,7 @@ namespace {
 
 constexpr size_t kRows = 1 << 16;
 
-// Deterministic LCG so every run (and both variants) sees the same data.
+// Deterministic LCG so every run sees the same data.
 uint64_t Lcg(uint64_t* state) {
   *state = *state * 6364136223846793005ULL + 1442695040888963407ULL;
   return *state >> 33;
@@ -62,15 +62,7 @@ BoundExpr Bind(const ExprPtr& e) {
   return std::move(bound).ValueOrDie();
 }
 
-/// Scoped row-at-a-time toggle for the *Row benchmark variants.
-struct RowMode {
-  explicit RowMode(bool on) { SetRowAtATimeEvalForTesting(on); }
-  ~RowMode() { SetRowAtATimeEvalForTesting(false); }
-};
-
-void RunFilterBench(benchmark::State& state, const ExprPtr& expr,
-                    bool row_mode) {
-  RowMode mode(row_mode);
+void RunFilterBench(benchmark::State& state, const ExprPtr& expr) {
   BoundExpr bound = Bind(expr);
   const Chunk& chunk = TestChunk();
   for (auto _ : state) {
@@ -80,55 +72,41 @@ void RunFilterBench(benchmark::State& state, const ExprPtr& expr,
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kRows));
 }
 
-// col < literal over an int column: the minimal kernel-vs-interpreter gap.
+// col < literal over an int column: the minimal kernel.
 ExprPtr CompareColLit() {
   return eb::Lt(eb::Col(1, DataType::kInt64), eb::Int(50));
 }
-void BM_CompareColLitRow(benchmark::State& state) {
-  RunFilterBench(state, CompareColLit(), true);
-}
 void BM_CompareColLitVec(benchmark::State& state) {
-  RunFilterBench(state, CompareColLit(), false);
+  RunFilterBench(state, CompareColLit());
 }
-BENCHMARK(BM_CompareColLitRow);
 BENCHMARK(BM_CompareColLitVec);
 
 // Conjunct chain: selectivity drops per conjunct, so progressive narrowing
-// touches fewer rows at every step; the interpreter pays every row for every
-// conjunct.
+// touches fewer rows at every step.
 ExprPtr FilterChain() {
   return eb::And(
       eb::And(eb::Ge(eb::Col(1, DataType::kInt64), eb::Int(10)),
               eb::Lt(eb::Col(1, DataType::kInt64), eb::Int(60))),
       eb::Gt(eb::Col(2, DataType::kFloat64), eb::Dbl(25.0)));
 }
-void BM_FilterChainRow(benchmark::State& state) {
-  RunFilterBench(state, FilterChain(), true);
-}
 void BM_FilterChainVec(benchmark::State& state) {
-  RunFilterBench(state, FilterChain(), false);
+  RunFilterBench(state, FilterChain());
 }
-BENCHMARK(BM_FilterChainRow);
 BENCHMARK(BM_FilterChainVec);
 
 // Column-vs-column comparison (no literal shortcut).
 ExprPtr CompareColCol() {
   return eb::Lt(eb::Col(1, DataType::kInt64), eb::Col(3, DataType::kInt64));
 }
-void BM_CompareColColRow(benchmark::State& state) {
-  RunFilterBench(state, CompareColCol(), true);
-}
 void BM_CompareColColVec(benchmark::State& state) {
-  RunFilterBench(state, CompareColCol(), false);
+  RunFilterBench(state, CompareColCol());
 }
-BENCHMARK(BM_CompareColColRow);
 BENCHMARK(BM_CompareColColVec);
 
 // Masked-aggregate mask evaluation: the per-morsel work the aggregate sink does
 // for a fused query's deduplicated masks — k bucket conditions evaluated as
 // selection vectors over the same chunk (paper Section III.E shape).
-void RunMaskBench(benchmark::State& state, bool row_mode) {
-  RowMode mode(row_mode);
+void BM_MaskEvalVec(benchmark::State& state) {
   int num_masks = static_cast<int>(state.range(0));
   std::vector<BoundExpr> masks;
   masks.reserve(num_masks);
@@ -149,9 +127,6 @@ void RunMaskBench(benchmark::State& state, bool row_mode) {
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * kRows * num_masks));
 }
-void BM_MaskEvalRow(benchmark::State& state) { RunMaskBench(state, true); }
-void BM_MaskEvalVec(benchmark::State& state) { RunMaskBench(state, false); }
-BENCHMARK(BM_MaskEvalRow)->Arg(4)->Arg(16);
 BENCHMARK(BM_MaskEvalVec)->Arg(4)->Arg(16);
 
 // Projection arithmetic: (a + c) * 2 evaluated as a column.
@@ -160,8 +135,7 @@ ExprPtr ProjectArith() {
                          eb::Col(3, DataType::kInt64)),
                  eb::Int(2));
 }
-void RunProjectBench(benchmark::State& state, bool row_mode) {
-  RowMode mode(row_mode);
+void BM_ProjectArithVec(benchmark::State& state) {
   BoundExpr bound = Bind(ProjectArith());
   const Chunk& chunk = TestChunk();
   for (auto _ : state) {
@@ -170,13 +144,6 @@ void RunProjectBench(benchmark::State& state, bool row_mode) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kRows));
 }
-void BM_ProjectArithRow(benchmark::State& state) {
-  RunProjectBench(state, true);
-}
-void BM_ProjectArithVec(benchmark::State& state) {
-  RunProjectBench(state, false);
-}
-BENCHMARK(BM_ProjectArithRow);
 BENCHMARK(BM_ProjectArithVec);
 
 // Bulk gather vs per-row copy: the row-assembly primitive behind Filter,

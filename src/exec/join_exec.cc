@@ -3,6 +3,7 @@
 // get ids from a KeyTable, and a CSR row index lists each key's rows in
 // ascending order; all of it is accounted against the working-memory
 // metric.
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -15,11 +16,19 @@ namespace fusiondb::internal {
 
 namespace {
 
+/// The non-equi part of a join condition, bound against a narrow schema of
+/// just the columns it reads: those of the left input, then the right's.
+struct JoinResidual {
+  BoundExpr expr;
+  std::vector<int> left_columns;   // positions in the left input
+  std::vector<int> right_columns;  // positions in the build rows
+};
+
 class HashJoinExec final : public ExecOperator {
  public:
   HashJoinExec(const JoinOp& op, ExecOperatorPtr left, ExecOperatorPtr right,
                std::vector<int> left_keys, std::vector<int> right_keys,
-               std::optional<BoundExpr> residual, ExecContext* ctx)
+               std::optional<JoinResidual> residual, ExecContext* ctx)
       : ExecOperator(op.schema()),
         join_type_(op.join_type()),
         left_(std::move(left)),
@@ -125,57 +134,50 @@ class HashJoinExec final : public ExecOperator {
     }
   }
 
-  bool PairPasses(const Chunk& left_chunk, size_t lrow, size_t rrow) const {
-    if (!residual_.has_value()) return true;
-    Value v = residual_->EvalRowPair(left_chunk, lrow, right_data_, rrow,
-                                     left_->schema().num_columns());
-    return !v.is_null() && v.bool_value();
-  }
-
   // Sentinel right-row index meaning "no match": the output row carries the
   // left columns plus NULL right columns (left outer join).
   static constexpr uint32_t kNullRight = UINT32_MAX;
 
-  /// Matching stays row-at-a-time (key encode + residual EvalRowPair over
-  /// candidate pairs), but row assembly is deferred: the probe loop only
-  /// records (left row, right row) index pairs in emission order, and the
-  /// output columns are built afterwards with bulk gathers.
+  /// Matching runs in batches: the probe loop records candidate (left row,
+  /// right row) pairs in emission order, the residual filters each batch of
+  /// at most chunk_size candidates vectorized, and the output columns are
+  /// built afterwards with bulk gathers.
   void ProbeChunk(const Chunk& in, Chunk* out) {
     size_t rows = in.num_rows();
-    size_t right_rows = right_data_.num_rows();
     std::vector<uint32_t> lrows;
     std::vector<uint32_t> rrows;
-    bool any_null_right = false;
+    size_t filtered = 0;  // pairs before this index passed the residual
     KeyColumns probe_keys = KeyColumnsOf(in, left_key_indexes_);
+    bool keyed = !right_key_indexes_.empty();
     for (size_t r = 0; r < rows; ++r) {
-      bool matched = false;
-      if (!right_key_indexes_.empty()) {
+      // Candidates: the key's bucket, or every build row when keyless.
+      uint32_t begin = 0;
+      uint32_t end = static_cast<uint32_t>(right_data_.num_rows());
+      if (keyed) {
         uint32_t id = table_.Find(probe_keys, r);
-        if (id != KeyTable::kNoId) {
-          for (uint32_t i = bucket_offsets_[id]; i < bucket_offsets_[id + 1];
-               ++i) {
-            uint32_t m = bucket_rows_[i];
-            if (!PairPasses(in, r, m)) continue;
-            matched = true;
-            lrows.push_back(static_cast<uint32_t>(r));
-            rrows.push_back(m);
-            if (join_type_ == JoinType::kSemi) break;
-          }
-        }
-      } else {
-        for (size_t m = 0; m < right_rows; ++m) {
-          if (!PairPasses(in, r, m)) continue;
-          matched = true;
-          lrows.push_back(static_cast<uint32_t>(r));
-          rrows.push_back(static_cast<uint32_t>(m));
-          if (join_type_ == JoinType::kSemi) break;
-        }
+        if (id == KeyTable::kNoId) continue;
+        begin = bucket_offsets_[id];
+        end = bucket_offsets_[id + 1];
       }
-      if (!matched && join_type_ == JoinType::kLeft) {
+      // Without a residual every candidate passes, so a semi join needs
+      // only the first.
+      if (join_type_ == JoinType::kSemi && !residual_.has_value()) {
+        end = std::min(end, begin + 1);
+      }
+      for (uint32_t i = begin; i < end; ++i) {
         lrows.push_back(static_cast<uint32_t>(r));
-        rrows.push_back(kNullRight);
-        any_null_right = true;
+        rrows.push_back(keyed ? bucket_rows_[i] : i);
+        if (lrows.size() - filtered >= ctx_->chunk_size()) {
+          FilterCandidates(in, &lrows, &rrows, &filtered);
+        }
       }
+    }
+    FilterCandidates(in, &lrows, &rrows, &filtered);
+    bool any_null_right = false;
+    if (join_type_ == JoinType::kSemi) {
+      KeepFirstPairPerLeftRow(&lrows, &rrows);
+    } else if (join_type_ == JoinType::kLeft) {
+      any_null_right = NullExtendUnmatched(rows, &lrows, &rrows);
     }
     if (lrows.empty()) return;
     size_t lw = in.num_columns();
@@ -201,10 +203,84 @@ class HashJoinExec final : public ExecOperator {
     }
   }
 
+  /// Runs the residual over the candidate pairs from `*filtered` on and
+  /// compacts the survivors in place after the earlier ones. Only the
+  /// columns the residual reads are gathered, into a narrow chunk laid out
+  /// as the residual was bound (left columns, then right).
+  void FilterCandidates(const Chunk& in, std::vector<uint32_t>* lrows,
+                        std::vector<uint32_t>* rrows, size_t* filtered) const {
+    size_t begin = *filtered;
+    size_t n = lrows->size() - begin;
+    if (residual_.has_value() && n > 0) {
+      Chunk pairs;
+      for (int c : residual_->left_columns) {
+        pairs.columns.push_back(in.columns[c].Gather(lrows->data() + begin, n));
+      }
+      for (int c : residual_->right_columns) {
+        pairs.columns.push_back(
+            right_data_.columns[c].Gather(rrows->data() + begin, n));
+      }
+      // A Dense selection, not EvalFilter: a residual that reads no column
+      // still sees all n pairs.
+      SelVector pass = SelVector::Dense(n);
+      residual_->expr.NarrowFilter(pairs, &pass);
+      size_t kept = begin;
+      for (uint32_t i : pass) {
+        (*lrows)[kept] = (*lrows)[begin + i];
+        (*rrows)[kept] = (*rrows)[begin + i];
+        ++kept;
+      }
+      lrows->resize(kept);
+      rrows->resize(kept);
+    }
+    *filtered = lrows->size();
+  }
+
+  /// Semi join: keeps each left row's first surviving pair. Survivors are
+  /// in left-row order, so one pass compacts them in place.
+  static void KeepFirstPairPerLeftRow(std::vector<uint32_t>* lrows,
+                                      std::vector<uint32_t>* rrows) {
+    size_t kept = 0;
+    for (size_t i = 0; i < lrows->size(); ++i) {
+      if (kept > 0 && (*lrows)[kept - 1] == (*lrows)[i]) continue;
+      (*lrows)[kept] = (*lrows)[i];
+      (*rrows)[kept] = (*rrows)[i];
+      ++kept;
+    }
+    lrows->resize(kept);
+    rrows->resize(kept);
+  }
+
+  /// Left join: emits a (row, kNullRight) pair, in order, for each of the
+  /// `rows` left rows no pair survived for. Returns whether any was added.
+  static bool NullExtendUnmatched(size_t rows, std::vector<uint32_t>* lrows,
+                                  std::vector<uint32_t>* rrows) {
+    std::vector<uint32_t> l;
+    std::vector<uint32_t> m;
+    l.reserve(lrows->size() + rows);
+    m.reserve(lrows->size() + rows);
+    size_t i = 0;
+    for (uint32_t r = 0; r < rows; ++r) {
+      if (i == lrows->size() || (*lrows)[i] != r) {
+        l.push_back(r);
+        m.push_back(kNullRight);
+        continue;
+      }
+      for (; i < lrows->size() && (*lrows)[i] == r; ++i) {
+        l.push_back(r);
+        m.push_back((*rrows)[i]);
+      }
+    }
+    bool added = l.size() > lrows->size();
+    *lrows = std::move(l);
+    *rrows = std::move(m);
+    return added;
+  }
+
   JoinType join_type_;
   ExecOperatorPtr left_;
   ExecOperatorPtr right_;
-  std::optional<BoundExpr> residual_;
+  std::optional<JoinResidual> residual_;
   ExecContext* ctx_;
 
   std::vector<DataType> right_types_;
@@ -254,17 +330,28 @@ Result<ExecOperatorPtr> MakeJoinExec(const JoinOp& op, ExecOperatorPtr left,
     }
     if (!is_equi) residual_parts.push_back(c);
   }
-  std::optional<BoundExpr> residual;
+  std::optional<JoinResidual> residual;
   if (!residual_parts.empty()) {
     ExprPtr residual_expr = CombineConjuncts(residual_parts);
-    // Bind against the combined left+right schema (EvalRowPair splits at the
-    // left width), including for semi joins whose *output* lacks right
-    // columns.
-    std::vector<ColumnInfo> combined = ls.columns();
-    for (const ColumnInfo& c : rs.columns()) combined.push_back(c);
-    FUSIONDB_ASSIGN_OR_RETURN(BoundExpr bound,
-                              BindExpr(residual_expr, Schema(combined)));
-    residual = std::move(bound);
+    // Bind against the columns the residual reads, left side first; the
+    // probe gathers exactly these for each batch of candidate pairs. A
+    // column neither side defines stays out, so binding reports it.
+    std::vector<ColumnId> refs;
+    CollectColumns(residual_expr, &refs);
+    JoinResidual res;
+    std::vector<ColumnInfo> narrow;
+    auto take_read = [&](const Schema& side, std::vector<int>* positions) {
+      for (size_t i = 0; i < side.num_columns(); ++i) {
+        const ColumnInfo& c = side.column(i);
+        if (std::find(refs.begin(), refs.end(), c.id) == refs.end()) continue;
+        positions->push_back(static_cast<int>(i));
+        narrow.push_back(c);
+      }
+    };
+    take_read(ls, &res.left_columns);
+    take_read(rs, &res.right_columns);
+    FUSIONDB_ASSIGN_OR_RETURN(res.expr, BindExpr(residual_expr, Schema(narrow)));
+    residual = std::move(res);
   }
   if (op.join_type() == JoinType::kCross &&
       (!left_keys.empty() || residual)) {

@@ -1,29 +1,9 @@
 #include "expr/evaluator.h"
 
-#include <atomic>
 #include <type_traits>
 #include <utility>
 
-#include "expr/scalar_ops.h"
-
 namespace fusiondb {
-
-namespace {
-
-// Routes the vectorized entry points through the row-at-a-time interpreter.
-// Atomic because parallel drains evaluate masks on worker threads; relaxed is
-// enough since tests only flip it between queries.
-std::atomic<bool> g_row_at_a_time{false};
-
-bool RowAtATimeEval() {
-  return g_row_at_a_time.load(std::memory_order_relaxed);
-}
-
-}  // namespace
-
-void SetRowAtATimeEvalForTesting(bool enabled) {
-  g_row_at_a_time.store(enabled, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Typed kernels, specialized at bind time.
@@ -215,7 +195,7 @@ struct BoundExpr::Kernels {
   /// Arithmetic compute kernel. INT_RESULT selects the int64 path (both
   /// operands int-physical, op != div); otherwise operands promote to double
   /// and division by zero yields NULL — both matching the generic
-  /// ArithColumns path and the row-at-a-time EvalArithOp oracle.
+  /// ArithColumns path and scalar_ops' EvalArithOp.
   template <typename L, typename R, typename Op, bool INT_RESULT>
   static Column ArithCompute(const BoundExpr& e, const Chunk& in,
                              const SelVector* sel) {
@@ -451,151 +431,6 @@ Result<BoundExpr> BindExpr(const ExprPtr& expr, const Schema& schema) {
   return b;
 }
 
-Value BoundExpr::EvalRow(const Chunk& input, size_t row) const {
-  switch (kind_) {
-    case ExprKind::kColumnRef:
-      return input.columns[column_index_].GetValue(row);
-    case ExprKind::kLiteral:
-      return literal_;
-    case ExprKind::kCompare:
-      return EvalCompareOp(cmp_, children_[0].EvalRow(input, row),
-                           children_[1].EvalRow(input, row));
-    case ExprKind::kArith:
-      return EvalArithOp(arith_, children_[0].EvalRow(input, row),
-                         children_[1].EvalRow(input, row), type_);
-    case ExprKind::kAnd: {
-      // Short-circuit on FALSE; track NULL.
-      bool saw_null = false;
-      for (const BoundExpr& c : children_) {
-        Value v = c.EvalRow(input, row);
-        if (v.is_null()) {
-          saw_null = true;
-        } else if (!v.bool_value()) {
-          return Value::Bool(false);
-        }
-      }
-      return saw_null ? Value::Null(DataType::kBool) : Value::Bool(true);
-    }
-    case ExprKind::kOr: {
-      bool saw_null = false;
-      for (const BoundExpr& c : children_) {
-        Value v = c.EvalRow(input, row);
-        if (v.is_null()) {
-          saw_null = true;
-        } else if (v.bool_value()) {
-          return Value::Bool(true);
-        }
-      }
-      return saw_null ? Value::Null(DataType::kBool) : Value::Bool(false);
-    }
-    case ExprKind::kNot:
-      return EvalNot(children_[0].EvalRow(input, row));
-    case ExprKind::kIsNull:
-      return Value::Bool(children_[0].EvalRow(input, row).is_null());
-    case ExprKind::kCase: {
-      size_t n = children_.size();
-      for (size_t i = 0; i + 1 < n; i += 2) {
-        Value w = children_[i].EvalRow(input, row);
-        if (!w.is_null() && w.bool_value()) {
-          return children_[i + 1].EvalRow(input, row);
-        }
-      }
-      return children_[n - 1].EvalRow(input, row);
-    }
-    case ExprKind::kInList: {
-      Value operand = children_[0].EvalRow(input, row);
-      if (operand.is_null()) return Value::Null(DataType::kBool);
-      bool saw_null = false;
-      for (size_t i = 1; i < children_.size(); ++i) {
-        Value item = children_[i].EvalRow(input, row);
-        if (item.is_null()) {
-          saw_null = true;
-        } else if (operand.Compare(item) == 0) {
-          return Value::Bool(true);
-        }
-      }
-      return saw_null ? Value::Null(DataType::kBool) : Value::Bool(false);
-    }
-  }
-  return Value::Null(type_);
-}
-
-Value BoundExpr::EvalRowPair(const Chunk& left, size_t la, const Chunk& right,
-                             size_t rb, size_t split) const {
-  switch (kind_) {
-    case ExprKind::kColumnRef: {
-      size_t idx = static_cast<size_t>(column_index_);
-      if (idx < split) return left.columns[idx].GetValue(la);
-      return right.columns[idx - split].GetValue(rb);
-    }
-    case ExprKind::kLiteral:
-      return literal_;
-    case ExprKind::kCompare:
-      return EvalCompareOp(cmp_,
-                           children_[0].EvalRowPair(left, la, right, rb, split),
-                           children_[1].EvalRowPair(left, la, right, rb, split));
-    case ExprKind::kArith:
-      return EvalArithOp(arith_,
-                         children_[0].EvalRowPair(left, la, right, rb, split),
-                         children_[1].EvalRowPair(left, la, right, rb, split),
-                         type_);
-    case ExprKind::kAnd: {
-      bool saw_null = false;
-      for (const BoundExpr& c : children_) {
-        Value v = c.EvalRowPair(left, la, right, rb, split);
-        if (v.is_null()) {
-          saw_null = true;
-        } else if (!v.bool_value()) {
-          return Value::Bool(false);
-        }
-      }
-      return saw_null ? Value::Null(DataType::kBool) : Value::Bool(true);
-    }
-    case ExprKind::kOr: {
-      bool saw_null = false;
-      for (const BoundExpr& c : children_) {
-        Value v = c.EvalRowPair(left, la, right, rb, split);
-        if (v.is_null()) {
-          saw_null = true;
-        } else if (v.bool_value()) {
-          return Value::Bool(true);
-        }
-      }
-      return saw_null ? Value::Null(DataType::kBool) : Value::Bool(false);
-    }
-    case ExprKind::kNot:
-      return EvalNot(children_[0].EvalRowPair(left, la, right, rb, split));
-    case ExprKind::kIsNull:
-      return Value::Bool(
-          children_[0].EvalRowPair(left, la, right, rb, split).is_null());
-    case ExprKind::kCase: {
-      size_t n = children_.size();
-      for (size_t i = 0; i + 1 < n; i += 2) {
-        Value w = children_[i].EvalRowPair(left, la, right, rb, split);
-        if (!w.is_null() && w.bool_value()) {
-          return children_[i + 1].EvalRowPair(left, la, right, rb, split);
-        }
-      }
-      return children_[n - 1].EvalRowPair(left, la, right, rb, split);
-    }
-    case ExprKind::kInList: {
-      Value operand = children_[0].EvalRowPair(left, la, right, rb, split);
-      if (operand.is_null()) return Value::Null(DataType::kBool);
-      bool saw_null = false;
-      for (size_t i = 1; i < children_.size(); ++i) {
-        Value item = children_[i].EvalRowPair(left, la, right, rb, split);
-        if (item.is_null()) {
-          saw_null = true;
-        } else if (operand.Compare(item) == 0) {
-          return Value::Bool(true);
-        }
-      }
-      return saw_null ? Value::Null(DataType::kBool) : Value::Bool(false);
-    }
-  }
-  return Value::Null(type_);
-}
-
 namespace {
 
 // --- Generic column-at-a-time fallbacks -------------------------------------
@@ -679,24 +514,10 @@ Column ArithColumns(ArithOp op, DataType result_type, const Column& l,
     if (int_result) {
       int64_t a = l.IntAt(i);
       int64_t b = r.IntAt(i);
-      switch (op) {
-        case ArithOp::kAdd:
-          out.AppendInt(a + b);
-          break;
-        case ArithOp::kSub:
-          out.AppendInt(a - b);
-          break;
-        case ArithOp::kMul:
-          out.AppendInt(a * b);
-          break;
-        case ArithOp::kDiv:
-          if (b == 0) {
-            out.AppendNull();
-          } else {
-            out.AppendInt(a / b);
-          }
-          break;
-      }
+      // Division always computes in double, so int_result excludes kDiv.
+      out.AppendInt(op == ArithOp::kAdd   ? a + b
+                    : op == ArithOp::kSub ? a - b
+                                          : a * b);
     } else {
       double a = l.NumericAt(i);
       double b = r.NumericAt(i);
@@ -849,13 +670,7 @@ Column BoundExpr::EvalInternal(const Chunk& input, const SelVector* sel) const {
       return out;
     }
   }
-  // Unreachable; keep the row-wise path as a safety net.
-  Column out(type_);
-  out.Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    out.AppendValue(EvalRow(input, sel ? (*sel)[i] : i));
-  }
-  return out;
+  return Column(type_);  // not reached: the switch covers every ExprKind
 }
 
 void BoundExpr::NarrowInternal(const Chunk& input, SelVector* sel) const {
@@ -923,23 +738,10 @@ void BoundExpr::NarrowInternal(const Chunk& input, SelVector* sel) const {
 }
 
 Column BoundExpr::EvalAll(const Chunk& input) const {
-  if (RowAtATimeEval()) {
-    size_t n = input.num_rows();
-    Column out(type_);
-    out.Reserve(n);
-    for (size_t r = 0; r < n; ++r) out.AppendValue(EvalRow(input, r));
-    return out;
-  }
   return EvalInternal(input, nullptr);
 }
 
 Column BoundExpr::EvalSel(const Chunk& input, const SelVector& sel) const {
-  if (RowAtATimeEval()) {
-    Column out(type_);
-    out.Reserve(sel.size());
-    for (uint32_t r : sel) out.AppendValue(EvalRow(input, r));
-    return out;
-  }
   return EvalInternal(input, &sel);
 }
 
@@ -950,16 +752,6 @@ SelVector BoundExpr::EvalFilter(const Chunk& input) const {
 }
 
 void BoundExpr::NarrowFilter(const Chunk& input, SelVector* sel) const {
-  if (RowAtATimeEval()) {
-    std::vector<uint32_t>& rows = sel->indexes();
-    size_t kept = 0;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      Value v = EvalRow(input, rows[i]);
-      if (!v.is_null() && v.bool_value()) rows[kept++] = rows[i];
-    }
-    rows.resize(kept);
-    return;
-  }
   NarrowInternal(input, sel);
 }
 

@@ -1,14 +1,16 @@
-// Expression evaluation over chunks. Expressions are bound once against an
-// input Schema (resolving ColumnIds to positions and specializing each
-// compare/arith node to a typed kernel), then evaluated column-at-a-time.
-// Predicates evaluate as selection vectors: a filter narrows the set of
-// surviving row indexes instead of materializing boolean columns, so AND
-// chains short-circuit across the whole chunk and downstream operators only
-// touch surviving rows.
+// Expression evaluation over chunks, the engine's only expression
+// evaluator. Expressions are bound once against an input Schema (resolving
+// ColumnIds to positions and specializing each compare/arith node to a
+// typed kernel), then evaluated column-at-a-time. Predicates evaluate as
+// selection vectors: a filter narrows the set of surviving row indexes
+// instead of materializing boolean columns, so AND chains short-circuit
+// across the whole chunk and downstream operators only touch surviving
+// rows. Join residuals run here too, over a chunk gathered from a batch of
+// candidate pairs (exec/join_exec.cc).
 //
-// The row-at-a-time interpreter (EvalRow / EvalRowPair) remains as the
-// reference implementation: join residuals evaluate it over candidate pairs,
-// and the differential tests use it as the oracle for the vectorized path.
+// There is no row-at-a-time path. The differential tests' oracle has its
+// own interpreter over boxed Values (tests/reference_eval.h), sharing only
+// the Value-level semantics of expr/scalar_ops.h.
 #ifndef FUSIONDB_EXPR_EVALUATOR_H_
 #define FUSIONDB_EXPR_EVALUATOR_H_
 
@@ -29,17 +31,6 @@ namespace fusiondb {
 class BoundExpr {
  public:
   DataType type() const { return type_; }
-
-  /// Evaluates against row `row` of `input`. Reference implementation; the
-  /// executor's hot paths use the vectorized entry points below.
-  Value EvalRow(const Chunk& input, size_t row) const;
-
-  /// Evaluates against a virtual row spanning two chunks: column positions
-  /// < `split` read row `la` of `left`, the rest read row `rb` of `right`
-  /// at position (index - split). Lets join residual predicates run over
-  /// candidate pairs without materializing combined rows.
-  Value EvalRowPair(const Chunk& left, size_t la, const Chunk& right,
-                    size_t rb, size_t split) const;
 
   /// Evaluates for all rows, producing a column of this expression's type.
   Column EvalAll(const Chunk& input) const;
@@ -92,12 +83,6 @@ class BoundExpr {
 /// kPlanError when a referenced column is not in scope — this is the
 /// executor's defense against malformed plans.
 Result<BoundExpr> BindExpr(const ExprPtr& expr, const Schema& schema);
-
-/// Testing hook: when enabled, EvalAll/EvalSel/EvalFilter/NarrowFilter
-/// route through the row-at-a-time interpreter so whole queries can run
-/// against the oracle and be compared byte-for-byte with the vectorized
-/// engine. Set only while no query is executing.
-void SetRowAtATimeEvalForTesting(bool enabled);
 
 }  // namespace fusiondb
 

@@ -1,4 +1,5 @@
-// Scalar kernels shared by the interpreter and the constant folder:
+// Value-level scalar semantics shared by the constant folder and the
+// reference evaluator's row interpreter (tests/reference_eval.h):
 // three-valued SQL semantics for comparisons, arithmetic and boolean logic.
 #ifndef FUSIONDB_EXPR_SCALAR_OPS_H_
 #define FUSIONDB_EXPR_SCALAR_OPS_H_

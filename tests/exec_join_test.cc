@@ -1,5 +1,6 @@
-// Hash join executor: inner/left/semi/cross, residual predicates, NULL
-// keys, and working-memory accounting.
+// Hash join executor: inner/left/semi/cross, residual predicates (checked
+// against the reference evaluator), NULL keys, and working-memory
+// accounting.
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -7,6 +8,7 @@
 namespace fusiondb {
 namespace {
 
+using testutil::ExpectMatchesReference;
 using testutil::MustExecute;
 using testutil::Unwrap;
 
@@ -41,9 +43,30 @@ TablePtr RightTable() {
   return t;
 }
 
+/// right_f(val float64): 1.0, 2.5, 4.0, NULL
+TablePtr FloatTable() {
+  static TablePtr t = [] {
+    TableBuilder b("right_f", {{"val", DataType::kFloat64}});
+    for (double v : {1.0, 2.5, 4.0}) {
+      EXPECT_TRUE(b.AppendRow({Value::Float64(v)}).ok());
+    }
+    EXPECT_TRUE(b.AppendRow({Value::Null(DataType::kFloat64)}).ok());
+    return Unwrap(b.Build());
+  }();
+  return t;
+}
+
 std::pair<PlanBuilder, PlanBuilder> Scans(PlanContext* ctx) {
   return {PlanBuilder::Scan(ctx, LeftTable(), {"id", "grp"}),
           PlanBuilder::Scan(ctx, RightTable(), {"ref", "tagname"})};
+}
+
+/// Executes `plan` (unoptimized) at `chunk_size` and checks the result
+/// against the reference evaluator.
+QueryResult RunChecked(const PlanPtr& plan, size_t chunk_size = 4096) {
+  QueryResult result = MustExecute(plan, chunk_size);
+  ExpectMatchesReference(plan, result);
+  return result;
 }
 
 TEST(JoinExecTest, InnerJoinMultiplicity) {
@@ -96,15 +119,90 @@ TEST(JoinExecTest, ResidualPredicate) {
   // Equi join + non-equi residual on the right string column.
   l.JoinOn(JoinType::kInner, r, {{"grp", "ref"}},
            eb::Ne(r.Ref("tagname"), eb::Str("a")));
-  QueryResult result = MustExecute(l.Build());
+  QueryResult result = RunChecked(l.Build());
   EXPECT_EQ(result.num_rows(), 2);  // (1,b) and (2,c)
+}
+
+TEST(JoinExecTest, LeftJoinNullExtendsWhenResidualRejectsEveryPair) {
+  PlanContext ctx;
+  auto [l, r] = Scans(&ctx);
+  // id=2's key matches only (20,"c"), which the residual rejects.
+  l.JoinOn(JoinType::kLeft, r, {{"grp", "ref"}},
+           eb::Ne(r.Ref("tagname"), eb::Str("c")));
+  QueryResult result = RunChecked(l.Build());
+  // (1,a) (1,b), then id=2, 3 and 4 null-extended.
+  EXPECT_EQ(result.num_rows(), 5);
+  EXPECT_TRUE(result.At(2, 3).is_null());
+}
+
+TEST(JoinExecTest, SemiJoinEmitsLeftOnceWhenSeveralPairsPass) {
+  PlanContext ctx;
+  auto [l, r] = Scans(&ctx);
+  // Both of id=1's bucket rows, (10,"a") and (10,"b"), pass.
+  l.Join(JoinType::kSemi, r,
+         eb::And(eb::Eq(l.Ref("grp"), r.Ref("ref")),
+                 eb::Ne(r.Ref("tagname"), eb::Str("z"))));
+  QueryResult result = RunChecked(l.Build());
+  EXPECT_EQ(result.num_rows(), 2);  // id=1 once, id=2
+}
+
+TEST(JoinExecTest, NullResidualRejectsThePair) {
+  PlanContext ctx;
+  auto [l, r] = Scans(&ctx);
+  // NULL OR (tagname = 'a'): TRUE only for (10,"a"); NULL everywhere else.
+  l.JoinOn(JoinType::kLeft, r, {{"grp", "ref"}},
+           eb::Or(eb::Ne(r.Ref("tagname"), eb::NullOf(DataType::kString)),
+                  eb::Eq(r.Ref("tagname"), eb::Str("a"))));
+  QueryResult result = RunChecked(l.Build());
+  // (1,a), then id=2, 3 and 4 null-extended.
+  EXPECT_EQ(result.num_rows(), 4);
+}
+
+TEST(JoinExecTest, KeylessResidualBatchesSplitALeftRowsPairs) {
+  // 4 left x 5 right rows give 20 candidate pairs. At chunk_size 7 the
+  // first batch ends inside id=2's pairs (candidates 5..9), so its matches
+  // and its null extension straddle two batches.
+  for (JoinType type : {JoinType::kInner, JoinType::kLeft, JoinType::kSemi}) {
+    PlanContext ctx;
+    auto [l, r] = Scans(&ctx);
+    l.Join(type, r, eb::Lt(l.Ref("grp"), r.Ref("ref")));
+    RunChecked(l.Build(), /*chunk_size=*/7);
+  }
+}
+
+TEST(JoinExecTest, ConstantResidualBesideAKeyPairSeesEveryPair) {
+  // A residual that reads no column still filters each candidate pair. The
+  // plans are executed as built, so nothing folds the constant away. NULL
+  // IS NULL is a TRUE the join cannot drop the way it drops a TRUE literal.
+  for (bool truth : {true, false}) {
+    PlanContext ctx;
+    auto [l, r] = Scans(&ctx);
+    ExprPtr constant = truth ? eb::IsNull(eb::NullOf(DataType::kInt64))
+                             : eb::NullOf(DataType::kBool);
+    l.Join(JoinType::kLeft, r,
+           eb::And(eb::Eq(l.Ref("grp"), r.Ref("ref")), constant));
+    QueryResult result = RunChecked(l.Build());
+    // TRUE keeps the 3 matches plus 2 unmatched rows; NULL null-extends
+    // all 4 left rows.
+    EXPECT_EQ(result.num_rows(), truth ? 5 : 4);
+  }
+}
+
+TEST(JoinExecTest, MixedTypeEquiPairRunsAsResidual) {
+  // int64 = float64 keys encode differently, so the pair is a residual.
+  PlanContext ctx;
+  PlanBuilder l = PlanBuilder::Scan(&ctx, LeftTable(), {"id", "grp"});
+  PlanBuilder f = PlanBuilder::Scan(&ctx, FloatTable(), {"val"});
+  l.Join(JoinType::kInner, f, eb::Eq(l.Ref("id"), f.Ref("val")));
+  QueryResult result = RunChecked(l.Build());
+  EXPECT_EQ(result.num_rows(), 2);  // id=1 and id=4
 }
 
 TEST(JoinExecTest, PureNonEquiFallsBackToNestedLoop) {
   PlanContext ctx;
   auto [l, r] = Scans(&ctx);
   l.Join(JoinType::kInner, r, eb::Lt(l.Ref("grp"), r.Ref("ref")));
-  QueryResult result = MustExecute(l.Build());
+  QueryResult result = RunChecked(l.Build());
   // grp=10 < {20,99} => 2; grp=20 < {99} => 1; grp=40 < {99} => 1.
   EXPECT_EQ(result.num_rows(), 4);
 }
@@ -133,7 +231,7 @@ TEST(JoinExecTest, SelfJoinWithInequality) {
   ExprPtr cond = eb::And(eb::Eq(a.Ref("ref"), b.Ref("ref")),
                          eb::Ne(a.Ref("tagname"), b.Ref("tagname")));
   a.Join(JoinType::kInner, b, cond);
-  QueryResult result = MustExecute(a.Build());
+  QueryResult result = RunChecked(a.Build());
   // ref=10 has two rows with different tags -> (a,b) and (b,a).
   EXPECT_EQ(result.num_rows(), 2);
 }

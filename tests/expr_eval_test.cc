@@ -1,9 +1,10 @@
 // Expression binding and evaluation: three-valued logic, vectorized
-// kernels, the two-chunk pair evaluator, and type errors.
+// kernels, agreement with the reference interpreter, and type errors.
 #include <gtest/gtest.h>
 
 #include "expr/evaluator.h"
 #include "expr/expr_builder.h"
+#include "test_util.h"
 
 namespace fusiondb {
 namespace {
@@ -170,7 +171,7 @@ TEST(EvalTest, EvalFilterTreatsNullAsFail) {
 }
 
 TEST(EvalTest, RowAndColumnPathsAgree) {
-  // The row-wise interpreter (used by join residuals) and the vectorized
+  // The reference evaluator's row-at-a-time interpreter and the vectorized
   // kernels must agree on every row.
   std::vector<ExprPtr> exprs = {
       And(Lt(A(), Int(4)), Gt(B(), Dbl(0.4))),
@@ -182,28 +183,14 @@ TEST(EvalTest, RowAndColumnPathsAgree) {
   for (const ExprPtr& e : exprs) {
     auto bound = BindExpr(e, TestSchema());
     ASSERT_TRUE(bound.ok());
+    reference::RowExpr interpreted =
+        testutil::Unwrap(reference::RowExpr::Resolve(e, TestSchema()));
     Column vec = bound->EvalAll(chunk);
     for (size_t r = 0; r < chunk.num_rows(); ++r) {
-      EXPECT_EQ(vec.GetValue(r), bound->EvalRow(chunk, r))
+      EXPECT_EQ(vec.GetValue(r), interpreted.Eval(testutil::RowAt(chunk, r)))
           << e->ToString() << " row " << r;
     }
   }
-}
-
-TEST(EvalTest, EvalRowPairSplitsAtBoundary) {
-  Chunk left = Chunk::Empty({DataType::kInt64});
-  left.columns[0].AppendInt(7);
-  Chunk right = Chunk::Empty({DataType::kInt64});
-  right.columns[0].AppendInt(7);
-  right.columns[0].AppendInt(8);
-  Schema combined({{1, "l", DataType::kInt64}, {2, "r", DataType::kInt64}});
-  auto bound = BindExpr(Eq(Col(1, DataType::kInt64), Col(2, DataType::kInt64)),
-                        combined);
-  ASSERT_TRUE(bound.ok());
-  Value eq = bound->EvalRowPair(left, 0, right, 0, 1);
-  EXPECT_TRUE(eq.bool_value());
-  Value ne = bound->EvalRowPair(left, 0, right, 1, 1);
-  EXPECT_FALSE(ne.bool_value());
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
 // Differential testing of the vectorized expression kernels against the
-// row-at-a-time interpreter (EvalRow), which is kept as the reference
-// implementation for join residuals. Randomized expression trees over
+// reference evaluator's row-at-a-time interpreter (tests/reference_eval.h),
+// which shares no code with them. Randomized expression trees over
 // randomized NULL-bearing columns must agree cell-for-cell on every public
-// entry point (EvalAll, EvalSel, EvalFilter, NarrowFilter); three-valued
-// AND/OR/NOT edge cases are pinned explicitly; and the full TPC-DS workload
-// must return byte-identical results with vectorization on and off under
-// every optimizer configuration.
+// entry point (EvalAll, EvalSel, EvalFilter, NarrowFilter), and three-valued
+// AND/OR/NOT edge cases are pinned explicitly.
 #include <random>
 #include <vector>
 
@@ -17,11 +15,11 @@
 namespace fusiondb {
 namespace {
 
-using testutil::SharedTpcds;
+using testutil::RowAt;
 using testutil::Unwrap;
 
 // ---------------------------------------------------------------------------
-// Randomized differential fuzz: vectorized paths vs the EvalRow oracle.
+// Randomized differential fuzz: vectorized paths vs the reference interpreter.
 // ---------------------------------------------------------------------------
 
 // Columns: i0,i1 int64; d0,d1 float64; s0 string. Integer values stay small
@@ -208,10 +206,14 @@ TEST(ExprVectorTest, RandomizedKernelsMatchRowOracle) {
     ASSERT_TRUE(bound.ok()) << bound.status().ToString() << "\n"
                             << expr->ToString();
 
-    // Oracle: the row-at-a-time interpreter.
+    // Oracle: the reference evaluator's row-at-a-time interpreter.
+    reference::RowExpr interpreted =
+        Unwrap(reference::RowExpr::Resolve(expr, FuzzSchema()));
     std::vector<Value> oracle;
     oracle.reserve(rows);
-    for (size_t r = 0; r < rows; ++r) oracle.push_back(bound->EvalRow(chunk, r));
+    for (size_t r = 0; r < rows; ++r) {
+      oracle.push_back(interpreted.Eval(RowAt(chunk, r)));
+    }
 
     // EvalAll must agree on every cell.
     Column all = bound->EvalAll(chunk);
@@ -325,57 +327,6 @@ TEST(ExprVectorTest, FilterOrMergeKeepsAscendingOrderWithoutDuplicates) {
   // ascending and duplicate-free.
   SelVector sel = Filter(eb::Or(P(), eb::Or(Q(), P())));
   EXPECT_EQ(sel.indexes(), (std::vector<uint32_t>{0, 1, 2, 3, 6}));
-}
-
-// ---------------------------------------------------------------------------
-// Workload oracle: TPC-DS byte-identical with vectorization on and off.
-// ---------------------------------------------------------------------------
-
-/// Chunk-for-chunk, cell-for-cell equality — stricter than the
-/// order-insensitive ResultsEquivalent used by the equivalence suites.
-void ExpectIdenticalResults(const QueryResult& vec, const QueryResult& row,
-                            const std::string& label) {
-  ASSERT_EQ(vec.num_rows(), row.num_rows()) << label;
-  ASSERT_EQ(vec.chunks().size(), row.chunks().size()) << label;
-  for (size_t c = 0; c < vec.chunks().size(); ++c) {
-    const Chunk& a = vec.chunks()[c];
-    const Chunk& b = row.chunks()[c];
-    ASSERT_EQ(a.num_rows(), b.num_rows()) << label << " chunk " << c;
-    ASSERT_EQ(a.num_columns(), b.num_columns()) << label << " chunk " << c;
-    for (size_t col = 0; col < a.num_columns(); ++col) {
-      for (size_t r = 0; r < a.num_rows(); ++r) {
-        ASSERT_EQ(a.columns[col].GetValue(r), b.columns[col].GetValue(r))
-            << label << " chunk " << c << " col " << col << " row " << r;
-      }
-    }
-  }
-}
-
-TEST(ExprVectorTest, TpcdsResultsIdenticalToRowAtATime) {
-  const Catalog& catalog = SharedTpcds();
-  const struct {
-    const char* name;
-    OptimizerOptions options;
-  } configs[] = {
-      {"baseline", OptimizerOptions::Baseline()},
-      {"fused", OptimizerOptions::Fused()},
-      {"spooling", OptimizerOptions::Spooling()},
-  };
-  for (const auto& cfg : configs) {
-    Optimizer optimizer(cfg.options);
-    for (const tpcds::TpcdsQuery& q : tpcds::Queries()) {
-      PlanContext ctx;
-      PlanPtr plan = Unwrap(q.build(catalog, &ctx));
-      PlanPtr optimized = Unwrap(optimizer.Optimize(plan, &ctx));
-      QueryResult vectorized = Unwrap(ExecutePlan(optimized));
-      SetRowAtATimeEvalForTesting(true);
-      Result<QueryResult> interpreted = ExecutePlan(optimized);
-      SetRowAtATimeEvalForTesting(false);
-      ASSERT_TRUE(interpreted.ok()) << interpreted.status().ToString();
-      ExpectIdenticalResults(vectorized, interpreted.ValueOrDie(),
-                             q.name + std::string("/") + cfg.name);
-    }
-  }
 }
 
 }  // namespace

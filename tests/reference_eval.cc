@@ -9,7 +9,7 @@
 #include <sstream>
 
 #include "catalog/encoding.h"
-#include "expr/evaluator.h"
+#include "expr/scalar_ops.h"
 #include "expr/simplifier.h"
 #include "plan/spool.h"
 
@@ -27,15 +27,6 @@ std::vector<DataType> TypesOf(const Schema& schema) {
   std::vector<DataType> types;
   for (const ColumnInfo& c : schema.columns()) types.push_back(c.type);
   return types;
-}
-
-/// EvalRow reads a Chunk, so expressions evaluate over this columnar copy.
-Chunk ToChunk(const std::vector<DataType>& types, const std::vector<Row>& rows) {
-  Chunk chunk = Chunk::Empty(types);
-  for (const Row& row : rows) {
-    for (size_t c = 0; c < row.size(); ++c) chunk.columns[c].AppendValue(row[c]);
-  }
-  return chunk;
 }
 
 bool IsTrue(const Value& v) { return !v.is_null() && v.bool_value(); }
@@ -67,6 +58,77 @@ Row Project(const Row& row, const std::vector<int>& positions) {
   for (int p : positions) out.push_back(row[p]);
   return out;
 }
+
+}  // namespace
+
+Result<RowExpr> RowExpr::Resolve(const ExprPtr& expr, const Schema& schema) {
+  RowExpr out;
+  out.expr_ = expr;
+  if (expr->kind() == ExprKind::kColumnRef) {
+    FUSIONDB_ASSIGN_OR_RETURN(out.position_,
+                              PositionOf(schema, expr->column_id(), "expression"));
+    return out;
+  }
+  for (const ExprPtr& c : expr->children()) {
+    FUSIONDB_ASSIGN_OR_RETURN(RowExpr child, Resolve(c, schema));
+    out.children_.push_back(std::move(child));
+  }
+  return out;
+}
+
+Value RowExpr::Eval(const Row& row) const {
+  switch (expr_->kind()) {
+    case ExprKind::kColumnRef:
+      return row[position_];
+    case ExprKind::kLiteral:
+      return expr_->literal();
+    case ExprKind::kCompare:
+      return EvalCompareOp(expr_->compare_op(), children_[0].Eval(row),
+                           children_[1].Eval(row));
+    case ExprKind::kArith:
+      return EvalArithOp(expr_->arith_op(), children_[0].Eval(row),
+                         children_[1].Eval(row), expr_->type());
+    case ExprKind::kAnd:
+    case ExprKind::kOr: {
+      bool is_and = expr_->kind() == ExprKind::kAnd;
+      Value acc = Value::Bool(is_and);
+      for (const RowExpr& c : children_) {
+        Value v = c.Eval(row);
+        acc = is_and ? EvalAndPair(acc, v) : EvalOrPair(acc, v);
+      }
+      return acc;
+    }
+    case ExprKind::kNot:
+      return EvalNot(children_[0].Eval(row));
+    case ExprKind::kIsNull:
+      return Value::Bool(children_[0].Eval(row).is_null());
+    case ExprKind::kCase: {
+      // Children are WHEN, THEN pairs and a final ELSE.
+      size_t n = children_.size();
+      for (size_t i = 0; i + 1 < n; i += 2) {
+        if (IsTrue(children_[i].Eval(row))) return children_[i + 1].Eval(row);
+      }
+      return children_[n - 1].Eval(row);
+    }
+    case ExprKind::kInList: {
+      Value operand = children_[0].Eval(row);
+      if (operand.is_null()) return Value::Null(DataType::kBool);
+      bool saw_null = false;
+      for (size_t i = 1; i < children_.size(); ++i) {
+        Value item = children_[i].Eval(row);
+        if (item.is_null()) {
+          saw_null = true;
+        } else if (operand.Compare(item) == 0) {
+          return Value::Bool(true);
+        }
+      }
+      return saw_null ? Value::Null(DataType::kBool) : Value::Bool(false);
+    }
+  }
+  return Value::Null(expr_->type());
+}
+
+namespace {
 
 /// One aggregate's accumulator: every non-NULL argument of the rows that
 /// pass the mask, folded at the end.
@@ -140,8 +202,8 @@ struct BoundItem {
   AggFunc func;
   bool distinct;
   DataType out_type;
-  std::optional<BoundExpr> arg;
-  std::optional<BoundExpr> mask;
+  std::optional<RowExpr> arg;
+  std::optional<RowExpr> mask;
 };
 
 Result<BoundItem> BindItem(AggFunc func, bool distinct, DataType out_type,
@@ -149,26 +211,26 @@ Result<BoundItem> BindItem(AggFunc func, bool distinct, DataType out_type,
                            const Schema& input) {
   BoundItem item{func, distinct, out_type, std::nullopt, std::nullopt};
   if (arg != nullptr) {
-    FUSIONDB_ASSIGN_OR_RETURN(item.arg, BindExpr(arg, input));
+    FUSIONDB_ASSIGN_OR_RETURN(item.arg, RowExpr::Resolve(arg, input));
   } else if (func != AggFunc::kCountStar) {
     return Status::PlanError("aggregate missing argument");
   }
   if (mask != nullptr) {
-    FUSIONDB_ASSIGN_OR_RETURN(item.mask, BindExpr(mask, input));
+    FUSIONDB_ASSIGN_OR_RETURN(item.mask, RowExpr::Resolve(mask, input));
   }
   return item;
 }
 
 /// Folds `item` over the rows `members` of `input`.
-Value AggregateRows(const BoundItem& item, const Chunk& input,
+Value AggregateRows(const BoundItem& item, const std::vector<Row>& input,
                     const std::vector<size_t>& members) {
   Accumulator acc(item.func, item.distinct, item.out_type);
   for (size_t r : members) {
-    if (item.mask.has_value() && !IsTrue(item.mask->EvalRow(input, r))) {
+    if (item.mask.has_value() && !IsTrue(item.mask->Eval(input[r]))) {
       continue;
     }
     if (item.arg.has_value()) {
-      Value v = item.arg->EvalRow(input, r);
+      Value v = item.arg->Eval(input[r]);
       acc.Add(&v);
     } else {
       acc.Add(nullptr);
@@ -235,29 +297,27 @@ class Evaluator {
   Result<Relation> EvalFilter(const FilterOp& op) {
     if (op.predicate() == nullptr) return Status::PlanError("null predicate");
     FUSIONDB_ASSIGN_OR_RETURN(Relation in, Eval(*op.child(0)));
-    FUSIONDB_ASSIGN_OR_RETURN(BoundExpr pred,
-                              BindExpr(op.predicate(), op.child(0)->schema()));
-    Chunk chunk = ToChunk(in.types, in.rows);
+    FUSIONDB_ASSIGN_OR_RETURN(
+        RowExpr pred, RowExpr::Resolve(op.predicate(), op.child(0)->schema()));
     Relation out{in.types, {}};
-    for (size_t r = 0; r < in.rows.size(); ++r) {
-      if (IsTrue(pred.EvalRow(chunk, r))) out.rows.push_back(in.rows[r]);
+    for (Row& row : in.rows) {
+      if (IsTrue(pred.Eval(row))) out.rows.push_back(std::move(row));
     }
     return out;
   }
 
   Result<Relation> EvalProject(const ProjectOp& op) {
     FUSIONDB_ASSIGN_OR_RETURN(Relation in, Eval(*op.child(0)));
-    std::vector<BoundExpr> exprs;
+    std::vector<RowExpr> exprs;
     for (const NamedExpr& e : op.exprs()) {
-      FUSIONDB_ASSIGN_OR_RETURN(BoundExpr b,
-                                BindExpr(e.expr, op.child(0)->schema()));
-      exprs.push_back(std::move(b));
+      FUSIONDB_ASSIGN_OR_RETURN(RowExpr x,
+                                RowExpr::Resolve(e.expr, op.child(0)->schema()));
+      exprs.push_back(std::move(x));
     }
-    Chunk chunk = ToChunk(in.types, in.rows);
     Relation out{TypesOf(op.schema()), {}};
-    for (size_t r = 0; r < in.rows.size(); ++r) {
+    for (const Row& in_row : in.rows) {
       Row row;
-      for (const BoundExpr& e : exprs) row.push_back(e.EvalRow(chunk, r));
+      for (const RowExpr& e : exprs) row.push_back(e.Eval(in_row));
       out.rows.push_back(std::move(row));
     }
     return out;
@@ -298,14 +358,11 @@ class Evaluator {
     std::vector<ColumnInfo> combined_cols = ls.columns();
     for (const ColumnInfo& c : rs.columns()) combined_cols.push_back(c);
     Schema combined(combined_cols);
-    std::optional<BoundExpr> residual;
+    std::optional<RowExpr> residual;
     if (!residual_parts.empty()) {
       FUSIONDB_ASSIGN_OR_RETURN(
-          residual, BindExpr(CombineConjuncts(residual_parts), combined));
+          residual, RowExpr::Resolve(CombineConjuncts(residual_parts), combined));
     }
-    std::vector<DataType> combined_types = left.types;
-    combined_types.insert(combined_types.end(), right.types.begin(),
-                          right.types.end());
 
     std::map<Row, std::vector<size_t>, RowLess> index;
     std::vector<size_t> all_right(right.rows.size());
@@ -331,17 +388,8 @@ class Evaluator {
       for (size_t r : *candidates) {
         Row pair = lrow;
         pair.insert(pair.end(), right.rows[r].begin(), right.rows[r].end());
+        if (residual.has_value() && !IsTrue(residual->Eval(pair))) continue;
         matches.push_back(std::move(pair));
-      }
-      if (residual.has_value() && !matches.empty()) {
-        Chunk chunk = ToChunk(combined_types, matches);
-        std::vector<Row> kept;
-        for (size_t m = 0; m < matches.size(); ++m) {
-          if (IsTrue(residual->EvalRow(chunk, m))) {
-            kept.push_back(std::move(matches[m]));
-          }
-        }
-        matches = std::move(kept);
       }
       switch (op.join_type()) {
         case JoinType::kInner:
@@ -388,7 +436,6 @@ class Evaluator {
                                    a.mask, input));
       items.push_back(std::move(item));
     }
-    Chunk chunk = ToChunk(in.types, in.rows);
     std::vector<size_t> order(in.rows.size());
     std::iota(order.begin(), order.end(), 0);
     std::vector<Row> keys;
@@ -410,7 +457,7 @@ class Evaluator {
     for (const std::vector<size_t>& members : groups) {
       Row row = op.IsScalar() ? Row() : keys[members[0]];
       for (const BoundItem& item : items) {
-        row.push_back(AggregateRows(item, chunk, members));
+        row.push_back(AggregateRows(item, in.rows, members));
       }
       out.rows.push_back(std::move(row));
     }
@@ -433,7 +480,6 @@ class Evaluator {
                                    w.arg, w.mask, input));
       items.push_back(std::move(item));
     }
-    Chunk chunk = ToChunk(in.types, in.rows);
     std::map<Row, std::vector<size_t>, RowLess> partitions;
     for (size_t r = 0; r < in.rows.size(); ++r) {
       partitions[Project(in.rows[r], key_positions)].push_back(r);
@@ -441,7 +487,7 @@ class Evaluator {
     std::vector<Row> results(in.rows.size());
     for (const auto& [key, members] : partitions) {
       for (const BoundItem& item : items) {
-        Value v = AggregateRows(item, chunk, members);
+        Value v = AggregateRows(item, in.rows, members);
         for (size_t r : members) results[r].push_back(v);
       }
     }

@@ -2,14 +2,15 @@
 // executor's differential tests check against (DESIGN.md §13).
 //
 // It evaluates a plan one row at a time over boxed Values and shares no
-// code with src/exec: scans decode every partition with DecodeColumn
-// (ignoring the pruning filter — the Filter above a scan re-checks its
-// rows), expressions go through BindExpr + EvalRow, joins match
-// equi-conjuncts through a std::map on key Values (nested loops
-// otherwise), grouping is sort-based with its own accumulators, and
-// Window, MarkDistinct, Sort, Limit, UnionAll, Values, EnforceSingleRow and
-// Spool (which evaluates its child) are written out directly. Apply is an
-// error: plans must be decorrelated first.
+// code with src/exec or the vectorized expression evaluator: scans decode
+// every partition with DecodeColumn (ignoring the pruning filter — the
+// Filter above a scan re-checks its rows), expressions go through its own
+// interpreter (RowExpr, below) on the Value-level semantics of
+// expr/scalar_ops.h, joins match equi-conjuncts through a std::map on key
+// Values (nested loops otherwise), grouping is sort-based with its own
+// accumulators, and Window, MarkDistinct, Sort, Limit, UnionAll, Values,
+// EnforceSingleRow and Spool (which evaluates its child) are written out
+// directly. Apply is an error: plans must be decorrelated first.
 //
 // Comparison rules (Compare):
 //   * rows compare as sorted multisets;
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "expr/expr.h"
 #include "plan/logical_plan.h"
 #include "types/value.h"
 
@@ -51,6 +53,24 @@ struct Expected {
   std::vector<std::pair<int, bool>> order;
   /// Root LIMIT, or -1.
   int64_t limit = -1;
+};
+
+/// The oracle's expression interpreter: an expression whose column
+/// references are resolved, once, to positions in one input schema, then
+/// evaluated over one boxed Row at a time with three-valued SQL semantics.
+class RowExpr {
+ public:
+  /// Resolves every column reference in `expr` against `schema`. Fails with
+  /// kPlanError when a referenced column is not in scope.
+  static Result<RowExpr> Resolve(const ExprPtr& expr, const Schema& schema);
+
+  /// Evaluates against `row`, laid out as the schema it was resolved with.
+  Value Eval(const Row& row) const;
+
+ private:
+  ExprPtr expr_;
+  int position_ = -1;  // column references only
+  std::vector<RowExpr> children_;
 };
 
 /// Evaluates `plan` row at a time.

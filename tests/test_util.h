@@ -50,6 +50,14 @@ inline QueryResult MustExecute(const PlanPtr& plan, size_t chunk_size = 4096) {
   return Unwrap(ExecutePlan(plan, {.chunk_size = chunk_size}));
 }
 
+/// Row `r` of `chunk` as the reference evaluator's boxed row.
+inline reference::Row RowAt(const Chunk& chunk, size_t r) {
+  reference::Row row;
+  row.reserve(chunk.num_columns());
+  for (const Column& col : chunk.columns) row.push_back(col.GetValue(r));
+  return row;
+}
+
 /// The engine's output rows in emission order, as the reference evaluator
 /// compares them.
 inline std::vector<reference::Row> RowsOf(const QueryResult& result) {
@@ -57,9 +65,7 @@ inline std::vector<reference::Row> RowsOf(const QueryResult& result) {
   rows.reserve(static_cast<size_t>(result.num_rows()));
   for (const Chunk& chunk : result.chunks()) {
     for (size_t r = 0; r < chunk.num_rows(); ++r) {
-      reference::Row row;
-      for (const Column& col : chunk.columns) row.push_back(col.GetValue(r));
-      rows.push_back(std::move(row));
+      rows.push_back(RowAt(chunk, r));
     }
   }
   return rows;

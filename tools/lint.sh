@@ -45,14 +45,16 @@ if grep -rn --include='*.cc' --include='*.h' 'std::chrono' src/exec \
   note_failure 'src/exec must use obs/operator_stats.h NowNanos(), not std::chrono'
 fi
 
-# The filter/project/aggregate hot path is vectorized; a per-row EvalRow
-# call creeping back into these files silently reverts it to boxed-Value
-# interpretation. EvalRow stays legal elsewhere (join residuals use
-# EvalRowPair; the reference evaluator under tests/ is built on it).
-if grep -n 'EvalRow(' src/exec/pipeline.cc src/exec/morsel_source.cc \
-    src/exec/agg_build.cc src/exec/simple_exec.cc src/exec/window_exec.cc \
-    2>/dev/null; then
-  note_failure 'hot-path executors must use EvalAll/EvalFilter, not per-row EvalRow'
+# One expression evaluator: the engine evaluates every expression, join
+# residuals included, through the vectorized BoundExpr entry points
+# (expr/evaluator.h). The row-at-a-time interpreter, its two-chunk pair
+# variant and the testing switch that routed the engine through it were
+# deleted; the only row interpreter is the reference evaluator's own, under
+# tests/. Keep a second evaluator from growing back.
+if grep -rnE --exclude=lint.sh \
+    'EvalRow|EvalRowPair|SetRowAtATimeEvalForTesting|RowAtATimeEval' \
+    src bench examples perfbench tools 2>/dev/null; then
+  note_failure 'the engine has one expression evaluator (BoundExpr EvalAll/EvalSel/NarrowFilter); no row-at-a-time path'
 fi
 
 # One executor: every Scan/Filter/Project/Aggregate runs in a compiled
@@ -67,10 +69,10 @@ fi
 
 # The reference evaluator is the executor's oracle only while it shares no
 # code with it: it may not include executor headers (or the umbrella
-# header, which pulls them in).
-if grep -nE '#include "(exec/|fusiondb\.h)' tests/reference_eval.* \
-    2>/dev/null; then
-  note_failure 'tests/reference_eval.* must stay independent of src/exec'
+# header, which pulls them in), nor the vectorized expression evaluator.
+if grep -nE '#include "(exec/|expr/evaluator\.h|fusiondb\.h)' \
+    tests/reference_eval.* 2>/dev/null; then
+  note_failure 'tests/reference_eval.* must stay independent of src/exec and expr/evaluator.h'
 fi
 
 # ExecutePlan takes ExecOptions as designated initializers —
