@@ -1,7 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the execution substrate: page
-// decode, filter and aggregation throughput — the quantities that make the
-// bytes-scanned metric track latency in this engine.
+// decode, filter, aggregation, join and hash-key throughput — the
+// quantities that make the bytes-scanned metric track latency in this
+// engine.
 #include <benchmark/benchmark.h>
+
+#include <random>
 
 #include "bench_gbench.h"
 #include "bench_util.h"
@@ -143,6 +146,109 @@ void BM_WindowAggregation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t->num_rows());
 }
 BENCHMARK(BM_WindowAggregation);
+
+// --- Skewed keys --------------------------------------------------------
+//
+// A synthetic order-line table whose keys follow TPC-C's non-uniform
+// NURand(A, x, y) = (((rand[0, A] | rand[x, y]) + C) mod (y - x + 1)) + x
+// (TPC-C 2.1.6): a few keys are very hot, most are rare. Columns: a
+// customer id (A = 1023 over 1..3000), an item id (A = 8191 over
+// 1..100000), the customer's last name built from NURand(255, 0, 999) as
+// TPC-C builds C_LAST, and a price.
+
+constexpr int64_t kSkewedRows = 200000;
+
+int64_t NuRand(std::mt19937* rng, int64_t a, int64_t x, int64_t y, int64_t c) {
+  auto draw = [rng](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(*rng);
+  };
+  return (((draw(0, a) | draw(x, y)) + c) % (y - x + 1)) + x;
+}
+
+std::string LastName(int64_t num) {
+  static const char* const kSyllables[] = {"BAR", "OUGHT", "ABLE", "PRI",
+                                           "PRES", "ESE", "ANTI", "CALLY",
+                                           "ATION", "EING"};
+  return std::string(kSyllables[num / 100]) + kSyllables[(num / 10) % 10] +
+         kSyllables[num % 10];
+}
+
+const TablePtr& SkewedOrderLines() {
+  static const TablePtr table = [] {
+    TableBuilder b("order_line", {{"ol_c_id", DataType::kInt64},
+                                  {"ol_i_id", DataType::kInt64},
+                                  {"ol_c_last", DataType::kString},
+                                  {"ol_amount", DataType::kFloat64}});
+    std::mt19937 rng(20261017);
+    for (int64_t r = 0; r < kSkewedRows; ++r) {
+      int64_t c_id = NuRand(&rng, 1023, 1, 3000, 259);
+      int64_t i_id = NuRand(&rng, 8191, 1, 100000, 7911);
+      std::string last = LastName(NuRand(&rng, 255, 0, 999, 123));
+      double amount = static_cast<double>(r % 1000) / 10.0;
+      DieIf(b.AppendRow({Value::Int64(c_id), Value::Int64(i_id),
+                         Value::String(std::move(last)),
+                         Value::Float64(amount)}));
+    }
+    return Unwrap(b.Build());
+  }();
+  return table;
+}
+
+/// Unique ids [1, n] with a payload: the build side the skewed keys probe.
+TablePtr Dimension(const std::string& key, int64_t n) {
+  TableBuilder b("dim_" + key, {{key, DataType::kInt64},
+                                {key + "_w", DataType::kInt64}});
+  for (int64_t k = 1; k <= n; ++k) {
+    DieIf(b.AppendRow({Value::Int64(k), Value::Int64(k % 7)}));
+  }
+  return Unwrap(b.Build());
+}
+
+// Probes skewed keys into a join build and groups by them:
+// Arg = the NURand A, 1023 (customer ids) or 8191 (item ids).
+void BM_KeyTableSkewed(benchmark::State& state) {
+  const bool items = state.range(0) == 8191;
+  const std::string fact_key = items ? "ol_i_id" : "ol_c_id";
+  const std::string dim_key = items ? "d_i_id" : "d_c_id";
+  static const TablePtr customers = Dimension("d_c_id", 3000);
+  static const TablePtr item_ids = Dimension("d_i_id", 100000);
+  PlanContext ctx;
+  PlanBuilder b =
+      PlanBuilder::Scan(&ctx, SkewedOrderLines(), {fact_key, "ol_amount"});
+  PlanBuilder d = PlanBuilder::Scan(&ctx, items ? item_ids : customers,
+                                    {dim_key, dim_key + "_w"});
+  b.JoinOn(JoinType::kInner, d, {{fact_key, dim_key}});
+  b.Aggregate({fact_key}, {{"total", AggFunc::kSum, b.Ref("ol_amount"),
+                            nullptr, false}});
+  PlanPtr plan = b.Build();
+  for (auto _ : state) {
+    QueryResult r = Unwrap(ExecutePlan(plan));
+    benchmark::DoNotOptimize(r.num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * kSkewedRows);
+}
+BENCHMARK(BM_KeyTableSkewed)->Arg(1023)->Arg(8191);
+
+// GROUP BY over the skewed table: Arg 0 keys on the int64 item id, Arg 1 on
+// the composite (customer id, last name) — int plus string.
+void BM_GroupBy(benchmark::State& state) {
+  std::vector<std::string> keys = {"ol_i_id"};
+  if (state.range(0) == 1) keys = {"ol_c_id", "ol_c_last"};
+  std::vector<std::string> columns = keys;
+  columns.push_back("ol_amount");
+  PlanContext ctx;
+  PlanBuilder b = PlanBuilder::Scan(&ctx, SkewedOrderLines(), columns);
+  b.Aggregate(keys, {{"total", AggFunc::kSum, b.Ref("ol_amount"), nullptr,
+                      false},
+                     {"n", AggFunc::kCountStar, nullptr, nullptr, false}});
+  PlanPtr plan = b.Build();
+  for (auto _ : state) {
+    QueryResult r = Unwrap(ExecutePlan(plan));
+    benchmark::DoNotOptimize(r.num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * kSkewedRows);
+}
+BENCHMARK(BM_GroupBy)->Arg(0)->Arg(1);
 
 }  // namespace
 

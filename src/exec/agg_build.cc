@@ -98,12 +98,13 @@ std::vector<uint32_t> AccumulateView(const AggInputView& view,
   std::vector<uint32_t> ids(rows);
   if (rows == 0) return ids;
   const size_t num_aggs = aggs.size();
-  // Pass 1: resolve each row's group once.
-  for (size_t r = 0; r < rows; ++r) {
-    ids[r] = groups->keys.Insert(view.group_cols, r).id;
-  }
+  // Pass 1: resolve each row's group once, in row order.
+  groups->keys.Insert(view.group_cols, rows, ids.data());
   groups->states.resize(groups->keys.size() * num_aggs);
   Column id_col(DataType::kInt64);  // DISTINCT pair tables' first column
+  SelVector valid;                  // a DISTINCT mask's non-NULL arguments
+  std::vector<uint32_t> pair_ids;
+  std::vector<uint8_t> first;
   // Pass 2: per aggregate, one walk over its mask's surviving rows. Each
   // (group, aggregate) state still sees its rows in ascending order, so
   // floating-point sums accumulate in exactly the row-at-a-time order.
@@ -128,11 +129,17 @@ std::vector<uint32_t> AccumulateView(const AggInputView& view,
       if (id_col.size() != rows) {
         for (uint32_t id : ids) id_col.AppendInt(id);
       }
+      valid.clear();
       for (uint32_t r : sel) {
-        if (col->IsNull(r) ||
-            !groups->distinct[a].Insert({&id_col, col}, r).inserted) {
-          continue;
-        }
+        if (!col->IsNull(r)) valid.push_back(r);
+      }
+      pair_ids.resize(valid.size());
+      first.resize(valid.size());
+      groups->distinct[a].Insert({&id_col, col}, valid, pair_ids.data(),
+                                 first.data());
+      for (size_t i = 0; i < valid.size(); ++i) {
+        if (!first[i]) continue;
+        uint32_t r = valid[i];
         states[ids[r] * num_aggs].AccumulateColumnRow(*agg.item, *col, r);
       }
     }
@@ -164,8 +171,12 @@ void MergePartialGroups(const std::vector<BoundAgg>& aggs,
       for (size_t p = 0; p < pairs[0].size(); ++p) {
         ids.AppendInt(remap[pairs[0].IntAt(p)]);
       }
+      std::vector<uint32_t> pair_ids(ids.size());
+      std::vector<uint8_t> first(ids.size());
+      merged->distinct[a].Insert({&ids, &pairs[1]}, ids.size(),
+                                 pair_ids.data(), first.data());
       for (size_t p = 0; p < ids.size(); ++p) {
-        if (!merged->distinct[a].Insert({&ids, &pairs[1]}, p).inserted) continue;
+        if (!first[p]) continue;
         merged->states[ids.IntAt(p) * num_aggs + a].AccumulateColumnRow(
             item, pairs[1], p);
       }

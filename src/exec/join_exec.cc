@@ -94,7 +94,7 @@ class HashJoinExec final : public ExecOperator {
     KeyColumns cols = KeyColumnsOf(right_data_, right_key_indexes_);
     ThreadPool* pool = ctx_->pool();
     if (pool == nullptr || n <= 1) {
-      for (size_t r = 0; r < n; ++r) (*row_ids)[r] = table_.Insert(cols, r).id;
+      table_.Insert(cols, n, row_ids->data());
       return Status::OK();
     }
     size_t workers = pool->num_workers();
@@ -102,9 +102,12 @@ class HashJoinExec final : public ExecOperator {
     ParallelRegion region(ctx_);
     FUSIONDB_RETURN_IF_ERROR(pool->ParallelFor(
         workers, [&](size_t /*worker*/, size_t w) -> Status {
-          for (size_t r = n * w / workers; r < n * (w + 1) / workers; ++r) {
-            (*row_ids)[r] = partials[w].Insert(cols, r).id;
+          size_t begin = n * w / workers;
+          SelVector rows;
+          for (size_t r = begin; r < n * (w + 1) / workers; ++r) {
+            rows.push_back(static_cast<uint32_t>(r));
           }
+          partials[w].Insert(cols, rows, row_ids->data() + begin);
           return Status::OK();
         }));
     for (size_t w = 0; w < workers; ++w) {
@@ -147,14 +150,18 @@ class HashJoinExec final : public ExecOperator {
     std::vector<uint32_t> lrows;
     std::vector<uint32_t> rrows;
     size_t filtered = 0;  // pairs before this index passed the residual
-    KeyColumns probe_keys = KeyColumnsOf(in, left_key_indexes_);
     bool keyed = !right_key_indexes_.empty();
+    if (keyed) {
+      probe_ids_.resize(rows);
+      table_.Find(KeyColumnsOf(in, left_key_indexes_), rows, &probe_scratch_,
+                  probe_ids_.data());
+    }
     for (size_t r = 0; r < rows; ++r) {
       // Candidates: the key's bucket, or every build row when keyless.
       uint32_t begin = 0;
       uint32_t end = static_cast<uint32_t>(right_data_.num_rows());
       if (keyed) {
-        uint32_t id = table_.Find(probe_keys, r);
+        uint32_t id = probe_ids_[r];
         if (id == KeyTable::kNoId) continue;
         begin = bucket_offsets_[id];
         end = bucket_offsets_[id + 1];
@@ -288,6 +295,8 @@ class HashJoinExec final : public ExecOperator {
   std::vector<int> right_key_indexes_;
   Chunk right_data_;
   KeyTable table_;
+  KeyTable::Scratch probe_scratch_;
+  std::vector<uint32_t> probe_ids_;       // each probe row's key id
   std::vector<uint32_t> bucket_offsets_;  // by key id, plus one end offset
   std::vector<uint32_t> bucket_rows_;     // build rows grouped by key id
   bool built_ = false;

@@ -176,7 +176,8 @@ class PipelineExec final : public ExecOperator {
     done_ = true;
     if (spec_.scalar) {
       // Scalar aggregates emit one row even over empty input.
-      groups_.keys.Insert({}, 0);
+      uint32_t group;
+      groups_.keys.Insert({}, 1, &group);
       groups_.states.resize(spec_.baggs.aggs.size());
     }
     if (ctx_->pool() != nullptr) {

@@ -137,9 +137,10 @@ class MarkDistinctExec final : public ExecOperator {
     marker.Reserve(rows);
     KeyColumns keys = KeyColumnsOf(*in, key_indexes_);
     // A row is marked when its key is inserted for the first time.
-    for (size_t r = 0; r < rows; ++r) {
-      marker.AppendBool(seen_.Insert(keys, r).inserted);
-    }
+    std::vector<uint32_t> ids(rows);
+    std::vector<uint8_t> first(rows);
+    seen_.Insert(keys, rows, ids.data(), first.data());
+    for (uint8_t f : first) marker.AppendBool(f != 0);
     // Charged per chunk as the table grows.
     ctx_->AddHashBytes(seen_.bytes() - accounted_bytes_, op_id_);
     accounted_bytes_ = seen_.bytes();

@@ -2,7 +2,8 @@
 // same results at parallelism 1, 2 and 8 under both optimizer
 // configurations, (b) all additive ExecMetrics are thread-count-invariant,
 // and (c) the ThreadPool/ParallelFor primitive behaves (work coverage,
-// error propagation, zero-thread degenerate pool).
+// error propagation, zero-thread degenerate pool), and (d) one built
+// KeyTable answers probes from every pool worker at once.
 //
 // This suite carries the ctest label "parallel" so it can be run alone
 // under ThreadSanitizer: cmake -DFUSIONDB_SANITIZE=thread, then
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <numeric>
 
+#include "exec/key_table.h"
 #include "plan/spool.h"
 #include "test_util.h"
 
@@ -190,6 +192,39 @@ TEST(ParallelExec, AutoParallelismExecutes) {
   QueryResult autop = Unwrap(ExecutePlan(fused, {.parallelism = 0}));
   EXPECT_TRUE(ResultsEquivalent(serial, autop));
   EXPECT_EQ(serial.metrics().bytes_scanned, autop.metrics().bytes_scanned);
+}
+
+// Find is const and keeps its state in the caller's Scratch, so every
+// worker may probe one built table at once (run under TSan via the
+// "parallel" label). Both layouts: fixed-width words and byte keys.
+TEST(ParallelExec, ConcurrentProbesOfOneKeyTable) {
+  constexpr size_t kKeys = 20000;
+  Column ints(DataType::kInt64);
+  Column strs(DataType::kString);
+  for (size_t k = 0; k < kKeys; ++k) {
+    ints.AppendInt(static_cast<int64_t>(k * 31));
+    strs.AppendString("key" + std::to_string(k));
+  }
+  for (const internal::KeyColumns& cols :
+       {internal::KeyColumns{&ints}, internal::KeyColumns{&ints, &strs}}) {
+    internal::KeyTable table;
+    std::vector<uint32_t> built(kKeys);
+    table.Insert(cols, kKeys, built.data());
+    ThreadPool pool(4);
+    const size_t workers = pool.num_workers();
+    std::vector<std::vector<uint32_t>> found(workers);
+    Status st = pool.ParallelFor(workers, [&](size_t /*worker*/, size_t w) {
+      internal::KeyTable::Scratch scratch;
+      found[w].resize(kKeys);
+      table.Find(cols, kKeys, &scratch, found[w].data());
+      return Status::OK();
+    });
+    FUSIONDB_EXPECT_OK(st);
+    for (size_t w = 0; w < workers; ++w) {
+      EXPECT_EQ(found[w], built) << "worker " << w << ", " << cols.size()
+                                 << " key column(s)";
+    }
+  }
 }
 
 }  // namespace

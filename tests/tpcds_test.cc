@@ -106,6 +106,25 @@ TEST(TpcdsQueriesTest, RegistryLookup) {
   EXPECT_EQ(applicable, 9);
 }
 
+// Paper Section V.C: fusing Q23's two CTE instances halves the working
+// memory of its hash operators (peak hash bytes).
+TEST(TpcdsQueriesTest, Q23FusionCutsPeakHashMemory) {
+  const Catalog& catalog = SharedTpcds();
+  tpcds::TpcdsQuery q = Unwrap(tpcds::QueryByName("q23"));
+  PlanContext ctx;
+  PlanPtr plan = Unwrap(q.build(catalog, &ctx));
+  QueryResult baseline = MustExecute(
+      Unwrap(Optimizer(OptimizerOptions::Baseline()).Optimize(plan, &ctx)));
+  QueryResult fused = MustExecute(
+      Unwrap(Optimizer(OptimizerOptions::Fused()).Optimize(plan, &ctx)));
+  ASSERT_TRUE(ResultsEquivalent(baseline, fused));
+  int64_t base_bytes = baseline.metrics().peak_hash_bytes;
+  int64_t fused_bytes = fused.metrics().peak_hash_bytes;
+  ASSERT_GT(base_bytes, 0);
+  EXPECT_LE(fused_bytes * 10, base_bytes * 6)
+      << "fused " << fused_bytes << " vs baseline " << base_bytes;
+}
+
 class TpcdsQueryBuildTest
     : public ::testing::TestWithParam<std::string> {};
 

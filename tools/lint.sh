@@ -163,8 +163,16 @@ fi
 # identity COUNT(DISTINCT x) == COUNT(x) masked by MarkDistinct drift again.
 if grep -rnE --include='*.cc' --include='*.h' \
     'RowKeyEncoder|unordered_(map|set)<std::string|unordered_set<Value' \
-    src/exec 2>/dev/null | grep -v '^src/exec/key_table\.'; then
+    src/exec 2>/dev/null; then
   note_failure 'src/exec keys rows only through exec/key_table.h (KeyTable); no second hash table over encoded rows or Values'
+fi
+
+# KeyTable itself is one open-addressing table over flat key stores
+# (DESIGN.md §6.4): batch calls, stored hashes, no per-key nodes. A
+# node-based standard map inside it would bring back the per-row allocation
+# and pointer chasing it replaced.
+if grep -nE 'unordered_(map|set)' src/exec/key_table.* 2>/dev/null; then
+  note_failure 'src/exec/key_table.* is one open-addressing table; no std::unordered_map/set inside it'
 fi
 
 # --- Layer 2: clang-tidy (optional) ----------------------------------------
