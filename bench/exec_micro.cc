@@ -69,6 +69,71 @@ void BM_MaskedAggregation(benchmark::State& state) {
 }
 BENCHMARK(BM_MaskedAggregation)->Arg(1)->Arg(4)->Arg(16);
 
+// Fused Q28's shape: k buckets, each a quantity range AND a three-way OR of
+// price ranges, with a scalar AVG and COUNT per bucket. Each bucket's mask
+// narrows conjunct by conjunct, so its OR only visits the bucket's rows.
+void BM_BucketMasks(benchmark::State& state) {
+  const Catalog& catalog = BenchCatalog();
+  TablePtr t = Unwrap(catalog.GetTable("store_sales"));
+  PlanContext ctx;
+  PlanBuilder b = PlanBuilder::Scan(
+      &ctx, t, {"ss_quantity", "ss_list_price", "ss_coupon_amt",
+                "ss_wholesale_cost"});
+  std::vector<AggSpec> specs;
+  for (int i = 0; i < state.range(0); ++i) {
+    double lp = 10.0 * i + 8.0;
+    double cp = 100.0 * i + 40.0;
+    double wc = 10.0 * i + 5.0;
+    ExprPtr mask = eb::And(
+        eb::Between(b.Ref("ss_quantity"), eb::Int(i * 5), eb::Int(i * 5 + 5)),
+        eb::Or({eb::Between(b.Ref("ss_list_price"), eb::Dbl(lp),
+                            eb::Dbl(lp + 100.0)),
+                eb::Between(b.Ref("ss_coupon_amt"), eb::Dbl(cp),
+                            eb::Dbl(cp + 1000.0)),
+                eb::Between(b.Ref("ss_wholesale_cost"), eb::Dbl(wc),
+                            eb::Dbl(wc + 80.0))}));
+    std::string sfx = std::to_string(i);
+    specs.push_back(
+        {"avg" + sfx, AggFunc::kAvg, b.Ref("ss_list_price"), mask, false});
+    specs.push_back(
+        {"cnt" + sfx, AggFunc::kCount, b.Ref("ss_list_price"), mask, false});
+  }
+  b.Aggregate({}, std::move(specs));
+  PlanPtr plan = b.Build();
+  for (auto _ : state) {
+    QueryResult r = Unwrap(ExecutePlan(plan));
+    benchmark::DoNotOptimize(r.num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * t->num_rows());
+}
+BENCHMARK(BM_BucketMasks)->Arg(2)->Arg(6)->Arg(16);
+
+// A k-way disjunction of overlapping price ranges as a filter, under a
+// scalar COUNT(*).
+void BM_OrFilter(benchmark::State& state) {
+  const Catalog& catalog = BenchCatalog();
+  TablePtr t = Unwrap(catalog.GetTable("store_sales"));
+  PlanContext ctx;
+  PlanBuilder b = PlanBuilder::Scan(
+      &ctx, t, {"ss_list_price", "ss_coupon_amt", "ss_wholesale_cost"});
+  const char* cols[] = {"ss_list_price", "ss_coupon_amt", "ss_wholesale_cost"};
+  std::vector<ExprPtr> disjuncts;
+  for (int i = 0; i < state.range(0); ++i) {
+    double lo = 15.0 * i;
+    disjuncts.push_back(
+        eb::Between(b.Ref(cols[i % 3]), eb::Dbl(lo), eb::Dbl(lo + 20.0)));
+  }
+  b.Filter(eb::Or(std::move(disjuncts)));
+  b.Aggregate({}, {{"n", AggFunc::kCountStar, nullptr, nullptr, false}});
+  PlanPtr plan = b.Build();
+  for (auto _ : state) {
+    QueryResult r = Unwrap(ExecutePlan(plan));
+    benchmark::DoNotOptimize(r.num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * t->num_rows());
+}
+BENCHMARK(BM_OrFilter)->Arg(2)->Arg(4)->Arg(8);
+
 void BM_HashJoin(benchmark::State& state) {
   const Catalog& catalog = BenchCatalog();
   TablePtr ss = Unwrap(catalog.GetTable("store_sales"));

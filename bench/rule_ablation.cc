@@ -2,8 +2,6 @@
 // others stay on) and every applicable query is re-measured, showing which
 // rewrite is responsible for each query's gains — the composability point
 // the paper makes against Blitz's monolithic super-operators.
-// A final axis compares the two DISTINCT strategies: native masked DISTINCT
-// aggregates vs the Section III.F MarkDistinct lowering.
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -43,11 +41,6 @@ std::vector<Variant> Variants() {
     OptimizerOptions o = OptimizerOptions::Fused();
     o.enable_union_all_fuse = false;
     out.push_back({"-unionfuse", o});
-  }
-  {
-    OptimizerOptions o = OptimizerOptions::Fused();
-    o.enable_distinct_lowering = true;
-    out.push_back({"+markdist", o});
   }
   out.push_back({"baseline", OptimizerOptions::Baseline()});
   return out;

@@ -4,24 +4,28 @@
 
 namespace fusiondb::internal {
 
-std::vector<SelVector> MaskSet::Evaluate(const Chunk& chunk) const {
-  std::vector<SelVector> conjunct_sels;
-  conjunct_sels.reserve(conjuncts.size());
-  for (const BoundExpr& c : conjuncts) {
-    conjunct_sels.push_back(c.EvalFilter(chunk));
-  }
-  std::vector<SelVector> sels;
-  sels.reserve(mask_slots.size());
-  for (const std::vector<int>& slots : mask_slots) {
-    SelVector sel;
-    bool first = true;
-    for (int s : slots) {
-      sel = first ? conjunct_sels[s]
-                  : SelVector::Intersect(sel, conjunct_sels[s]);
-      first = false;
+std::vector<SelVector> MaskSet::Evaluate(const Chunk& chunk,
+                                         const SelVector* base) const {
+  std::vector<SelVector> sels(mask_slots.size());
+  std::vector<uint32_t> pos;  // pos[row]: a base row's dense position
+  if (base != nullptr) {
+    if (base->empty()) return sels;
+    pos.resize(size_t{base->indexes().back()} + 1);
+    for (size_t i = 0; i < base->size(); ++i) {
+      pos[(*base)[i]] = static_cast<uint32_t>(i);
     }
-    if (first) sel = SelVector::Dense(chunk.num_rows());
-    sels.push_back(std::move(sel));
+  }
+  for (size_t m = 0; m < mask_slots.size(); ++m) {
+    SelVector sel =
+        base != nullptr ? *base : SelVector::Dense(chunk.num_rows());
+    for (int s : mask_slots[m]) {
+      if (sel.empty()) break;
+      conjuncts[s].NarrowFilter(chunk, &sel);
+    }
+    if (base != nullptr) {
+      for (uint32_t& row : sel.indexes()) row = pos[row];
+    }
+    sels[m] = std::move(sel);
   }
   return sels;
 }

@@ -29,18 +29,22 @@ struct BoundAgg {
 /// Deduplicated masks shared by a set of aggregates. Masks are stored as
 /// lists of *conjunct* slots, and conjuncts are deduplicated across masks
 /// (after fusion, `lp_avg_i`, `lp_cnt_i` and `lp_cntd_i` all carry the same
-/// bucket condition), so each distinct conjunct is evaluated once per chunk
-/// and masks intersect selections. Sound for filtering because a conjunction
-/// is TRUE iff every conjunct is TRUE.
+/// bucket condition), so each distinct conjunct is bound once. A mask
+/// evaluates by narrowing: each conjunct only visits the rows the mask's
+/// earlier conjuncts kept. Sound for filtering because a conjunction is
+/// TRUE iff every conjunct is TRUE.
 struct MaskSet {
   std::vector<BoundExpr> conjuncts;          // unique conjunct evaluators
   std::vector<std::vector<int>> mask_slots;  // per mask: conjunct indexes
 
   size_t num_masks() const { return mask_slots.size(); }
 
-  /// Evaluates all masks over a chunk: one selection vector per mask, each
-  /// the intersection of its conjuncts' surviving rows.
-  std::vector<SelVector> Evaluate(const Chunk& chunk) const;
+  /// Evaluates every mask over the rows of `base` (ascending rows of
+  /// `chunk`; nullptr means every row): each narrows a copy of the base by
+  /// its conjuncts in turn. Returns one selection per mask in *dense*
+  /// coordinates: positions within `base`, ascending and duplicate-free.
+  std::vector<SelVector> Evaluate(const Chunk& chunk,
+                                  const SelVector* base) const;
 };
 
 struct BoundAggs {

@@ -22,21 +22,6 @@ namespace fusiondb::internal {
 
 namespace {
 
-/// Positions (indexes into `base`) of the rows of `subset`. Both are
-/// ascending and subset ⊆ base, so one linear merge converts a selection in
-/// morsel coordinates into the dense coordinates of the filtered rows.
-SelVector PositionsIn(const SelVector& subset, const SelVector& base) {
-  SelVector out;
-  out.reserve(subset.size());
-  size_t bi = 0;
-  for (uint32_t v : subset) {
-    while (base[bi] != v) ++bi;
-    out.push_back(static_cast<uint32_t>(bi));
-    ++bi;
-  }
-  return out;
-}
-
 /// Everything CompilePipeline derives from the chain, handed to the
 /// operator. All expressions are composed down to (and bound against) the
 /// source schema, so the pipeline evaluates them straight off its morsels.
@@ -192,36 +177,6 @@ class PipelineExec final : public ExecOperator {
                                                spec_.group_exprs.size()));
   }
 
-  /// Evaluates the deduplicated mask conjuncts over the *surviving* rows
-  /// only (NarrowFilter from the filter chain's selection) and converts each
-  /// to dense coordinates; masks then intersect exactly as
-  /// MaskSet::Evaluate does over a whole chunk.
-  std::vector<SelVector> EvalMasksNarrowed(const Chunk& morsel,
-                                           const SelVector& base) const {
-    const MaskSet& ms = spec_.baggs.mask_set;
-    std::vector<SelVector> conjunct_sels;
-    conjunct_sels.reserve(ms.conjuncts.size());
-    for (const BoundExpr& c : ms.conjuncts) {
-      SelVector narrowed = base;
-      c.NarrowFilter(morsel, &narrowed);
-      conjunct_sels.push_back(PositionsIn(narrowed, base));
-    }
-    std::vector<SelVector> sels;
-    sels.reserve(ms.mask_slots.size());
-    for (const std::vector<int>& slots : ms.mask_slots) {
-      SelVector sel;
-      bool first = true;
-      for (int s : slots) {
-        sel = first ? conjunct_sels[s]
-                    : SelVector::Intersect(sel, conjunct_sels[s]);
-        first = false;
-      }
-      if (first) sel = SelVector::Dense(base.size());
-      sels.push_back(std::move(sel));
-    }
-    return sels;
-  }
-
   /// Prepares one surviving morsel's group / argument / mask inputs. When
   /// every row passed the filters, bare-column keys and arguments stay in
   /// the morsel (kept in the result) and only computed ones evaluate
@@ -230,8 +185,8 @@ class PipelineExec final : public ExecOperator {
     PreparedAggChunk p;
     p.in_place = AllPass(morsel, sel);
     p.rows = p.in_place ? morsel.num_rows() : sel.size();
-    p.masks = p.in_place ? spec_.baggs.mask_set.Evaluate(morsel)
-                         : EvalMasksNarrowed(morsel, sel);
+    p.masks = spec_.baggs.mask_set.Evaluate(morsel,
+                                            p.in_place ? nullptr : &sel);
     p.group_cols.resize(spec_.group_exprs.size());
     for (size_t g = 0; g < spec_.group_exprs.size(); ++g) {
       if (!p.in_place) {

@@ -82,7 +82,7 @@ class WindowExec final : public ExecOperator {
         view.arg_cols[a] = &expr_args[a];
       }
     }
-    view.masks = mask_set_.Evaluate(data_);
+    view.masks = mask_set_.Evaluate(data_, nullptr);
     GroupTable partitions(items_.size());
     row_partitions_ = AccumulateView(view, items_, &partitions);
     // One row per partition: its key, then each item's finalized value.

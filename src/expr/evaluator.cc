@@ -153,8 +153,10 @@ struct BoundExpr::Kernels {
   };
 
   /// Filter kernel: compacts `sel` in place to the rows where the comparison
-  /// is TRUE (NULL operands fail). Reads trail writes, so the in-place
-  /// compaction is safe.
+  /// is TRUE (NULL operands fail). Branch-free: every row is written and
+  /// `kept` advances only past the TRUE ones (a NULL slot holds its type's
+  /// default value, so comparing it is defined). Reads trail writes, so the
+  /// in-place compaction is safe.
   template <typename L, typename R, typename Op>
   static void CmpFilter(const BoundExpr& e, const Chunk& in, SelVector* sel) {
     L l(e.children_[0], in);
@@ -163,10 +165,10 @@ struct BoundExpr::Kernels {
     size_t kept = 0;
     for (size_t i = 0; i < rows.size(); ++i) {
       uint32_t row = rows[i];
-      if (!l.IsNull(row) && !r.IsNull(row) &&
-          Op::Apply(l.Get(row), r.Get(row))) {
-        rows[kept++] = row;
-      }
+      bool keep = !l.IsNull(row) & !r.IsNull(row) &
+                  Op::Apply(l.Get(row), r.Get(row));
+      rows[kept] = row;
+      kept += keep;
     }
     rows.resize(kept);
   }
@@ -544,6 +546,18 @@ Column ArithColumns(ArithOp op, DataType result_type, const Column& l,
   return out;
 }
 
+/// Branch-free compaction of an ascending selection against a row-indexed
+/// mark array: keeps the rows whose mark equals `want`.
+void CompactByMark(const uint8_t* mark, uint8_t want, SelVector* sel) {
+  std::vector<uint32_t>& rows = sel->indexes();
+  size_t kept = 0;
+  for (uint32_t row : rows) {
+    rows[kept] = row;
+    kept += mark[row] == want;
+  }
+  rows.resize(kept);
+}
+
 }  // namespace
 
 Column BoundExpr::EvalInternal(const Chunk& input, const SelVector* sel) const {
@@ -692,19 +706,26 @@ void BoundExpr::NarrowInternal(const Chunk& input, SelVector* sel) const {
       return;
     case ExprKind::kOr: {
       // A row survives iff some disjunct is TRUE; each disjunct only visits
-      // rows no earlier disjunct accepted.
+      // rows no earlier disjunct accepted. Matches are marked in a scratch
+      // owned by this call (the BoundExpr is shared across workers), so
+      // `remaining` and the result each compact in one linear pass that
+      // keeps them ascending and duplicate-free. The scratch is sized by
+      // the selection's last row, not the chunk: a chunk with no columns
+      // (a join residual that reads none) reports zero rows.
+      if (sel->empty()) return;
+      std::vector<uint8_t> hit(size_t{sel->indexes().back()} + 1, 0);
       SelVector remaining = *sel;
-      SelVector passed;
-      for (const BoundExpr& c : children_) {
-        if (remaining.empty()) break;
-        SelVector matched = remaining;
-        c.NarrowInternal(input, &matched);
+      SelVector matched;
+      for (size_t c = 0; c < children_.size(); ++c) {
+        matched = remaining;
+        children_[c].NarrowInternal(input, &matched);
         if (matched.empty()) continue;
-        remaining.Subtract(matched);
-        passed = passed.empty() ? std::move(matched)
-                                : SelVector::Union(passed, matched);
+        for (uint32_t row : matched) hit[row] = 1;
+        if (c + 1 == children_.size()) break;
+        CompactByMark(hit.data(), 0, &remaining);
+        if (remaining.empty()) break;
       }
-      *sel = std::move(passed);
+      CompactByMark(hit.data(), 1, sel);
       return;
     }
     case ExprKind::kColumnRef: {
@@ -715,7 +736,8 @@ void BoundExpr::NarrowInternal(const Chunk& input, SelVector* sel) const {
       size_t kept = 0;
       for (size_t i = 0; i < rows.size(); ++i) {
         uint32_t row = rows[i];
-        if (valid[row] != 0 && vals[row] != 0) rows[kept++] = row;
+        rows[kept] = row;
+        kept += (valid[row] != 0) & (vals[row] != 0);
       }
       rows.resize(kept);
       return;
@@ -726,10 +748,13 @@ void BoundExpr::NarrowInternal(const Chunk& input, SelVector* sel) const {
     default: {
       // Generic predicate: evaluate densely over the selection, keep TRUE.
       Column v = EvalInternal(input, sel);
+      const uint8_t* valid = v.valid_data();
+      const int64_t* vals = v.ints_data();
       std::vector<uint32_t>& rows = sel->indexes();
       size_t kept = 0;
       for (size_t i = 0; i < rows.size(); ++i) {
-        if (v.IsValid(i) && v.BoolAt(i)) rows[kept++] = rows[i];
+        rows[kept] = rows[i];
+        kept += (valid[i] != 0) & (vals[i] != 0);
       }
       rows.resize(kept);
       return;

@@ -104,8 +104,8 @@ class Fuser {
   std::optional<FuseResult> FuseAggregate(const AggregateOp& g1,
                                           const AggregateOp& g2);
 
-  /// Section III.F (MarkDistinct, the lowering target of distinct
-  /// aggregates). Same distinct-key set modulo M; when the child fusion is
+  /// Section III.F (MarkDistinct, which Athena lowers distinct aggregates
+  /// onto). Same distinct-key set modulo M; when the child fusion is
   /// inexact the marker must be guarded so "first seen" is evaluated within
   /// each side's subset (see AddMarkDistinct).
   ///   before: MD_{keys}(C1)  ,  MD_{keys'}(C2)

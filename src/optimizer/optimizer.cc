@@ -207,7 +207,6 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   static const PushFilterIntoScanRule push_into_scan;
   static const FilterPushdownRule filter_pushdown;
   static const DecorrelateScalarAggRule decorrelate;
-  static const DistinctAggToMarkDistinctRule lower_distinct;
   static const SemiJoinToDistinctJoinRule semi_to_distinct;
   static const PushDistinctBelowJoinRule push_distinct;
   static const GroupByJoinToWindowRule to_window;
@@ -258,14 +257,7 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
-  // 3. Lower DISTINCT aggregates onto MarkDistinct.
-  if (options_.enable_distinct_lowering) {
-    PhaseScope phase(obs_trace, "lower");
-    std::vector<const Rule*> rules{&lower_distinct};
-    FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
-  }
-
-  // 4. Fusion rules (Section IV).
+  // 3. Fusion rules (Section IV).
   {
     std::vector<const Rule*> rules;
     if (options_.enable_group_by_join_to_window) rules.push_back(&to_window);
@@ -279,7 +271,7 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
     }
   }
 
-  // 5. Distinct/semi-join interplay (the Q95 pipeline, Section V.D).
+  // 4. Distinct/semi-join interplay (the Q95 pipeline, Section V.D).
   if (options_.enable_semijoin_rewrites) {
     PhaseScope phase(obs_trace, "distinct");
     std::vector<const Rule*> rules{&semi_to_distinct, &push_distinct,
@@ -287,14 +279,14 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
-  // 6. Fusion again: phase 5 exposes new JoinOnKeys opportunities.
+  // 5. Fusion again: phase 4 exposes new JoinOnKeys opportunities.
   if (options_.enable_join_on_keys) {
     PhaseScope phase(obs_trace, "fuse2");
     std::vector<const Rule*> rules{&join_on_keys, &simplify};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
-  // 7. Cleanup: simplify, push filters toward (and into) scans, prune.
+  // 6. Cleanup: simplify, push filters toward (and into) scans, prune.
   {
     PhaseScope phase(obs_trace, "cleanup");
     std::vector<const Rule*> rules{&simplify, &merge_filters, &merge_projects,
@@ -322,7 +314,7 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
     }
   }
 
-  // 8. Spooling (off by default): share duplicated subtrees through
+  // 7. Spooling (off by default): share duplicated subtrees through
   // materialization. Runs last so later rewrites cannot diverge the two
   // consumers of a shared spool child. kAdaptive prices each candidate —
   // materialize once versus re-execute per consumer — against cardinality

@@ -3,13 +3,12 @@
 // with pre-existing rules):
 //   1. normalize      — simplification, filter/project normalization
 //   2. decorrelate    — Apply -> Join + GroupBy ([20])
-//   3. lower          — DISTINCT aggregates onto MarkDistinct (III.F)
-//   4. fuse           — Section IV rules (toggleable, for A/B benchmarks)
-//   5. distinct       — semi-join -> distinct-join, distinct pushdown (V.D)
-//   6. fuse again     — rules enabled by phase 5 (Q95's JoinOnKeys)
-//   7. cleanup        — simplify, pushdown, partition pruning, column pruning
+//   3. fuse           — Section IV rules (toggleable, for A/B benchmarks)
+//   4. distinct       — semi-join -> distinct-join, distinct pushdown (V.D)
+//   5. fuse again     — rules enabled by phase 4 (Q95's JoinOnKeys)
+//   6. cleanup        — simplify, pushdown, partition pruning, column pruning
 //
-// The baseline configuration used in benchmarks disables only phase 4/6
+// The baseline configuration used in benchmarks disables only phase 3/5
 // fusion rules; every substrate phase runs in both configurations.
 #ifndef FUSIONDB_OPTIMIZER_OPTIMIZER_H_
 #define FUSIONDB_OPTIMIZER_OPTIMIZER_H_
@@ -21,7 +20,7 @@ namespace fusiondb {
 
 class StatsFeedback;  // cost/stats_feedback.h
 
-/// How the optimizer treats duplicated subtrees (phase 8).
+/// How the optimizer treats duplicated subtrees (phase 7).
 enum class SpoolMode : uint8_t {
   kOff,       // leave duplicates in place (re-execute per consumer)
   kAlways,    // spool every shareable duplicate (the static alternative)
@@ -40,14 +39,6 @@ struct OptimizerOptions {
   // Substrate switches (identical in the baseline and optimized
   // configurations; exposed for targeted tests and ablations).
   bool enable_decorrelation = true;
-  // Lowering DISTINCT aggregates onto MarkDistinct (Section III.F) is what
-  // Athena does; FusionDB's executor also evaluates masked DISTINCT
-  // aggregates natively, and in this in-memory substrate chained
-  // MarkDistinct passes are CPU-bound (in Athena they pipeline against S3
-  // I/O), so the native path is the default. The lowering and MarkDistinct
-  // fusion remain fully implemented, tested, and measurable by flipping
-  // this flag (see bench/rule_ablation).
-  bool enable_distinct_lowering = false;
   bool enable_semijoin_rewrites = true;
   bool enable_column_pruning = true;
   // Materialize duplicated subtrees once via spool buffers — the general

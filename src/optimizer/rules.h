@@ -4,7 +4,6 @@
 //   SimplifyExpressionsRule, MergeFiltersRule, MergeProjectsRule,
 //   PushFilterIntoScanRule, FilterPushdownRule,
 //   DecorrelateScalarAggRule        ([20]-style decorrelation; enables Q01)
-//   DistinctAggToMarkDistinctRule   (III.F lowering of distinct aggregates)
 //   SemiJoinToDistinctJoinRule      (semi-join -> join over distinct)
 //   PushDistinctBelowJoinRule       (distinct pushed below a key-aligned join)
 //
@@ -78,15 +77,6 @@ class FilterPushdownRule final : public Rule {
 class DecorrelateScalarAggRule final : public Rule {
  public:
   std::string_view name() const override { return "DecorrelateScalarAgg"; }
-  Result<PlanPtr> Apply(const PlanPtr& plan, PlanContext* ctx) const override;
-};
-
-/// Lowers DISTINCT aggregates onto MarkDistinct + masks (Section III.F).
-///   before: γ_{g}[COUNT(DISTINCT x)](C)
-///   after:  γ_{g}[COUNT(x) @mask=m](MD_{g,x}→m(C))
-class DistinctAggToMarkDistinctRule final : public Rule {
- public:
-  std::string_view name() const override { return "DistinctAggToMarkDistinct"; }
   Result<PlanPtr> Apply(const PlanPtr& plan, PlanContext* ctx) const override;
 };
 

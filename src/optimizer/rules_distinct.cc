@@ -1,62 +1,11 @@
-// Distinct-related substrate rules: lowering DISTINCT aggregates onto
-// MarkDistinct (Section III.F), the semi-join -> distinct-join rewrite and
-// the distinct-below-join pushdown the paper's Q95 walk-through relies on.
-#include "expr/expr_builder.h"
+// Distinct-related substrate rules: the semi-join -> distinct-join rewrite
+// and the distinct-below-join pushdown the paper's Q95 walk-through relies
+// on.
 #include "expr/simplifier.h"
 #include "optimizer/rewrite_utils.h"
 #include "optimizer/rules.h"
 
 namespace fusiondb {
-
-Result<PlanPtr> DistinctAggToMarkDistinctRule::Apply(const PlanPtr& plan,
-                                                     PlanContext* ctx) const {
-  if (plan->kind() != OpKind::kAggregate) return plan;
-  const auto& agg = Cast<AggregateOp>(*plan);
-  bool any_distinct = false;
-  for (const AggregateItem& a : agg.aggregates()) {
-    if (a.distinct) any_distinct = true;
-  }
-  if (!any_distinct) return plan;
-  // Lowering needs bare-column DISTINCT arguments (TPC-DS only uses those);
-  // anything else stays on the executor's direct distinct path.
-  for (const AggregateItem& a : agg.aggregates()) {
-    if (a.distinct && (a.arg == nullptr || a.arg->kind() != ExprKind::kColumnRef)) {
-      return plan;
-    }
-  }
-  // One MarkDistinct per distinct argument column (first occurrences are
-  // tracked per grouping-key combination, hence group columns join the
-  // distinct set).
-  PlanPtr input = agg.child(0);
-  std::unordered_map<ColumnId, ColumnId> marker_of;  // arg col -> marker col
-  for (const AggregateItem& a : agg.aggregates()) {
-    if (!a.distinct) continue;
-    ColumnId arg_col = a.arg->column_id();
-    if (marker_of.count(arg_col) > 0) continue;
-    std::vector<ColumnId> distinct_cols = agg.group_by();
-    distinct_cols.push_back(arg_col);
-    ColumnId marker = ctx->NextId();
-    input = std::make_shared<MarkDistinctOp>(
-        input, marker, "$distinct_" + std::to_string(arg_col),
-        std::move(distinct_cols));
-    marker_of[arg_col] = marker;
-  }
-  std::vector<AggregateItem> items;
-  items.reserve(agg.aggregates().size());
-  for (const AggregateItem& a : agg.aggregates()) {
-    AggregateItem item = a;
-    if (a.distinct) {
-      ExprPtr marker_ref =
-          eb::Col(marker_of[a.arg->column_id()], DataType::kBool);
-      item.mask = item.mask == nullptr ? marker_ref
-                                       : MakeConjunction(item.mask, marker_ref);
-      item.distinct = false;
-    }
-    items.push_back(std::move(item));
-  }
-  return std::static_pointer_cast<const LogicalOp>(
-      std::make_shared<AggregateOp>(input, agg.group_by(), std::move(items)));
-}
 
 Result<PlanPtr> SemiJoinToDistinctJoinRule::Apply(const PlanPtr& plan,
                                                   PlanContext* ctx) const {

@@ -227,8 +227,8 @@ class JoinOp final : public LogicalOp {
 /// One aggregate of a GroupBy: Athena-style (function, mask) pair (III.E).
 /// `mask` may be null (TRUE). `arg` is null for COUNT(*). When `distinct`
 /// is set the aggregate considers only distinct argument values; the
-/// optimizer can lower this onto MarkDistinct (III.F), and the executor also
-/// evaluates it directly so un-optimized plans remain runnable.
+/// executor evaluates it natively (the optimizer does not lower it onto
+/// MarkDistinct, DESIGN.md §5).
 struct AggregateItem {
   ColumnId id = kInvalidColumnId;
   std::string name;

@@ -42,60 +42,6 @@ class SelVector {
   auto begin() const { return sel_.begin(); }
   auto end() const { return sel_.end(); }
 
-  /// Intersection of two ascending selections (two-pointer merge).
-  static SelVector Intersect(const SelVector& a, const SelVector& b) {
-    SelVector out;
-    out.reserve(a.size() < b.size() ? a.size() : b.size());
-    size_t i = 0;
-    size_t j = 0;
-    while (i < a.size() && j < b.size()) {
-      if (a[i] < b[j]) {
-        ++i;
-      } else if (b[j] < a[i]) {
-        ++j;
-      } else {
-        out.push_back(a[i]);
-        ++i;
-        ++j;
-      }
-    }
-    return out;
-  }
-
-  /// Union of two ascending selections (two-pointer merge, deduplicating).
-  static SelVector Union(const SelVector& a, const SelVector& b) {
-    SelVector out;
-    out.reserve(a.size() + b.size());
-    size_t i = 0;
-    size_t j = 0;
-    while (i < a.size() && j < b.size()) {
-      if (a[i] < b[j]) {
-        out.push_back(a[i++]);
-      } else if (b[j] < a[i]) {
-        out.push_back(b[j++]);
-      } else {
-        out.push_back(a[i]);
-        ++i;
-        ++j;
-      }
-    }
-    while (i < a.size()) out.push_back(a[i++]);
-    while (j < b.size()) out.push_back(b[j++]);
-    return out;
-  }
-
-  /// Removes every index in ascending `remove` from this selection.
-  void Subtract(const SelVector& remove) {
-    size_t out = 0;
-    size_t j = 0;
-    for (size_t i = 0; i < sel_.size(); ++i) {
-      while (j < remove.size() && remove[j] < sel_[i]) ++j;
-      if (j < remove.size() && remove[j] == sel_[i]) continue;
-      sel_[out++] = sel_[i];
-    }
-    sel_.resize(out);
-  }
-
  private:
   std::vector<uint32_t> sel_;
 };

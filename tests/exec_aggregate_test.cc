@@ -3,6 +3,8 @@
 // MarkDistinct (Section III.F semantics).
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "exec/agg_build.h"
 #include "test_util.h"
 
@@ -11,6 +13,7 @@ namespace {
 
 using testutil::ExpectMatchesReference;
 using testutil::MustExecute;
+using testutil::RowAt;
 using testutil::Unwrap;
 
 /// sales(grp, amount, flag): groups a/b/c; amount NULL on every 5th row.
@@ -130,6 +133,209 @@ TEST(AggregateExecTest, NearEqualDoubleMasksKeepSeparateSlots) {
   QueryResult r = MustExecute(plan);
   EXPECT_EQ(ScalarInt(r, 0), 2);  // 1.00000005 and 1.5
   EXPECT_EQ(ScalarInt(r, 1), 1);  // 1.5 only
+}
+
+// ---------------------------------------------------------------------------
+// Randomized mask oracle: the narrowing mask evaluation against the
+// reference interpreter (tests/reference_eval.h), which shares no code
+// with src/exec.
+// ---------------------------------------------------------------------------
+
+/// Draws chunks over an int, a double and a string column (each NULL one
+/// row in six) and masks over them. Masks are conjunctions drawn from a
+/// small pool, so they repeat conjuncts and share prefixes; conjuncts are
+/// ranges, OR-of-ranges that overlap and may carry a NULL disjunct, string
+/// comparisons, TRUE and NULL.
+class MaskFuzzer {
+ public:
+  MaskFuzzer(uint32_t seed, ExprPtr i, ExprPtr d, ExprPtr s)
+      : rng_(seed), i_(std::move(i)), d_(std::move(d)), s_(std::move(s)) {}
+
+  /// One row of (i, d, s) values; d is a multiple of 0.25, so sums of it
+  /// are exact in any order.
+  std::vector<Value> RandomRow() {
+    static const char* kStrings[] = {"a", "b", "c", "mm"};
+    return {Chance(6) ? Value::Null(DataType::kInt64)
+                      : Value::Int64(Pick(41) - 20),
+            Chance(6) ? Value::Null(DataType::kFloat64)
+                      : Value::Float64((Pick(81) - 40) / 4.0),
+            Chance(6) ? Value::Null(DataType::kString)
+                      : Value::String(kStrings[Pick(4)])};
+  }
+
+  Chunk RandomChunk(size_t rows) {
+    Chunk c = Chunk::Empty(
+        {DataType::kInt64, DataType::kFloat64, DataType::kString});
+    for (size_t r = 0; r < rows; ++r) {
+      std::vector<Value> row = RandomRow();
+      for (size_t col = 0; col < 3; ++col) c.columns[col].AppendValue(row[col]);
+    }
+    return c;
+  }
+
+  std::vector<ExprPtr> ConjunctPool() {
+    std::vector<ExprPtr> pool;
+    for (int k = 0, n = 3 + Pick(5); k < n; ++k) pool.push_back(Conjunct(2));
+    return pool;
+  }
+
+  ExprPtr Mask(const std::vector<ExprPtr>& pool) {
+    std::vector<ExprPtr> parts;
+    for (int k = 0, n = 1 + Pick(3); k < n; ++k) {
+      parts.push_back(pool[Pick(static_cast<int>(pool.size()))]);
+    }
+    return parts.size() == 1 ? parts[0] : eb::And(std::move(parts));
+  }
+
+  /// A filter: an OR of 2..4 conjuncts (overlapping, maybe NULL).
+  ExprPtr OrFilter() {
+    std::vector<ExprPtr> kids;
+    for (int k = 0, n = 2 + Pick(3); k < n; ++k) kids.push_back(Conjunct(1));
+    return eb::Or(std::move(kids));
+  }
+
+  bool Chance(int one_in) { return Pick(one_in) == 0; }
+  int Pick(int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng_); }
+
+ private:
+  ExprPtr Conjunct(int depth) {
+    static const char* kStrings[] = {"a", "b", "c", "mm"};
+    switch (Pick(depth > 0 ? 7 : 5)) {
+      case 0: {
+        int lo = Pick(41) - 20;
+        return eb::Between(i_, eb::Int(lo), eb::Int(lo + Pick(20)));
+      }
+      case 1:
+        return Chance(2) ? eb::Lt(d_, eb::Dbl((Pick(81) - 40) / 4.0))
+                         : eb::Ge(d_, eb::Dbl((Pick(81) - 40) / 4.0));
+      case 2:
+        return Chance(2) ? eb::Eq(s_, eb::Str(kStrings[Pick(4)]))
+                         : eb::Lt(s_, eb::Str(kStrings[Pick(4)]));
+      case 3:
+        return eb::True();
+      case 4:
+        return eb::NullOf(DataType::kBool);
+      case 5: {
+        std::vector<ExprPtr> kids;
+        for (int k = 0, n = 2 + Pick(2); k < n; ++k) {
+          kids.push_back(Conjunct(depth - 1));
+        }
+        return eb::Or(std::move(kids));
+      }
+      default:
+        return eb::And(Conjunct(depth - 1), Conjunct(depth - 1));
+    }
+  }
+
+  std::mt19937 rng_;
+  ExprPtr i_, d_, s_;
+};
+
+Schema MaskSchema() {
+  return Schema({{1, "i", DataType::kInt64},
+                 {2, "d", DataType::kFloat64},
+                 {3, "s", DataType::kString}});
+}
+
+// Every mask's selection, from every kind of base (every row, none, a
+// random subset, every row as an explicit selection), must be exactly the
+// dense positions of the base rows where the reference finds the mask
+// TRUE — which also makes it ascending and duplicate-free.
+TEST(MaskSetTest, RandomizedMasksMatchReference) {
+  MaskFuzzer fuzz(20261017, eb::Col(1, DataType::kInt64),
+                  eb::Col(2, DataType::kFloat64),
+                  eb::Col(3, DataType::kString));
+  for (int trial = 0; trial < 300; ++trial) {
+    size_t rows = trial == 0 ? 0 : (trial % 40 == 0 ? 4096 : 1 + trial % 211);
+    Chunk chunk = fuzz.RandomChunk(rows);
+    std::vector<ExprPtr> pool = fuzz.ConjunctPool();
+    std::vector<AggregateItem> items;
+    for (int k = 0, n = 1 + trial % 9; k < n; ++k) {
+      AggregateItem item;
+      item.name = "c" + std::to_string(k);
+      item.mask = k == 0 ? eb::True() : fuzz.Mask(pool);
+      items.push_back(item);
+    }
+    internal::BoundAggs bound =
+        Unwrap(internal::BindAggs(items, MaskSchema()));
+    std::vector<std::vector<uint8_t>> is_true(items.size());
+    for (size_t a = 0; a < items.size(); ++a) {
+      if (bound.aggs[a].mask_slot < 0) continue;
+      reference::RowExpr mask =
+          Unwrap(reference::RowExpr::Resolve(items[a].mask, MaskSchema()));
+      for (size_t r = 0; r < rows; ++r) {
+        Value v = mask.Eval(RowAt(chunk, r));
+        is_true[a].push_back(!v.is_null() && v.bool_value());
+      }
+    }
+    for (int base_kind = 0; base_kind < 4; ++base_kind) {
+      SelVector base;
+      for (size_t r = 0; r < rows; ++r) {
+        if (base_kind == 3 || (base_kind == 2 && fuzz.Pick(3) != 0)) {
+          base.push_back(static_cast<uint32_t>(r));
+        }
+      }
+      if (base_kind == 0) base = SelVector::Dense(rows);
+      std::vector<SelVector> sels =
+          bound.mask_set.Evaluate(chunk, base_kind == 0 ? nullptr : &base);
+      ASSERT_EQ(sels.size(), bound.mask_set.num_masks());
+      for (size_t a = 0; a < items.size(); ++a) {
+        int slot = bound.aggs[a].mask_slot;
+        if (slot < 0) continue;
+        std::vector<uint32_t> expect;
+        for (size_t j = 0; j < base.size(); ++j) {
+          if (is_true[a][base[j]]) expect.push_back(static_cast<uint32_t>(j));
+        }
+        ASSERT_EQ(sels[slot].indexes(), expect)
+            << items[a].mask->ToString() << " trial " << trial << " base "
+            << base_kind;
+      }
+    }
+  }
+}
+
+// End to end: an OR filter under grouped and scalar masked aggregates
+// (shared conjuncts, a TRUE mask, DISTINCT) must match the reference at
+// chunk sizes that mix all-pass and narrowed morsels.
+TEST(AggregateExecTest, RandomizedFilteredMaskedAggregatesMatchReference) {
+  for (uint32_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    MaskFuzzer rows(seed, nullptr, nullptr, nullptr);
+    TableBuilder tb("t", {{"g", DataType::kString},
+                          {"i", DataType::kInt64},
+                          {"d", DataType::kFloat64},
+                          {"s", DataType::kString}});
+    for (int r = 0; r < 300; ++r) {
+      std::vector<Value> row = rows.RandomRow();
+      row.insert(row.begin(), rows.Chance(8) ? Value::Null(DataType::kString)
+                                             : Value::String(r % 3 ? "x" : "y"));
+      ASSERT_TRUE(tb.AppendRow(row).ok());
+    }
+    TablePtr t = Unwrap(tb.Build());
+    PlanContext ctx;
+    PlanBuilder b = PlanBuilder::Scan(&ctx, t, {"g", "i", "d", "s"});
+    MaskFuzzer fuzz(seed * 7919, b.Ref("i"), b.Ref("d"), b.Ref("s"));
+    if (seed % 3 != 0) b.Filter(fuzz.OrFilter());
+    std::vector<ExprPtr> pool = fuzz.ConjunctPool();
+    std::vector<AggSpec> specs = {
+        {"n", AggFunc::kCountStar, nullptr, nullptr, false}};
+    for (int k = 0; k < 4; ++k) {
+      ExprPtr mask = fuzz.Mask(pool);
+      std::string sfx = std::to_string(k);
+      specs.push_back({"n" + sfx, AggFunc::kCountStar, nullptr, mask, false});
+      specs.push_back({"sum" + sfx, AggFunc::kSum, b.Ref("d"), mask, false});
+      specs.push_back({"avg" + sfx, AggFunc::kAvg, b.Ref("i"), mask, false});
+      specs.push_back({"min" + sfx, AggFunc::kMin, b.Ref("s"), mask, false});
+      specs.push_back({"cd" + sfx, AggFunc::kCount, b.Ref("i"), mask, true});
+    }
+    std::vector<std::string> keys;
+    if (seed % 2 == 0) keys.push_back("g");
+    b.Aggregate(keys, std::move(specs));
+    PlanPtr plan = b.Build();
+    for (size_t chunk : {7, 64, 4096}) {
+      ExpectMatchesReference(plan, MustExecute(plan, chunk));
+    }
+  }
 }
 
 TEST(AggregateExecTest, MaskedGroupStillProducesRow) {

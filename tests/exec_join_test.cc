@@ -174,17 +174,34 @@ TEST(JoinExecTest, ConstantResidualBesideAKeyPairSeesEveryPair) {
   // A residual that reads no column still filters each candidate pair. The
   // plans are executed as built, so nothing folds the constant away. NULL
   // IS NULL is a TRUE the join cannot drop the way it drops a TRUE literal.
-  for (bool truth : {true, false}) {
-    PlanContext ctx;
-    auto [l, r] = Scans(&ctx);
-    ExprPtr constant = truth ? eb::IsNull(eb::NullOf(DataType::kInt64))
-                             : eb::NullOf(DataType::kBool);
-    l.Join(JoinType::kLeft, r,
-           eb::And(eb::Eq(l.Ref("grp"), r.Ref("ref")), constant));
-    QueryResult result = RunChecked(l.Build());
-    // TRUE keeps the 3 matches plus 2 unmatched rows; NULL null-extends
-    // all 4 left rows.
-    EXPECT_EQ(result.num_rows(), truth ? 5 : 4);
+  // The residual's gathered chunk has no columns, so it reports zero rows:
+  // the OR forms check that narrowing is bounded by the pairs, not by it.
+  struct Case {
+    ExprPtr constant;
+    bool passes;
+  };
+  const Case cases[] = {
+      {eb::IsNull(eb::NullOf(DataType::kInt64)), true},
+      {eb::NullOf(DataType::kBool), false},
+      {eb::Or(eb::NullOf(DataType::kBool), eb::True()), true},
+      {eb::Or(eb::NullOf(DataType::kBool), eb::False()), false},
+  };
+  for (const Case& c : cases) {
+    for (JoinType type : {JoinType::kInner, JoinType::kLeft, JoinType::kSemi}) {
+      PlanContext ctx;
+      auto [l, r] = Scans(&ctx);
+      l.Join(type, r,
+             eb::And(eb::Eq(l.Ref("grp"), r.Ref("ref")), c.constant));
+      QueryResult result = RunChecked(l.Build());
+      // Key matches: id 1 (twice) and id 2 (once). LEFT adds ids 3 and 4,
+      // or null-extends all four left rows when no pair passes.
+      size_t expect = type == JoinType::kInner  ? (c.passes ? 3 : 0)
+                      : type == JoinType::kLeft ? (c.passes ? 5 : 4)
+                                                : (c.passes ? 2 : 0);
+      EXPECT_EQ(result.num_rows(), expect)
+          << c.constant->ToString() << " join type "
+          << static_cast<int>(type);
+    }
   }
 }
 

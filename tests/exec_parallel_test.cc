@@ -8,6 +8,7 @@
 // This suite carries the ctest label "parallel" so it can be run alone
 // under ThreadSanitizer: cmake -DFUSIONDB_SANITIZE=thread, then
 // `ctest -L parallel`.
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 
@@ -225,6 +226,61 @@ TEST(ParallelExec, ConcurrentProbesOfOneKeyTable) {
                                  << " key column(s)";
     }
   }
+}
+
+// A grouped masked aggregate under an OR filter, with masks that share a
+// conjunct: every worker evaluates the one bound mask set, and runs OR
+// narrowing with its own scratch, at once (run under TSan via the
+// "parallel" label). The double column holds multiples of 0.25, so its sums
+// are exact in any order and the results are bit-identical at 1 and 4
+// threads, not just within tolerance.
+TEST(ParallelExec, MaskedAggregateBitIdenticalAcrossThreadCounts) {
+  TableBuilder tb("t", {{"k", DataType::kInt64},
+                        {"g", DataType::kInt64},
+                        {"q", DataType::kInt64},
+                        {"p", DataType::kFloat64}});
+  FUSIONDB_ASSERT_OK(tb.PartitionBy("k", 100));
+  for (int64_t r = 0; r < 20000; ++r) {
+    Value p = r % 11 == 0 ? Value::Null(DataType::kFloat64)
+                          : Value::Float64(static_cast<double>(r * 13 % 400) / 4);
+    FUSIONDB_ASSERT_OK(tb.AppendRow({Value::Int64(r % 1000), Value::Int64(r % 7),
+                                     Value::Int64(r * 37 % 50), p}));
+  }
+  TablePtr t = Unwrap(tb.Build());
+  PlanContext ctx;
+  PlanBuilder b = PlanBuilder::Scan(&ctx, t, {"g", "q", "p"});
+  ExprPtr q = b.Ref("q");
+  ExprPtr p = b.Ref("p");
+  b.Filter(eb::Or({eb::Lt(q, eb::Int(30)), eb::Ge(p, eb::Dbl(80.0)),
+                   eb::Eq(b.Ref("g"), eb::Int(3))}));
+  ExprPtr shared = eb::Ge(q, eb::Int(5));
+  std::vector<AggSpec> specs;
+  for (int i = 0; i < 4; ++i) {
+    ExprPtr mask =
+        i == 3 ? eb::And(shared, eb::Or(eb::Lt(p, eb::Dbl(10.0)),
+                                        eb::Eq(b.Ref("g"), eb::Int(1))))
+               : eb::And(shared, eb::Lt(p, eb::Dbl(25.0 * (i + 1))));
+    std::string sfx = std::to_string(i);
+    specs.push_back({"n" + sfx, AggFunc::kCountStar, nullptr, mask, false});
+    specs.push_back({"sum" + sfx, AggFunc::kSum, p, mask, false});
+    specs.push_back({"avg" + sfx, AggFunc::kAvg, q, mask, false});
+    specs.push_back({"cd" + sfx, AggFunc::kCount, q, mask, true});
+  }
+  b.Aggregate({"g"}, std::move(specs));
+  PlanPtr plan = b.Build();
+  auto sorted_rows = [&](size_t parallelism) {
+    QueryResult r = Unwrap(
+        ExecutePlan(plan, {.chunk_size = 512, .parallelism = parallelism}));
+    std::vector<reference::Row> rows = testutil::RowsOf(r);
+    std::sort(rows.begin(), rows.end(),
+              [](const reference::Row& x, const reference::Row& y) {
+                return x[0].int_value() < y[0].int_value();
+              });
+    return rows;
+  };
+  std::vector<reference::Row> serial = sorted_rows(1);
+  ASSERT_EQ(serial.size(), 7u);
+  EXPECT_EQ(sorted_rows(4), serial);
 }
 
 }  // namespace

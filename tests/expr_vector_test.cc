@@ -4,6 +4,7 @@
 // randomized NULL-bearing columns must agree cell-for-cell on every public
 // entry point (EvalAll, EvalSel, EvalFilter, NarrowFilter), and three-valued
 // AND/OR/NOT edge cases are pinned explicitly.
+#include <functional>
 #include <random>
 #include <vector>
 
@@ -103,6 +104,18 @@ class ExprFuzzer {
     }
   }
 
+  /// A nested AND/OR tree over overlapping range comparisons on
+  /// NULL-bearing columns, with NULL-literal leaves and repeated leaves:
+  /// the shapes OR narrowing has to get right.
+  ExprPtr RandomAndOr(int depth) {
+    if (depth <= 0 || Chance(4)) return RangeLeaf();
+    std::vector<ExprPtr> kids;
+    for (int i = 0, n = 2 + Pick(3); i < n; ++i) {
+      kids.push_back(RandomAndOr(depth - 1));
+    }
+    return Chance(3) ? eb::And(std::move(kids)) : eb::Or(std::move(kids));
+  }
+
  private:
   bool Chance(int one_in) { return Pick(one_in) == 0; }
   int Pick(int n) {
@@ -191,17 +204,53 @@ class ExprFuzzer {
     }
   }
 
+  ExprPtr RangeLeaf() {
+    if (!leaves_.empty() && Chance(5)) {
+      return leaves_[Pick(static_cast<int>(leaves_.size()))];
+    }
+    ExprPtr leaf;
+    switch (Pick(5)) {
+      case 0:
+        leaf = eb::NullOf(DataType::kBool);
+        break;
+      case 1: {
+        int lo = Pick(181) - 100;
+        leaf = eb::Between(eb::Col(1 + Pick(2), DataType::kInt64), eb::Int(lo),
+                           eb::Int(lo + Pick(80)));
+        break;
+      }
+      case 2:
+        leaf = eb::Lt(eb::Col(3 + Pick(2), DataType::kFloat64),
+                      eb::Dbl((Pick(401) - 200) / 4.0));
+        break;
+      case 3:
+        leaf = Compare(eb::Col(5, DataType::kString), StringLeaf());
+        break;
+      default:
+        leaf = Compare(eb::Col(1, DataType::kInt64),
+                       eb::Col(3, DataType::kFloat64));
+        break;
+    }
+    leaves_.push_back(leaf);
+    return leaf;
+  }
+
+  std::vector<ExprPtr> leaves_;
   std::mt19937 rng_;
 };
 
 TEST(ExprVectorTest, RandomizedKernelsMatchRowOracle) {
   ExprFuzzer fuzz(20260806);
   std::mt19937 sel_rng(7);
-  for (int trial = 0; trial < 300; ++trial) {
+  for (int trial = 0; trial < 600; ++trial) {
     // Odd row counts exercise tail handling; trial 0 covers the empty chunk.
+    // From trial 300 on, predicates are nested AND/OR trees, some over the
+    // largest chunk the executor deals (OR's chunk-sized scratch).
+    bool and_or = trial >= 300;
     size_t rows = trial == 0 ? 0 : 1 + trial % 97;
+    if (and_or && trial % 50 == 0) rows = 4096;
     Chunk chunk = fuzz.RandomChunk(rows);
-    ExprPtr expr = fuzz.RandomPredicate(3);
+    ExprPtr expr = and_or ? fuzz.RandomAndOr(3) : fuzz.RandomPredicate(3);
     auto bound = BindExpr(expr, FuzzSchema());
     ASSERT_TRUE(bound.ok()) << bound.status().ToString() << "\n"
                             << expr->ToString();
@@ -257,6 +306,57 @@ TEST(ExprVectorTest, RandomizedKernelsMatchRowOracle) {
     bound->NarrowFilter(chunk, &narrowed);
     ASSERT_EQ(narrowed.indexes(), expect_narrow)
         << expr->ToString() << " trial " << trial;
+  }
+}
+
+// A column-free AND/OR tree narrowed over a chunk with no columns (what a
+// join residual that reads no column sees): the chunk reports zero rows, so
+// the selection, not the chunk, bounds every row the kernels touch.
+TEST(ExprVectorTest, ColumnFreeAndOrNarrowsOverAZeroColumnChunk) {
+  std::mt19937 rng(20261017);
+  auto pick = [&](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  std::function<ExprPtr(int)> tree = [&](int depth) -> ExprPtr {
+    if (depth <= 0 || pick(4) == 0) {
+      switch (pick(4)) {
+        case 0:
+          return eb::NullOf(DataType::kBool);
+        case 1:
+          return eb::True();
+        case 2:
+          return eb::False();
+        default:
+          return eb::IsNull(eb::NullOf(DataType::kInt64));
+      }
+    }
+    std::vector<ExprPtr> kids;
+    for (int i = 0, n = 2 + pick(3); i < n; ++i) {
+      kids.push_back(tree(depth - 1));
+    }
+    return pick(2) == 0 ? eb::And(std::move(kids)) : eb::Or(std::move(kids));
+  };
+  const Chunk empty;
+  for (int trial = 0; trial < 200; ++trial) {
+    ExprPtr expr = trial == 0 ? eb::Or(eb::NullOf(DataType::kBool), eb::True())
+                              : tree(3);
+    BoundExpr bound = Unwrap(BindExpr(expr, Schema()));
+    Value v = Unwrap(reference::RowExpr::Resolve(expr, Schema()))
+                  .Eval(reference::Row{});
+    bool pass = !v.is_null() && v.bool_value();
+    size_t rows = 1 + pick(5000);
+    SelVector dense = SelVector::Dense(rows);
+    SelVector sub;
+    for (uint32_t r = 0; r < rows; ++r) {
+      if (pick(3) == 0) sub.push_back(r);
+    }
+    for (SelVector* sel : {&dense, &sub}) {
+      std::vector<uint32_t> expect = pass ? sel->indexes()
+                                          : std::vector<uint32_t>{};
+      bound.NarrowFilter(empty, sel);
+      ASSERT_EQ(sel->indexes(), expect)
+          << expr->ToString() << " trial " << trial;
+    }
   }
 }
 

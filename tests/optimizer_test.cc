@@ -103,22 +103,6 @@ TEST(OptimizerTest, IndividualRuleToggles) {
   EXPECT_EQ(CountTableScans(q23, "store_sales"), 4);  // both CTEs duplicated
 }
 
-TEST(OptimizerTest, MarkDistinctLoweringConfigEquivalence) {
-  // Q28 and Q95 (distinct aggregates) under both distinct strategies.
-  for (const char* name : {"q28", "q95"}) {
-    PlanContext ctx;
-    PlanPtr plan = BuildQuery(name, &ctx);
-    OptimizerOptions with_md = OptimizerOptions::Fused();
-    with_md.enable_distinct_lowering = true;
-    PlanPtr native = Unwrap(
-        Optimizer(OptimizerOptions::Fused()).Optimize(plan, &ctx));
-    PlanPtr lowered = Unwrap(Optimizer(with_md).Optimize(plan, &ctx));
-    EXPECT_GT(CountOps(lowered, OpKind::kMarkDistinct), 0) << name;
-    EXPECT_TRUE(ResultsEquivalent(MustExecute(native), MustExecute(lowered)))
-        << name;
-  }
-}
-
 TEST(OptimizerTest, PartitionPruningSurvivesFusion) {
   // The fused Q65 plan must still prune date partitions... the date filter
   // sits on date_dim (not the fact), so check on a direct fact filter.

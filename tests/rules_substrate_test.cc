@@ -1,6 +1,6 @@
 // Substrate rules: simplification/merging, filter pushdown & partition
-// pruning handoff, decorrelation, distinct lowering, semi-join -> distinct
-// join, distinct pushdown, and column pruning.
+// pruning handoff, decorrelation, semi-join -> distinct join, distinct
+// pushdown, and column pruning.
 #include <gtest/gtest.h>
 
 #include "optimizer/prune_columns.h"
@@ -135,26 +135,6 @@ TEST(DecorrelateTest, ApplyBecomesJoinAggregate) {
   // a stable projection).
   QueryResult manual = MustExecute(manual_outer.Build());
   EXPECT_EQ(r.num_rows(), manual.num_rows());
-}
-
-TEST(DistinctLoweringTest, EquivalentToNativeDistinct) {
-  PlanContext ctx;
-  PlanBuilder b = Sales(&ctx);
-  b.Aggregate({"ss_store_sk"},
-              {{"d", AggFunc::kCount, b.Ref("ss_item_sk"), nullptr, true},
-               {"t", AggFunc::kSum, b.Ref("ss_quantity"), nullptr, false}});
-  PlanPtr plan = b.Build();
-  DistinctAggToMarkDistinctRule rule;
-  PlanPtr lowered = Unwrap(rule.Apply(plan, &ctx));
-  ASSERT_NE(lowered, plan);
-  EXPECT_EQ(CountOps(lowered, OpKind::kMarkDistinct), 1);
-  const auto& agg = Cast<AggregateOp>(*lowered);
-  for (const AggregateItem& a : agg.aggregates()) {
-    EXPECT_FALSE(a.distinct);
-  }
-  QueryResult native = MustExecute(plan);
-  QueryResult via_md = MustExecute(lowered);
-  EXPECT_TRUE(ResultsEquivalent(native, via_md));
 }
 
 TEST(SemiJoinToDistinctJoinTest, PreservesSemantics) {
