@@ -885,17 +885,6 @@ PlanProps DeriveWindow(const WindowOp& window, const PlanProps& child) {
   return p;
 }
 
-PlanProps DeriveMarkDistinct(const MarkDistinctOp& mark,
-                             const PlanProps& child) {
-  PlanProps p = child;
-  ColumnDomain d;
-  d.nullable = false;
-  d.lo = {true, false, Value::Bool(false)};
-  d.hi = {true, false, Value::Bool(true)};
-  p.domains[mark.marker()] = d;
-  return p;
-}
-
 PlanProps DeriveUnionAll(const UnionAllOp& u,
                          const std::vector<const PlanProps*>& children) {
   PlanProps p;
@@ -1043,9 +1032,6 @@ const PlanProps& PropertyDerivation::Derive(const PlanPtr& plan) {
       break;
     case OpKind::kWindow:
       p = DeriveWindow(Cast<WindowOp>(op), *child_props[0]);
-      break;
-    case OpKind::kMarkDistinct:
-      p = DeriveMarkDistinct(Cast<MarkDistinctOp>(op), *child_props[0]);
       break;
     case OpKind::kUnionAll:
       p = DeriveUnionAll(Cast<UnionAllOp>(op), child_props);

@@ -102,8 +102,6 @@ class VerifierImpl {
         return VerifyAggregate(Cast<AggregateOp>(op));
       case OpKind::kWindow:
         return VerifyWindow(Cast<WindowOp>(op));
-      case OpKind::kMarkDistinct:
-        return VerifyMarkDistinct(Cast<MarkDistinctOp>(op));
       case OpKind::kUnionAll:
         return VerifyUnionAll(Cast<UnionAllOp>(op));
       case OpKind::kValues:
@@ -151,7 +149,6 @@ class VerifierImpl {
       case OpKind::kProject:
       case OpKind::kAggregate:
       case OpKind::kWindow:
-      case OpKind::kMarkDistinct:
       case OpKind::kSort:
       case OpKind::kLimit:
       case OpKind::kEnforceSingleRow:
@@ -428,33 +425,6 @@ class VerifierImpl {
     return Status::OK();
   }
 
-  Status VerifyMarkDistinct(const MarkDistinctOp& md) {
-    const Schema& in = md.child(0)->schema();
-    const Schema& out = md.schema();
-    if (out.num_columns() != in.num_columns() + 1 ||
-        out.column(in.num_columns()).id != md.marker() ||
-        out.column(in.num_columns()).type != DataType::kBool) {
-      return StructuralViolation(
-          "schema-mismatch",
-          "MarkDistinct output must be its input schema plus a boolean "
-          "marker column");
-    }
-    if (md.marker() == kInvalidColumnId) {
-      return StructuralViolation("schema-invalid-id",
-                                 "MarkDistinct marker has no ColumnId");
-    }
-    for (ColumnId c : md.distinct_columns()) {
-      if (!in.Contains(c)) {
-        return StructuralViolation(
-            "markdistinct-column-unresolved",
-            internal::StrCat("distinct column #", c,
-                             " is not produced by the input schema ",
-                             in.ToString()));
-      }
-    }
-    return Status::OK();
-  }
-
   Status VerifyUnionAll(const UnionAllOp& u) {
     const Schema& out = u.schema();
     if (u.input_columns().size() != u.num_children()) {
@@ -552,8 +522,8 @@ class VerifierImpl {
         destroyed = true;
         break;
       default:
-        // Filter, Project, Spool, EnforceSingleRow, MarkDistinct and Window
-        // pass rows through in input order.
+        // Filter, Project, Spool, EnforceSingleRow and Window pass rows
+        // through in input order.
         break;
     }
     for (const PlanPtr& c : op->children()) {

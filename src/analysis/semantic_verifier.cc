@@ -181,7 +181,6 @@ Status SemanticVerifier::WalkTree(const PlanPtr& node,
     case OpKind::kJoin:
     case OpKind::kAggregate:
     case OpKind::kWindow:
-    case OpKind::kMarkDistinct:
     case OpKind::kUnionAll:
     case OpKind::kValues:
     case OpKind::kSort:
@@ -232,7 +231,6 @@ Status SemanticVerifier::WalkTree(const PlanPtr& node,
       break;
     case OpKind::kAggregate:
     case OpKind::kWindow:
-    case OpKind::kMarkDistinct:
     case OpKind::kUnionAll:
     case OpKind::kLimit:
     case OpKind::kEnforceSingleRow:

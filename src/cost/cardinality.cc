@@ -87,7 +87,6 @@ void CollectBaseColumns(
     case OpKind::kLimit:
     case OpKind::kEnforceSingleRow:
     case OpKind::kWindow:
-    case OpKind::kMarkDistinct:
     case OpKind::kAggregate:  // group-by columns keep their child ids
     case OpKind::kSpool:
       for (const PlanPtr& c : plan->children()) CollectBaseColumns(c, out);
@@ -181,7 +180,6 @@ CardEstimate CardinalityEstimator::Estimate(const PlanPtr& plan) const {
     }
     case OpKind::kProject:
     case OpKind::kWindow:
-    case OpKind::kMarkDistinct:
     case OpKind::kSort:
     case OpKind::kSpool:
       return Estimate(plan->child(0));

@@ -12,7 +12,6 @@ bool IsHashingOp(OpKind kind) {
     case OpKind::kJoin:
     case OpKind::kAggregate:
     case OpKind::kWindow:
-    case OpKind::kMarkDistinct:
     case OpKind::kSort:  // not hashing, but comparably heavy per row
       return true;
     case OpKind::kScan:

@@ -53,10 +53,7 @@ Result<PlanPtr> Engine::Optimize(PreparedQuery* query,
 
 Result<QueryResult> Engine::ExecuteOptimized(const PlanPtr& optimized,
                                              const QueryOptions& options) {
-  ExecOptions exec_options = options.exec;
-  if (options.record_metrics && exec_options.metrics == nullptr) {
-    exec_options.metrics = &metrics_;
-  }
+  const ExecOptions& exec_options = options.exec;
   return ExecutePlan(optimized, exec_options);
 }
 

@@ -53,10 +53,6 @@ struct QueryOptions {
   /// produced the executed plan).
   OptimizerTrace* trace = nullptr;
 
-  /// Record execution counters into the engine's metrics registry (in
-  /// addition to any registry already set on `exec.metrics`).
-  bool record_metrics = false;
-
   static QueryOptions Baseline() {
     QueryOptions q;
     q.optimizer = OptimizerOptions::Baseline();

@@ -105,7 +105,7 @@ std::vector<uint32_t> AccumulateView(const AggInputView& view,
   // Pass 1: resolve each row's group once, in row order.
   groups->keys.Insert(view.group_cols, rows, ids.data());
   groups->states.resize(groups->keys.size() * num_aggs);
-  Column id_col(DataType::kInt64);  // DISTINCT pair tables' first column
+  Column id_col(DataType::kInt64);  // grouped DISTINCT tables' first column
   SelVector valid;                  // a DISTINCT mask's non-NULL arguments
   std::vector<uint32_t> pair_ids;
   std::vector<uint8_t> first;
@@ -130,7 +130,7 @@ std::vector<uint32_t> AccumulateView(const AggInputView& view,
         states[ids[r] * num_aggs].AccumulateColumnRow(*agg.item, *col, r);
       }
     } else {
-      if (id_col.size() != rows) {
+      if (!groups->keyless && id_col.size() != rows) {
         for (uint32_t id : ids) id_col.AppendInt(id);
       }
       valid.clear();
@@ -139,8 +139,9 @@ std::vector<uint32_t> AccumulateView(const AggInputView& view,
       }
       pair_ids.resize(valid.size());
       first.resize(valid.size());
-      groups->distinct[a].Insert({&id_col, col}, valid, pair_ids.data(),
-                                 first.data());
+      groups->distinct[a].Insert(
+          groups->keyless ? KeyColumns{col} : KeyColumns{&id_col, col}, valid,
+          pair_ids.data(), first.data());
       for (size_t i = 0; i < valid.size(); ++i) {
         if (!first[i]) continue;
         uint32_t r = valid[i];
@@ -167,22 +168,30 @@ void MergePartialGroups(const std::vector<BoundAgg>& aggs,
     for (size_t a = 0; a < num_aggs; ++a) {
       const AggregateItem& item = *aggs[a].item;
       if (!item.distinct) continue;
-      // Re-insert the partial's pairs under merged group ids; a pair
+      // Re-insert the partial's keys (pairs under merged group ids); a key
       // counts when the merged table sees it first.
-      Column pairs[2] = {Column(DataType::kInt64), Column(item.arg->type())};
-      part.distinct[a].DecodeAll(pairs);
       Column ids(DataType::kInt64);
-      for (size_t p = 0; p < pairs[0].size(); ++p) {
-        ids.AppendInt(remap[pairs[0].IntAt(p)]);
+      Column args(item.arg->type());
+      if (merged->keyless) {
+        part.distinct[a].DecodeAll(&args);
+      } else {
+        Column pairs[2] = {Column(DataType::kInt64), Column(item.arg->type())};
+        part.distinct[a].DecodeAll(pairs);
+        for (size_t p = 0; p < pairs[0].size(); ++p) {
+          ids.AppendInt(remap[pairs[0].IntAt(p)]);
+        }
+        args = std::move(pairs[1]);
       }
-      std::vector<uint32_t> pair_ids(ids.size());
-      std::vector<uint8_t> first(ids.size());
-      merged->distinct[a].Insert({&ids, &pairs[1]}, ids.size(),
-                                 pair_ids.data(), first.data());
-      for (size_t p = 0; p < ids.size(); ++p) {
+      std::vector<uint32_t> key_ids(args.size());
+      std::vector<uint8_t> first(args.size());
+      merged->distinct[a].Insert(
+          merged->keyless ? KeyColumns{&args} : KeyColumns{&ids, &args},
+          args.size(), key_ids.data(), first.data());
+      for (size_t p = 0; p < args.size(); ++p) {
         if (!first[p]) continue;
-        merged->states[ids.IntAt(p) * num_aggs + a].AccumulateColumnRow(
-            item, pairs[1], p);
+        size_t group = merged->keyless ? 0 : ids.IntAt(p);
+        merged->states[group * num_aggs + a].AccumulateColumnRow(item, args,
+                                                                 p);
       }
     }
   }

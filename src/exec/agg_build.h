@@ -58,10 +58,14 @@ Result<BoundAggs> BindAggs(const std::vector<AggregateItem>& items,
 /// The groups of one aggregate sink or window. `keys` gives each group its
 /// id; aggregate `a` of group `g` lives at states[g * aggs + a]. A DISTINCT
 /// aggregate `a` keeps in distinct[a] the (group id, argument) pairs it has
-/// accumulated: a pair counts when it is first inserted, MarkDistinct's rule.
+/// accumulated, or the bare arguments when the table is keyless (no
+/// grouping columns, so every row is group 0): a key counts when it is
+/// first inserted.
 struct GroupTable {
-  explicit GroupTable(size_t num_aggs) : distinct(num_aggs) {}
+  GroupTable(size_t num_aggs, bool keyless)
+      : keyless(keyless), distinct(num_aggs) {}
 
+  bool keyless;
   KeyTable keys;
   std::vector<AggState> states;
   std::vector<KeyTable> distinct;  // one per aggregate; DISTINCT ones only
@@ -95,8 +99,9 @@ std::vector<uint32_t> AccumulateView(const AggInputView& view,
 
 /// Folds worker-private partials into `merged` in partial order (partial 0
 /// first): groups through KeyTable::Merge, states through AggState::Merge.
-/// A DISTINCT aggregate instead re-inserts each partial's pairs under the
-/// merged group ids and accumulates the ones new to the merged table.
+/// A DISTINCT aggregate instead re-inserts each partial's keys (under the
+/// merged group ids, unless keyless) and accumulates the ones new to the
+/// merged table.
 /// Deterministic for a fixed worker count.
 void MergePartialGroups(const std::vector<BoundAgg>& aggs,
                         std::vector<GroupTable>* partials, GroupTable* merged);

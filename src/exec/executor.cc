@@ -33,7 +33,6 @@ std::string NodeDetail(const LogicalOp& plan) {
     case OpKind::kFilter:
     case OpKind::kProject:
     case OpKind::kWindow:
-    case OpKind::kMarkDistinct:
     case OpKind::kUnionAll:
     case OpKind::kValues:
     case OpKind::kSort:
@@ -96,9 +95,6 @@ Result<ExecOperatorPtr> MakeOperator(const PlanPtr& plan,
                           std::move(children[1]), ctx);
     case OpKind::kWindow:
       return MakeWindowExec(Cast<WindowOp>(*plan), std::move(children[0]), ctx);
-    case OpKind::kMarkDistinct:
-      return MakeMarkDistinctExec(Cast<MarkDistinctOp>(*plan),
-                                  std::move(children[0]), ctx);
     case OpKind::kUnionAll:
       return MakeUnionAllExec(Cast<UnionAllOp>(*plan), std::move(children));
     case OpKind::kSort:

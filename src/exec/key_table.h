@@ -1,6 +1,5 @@
 // KeyTable: the executor's one hash table over row keys, shared by join
-// build and probe, GROUP BY, window partitions, MarkDistinct and DISTINCT
-// aggregates. Key format (-0.0 is 0.0), NULL semantics, ids, the layout,
+// build and probe, GROUP BY, window partitions and DISTINCT aggregates. Key format (-0.0 is 0.0), NULL semantics, ids, the layout,
 // the memory formula and the merge remap: DESIGN.md §6.4.
 #ifndef FUSIONDB_EXEC_KEY_TABLE_H_
 #define FUSIONDB_EXEC_KEY_TABLE_H_

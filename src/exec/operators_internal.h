@@ -23,9 +23,6 @@ Result<ExecOperatorPtr> MakeJoinExec(const JoinOp& op, ExecOperatorPtr left,
                                      ExecOperatorPtr right, ExecContext* ctx);
 Result<ExecOperatorPtr> MakeWindowExec(const WindowOp& op,
                                        ExecOperatorPtr child, ExecContext* ctx);
-Result<ExecOperatorPtr> MakeMarkDistinctExec(const MarkDistinctOp& op,
-                                             ExecOperatorPtr child,
-                                             ExecContext* ctx);
 Result<ExecOperatorPtr> MakeUnionAllExec(const UnionAllOp& op,
                                          std::vector<ExecOperatorPtr> children);
 Result<ExecOperatorPtr> MakeValuesExec(const ValuesOp& op);

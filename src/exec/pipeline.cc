@@ -66,7 +66,7 @@ class PipelineExec final : public ExecOperator {
         root_op_id_(root_op_id),
         source_(std::move(source)),
         spec_(std::move(spec)),
-        groups_(spec_.baggs.aggs.size()) {}
+        groups_(spec_.baggs.aggs.size(), spec_.scalar) {}
 
   ~PipelineExec() override {
     if (accounted_bytes_ != 0) {
@@ -277,8 +277,8 @@ class PipelineExec final : public ExecOperator {
     const size_t n = scan ? prepared.size() : buffered.size();
     ThreadPool* pool = ctx_->pool();
     size_t workers = pool->num_workers();
-    std::vector<GroupTable> partials(workers,
-                                     GroupTable(spec_.baggs.aggs.size()));
+    std::vector<GroupTable> partials(
+        workers, GroupTable(spec_.baggs.aggs.size(), spec_.scalar));
     ParallelRegion region(ctx_);
     Status st = pool->ParallelFor(
         workers, [&](size_t /*worker*/, size_t w) -> Status {

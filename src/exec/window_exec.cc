@@ -1,7 +1,7 @@
-// Partitioned window aggregation and MarkDistinct. Windows accumulate their
-// partitions through the aggregate machinery of exec/agg_build.h (hash
-// aggregation itself is the compiled pipelines' aggregate sink,
-// exec/pipeline.h); both key through exec/key_table.h.
+// Partitioned window aggregation. Windows accumulate their partitions
+// through the aggregate machinery of exec/agg_build.h (hash aggregation
+// itself is the compiled pipelines' aggregate sink, exec/pipeline.h), keyed
+// through exec/key_table.h.
 #include <optional>
 
 #include "exec/agg_build.h"
@@ -83,7 +83,7 @@ class WindowExec final : public ExecOperator {
       }
     }
     view.masks = mask_set_.Evaluate(data_, nullptr);
-    GroupTable partitions(items_.size());
+    GroupTable partitions(items_.size(), partition_indexes_.empty());
     row_partitions_ = AccumulateView(view, items_, &partitions);
     // One row per partition: its key, then each item's finalized value.
     std::vector<DataType> final_types;
@@ -117,47 +117,6 @@ class WindowExec final : public ExecOperator {
   int32_t op_id_ = -1;
 };
 
-class MarkDistinctExec final : public ExecOperator {
- public:
-  MarkDistinctExec(const MarkDistinctOp& op, ExecOperatorPtr child,
-                   std::vector<int> key_indexes, ExecContext* ctx)
-      : ExecOperator(op.schema()),
-        child_(std::move(child)),
-        key_indexes_(std::move(key_indexes)),
-        ctx_(ctx),
-        op_id_(ctx->building_op()) {}
-
-  ~MarkDistinctExec() override { ctx_->AddHashBytes(-accounted_bytes_, op_id_); }
-
-  Result<std::optional<Chunk>> Next() override {
-    FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> in, child_->Next());
-    if (!in.has_value()) return std::optional<Chunk>();
-    size_t rows = in->num_rows();
-    Column marker(DataType::kBool);
-    marker.Reserve(rows);
-    KeyColumns keys = KeyColumnsOf(*in, key_indexes_);
-    // A row is marked when its key is inserted for the first time.
-    std::vector<uint32_t> ids(rows);
-    std::vector<uint8_t> first(rows);
-    seen_.Insert(keys, rows, ids.data(), first.data());
-    for (uint8_t f : first) marker.AppendBool(f != 0);
-    // Charged per chunk as the table grows.
-    ctx_->AddHashBytes(seen_.bytes() - accounted_bytes_, op_id_);
-    accounted_bytes_ = seen_.bytes();
-    Chunk out = std::move(*in);
-    out.columns.push_back(std::move(marker));
-    return std::optional<Chunk>(std::move(out));
-  }
-
- private:
-  ExecOperatorPtr child_;
-  std::vector<int> key_indexes_;
-  ExecContext* ctx_;
-  KeyTable seen_;
-  int64_t accounted_bytes_ = 0;
-  int32_t op_id_ = -1;
-};
-
 }  // namespace
 
 Result<ExecOperatorPtr> MakeWindowExec(const WindowOp& op,
@@ -187,23 +146,6 @@ Result<ExecOperatorPtr> MakeWindowExec(const WindowOp& op,
                                         std::move(partition_indexes),
                                         std::move(items), std::move(storage),
                                         ctx));
-}
-
-Result<ExecOperatorPtr> MakeMarkDistinctExec(const MarkDistinctOp& op,
-                                             ExecOperatorPtr child,
-                                             ExecContext* ctx) {
-  std::vector<int> key_indexes;
-  key_indexes.reserve(op.distinct_columns().size());
-  for (ColumnId c : op.distinct_columns()) {
-    int idx = child->schema().IndexOf(c);
-    if (idx < 0) {
-      return Status::PlanError("mark-distinct column #" + std::to_string(c) +
-                               " not in input");
-    }
-    key_indexes.push_back(idx);
-  }
-  return ExecOperatorPtr(
-      new MarkDistinctExec(op, std::move(child), std::move(key_indexes), ctx));
 }
 
 }  // namespace fusiondb::internal

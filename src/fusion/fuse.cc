@@ -48,8 +48,6 @@ const char* FusionCaseLabel(OpKind k1, OpKind k2) {
       return "III.D (join)";
     case OpKind::kAggregate:
       return "III.E (aggregate)";
-    case OpKind::kMarkDistinct:
-      return "III.F (mark-distinct)";
     case OpKind::kEnforceSingleRow:
     case OpKind::kLimit:
     case OpKind::kSort:
@@ -111,9 +109,6 @@ std::optional<FuseResult> Fuser::FuseImpl(const PlanPtr& p1,
       return FuseJoin(Cast<JoinOp>(*p1), Cast<JoinOp>(*p2));
     case OpKind::kAggregate:
       return FuseAggregate(Cast<AggregateOp>(*p1), Cast<AggregateOp>(*p2));
-    case OpKind::kMarkDistinct:
-      return FuseMarkDistinct(Cast<MarkDistinctOp>(*p1),
-                              Cast<MarkDistinctOp>(*p2));
     case OpKind::kEnforceSingleRow:
     case OpKind::kLimit:
     case OpKind::kSort:
@@ -426,57 +421,6 @@ std::optional<FuseResult> Fuser::FuseAggregate(const AggregateOp& g1,
                     std::move(comp_r)};
 }
 
-// --- Section III.F: MarkDistinct -------------------------------------------
-
-PlanPtr Fuser::AddMarkDistinct(const PlanPtr& input, ColumnId marker,
-                               const std::string& marker_name,
-                               const std::vector<ColumnId>& distinct_columns,
-                               const ExprPtr& guard) {
-  if (guard == nullptr || IsTrueLiteral(guard)) {
-    return std::make_shared<MarkDistinctOp>(input, marker, marker_name,
-                                            distinct_columns);
-  }
-  // Append a guard column m := guard and include it in the distinct set, so
-  // the marker distinguishes "first time seen among guarded rows".
-  std::vector<NamedExpr> exprs;
-  exprs.reserve(input->schema().num_columns() + 1);
-  for (const ColumnInfo& c : input->schema().columns()) {
-    exprs.push_back({c.id, c.name, Expr::MakeColumnRef(c.id, c.type)});
-  }
-  ColumnId guard_col = ctx_->NextId();
-  exprs.push_back({guard_col, marker_name + "$guard", guard});
-  PlanPtr projected =
-      std::make_shared<ProjectOp>(input, std::move(exprs));
-  std::vector<ColumnId> cols = distinct_columns;
-  cols.push_back(guard_col);
-  return std::make_shared<MarkDistinctOp>(projected, marker, marker_name,
-                                          std::move(cols));
-}
-
-std::optional<FuseResult> Fuser::FuseMarkDistinct(const MarkDistinctOp& m1,
-                                                  const MarkDistinctOp& m2) {
-  auto sub = Fuse(m1.child(0), m2.child(0));
-  if (!sub.has_value()) return std::nullopt;
-  int marker1_idx = m1.schema().IndexOf(m1.marker());
-  int marker2_idx = m2.schema().IndexOf(m2.marker());
-  std::vector<ColumnId> d2;
-  d2.reserve(m2.distinct_columns().size());
-  for (ColumnId c : m2.distinct_columns()) {
-    d2.push_back(ApplyMap(sub->mapping, c));
-  }
-  PlanPtr inner = AddMarkDistinct(sub->plan, m2.marker(),
-                                  m2.schema().column(marker2_idx).name, d2,
-                                  sub->right_filter);
-  PlanPtr outer = AddMarkDistinct(inner, m1.marker(),
-                                  m1.schema().column(marker1_idx).name,
-                                  m1.distinct_columns(), sub->left_filter);
-  ColumnMap mapping = sub->mapping;
-  mapping[m2.marker()] = m2.marker();
-  return FuseResult{std::move(outer), std::move(mapping),
-                    std::move(sub->left_filter),
-                    std::move(sub->right_filter)};
-}
-
 // --- Section III.G: defaults and mismatched roots ---------------------------
 
 std::optional<FuseResult> Fuser::FuseDefault(const PlanPtr& p1,
@@ -516,7 +460,6 @@ std::optional<FuseResult> Fuser::FuseDefault(const PlanPtr& p1,
     case OpKind::kJoin:
     case OpKind::kAggregate:
     case OpKind::kWindow:
-    case OpKind::kMarkDistinct:
     case OpKind::kUnionAll:
     case OpKind::kValues:
     case OpKind::kApply:
@@ -530,41 +473,7 @@ std::optional<FuseResult> Fuser::FuseDefault(const PlanPtr& p1,
 
 std::optional<FuseResult> Fuser::FuseMismatched(const PlanPtr& p1,
                                                 const PlanPtr& p2) {
-  // 1. MarkDistinct only appends a column: skip it, fuse the child, re-add.
-  if (p1->kind() == OpKind::kMarkDistinct) {
-    const auto& md = Cast<MarkDistinctOp>(*p1);
-    auto sub = Fuse(p1->child(0), p2);
-    if (sub.has_value()) {
-      int idx = md.schema().IndexOf(md.marker());
-      PlanPtr fused =
-          AddMarkDistinct(sub->plan, md.marker(), md.schema().column(idx).name,
-                          md.distinct_columns(), sub->left_filter);
-      return FuseResult{std::move(fused), std::move(sub->mapping),
-                        std::move(sub->left_filter),
-                        std::move(sub->right_filter)};
-    }
-  }
-  if (p2->kind() == OpKind::kMarkDistinct) {
-    const auto& md = Cast<MarkDistinctOp>(*p2);
-    auto sub = Fuse(p1, p2->child(0));
-    if (sub.has_value()) {
-      int idx = md.schema().IndexOf(md.marker());
-      std::vector<ColumnId> d2;
-      d2.reserve(md.distinct_columns().size());
-      for (ColumnId c : md.distinct_columns()) {
-        d2.push_back(ApplyMap(sub->mapping, c));
-      }
-      PlanPtr fused =
-          AddMarkDistinct(sub->plan, md.marker(), md.schema().column(idx).name,
-                          d2, sub->right_filter);
-      ColumnMap mapping = std::move(sub->mapping);
-      mapping[md.marker()] = md.marker();
-      return FuseResult{std::move(fused), std::move(mapping),
-                        std::move(sub->left_filter),
-                        std::move(sub->right_filter)};
-    }
-  }
-  // 2. One side has a Filter root: manufacture a trivial TRUE filter.
+  // 1. One side has a Filter root: manufacture a trivial TRUE filter.
   if (p1->kind() == OpKind::kFilter && p2->kind() != OpKind::kFilter) {
     PlanPtr wrapped = std::make_shared<FilterOp>(p2, TrueExpr());
     return FuseFilter(Cast<FilterOp>(*p1), Cast<FilterOp>(*wrapped));
@@ -573,7 +482,7 @@ std::optional<FuseResult> Fuser::FuseMismatched(const PlanPtr& p1,
     PlanPtr wrapped = std::make_shared<FilterOp>(p1, TrueExpr());
     return FuseFilter(Cast<FilterOp>(*wrapped), Cast<FilterOp>(*p2));
   }
-  // 3. One side has a Project root: manufacture an identity projection.
+  // 2. One side has a Project root: manufacture an identity projection.
   if (p1->kind() == OpKind::kProject && p2->kind() != OpKind::kProject) {
     PlanPtr wrapped = ProjectOp::MakeIdentity(p2);
     return FuseProject(Cast<ProjectOp>(*p1), Cast<ProjectOp>(*wrapped));

@@ -12,6 +12,11 @@
 // Fusion requires no new operators (unlike Resin's ResinMap/ResinReduce):
 // every fused result is ordinary relational algebra, so downstream rules
 // keep composing with it.
+//
+// Section III.F has no case here. Athena fuses its distinct-marking
+// operator because it lowers DISTINCT aggregates onto it; here a DISTINCT
+// aggregate is a native masked aggregate item and fuses under III.E
+// (DESIGN.md §5).
 #ifndef FUSIONDB_FUSION_FUSE_H_
 #define FUSIONDB_FUSION_FUSE_H_
 
@@ -36,7 +41,7 @@ struct FuseResult {
 };
 
 /// Implements the recursive Fuse procedure. Holds the PlanContext used to
-/// mint compensating columns (tag/marker/count columns).
+/// mint compensating columns (tag and count columns).
 class Fuser {
  public:
   explicit Fuser(PlanContext* ctx) : ctx_(ctx) {}
@@ -104,15 +109,6 @@ class Fuser {
   std::optional<FuseResult> FuseAggregate(const AggregateOp& g1,
                                           const AggregateOp& g2);
 
-  /// Section III.F (MarkDistinct, which Athena lowers distinct aggregates
-  /// onto). Same distinct-key set modulo M; when the child fusion is
-  /// inexact the marker must be guarded so "first seen" is evaluated within
-  /// each side's subset (see AddMarkDistinct).
-  ///   before: MD_{keys}(C1)  ,  MD_{keys'}(C2)
-  ///   after:  P = MD_{keys∪guard}(Fuse(C1,C2)) per side;  L, R from child
-  std::optional<FuseResult> FuseMarkDistinct(const MarkDistinctOp& m1,
-                                             const MarkDistinctOp& m2);
-
   /// Section III.G (default case). Parameter-compatible unary operators
   /// over an *exact* child fusion (EnforceSingleRow, Limit, Sort) pass
   /// through: the fused operator is re-instantiated over the fused child.
@@ -121,22 +117,12 @@ class Fuser {
   std::optional<FuseResult> FuseDefault(const PlanPtr& p1, const PlanPtr& p2);
 
   /// Section III.G (root-mismatch compensation). When the roots differ,
-  /// skip a MarkDistinct on one side (its marker column is additive), or
   /// manufacture a trivial σ_TRUE / identity-π root so a structural case
   /// applies.
-  ///   before: MD(C1)  ,  C2         (or σ/π vs bare child)
-  ///   after:  fuse C1 with C2, re-adding the skipped operator on top
+  ///   before: σ(C1)  ,  C2         (or π vs bare child)
+  ///   after:  Fuse(σ(C1), σ_TRUE(C2))
   std::optional<FuseResult> FuseMismatched(const PlanPtr& p1,
                                            const PlanPtr& p2);
-
-  /// Re-adds a MarkDistinct above `input`. When `guard` is not TRUE, a
-  /// boolean guard column computed from it is appended (via projection) and
-  /// included in the distinct set, so the marker distinguishes first-seen
-  /// within the guarded subset (the III.F construction).
-  PlanPtr AddMarkDistinct(const PlanPtr& input, ColumnId marker,
-                          const std::string& marker_name,
-                          const std::vector<ColumnId>& distinct_columns,
-                          const ExprPtr& guard);
 
   PlanContext* ctx_;
 

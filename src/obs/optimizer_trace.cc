@@ -196,7 +196,6 @@ std::string OptimizerTrace::DescribeNode(const LogicalOp& op) {
     case OpKind::kFilter:
     case OpKind::kProject:
     case OpKind::kWindow:
-    case OpKind::kMarkDistinct:
     case OpKind::kValues:
     case OpKind::kSort:
     case OpKind::kEnforceSingleRow:

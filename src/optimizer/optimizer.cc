@@ -250,8 +250,8 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
-  // 2. Decorrelate (always-on substrate; Apply cannot execute).
-  if (options_.enable_decorrelation) {
+  // 2. Decorrelate (always on: Apply cannot execute).
+  {
     PhaseScope phase(obs_trace, "decorrelate");
     std::vector<const Rule*> rules{&decorrelate, &merge_filters};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
@@ -272,7 +272,7 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   }
 
   // 4. Distinct/semi-join interplay (the Q95 pipeline, Section V.D).
-  if (options_.enable_semijoin_rewrites) {
+  {
     PhaseScope phase(obs_trace, "distinct");
     std::vector<const Rule*> rules{&semi_to_distinct, &push_distinct,
                                    &merge_projects};
@@ -293,7 +293,7 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
                                    &filter_pushdown, &push_into_scan};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
-  if (options_.enable_column_pruning) {
+  {
     PhaseScope phase(obs_trace, "prune");
     int ops_before = obs_trace != nullptr ? CountAllOps(current) : 0;
     PlanPtr pre_prune = current;

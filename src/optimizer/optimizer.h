@@ -36,11 +36,6 @@ struct OptimizerOptions {
   bool enable_union_all_on_join = true;
   bool enable_union_all_fuse = true;
 
-  // Substrate switches (identical in the baseline and optimized
-  // configurations; exposed for targeted tests and ablations).
-  bool enable_decorrelation = true;
-  bool enable_semijoin_rewrites = true;
-  bool enable_column_pruning = true;
   // Materialize duplicated subtrees once via spool buffers — the general
   // common-subexpression strategy the paper compares fusion against
   // (kAlways is normally used with the fusion rules off; see

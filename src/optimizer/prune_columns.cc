@@ -139,16 +139,6 @@ Result<PlanPtr> Prune(const PlanPtr& plan, const ColumnSet& required) {
           std::make_shared<WindowOp>(std::move(child), win.partition_by(),
                                      std::move(kept)));
     }
-    case OpKind::kMarkDistinct: {
-      const auto& md = Cast<MarkDistinctOp>(*plan);
-      ColumnSet needed = required;
-      needed.erase(md.marker());
-      needed.insert(md.distinct_columns().begin(),
-                    md.distinct_columns().end());
-      FUSIONDB_ASSIGN_OR_RETURN(PlanPtr child, Prune(md.child(0), needed));
-      if (child == md.child(0)) return plan;
-      return plan->CloneWithChildren({std::move(child)});
-    }
     case OpKind::kUnionAll: {
       const auto& u = Cast<UnionAllOp>(*plan);
       // Keep required output positions; narrow each child accordingly.

@@ -68,7 +68,6 @@ Result<PlanPtr> SimplifyExpressionsRule::Apply(const PlanPtr& plan,
     }
     case OpKind::kScan:
     case OpKind::kWindow:
-    case OpKind::kMarkDistinct:
     case OpKind::kUnionAll:
     case OpKind::kValues:
     case OpKind::kSort:

@@ -16,8 +16,6 @@ const char* OpKindName(OpKind kind) {
       return "Aggregate";
     case OpKind::kWindow:
       return "Window";
-    case OpKind::kMarkDistinct:
-      return "MarkDistinct";
     case OpKind::kUnionAll:
       return "UnionAll";
     case OpKind::kValues:

@@ -4,9 +4,11 @@
 // The operator set mirrors the paper's: Scan, Filter, Project, Join
 // (inner/left/semi/cross), Aggregate with *per-aggregate masks* (Section
 // III.E: each aggregate is a pair (a, m) of function and boolean mask),
-// Window, MarkDistinct (Section III.F), UnionAll, Values (the "constant
-// table" of rule IV.D), Sort, Limit, EnforceSingleRow (III.G) and Apply
-// (correlated scalar subquery placeholder removed by decorrelation).
+// Window, UnionAll, Values (the "constant table" of rule IV.D), Sort,
+// Limit, EnforceSingleRow (III.G) and Apply (correlated scalar subquery
+// placeholder removed by decorrelation). The paper's distinct-marking
+// operator (III.F) has no counterpart: DISTINCT aggregates are native
+// aggregate items (DESIGN.md §5).
 #ifndef FUSIONDB_PLAN_LOGICAL_PLAN_H_
 #define FUSIONDB_PLAN_LOGICAL_PLAN_H_
 
@@ -28,7 +30,6 @@ enum class OpKind : uint8_t {
   kJoin,
   kAggregate,
   kWindow,
-  kMarkDistinct,
   kUnionAll,
   kValues,
   kSort,
@@ -227,8 +228,7 @@ class JoinOp final : public LogicalOp {
 /// One aggregate of a GroupBy: Athena-style (function, mask) pair (III.E).
 /// `mask` may be null (TRUE). `arg` is null for COUNT(*). When `distinct`
 /// is set the aggregate considers only distinct argument values; the
-/// executor evaluates it natively (the optimizer does not lower it onto
-/// MarkDistinct, DESIGN.md §5).
+/// executor evaluates it natively (DESIGN.md §5).
 struct AggregateItem {
   ColumnId id = kInvalidColumnId;
   std::string name;
@@ -334,43 +334,6 @@ class WindowOp final : public LogicalOp {
 
   std::vector<ColumnId> partition_by_;
   std::vector<WindowItem> items_;
-};
-
-/// MarkDistinct (Section III.F): passes the input through and appends a
-/// boolean column that is TRUE the first time each combination of
-/// `distinct_columns` is seen.
-class MarkDistinctOp final : public LogicalOp {
- public:
-  static constexpr OpKind kKind = OpKind::kMarkDistinct;
-
-  MarkDistinctOp(PlanPtr input, ColumnId marker, std::string marker_name,
-                 std::vector<ColumnId> distinct_columns)
-      : LogicalOp(kKind, {input}, SchemaOf(*input, marker, marker_name)),
-        marker_(marker),
-        distinct_columns_(std::move(distinct_columns)) {}
-
-  ColumnId marker() const { return marker_; }
-  const std::vector<ColumnId>& distinct_columns() const {
-    return distinct_columns_;
-  }
-
-  PlanPtr CloneWithChildren(std::vector<PlanPtr> children) const override {
-    int idx = schema().IndexOf(marker_);
-    return std::make_shared<MarkDistinctOp>(children[0], marker_,
-                                            schema().column(idx).name,
-                                            distinct_columns_);
-  }
-
- private:
-  static Schema SchemaOf(const LogicalOp& input, ColumnId marker,
-                         const std::string& name) {
-    std::vector<ColumnInfo> cols = input.schema().columns();
-    cols.push_back({marker, name, DataType::kBool});
-    return Schema(std::move(cols));
-  }
-
-  ColumnId marker_;
-  std::vector<ColumnId> distinct_columns_;
 };
 
 /// N-ary bag union. `input_columns[c][o]` names the column of child `c` that

@@ -136,20 +136,6 @@ PlanPtr RenumberNode(const PlanPtr& plan, RenumberState* st) {
                                        std::move(items));
       break;
     }
-    case OpKind::kMarkDistinct: {
-      const auto& mark = Cast<MarkDistinctOp>(*plan);
-      std::vector<ColumnId> distinct;
-      distinct.reserve(mark.distinct_columns().size());
-      for (ColumnId d : mark.distinct_columns()) {
-        distinct.push_back(ApplyMap(st->map, d));
-      }
-      int idx = mark.schema().IndexOf(mark.marker());
-      FUSIONDB_CHECK(idx >= 0, "mark-distinct marker missing from schema");
-      out = std::make_shared<MarkDistinctOp>(
-          children[0], st->Fresh(mark.marker()), mark.schema().column(idx).name,
-          std::move(distinct));
-      break;
-    }
     case OpKind::kUnionAll: {
       const auto& u = Cast<UnionAllOp>(*plan);
       std::vector<std::vector<ColumnId>> input_columns;

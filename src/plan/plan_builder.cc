@@ -167,16 +167,6 @@ PlanBuilder& PlanBuilder::Window(const std::vector<std::string>& partition_by,
   return *this;
 }
 
-PlanBuilder& PlanBuilder::MarkDistinct(const std::string& marker_name,
-                                       const std::vector<std::string>& columns) {
-  std::vector<ColumnId> ids;
-  ids.reserve(columns.size());
-  for (const std::string& c : columns) ids.push_back(Col(c).id);
-  plan_ = std::make_shared<MarkDistinctOp>(plan_, ctx_->NextId(), marker_name,
-                                           std::move(ids));
-  return *this;
-}
-
 PlanBuilder& PlanBuilder::Sort(
     const std::vector<std::pair<std::string, bool>>& keys) {
   std::vector<SortKey> sort_keys;

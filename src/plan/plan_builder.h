@@ -76,9 +76,6 @@ class PlanBuilder {
   PlanBuilder& Window(const std::vector<std::string>& partition_by,
                       std::vector<AggSpec> items);
 
-  PlanBuilder& MarkDistinct(const std::string& marker_name,
-                            const std::vector<std::string>& columns);
-
   PlanBuilder& Sort(const std::vector<std::pair<std::string, bool>>& keys);
   PlanBuilder& Limit(int64_t n);
   PlanBuilder& EnforceSingleRow();

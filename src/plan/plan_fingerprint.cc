@@ -80,13 +80,6 @@ void ListFields(const LogicalOp& op, OpFields* f) {
       }
       break;
     }
-    case OpKind::kMarkDistinct: {
-      const auto& md = Cast<MarkDistinctOp>(op);
-      f->columns.push_back(md.marker());
-      f->columns.insert(f->columns.end(), md.distinct_columns().begin(),
-                        md.distinct_columns().end());
-      break;
-    }
     case OpKind::kUnionAll: {
       const auto& u = Cast<UnionAllOp>(op);
       for (const std::vector<ColumnId>& per_child : u.input_columns()) {

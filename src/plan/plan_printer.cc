@@ -85,16 +85,6 @@ void PrintNode(const PlanPtr& plan, int indent, std::ostream& os,
       os << "]";
       break;
     }
-    case OpKind::kMarkDistinct: {
-      const auto& md = Cast<MarkDistinctOp>(*plan);
-      os << " marker#" << md.marker() << " over [";
-      for (size_t i = 0; i < md.distinct_columns().size(); ++i) {
-        if (i > 0) os << ", ";
-        os << "#" << md.distinct_columns()[i];
-      }
-      os << "]";
-      break;
-    }
     case OpKind::kValues: {
       os << " rows=" << Cast<ValuesOp>(*plan).rows().size();
       break;

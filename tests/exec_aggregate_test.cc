@@ -1,6 +1,5 @@
 // Aggregation executor: grouped/scalar aggregates, per-aggregate masks
-// (Section III.E semantics), DISTINCT aggregates, window aggregation, and
-// MarkDistinct (Section III.F semantics).
+// (Section III.E semantics), DISTINCT aggregates and window aggregation.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -356,10 +355,13 @@ TEST(AggregateExecTest, DistinctAggregates) {
   PlanBuilder b = ScanSales(&ctx);
   b.Aggregate({}, {{"d", AggFunc::kCount, b.Ref("amount"), nullptr, true},
                    {"ds", AggFunc::kSum, b.Ref("amount"), nullptr, true}});
-  QueryResult r = MustExecute(b.Build());
-  // i%5==4 nulls out amounts 4 and 9, leaving {0,1,2,3,5,6,7,8}.
-  EXPECT_EQ(ScalarInt(r, 0), 8);
-  EXPECT_EQ(r.At(0, 1), Value::Int64(0 + 1 + 2 + 3 + 5 + 6 + 7 + 8));
+  // Tiny chunks must not reset the distinct tables between chunks.
+  for (size_t chunk : {4, 4096}) {
+    QueryResult r = MustExecute(b.Build(), chunk);
+    // i%5==4 nulls out amounts 4 and 9, leaving {0,1,2,3,5,6,7,8}.
+    EXPECT_EQ(ScalarInt(r, 0), 8);
+    EXPECT_EQ(r.At(0, 1), Value::Int64(0 + 1 + 2 + 3 + 5 + 6 + 7 + 8));
+  }
 }
 
 TEST(AggregateExecTest, DistinctWithMask) {
@@ -434,48 +436,9 @@ TEST(WindowExecTest, AgreesWithAggregateJoin) {
   EXPECT_TRUE(ResultsEquivalent(via_window, via_join));
 }
 
-TEST(MarkDistinctExecTest, MarksFirstOccurrences) {
-  PlanContext ctx;
-  PlanBuilder b = ScanSales(&ctx);
-  b.MarkDistinct("first_amount", {"amount"});
-  b.Aggregate({}, {{"marked", AggFunc::kCountStar, nullptr,
-                    b.Ref("first_amount"), false}});
-  QueryResult r = MustExecute(b.Build());
-  // 8 non-null distinct amounts + the NULL combination.
-  EXPECT_EQ(ScalarInt(r, 0), 9);
-}
-
-TEST(MarkDistinctExecTest, ImplementsDistinctAggregates) {
-  // The III.F lowering identity: COUNT(DISTINCT x) == COUNT(x) masked by a
-  // MarkDistinct marker over x.
-  PlanContext ctx;
-  PlanBuilder direct = ScanSales(&ctx);
-  direct.Aggregate({"grp"}, {{"d", AggFunc::kCount, direct.Ref("amount"),
-                              nullptr, true}});
-  QueryResult expected = MustExecute(direct.Build());
-
-  PlanBuilder lowered = ScanSales(&ctx);
-  lowered.MarkDistinct("m", {"grp", "amount"});
-  lowered.Aggregate({"grp"}, {{"d", AggFunc::kCount, lowered.Ref("amount"),
-                               lowered.Ref("m"), false}});
-  QueryResult got = MustExecute(lowered.Build());
-  EXPECT_TRUE(ResultsEquivalent(expected, got));
-}
-
-TEST(MarkDistinctExecTest, StreamsAcrossChunks) {
-  PlanContext ctx;
-  PlanBuilder b = ScanSales(&ctx);
-  b.MarkDistinct("m", {"amount"});
-  b.Aggregate({}, {{"marked", AggFunc::kCountStar, nullptr, b.Ref("m"),
-                    false}});
-  // Tiny chunks must not reset the seen-set between chunks.
-  QueryResult r = MustExecute(b.Build(), /*chunk_size=*/4);
-  EXPECT_EQ(ScalarInt(r, 0), 9);
-}
-
 // -0.0 == 0.0 under SQL equality, so every keyed operator must treat the two
-// zeros as one key: one group, one distinct value, a marker on the first row
-// only, and a join match across signs.
+// zeros as one key: one group, one distinct value and a join match across
+// signs.
 TEST(KeyIdentityTest, NegativeZeroIsZeroForEveryKeyedOperator) {
   PlanContext ctx;
   auto zeros = [&] {
@@ -497,14 +460,7 @@ TEST(KeyIdentityTest, NegativeZeroIsZeroForEveryKeyedOperator) {
                          true}});
   QueryResult distinct = MustExecute(native.Build());
   ExpectMatchesReference(native.Build(), distinct);
-
-  PlanBuilder lowered = zeros();
-  lowered.MarkDistinct("m", {"x"});
-  lowered.Aggregate({}, {{"d", AggFunc::kCount, lowered.Ref("x"),
-                          lowered.Ref("m"), false}});
-  QueryResult marked = MustExecute(lowered.Build());
-  ExpectMatchesReference(lowered.Build(), marked);
-  EXPECT_TRUE(ResultsEquivalent(distinct, marked));
+  EXPECT_EQ(ScalarInt(distinct, 0), 1);
 
   PlanBuilder joined = zeros();
   PlanBuilder negative = PlanBuilder::Values(

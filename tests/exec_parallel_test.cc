@@ -2,8 +2,9 @@
 // same results at parallelism 1, 2 and 8 under both optimizer
 // configurations, (b) all additive ExecMetrics are thread-count-invariant,
 // and (c) the ThreadPool/ParallelFor primitive behaves (work coverage,
-// error propagation, zero-thread degenerate pool), and (d) one built
-// KeyTable answers probes from every pool worker at once.
+// error propagation, zero-thread degenerate pool), (d) one built KeyTable
+// answers probes from every pool worker at once, and (e) masked and DISTINCT
+// aggregates are bit-identical at every thread count.
 //
 // This suite carries the ctest label "parallel" so it can be run alone
 // under ThreadSanitizer: cmake -DFUSIONDB_SANITIZE=thread, then
@@ -228,6 +229,39 @@ TEST(ParallelExec, ConcurrentProbesOfOneKeyTable) {
   }
 }
 
+/// t(k, g, q, p) over 100 partitions of k: g in [0, 7), q in [0, 50) (NULL
+/// on every 13th row when `null_q`), p a multiple of 0.25 in [0, 100) that
+/// is NULL on every 11th row.
+TablePtr AggInputTable(bool null_q) {
+  TableBuilder tb("t", {{"k", DataType::kInt64},
+                        {"g", DataType::kInt64},
+                        {"q", DataType::kInt64},
+                        {"p", DataType::kFloat64}});
+  EXPECT_TRUE(tb.PartitionBy("k", 100).ok());
+  for (int64_t r = 0; r < 20000; ++r) {
+    Value q = null_q && r % 13 == 0 ? Value::Null(DataType::kInt64)
+                                    : Value::Int64(r * 37 % 50);
+    Value p = r % 11 == 0 ? Value::Null(DataType::kFloat64)
+                          : Value::Float64(static_cast<double>(r * 13 % 400) / 4);
+    EXPECT_TRUE(
+        tb.AppendRow({Value::Int64(r % 1000), Value::Int64(r % 7), q, p}).ok());
+  }
+  return Unwrap(tb.Build());
+}
+
+/// `plan`'s rows at `parallelism`, sorted by their first (int64) column.
+std::vector<reference::Row> SortedRows(const PlanPtr& plan,
+                                       size_t parallelism) {
+  QueryResult r = Unwrap(
+      ExecutePlan(plan, {.chunk_size = 512, .parallelism = parallelism}));
+  std::vector<reference::Row> rows = testutil::RowsOf(r);
+  std::sort(rows.begin(), rows.end(),
+            [](const reference::Row& x, const reference::Row& y) {
+              return x[0].int_value() < y[0].int_value();
+            });
+  return rows;
+}
+
 // A grouped masked aggregate under an OR filter, with masks that share a
 // conjunct: every worker evaluates the one bound mask set, and runs OR
 // narrowing with its own scratch, at once (run under TSan via the
@@ -235,18 +269,7 @@ TEST(ParallelExec, ConcurrentProbesOfOneKeyTable) {
 // are exact in any order and the results are bit-identical at 1 and 4
 // threads, not just within tolerance.
 TEST(ParallelExec, MaskedAggregateBitIdenticalAcrossThreadCounts) {
-  TableBuilder tb("t", {{"k", DataType::kInt64},
-                        {"g", DataType::kInt64},
-                        {"q", DataType::kInt64},
-                        {"p", DataType::kFloat64}});
-  FUSIONDB_ASSERT_OK(tb.PartitionBy("k", 100));
-  for (int64_t r = 0; r < 20000; ++r) {
-    Value p = r % 11 == 0 ? Value::Null(DataType::kFloat64)
-                          : Value::Float64(static_cast<double>(r * 13 % 400) / 4);
-    FUSIONDB_ASSERT_OK(tb.AppendRow({Value::Int64(r % 1000), Value::Int64(r % 7),
-                                     Value::Int64(r * 37 % 50), p}));
-  }
-  TablePtr t = Unwrap(tb.Build());
+  TablePtr t = AggInputTable(/*null_q=*/false);
   PlanContext ctx;
   PlanBuilder b = PlanBuilder::Scan(&ctx, t, {"g", "q", "p"});
   ExprPtr q = b.Ref("q");
@@ -268,19 +291,40 @@ TEST(ParallelExec, MaskedAggregateBitIdenticalAcrossThreadCounts) {
   }
   b.Aggregate({"g"}, std::move(specs));
   PlanPtr plan = b.Build();
-  auto sorted_rows = [&](size_t parallelism) {
-    QueryResult r = Unwrap(
-        ExecutePlan(plan, {.chunk_size = 512, .parallelism = parallelism}));
-    std::vector<reference::Row> rows = testutil::RowsOf(r);
-    std::sort(rows.begin(), rows.end(),
-              [](const reference::Row& x, const reference::Row& y) {
-                return x[0].int_value() < y[0].int_value();
-              });
-    return rows;
-  };
-  std::vector<reference::Row> serial = sorted_rows(1);
+  std::vector<reference::Row> serial = SortedRows(plan, 1);
   ASSERT_EQ(serial.size(), 7u);
-  EXPECT_EQ(sorted_rows(4), serial);
+  EXPECT_EQ(SortedRows(plan, 4), serial);
+}
+
+// Masked COUNT(DISTINCT) and SUM(DISTINCT) over NULL-bearing arguments,
+// scalar and grouped. Each worker's partial keeps its own DISTINCT tables
+// and MergePartialGroups re-inserts them: keyed on the argument alone when
+// there are no grouping columns, on (group id, argument) otherwise. The
+// double argument holds multiples of 0.25, so the results are bit-identical
+// at 1 and 4 threads, and they match the reference evaluator.
+TEST(ParallelExec, DistinctAggregatesBitIdenticalAcrossThreadCounts) {
+  TablePtr t = AggInputTable(/*null_q=*/true);
+  for (bool grouped : {false, true}) {
+    SCOPED_TRACE(grouped ? "grouped" : "scalar");
+    PlanContext ctx;
+    PlanBuilder b = PlanBuilder::Scan(&ctx, t, {"g", "q", "p"});
+    ExprPtr q = b.Ref("q");
+    ExprPtr p = b.Ref("p");
+    ExprPtr low = eb::Lt(q, eb::Int(25));
+    ExprPtr cheap = eb::Lt(p, eb::Dbl(60.0));
+    b.Aggregate(grouped ? std::vector<std::string>{"g"}
+                        : std::vector<std::string>{},
+                {{"cd_p", AggFunc::kCount, p, low, true},
+                 {"sd_p", AggFunc::kSum, p, cheap, true},
+                 {"cd_q", AggFunc::kCount, q, nullptr, true},
+                 {"sd_q", AggFunc::kSum, q, cheap, true}});
+    PlanPtr plan = b.Build();
+    std::vector<reference::Row> serial = SortedRows(plan, 1);
+    ASSERT_EQ(serial.size(), grouped ? 7u : 1u);
+    EXPECT_EQ(SortedRows(plan, 4), serial);
+    testutil::ExpectMatchesReference(
+        plan, Unwrap(ExecutePlan(plan, {.chunk_size = 512, .parallelism = 4})));
+  }
 }
 
 }  // namespace

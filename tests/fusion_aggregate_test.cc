@@ -1,7 +1,7 @@
-// Fuse() over aggregations and MarkDistinct (Sections III.E and III.F):
-// mask tightening, aggregate reuse through the mapping, compensating
-// COUNT(*) guards for non-scalar group-bys, and the guarded MarkDistinct
-// construction — all validated by executing the reconstructions.
+// Fuse() over aggregations (Section III.E): mask tightening, aggregate
+// reuse through the mapping, compensating COUNT(*) guards for non-scalar
+// group-bys, and DISTINCT aggregates fusing as masked items (the paper's
+// III.F case) — all validated by executing the reconstructions.
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -9,7 +9,10 @@
 namespace fusiondb {
 namespace {
 
+using testutil::ExpectMatchesReference;
 using testutil::FuseAndCheck;
+using testutil::MustExecute;
+using testutil::Reconstruct;
 using testutil::SharedTpcds;
 using testutil::Unwrap;
 
@@ -127,67 +130,18 @@ TEST(FuseAggregateTest, DistinctFlagsMustMatchToReuse) {
   EXPECT_EQ(agg.aggregates().size(), 2u);
 }
 
-// --- III.F MarkDistinct -------------------------------------------------------
-
-TEST(FuseMarkDistinctTest, ExactChildrenChainDirectly) {
-  PlanContext ctx;
-  auto make = [&]() {
-    PlanBuilder b = Items(&ctx);
-    b.MarkDistinct("m", {"i_brand_id"});
-    return b.Build();
-  };
-  PlanPtr p1 = make();
-  PlanPtr p2 = make();
-  FuseResult fused = FuseAndCheck(&ctx, p1, p2);
-  EXPECT_TRUE(fused.Exact());
-  // Exact fusion: two chained MarkDistincts, no guard projection.
-  EXPECT_EQ(CountOps(fused.plan, OpKind::kMarkDistinct), 2);
-  EXPECT_EQ(CountOps(fused.plan, OpKind::kProject), 0);
-}
-
-TEST(FuseMarkDistinctTest, GuardColumnsForFilteredSides) {
-  // The paper's III.F construction: different filters below the
-  // MarkDistincts require guard columns appended to the distinct sets so
-  // each marker tracks "first seen within my side's rows".
-  PlanContext ctx;
-  PlanBuilder b1 = Items(&ctx);
-  b1.Filter(eb::Gt(b1.Ref("i_brand_id"), eb::Int(300)));
-  b1.MarkDistinct("m1", {"i_category_id"});
-  PlanBuilder b2 = Items(&ctx);
-  b2.Filter(eb::Lt(b2.Ref("i_brand_id"), eb::Int(700)));
-  b2.MarkDistinct("m2", {"i_category_id"});
-  FuseResult fused = FuseAndCheck(&ctx, b1.Build(), b2.Build());
-  EXPECT_FALSE(fused.Exact());
-  EXPECT_EQ(CountOps(fused.plan, OpKind::kMarkDistinct), 2);
-  // Guard projections were inserted.
-  EXPECT_GE(CountOps(fused.plan, OpKind::kProject), 1);
-  // And the distinct sets grew by the guard column.
-  const auto& outer = Cast<MarkDistinctOp>(*fused.plan);
-  EXPECT_EQ(outer.distinct_columns().size(), 2u);
-}
-
-TEST(FuseMarkDistinctTest, SkipsMarkDistinctOnMismatchedRoot) {
-  // III.G: MarkDistinct only appends a column, so fusing MD(X) with Y can
-  // skip the MD, fuse X with Y, and re-add the MD on top.
-  PlanContext ctx;
-  PlanBuilder b1 = Items(&ctx);
-  b1.MarkDistinct("m", {"i_brand_id"});
-  PlanPtr p2 = Items(&ctx).Build();
-  FuseResult fused = FuseAndCheck(&ctx, b1.Build(), p2);
-  EXPECT_TRUE(fused.Exact());
-  EXPECT_EQ(CountOps(fused.plan, OpKind::kMarkDistinct), 1);
-}
-
-TEST(FuseMarkDistinctTest, LoweredDistinctAggregatesFuse) {
-  // End-to-end III.E + III.F: two scalar distinct-aggregates over different
-  // buckets, lowered onto MarkDistinct, then fused (the Q28 pattern).
+TEST(FuseAggregateTest, DistinctAggregatesOverBucketsFuse) {
+  // The Q28 shape: two scalar COUNT(DISTINCT i_category_id) over different
+  // i_brand_id buckets fuse exactly into one scan and one Aggregate whose
+  // two DISTINCT items are masked by their buckets (Section III.F's goal,
+  // reached through III.E). Each side's compensation reproduces the
+  // reference evaluator's result for its original plan.
   PlanContext ctx;
   auto make = [&](int64_t lo, int64_t hi) {
     PlanBuilder b = Items(&ctx);
     b.Filter(eb::Between(b.Ref("i_brand_id"), eb::Int(lo), eb::Int(hi)));
-    b.MarkDistinct("md", {"i_category_id"});
-    b.Aggregate({}, {{"cd", AggFunc::kCount, b.Ref("i_category_id"),
-                      b.Ref("md"), false}});
+    b.Aggregate({}, {{"cd", AggFunc::kCount, b.Ref("i_category_id"), nullptr,
+                      /*distinct=*/true}});
     return b.Build();
   };
   PlanPtr p1 = make(1, 400);
@@ -195,6 +149,16 @@ TEST(FuseMarkDistinctTest, LoweredDistinctAggregatesFuse) {
   FuseResult fused = FuseAndCheck(&ctx, p1, p2);
   EXPECT_TRUE(fused.Exact());  // scalar aggregates
   EXPECT_EQ(CountTableScans(fused.plan, "item"), 1);
+  ASSERT_EQ(CountOps(fused.plan, OpKind::kAggregate), 1);
+  const auto& agg = Cast<AggregateOp>(*fused.plan);
+  ASSERT_EQ(agg.aggregates().size(), 2u);
+  for (const AggregateItem& item : agg.aggregates()) {
+    EXPECT_TRUE(item.distinct);
+    ASSERT_NE(item.mask, nullptr);
+    EXPECT_FALSE(IsTrueLiteral(item.mask));
+  }
+  ExpectMatchesReference(p1, MustExecute(Reconstruct(fused, p1, false)));
+  ExpectMatchesReference(p2, MustExecute(Reconstruct(fused, p2, true)));
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <map>
 #include <numeric>
 #include <optional>
-#include <set>
 #include <sstream>
 
 #include "catalog/encoding.h"
@@ -255,8 +254,6 @@ class Evaluator {
         return EvalAggregate(Cast<AggregateOp>(plan));
       case OpKind::kWindow:
         return EvalWindow(Cast<WindowOp>(plan));
-      case OpKind::kMarkDistinct:
-        return EvalMarkDistinct(Cast<MarkDistinctOp>(plan));
       case OpKind::kUnionAll:
         return EvalUnionAll(Cast<UnionAllOp>(plan));
       case OpKind::kValues:
@@ -495,23 +492,6 @@ class Evaluator {
     for (size_t r = 0; r < out.rows.size(); ++r) {
       out.rows[r].insert(out.rows[r].end(), results[r].begin(),
                          results[r].end());
-    }
-    return out;
-  }
-
-  Result<Relation> EvalMarkDistinct(const MarkDistinctOp& op) {
-    FUSIONDB_ASSIGN_OR_RETURN(Relation in, Eval(*op.child(0)));
-    std::vector<int> key_positions;
-    for (ColumnId c : op.distinct_columns()) {
-      FUSIONDB_ASSIGN_OR_RETURN(
-          int idx, PositionOf(op.child(0)->schema(), c, "mark-distinct"));
-      key_positions.push_back(idx);
-    }
-    std::set<Row, RowLess> seen;
-    Relation out{TypesOf(op.schema()), std::move(in.rows)};
-    for (Row& row : out.rows) {
-      bool first = seen.insert(Project(row, key_positions)).second;
-      row.push_back(Value::Bool(first));
     }
     return out;
   }

@@ -8,9 +8,8 @@
 // interpreter (RowExpr, below) on the Value-level semantics of
 // expr/scalar_ops.h, joins match equi-conjuncts through a std::map on key
 // Values (nested loops otherwise), grouping is sort-based with its own
-// accumulators, and Window, MarkDistinct, Sort, Limit, UnionAll, Values,
-// EnforceSingleRow and Spool (which evaluates its child) are written out
-// directly. Apply is an error: plans must be decorrelated first.
+// accumulators, and Window, Sort, Limit, UnionAll, Values, EnforceSingleRow
+// and Spool (which evaluates its child) are written out directly. Apply is an error: plans must be decorrelated first.
 //
 // Comparison rules (Compare):
 //   * rows compare as sorted multisets;

@@ -156,11 +156,11 @@ if grep -rnE --exclude=lint.sh \
   note_failure 'plan identity is Canonicalize / PlanFingerprint / PlanEquivalent (plan/plan_fingerprint.h); no plan text serializer'
 fi
 
-# One hash substrate: join, GROUP BY, window partitions, MarkDistinct and
-# DISTINCT key rows through exec/key_table.h, so they share one key
+# One hash substrate: join, GROUP BY, window partitions and DISTINCT
+# aggregates key rows through exec/key_table.h, so they share one key
 # equality (-0.0 == 0.0, NULL handling), one memory formula and one partial
-# merge. A second map over encoded rows or boxed Values would let the III.F
-# identity COUNT(DISTINCT x) == COUNT(x) masked by MarkDistinct drift again.
+# merge. A second map over encoded rows or boxed Values would let two keyed
+# operators disagree on which rows are equal.
 if grep -rnE --include='*.cc' --include='*.h' \
     'RowKeyEncoder|unordered_(map|set)<std::string|unordered_set<Value' \
     src/exec 2>/dev/null; then
@@ -173,6 +173,17 @@ fi
 # and pointer chasing it replaced.
 if grep -nE 'unordered_(map|set)' src/exec/key_table.* 2>/dev/null; then
   note_failure 'src/exec/key_table.* is one open-addressing table; no std::unordered_map/set inside it'
+fi
+
+# One DISTINCT path: a DISTINCT aggregate is a native masked aggregate item
+# (DESIGN.md §5) and fuses under Section III.E. The paper's distinct-marking
+# operator, its executor, its III.F fusion case and its reference-evaluator
+# case were deleted once the native path matched its speed; keep a second
+# DISTINCT representation from growing back. (perfbench/ is the benchmark
+# harness and is left as it is.)
+if grep -rn --exclude=lint.sh 'MarkDistinct' src tests bench examples tools \
+    2>/dev/null; then
+  note_failure 'DISTINCT aggregates have one representation, the native masked AggregateItem; no mark-distinct operator'
 fi
 
 # --- Layer 2: clang-tidy (optional) ----------------------------------------
