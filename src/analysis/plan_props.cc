@@ -726,8 +726,6 @@ PlanProps DeriveJoin(const JoinOp& join, const PlanProps& left,
   PlanProps p;
   const Schema& ls = join.left()->schema();
   const Schema& rs = join.right()->schema();
-  bool inner_like = join.join_type() == JoinType::kInner ||
-                    join.join_type() == JoinType::kCross;
 
   // Equi-pair census: which side-columns the condition equates.
   std::vector<ExprPtr> conjuncts;

@@ -521,9 +521,12 @@ class VerifierImpl {
       case OpKind::kApply:
         destroyed = true;
         break;
-      default:
-        // Filter, Project, Spool, EnforceSingleRow and Window pass rows
-        // through in input order.
+      case OpKind::kFilter:
+      case OpKind::kProject:
+      case OpKind::kSpool:
+      case OpKind::kEnforceSingleRow:
+      case OpKind::kWindow:
+        // These pass rows through in input order.
         break;
     }
     for (const PlanPtr& c : op->children()) {

@@ -10,6 +10,11 @@
 //   bool/int64/date: validity bitmap + zigzag-delta varints
 //   float64:         validity bitmap + XOR-with-previous 8-byte words
 //   string:          validity bitmap + varint length + bytes
+//
+// A NULL row still takes a delta (0) or an XOR word in the numeric
+// formats, and nothing in the string format. Decoding writes every NULL
+// slot as 0, 0.0 or the empty string whatever the page holds there, so a
+// decoded column is the same bytes as one built by Column::AppendNull.
 #ifndef FUSIONDB_CATALOG_ENCODING_H_
 #define FUSIONDB_CATALOG_ENCODING_H_
 
@@ -33,7 +38,9 @@ struct EncodedColumn {
 /// Encodes a column into a page.
 EncodedColumn EncodeColumn(const Column& column);
 
-/// Decodes a page back into a column. Fails on corrupt pages.
+/// Decodes a page back into a column, NULL slots zero. Fails with an
+/// ExecutionError on a corrupt page: a short bitmap, float64 run or string,
+/// a truncated varint, or one longer than ten bytes.
 Result<Column> DecodeColumn(const EncodedColumn& page);
 
 }  // namespace fusiondb

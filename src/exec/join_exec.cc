@@ -1,6 +1,7 @@
 // Hash join (inner / left / semi) with nested-loop fallback for non-equi
 // and cross joins. The build side (right input) is fully buffered, its keys
-// get ids from a KeyTable, and a CSR row index lists each key's rows in
+// get ids from a KeyTable (sealed once built, so one dense int key probes
+// by direct address), and a CSR row index lists each key's rows in
 // ascending order; all of it is accounted against the working-memory
 // metric.
 #include <algorithm>
@@ -72,6 +73,7 @@ class HashJoinExec final : public ExecOperator {
     if (!right_key_indexes_.empty()) {
       std::vector<uint32_t> row_ids(right_data_.num_rows());
       FUSIONDB_RETURN_IF_ERROR(BuildRowIds(&row_ids));
+      table_.Seal();
       BuildRowIndex(row_ids);
     }
     // Account buffered rows, key table and row index against working memory.

@@ -309,6 +309,7 @@ uint32_t KeyTable::FindScratchKey(const Scratch& s, size_t i) const {
 void KeyTable::InsertRows(const KeyColumns& columns, const uint32_t* sel,
                           size_t n, uint32_t* ids, uint8_t* inserted) {
   if (n == 0) return;
+  FUSIONDB_CHECK(!sealed_, "inserting into a sealed key table");
   if (layout_ == Layout::kUnset) {
     std::vector<PhysicalType> types;
     for (const Column* col : columns) {
@@ -350,6 +351,49 @@ void KeyTable::Insert(const KeyColumns& columns, const SelVector& sel,
   InsertRows(columns, sel.data(), sel.size(), ids, inserted);
 }
 
+void KeyTable::Seal() {
+  sealed_ = true;
+  if (types_.size() != 1 || types_[0] != PhysicalType::kInt) return;
+  bool any = false;
+  int64_t lo = INT64_MAX;
+  int64_t hi = INT64_MIN;
+  for (uint32_t id = 0; id < size_; ++id) {
+    if (NullsOf(id) != 0) continue;
+    const auto v = static_cast<int64_t>(words_[id]);
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+    any = true;
+  }
+  // hi - lo in uint64_t cannot overflow; the index holds hi - lo + 1
+  // entries of 4 bytes, at most the 8 bytes per slot of slots_.
+  if (!any || static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) >=
+                  2 * slots_.size()) {
+    return;
+  }
+  dense_min_ = lo;
+  dense_.assign(static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1,
+                kNoId);
+  for (uint32_t id = 0; id < size_; ++id) {
+    if (NullsOf(id) != 0) continue;
+    dense_[words_[id] - static_cast<uint64_t>(lo)] = id;
+  }
+}
+
+void KeyTable::FindDense(const Column& column, size_t n, uint32_t* ids) const {
+  const uint8_t* valid = column.valid_data();
+  const int64_t* values = column.ints_data();
+  const uint64_t span = dense_.size();
+  const auto lo = static_cast<uint64_t>(dense_min_);
+  for (size_t i = 0; i < n; ++i) {
+    // Below the range wraps to a large offset, so one compare bounds both
+    // ends; a NULL or out-of-range probe reads entry 0 and discards it.
+    const uint64_t off = static_cast<uint64_t>(values[i]) - lo;
+    const bool in = (valid[i] != 0) & (off < span);
+    const uint32_t id = dense_[in ? off : 0];
+    ids[i] = in ? id : kNoId;
+  }
+}
+
 void KeyTable::Find(const KeyColumns& columns, size_t n, Scratch* scratch,
                     uint32_t* ids) const {
   if (size_ == 0) {
@@ -359,6 +403,10 @@ void KeyTable::Find(const KeyColumns& columns, size_t n, Scratch* scratch,
   CheckColumns(columns);
   if (types_.empty()) {
     std::fill(ids, ids + n, 0);
+    return;
+  }
+  if (!dense_.empty()) {
+    FindDense(*columns[0], n, ids);
     return;
   }
   for (size_t begin = 0; begin < n; begin += kBlock) {
@@ -400,6 +448,7 @@ void KeyTable::DecodeAll(Column* out) const {
 std::vector<uint32_t> KeyTable::Merge(const KeyTable& partial) {
   std::vector<uint32_t> remap(partial.size_);
   if (partial.size_ == 0) return remap;
+  FUSIONDB_CHECK(!sealed_, "merging into a sealed key table");
   if (layout_ == Layout::kUnset) SetLayout(partial.types_);
   FUSIONDB_CHECK(layout_ == partial.layout_ && types_ == partial.types_,
                  "merging key tables of different key types");
@@ -431,7 +480,7 @@ int64_t KeyTable::bytes() const {
   return static_cast<int64_t>(
       slots_.size() * sizeof(Slot) +
       (words_.size() + nulls_.size() + offsets_.size()) * sizeof(uint64_t) +
-      arena_.size());
+      arena_.size() + dense_.size() * sizeof(uint32_t));
 }
 
 }  // namespace fusiondb::internal

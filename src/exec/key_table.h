@@ -56,6 +56,12 @@ class KeyTable {
   void Insert(const KeyColumns& columns, const SelVector& sel, uint32_t* ids,
               uint8_t* inserted = nullptr);
 
+  /// Declares the table complete: no key is added after. A table keyed on
+  /// one int-physical column whose non-NULL keys span at most twice the
+  /// slot count then gets a direct-address index (at most as many bytes as
+  /// the slots), which Find reads instead of hashing.
+  void Seal();
+
   /// ids[i] receives the id of row i's key for rows [0, n), or kNoId when
   /// the key is absent or has a NULL column (an equi-join probe: NULL
   /// matches nothing).
@@ -76,9 +82,11 @@ class KeyTable {
   /// Memory metric: 8 bytes per slot (a power of two, at least twice the
   /// key count) plus the key store, 8 bytes per key column per key for
   /// fixed-width keys (and 8 per key for NULL flags once any key has a
-  /// NULL), or the encoded key bytes plus an 8-byte offset per key. The
-  /// slot count is a function of the key count, so the figure depends only
-  /// on the set of keys and is the same at every thread count.
+  /// NULL), or the encoded key bytes plus an 8-byte offset per key, plus 4
+  /// bytes per direct-address entry (max - min + 1 of a sealed table's
+  /// index). The slot count is a function of the key count, so the figure
+  /// depends only on the set of keys and is the same at every thread
+  /// count.
   int64_t bytes() const;
 
  private:
@@ -103,6 +111,8 @@ class KeyTable {
   uint32_t AddScratchKey(const Scratch& s, size_t i, bool* added);
   /// The id of scratch key i, or kNoId when absent or NULL.
   uint32_t FindScratchKey(const Scratch& s, size_t i) const;
+  /// Find over the direct-address index: rows [0, n) of `column`.
+  void FindDense(const Column& column, size_t n, uint32_t* ids) const;
 
   /// The id of the key that hashes to `hash` and satisfies `eq`. When it
   /// is absent, claims a slot for it under the next id and sets *added;
@@ -136,6 +146,11 @@ class KeyTable {
   // arena_[offsets_[i], offsets_[i + 1]).
   std::string arena_;
   std::vector<uint64_t> offsets_;
+  // Sealed one-int-column tables: dense_[v - dense_min_] is the id of key
+  // v, or kNoId; empty when the keys are too sparse or the table unsealed.
+  std::vector<uint32_t> dense_;
+  int64_t dense_min_ = 0;
+  bool sealed_ = false;
   Scratch scratch_;  // Insert's
 };
 

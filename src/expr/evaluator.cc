@@ -745,7 +745,12 @@ void BoundExpr::NarrowInternal(const Chunk& input, SelVector* sel) const {
     case ExprKind::kLiteral:
       if (literal_.is_null() || !literal_.bool_value()) sel->clear();
       return;
-    default: {
+    case ExprKind::kCompare:
+    case ExprKind::kArith:
+    case ExprKind::kNot:
+    case ExprKind::kIsNull:
+    case ExprKind::kCase:
+    case ExprKind::kInList: {
       // Generic predicate: evaluate densely over the selection, keep TRUE.
       Column v = EvalInternal(input, sel);
       const uint8_t* valid = v.valid_data();

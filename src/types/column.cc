@@ -60,6 +60,21 @@ void Column::AppendFrom(const Column& other, size_t row) {
   }
 }
 
+void Column::Resize(size_t n) {
+  valid_.resize(n, 0);
+  switch (PhysicalTypeOf(type_)) {
+    case PhysicalType::kInt:
+      ints_.resize(n, 0);
+      break;
+    case PhysicalType::kDouble:
+      doubles_.resize(n, 0.0);
+      break;
+    case PhysicalType::kString:
+      strings_.resize(n);
+      break;
+  }
+}
+
 void Column::GrowthReserve(size_t extra) {
   size_t need = size() + extra;
   if (need <= valid_.capacity()) return;

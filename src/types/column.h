@@ -65,6 +65,15 @@ class Column {
   const double* doubles_data() const { return doubles_.data(); }
   const std::string* strings_data() const { return strings_.data(); }
 
+  /// Bulk-writer access (the page decoder): Resize sets the row count,
+  /// and rows it adds are NULL with a zero slot (0, 0.0 or empty); the
+  /// writer then fills the buffers in place.
+  void Resize(size_t n);
+  uint8_t* mutable_valid_data() { return valid_.data(); }
+  int64_t* mutable_ints_data() { return ints_.data(); }
+  double* mutable_doubles_data() { return doubles_.data(); }
+  std::string* mutable_strings_data() { return strings_.data(); }
+
   void AppendNull() {
     valid_.push_back(0);
     AppendDefaultSlot();

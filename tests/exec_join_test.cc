@@ -1,6 +1,6 @@
 // Hash join executor: inner/left/semi/cross, residual predicates (checked
-// against the reference evaluator), NULL keys, and working-memory
-// accounting.
+// against the reference evaluator), NULL keys, build sides with one row per
+// key, none, or duplicate keys, and working-memory accounting.
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -51,6 +51,35 @@ TablePtr FloatTable() {
       EXPECT_TRUE(b.AppendRow({Value::Float64(v)}).ok());
     }
     EXPECT_TRUE(b.AppendRow({Value::Null(DataType::kFloat64)}).ok());
+    return Unwrap(b.Build());
+  }();
+  return t;
+}
+
+/// unique_t(uref, label): (40,"p") (-3,"q") (10,"r") (NULL,"s") (20,"t"):
+/// one row per key, the NULL one included, over a span the direct-address
+/// index takes.
+TablePtr UniqueTable() {
+  static TablePtr t = [] {
+    TableBuilder b("unique_t", {{"uref", DataType::kInt64},
+                                {"label", DataType::kString}});
+    for (auto [k, label] : {std::pair<int64_t, const char*>{40, "p"},
+                            {-3, "q"}, {10, "r"}}) {
+      EXPECT_TRUE(b.AppendRow({Value::Int64(k), Value::String(label)}).ok());
+    }
+    EXPECT_TRUE(
+        b.AppendRow({Value::Null(DataType::kInt64), Value::String("s")}).ok());
+    EXPECT_TRUE(b.AppendRow({Value::Int64(20), Value::String("t")}).ok());
+    return Unwrap(b.Build());
+  }();
+  return t;
+}
+
+/// empty_t(uref, label) with no rows.
+TablePtr EmptyTable() {
+  static TablePtr t = [] {
+    TableBuilder b("empty_t", {{"uref", DataType::kInt64},
+                               {"label", DataType::kString}});
     return Unwrap(b.Build());
   }();
   return t;
@@ -201,6 +230,63 @@ TEST(JoinExecTest, ConstantResidualBesideAKeyPairSeesEveryPair) {
       EXPECT_EQ(result.num_rows(), expect)
           << c.constant->ToString() << " join type "
           << static_cast<int>(type);
+    }
+  }
+}
+
+// Every join type on grp (10, 20, NULL, 40) against a build side with one
+// row per key, an empty one, and one with duplicate keys, with and without
+// a residual: the direct-address probe, the empty build and the hashed
+// duplicate keys must all match the reference evaluator.
+TEST(JoinExecTest, UniqueEmptyAndDuplicateBuildSidesMatchReference) {
+  struct Build {
+    const char* name;
+    TablePtr table;
+  };
+  const Build builds[] = {{"unique", UniqueTable()},
+                          {"empty", EmptyTable()},
+                          {"duplicate", nullptr}};
+  for (const Build& build : builds) {
+    for (JoinType type : {JoinType::kInner, JoinType::kLeft, JoinType::kSemi}) {
+      for (bool residual : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << build.name << " build, join type "
+                     << static_cast<int>(type) << ", residual " << residual);
+        PlanContext ctx;
+        auto [l, dup] = Scans(&ctx);
+        PlanBuilder r =
+            build.table == nullptr
+                ? dup
+                : PlanBuilder::Scan(&ctx, build.table, {"uref", "label"});
+        const std::string key = build.table == nullptr ? "ref" : "uref";
+        const std::string text = build.table == nullptr ? "tagname" : "label";
+        ExprPtr cond = eb::Eq(l.Ref("grp"), r.Ref(key));
+        if (residual) cond = eb::And(cond, eb::Ne(r.Ref(text), eb::Str("r")));
+        l.Join(type, r, cond);
+        RunChecked(l.Build());
+      }
+    }
+  }
+}
+
+// A probe chunk longer than chunk_size: the first join emits three rows
+// from a two-row chunk, and the direct-address probe above it sends its
+// candidates through the residual chunk_size pairs at a time.
+TEST(JoinExecTest, DirectAddressProbeBatchesALongChunk) {
+  for (JoinType type : {JoinType::kInner, JoinType::kLeft, JoinType::kSemi}) {
+    for (bool residual : {false, true}) {
+      PlanContext ctx;
+      auto [l, r] = Scans(&ctx);
+      l.JoinOn(JoinType::kInner, r, {{"grp", "ref"}});
+      PlanBuilder u = PlanBuilder::Scan(&ctx, UniqueTable(), {"uref", "label"});
+      ExprPtr cond = eb::Eq(l.Ref("grp"), u.Ref("uref"));
+      if (residual) cond = eb::And(cond, eb::Ne(l.Ref("tagname"), eb::Str("b")));
+      l.Join(type, u, cond);
+      QueryResult result = RunChecked(l.Build(), /*chunk_size=*/2);
+      // (1,a) (1,b) (2,c) all find their key; the residual drops (1,b).
+      size_t expect = residual ? 2 : 3;
+      EXPECT_EQ(result.num_rows(), type == JoinType::kLeft ? 3 : expect)
+          << static_cast<int>(type) << " " << residual;
     }
   }
 }

@@ -3,8 +3,8 @@
 // configurations, (b) all additive ExecMetrics are thread-count-invariant,
 // and (c) the ThreadPool/ParallelFor primitive behaves (work coverage,
 // error propagation, zero-thread degenerate pool), (d) one built KeyTable
-// answers probes from every pool worker at once, and (e) masked and DISTINCT
-// aggregates are bit-identical at every thread count.
+// answers probes from every pool worker at once, and (e) dense-key joins and
+// masked and DISTINCT aggregates are bit-identical at every thread count.
 //
 // This suite carries the ctest label "parallel" so it can be run alone
 // under ThreadSanitizer: cmake -DFUSIONDB_SANITIZE=thread, then
@@ -197,21 +197,26 @@ TEST(ParallelExec, AutoParallelismExecutes) {
 }
 
 // Find is const and keeps its state in the caller's Scratch, so every
-// worker may probe one built table at once (run under TSan via the
-// "parallel" label). Both layouts: fixed-width words and byte keys.
+// worker may probe one built, sealed table at once (run under TSan via the
+// "parallel" label). Both layouts, fixed-width words and byte keys, and
+// the direct-address index of a sealed table over dense ints.
 TEST(ParallelExec, ConcurrentProbesOfOneKeyTable) {
   constexpr size_t kKeys = 20000;
   Column ints(DataType::kInt64);
+  Column dense(DataType::kInt64);
   Column strs(DataType::kString);
   for (size_t k = 0; k < kKeys; ++k) {
     ints.AppendInt(static_cast<int64_t>(k * 31));
+    dense.AppendInt(static_cast<int64_t>(kKeys - k));
     strs.AppendString("key" + std::to_string(k));
   }
   for (const internal::KeyColumns& cols :
-       {internal::KeyColumns{&ints}, internal::KeyColumns{&ints, &strs}}) {
+       {internal::KeyColumns{&ints}, internal::KeyColumns{&dense},
+        internal::KeyColumns{&ints, &strs}}) {
     internal::KeyTable table;
     std::vector<uint32_t> built(kKeys);
     table.Insert(cols, kKeys, built.data());
+    table.Seal();
     ThreadPool pool(4);
     const size_t workers = pool.num_workers();
     std::vector<std::vector<uint32_t>> found(workers);
@@ -226,6 +231,47 @@ TEST(ParallelExec, ConcurrentProbesOfOneKeyTable) {
       EXPECT_EQ(found[w], built) << "worker " << w << ", " << cols.size()
                                  << " key column(s)";
     }
+  }
+}
+
+// A join whose build side has one row per key over a dense id range: the
+// build inserts into per-worker partials, merges them and seals the merged
+// table, and the probe reads its direct-address index (run under TSan via
+// the "parallel" label). Rows, their order and the hash-memory peak are
+// identical at 1 and 4 threads.
+TEST(ParallelExec, DenseKeyJoinBitIdenticalAcrossThreadCounts) {
+  TableBuilder db("dim", {{"d_id", DataType::kInt64},
+                          {"d_w", DataType::kFloat64}});
+  for (int64_t k = 0; k < 5000; ++k) {
+    Value w = k % 9 == 0 ? Value::Null(DataType::kFloat64)
+                         : Value::Float64(static_cast<double>(k % 400) / 4);
+    EXPECT_TRUE(db.AppendRow({Value::Int64(100 + (k * 7 % 5000)), w}).ok());
+  }
+  TablePtr dim = Unwrap(db.Build());
+  TableBuilder fb("fact", {{"f_id", DataType::kInt64},
+                           {"f_k", DataType::kInt64}});
+  EXPECT_TRUE(fb.PartitionBy("f_id", 20).ok());
+  for (int64_t r = 0; r < 20000; ++r) {
+    // Keys from below to above the build's [100, 5100), and some NULLs.
+    Value k = r % 23 == 0 ? Value::Null(DataType::kInt64)
+                          : Value::Int64(r * 31 % 5400 - 200);
+    EXPECT_TRUE(fb.AppendRow({Value::Int64(r), k}).ok());
+  }
+  TablePtr fact = Unwrap(fb.Build());
+  for (JoinType type : {JoinType::kInner, JoinType::kLeft}) {
+    PlanContext ctx;
+    PlanBuilder f = PlanBuilder::Scan(&ctx, fact, {"f_id", "f_k"});
+    PlanBuilder d = PlanBuilder::Scan(&ctx, dim, {"d_id", "d_w"});
+    f.JoinOn(type, d, {{"f_k", "d_id"}});
+    PlanPtr plan = f.Build();
+    QueryResult serial =
+        Unwrap(ExecutePlan(plan, {.chunk_size = 512, .parallelism = 1}));
+    QueryResult parallel =
+        Unwrap(ExecutePlan(plan, {.chunk_size = 512, .parallelism = 4}));
+    EXPECT_EQ(testutil::RowsOf(parallel), testutil::RowsOf(serial));
+    EXPECT_EQ(parallel.metrics().peak_hash_bytes,
+              serial.metrics().peak_hash_bytes);
+    testutil::ExpectMatchesReference(plan, parallel);
   }
 }
 

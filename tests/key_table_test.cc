@@ -1,7 +1,8 @@
 // KeyTable (src/exec/key_table.h), the executor's one hash table over row
 // keys: dense first-insertion ids, NULL semantics, the encode/decode round
-// trip, the -0.0 normalization, partial merging and the memory metric, plus
-// a randomized oracle over both key layouts, growth and colliding hashes.
+// trip, the -0.0 normalization, partial merging and the memory metric, the
+// sealed table's direct-address index against the hash path, plus a
+// randomized oracle over both key layouts, growth and colliding hashes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -234,6 +235,146 @@ TEST(KeyTableTest, EqualKeySetsHaveEqualBytes) {
     EXPECT_EQ(forward.bytes(), 2048 * 8 + store) << strings;
     EXPECT_EQ(backward.bytes(), forward.bytes()) << strings;
     EXPECT_EQ(merged.bytes(), forward.bytes()) << strings;
+  }
+}
+
+// --- Direct-address index -------------------------------------------------
+
+/// Column `vs` with NULL at the rows `nulls` lists.
+Column IntsWithNulls(const std::vector<int64_t>& vs,
+                     const std::vector<size_t>& nulls) {
+  Column c(DataType::kInt64);
+  for (size_t i = 0; i < vs.size(); ++i) {
+    if (std::find(nulls.begin(), nulls.end(), i) != nulls.end()) {
+      c.AppendNull();
+    } else {
+      c.AppendInt(vs[i]);
+    }
+  }
+  return c;
+}
+
+/// Builds `keys` twice, one table sealed and one not, and checks that Find
+/// gives the same ids from both for every probe. Returns the sealed
+/// table's extra bytes: its direct-address index, 0 when it has none.
+int64_t SealedFindMatchesHashPath(const Column& keys, const Column& probes) {
+  KeyTable hashed;
+  KeyTable sealed;
+  EXPECT_EQ(InsertAll(&hashed, {&keys}), InsertAll(&sealed, {&keys}));
+  sealed.Seal();
+  EXPECT_EQ(FindAll(sealed, {&probes}), FindAll(hashed, {&probes}));
+  EXPECT_EQ(FindAll(sealed, {&keys}), FindAll(hashed, {&keys}));
+  return sealed.bytes() - hashed.bytes();
+}
+
+TEST(KeyTableDenseTest, FindMatchesTheHashPath) {
+  // Keys -5..9 less a gap at 3, in scattered order, and one NULL key.
+  std::vector<int64_t> vs;
+  for (int64_t i = 0; i < 15; ++i) {
+    const int64_t v = i * 7 % 15 - 5;
+    if (v != 3) vs.push_back(v);
+  }
+  vs.push_back(0);  // the NULL key's slot
+  Column keys = IntsWithNulls(vs, {vs.size() - 1});
+  // Every key, the gap, NULLs, and probes just and far outside [-5, 9],
+  // INT64_MIN and INT64_MAX among them.
+  std::vector<int64_t> ps = {-5, 9, 3, 0, 0, -6, 10, -1000, 1000,
+                             INT64_MIN, INT64_MAX, 4, 0};
+  Column probes = IntsWithNulls(ps, {4, 12});
+  int64_t index_bytes = SealedFindMatchesHashPath(keys, probes);
+  EXPECT_EQ(index_bytes, 15 * 4);  // max - min + 1 entries
+  KeyTable sealed;
+  InsertAll(&sealed, {&keys});
+  sealed.Seal();
+  std::vector<uint32_t> found = FindAll(sealed, {&probes});
+  // The gap, NULL and outside probes find nothing, and the NULL build key
+  // is not the 0 it is stored as.
+  for (size_t i : {2u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 12u}) {
+    EXPECT_EQ(found[i], KeyTable::kNoId) << "probe " << i;
+  }
+  for (size_t i : {0u, 1u, 3u, 11u}) {
+    EXPECT_NE(found[i], KeyTable::kNoId) << "probe " << i;
+  }
+}
+
+TEST(KeyTableDenseTest, RandomizedFindMatchesTheHashPath) {
+  std::mt19937 rng(21);
+  for (int round = 0; round < 20; ++round) {
+    const int64_t base = std::uniform_int_distribution<int64_t>(
+        -1000000, 1000000)(rng);
+    const int span = 1 + round * 97;
+    Column keys(DataType::kInt64);
+    Column probes(DataType::kInt64);
+    for (int i = 0; i < span; ++i) {
+      if (rng() % 3 == 0) keys.AppendInt(base + rng() % span);
+      int draw = static_cast<int>(rng() % (span + 20)) - 10;
+      if (draw % 17 == 0) {
+        probes.AppendNull();
+      } else {
+        probes.AppendInt(base + draw);
+      }
+    }
+    if (keys.size() == 0) keys.AppendInt(base);
+    SealedFindMatchesHashPath(keys, probes);
+  }
+}
+
+TEST(KeyTableDenseTest, WideOrSparseRangesStayOnTheHashPath) {
+  Column probes = Ints({INT64_MIN, INT64_MAX, 0, 1000, 5});
+  // max - min overflows int64.
+  EXPECT_EQ(SealedFindMatchesHashPath(Ints({INT64_MIN, INT64_MAX, 0}), probes),
+            0);
+  // 100 keys 1000 apart: far more than twice the 256 slots.
+  std::vector<int64_t> sparse;
+  for (int64_t k = 0; k < 100; ++k) sparse.push_back(k * 1000);
+  EXPECT_EQ(SealedFindMatchesHashPath(Ints(sparse), probes), 0);
+  // Only NULL keys: nothing to address.
+  EXPECT_EQ(SealedFindMatchesHashPath(IntsWithNulls({0, 0}, {0, 1}), probes),
+            0);
+  // Two columns, or a double column, keep hashing.
+  Column a = Ints({1, 2, 3});
+  KeyTable pair;
+  InsertAll(&pair, {&a, &a});
+  int64_t before = pair.bytes();
+  pair.Seal();
+  EXPECT_EQ(pair.bytes(), before);
+  Column d(DataType::kFloat64);
+  for (double v : {1.0, 2.0, 3.0}) d.AppendDouble(v);
+  KeyTable doubles;
+  InsertAll(&doubles, {&d});
+  before = doubles.bytes();
+  doubles.Seal();
+  EXPECT_EQ(doubles.bytes(), before);
+}
+
+/// bytes() after a join-style build: one Insert, or four partials over
+/// contiguous row ranges merged in order (a 4-thread build), then Seal.
+TEST(KeyTableDenseTest, BytesEqualAfterSerialAndMergedBuilds) {
+  std::vector<int64_t> dense;
+  std::vector<int64_t> sparse;
+  for (int64_t k = 0; k < 3000; ++k) {
+    dense.push_back(700 - (k * 13 % 1500));  // 1500 keys, each twice
+    sparse.push_back(k * k);
+  }
+  for (const Column& keys : {Ints(dense), Ints(sparse)}) {
+    const size_t n = keys.size();
+    KeyTable serial;
+    InsertAll(&serial, {&keys});
+    serial.Seal();
+    KeyTable merged;
+    std::vector<uint32_t> ids(n);
+    for (size_t w = 0; w < 4; ++w) {
+      SelVector rows;
+      for (size_t r = n * w / 4; r < n * (w + 1) / 4; ++r) {
+        rows.push_back(static_cast<uint32_t>(r));
+      }
+      KeyTable partial;
+      partial.Insert({&keys}, rows, ids.data());
+      merged.Merge(partial);
+    }
+    merged.Seal();
+    EXPECT_EQ(merged.bytes(), serial.bytes());
+    EXPECT_EQ(FindAll(merged, {&keys}), FindAll(serial, {&keys}));
   }
 }
 
