@@ -149,7 +149,8 @@ inline QueryOptions BenchOptions(const OptimizerOptions& optimizer) {
 
 struct RunStats {
   double latency_ms = 0.0;
-  int64_t bytes_scanned = 0;
+  int64_t bytes_scanned = 0;  // billed: the bytes the run decoded
+  int64_t static_bytes = 0;   // what the plan's static pruning admits
   int64_t peak_hash_bytes = 0;
   int64_t rows = 0;
 };
@@ -169,6 +170,7 @@ inline RunStats RunPrepared(PreparedQuery* query,
         Unwrap(engine.ExecuteOptimized(optimized, bench_options));
     times.push_back(result.wall_ms());
     stats.bytes_scanned = result.metrics().bytes_scanned;
+    stats.static_bytes = result.metrics().StaticBytes();
     stats.peak_hash_bytes = result.metrics().peak_hash_bytes;
     stats.rows = result.num_rows();
   }

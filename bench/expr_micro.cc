@@ -103,6 +103,15 @@ void BM_CompareColColVec(benchmark::State& state) {
 }
 BENCHMARK(BM_CompareColColVec);
 
+// c IN (k int literals) over an int column of values 0..999: the sorted
+// literal array searched per row (the row path boxed a Value per item).
+void BM_InListVec(benchmark::State& state) {
+  std::vector<ExprPtr> items;
+  for (int64_t i = 0; i < state.range(0); ++i) items.push_back(eb::Int(i * 7));
+  RunFilterBench(state, eb::In(eb::Col(3, DataType::kInt64), std::move(items)));
+}
+BENCHMARK(BM_InListVec)->Arg(8)->Arg(100);
+
 // Masked-aggregate mask evaluation: the per-morsel work the aggregate sink does
 // for a fused query's deduplicated masks — k bucket conditions evaluated as
 // selection vectors over the same chunk (paper Section III.E shape).

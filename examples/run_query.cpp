@@ -499,6 +499,14 @@ int main(int argc, char** argv) {
   std::printf("%-22s %14lld %14lld\n", "bytes scanned",
               static_cast<long long>(base_result.metrics().bytes_scanned),
               static_cast<long long>(mode_result.metrics().bytes_scanned));
+  std::printf("%-22s %14lld %14lld\n", "static bytes",
+              static_cast<long long>(base_result.metrics().StaticBytes()),
+              static_cast<long long>(mode_result.metrics().StaticBytes()));
+  std::printf("%-22s %14lld %14lld\n", "runtime-pruned parts",
+              static_cast<long long>(
+                  base_result.metrics().runtime_pruned_partitions),
+              static_cast<long long>(
+                  mode_result.metrics().runtime_pruned_partitions));
   std::printf("%-22s %14lld %14lld\n", "rows scanned",
               static_cast<long long>(base_result.metrics().rows_scanned),
               static_cast<long long>(mode_result.metrics().rows_scanned));

@@ -39,11 +39,22 @@
 
 namespace fusiondb {
 
+class LogicalOp;
+namespace internal {
+class MorselSource;
+}  // namespace internal
+
 struct ExecMetrics {
   int64_t bytes_scanned = 0;
   int64_t rows_scanned = 0;
   int64_t partitions_scanned = 0;
+  // Partitions skipped by any spec, static or runtime.
   int64_t partitions_pruned = 0;
+  // The partitions (and their bytes) that only a runtime join filter
+  // skipped (DESIGN.md §6.5): bytes_scanned + runtime_pruned_bytes is the
+  // bytes the plan's static pruning alone reads, StaticBytes() below.
+  int64_t runtime_pruned_partitions = 0;
+  int64_t runtime_pruned_bytes = 0;
   int64_t rows_produced = 0;
   // Peak live hash/buffer memory across the whole query. NOT additive: two
   // shards' peaks cannot be summed (their maxima may not coincide in time),
@@ -54,6 +65,10 @@ struct ExecMetrics {
   // written once into spool buffers and bytes read back by consumers.
   int64_t spool_bytes_written = 0;
   int64_t spool_bytes_read = 0;
+
+  /// The bytes the scans' static pruning admits: what a run without runtime
+  /// join filters decodes. It depends only on the plan and the catalog.
+  int64_t StaticBytes() const { return bytes_scanned + runtime_pruned_bytes; }
 };
 
 /// One compiled pipeline, recorded by the executor build for every chain
@@ -66,6 +81,13 @@ struct PipelineRecord {
   /// Every chain compiles; kept for report readers that count compiled
   /// pipelines.
   bool compiled() const { return true; }
+};
+
+/// A table scan's source as the executor built it: the plan node and the
+/// source that reads it (exec/morsel_source.h).
+struct ScanSource {
+  const LogicalOp* scan = nullptr;
+  internal::MorselSource* source = nullptr;
 };
 
 /// Shared materialization buffer behind a SpoolOp id. The first consumer
@@ -119,7 +141,8 @@ class ExecContext {
   const ExecMetrics& metrics() const { return metrics_; }
 
   /// Folds one worker's metric shard into the query totals. Called once per
-  /// worker per parallel region (never per row/chunk). `peak_hash_bytes` is
+  /// worker per parallel region, or once per partition by a serial scan
+  /// (never per row/chunk). `peak_hash_bytes` is
   /// not additive and must never travel in a shard — any region that also
   /// touches hash memory routes it through AddHashBytes instead; a shard
   /// arriving with a nonzero peak is a shard-discipline bug.
@@ -132,6 +155,8 @@ class ExecContext {
     metrics_.rows_scanned += shard.rows_scanned;
     metrics_.partitions_scanned += shard.partitions_scanned;
     metrics_.partitions_pruned += shard.partitions_pruned;
+    metrics_.runtime_pruned_partitions += shard.runtime_pruned_partitions;
+    metrics_.runtime_pruned_bytes += shard.runtime_pruned_bytes;
     metrics_.rows_produced += shard.rows_produced;
     metrics_.spool_bytes_written += shard.spool_bytes_written;
     metrics_.spool_bytes_read += shard.spool_bytes_read;
@@ -228,14 +253,34 @@ class ExecContext {
     }
   }
 
-  /// Attributes decoded bytes to a scan's stats slot. Driver thread only:
-  /// serial scans call it inline, parallel scans once after their region
-  /// has merged (the query-level total travels through ExecMetrics shards).
-  void AddScanBytes(int32_t op_id, int64_t bytes) {
+  /// Charges scan metrics (a partition's, or a parallel region's worker
+  /// shard) to the query totals, and its decoded bytes and pruned
+  /// partitions to the scan's stats slot. Driver thread only: serial scans
+  /// call it per partition, parallel scans once per shard after their
+  /// region ran.
+  void AddScanMetrics(int32_t op_id, const ExecMetrics& scan) {
+    MergeMetrics(scan);
     if (op_id >= 0 && static_cast<size_t>(op_id) < op_slots_.size()) {
-      op_slots_[static_cast<size_t>(op_id)].bytes_scanned += bytes;
+      OperatorStats& s = op_slots_[static_cast<size_t>(op_id)];
+      s.bytes_scanned += scan.bytes_scanned;
+      s.partitions_pruned += scan.partitions_pruned;
+      s.runtime_pruned_partitions += scan.runtime_pruned_partitions;
+      s.runtime_pruned_bytes += scan.runtime_pruned_bytes;
     }
   }
+
+  /// Registers a table-scan source as the executor builds it, in build
+  /// order (BuildExecutor, driver thread only). A hash join looks up the
+  /// sources its probe subtree built to publish its runtime filter
+  /// (DESIGN.md §6.5).
+  void AddScanSource(const LogicalOp* scan, internal::MorselSource* source) {
+    scan_sources_.push_back({scan, source});
+  }
+
+  /// Every scan source built so far, in build order. Entries of a torn
+  /// down subtree dangle, so only a join whose probe subtree is alive reads
+  /// them, and only the range its own probe subtree added.
+  const std::vector<ScanSource>& scan_sources() const { return scan_sources_; }
 
   /// Snapshot of all operator slots with derived fields (rows_in, self
   /// time) filled in; taken after the operator tree is torn down so close
@@ -283,6 +328,7 @@ class ExecContext {
   std::deque<OperatorStats> op_slots_;
   std::deque<int64_t> op_live_bytes_;  // live bytes behind each slot's peak
   std::vector<PipelineRecord> pipelines_;
+  std::vector<ScanSource> scan_sources_;
 };
 
 /// RAII bracket for a parallel region (scan morsels, aggregation partials,

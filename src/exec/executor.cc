@@ -84,15 +84,17 @@ class StatsExec final : public ExecOperator {
 };
 
 /// The factory switch for the operators that are not pipelines: children
-/// already built.
+/// already built. `probe_scans` are the scan sources the first child's
+/// build registered, which a join's runtime filter may narrow.
 Result<ExecOperatorPtr> MakeOperator(const PlanPtr& plan,
                                      std::vector<ExecOperatorPtr> children,
+                                     std::vector<ScanSource> probe_scans,
                                      ExecContext* ctx) {
   using namespace internal;  // NOLINT: operator factories
   switch (plan->kind()) {
     case OpKind::kJoin:
       return MakeJoinExec(Cast<JoinOp>(*plan), std::move(children[0]),
-                          std::move(children[1]), ctx);
+                          std::move(children[1]), std::move(probe_scans), ctx);
     case OpKind::kWindow:
       return MakeWindowExec(Cast<WindowOp>(*plan), std::move(children[0]), ctx);
     case OpKind::kUnionAll:
@@ -153,14 +155,22 @@ Result<ExecOperatorPtr> BuildNode(const PlanPtr& plan, ExecContext* ctx,
   } else {
     std::vector<ExecOperatorPtr> children;
     children.reserve(plan->num_children());
+    std::vector<ScanSource> probe_scans;
     for (const PlanPtr& c : plan->children()) {
+      size_t first_scan = ctx->scan_sources().size();
       FUSIONDB_ASSIGN_OR_RETURN(ExecOperatorPtr child, BuildNode(c, ctx, id));
+      if (children.empty()) {
+        probe_scans.assign(ctx->scan_sources().begin() + first_scan,
+                           ctx->scan_sources().end());
+      }
       children.push_back(std::move(child));
     }
     // Blocking operators capture building_op() in their constructors to
     // attribute their memory accounting to their own slot.
     ctx->set_building_op(id);
-    FUSIONDB_ASSIGN_OR_RETURN(op, MakeOperator(plan, std::move(children), ctx));
+    FUSIONDB_ASSIGN_OR_RETURN(
+        op, MakeOperator(plan, std::move(children), std::move(probe_scans),
+                         ctx));
     ctx->set_building_op(-1);
   }
   if (!profiled) return op;
@@ -192,6 +202,11 @@ void RecordExecutionMetrics(MetricsRegistry* registry,
                 metrics.partitions_scanned);
   registry->Add(registry->Counter("fusiondb_exec_partitions_pruned_total"),
                 metrics.partitions_pruned);
+  registry->Add(
+      registry->Counter("fusiondb_exec_runtime_pruned_partitions_total"),
+      metrics.runtime_pruned_partitions);
+  registry->Add(registry->Counter("fusiondb_exec_runtime_pruned_bytes_total"),
+                metrics.runtime_pruned_bytes);
   registry->Add(registry->Counter("fusiondb_exec_rows_produced_total"),
                 metrics.rows_produced);
   registry->Add(registry->Counter("fusiondb_exec_chunks_produced_total"),

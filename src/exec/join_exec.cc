@@ -3,12 +3,14 @@
 // get ids from a KeyTable (sealed once built, so one dense int key probes
 // by direct address), and a CSR row index lists each key's rows in
 // ascending order; all of it is accounted against the working-memory
-// metric.
+// metric. An inner or semi join then narrows the scans under its probe
+// side to the partitions its build keys can match (DESIGN.md §6.5).
 #include <algorithm>
 #include <optional>
 #include <utility>
 
 #include "exec/key_table.h"
+#include "exec/morsel_source.h"
 #include "exec/operators_internal.h"
 #include "expr/evaluator.h"
 #include "expr/simplifier.h"
@@ -25,16 +27,101 @@ struct JoinResidual {
   std::vector<int> right_columns;  // positions in the build rows
 };
 
+/// A probe-side scan a join's runtime filter narrows: the scan's source
+/// and the equi-key pair whose left column reaches it unchanged.
+struct FilterTarget {
+  MorselSource* source = nullptr;
+  size_t key = 0;          // index into the join's key pairs
+  bool partition = false;  // the column is the scan's int partition column
+};
+
+/// Collects each scan under `plan` whose output column reaches `plan`'s
+/// column `col` unchanged, with that scan column: through Filters, Projects
+/// that pass it on as a bare column reference, and either input of inner
+/// and semi joins, whose output rows carry their inputs' values. Any other
+/// operator may add, drop or recompute rows, so the walk stops there.
+void ScansReaching(const PlanPtr& plan, ColumnId col,
+                   std::vector<std::pair<const LogicalOp*, ColumnId>>* out) {
+  switch (plan->kind()) {
+    case OpKind::kScan:
+      out->push_back({plan.get(), col});
+      return;
+    case OpKind::kFilter:
+      ScansReaching(plan->child(0), col, out);
+      return;
+    case OpKind::kProject:
+      for (const NamedExpr& e : Cast<ProjectOp>(*plan).exprs()) {
+        if (e.id == col && e.expr != nullptr &&
+            e.expr->kind() == ExprKind::kColumnRef) {
+          ScansReaching(plan->child(0), e.expr->column_id(), out);
+        }
+      }
+      return;
+    case OpKind::kJoin: {
+      JoinType type = Cast<JoinOp>(*plan).join_type();
+      if (type != JoinType::kInner && type != JoinType::kSemi) return;
+      for (const PlanPtr& c : plan->children()) {
+        if (c->schema().Contains(col)) ScansReaching(c, col, out);
+      }
+      return;
+    }
+    case OpKind::kAggregate:
+    case OpKind::kWindow:
+    case OpKind::kUnionAll:
+    case OpKind::kValues:
+    case OpKind::kSort:
+    case OpKind::kLimit:
+    case OpKind::kEnforceSingleRow:
+    case OpKind::kApply:
+    case OpKind::kSpool:
+      return;
+  }
+}
+
+/// The probe-side scans an inner or semi join over `left_plan` may narrow:
+/// each scan one of the left key columns (positions in `ls`, the left
+/// input's schema) reaches, when the probe subtree's build registered
+/// exactly one source for that scan node. A node built twice (a shared
+/// subplan) cannot tell which source the key reaches.
+std::vector<FilterTarget> FilterTargets(const PlanPtr& left_plan,
+                                        const Schema& ls,
+                                        const std::vector<int>& left_keys,
+                                        const std::vector<ScanSource>& scans) {
+  std::vector<FilterTarget> targets;
+  for (size_t k = 0; k < left_keys.size(); ++k) {
+    const ColumnInfo& key = ls.column(static_cast<size_t>(left_keys[k]));
+    std::vector<std::pair<const LogicalOp*, ColumnId>> reached;
+    ScansReaching(left_plan, key.id, &reached);
+    for (const auto& [scan, col] : reached) {
+      MorselSource* source = nullptr;
+      size_t built = 0;
+      for (const ScanSource& s : scans) {
+        if (s.scan != scan) continue;
+        source = s.source;
+        ++built;
+      }
+      if (built != 1) continue;
+      targets.push_back(
+          {source, k,
+           source->partition_column() == col &&
+               PhysicalTypeOf(key.type) == PhysicalType::kInt});
+    }
+  }
+  return targets;
+}
+
 class HashJoinExec final : public ExecOperator {
  public:
   HashJoinExec(const JoinOp& op, ExecOperatorPtr left, ExecOperatorPtr right,
                std::vector<int> left_keys, std::vector<int> right_keys,
-               std::optional<JoinResidual> residual, ExecContext* ctx)
+               std::optional<JoinResidual> residual,
+               std::vector<FilterTarget> targets, ExecContext* ctx)
       : ExecOperator(op.schema()),
         join_type_(op.join_type()),
         left_(std::move(left)),
         right_(std::move(right)),
         residual_(std::move(residual)),
+        targets_(std::move(targets)),
         ctx_(ctx),
         left_key_indexes_(std::move(left_keys)),
         right_key_indexes_(std::move(right_keys)),
@@ -75,6 +162,7 @@ class HashJoinExec final : public ExecOperator {
       FUSIONDB_RETURN_IF_ERROR(BuildRowIds(&row_ids));
       table_.Seal();
       BuildRowIndex(row_ids);
+      PublishRuntimeFilter();
     }
     // Account buffered rows, key table and row index against working memory.
     int64_t bytes = table_.bytes();
@@ -84,6 +172,35 @@ class HashJoinExec final : public ExecOperator {
     accounted_bytes_ = bytes;
     ctx_->AddHashBytes(bytes, op_id_);
     return Status::OK();
+  }
+
+  /// Narrows the probe side's target scans before the first probe: a probe
+  /// row can only match a build row whose key has no NULL column. With no
+  /// such row every target keeps nothing; otherwise a target on its table's
+  /// partitioning column keeps the partitions holding one of the build's
+  /// distinct keys in that column.
+  void PublishRuntimeFilter() {
+    if (targets_.empty()) return;
+    std::vector<uint32_t> rows;
+    for (size_t r = 0; r < right_data_.num_rows(); ++r) {
+      bool non_null = true;
+      for (int c : right_key_indexes_) {
+        non_null &= !right_data_.columns[c].IsNull(r);
+      }
+      if (non_null) rows.push_back(static_cast<uint32_t>(r));
+    }
+    for (const FilterTarget& t : targets_) {
+      std::vector<int64_t> keys;  // none keeps nothing
+      if (!rows.empty()) {
+        if (!t.partition) continue;
+        const Column& col = right_data_.columns[right_key_indexes_[t.key]];
+        keys.reserve(rows.size());
+        for (uint32_t r : rows) keys.push_back(col.IntAt(r));
+        std::sort(keys.begin(), keys.end());
+        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      }
+      t.source->KeepOnly(keys);
+    }
   }
 
   /// Gives each build row its key id; a key with a NULL column gets one
@@ -290,6 +407,7 @@ class HashJoinExec final : public ExecOperator {
   ExecOperatorPtr left_;
   ExecOperatorPtr right_;
   std::optional<JoinResidual> residual_;
+  std::vector<FilterTarget> targets_;  // probe-side scans to narrow
   ExecContext* ctx_;
 
   std::vector<DataType> right_types_;
@@ -309,7 +427,9 @@ class HashJoinExec final : public ExecOperator {
 }  // namespace
 
 Result<ExecOperatorPtr> MakeJoinExec(const JoinOp& op, ExecOperatorPtr left,
-                                     ExecOperatorPtr right, ExecContext* ctx) {
+                                     ExecOperatorPtr right,
+                                     std::vector<ScanSource> probe_scans,
+                                     ExecContext* ctx) {
   if (op.condition() == nullptr) {
     return Status::PlanError("join with null condition");
   }
@@ -368,10 +488,15 @@ Result<ExecOperatorPtr> MakeJoinExec(const JoinOp& op, ExecOperatorPtr left,
       (!left_keys.empty() || residual)) {
     return Status::PlanError("cross join must have TRUE condition");
   }
-  return ExecOperatorPtr(new HashJoinExec(op, std::move(left), std::move(right),
-                                          std::move(left_keys),
-                                          std::move(right_keys),
-                                          std::move(residual), ctx));
+  // Only an inner or semi join drops every probe row without a matching
+  // build key; a left join keeps them all.
+  std::vector<FilterTarget> targets;
+  if (op.join_type() == JoinType::kInner || op.join_type() == JoinType::kSemi) {
+    targets = FilterTargets(op.child(0), ls, left_keys, probe_scans);
+  }
+  return ExecOperatorPtr(new HashJoinExec(
+      op, std::move(left), std::move(right), std::move(left_keys),
+      std::move(right_keys), std::move(residual), std::move(targets), ctx));
 }
 
 }  // namespace fusiondb::internal

@@ -2,11 +2,25 @@
 // accounting) or child operator a compiled pipeline reads from.
 #include "exec/morsel_source.h"
 
+#include <algorithm>
+#include <iterator>
 #include <optional>
 
 #include "expr/simplifier.h"
 
 namespace fusiondb::internal {
+
+void PruneSpec::KeepOnly(const std::vector<int64_t>& keys) {
+  if (!has_points) {
+    has_points = true;
+    points = keys;
+    return;
+  }
+  std::vector<int64_t> both;
+  std::set_intersection(points.begin(), points.end(), keys.begin(), keys.end(),
+                        std::back_inserter(both));
+  points = std::move(both);
+}
 
 void ApplyPruneConjunct(const ExprPtr& e, ColumnId part_col, PruneSpec* spec) {
   if (e->kind() == ExprKind::kInList &&
@@ -19,8 +33,13 @@ void ApplyPruneConjunct(const ExprPtr& e, ColumnId part_col, PruneSpec* spec) {
       if (v.is_null() || PhysicalTypeOf(v.type()) != PhysicalType::kInt) return;
       points.push_back(v.int_value());
     }
+    // Several IN conjuncts keep the union of their points: a superset of
+    // what the filter above the scan admits, so never wrong.
     spec->has_points = true;
     spec->points.insert(spec->points.end(), points.begin(), points.end());
+    std::sort(spec->points.begin(), spec->points.end());
+    spec->points.erase(std::unique(spec->points.begin(), spec->points.end()),
+                       spec->points.end());
     return;
   }
   if (e->kind() != ExprKind::kCompare) return;
@@ -76,22 +95,34 @@ MorselSource::MorselSource(const ScanOp& op, ExecContext* ctx, int32_t op_id)
   }
   // Locate the partitioning column among the scan's outputs, if selected.
   int part_table_col = table_->partition_column();
-  ColumnId part_out = kInvalidColumnId;
   if (part_table_col >= 0) {
     for (size_t i = 0; i < table_columns_.size(); ++i) {
       if (table_columns_[i] == part_table_col) {
-        part_out = op.schema().column(i).id;
+        part_out_ = op.schema().column(i).id;
         break;
       }
     }
   }
-  if (op.pruning_filter() != nullptr && part_out != kInvalidColumnId) {
+  if (op.pruning_filter() != nullptr && part_out_ != kInvalidColumnId) {
     std::vector<ExprPtr> conjuncts;
     SplitConjuncts(op.pruning_filter(), &conjuncts);
     for (const ExprPtr& c : conjuncts) {
-      ApplyPruneConjunct(c, part_out, &prune_);
+      ApplyPruneConjunct(c, part_out_, &prune_);
     }
   }
+  ctx_->AddScanSource(&op, this);
+}
+
+bool MorselSource::Keeps(const Partition& p, ExecMetrics* m) const {
+  if (!prune_.KeepsRange(p.min_key, p.max_key)) {
+    ++m->partitions_pruned;
+    return false;
+  }
+  if (runtime_.KeepsRange(p.min_key, p.max_key)) return true;
+  ++m->partitions_pruned;
+  ++m->runtime_pruned_partitions;
+  for (int c : table_columns_) m->runtime_pruned_bytes += p.column_bytes[c];
+  return false;
 }
 
 MorselSource::MorselSource(ExecOperatorPtr child) : child_(std::move(child)) {}
@@ -103,8 +134,9 @@ Result<std::optional<Chunk>> MorselSource::NextSerial() {
     if (partition_ >= partitions.size()) return std::optional<Chunk>();
     const Partition& p = partitions[partition_];
     if (offset_ == 0) {
-      if (!prune_.KeepsRange(p.min_key, p.max_key)) {
-        ++ctx_->metrics().partitions_pruned;
+      ExecMetrics m;
+      if (!Keeps(p, &m)) {
+        ctx_->AddScanMetrics(op_id_, m);
         ++partition_;
         continue;
       }
@@ -116,11 +148,11 @@ Result<std::optional<Chunk>> MorselSource::NextSerial() {
       for (int c : table_columns_) {
         FUSIONDB_ASSIGN_OR_RETURN(Column col, DecodeColumn(p.columns[c]));
         decoded_.push_back(std::move(col));
-        ctx_->metrics().bytes_scanned += p.column_bytes[c];
-        ctx_->AddScanBytes(op_id_, p.column_bytes[c]);
+        m.bytes_scanned += p.column_bytes[c];
       }
-      ++ctx_->metrics().partitions_scanned;
-      ctx_->metrics().rows_scanned += static_cast<int64_t>(p.num_rows());
+      ++m.partitions_scanned;
+      m.rows_scanned = static_cast<int64_t>(p.num_rows());
+      ctx_->AddScanMetrics(op_id_, m);
     }
     size_t rows = p.num_rows();
     if (offset_ >= rows) {
@@ -167,10 +199,7 @@ Status MorselSource::ParallelPartitions(
       partitions.size(), [&](size_t worker, size_t pi) -> Status {
         const Partition& p = partitions[pi];
         ExecMetrics& m = shards[worker];
-        if (!prune_.KeepsRange(p.min_key, p.max_key)) {
-          ++m.partitions_pruned;
-          return Status::OK();
-        }
+        if (!Keeps(p, &m)) return Status::OK();
         std::vector<Column> decoded;
         decoded.reserve(table_columns_.size());
         for (int c : table_columns_) {
@@ -200,14 +229,9 @@ Status MorselSource::ParallelPartitions(
         return fn(worker, pi, std::move(slices));
       });
   FUSIONDB_RETURN_IF_ERROR(st);
-  int64_t scan_bytes = 0;
-  for (const ExecMetrics& shard : shards) {
-    scan_bytes += shard.bytes_scanned;
-    ctx_->MergeMetrics(shard);
-  }
-  // Slot attribution happens once, on the driver, after the region merged —
-  // the per-scan total is thread-count-invariant because the shard sums are.
-  ctx_->AddScanBytes(op_id_, scan_bytes);
+  // Charged on the driver, after the region ran: the per-scan totals are
+  // thread-count-invariant because the shard sums are.
+  for (const ExecMetrics& shard : shards) ctx_->AddScanMetrics(op_id_, shard);
   return Status::OK();
 }
 

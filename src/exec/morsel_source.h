@@ -8,6 +8,7 @@
 #ifndef FUSIONDB_EXEC_MORSEL_SOURCE_H_
 #define FUSIONDB_EXEC_MORSEL_SOURCE_H_
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -19,25 +20,32 @@
 
 namespace fusiondb::internal {
 
-/// Constraints over the partitioning column extracted from the scan's
-/// pruning filter: a [lo, hi] interval intersection plus an optional point
-/// set (from = and IN conjuncts).
+/// Constraints over the partitioning column: a [lo, hi] interval
+/// intersection plus an optional set of points, sorted and distinct. A
+/// scan's static spec comes from its pruning filter (= and IN conjuncts
+/// give points); its runtime spec from the hash joins above it, each of
+/// which keeps only the partitions holding one of its build keys. A point
+/// set with no points keeps nothing.
 struct PruneSpec {
   int64_t lo = std::numeric_limits<int64_t>::min();
   int64_t hi = std::numeric_limits<int64_t>::max();
   bool has_points = false;
   std::vector<int64_t> points;
 
+  /// Whether a partition whose keys span [min_key, max_key] may hold a row
+  /// the spec accepts: binary search for the first point in range.
   bool KeepsRange(int64_t min_key, int64_t max_key) const {
-    if (max_key < lo || min_key > hi) return false;
-    if (has_points) {
-      for (int64_t p : points) {
-        if (p >= min_key && p <= max_key && p >= lo && p <= hi) return true;
-      }
-      return false;
-    }
-    return true;
+    int64_t from = std::max(min_key, lo);
+    int64_t to = std::min(max_key, hi);
+    if (from > to) return false;
+    if (!has_points) return true;
+    auto it = std::lower_bound(points.begin(), points.end(), from);
+    return it != points.end() && *it <= to;
   }
+
+  /// Narrows the spec to `keys` (sorted, distinct): intersects them with
+  /// the points already held, or installs them as the point set.
+  void KeepOnly(const std::vector<int64_t>& keys);
 };
 
 /// Folds one conjunct into the prune spec when it constrains `part_col`.
@@ -48,14 +56,32 @@ void ApplyPruneConjunct(const ExprPtr& e, ColumnId part_col, PruneSpec* spec);
 class MorselSource {
  public:
   /// Scan source. `op_id` is the scan's stats slot (-1 when unprofiled);
-  /// decoded bytes are attributed to it.
+  /// decoded and pruned bytes are attributed to it. The source registers
+  /// itself with `ctx` under `op`, so a hash join above it can find it and
+  /// narrow its runtime spec (ExecContext::scan_sources); it must therefore
+  /// stay at one address, and sources are neither copied nor moved.
   MorselSource(const ScanOp& op, ExecContext* ctx, int32_t op_id);
 
   /// Child source: the morsels are the output chunks of `child`, the
   /// already-built operator below the pipeline's chain.
   explicit MorselSource(ExecOperatorPtr child);
 
+  MorselSource(const MorselSource&) = delete;
+  MorselSource& operator=(const MorselSource&) = delete;
+
   bool is_scan() const { return child_ == nullptr; }
+
+  /// Scan sources only: the output column of the table's partitioning
+  /// column, or kInvalidColumnId when the scan does not read it.
+  ColumnId partition_column() const { return part_out_; }
+
+  /// Scan sources only: narrows the runtime spec to the partitions holding
+  /// one of `keys` (sorted, distinct; none keeps nothing). Called on the
+  /// driver before the scan reads its first partition; a partition only
+  /// the runtime spec skips counts in runtime_pruned_partitions and its
+  /// bytes in runtime_pruned_bytes, so bytes_scanned + runtime_pruned_bytes
+  /// is the bytes the static spec alone reads.
+  void KeepOnly(const std::vector<int64_t>& keys) { runtime_.KeepOnly(keys); }
 
   /// Scan sources only: total partition count before pruning — the size
   /// callers need when collecting per-partition results in partition order.
@@ -85,13 +111,18 @@ class MorselSource {
                                  std::vector<Chunk> slices)>& fn);
 
  private:
+  /// Whether partition `p` is read; a skipped one is counted into `m`.
+  bool Keeps(const Partition& p, ExecMetrics* m) const;
+
   ExecOperatorPtr child_;  // set for child sources only
   TablePtr table_;
   std::vector<int> table_columns_;
   ExecContext* ctx_ = nullptr;
   int32_t op_id_ = -1;
   std::vector<DataType> types_;
-  PruneSpec prune_;
+  ColumnId part_out_ = kInvalidColumnId;
+  PruneSpec prune_;    // from the scan's pruning filter
+  PruneSpec runtime_;  // from the build keys of hash joins above the scan
   // Serial iteration state.
   size_t partition_ = 0;
   size_t offset_ = 0;

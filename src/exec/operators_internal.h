@@ -19,8 +19,13 @@ namespace fusiondb::internal {
 /// to register slots for fused operators with the same rendering.
 std::string NodeDetail(const LogicalOp& plan);
 
+/// `probe_scans` are the scan sources `left`'s build registered; an inner
+/// or semi hash join narrows those its left keys reach once its build is
+/// done (DESIGN.md §6.5).
 Result<ExecOperatorPtr> MakeJoinExec(const JoinOp& op, ExecOperatorPtr left,
-                                     ExecOperatorPtr right, ExecContext* ctx);
+                                     ExecOperatorPtr right,
+                                     std::vector<ScanSource> probe_scans,
+                                     ExecContext* ctx);
 Result<ExecOperatorPtr> MakeWindowExec(const WindowOp& op,
                                        ExecOperatorPtr child, ExecContext* ctx);
 Result<ExecOperatorPtr> MakeUnionAllExec(const UnionAllOp& op,

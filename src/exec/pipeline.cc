@@ -7,6 +7,7 @@
 // the thread count.
 #include "exec/pipeline.h"
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -59,8 +60,8 @@ struct PreparedAggChunk {
 
 class PipelineExec final : public ExecOperator {
  public:
-  PipelineExec(MorselSource source, PipelineSpec spec, Schema schema,
-               ExecContext* ctx, int32_t root_op_id)
+  PipelineExec(std::unique_ptr<MorselSource> source, PipelineSpec spec,
+               Schema schema, ExecContext* ctx, int32_t root_op_id)
       : ExecOperator(std::move(schema)),
         ctx_(ctx),
         root_op_id_(root_op_id),
@@ -76,7 +77,7 @@ class PipelineExec final : public ExecOperator {
 
   Result<std::optional<Chunk>> Next() override {
     if (spec_.aggregate) return NextAggregate();
-    if (ctx_->pool() != nullptr && source_.is_scan()) {
+    if (ctx_->pool() != nullptr && source_->is_scan()) {
       if (!parallel_ran_) {
         FUSIONDB_RETURN_IF_ERROR(RunParallel());
         parallel_ran_ = true;
@@ -89,7 +90,7 @@ class PipelineExec final : public ExecOperator {
     // with no survivors never materialize anything.
     while (true) {
       FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> morsel,
-                                source_.NextSerial());
+                                source_->NextSerial());
       if (!morsel.has_value()) return std::optional<Chunk>();
       SelVector sel;
       if (!ApplyFilters(*morsel, &sel)) continue;
@@ -137,8 +138,8 @@ class PipelineExec final : public ExecOperator {
   /// their claimed partitions' morsels inside the scan's ParallelFor;
   /// outputs stream in (partition, slice) order, the serial order.
   Status RunParallel() {
-    std::vector<std::vector<Chunk>> per_partition(source_.num_partitions());
-    FUSIONDB_RETURN_IF_ERROR(source_.ParallelPartitions(
+    std::vector<std::vector<Chunk>> per_partition(source_->num_partitions());
+    FUSIONDB_RETURN_IF_ERROR(source_->ParallelPartitions(
         [&](size_t /*worker*/, size_t pi, std::vector<Chunk> slices) -> Status {
           std::vector<Chunk>& out = per_partition[pi];
           for (Chunk& morsel : slices) {
@@ -234,7 +235,7 @@ class PipelineExec final : public ExecOperator {
   Status RunAggSerial() {
     while (true) {
       FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> morsel,
-                                source_.NextSerial());
+                                source_->NextSerial());
       if (!morsel.has_value()) break;
       SelVector sel;
       if (!ApplyFilters(*morsel, &sel)) continue;
@@ -251,13 +252,13 @@ class PipelineExec final : public ExecOperator {
   /// i mod W and partials merge in worker order, so the group table (id
   /// order included) is deterministic for a given thread count.
   Status RunAggParallel() {
-    const bool scan = source_.is_scan();
+    const bool scan = source_->is_scan();
     std::vector<PreparedAggChunk> prepared;  // scan source
     std::vector<Chunk> buffered;             // child source
     if (scan) {
       std::vector<std::vector<PreparedAggChunk>> per_partition(
-          source_.num_partitions());
-      FUSIONDB_RETURN_IF_ERROR(source_.ParallelPartitions(
+          source_->num_partitions());
+      FUSIONDB_RETURN_IF_ERROR(source_->ParallelPartitions(
           [&](size_t /*worker*/, size_t pi,
               std::vector<Chunk> slices) -> Status {
             std::vector<PreparedAggChunk>& out = per_partition[pi];
@@ -272,7 +273,7 @@ class PipelineExec final : public ExecOperator {
         for (PreparedAggChunk& p : chunks) prepared.push_back(std::move(p));
       }
     } else {
-      FUSIONDB_RETURN_IF_ERROR(source_.DrainChild(&buffered));
+      FUSIONDB_RETURN_IF_ERROR(source_->DrainChild(&buffered));
     }
     const size_t n = scan ? prepared.size() : buffered.size();
     ThreadPool* pool = ctx_->pool();
@@ -303,7 +304,7 @@ class PipelineExec final : public ExecOperator {
 
   ExecContext* ctx_;
   int32_t root_op_id_ = -1;
-  MorselSource source_;
+  std::unique_ptr<MorselSource> source_;  // at one address (see its ctor)
   PipelineSpec spec_;
   // Parallel non-aggregate state: chunks prepared by RunParallel, streamed
   // in order.
@@ -471,9 +472,9 @@ Result<ExecOperatorPtr> CompilePipeline(const PlanPtr& plan, ExecContext* ctx,
   if (!scan) {
     FUSIONDB_ASSIGN_OR_RETURN(ExecOperatorPtr child,
                               build_source(source, parent));
-    return ExecOperatorPtr(new PipelineExec(MorselSource(std::move(child)),
-                                            std::move(spec), plan->schema(),
-                                            ctx, root_op_id));
+    return ExecOperatorPtr(
+        new PipelineExec(std::make_unique<MorselSource>(std::move(child)),
+                         std::move(spec), plan->schema(), ctx, root_op_id));
   }
   // A scan source keeps its own slot for decoded-bytes attribution; a bare
   // scan is the root itself.
@@ -484,8 +485,8 @@ Result<ExecOperatorPtr> CompilePipeline(const PlanPtr& plan, ExecContext* ctx,
     ctx->op_stats(scan_slot)->pipeline = pipe_index;
   }
   return ExecOperatorPtr(new PipelineExec(
-      MorselSource(Cast<ScanOp>(*source), ctx, scan_slot), std::move(spec),
-      plan->schema(), ctx, root_op_id));
+      std::make_unique<MorselSource>(Cast<ScanOp>(*source), ctx, scan_slot),
+      std::move(spec), plan->schema(), ctx, root_op_id));
 }
 
 }  // namespace fusiondb::internal

@@ -1,5 +1,7 @@
 #include "expr/evaluator.h"
 
+#include <algorithm>
+#include <cmath>
 #include <type_traits>
 #include <utility>
 
@@ -12,8 +14,10 @@ namespace fusiondb {
 // int/double/string physical type gets a kernel instantiated for exactly that
 // (operand shape × physical type × operator) combination. The kernel reads
 // raw column buffers, so the per-chunk loop carries no Value boxing and no
-// per-row dispatch on expression kind or operand type. Nodes outside the
-// specialized shapes (nested operands, CASE, IN) fall back to the generic
+// per-row dispatch on expression kind or operand type. An IN over a column
+// and literal items gets a kernel too, which binary-searches the sorted
+// literals. Nodes outside the specialized shapes (nested operands, CASE, IN
+// with a computed operand or item) fall back to the generic
 // column-at-a-time code below, which is semantically identical.
 // ---------------------------------------------------------------------------
 struct BoundExpr::Kernels {
@@ -231,6 +235,75 @@ struct BoundExpr::Kernels {
     return out;
   }
 
+  /// IN over a list of literals, the operand a column: its non-NULL value
+  /// is looked up in the list's sorted values by binary search. Equality
+  /// is Value::Compare's: numbers compare as doubles (an int operand is
+  /// converted), and NaN equals every number.
+  static bool Listed(const BoundExpr& e, double v) {
+    const std::vector<double>& s = e.in_items_->numbers;
+    if (s.empty()) return false;
+    if (v != v) return true;
+    // Branch-free lower bound: each halving step is a conditional move, so
+    // a row costs log2(k) loads and no mispredicted branch.
+    const double* base = s.data();
+    for (size_t len = s.size(); len > 1; len -= len / 2) {
+      base += base[len / 2 - 1] < v ? len / 2 : 0;
+    }
+    return *base == v;
+  }
+  static bool Listed(const BoundExpr& e, int64_t v) {
+    return Listed(e, static_cast<double>(v));
+  }
+  static bool Listed(const BoundExpr& e, const std::string& v) {
+    const std::vector<std::string>& s = e.in_items_->strings;
+    return std::binary_search(s.begin(), s.end(), v);
+  }
+
+  /// Filter kernel: keeps the rows whose operand is listed (a NULL operand
+  /// or an unlisted one with a NULL item is NULL, and fails).
+  template <typename A>
+  static void InFilter(const BoundExpr& e, const Chunk& in, SelVector* sel) {
+    A a(e.children_[0], in);
+    std::vector<uint32_t>& rows = sel->indexes();
+    size_t kept = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      uint32_t row = rows[i];
+      rows[kept] = row;
+      kept += !a.IsNull(row) && Listed(e, a.Get(row));
+    }
+    rows.resize(kept);
+  }
+
+  /// Compute kernel: TRUE when listed; else NULL when the operand or an
+  /// item is NULL, FALSE otherwise.
+  template <typename A>
+  static Column InCompute(const BoundExpr& e, const Chunk& in,
+                          const SelVector* sel) {
+    A a(e.children_[0], in);
+    size_t n = sel ? sel->size() : in.num_rows();
+    Column out(DataType::kBool);
+    out.Reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t row = sel ? (*sel)[i] : static_cast<uint32_t>(i);
+      if (a.IsNull(row)) {
+        out.AppendNull();
+      } else if (Listed(e, a.Get(row))) {
+        out.AppendBool(true);
+      } else if (e.in_items_->has_null) {
+        out.AppendNull();
+      } else {
+        out.AppendBool(false);
+      }
+    }
+    return out;
+  }
+
+  template <typename A>
+  static void InstallIn(BoundExpr* e) {
+    e->filter_fn_ = &InFilter<A>;
+    e->compute_fn_ = &InCompute<A>;
+  }
+
   /// Kernels for compare/arith with a NULL literal operand: the result is
   /// NULL for every row, so the filter form keeps nothing.
   static void NullFilter(const BoundExpr&, const Chunk&, SelVector* sel) {
@@ -360,7 +433,48 @@ struct BoundExpr::Kernels {
   }
 };
 
+void BoundExpr::SpecializeIn() {
+  const BoundExpr& operand = children_[0];
+  if (operand.kind_ != ExprKind::kColumnRef) return;
+  const bool is_string = operand.type_ == DataType::kString;
+  auto items = std::make_shared<InItems>();
+  for (size_t i = 1; i < children_.size(); ++i) {
+    const BoundExpr& item = children_[i];
+    if (item.kind_ != ExprKind::kLiteral) return;
+    const Value& v = item.literal_;
+    if (v.is_null()) {
+      items->has_null = true;
+    } else if (is_string) {
+      // An item of the other class never equals the operand: skipped.
+      if (v.type() == DataType::kString) {
+        items->strings.push_back(v.string_value());
+      }
+    } else if (v.type() != DataType::kString) {
+      if (std::isnan(v.AsDouble())) return;  // equals everything: row path
+      items->numbers.push_back(v.AsDouble());
+    }
+  }
+  std::sort(items->numbers.begin(), items->numbers.end());
+  std::sort(items->strings.begin(), items->strings.end());
+  in_items_ = std::move(items);
+  switch (PhysicalTypeOf(operand.type_)) {
+    case PhysicalType::kInt:
+      Kernels::InstallIn<Kernels::IntCol>(this);
+      break;
+    case PhysicalType::kDouble:
+      Kernels::InstallIn<Kernels::DblCol>(this);
+      break;
+    case PhysicalType::kString:
+      Kernels::InstallIn<Kernels::StrCol>(this);
+      break;
+  }
+}
+
 void BoundExpr::SpecializeKernels() {
+  if (kind_ == ExprKind::kInList) {
+    SpecializeIn();
+    return;
+  }
   if (kind_ != ExprKind::kCompare && kind_ != ExprKind::kArith) return;
   const BoundExpr& l = children_[0];
   const BoundExpr& r = children_[1];

@@ -15,6 +15,7 @@
 #define FUSIONDB_EXPR_EVALUATOR_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -64,6 +65,9 @@ class BoundExpr {
   /// Installs typed kernels for compare/arith nodes whose operands are
   /// column references or literals of kernel-supported physical types.
   void SpecializeKernels();
+  /// The IN kernels' bind step: an IN over a column operand and literal
+  /// items keeps the items' values sorted, by the operand's class.
+  void SpecializeIn();
 
   Column EvalInternal(const Chunk& input, const SelVector* sel) const;
   void NarrowInternal(const Chunk& input, SelVector* sel) const;
@@ -75,6 +79,15 @@ class BoundExpr {
   CompareOp cmp_ = CompareOp::kEq;
   ArithOp arith_ = ArithOp::kAdd;
   std::vector<BoundExpr> children_;
+  // IN over literals (SpecializeIn): the non-NULL items of the operand's
+  // class, sorted, and whether any item is NULL. Shared, so a bound
+  // expression stays small to copy and to walk.
+  struct InItems {
+    std::vector<double> numbers;
+    std::vector<std::string> strings;
+    bool has_null = false;
+  };
+  std::shared_ptr<const InItems> in_items_;
   FilterFn filter_fn_ = nullptr;
   ComputeFn compute_fn_ = nullptr;
 };

@@ -66,8 +66,13 @@ struct OperatorStats {
 
   // Scan-only: bytes this scan decoded, attributed on the driver thread
   // (serial scans inline, parallel scans once after their region merges) so
-  // per-table service counters can be derived from the slot's detail.
+  // per-table service counters can be derived from the slot's detail; the
+  // partitions it skipped (static and runtime), and those only a runtime
+  // join filter skipped with their bytes (as in ExecMetrics).
   int64_t bytes_scanned = 0;
+  int64_t partitions_pruned = 0;
+  int64_t runtime_pruned_partitions = 0;
+  int64_t runtime_pruned_bytes = 0;
 
   // Derived at finalize time from the parent links (never updated live).
   int64_t chunks_in = 0;

@@ -17,6 +17,8 @@ void WriteMetrics(const ExecMetrics& m, JsonWriter* w) {
   w->Field("rows_scanned", m.rows_scanned);
   w->Field("partitions_scanned", m.partitions_scanned);
   w->Field("partitions_pruned", m.partitions_pruned);
+  w->Field("runtime_pruned_partitions", m.runtime_pruned_partitions);
+  w->Field("runtime_pruned_bytes", m.runtime_pruned_bytes);
   w->Field("rows_produced", m.rows_produced);
   w->Field("peak_hash_bytes", m.peak_hash_bytes);
   w->Field("spool_bytes_written", m.spool_bytes_written);
@@ -40,6 +42,9 @@ void WriteStats(const OperatorStats& s, JsonWriter* w) {
   w->Field("spool_hits", s.spool_hits);
   w->Field("spool_builds", s.spool_builds);
   w->Field("bytes_scanned", s.bytes_scanned);
+  w->Field("partitions_pruned", s.partitions_pruned);
+  w->Field("runtime_pruned_partitions", s.runtime_pruned_partitions);
+  w->Field("runtime_pruned_bytes", s.runtime_pruned_bytes);
   w->EndObject();
 }
 
@@ -244,6 +249,13 @@ std::string ExplainAnalyze(const PlanPtr& plan, const QueryResult& result) {
     }
     if (s.spool_hits > 0) {
       out += " spool_hits=" + std::to_string(s.spool_hits);
+    }
+    if (s.partitions_pruned > 0) {
+      // Static pruning is the plan's; runtime pruning is the hash joins'
+      // (DESIGN.md §6.5).
+      out += " pruned_static=" +
+             std::to_string(s.partitions_pruned - s.runtime_pruned_partitions) +
+             " pruned_runtime=" + std::to_string(s.runtime_pruned_partitions);
     }
     if (s.pipeline >= 0) {
       out += " pipeline=" + std::to_string(s.pipeline);

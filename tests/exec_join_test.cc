@@ -1,6 +1,7 @@
 // Hash join executor: inner/left/semi/cross, residual predicates (checked
 // against the reference evaluator), NULL keys, build sides with one row per
-// key, none, or duplicate keys, and working-memory accounting.
+// key, none, or duplicate keys, working-memory accounting, and the runtime
+// filters a finished build publishes into the scans under its probe side.
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -337,6 +338,220 @@ TEST(JoinExecTest, SelfJoinWithInequality) {
   QueryResult result = RunChecked(a.Build());
   // ref=10 has two rows with different tags -> (a,b) and (b,a).
   EXPECT_EQ(result.num_rows(), 2);
+}
+
+// --- runtime join filters (DESIGN.md §6.5) ----------------------------------
+
+/// fact(f_date, f_item, f_val) in ten partitions of f_date (width 10):
+/// row r has f_date r % 100, f_item r % 7 (NULL on every 17th row) and
+/// f_val r.
+TablePtr FactTable() {
+  static TablePtr t = [] {
+    TableBuilder b("fact", {{"f_date", DataType::kInt64},
+                            {"f_item", DataType::kInt64},
+                            {"f_val", DataType::kInt64}});
+    EXPECT_TRUE(b.PartitionBy("f_date", 10).ok());
+    for (int64_t r = 0; r < 300; ++r) {
+      Value item = r % 17 == 0 ? Value::Null(DataType::kInt64)
+                               : Value::Int64(r % 7);
+      EXPECT_TRUE(
+          b.AppendRow({Value::Int64(r % 100), item, Value::Int64(r)}).ok());
+    }
+    return Unwrap(b.Build());
+  }();
+  return t;
+}
+
+/// dim(d_sk, d_tag): keys 12, 15, 47 (twice) and NULL, so the build's keys
+/// fall in the fact partitions [10, 19] and [40, 49].
+TablePtr DimTable() {
+  static TablePtr t = [] {
+    TableBuilder b("dim", {{"d_sk", DataType::kInt64},
+                           {"d_tag", DataType::kString}});
+    for (auto [k, tag] : {std::pair<int64_t, const char*>{47, "a"},
+                          {12, "b"}, {47, "c"}, {15, "d"}}) {
+      EXPECT_TRUE(b.AppendRow({Value::Int64(k), Value::String(tag)}).ok());
+    }
+    EXPECT_TRUE(
+        b.AppendRow({Value::Null(DataType::kInt64), Value::String("n")}).ok());
+    return Unwrap(b.Build());
+  }();
+  return t;
+}
+
+/// null_dim(d_sk, d_tag): one row, whose key is NULL.
+TablePtr NullKeyDimTable() {
+  static TablePtr t = [] {
+    TableBuilder b("null_dim", {{"d_sk", DataType::kInt64},
+                                {"d_tag", DataType::kString}});
+    EXPECT_TRUE(
+        b.AppendRow({Value::Null(DataType::kInt64), Value::String("n")}).ok());
+    return Unwrap(b.Build());
+  }();
+  return t;
+}
+
+/// The bytes of fact's `columns` in the partitions none of `keys` falls in.
+int64_t FactBytesOutside(const std::vector<std::string>& columns,
+                         const std::vector<int64_t>& keys) {
+  const TablePtr& fact = FactTable();
+  int64_t bytes = 0;
+  for (const Partition& p : fact->partitions()) {
+    bool hit = false;
+    for (int64_t k : keys) hit |= k >= p.min_key && k <= p.max_key;
+    if (hit) continue;
+    for (const std::string& c : columns) {
+      bytes += p.column_bytes[static_cast<size_t>(fact->ColumnIndex(c))];
+    }
+  }
+  return bytes;
+}
+
+/// The bytes a plan over fact's `columns` and dim's two columns reads
+/// with static pruning alone (neither scan has a pruning filter).
+int64_t StaticFactDimBytes(const std::vector<std::string>& columns,
+                           const TablePtr& dim) {
+  std::vector<int> indexes;
+  for (const std::string& c : columns) {
+    indexes.push_back(FactTable()->ColumnIndex(c));
+  }
+  return FactTable()->BytesOf(indexes) + dim->BytesOf({0, 1});
+}
+
+TEST(JoinRuntimeFilterTest, BuildKeysPruneProbePartitionsOutsideThem) {
+  PlanContext ctx;
+  PlanBuilder f = PlanBuilder::Scan(&ctx, FactTable(), {"f_date", "f_val"});
+  PlanBuilder d = PlanBuilder::Scan(&ctx, DimTable(), {"d_sk", "d_tag"});
+  f.JoinOn(JoinType::kInner, d, {{"f_date", "d_sk"}});
+  QueryResult result = RunChecked(f.Build());
+  ASSERT_EQ(FactTable()->partitions().size(), 10u);
+  const ExecMetrics& m = result.metrics();
+  EXPECT_EQ(m.partitions_pruned, 8);
+  EXPECT_EQ(m.runtime_pruned_partitions, 8);
+  EXPECT_EQ(m.partitions_scanned, 3);  // two fact partitions, one dim
+  EXPECT_EQ(m.runtime_pruned_bytes,
+            FactBytesOutside({"f_date", "f_val"}, {12, 15, 47}));
+  EXPECT_GT(m.runtime_pruned_bytes, 0);
+  EXPECT_EQ(m.StaticBytes(),
+            StaticFactDimBytes({"f_date", "f_val"}, DimTable()));
+  // The scan's slot carries the same counts as the query.
+  int64_t slot_pruned = 0;
+  int64_t slot_runtime_bytes = 0;
+  for (const OperatorStats& s : result.operator_stats()) {
+    slot_pruned += s.runtime_pruned_partitions;
+    slot_runtime_bytes += s.runtime_pruned_bytes;
+  }
+  EXPECT_EQ(slot_pruned, 8);
+  EXPECT_EQ(slot_runtime_bytes, m.runtime_pruned_bytes);
+}
+
+// A build with no non-NULL key matches no probe row, so it prunes every
+// partition of each target scan, on the partitioning column or not.
+TEST(JoinRuntimeFilterTest, EmptyOrAllNullBuildPrunesEveryPartition) {
+  for (bool null_keys : {false, true}) {
+    for (const char* key : {"f_date", "f_item"}) {
+      SCOPED_TRACE(std::string(null_keys ? "NULL-key" : "empty") +
+                   " build on " + key);
+      PlanContext ctx;
+      PlanBuilder f = PlanBuilder::Scan(&ctx, FactTable(), {key, "f_val"});
+      PlanBuilder d = PlanBuilder::Scan(
+          &ctx, null_keys ? NullKeyDimTable() : DimTable(), {"d_sk", "d_tag"});
+      if (!null_keys) d.Filter(eb::Lt(d.Ref("d_sk"), eb::Int(0)));
+      f.JoinOn(JoinType::kInner, d, {{key, "d_sk"}});
+      QueryResult result = RunChecked(f.Build());
+      const ExecMetrics& m = result.metrics();
+      EXPECT_EQ(result.num_rows(), 0);
+      EXPECT_EQ(m.runtime_pruned_partitions, 10);
+      EXPECT_EQ(m.partitions_scanned, 1);  // the dim's only partition
+      EXPECT_EQ(m.runtime_pruned_bytes, FactBytesOutside({key, "f_val"}, {}));
+      EXPECT_EQ(m.StaticBytes(),
+                StaticFactDimBytes({key, "f_val"},
+                                   null_keys ? NullKeyDimTable() : DimTable()));
+    }
+  }
+}
+
+// A left join keeps every probe row, matched or not, so it never prunes.
+TEST(JoinRuntimeFilterTest, LeftJoinNeverPrunesItsProbeSide) {
+  for (bool empty : {false, true}) {
+    PlanContext ctx;
+    PlanBuilder f = PlanBuilder::Scan(&ctx, FactTable(), {"f_date", "f_val"});
+    PlanBuilder d = PlanBuilder::Scan(&ctx, DimTable(), {"d_sk", "d_tag"});
+    if (empty) d.Filter(eb::Lt(d.Ref("d_sk"), eb::Int(0)));
+    f.JoinOn(JoinType::kLeft, d, {{"f_date", "d_sk"}});
+    QueryResult result = RunChecked(f.Build());
+    EXPECT_EQ(result.num_rows(), 300 + (empty ? 0 : 3));  // 47 twice
+    EXPECT_EQ(result.metrics().partitions_pruned, 0);
+    EXPECT_EQ(result.metrics().runtime_pruned_bytes, 0);
+  }
+}
+
+TEST(JoinRuntimeFilterTest, SemiJoinPrunesLikeAnInnerJoin) {
+  PlanContext ctx;
+  PlanBuilder f = PlanBuilder::Scan(&ctx, FactTable(), {"f_date", "f_val"});
+  PlanBuilder d = PlanBuilder::Scan(&ctx, DimTable(), {"d_sk", "d_tag"});
+  f.Join(JoinType::kSemi, d, eb::Eq(f.Ref("f_date"), d.Ref("d_sk")));
+  QueryResult result = RunChecked(f.Build());
+  EXPECT_EQ(result.num_rows(), 9);  // three rows each of 12, 15 and 47
+  EXPECT_EQ(result.metrics().runtime_pruned_partitions, 8);
+  EXPECT_EQ(result.metrics().runtime_pruned_bytes,
+            FactBytesOutside({"f_date", "f_val"}, {12, 15, 47}));
+}
+
+// The key reaches the scan through a Project that renames it and a Filter;
+// a computed key does not reach it.
+TEST(JoinRuntimeFilterTest, KeyRenamedThroughAProjectStillPrunes) {
+  for (bool computed : {false, true}) {
+    SCOPED_TRACE(computed ? "computed key" : "renamed key");
+    PlanContext ctx;
+    PlanBuilder f = PlanBuilder::Scan(&ctx, FactTable(), {"f_date", "f_val"});
+    f.Filter(eb::Gt(f.Ref("f_val"), eb::Int(5)));
+    ExprPtr key = computed ? eb::Add(f.Ref("f_date"), eb::Int(0))
+                           : f.Ref("f_date");
+    f.Project({{"day", key}, {"val", f.Ref("f_val")}});
+    PlanBuilder d = PlanBuilder::Scan(&ctx, DimTable(), {"d_sk", "d_tag"});
+    f.JoinOn(JoinType::kInner, d, {{"day", "d_sk"}});
+    QueryResult result = RunChecked(f.Build());
+    EXPECT_EQ(result.metrics().runtime_pruned_partitions, computed ? 0 : 8);
+  }
+}
+
+// The key reaches a scan node that the probe subtree builds twice (a
+// shared subplan): the join cannot tell which of the two sources the key
+// reaches, so neither gets the filter.
+TEST(JoinRuntimeFilterTest, ScanBuiltTwiceInTheProbeSideGetsNoFilter) {
+  PlanContext ctx;
+  PlanPtr shared =
+      PlanBuilder::Scan(&ctx, FactTable(), {"f_date", "f_item"}).Build();
+  PlanBuilder a = PlanBuilder::From(&ctx, shared);
+  PlanBuilder b = PlanBuilder::From(&ctx, shared);
+  b.Project({{"item2", b.Ref("f_item")}});
+  a.JoinOn(JoinType::kInner, b, {{"f_item", "item2"}});
+  PlanBuilder d = PlanBuilder::Scan(&ctx, DimTable(), {"d_sk", "d_tag"});
+  a.JoinOn(JoinType::kInner, d, {{"f_date", "d_sk"}});
+  QueryResult result = RunChecked(a.Build());
+  EXPECT_GT(result.num_rows(), 0);
+  EXPECT_EQ(result.metrics().partitions_pruned, 0);
+}
+
+// Two joins narrow one scan: the date build keeps two partitions and the
+// item build, a key off the partitioning column, prunes nothing more; an
+// empty item build then prunes everything the date build left.
+TEST(JoinRuntimeFilterTest, FiltersOfNestedJoinsIntersect) {
+  for (bool empty_items : {false, true}) {
+    SCOPED_TRACE(empty_items ? "empty item build" : "item build");
+    PlanContext ctx;
+    PlanBuilder f = PlanBuilder::Scan(&ctx, FactTable(),
+                                      {"f_date", "f_item", "f_val"});
+    PlanBuilder items =
+        PlanBuilder::Scan(&ctx, UniqueTable(), {"uref", "label"});
+    if (empty_items) items.Filter(eb::Gt(items.Ref("uref"), eb::Int(100)));
+    f.JoinOn(JoinType::kInner, items, {{"f_item", "uref"}});
+    PlanBuilder d = PlanBuilder::Scan(&ctx, DimTable(), {"d_sk", "d_tag"});
+    f.JoinOn(JoinType::kInner, d, {{"f_date", "d_sk"}});
+    QueryResult result = RunChecked(f.Build());
+    EXPECT_EQ(result.metrics().runtime_pruned_partitions, empty_items ? 10 : 8);
+  }
 }
 
 }  // namespace

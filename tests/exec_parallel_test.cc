@@ -80,9 +80,15 @@ TEST(ThreadPool, ParallelForPropagatesFirstError) {
 /// All additive metrics; peak_hash_bytes is excluded (the peak legitimately
 /// depends on how much partial state is live at once).
 std::vector<int64_t> AdditiveMetrics(const ExecMetrics& m) {
-  return {m.bytes_scanned,   m.rows_scanned,       m.partitions_scanned,
-          m.partitions_pruned, m.rows_produced,
-          m.spool_bytes_written, m.spool_bytes_read};
+  return {m.bytes_scanned,
+          m.rows_scanned,
+          m.partitions_scanned,
+          m.partitions_pruned,
+          m.runtime_pruned_partitions,
+          m.runtime_pruned_bytes,
+          m.rows_produced,
+          m.spool_bytes_written,
+          m.spool_bytes_read};
 }
 
 /// Runs every TPC-DS query under `options` at parallelism 1, 2 and 8 and
@@ -272,6 +278,44 @@ TEST(ParallelExec, DenseKeyJoinBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(parallel.metrics().peak_hash_bytes,
               serial.metrics().peak_hash_bytes);
     testutil::ExpectMatchesReference(plan, parallel);
+  }
+}
+
+// A date_dim build prunes store_sales partitions at run time, and an empty
+// build prunes them all. Every worker reads the runtime spec that the
+// driver published before the scan's region started (run under TSan via the
+// "parallel" label). Rows, their order and every additive metric are
+// identical at 1, 2 and 4 threads.
+TEST(ParallelExec, RuntimeJoinFilterBitIdenticalAcrossThreadCounts) {
+  const Catalog& catalog = SharedTpcds(0.01);
+  TablePtr ss = Unwrap(catalog.GetTable("store_sales"));
+  TablePtr dd = Unwrap(catalog.GetTable("date_dim"));
+  for (int64_t year : {2000, 1890}) {  // no date_dim row has year 1890
+    SCOPED_TRACE("d_year=" + std::to_string(year));
+    PlanContext ctx;
+    PlanBuilder f = PlanBuilder::Scan(
+        &ctx, ss, {"ss_sold_date_sk", "ss_item_sk", "ss_net_profit"});
+    PlanBuilder d =
+        PlanBuilder::Scan(&ctx, dd, {"d_date_sk", "d_year", "d_moy"});
+    d.Filter(Expr::MakeAnd(
+        {Expr::MakeCompare(CompareOp::kEq, d.Ref("d_year"),
+                           Expr::MakeLiteral(Value::Int64(year))),
+         Expr::MakeCompare(CompareOp::kLe, d.Ref("d_moy"),
+                           Expr::MakeLiteral(Value::Int64(3)))}));
+    f.JoinOn(JoinType::kInner, d, {{"ss_sold_date_sk", "d_date_sk"}});
+    PlanPtr plan = f.Build();
+    QueryResult serial =
+        Unwrap(ExecutePlan(plan, {.chunk_size = 512, .parallelism = 1}));
+    ASSERT_GT(serial.metrics().runtime_pruned_partitions, 0)
+        << "test premise: the build must prune store_sales partitions";
+    EXPECT_EQ(serial.num_rows() == 0, year == 1890);
+    for (size_t parallelism : {2, 4}) {
+      QueryResult parallel = Unwrap(ExecutePlan(
+          plan, {.chunk_size = 512, .parallelism = parallelism}));
+      EXPECT_EQ(testutil::RowsOf(parallel), testutil::RowsOf(serial));
+      EXPECT_EQ(AdditiveMetrics(parallel.metrics()),
+                AdditiveMetrics(serial.metrics()));
+    }
   }
 }
 

@@ -239,6 +239,69 @@ class ExprFuzzer {
   std::mt19937 rng_;
 };
 
+/// Checks every vectorized entry point (EvalAll, EvalFilter, and EvalSel /
+/// NarrowFilter over a random subset of rows) of `expr` over `chunk`
+/// against the reference interpreter, cell for cell.
+void ExpectMatchesRowOracle(const ExprPtr& expr, const Chunk& chunk,
+                            std::mt19937* sel_rng, int trial) {
+  size_t rows = chunk.num_rows();
+  auto bound = BindExpr(expr, FuzzSchema());
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString() << "\n"
+                          << expr->ToString();
+
+  // Oracle: the reference evaluator's row-at-a-time interpreter.
+  reference::RowExpr interpreted =
+      Unwrap(reference::RowExpr::Resolve(expr, FuzzSchema()));
+  std::vector<Value> oracle;
+  oracle.reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    oracle.push_back(interpreted.Eval(RowAt(chunk, r)));
+  }
+
+  // EvalAll must agree on every cell.
+  Column all = bound->EvalAll(chunk);
+  ASSERT_EQ(all.size(), rows);
+  for (size_t r = 0; r < rows; ++r) {
+    ASSERT_EQ(all.GetValue(r), oracle[r])
+        << expr->ToString() << " row " << r << " trial " << trial;
+  }
+
+  // EvalFilter must keep exactly the rows whose oracle value is TRUE.
+  std::vector<uint32_t> expect_keep;
+  for (size_t r = 0; r < rows; ++r) {
+    if (!oracle[r].is_null() && oracle[r].bool_value()) {
+      expect_keep.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  SelVector keep = bound->EvalFilter(chunk);
+  ASSERT_EQ(keep.indexes(), expect_keep)
+      << expr->ToString() << " trial " << trial;
+
+  // EvalSel / NarrowFilter over a random subset of rows.
+  SelVector sub;
+  for (size_t r = 0; r < rows; ++r) {
+    if (std::uniform_int_distribution<int>(0, 1)(*sel_rng) == 0) {
+      sub.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  Column sparse = bound->EvalSel(chunk, sub);
+  ASSERT_EQ(sparse.size(), sub.size());
+  for (size_t j = 0; j < sub.size(); ++j) {
+    ASSERT_EQ(sparse.GetValue(j), oracle[sub[j]])
+        << expr->ToString() << " sel slot " << j << " trial " << trial;
+  }
+  std::vector<uint32_t> expect_narrow;
+  for (uint32_t r : sub) {
+    if (!oracle[r].is_null() && oracle[r].bool_value()) {
+      expect_narrow.push_back(r);
+    }
+  }
+  SelVector narrowed = sub;
+  bound->NarrowFilter(chunk, &narrowed);
+  ASSERT_EQ(narrowed.indexes(), expect_narrow)
+      << expr->ToString() << " trial " << trial;
+}
+
 TEST(ExprVectorTest, RandomizedKernelsMatchRowOracle) {
   ExprFuzzer fuzz(20260806);
   std::mt19937 sel_rng(7);
@@ -251,61 +314,54 @@ TEST(ExprVectorTest, RandomizedKernelsMatchRowOracle) {
     if (and_or && trial % 50 == 0) rows = 4096;
     Chunk chunk = fuzz.RandomChunk(rows);
     ExprPtr expr = and_or ? fuzz.RandomAndOr(3) : fuzz.RandomPredicate(3);
-    auto bound = BindExpr(expr, FuzzSchema());
-    ASSERT_TRUE(bound.ok()) << bound.status().ToString() << "\n"
-                            << expr->ToString();
+    ExpectMatchesRowOracle(expr, chunk, &sel_rng, trial);
+    if (HasFatalFailure()) return;
+  }
+}
 
-    // Oracle: the reference evaluator's row-at-a-time interpreter.
-    reference::RowExpr interpreted =
-        Unwrap(reference::RowExpr::Resolve(expr, FuzzSchema()));
-    std::vector<Value> oracle;
-    oracle.reserve(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      oracle.push_back(interpreted.Eval(RowAt(chunk, r)));
-    }
-
-    // EvalAll must agree on every cell.
-    Column all = bound->EvalAll(chunk);
-    ASSERT_EQ(all.size(), rows);
-    for (size_t r = 0; r < rows; ++r) {
-      ASSERT_EQ(all.GetValue(r), oracle[r])
-          << expr->ToString() << " row " << r << " trial " << trial;
-    }
-
-    // EvalFilter must keep exactly the rows whose oracle value is TRUE.
-    std::vector<uint32_t> expect_keep;
-    for (size_t r = 0; r < rows; ++r) {
-      if (!oracle[r].is_null() && oracle[r].bool_value()) {
-        expect_keep.push_back(static_cast<uint32_t>(r));
+// IN over a column and literal items runs the sorted-array kernels: int,
+// double and string operands; lists of 1 to 100 items that mix ints and
+// doubles, hold NULLs (an unlisted operand is then NULL, not FALSE) or
+// items of the other class (which never match); every entry point agrees
+// with the reference interpreter.
+TEST(ExprVectorTest, InListKernelsMatchRowOracle) {
+  ExprFuzzer fuzz(20261019);
+  std::mt19937 rng(19);
+  auto pick = [&](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  static const char* kStrings[] = {"a", "b", "c", "mm", "zz", "q"};
+  const Schema schema = FuzzSchema();
+  for (int trial = 0; trial < 300; ++trial) {
+    Chunk chunk = fuzz.RandomChunk(1 + trial % 61);
+    int operand = pick(5);  // i0, i1, d0, d1, s0
+    const ColumnInfo& col = schema.column(static_cast<size_t>(operand));
+    std::vector<ExprPtr> items;
+    int n = trial % 10 == 0 ? 100 : 1 + pick(6);
+    for (int i = 0; i < n; ++i) {
+      switch (pick(8)) {
+        case 0:
+          items.push_back(eb::NullOf(pick(2) == 0 ? DataType::kInt64
+                                                  : DataType::kString));
+          break;
+        case 1:
+          items.push_back(eb::Dbl((pick(401) - 200) / 4.0));
+          break;
+        case 2:
+          items.push_back(eb::Str(kStrings[pick(6)]));
+          break;
+        case 3:
+          items.push_back(eb::Int(pick(201) - 100));
+          break;
+        default:
+          items.push_back(col.type == DataType::kString
+                              ? eb::Str(kStrings[pick(6)])
+                              : eb::Int(pick(201) - 100));
       }
     }
-    SelVector keep = bound->EvalFilter(chunk);
-    ASSERT_EQ(keep.indexes(), expect_keep)
-        << expr->ToString() << " trial " << trial;
-
-    // EvalSel / NarrowFilter over a random subset of rows.
-    SelVector sub;
-    for (size_t r = 0; r < rows; ++r) {
-      if (std::uniform_int_distribution<int>(0, 1)(sel_rng) == 0) {
-        sub.push_back(static_cast<uint32_t>(r));
-      }
-    }
-    Column sparse = bound->EvalSel(chunk, sub);
-    ASSERT_EQ(sparse.size(), sub.size());
-    for (size_t j = 0; j < sub.size(); ++j) {
-      ASSERT_EQ(sparse.GetValue(j), oracle[sub[j]])
-          << expr->ToString() << " sel slot " << j << " trial " << trial;
-    }
-    std::vector<uint32_t> expect_narrow;
-    for (uint32_t r : sub) {
-      if (!oracle[r].is_null() && oracle[r].bool_value()) {
-        expect_narrow.push_back(r);
-      }
-    }
-    SelVector narrowed = sub;
-    bound->NarrowFilter(chunk, &narrowed);
-    ASSERT_EQ(narrowed.indexes(), expect_narrow)
-        << expr->ToString() << " trial " << trial;
+    ExprPtr expr = eb::In(eb::Col(col), std::move(items));
+    ExpectMatchesRowOracle(expr, chunk, &rng, trial);
+    if (HasFatalFailure()) return;
   }
 }
 

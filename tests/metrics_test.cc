@@ -428,7 +428,8 @@ TEST(MetricsServerTest, CountersReconcileWithDeterministicBatch) {
 }
 
 // Exec-layer counters reconcile with the executed query's own metrics, and
-// per-table scan attribution sums to the total.
+// per-table scan attribution sums to the total; per-table bytes plus the
+// bytes runtime join filters pruned are the static bytes.
 TEST(MetricsExecTest, ExecCountersMatchQueryResult) {
   const Catalog& catalog = SharedTpcds();
   const tpcds::TpcdsQuery& query = tpcds::Queries().front();
@@ -456,6 +457,15 @@ TEST(MetricsExecTest, ExecCountersMatchQueryResult) {
     }
   }
   EXPECT_EQ(per_table, result.metrics().bytes_scanned);
+  EXPECT_EQ(snap.Counter("fusiondb_exec_runtime_pruned_bytes_total"),
+            result.metrics().runtime_pruned_bytes);
+  EXPECT_EQ(snap.Counter("fusiondb_exec_runtime_pruned_partitions_total"),
+            result.metrics().runtime_pruned_partitions);
+  EXPECT_GT(result.metrics().runtime_pruned_bytes, 0)
+      << "test premise: a date_dim join prunes store_sales partitions";
+  EXPECT_EQ(per_table +
+                snap.Counter("fusiondb_exec_runtime_pruned_bytes_total"),
+            result.metrics().StaticBytes());
 
   const HistogramSnapshot* wall =
       snap.Histogram("fusiondb_exec_query_wall_us");

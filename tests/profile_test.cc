@@ -261,6 +261,11 @@ TEST(ProfileExportTest, ExplainAnalyzeAnnotatesEveryOperator) {
   }
   EXPECT_EQ(annotations, result.operator_stats().size());
   EXPECT_NE(text.find("rows="), std::string::npos);
+  // q65's date_dim join prunes store_sales partitions at run time; the
+  // scan's annotation splits static from runtime pruning.
+  ASSERT_GT(result.metrics().runtime_pruned_partitions, 0);
+  EXPECT_NE(text.find(" pruned_static=0 pruned_runtime="), std::string::npos)
+      << text;
   // Without stats it degrades to the plain plan.
   QueryResult unprofiled = Unwrap(ExecutePlan(fused, {.profile = false}));
   EXPECT_EQ(ExplainAnalyze(fused, unprofiled), PlanToString(fused));
@@ -284,6 +289,7 @@ TEST(ProfileExportTest, JsonProfileCarriesTreeMetricsAndTrace) {
   for (const char* needle :
        {"\"query\":\"q65\"", "\"config\":\"fused\"", "\"wall_ms\":",
         "\"metrics\":", "\"bytes_scanned\":", "\"plan\":", "\"rows_out\":",
+        "\"runtime_pruned_partitions\":", "\"runtime_pruned_bytes\":",
         "\"trace\":", "GroupByJoinToWindow", "\"fusion\":",
         "\"phases\":[{\"phase\":\"normalize\",\"wall_us\":"}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
