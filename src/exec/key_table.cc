@@ -12,6 +12,9 @@ namespace {
 
 constexpr size_t kBlock = 1024;        // rows hashed per block
 constexpr size_t kMinSlots = 16;
+// Slots multiply by this when a new key would make them over half full: a
+// table of n keys re-places its slots about log4(n) times on the way up.
+constexpr size_t kGrowth = 4;
 constexpr size_t kMaxWordColumns = 64;  // one NULL bit per column
 constexpr uint64_t kSeed = 0x9E3779B97F4A7C15ULL;
 
@@ -273,7 +276,7 @@ uint32_t KeyTable::Lookup(uint32_t hash, const Eq& eq) const {
 
 void KeyTable::Grow() {
   // Re-places every slot from its stored hash: no key is re-read.
-  std::vector<Slot> old(slots_.size() * 2, Slot{0, kNoId});
+  std::vector<Slot> old(slots_.size() * kGrowth, Slot{0, kNoId});
   old.swap(slots_);
   const size_t mask = slots_.size() - 1;
   for (const Slot& slot : old) {

@@ -79,14 +79,14 @@ class KeyTable {
 
   size_t size() const { return size_; }
 
-  /// Memory metric: 8 bytes per slot (a power of two, at least twice the
-  /// key count) plus the key store, 8 bytes per key column per key for
-  /// fixed-width keys (and 8 per key for NULL flags once any key has a
-  /// NULL), or the encoded key bytes plus an 8-byte offset per key, plus 4
-  /// bytes per direct-address entry (max - min + 1 of a sealed table's
-  /// index). The slot count is a function of the key count, so the figure
-  /// depends only on the set of keys and is the same at every thread
-  /// count.
+  /// Memory metric: 8 bytes per slot plus the key store, 8 bytes per key
+  /// column per key for fixed-width keys (and 8 per key for NULL flags once
+  /// any key has a NULL), or the encoded key bytes plus an 8-byte offset
+  /// per key, plus 4 bytes per direct-address entry (max - min + 1 of a
+  /// sealed table's index). The slot count is 16 times a power of four,
+  /// the smallest such count at least twice the key count: a function of
+  /// the key count, so the figure depends only on the set of keys and is
+  /// the same at every thread count.
   int64_t bytes() const;
 
  private:
@@ -121,7 +121,7 @@ class KeyTable {
   uint32_t FindOrClaim(uint32_t hash, const Eq& eq, bool* added);
   template <typename Eq>
   uint32_t Lookup(uint32_t hash, const Eq& eq) const;
-  /// Doubles the slots, placing each from its stored hash.
+  /// Quadruples the slots, placing each from its stored hash.
   void Grow();
 
   /// The id of a key in this table's layout, added when absent.

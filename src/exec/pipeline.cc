@@ -54,7 +54,7 @@ struct PreparedAggChunk {
   bool in_place = false;  // no row was filtered out
   size_t rows = 0;
   std::vector<Column> group_cols;  // evaluated keys; unused when read in place
-  std::vector<Column> arg_cols;    // parallel to the aggs; same rule
+  std::vector<Column> arg_cols;    // one per BoundArg; same rule
   std::vector<SelVector> masks;    // dense coordinates, mask-slot order
 };
 
@@ -67,7 +67,7 @@ class PipelineExec final : public ExecOperator {
         root_op_id_(root_op_id),
         source_(std::move(source)),
         spec_(std::move(spec)),
-        groups_(spec_.baggs.aggs.size(), spec_.scalar) {}
+        groups_(spec_.baggs.aggs, spec_.scalar) {}
 
   ~PipelineExec() override {
     if (accounted_bytes_ != 0) {
@@ -164,7 +164,7 @@ class PipelineExec final : public ExecOperator {
       // Scalar aggregates emit one row even over empty input.
       uint32_t group;
       groups_.keys.Insert({}, 1, &group);
-      groups_.states.resize(spec_.baggs.aggs.size());
+      groups_.ResizeAccumulators();
     }
     if (ctx_->pool() != nullptr) {
       FUSIONDB_RETURN_IF_ERROR(RunAggParallel());
@@ -173,15 +173,16 @@ class PipelineExec final : public ExecOperator {
     }
     accounted_bytes_ = groups_.bytes();
     ctx_->AddHashBytes(accounted_bytes_, root_op_id_);
-    return std::optional<Chunk>(FinalizeGroups(groups_, spec_.baggs.aggs,
-                                               OutputTypes(),
-                                               spec_.group_exprs.size()));
+    return std::optional<Chunk>(
+        FinalizeGroups(groups_, OutputTypes(), spec_.group_exprs.size()));
   }
 
   /// Prepares one surviving morsel's group / argument / mask inputs. When
   /// every row passed the filters, bare-column keys and arguments stay in
   /// the morsel (kept in the result) and only computed ones evaluate
   /// densely; otherwise EvalSel computes every input over survivors only.
+  /// Each distinct argument evaluates once, however many aggregates read
+  /// it.
   PreparedAggChunk Prepare(Chunk morsel, const SelVector& sel) const {
     PreparedAggChunk p;
     p.in_place = AllPass(morsel, sel);
@@ -196,14 +197,13 @@ class PipelineExec final : public ExecOperator {
         p.group_cols[g] = spec_.group_exprs[g].EvalAll(morsel);
       }
     }
-    p.arg_cols.resize(spec_.baggs.aggs.size());
-    for (size_t a = 0; a < spec_.baggs.aggs.size(); ++a) {
-      const BoundAgg& agg = spec_.baggs.aggs[a];
-      if (!agg.arg.has_value()) continue;
+    p.arg_cols.resize(spec_.baggs.args.size());
+    for (size_t a = 0; a < spec_.baggs.args.size(); ++a) {
+      const BoundArg& arg = spec_.baggs.args[a];
       if (!p.in_place) {
-        p.arg_cols[a] = agg.arg->EvalSel(morsel, sel);
-      } else if (agg.arg_column < 0) {
-        p.arg_cols[a] = agg.arg->EvalAll(morsel);
+        p.arg_cols[a] = arg.expr.EvalSel(morsel, sel);
+      } else if (arg.column < 0) {
+        p.arg_cols[a] = arg.expr.EvalAll(morsel);
       }
     }
     if (p.in_place) p.input = std::move(morsel);
@@ -212,7 +212,7 @@ class PipelineExec final : public ExecOperator {
 
   /// Accumulates one prepared morsel into `groups` through a column-pointer
   /// view (masks move out — each prepared morsel is accumulated once).
-  void Accumulate(PreparedAggChunk* p, GroupTable* groups) const {
+  Status Accumulate(PreparedAggChunk* p, GroupTable* groups) const {
     AggInputView view;
     view.rows = p->rows;
     view.group_cols.reserve(p->group_cols.size());
@@ -221,15 +221,14 @@ class PipelineExec final : public ExecOperator {
       view.group_cols.push_back(col >= 0 ? &p->input.columns[col]
                                          : &p->group_cols[g]);
     }
-    view.arg_cols.resize(spec_.baggs.aggs.size(), nullptr);
-    for (size_t a = 0; a < spec_.baggs.aggs.size(); ++a) {
-      const BoundAgg& agg = spec_.baggs.aggs[a];
-      if (!agg.arg.has_value()) continue;
-      int col = p->in_place ? agg.arg_column : -1;
-      view.arg_cols[a] = col >= 0 ? &p->input.columns[col] : &p->arg_cols[a];
+    view.arg_cols.reserve(p->arg_cols.size());
+    for (size_t a = 0; a < p->arg_cols.size(); ++a) {
+      int col = p->in_place ? spec_.baggs.args[a].column : -1;
+      view.arg_cols.push_back(col >= 0 ? &p->input.columns[col]
+                                       : &p->arg_cols[a]);
     }
     view.masks = std::move(p->masks);
-    AccumulateView(view, spec_.baggs.aggs, groups);
+    return AccumulateView(view, spec_.baggs.aggs, groups);
   }
 
   Status RunAggSerial() {
@@ -240,7 +239,7 @@ class PipelineExec final : public ExecOperator {
       SelVector sel;
       if (!ApplyFilters(*morsel, &sel)) continue;
       PreparedAggChunk p = Prepare(std::move(*morsel), sel);
-      Accumulate(&p, &groups_);
+      FUSIONDB_RETURN_IF_ERROR(Accumulate(&p, &groups_));
     }
     return Status::OK();
   }
@@ -278,8 +277,11 @@ class PipelineExec final : public ExecOperator {
     const size_t n = scan ? prepared.size() : buffered.size();
     ThreadPool* pool = ctx_->pool();
     size_t workers = pool->num_workers();
-    std::vector<GroupTable> partials(
-        workers, GroupTable(spec_.baggs.aggs.size(), spec_.scalar));
+    std::vector<GroupTable> partials;
+    partials.reserve(workers);
+    for (size_t w = 0; w < workers; ++w) {
+      partials.emplace_back(spec_.baggs.aggs, spec_.scalar);
+    }
     ParallelRegion region(ctx_);
     Status st = pool->ParallelFor(
         workers, [&](size_t /*worker*/, size_t w) -> Status {
@@ -287,19 +289,19 @@ class PipelineExec final : public ExecOperator {
           // the partial table is touched by a single thread.
           for (size_t ci = w; ci < n; ci += workers) {
             if (scan) {
-              Accumulate(&prepared[ci], &partials[w]);
+              FUSIONDB_RETURN_IF_ERROR(
+                  Accumulate(&prepared[ci], &partials[w]));
               continue;
             }
             SelVector sel;
             if (!ApplyFilters(buffered[ci], &sel)) continue;
             PreparedAggChunk p = Prepare(std::move(buffered[ci]), sel);
-            Accumulate(&p, &partials[w]);
+            FUSIONDB_RETURN_IF_ERROR(Accumulate(&p, &partials[w]));
           }
           return Status::OK();
         });
     FUSIONDB_RETURN_IF_ERROR(st);
-    MergePartialGroups(spec_.baggs.aggs, &partials, &groups_);
-    return Status::OK();
+    return MergePartialGroups(spec_.baggs.aggs, &partials, &groups_);
   }
 
   ExecContext* ctx_;

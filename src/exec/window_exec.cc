@@ -21,8 +21,7 @@ class WindowExec final : public ExecOperator {
       : ExecOperator(op.schema()),
         child_(std::move(child)),
         partition_indexes_(std::move(partition_indexes)),
-        items_(std::move(items.aggs)),
-        mask_set_(std::move(items.mask_set)),
+        items_(std::move(items)),
         item_storage_(std::move(item_storage)),
         ctx_(ctx),
         op_id_(ctx->building_op()) {}
@@ -44,7 +43,7 @@ class WindowExec final : public ExecOperator {
     }
     // Broadcast: each row takes its partition's finalized values.
     size_t key_width = partition_indexes_.size();
-    for (size_t a = 0; a < items_.size(); ++a) {
+    for (size_t a = 0; a < items_.aggs.size(); ++a) {
       out.columns[input_width + a] = finals_.columns[key_width + a].Gather(
           row_partitions_.data() + offset_, take);
     }
@@ -68,30 +67,34 @@ class WindowExec final : public ExecOperator {
     // Partitions are groups: one accumulation over the materialized rows,
     // keyed on the partition columns, with masks evaluated once as
     // selections and expression-valued arguments evaluated once.
-    std::vector<Column> expr_args(items_.size());
+    std::vector<Column> expr_args(items_.args.size());
     AggInputView view;
     view.rows = data_.num_rows();
     view.group_cols = KeyColumnsOf(data_, partition_indexes_);
-    view.arg_cols.resize(items_.size(), nullptr);
-    for (size_t a = 0; a < items_.size(); ++a) {
-      const BoundAgg& item = items_[a];
-      if (item.arg_column >= 0) {
-        view.arg_cols[a] = &data_.columns[item.arg_column];
-      } else if (item.arg.has_value()) {
-        expr_args[a] = item.arg->EvalAll(data_);
-        view.arg_cols[a] = &expr_args[a];
+    for (size_t a = 0; a < items_.args.size(); ++a) {
+      const BoundArg& arg = items_.args[a];
+      if (arg.column >= 0) {
+        view.arg_cols.push_back(&data_.columns[arg.column]);
+      } else {
+        expr_args[a] = arg.expr.EvalAll(data_);
+        view.arg_cols.push_back(&expr_args[a]);
       }
     }
-    view.masks = mask_set_.Evaluate(data_, nullptr);
-    GroupTable partitions(items_.size(), partition_indexes_.empty());
-    row_partitions_ = AccumulateView(view, items_, &partitions);
+    view.masks = items_.mask_set.Evaluate(data_, nullptr);
+    GroupTable partitions(items_.aggs, partition_indexes_.empty());
+    FUSIONDB_RETURN_IF_ERROR(AccumulateView(view, items_.aggs, &partitions));
+    if (partitions.keyless) {
+      row_partitions_.assign(view.rows, 0);
+    } else {
+      row_partitions_ = std::move(partitions.row_ids);
+    }
     // One row per partition: its key, then each item's finalized value.
     std::vector<DataType> final_types;
     for (int idx : partition_indexes_) final_types.push_back(types[idx]);
     std::vector<DataType> out_types = OutputTypes();
     final_types.insert(final_types.end(), out_types.begin() + types.size(),
                        out_types.end());
-    finals_ = FinalizeGroups(partitions, items_, final_types,
+    finals_ = FinalizeGroups(partitions, final_types,
                              partition_indexes_.size());
 
     int64_t bytes = partitions.bytes();
@@ -103,9 +106,8 @@ class WindowExec final : public ExecOperator {
 
   ExecOperatorPtr child_;
   std::vector<int> partition_indexes_;
-  std::vector<BoundAgg> items_;
-  MaskSet mask_set_;
-  // WindowItems converted to AggregateItems so BoundAgg/AggState apply.
+  BoundAggs items_;
+  // WindowItems converted to AggregateItems so the aggregate build applies.
   std::vector<AggregateItem> item_storage_;
   ExecContext* ctx_;
   Chunk data_;

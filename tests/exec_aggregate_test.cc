@@ -2,6 +2,8 @@
 // (Section III.E semantics), DISTINCT aggregates and window aggregation.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <random>
 
 #include "exec/agg_build.h"
@@ -469,6 +471,246 @@ TEST(KeyIdentityTest, NegativeZeroIsZeroForEveryKeyedOperator) {
   QueryResult matches = MustExecute(joined.Build());
   ExpectMatchesReference(joined.Build(), matches);
   EXPECT_EQ(matches.num_rows(), 3);
+}
+
+// ---------------------------------------------------------------------------
+// Columnar accumulators: every (function, argument type) loop, its partial
+// merge and its finalize, against the reference evaluator.
+// ---------------------------------------------------------------------------
+
+/// acc(k, g, i, d, dt, s, b): `k` partitions the table so parallel runs
+/// split it; `g` is the grouping key; one argument column per type. A NULL
+/// lands on a row with probability `null_pct` percent in every argument
+/// column. Doubles are multiples of 0.25 (sums exact in any order).
+TablePtr AccumulatorTable(int null_pct, uint32_t seed) {
+  TableBuilder tb("acc", {{"k", DataType::kInt64},
+                          {"g", DataType::kInt64},
+                          {"i", DataType::kInt64},
+                          {"d", DataType::kFloat64},
+                          {"dt", DataType::kDate},
+                          {"s", DataType::kString},
+                          {"b", DataType::kBool}});
+  EXPECT_TRUE(tb.PartitionBy("k", 64).ok());
+  std::mt19937 rng(seed);
+  auto pick = [&](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  auto null_or = [&](DataType t, Value v) {
+    return pick(100) < null_pct ? Value::Null(t) : std::move(v);
+  };
+  static const char* kStrings[] = {"", "a", "ab", "b", "zz", "m"};
+  for (int64_t r = 0; r < 1500; ++r) {
+    EXPECT_TRUE(
+        tb.AppendRow(
+              {Value::Int64(r), Value::Int64(pick(9)),
+               null_or(DataType::kInt64, Value::Int64(pick(201) - 100)),
+               null_or(DataType::kFloat64,
+                       Value::Float64((pick(161) - 80) / 4.0)),
+               null_or(DataType::kDate, Value::Date(10000 + pick(400))),
+               null_or(DataType::kString, Value::String(kStrings[pick(6)])),
+               null_or(DataType::kBool, Value::Bool(pick(2) == 1))})
+            .ok());
+  }
+  return Unwrap(tb.Build());
+}
+
+// COUNT(*), and COUNT/MIN/MAX over every type, SUM/AVG over every numeric
+// one (int64, float64, date); each unmasked, masked and DISTINCT; keyless
+// and grouped; NULL-free and NULL-heavy input; serial, in tiny chunks and
+// at four threads.
+TEST(AccumulatorTest, EveryFunctionAndTypeMatchesReference) {
+  for (int null_pct : {0, 70}) {
+    TablePtr t = AccumulatorTable(null_pct, 20261019 + null_pct);
+    for (bool grouped : {false, true}) {
+      SCOPED_TRACE(std::to_string(null_pct) + "% NULL, " +
+                   (grouped ? "grouped" : "keyless"));
+      PlanContext ctx;
+      PlanBuilder b =
+          PlanBuilder::Scan(&ctx, t, {"g", "i", "d", "dt", "s", "b"});
+      ExprPtr mask = eb::Ge(b.Ref("i"), eb::Int(-20));
+      std::vector<AggSpec> specs = {
+          {"n", AggFunc::kCountStar, nullptr, nullptr, false},
+          {"n_m", AggFunc::kCountStar, nullptr, mask, false}};
+      for (const char* col : {"i", "d", "dt", "s", "b"}) {
+        std::vector<AggFunc> funcs = {AggFunc::kCount, AggFunc::kMin,
+                                      AggFunc::kMax};
+        if (IsNumeric(b.Ref(col)->type())) {
+          funcs.push_back(AggFunc::kSum);
+          funcs.push_back(AggFunc::kAvg);
+        }
+        for (AggFunc f : funcs) {
+          std::string name = std::string(AggFuncName(f)) + "_" + col;
+          specs.push_back({name, f, b.Ref(col), nullptr, false});
+          specs.push_back({name + "_m", f, b.Ref(col), mask, false});
+          specs.push_back({name + "_d", f, b.Ref(col), nullptr, true});
+          specs.push_back({name + "_dm", f, b.Ref(col), mask, true});
+        }
+      }
+      b.Aggregate(grouped ? std::vector<std::string>{"g"}
+                          : std::vector<std::string>{},
+                  std::move(specs));
+      PlanPtr plan = b.Build();
+      for (size_t chunk : {size_t{5}, size_t{4096}}) {
+        ExpectMatchesReference(plan, MustExecute(plan, chunk));
+      }
+      ExpectMatchesReference(
+          plan,
+          Unwrap(ExecutePlan(plan, {.chunk_size = 64, .parallelism = 4})));
+    }
+  }
+}
+
+// Window partitions accumulate through the same loops.
+TEST(AccumulatorTest, WindowItemsMatchReference) {
+  TablePtr t = AccumulatorTable(40, 7);
+  PlanContext ctx;
+  PlanBuilder b = PlanBuilder::Scan(&ctx, t, {"g", "i", "d", "s"});
+  ExprPtr mask = eb::Lt(b.Ref("d"), eb::Dbl(5.0));
+  b.Window({"g"}, {{"n", AggFunc::kCountStar, nullptr, mask, false},
+                   {"sum_i", AggFunc::kSum, b.Ref("i"), nullptr, false},
+                   {"avg_d", AggFunc::kAvg, b.Ref("d"), mask, false},
+                   {"min_s", AggFunc::kMin, b.Ref("s"), nullptr, false},
+                   {"max_i", AggFunc::kMax, b.Ref("i"), mask, false}});
+  PlanPtr plan = b.Build();
+  ExpectMatchesReference(plan, MustExecute(plan));
+}
+
+// Items over equivalent arguments share one argument slot, so the sink
+// evaluates each distinct argument once per morsel.
+TEST(AccumulatorTest, EquivalentArgumentsShareOneSlot) {
+  Schema schema({{1, "x", DataType::kInt64}, {2, "y", DataType::kInt64}});
+  ExprPtr x = eb::Col(1, DataType::kInt64);
+  ExprPtr y = eb::Col(2, DataType::kInt64);
+  std::vector<AggregateItem> items = {
+      {10, "s", AggFunc::kSum, x, nullptr, false},
+      {11, "a", AggFunc::kAvg, x, eb::Gt(y, eb::Int(0)), false},
+      {12, "c", AggFunc::kCount, eb::Col(1, DataType::kInt64), nullptr, true},
+      {13, "n", AggFunc::kCountStar, nullptr, nullptr, false},
+      {14, "lo", AggFunc::kMin, eb::Add(x, y), nullptr, false},
+      {15, "hi", AggFunc::kMax, eb::Add(y, x), nullptr, false}};
+  internal::BoundAggs bound = Unwrap(internal::BindAggs(items, schema));
+  ASSERT_EQ(bound.args.size(), 2u);
+  EXPECT_EQ(bound.args[0].column, 0);
+  EXPECT_EQ(bound.args[1].column, -1);
+  std::vector<int> slots;
+  for (const internal::BoundAgg& agg : bound.aggs) {
+    slots.push_back(agg.arg_slot);
+  }
+  EXPECT_EQ(slots, (std::vector<int>{0, 0, 0, -1, 1, 1}));
+}
+
+/// The single row of a scalar aggregate of `plan`, run serially in one
+/// chunk so rows arrive in table order.
+std::vector<Value> ScalarRow(const PlanPtr& plan) {
+  QueryResult r = MustExecute(plan);
+  EXPECT_EQ(r.num_rows(), 1);
+  std::vector<Value> row;
+  for (int c = 0; c < static_cast<int>(r.schema().num_columns()); ++c) {
+    row.push_back(r.At(0, c));
+  }
+  return row;
+}
+
+uint64_t Bits(double v) {
+  uint64_t w;
+  std::memcpy(&w, &v, sizeof(w));
+  return w;
+}
+
+// MIN/MAX keep Value::Compare's order: ints compare as doubles, so ints
+// above 2^53 that round to one double tie, and the first seen stays.
+TEST(AccumulatorTest, MinMaxOverLargeIntsKeepsTheFirstOfEqualDoubles) {
+  const int64_t big = int64_t{1} << 53;  // big and big + 1 are one double
+  PlanContext ctx;
+  PlanBuilder b = PlanBuilder::Values(
+      &ctx, {"x"}, {DataType::kInt64},
+      {{Value::Int64(big + 1)}, {Value::Int64(big)}, {Value::Int64(big + 1)}});
+  b.Aggregate({}, {{"lo", AggFunc::kMin, b.Ref("x"), nullptr, false},
+                   {"hi", AggFunc::kMax, b.Ref("x"), nullptr, false}});
+  PlanPtr plan = b.Build();
+  std::vector<Value> row = ScalarRow(plan);
+  EXPECT_EQ(row[0].int_value(), big + 1);
+  EXPECT_EQ(row[1].int_value(), big + 1);
+  ExpectMatchesReference(plan, MustExecute(plan));
+}
+
+// A NaN compares equal to every double and -0.0 equals 0.0: whichever
+// comes first stays the MIN and the MAX.
+TEST(AccumulatorTest, MinMaxOverNaNAndNegativeZeroKeepsTheFirstSeen) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    std::vector<double> values;
+    double lo, hi;  // expected, compared bit for bit
+  };
+  const Case cases[] = {
+      {{nan, 1.0, -1.0}, nan, nan},
+      {{1.0, nan, -1.0}, -1.0, 1.0},
+      {{-0.0, 0.0}, -0.0, -0.0},
+      {{0.0, -0.0}, 0.0, 0.0},
+  };
+  for (const Case& c : cases) {
+    PlanContext ctx;
+    std::vector<std::vector<Value>> rows;
+    for (double v : c.values) rows.push_back({Value::Float64(v)});
+    PlanBuilder b =
+        PlanBuilder::Values(&ctx, {"x"}, {DataType::kFloat64}, rows);
+    b.Aggregate({}, {{"lo", AggFunc::kMin, b.Ref("x"), nullptr, false},
+                     {"hi", AggFunc::kMax, b.Ref("x"), nullptr, false}});
+    std::vector<Value> row = ScalarRow(b.Build());
+    EXPECT_EQ(Bits(row[0].double_value()), Bits(c.lo)) << c.values[0];
+    EXPECT_EQ(Bits(row[1].double_value()), Bits(c.hi)) << c.values[0];
+  }
+}
+
+// SUM over int64 fails the query, naming the aggregate, when its running
+// sum leaves int64 — within one morsel serially, and in the partial merge
+// when each worker holds one INT64_MAX. AVG keeps a double sum and does
+// not overflow.
+TEST(AccumulatorTest, IntSumOverflowIsAnExecutionError) {
+  TableBuilder tb("big", {{"k", DataType::kInt64},
+                          {"g", DataType::kInt64},
+                          {"x", DataType::kInt64}});
+  ASSERT_TRUE(tb.PartitionBy("k", 1).ok());
+  for (int64_t r = 0; r < 4; ++r) {
+    ASSERT_TRUE(tb.AppendRow({Value::Int64(r), Value::Int64(0),
+                              Value::Int64(INT64_MAX)})
+                    .ok());
+  }
+  TablePtr t = Unwrap(tb.Build());
+  for (bool grouped : {false, true}) {
+    for (bool distinct : {false, true}) {
+      SCOPED_TRACE(std::string(grouped ? "grouped" : "keyless") +
+                   (distinct ? ", DISTINCT" : ""));
+      PlanContext ctx;
+      PlanBuilder b = PlanBuilder::Scan(&ctx, t, {"k", "g", "x"});
+      // DISTINCT over x - k: four distinct values near INT64_MAX.
+      ExprPtr arg = distinct ? eb::Sub(b.Ref("x"), b.Ref("k")) : b.Ref("x");
+      b.Aggregate(grouped ? std::vector<std::string>{"g"}
+                          : std::vector<std::string>{},
+                  {{"mean", AggFunc::kAvg, arg, nullptr, distinct},
+                   {"total", AggFunc::kSum, arg, nullptr, distinct}});
+      PlanPtr plan = b.Build();
+      for (size_t threads : {1, 4}) {
+        for (size_t chunk : {1, 4096}) {
+          Result<QueryResult> r = ExecutePlan(
+              plan, {.chunk_size = chunk, .parallelism = threads});
+          ASSERT_FALSE(r.ok()) << threads << " threads, chunk " << chunk;
+          EXPECT_EQ(r.status().code(), StatusCode::kExecutionError);
+          EXPECT_NE(r.status().message().find("'total'"), std::string::npos)
+              << r.status().ToString();
+        }
+      }
+    }
+  }
+  // One INT64_MAX fits.
+  PlanContext ctx;
+  PlanBuilder b = PlanBuilder::Scan(&ctx, t, {"k", "x"});
+  b.Filter(eb::Eq(b.Ref("k"), eb::Int(2)));
+  b.Aggregate({}, {{"total", AggFunc::kSum, b.Ref("x"), nullptr, false}});
+  for (size_t threads : {1, 4}) {
+    QueryResult r = Unwrap(ExecutePlan(b.Build(), {.parallelism = threads}));
+    EXPECT_EQ(r.At(0, 0), Value::Int64(INT64_MAX));
+  }
 }
 
 }  // namespace

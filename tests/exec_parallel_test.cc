@@ -417,5 +417,50 @@ TEST(ParallelExec, DistinctAggregatesBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// A grouped aggregate with string MIN/MAX, a DISTINCT item and an int
+// SUM: each worker's partial holds its own string values and DISTINCT
+// table, and the merge keeps the MIN/MAX winners. Results are
+// bit-identical at 1, 2 and 8 threads, and so is peak_hash_bytes, which
+// charges the merged table's keys, accumulators and DISTINCT tables, all
+// functions of the groups and keys alone.
+TEST(ParallelExec, StringMinMaxAndDistinctBitIdenticalWithEqualPeakBytes) {
+  TableBuilder tb("t", {{"k", DataType::kInt64},
+                        {"g", DataType::kInt64},
+                        {"s", DataType::kString},
+                        {"q", DataType::kInt64}});
+  ASSERT_TRUE(tb.PartitionBy("k", 250).ok());
+  for (int64_t r = 0; r < 12000; ++r) {
+    Value s = r % 17 == 0 ? Value::Null(DataType::kString)
+                          : Value::String("v" + std::to_string(r * 7 % 901));
+    Value q = r % 5 == 0 ? Value::Null(DataType::kInt64)
+                         : Value::Int64(r * 31 % 1000 - 500);
+    ASSERT_TRUE(
+        tb.AppendRow({Value::Int64(r), Value::Int64(r * 13 % 700), s, q}).ok());
+  }
+  TablePtr t = Unwrap(tb.Build());
+  PlanContext ctx;
+  PlanBuilder b = PlanBuilder::Scan(&ctx, t, {"g", "s", "q"});
+  ExprPtr s = b.Ref("s");
+  ExprPtr positive = eb::Gt(b.Ref("q"), eb::Int(0));
+  b.Aggregate({"g"}, {{"lo", AggFunc::kMin, s, nullptr, false},
+                      {"hi", AggFunc::kMax, s, positive, false},
+                      {"ds", AggFunc::kCount, s, nullptr, true},
+                      {"sq", AggFunc::kSum, b.Ref("q"), positive, false},
+                      {"n", AggFunc::kCountStar, nullptr, nullptr, false}});
+  PlanPtr plan = b.Build();
+  QueryResult serial =
+      Unwrap(ExecutePlan(plan, {.chunk_size = 256, .parallelism = 1}));
+  ASSERT_EQ(serial.num_rows(), 700);
+  testutil::ExpectMatchesReference(plan, serial);
+  for (size_t parallelism : {2, 8}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
+    QueryResult parallel = Unwrap(
+        ExecutePlan(plan, {.chunk_size = 256, .parallelism = parallelism}));
+    EXPECT_EQ(SortedRows(plan, parallelism), SortedRows(plan, 1));
+    EXPECT_EQ(parallel.metrics().peak_hash_bytes,
+              serial.metrics().peak_hash_bytes);
+  }
+}
+
 }  // namespace
 }  // namespace fusiondb

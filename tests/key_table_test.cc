@@ -224,17 +224,75 @@ TEST(KeyTableTest, EqualKeySetsHaveEqualBytes) {
     ASSERT_EQ(forward.size(), 600u);
     ASSERT_EQ(backward.size(), 600u);
     ASSERT_EQ(merged.size(), 600u);
-    // DESIGN.md §6.4: 2048 slots (the smallest power of two holding 600
-    // keys at most half full) of 8 bytes, plus one word per key, or the
-    // encoded keys (null byte, varint length, bytes) and 601 offsets.
+    // DESIGN.md §6.4: 4096 slots (the smallest count of the form 16 * 4^k
+    // holding 600 keys at most half full) of 8 bytes, plus one word per
+    // key, or the encoded keys (null byte, varint length, bytes) and 601
+    // offsets.
     int64_t store = 600 * 8;
     if (strings) {
       store = 601 * 8;
       for (int k = 0; k < 600; ++k) store += 2 + 1 + std::to_string(k).size();
     }
-    EXPECT_EQ(forward.bytes(), 2048 * 8 + store) << strings;
+    EXPECT_EQ(forward.bytes(), 4096 * 8 + store) << strings;
     EXPECT_EQ(backward.bytes(), forward.bytes()) << strings;
     EXPECT_EQ(merged.bytes(), forward.bytes()) << strings;
+  }
+}
+
+/// The slot count of a table of n keys: 16 * 4^k, the smallest such count
+/// that holds n keys at most half full (DESIGN.md §6.4).
+size_t SlotsFor(size_t n) {
+  size_t slots = 16;
+  while (slots < 2 * n) slots *= 4;
+  return slots;
+}
+
+/// Slots grow 4x at a time, and only when a key is added, so bytes() is a
+/// function of the key count: one batch, batches of one to seven rows and
+/// merged partials that each grew on their own weigh the same, at key
+/// counts on both sides of every growth step.
+TEST(KeyTableTest, BytesFollowTheGrowthRuleUnderAnyBatching) {
+  for (size_t n : {1, 8, 9, 32, 33, 128, 129, 512, 513, 2048, 2049, 6144}) {
+    SCOPED_TRACE(n);
+    Column keys(DataType::kInt64);
+    for (size_t r = 0; r < 2 * n; ++r) {
+      // 7919 is prime to 100003, so the n values (r mod n) are distinct keys.
+      keys.AppendInt(static_cast<int64_t>((r % n) * 7919 % 100003));
+    }
+    const size_t rows = keys.size();
+    std::vector<uint32_t> ids(rows);
+
+    KeyTable one;
+    InsertAll(&one, {&keys});
+
+    KeyTable small;
+    for (size_t begin = 0, step = 1; begin < rows; begin += step) {
+      step = 1 + begin % 7;
+      SelVector sel;
+      for (size_t r = begin; r < std::min(rows, begin + step); ++r) {
+        sel.push_back(static_cast<uint32_t>(r));
+      }
+      small.Insert({&keys}, sel, ids.data());
+    }
+
+    KeyTable merged;  // three partials over thirds of the rows
+    for (size_t p = 0; p < 3; ++p) {
+      SelVector sel;
+      for (size_t r = p * rows / 3; r < (p + 1) * rows / 3; ++r) {
+        sel.push_back(static_cast<uint32_t>(r));
+      }
+      KeyTable partial;
+      partial.Insert({&keys}, sel, ids.data());
+      merged.Merge(partial);
+    }
+
+    ASSERT_EQ(one.size(), n);
+    ASSERT_EQ(small.size(), n);
+    ASSERT_EQ(merged.size(), n);
+    const auto expected = static_cast<int64_t>(SlotsFor(n) * 8 + n * 8);
+    EXPECT_EQ(one.bytes(), expected);
+    EXPECT_EQ(small.bytes(), expected);
+    EXPECT_EQ(merged.bytes(), expected);
   }
 }
 
@@ -658,7 +716,7 @@ TEST(KeyTableOracleTest, MergeOfGrownPartialsMatchesTheOracle) {
         InsertChecked(batches.back(), &rng, &partial, &partial_oracle);
         if (HasFatalFailure()) return;
       }
-      ASSERT_GT(partial.size(), 16u << 5);  // grown at least five times
+      ASSERT_GT(partial.size(), 16u << 5);  // grown at least four times
       std::vector<uint32_t> remap = merged.Merge(partial);
       // The partial's keys, in its id order, are looked up or appended.
       std::vector<const std::vector<Value>*> by_id(partial_oracle.size());

@@ -186,6 +186,16 @@ if grep -rn --exclude=lint.sh 'MarkDistinct' src tests bench examples tools \
   note_failure 'DISTINCT aggregates have one representation, the native masked AggregateItem; no mark-distinct operator'
 fi
 
+# One accumulator path: every aggregate keeps its state in the typed,
+# group-indexed vectors of its AggAccumulator (exec/agg_build.h, DESIGN.md
+# §10.4), shared by the aggregate sink, the partial merge and windows. The
+# boxed per-(group, aggregate) state struct and its per-row accumulate
+# switch were deleted; keep a second accumulator from growing back.
+if grep -rnE --exclude=lint.sh 'AggState|AccumulateColumnRow' \
+    src bench examples 2>/dev/null; then
+  note_failure 'aggregates accumulate through AggAccumulator (exec/agg_build.h); no boxed per-group state or per-row accumulate'
+fi
+
 # --- Layer 2: clang-tidy (optional) ----------------------------------------
 
 if command -v clang-tidy >/dev/null 2>&1; then
