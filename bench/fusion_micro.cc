@@ -96,7 +96,7 @@ BENCHMARK_CAPTURE(BM_OptimizeQuery, q88_fused, "q88", true);
 BENCHMARK_CAPTURE(BM_OptimizeQuery, q95_fused, "q95", true);
 
 /// Plan identity (PlanFingerprint) of one fused TPC-DS plan: the hash every
-/// StatsFeedback lookup, spool candidate and server group pays for.
+/// session the server admits to a batch and every shared group pays for.
 void BM_PlanFingerprint(benchmark::State& state, const char* name) {
   const Catalog& catalog = BenchCatalog();
   tpcds::TpcdsQuery query = Unwrap(tpcds::QueryByName(name));

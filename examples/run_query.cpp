@@ -14,17 +14,12 @@
 //                         baseline — all Section IV fusion rules off
 //                         fused    — fusion rules on (default)
 //                         spooling — fusion off, every duplicate spooled
-//                         adaptive — fusion on, cost-model fuse-vs-spool;
-//                                    runs twice, feeding the first run's
-//                                    measured cardinalities back into the
-//                                    second optimization
 //   --plans             print baseline and optimized plans before executing
 //   --explain           print the plans and exit without executing
 //   --explain-analyze   print plans annotated with per-operator runtime
 //                       stats after executing (EXPLAIN ANALYZE)
 //   --trace-optimizer   print the optimizer/fusion trace for the selected
-//                       mode (rules attempted/fired, fusion steps, and in
-//                       adaptive mode the cost decisions of both passes)
+//                       mode (rules attempted/fired, fusion steps)
 //   --profile=PATH      write a JSON QueryProfile of the measured execution
 //   --threads=N         morsel-driven intra-query parallelism (0 = all
 //                       cores; default 1 = single-threaded)
@@ -78,7 +73,7 @@ T Unwrap(Result<T> result) {
 void Usage() {
   std::fprintf(stderr,
                "usage: run_query [query] [scale] [--sql=TEXT] [--repl] "
-               "[--mode={baseline,fused,spooling,adaptive}] [--plans] "
+               "[--mode={baseline,fused,spooling}] [--plans] "
                "[--explain] [--explain-analyze] [--trace-optimizer] "
                "[--profile=PATH] [--threads=N] "
                "[--server] [--clients=N] [--window-ms=M] "
@@ -257,11 +252,6 @@ int main(int argc, char** argv) {
     }
     QueryOptions options = *mode_options;
     options.exec.parallelism = threads;
-    if (mode == "adaptive") {
-      // Server sessions optimize once per submission; run single-pass
-      // against the engine's (initially empty) feedback store.
-      options.optimizer.feedback = engine.feedback();
-    }
 
     // Isolated reference: one client, optimized and executed on its own.
     PlanPtr ref_optimized = Unwrap(engine.Optimize(&prepared, options));
@@ -395,37 +385,15 @@ int main(int argc, char** argv) {
 
   // The trace rides on the PlanContext only around the measured mode's
   // optimization, so it records exactly the rewrites that produced the
-  // measured plan. Adaptive mode optimizes twice — once against catalog
-  // priors, once against measured feedback — with a trace per pass.
-  OptimizerTrace trace;        // the measured plan's trace (adaptive: pass 2)
-  OptimizerTrace first_trace;  // adaptive pass 1 (priors only)
+  // measured plan.
+  OptimizerTrace trace;
   bool want_trace = trace_optimizer || !profile_path.empty();
   QueryOptions exec_knobs = *mode_options;
   exec_knobs.exec.parallelism = threads;
-  PlanPtr optimized;
-  if (mode == "adaptive") {
-    std::fprintf(stderr, "optimizing (adaptive, catalog priors)...\n");
-    QueryOptions first_pass = exec_knobs;
-    first_pass.optimizer.feedback = engine.feedback();
-    if (want_trace) first_pass.trace = &first_trace;
-    PlanPtr first = Unwrap(engine.Optimize(&prepared, first_pass));
-    std::fprintf(stderr, "executing feedback run (threads=%zu)...\n", threads);
-    QueryResult first_result =
-        Unwrap(engine.ExecuteOptimized(first, first_pass));
-    size_t harvested =
-        engine.feedback()->Harvest(first, first_result.operator_stats());
-    std::fprintf(stderr, "harvested %zu measured cardinalities\n", harvested);
-    std::fprintf(stderr, "optimizing (adaptive, measured feedback)...\n");
-    QueryOptions second_pass = exec_knobs;
-    second_pass.optimizer.feedback = engine.feedback();
-    if (want_trace) second_pass.trace = &trace;
-    optimized = Unwrap(engine.Optimize(&prepared, second_pass));
-  } else {
-    std::fprintf(stderr, "optimizing (%s)...\n", mode.c_str());
-    QueryOptions pass = exec_knobs;
-    if (want_trace) pass.trace = &trace;
-    optimized = Unwrap(engine.Optimize(&prepared, pass));
-  }
+  std::fprintf(stderr, "optimizing (%s)...\n", mode.c_str());
+  QueryOptions pass = exec_knobs;
+  if (want_trace) pass.trace = &trace;
+  PlanPtr optimized = Unwrap(engine.Optimize(&prepared, pass));
 
   if (show_plans || explain_only) {
     // Each node is annotated with its derived semantic properties (row
@@ -443,15 +411,8 @@ int main(int argc, char** argv) {
                 PlanToString(optimized, annotate).c_str());
   }
   if (trace_optimizer) {
-    if (mode == "adaptive") {
-      std::printf("== optimizer trace (adaptive, catalog priors) ==\n%s\n",
-                  first_trace.ToString().c_str());
-      std::printf("== optimizer trace (adaptive, measured feedback) ==\n%s\n",
-                  trace.ToString().c_str());
-    } else {
-      std::printf("== optimizer trace (%s) ==\n%s\n", mode.c_str(),
-                  trace.ToString().c_str());
-    }
+    std::printf("== optimizer trace (%s) ==\n%s\n", mode.c_str(),
+                trace.ToString().c_str());
   }
   if (explain_only) return 0;
 

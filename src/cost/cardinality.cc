@@ -5,14 +5,13 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "plan/plan_fingerprint.h"
 #include "types/data_type.h"
 
 namespace fusiondb {
 
 namespace {
 
-// Textbook default selectivities; placeholders until feedback overrides.
+// Textbook default selectivities.
 constexpr double kEqSelectivity = 0.1;
 constexpr double kRangeSelectivity = 0.3;
 constexpr double kNeSelectivity = 0.9;
@@ -162,22 +161,14 @@ double WidthOrDefault(DataType t) {
 
 }  // namespace
 
-CardEstimate CardinalityEstimator::Estimate(const PlanPtr& plan) const {
-  if (plan == nullptr) return {};
-  if (feedback_ != nullptr) {
-    if (auto measured = feedback_->Lookup(PlanFingerprint(plan))) {
-      return {static_cast<double>(*measured), true};
-    }
-  }
+double CardinalityEstimator::Estimate(const PlanPtr& plan) const {
+  if (plan == nullptr) return 0.0;
   switch (plan->kind()) {
     case OpKind::kScan:
-      return {static_cast<double>(CastPtr<ScanOp>(plan)->table()->num_rows()),
-              false};
-    case OpKind::kFilter: {
-      CardEstimate in = Estimate(plan->child(0));
-      return {in.rows * PredicateSelectivity(CastPtr<FilterOp>(plan)->predicate()),
-              in.measured};
-    }
+      return static_cast<double>(CastPtr<ScanOp>(plan)->table()->num_rows());
+    case OpKind::kFilter:
+      return Estimate(plan->child(0)) *
+             PredicateSelectivity(CastPtr<FilterOp>(plan)->predicate());
     case OpKind::kProject:
     case OpKind::kWindow:
     case OpKind::kSort:
@@ -185,14 +176,13 @@ CardEstimate CardinalityEstimator::Estimate(const PlanPtr& plan) const {
       return Estimate(plan->child(0));
     case OpKind::kJoin: {
       const auto* join = CastPtr<JoinOp>(plan);
-      CardEstimate l = Estimate(join->left());
-      CardEstimate r = Estimate(join->right());
-      bool measured = l.measured || r.measured;
+      double l = Estimate(join->left());
+      double r = Estimate(join->right());
       switch (join->join_type()) {
         case JoinType::kCross:
-          return {l.rows * r.rows, measured};
+          return l * r;
         case JoinType::kSemi:
-          return {l.rows * kSemiJoinSelectivity, measured};
+          return l * kSemiJoinSelectivity;
         case JoinType::kInner:
         case JoinType::kLeft: {
           std::vector<std::pair<ColumnId, ColumnId>> pairs;
@@ -204,71 +194,59 @@ CardEstimate CardinalityEstimator::Estimate(const PlanPtr& plan) const {
             CollectBaseColumns(join->right(), &rcols);
             double rows;
             if (EquatesPrimaryKey(pairs, rcols)) {
-              rows = l.rows;  // each left row matches at most one right row
+              rows = l;  // each left row matches at most one right row
             } else if (EquatesPrimaryKey(pairs, lcols)) {
-              rows = r.rows;
+              rows = r;
             } else {
               // Equi-join without key info: FK-shaped guess (the bigger
               // side survives).
-              rows = std::max(l.rows, r.rows);
+              rows = std::max(l, r);
             }
             if (join->join_type() == JoinType::kLeft) {
-              rows = std::max(rows, l.rows);
+              rows = std::max(rows, l);
             }
-            return {rows, measured};
+            return rows;
           }
-          double rows = l.rows * r.rows * kDefaultSelectivity;
+          double rows = l * r * kDefaultSelectivity;
           if (join->join_type() == JoinType::kLeft) {
-            rows = std::max(rows, l.rows);
+            rows = std::max(rows, l);
           }
-          return {rows, measured};
+          return rows;
         }
       }
-      return {l.rows * r.rows, measured};
+      return l * r;
     }
     case OpKind::kAggregate: {
       const auto* agg = CastPtr<AggregateOp>(plan);
-      CardEstimate in = Estimate(plan->child(0));
-      if (agg->IsScalar()) return {1.0, in.measured};
+      if (agg->IsScalar()) return 1.0;
+      double in = Estimate(plan->child(0));
       // When the grouping columns cover a derived candidate key of the
       // input, every input row is its own group: the distinct count is the
       // input cardinality, no heuristic needed.
       if (props_.Derive(plan->child(0)).HasKey(agg->group_by())) {
-        return {std::max(1.0, in.rows), in.measured};
+        return std::max(1.0, in);
       }
       // Grouped output: sqrt heuristic, at least 1 and at most the input.
-      double rows = std::clamp(std::sqrt(std::max(0.0, in.rows)), 1.0,
-                               std::max(1.0, in.rows));
-      return {rows, in.measured};
+      return std::clamp(std::sqrt(std::max(0.0, in)), 1.0, std::max(1.0, in));
     }
     case OpKind::kUnionAll: {
       double rows = 0.0;
-      bool measured = false;
-      for (const PlanPtr& c : plan->children()) {
-        CardEstimate e = Estimate(c);
-        rows += e.rows;
-        measured = measured || e.measured;
-      }
-      return {rows, measured};
+      for (const PlanPtr& c : plan->children()) rows += Estimate(c);
+      return rows;
     }
     case OpKind::kValues:
-      return {static_cast<double>(CastPtr<ValuesOp>(plan)->rows().size()),
-              false};
-    case OpKind::kLimit: {
-      CardEstimate in = Estimate(plan->child(0));
-      return {std::min(in.rows,
-                       static_cast<double>(CastPtr<LimitOp>(plan)->limit())),
-              in.measured};
-    }
+      return static_cast<double>(CastPtr<ValuesOp>(plan)->rows().size());
+    case OpKind::kLimit:
+      return std::min(Estimate(plan->child(0)),
+                      static_cast<double>(CastPtr<LimitOp>(plan)->limit()));
     case OpKind::kEnforceSingleRow:
-      return {1.0, Estimate(plan->child(0)).measured};
-    case OpKind::kApply: {
+      return 1.0;
+    case OpKind::kApply:
       // Decorrelation turns this into join+aggregate; pre-rewrite, one
       // scalar per outer row.
       return Estimate(plan->child(0));
-    }
   }
-  return {};
+  return 0.0;
 }
 
 double CardinalityEstimator::RowBytes(const PlanPtr& plan) {

@@ -1,52 +1,31 @@
 // CardinalityEstimator: per-subtree output row estimates seeded from
 // catalog metadata (partition row counts, primary-key info carried on the
-// ScanOp's Table) with an optional StatsFeedback overlay of measured
-// cardinalities (DESIGN.md §11).
+// ScanOp's Table) and derived plan properties (DESIGN.md §11).
 //
 // Estimation is deliberately crude — selectivity defaults in the System-R
-// tradition — because the feedback loop is the accuracy mechanism: the
-// first run uses these priors, every later run overlays what the profiler
-// actually measured for any subtree whose fingerprint has been seen. The
-// estimate records which of the two sources produced it, so optimizer
-// traces can show the estimate changing between runs.
+// tradition. The server's share-vs-solo decision (CostModel::DecideShare)
+// compares two estimates over the same scans, so it needs their ratio more
+// than their absolute accuracy.
 #ifndef FUSIONDB_COST_CARDINALITY_H_
 #define FUSIONDB_COST_CARDINALITY_H_
 
 #include "analysis/plan_props.h"
-#include "cost/stats_feedback.h"
 #include "plan/logical_plan.h"
 
 namespace fusiondb {
 
-/// One subtree's estimated output cardinality.
-struct CardEstimate {
-  double rows = 0.0;
-  // True when this estimate (or any child estimate it was derived from)
-  // came from a measured StatsFeedback entry rather than a catalog prior.
-  bool measured = false;
-};
-
 class CardinalityEstimator {
  public:
-  /// `feedback` may be null (catalog priors only); not owned, must outlive
-  /// the estimator.
-  explicit CardinalityEstimator(const StatsFeedback* feedback = nullptr)
-      : feedback_(feedback) {}
-
-  /// Estimated output rows of `plan`. Measured cardinalities for the
-  /// subtree's own fingerprint take priority over derivation; otherwise the
-  /// estimate derives from the children's estimates and catalog metadata.
-  CardEstimate Estimate(const PlanPtr& plan) const;
+  /// Estimated output rows of `plan`, derived from the children's
+  /// estimates and catalog metadata.
+  double Estimate(const PlanPtr& plan) const;
 
   /// Average encoded bytes per output row of `plan` (fixed type widths;
   /// scans use the table's true stored byte counts). The scan-cost basis
   /// for CostModel.
   static double RowBytes(const PlanPtr& plan);
 
-  const StatsFeedback* feedback() const { return feedback_; }
-
  private:
-  const StatsFeedback* feedback_;  // not owned; may be null
   // Derived plan properties (src/analysis): grouped-aggregate estimates use
   // candidate keys — grouping columns covering a key of the input mean the
   // distinct count IS the input cardinality, replacing the sqrt heuristic.

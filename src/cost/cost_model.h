@@ -1,17 +1,8 @@
-// CostModel: prices re-executing a duplicated subtree once per consumer
-// versus spooling it (materialize once, pay serialize-on-write plus a
-// deserialize per consumer) — the fuse-vs-spool decision of DESIGN.md §11.
-//
-//   reexec_cost = consumers × SubtreeCost(subtree)
-//   spool_cost  = SubtreeCost(subtree) + setup
-//               + bytes_out × write_ns
-//               + consumers × bytes_out × read_ns
-//
-// where bytes_out = estimated output rows × estimated row width. Subtree
-// cost charges decoded bytes at the scans plus per-row operator work, with
-// constants calibrated against bench/exec_micro (see CostConstants). Small
-// subtrees therefore prefer re-execution (the spool setup constant
-// dominates); large ones amortize materialization across consumers.
+// CostModel: prices the server's cross-query share-vs-solo decision
+// (DESIGN.md §11, §12): execute a fused plan once for every member of a
+// candidate group, or each member on its own. Subtree cost charges decoded
+// bytes at the scans plus per-row operator work, with constants calibrated
+// against bench/exec_micro (see CostConstants).
 #ifndef FUSIONDB_COST_COST_MODEL_H_
 #define FUSIONDB_COST_COST_MODEL_H_
 
@@ -26,14 +17,11 @@ namespace fusiondb {
 /// bench/exec_micro single-thread numbers on the dev container (scan+filter
 /// throughput ≈ 2 GB/s decoded → 0.5 ns/byte; hash aggregation ≈ 20 M
 /// rows/s → 50 ns/row); absolute accuracy matters less than the ratio
-/// between operator work and spool traffic.
+/// between scan and per-row operator work.
 struct CostConstants {
   double decode_ns_per_byte = 0.5;       // scan decode
   double row_ns = 5.0;                   // per row, per non-hashing operator
   double hash_row_ns = 50.0;             // per row, per hashing operator
-  double spool_write_ns_per_byte = 1.0;  // serialize on materialization
-  double spool_read_ns_per_byte = 1.0;   // deserialize, per consumer
-  double spool_setup_ns = 50000.0;       // fixed spool bookkeeping overhead
 };
 
 /// One cross-query share-vs-solo pricing (the server's per-candidate-group
@@ -54,17 +42,6 @@ struct ShareDecision {
   double shared_cost = 0.0;  // ns, fused once + consumer restoration
   double est_rows = 0.0;     // estimated fused output rows
   int64_t est_bytes = 0;     // estimated fused output bytes
-  bool measured = false;     // estimate backed by StatsFeedback
-};
-
-/// One fuse-vs-spool pricing, as recorded in the optimizer trace.
-struct SpoolDecision {
-  bool spool = false;          // true: materialize; false: re-execute
-  double reexec_cost = 0.0;    // ns, consumers × subtree cost
-  double spool_cost = 0.0;     // ns, subtree + setup + write + reads
-  double est_rows = 0.0;       // estimated subtree output rows
-  int64_t est_bytes = 0;       // estimated spooled bytes
-  bool measured = false;       // estimate backed by StatsFeedback
 };
 
 class CostModel {
@@ -76,9 +53,6 @@ class CostModel {
 
   /// Estimated ns to execute `plan` once (recursive over the subtree).
   double SubtreeCost(const PlanPtr& plan) const;
-
-  /// Prices re-execution by `consumers` readers against spooling.
-  SpoolDecision DecideSpool(const PlanPtr& subtree, int consumers) const;
 
   /// Prices executing `fused` once for all of `members` against executing
   /// each member in isolation (cross-query sharing, src/server).

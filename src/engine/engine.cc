@@ -8,10 +8,8 @@ Result<QueryOptions> QueryOptions::FromModeName(const std::string& mode) {
   if (mode == "baseline") return Baseline();
   if (mode == "fused") return Fused();
   if (mode == "spooling") return Spooling();
-  if (mode == "adaptive") return Adaptive();
   return Status::InvalidArgument(
-      "unknown mode '" + mode +
-      "' (expected baseline, fused, spooling or adaptive)");
+      "unknown mode '" + mode + "' (expected baseline, fused or spooling)");
 }
 
 Result<PreparedQuery> Engine::Prepare(const std::string& sql_text,
@@ -40,13 +38,10 @@ Result<PlanPtr> Engine::Optimize(PreparedQuery* query,
   if (query == nullptr || query->plan() == nullptr) {
     return Status::InvalidArgument("Optimize: query is not prepared");
   }
-  OptimizerOptions opt = options.optimizer;
-  if (opt.spool_mode == SpoolMode::kAdaptive && opt.feedback == nullptr) {
-    opt.feedback = &feedback_;
-  }
   PlanContext* ctx = query->context();
   if (options.trace != nullptr) ctx->set_trace(options.trace);
-  Result<PlanPtr> optimized = Optimizer(opt).Optimize(query->plan(), ctx);
+  Result<PlanPtr> optimized =
+      Optimizer(options.optimizer).Optimize(query->plan(), ctx);
   if (options.trace != nullptr) ctx->set_trace(nullptr);
   return optimized;
 }
@@ -61,20 +56,6 @@ Result<QueryResult> Engine::Execute(PreparedQuery* query,
                                     const QueryOptions& options) {
   if (query == nullptr || query->plan() == nullptr) {
     return Status::InvalidArgument("Execute: query is not prepared");
-  }
-  bool two_pass = options.optimizer.spool_mode == SpoolMode::kAdaptive &&
-                  options.optimizer.feedback == nullptr;
-  if (two_pass) {
-    // Pass 1: optimize against whatever the engine has measured so far
-    // (catalog priors when empty), execute profiled, and harvest every
-    // subtree's measured cardinality into the feedback store.
-    QueryOptions first = options;
-    first.trace = nullptr;  // the caller's trace records the measured pass
-    first.exec.profile = true;
-    FUSIONDB_ASSIGN_OR_RETURN(PlanPtr first_plan, Optimize(query, first));
-    FUSIONDB_ASSIGN_OR_RETURN(QueryResult first_result,
-                              ExecuteOptimized(first_plan, first));
-    feedback_.Harvest(first_plan, first_result.operator_stats());
   }
   FUSIONDB_ASSIGN_OR_RETURN(PlanPtr optimized, Optimize(query, options));
   return ExecuteOptimized(optimized, options);

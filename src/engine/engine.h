@@ -1,8 +1,8 @@
 // fusiondb::Engine — the unified front door (DESIGN.md §14).
 //
-// One object owns the catalog, the service metrics registry, the adaptive
-// stats-feedback store and (lazily) the cross-query fusion server, and the
-// whole prepare/optimize/execute flow runs through two calls:
+// One object owns the catalog, the service metrics registry and (lazily)
+// the cross-query fusion server, and the whole prepare/optimize/execute
+// flow runs through two calls:
 //
 //   Engine engine(catalog);
 //   FUSIONDB_ASSIGN_OR_RETURN(PreparedQuery q,
@@ -14,9 +14,7 @@
 // builder callback with the TpcdsQuery::build shape, so hand-built plans
 // and SQL share one execution path. Execute consolidates what used to be
 // scattered across call sites: mode selection (QueryOptions factories),
-// optimizer trace attachment, adaptive two-pass feedback (optimize against
-// priors, execute, harvest measured cardinalities, re-optimize), metrics
-// wiring and final execution.
+// optimizer trace attachment, metrics wiring and final execution.
 //
 // The low-level entry points (Optimizer::Optimize, ExecutePlan,
 // SessionManager) remain public for unit tests and benches that need to
@@ -29,7 +27,6 @@
 #include <string>
 
 #include "catalog/catalog.h"
-#include "cost/stats_feedback.h"
 #include "exec/executor.h"
 #include "obs/metrics.h"
 #include "obs/optimizer_trace.h"
@@ -48,9 +45,7 @@ struct QueryOptions {
   ExecOptions exec;
 
   /// Optional optimizer/fusion trace (not owned). Attached to the prepared
-  /// query's PlanContext for the duration of optimization; in adaptive
-  /// two-pass mode it records the measured-feedback pass (the one that
-  /// produced the executed plan).
+  /// query's PlanContext for the duration of optimization.
   OptimizerTrace* trace = nullptr;
 
   static QueryOptions Baseline() {
@@ -64,16 +59,7 @@ struct QueryOptions {
     q.optimizer = OptimizerOptions::Spooling();
     return q;
   }
-  /// Adaptive fuse-vs-spool. Leave `optimizer.feedback` null to use the
-  /// engine's own accumulated feedback (Execute then runs the two-pass
-  /// loop: priors -> execute -> harvest -> re-optimize -> execute).
-  static QueryOptions Adaptive() {
-    QueryOptions q;
-    q.optimizer = OptimizerOptions::Adaptive(nullptr);
-    return q;
-  }
-
-  /// "baseline" / "fused" / "spooling" / "adaptive" — the --mode vocabulary
+  /// "baseline" / "fused" / "spooling" — the --mode vocabulary
   /// shared by run_query, the benches and the fuzz harness.
   static Result<QueryOptions> FromModeName(const std::string& mode);
 };
@@ -126,9 +112,7 @@ class Engine {
   /// Binds a hand-built plan through the same PreparedQuery surface.
   Result<PreparedQuery> Prepare(const PlanBuilder& build);
 
-  /// Optimizes the prepared plan under `options`. Adaptive mode with a null
-  /// `optimizer.feedback` uses the engine's accumulated feedback store
-  /// (catalog priors when nothing has been harvested yet).
+  /// Optimizes the prepared plan under `options`.
   Result<PlanPtr> Optimize(PreparedQuery* query,
                            const QueryOptions& options = QueryOptions());
 
@@ -136,10 +120,7 @@ class Engine {
   Result<QueryResult> ExecuteOptimized(const PlanPtr& optimized,
                                        const QueryOptions& options);
 
-  /// Optimize + execute. In adaptive mode with no explicit feedback this is
-  /// the paper's two-pass loop: optimize against the current feedback,
-  /// execute profiled, harvest measured cardinalities into the engine's
-  /// store, re-optimize against them and execute the re-optimized plan.
+  /// Optimize + execute.
   Result<QueryResult> Execute(PreparedQuery* query,
                               const QueryOptions& options = QueryOptions());
 
@@ -166,12 +147,10 @@ class Engine {
   // --- owned observability state -------------------------------------------
 
   MetricsRegistry* metrics() { return &metrics_; }
-  StatsFeedback* feedback() { return &feedback_; }
 
  private:
   Catalog catalog_;
   MetricsRegistry metrics_;
-  StatsFeedback feedback_;
   std::unique_ptr<SessionManager> server_;
 };
 

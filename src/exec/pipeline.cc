@@ -247,9 +247,10 @@ class PipelineExec final : public ExecOperator {
   /// Parallel aggregate. A scan source filters and prepares its morsels
   /// inside the scan's ParallelFor, kept in (partition, slice) order; a
   /// child source is drained on the driver and its chunks are filtered and
-  /// prepared by the workers. Either way morsel i is dealt to partial
-  /// i mod W and partials merge in worker order, so the group table (id
-  /// order included) is deterministic for a given thread count.
+  /// prepared by the workers. Either way partial w takes the w-th of W
+  /// contiguous runs of morsels and partials merge in worker order, so the
+  /// merge meets rows in table order: the group table (id order included)
+  /// and the value MIN/MAX keep among ties are those of a serial run.
   Status RunAggParallel() {
     const bool scan = source_->is_scan();
     std::vector<PreparedAggChunk> prepared;  // scan source
@@ -287,7 +288,8 @@ class PipelineExec final : public ExecOperator {
         workers, [&](size_t /*worker*/, size_t w) -> Status {
           // `w` is the partial's index; each is claimed exactly once, so
           // the partial table is touched by a single thread.
-          for (size_t ci = w; ci < n; ci += workers) {
+          for (size_t ci = n * w / workers; ci < n * (w + 1) / workers;
+               ++ci) {
             if (scan) {
               FUSIONDB_RETURN_IF_ERROR(
                   Accumulate(&prepared[ci], &partials[w]));

@@ -137,19 +137,16 @@ std::string OptimizerTrace::ToString() const {
        << " obligations=" << semantic_obligations_ << "\n";
   }
   if (!cost_decisions_.empty()) {
-    os << "cost decisions (fuse vs spool; share vs solo):\n";
+    os << "cost decisions (share vs solo):\n";
     for (const CostDecision& d : cost_decisions_) {
       char line[256];
       std::snprintf(line, sizeof(line),
-                    "  %-5s %s%s %s consumers=%d reexec=%.0fns spool=%.0fns "
-                    "est_rows=%.0f est_bytes=%lld (%s)\n",
-                    d.cross_query ? (d.spooled ? "share" : "solo")
-                                  : (d.spooled ? "spool" : "fuse"),
-                    d.cross_query ? "[cross-query] " : "", d.anchor.c_str(),
+                    "  %-5s %s %s consumers=%d solo=%.0fns shared=%.0fns "
+                    "est_rows=%.0f est_bytes=%lld\n",
+                    d.shared ? "share" : "solo", d.anchor.c_str(),
                     FingerprintToString(d.fingerprint).c_str(), d.consumers,
-                    d.reexec_cost_ns, d.spool_cost_ns, d.est_rows,
-                    static_cast<long long>(d.est_bytes),
-                    d.measured ? "measured" : "estimated");
+                    d.solo_cost_ns, d.shared_cost_ns, d.est_rows,
+                    static_cast<long long>(d.est_bytes));
       os << line;
     }
   }

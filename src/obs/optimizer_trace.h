@@ -61,27 +61,19 @@ struct FusionStep {
   std::string outcome;
 };
 
-/// One cost-model pricing of a shared computation: the subtree (or, for
-/// cross-query decisions, the fused plan), how many consumers read it, both
-/// priced alternatives, and which one was taken.
-///
-/// Two kinds share this record. Within-plan fuse-vs-spool (adaptive spool
-/// mode, `cross_query == false`): the costs are re-execution vs spooling
-/// and `spooled` means materialized. Cross-query share-vs-solo (the
-/// session layer, `cross_query == true`): `reexec_cost_ns` is the cost of
-/// the members run in isolation, `spool_cost_ns` the cost of the fused
-/// plan plus per-session restoration, and `spooled` means shared.
+/// One server share-vs-solo pricing of a candidate group (DESIGN.md §12):
+/// the fused plan, how many sessions it serves, the cost of running the
+/// members in isolation, the cost of one shared run plus per-session
+/// restoration, and whether the group was shared.
 struct CostDecision {
-  std::string anchor;        // description of the shared subtree's root
-  uint64_t fingerprint = 0;  // plan fingerprint of the shared subtree
-  int consumers = 0;         // readers the duplicates collapse into
-  double reexec_cost_ns = 0; // consumers × subtree cost (or Σ solo costs)
-  double spool_cost_ns = 0;  // spool alternative (or shared-execution cost)
-  double est_rows = 0;       // estimated subtree output rows
-  int64_t est_bytes = 0;     // estimated spooled bytes
-  bool measured = false;     // estimate backed by measured feedback
-  bool spooled = false;      // true: materialized (or shared); false: solo
-  bool cross_query = false;  // share-vs-solo across sessions (src/server)
+  std::string anchor;        // description of the fused plan's root
+  uint64_t fingerprint = 0;  // plan fingerprint of the fused plan
+  int consumers = 0;         // sessions the fused plan serves
+  double solo_cost_ns = 0;   // Σ isolated member costs
+  double shared_cost_ns = 0; // one fused run + per-session restoration
+  double est_rows = 0;       // estimated fused output rows
+  int64_t est_bytes = 0;     // estimated fused output bytes
+  bool shared = false;       // true: one shared run; false: solo runs
 };
 
 class OptimizerTrace {
@@ -110,7 +102,7 @@ class OptimizerTrace {
   /// semantic tier calls this right after verifying the rewrite).
   void AnnotateLastFiring(std::string props);
 
-  /// Records one cost-model fuse-vs-spool pricing (adaptive spool mode).
+  /// Records one share-vs-solo pricing (src/server).
   void RecordCostDecision(CostDecision decision);
 
   /// Accumulates semantic-tier work counters (plans verified, property

@@ -127,13 +127,11 @@ void WriteTrace(const OptimizerTrace& t, JsonWriter* w) {
     // numbers past 2^53 lose precision anyway).
     w->Field("fingerprint", FingerprintToString(d.fingerprint));
     w->Field("consumers", static_cast<int64_t>(d.consumers));
-    w->Field("reexec_cost_ns", d.reexec_cost_ns);
-    w->Field("spool_cost_ns", d.spool_cost_ns);
+    w->Field("solo_cost_ns", d.solo_cost_ns);
+    w->Field("shared_cost_ns", d.shared_cost_ns);
     w->Field("est_rows", d.est_rows);
     w->Field("est_bytes", d.est_bytes);
-    w->Field("measured", d.measured);
-    w->Field("spooled", d.spooled);
-    w->Field("cross_query", d.cross_query);
+    w->Field("shared", d.shared);
     w->EndObject();
   }
   w->EndArray();

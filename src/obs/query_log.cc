@@ -44,7 +44,7 @@ Status QueryLog::Append(const QueryLogEvent& event) {
   w.Field("isolated_bytes_scanned", event.isolated_bytes_scanned);
   w.Field("rows_produced", event.rows_produced);
   w.Field("cost_decisions", static_cast<int64_t>(event.cost_decisions));
-  w.Field("cost_spooled", static_cast<int64_t>(event.cost_spooled));
+  w.Field("cost_shared", static_cast<int64_t>(event.cost_shared));
   w.Field("slow", event.slow);
   if (!event.slow_profile_path.empty()) {
     w.Field("slow_profile_path", event.slow_profile_path);

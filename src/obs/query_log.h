@@ -33,8 +33,8 @@ struct QueryLogEvent {
   int64_t shared_bytes_scanned = 0;    // the group's physical bytes
   int64_t isolated_bytes_scanned = 0;  // what a solo run would have paid
   int64_t rows_produced = 0;
-  int32_t cost_decisions = 0;  // cost-model verdicts taken for this batch
-  int32_t cost_spooled = 0;    // ... of which chose spool/share
+  int32_t cost_decisions = 0;  // share-vs-solo verdicts taken for this batch
+  int32_t cost_shared = 0;     // ... of which chose to share
   bool slow = false;           // crossed the slow-query threshold
   std::string slow_profile_path;  // where the auto-captured profile went
 };

@@ -8,7 +8,6 @@
 #include "analysis/plan_verifier.h"
 #include "analysis/semantic_ledger.h"
 #include "analysis/semantic_verifier.h"
-#include "cost/cost_model.h"
 #include "obs/metrics.h"
 #include "obs/optimizer_trace.h"
 #include "optimizer/prune_columns.h"
@@ -316,19 +315,12 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
 
   // 7. Spooling (off by default): share duplicated subtrees through
   // materialization. Runs last so later rewrites cannot diverge the two
-  // consumers of a shared spool child. kAdaptive prices each candidate —
-  // materialize once versus re-execute per consumer — against cardinality
-  // estimates overlaid with measured feedback from earlier runs.
-  if (options_.spool_mode != SpoolMode::kOff) {
+  // consumers of a shared spool child.
+  if (options_.enable_spooling) {
     PhaseScope phase(obs_trace, "spool");
     int ops_before = obs_trace != nullptr ? CountAllOps(current) : 0;
     PlanPtr pre_spool = current;
-    CardinalityEstimator estimator(options_.feedback);
-    CostModel cost_model(&estimator);
-    const CostModel* model =
-        options_.spool_mode == SpoolMode::kAdaptive ? &cost_model : nullptr;
-    FUSIONDB_ASSIGN_OR_RETURN(current,
-                              SpoolCommonSubexpressions(current, ctx, model));
+    FUSIONDB_ASSIGN_OR_RETURN(current, SpoolCommonSubexpressions(current, ctx));
     if (obs_trace != nullptr) {
       bool fired = current != pre_spool;
       obs_trace->RecordRuleAttempt("SpoolCommonSubexpressions", fired);

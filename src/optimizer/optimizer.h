@@ -7,6 +7,8 @@
 //   4. distinct       — semi-join -> distinct-join, distinct pushdown (V.D)
 //   5. fuse again     — rules enabled by phase 4 (Q95's JoinOnKeys)
 //   6. cleanup        — simplify, pushdown, partition pruning, column pruning
+//   7. spool          — share identical subtrees through spools (off unless
+//                       enable_spooling)
 //
 // The baseline configuration used in benchmarks disables only phase 3/5
 // fusion rules; every substrate phase runs in both configurations.
@@ -18,16 +20,6 @@
 
 namespace fusiondb {
 
-class StatsFeedback;  // cost/stats_feedback.h
-
-/// How the optimizer treats duplicated subtrees (phase 7).
-enum class SpoolMode : uint8_t {
-  kOff,       // leave duplicates in place (re-execute per consumer)
-  kAlways,    // spool every shareable duplicate (the static alternative)
-  kAdaptive,  // price each candidate with the cost model; spool only when
-              // materialization is estimated cheaper than re-execution
-};
-
 struct OptimizerOptions {
   // Section IV rules (the paper's contribution), individually toggleable so
   // the rule-ablation benchmark can isolate each one.
@@ -36,17 +28,11 @@ struct OptimizerOptions {
   bool enable_union_all_on_join = true;
   bool enable_union_all_fuse = true;
 
-  // Materialize duplicated subtrees once via spool buffers — the general
-  // common-subexpression strategy the paper compares fusion against
-  // (kAlways is normally used with the fusion rules off; see
-  // bench/spool_vs_fusion). kAdaptive keeps the fusion rules on and asks
-  // the cost model per candidate whether the duplicates fusion left behind
-  // are worth materializing (DESIGN.md §11).
-  SpoolMode spool_mode = SpoolMode::kOff;
-  // Measured per-fingerprint cardinalities overlaid on the catalog-based
-  // estimates in kAdaptive mode. Not owned; may be null (priors only);
-  // must outlive the Optimizer.
-  const StatsFeedback* feedback = nullptr;
+  // Materialize duplicated subtrees once via spool buffers — the
+  // general common-subexpression strategy the paper compares fusion
+  // against. Normally used with the fusion rules off; see
+  // bench/spool_vs_fusion.
+  bool enable_spooling = false;
 
   /// All Section IV rules off — the paper's baseline.
   static OptimizerOptions Baseline() {
@@ -64,17 +50,7 @@ struct OptimizerOptions {
   /// Fusion rules off, spooling on: the materialization alternative.
   static OptimizerOptions Spooling() {
     OptimizerOptions o = Baseline();
-    o.spool_mode = SpoolMode::kAlways;
-    return o;
-  }
-
-  /// Fusion rules on, plus cost-model-driven spooling of the duplicates
-  /// fusion leaves behind. `feedback` (nullable) supplies measured
-  /// cardinalities from earlier runs.
-  static OptimizerOptions Adaptive(const StatsFeedback* feedback) {
-    OptimizerOptions o;
-    o.spool_mode = SpoolMode::kAdaptive;
-    o.feedback = feedback;
+    o.enable_spooling = true;
     return o;
   }
 };

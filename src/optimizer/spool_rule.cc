@@ -6,11 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "cost/cost_model.h"
 #include "fusion/fuse.h"
-#include "obs/metrics.h"
-#include "obs/optimizer_trace.h"
-#include "plan/plan_fingerprint.h"
 #include "plan/plan_printer.h"
 #include "plan/spool.h"
 
@@ -73,16 +69,11 @@ PlanPtr ReplaceSubtrees(const PlanPtr& plan,
 }  // namespace
 
 Result<PlanPtr> SpoolCommonSubexpressions(const PlanPtr& plan,
-                                          PlanContext* ctx,
-                                          const CostModel* cost_model) {
+                                          PlanContext* ctx) {
   PlanPtr current = plan;
   Fuser fuser(ctx);
   int32_t next_spool_id = 1;
   constexpr int kMaxRounds = 16;
-  // Adaptive mode: each shared subtree is priced once per pass (keyed by
-  // fingerprint, so later rounds re-encountering a fuse-rejected candidate
-  // neither re-price nor re-log it).
-  std::map<uint64_t, bool> spool_decisions;
 
   for (int round = 0; round < kMaxRounds; ++round) {
     std::vector<PlanPtr> nodes;
@@ -162,38 +153,6 @@ Result<PlanPtr> SpoolCommonSubexpressions(const PlanPtr& plan,
         chosen.push_back(b);
       }
       if (replacements.size() >= 2) {
-        if (cost_model != nullptr) {
-          uint64_t fp = PlanFingerprint(shared_child);
-          auto it = spool_decisions.find(fp);
-          if (it == spool_decisions.end()) {
-            SpoolDecision d = cost_model->DecideSpool(
-                shared_child, static_cast<int>(chosen.size()));
-            it = spool_decisions.emplace(fp, d.spool).first;
-            if (OptimizerTrace* trace = ctx->trace()) {
-              CostDecision rec;
-              rec.anchor = OptimizerTrace::DescribeNode(*shared_child);
-              rec.fingerprint = fp;
-              rec.consumers = static_cast<int>(chosen.size());
-              rec.reexec_cost_ns = d.reexec_cost;
-              rec.spool_cost_ns = d.spool_cost;
-              rec.est_rows = d.est_rows;
-              rec.est_bytes = d.est_bytes;
-              rec.measured = d.measured;
-              rec.spooled = d.spool;
-              trace->RecordCostDecision(std::move(rec));
-            }
-            if (MetricsRegistry* reg = ctx->metrics()) {
-              reg->Add(reg->Counter(
-                           d.spool
-                               ? "fusiondb_cost_decisions_total{verdict=\"spool\"}"
-                               : "fusiondb_cost_decisions_total{verdict=\"fuse\"}"),
-                       1);
-            }
-          }
-          // Fuse verdict: leave the duplicates for per-consumer
-          // re-execution and look at the next candidate group.
-          if (!it->second) continue;
-        }
         ++next_spool_id;
         current = ReplaceSubtrees(current, replacements);
         rewritten = true;

@@ -15,19 +15,11 @@
 
 namespace fusiondb {
 
-class CostModel;  // cost/cost_model.h
-
-/// Rewrites duplicated subtrees of `plan` onto shared spools. Returns the
-/// input unchanged when nothing qualifies.
-///
-/// With a null `cost_model` every shareable duplicate is spooled (the
-/// static kAlways policy). With a model (SpoolMode::kAdaptive) each
-/// candidate is priced — materialize once vs re-execute per consumer — and
-/// only candidates the model deems cheaper to spool are rewritten; every
-/// pricing is recorded in the PlanContext's OptimizerTrace when attached.
+/// Rewrites duplicated subtrees of `plan` onto shared spools: every
+/// shareable duplicate is spooled. Returns the input unchanged when nothing
+/// qualifies.
 Result<PlanPtr> SpoolCommonSubexpressions(const PlanPtr& plan,
-                                          PlanContext* ctx,
-                                          const CostModel* cost_model = nullptr);
+                                          PlanContext* ctx);
 
 }  // namespace fusiondb
 

@@ -2,9 +2,10 @@
 // covering operator kinds and parameters, expressions, and the base tables
 // scanned — and *stable across ColumnId renumbering*. Two builds of the
 // same logical query in different PlanContexts (whose scans mint different
-// ids) fingerprint identically, so measured statistics harvested from one
-// execution can be matched to the same subtree in a later optimization pass
-// (the StatsFeedback overlay in src/cost).
+// ids) fingerprint identically. That is what lets the server recognize two
+// sessions' separately bound plans as one computation (CrossPlanFuser's
+// identical-member overlay), and what names a shared group in cost
+// decisions, sharing records and the query log.
 //
 // Canonical form: the plan renumbered (plan/multi_plan.h) into a fresh
 // PlanContext, which mints ids children-first, left-to-right, in schema

@@ -323,7 +323,7 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
   size_t n = group->members.size();
   bool share = n >= 2;
   int32_t group_decisions = 0;
-  int32_t group_spooled = 0;
+  int32_t group_shared = 0;
   // The shared plan's identity, hashed once for the cost decision and
   // every member's sharing record.
   uint64_t fingerprint = share ? PlanFingerprint(group->fuser.plan()) : 0;
@@ -332,7 +332,7 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
   // recorded even when use_cost_model forces sharing, so traces always
   // show what the economics were.
   if (share) {
-    CardinalityEstimator estimator(options_.optimizer.feedback);
+    CardinalityEstimator estimator;
     CostModel model(&estimator);
     ShareDecision decision =
         model.DecideShare(group->fuser.plan(), group->fuser.members());
@@ -343,17 +343,15 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
     record.anchor = OptimizerTrace::DescribeNode(*group->fuser.plan());
     record.fingerprint = fingerprint;
     record.consumers = static_cast<int>(n);
-    record.reexec_cost_ns = decision.solo_cost;
-    record.spool_cost_ns = decision.shared_cost;
+    record.solo_cost_ns = decision.solo_cost;
+    record.shared_cost_ns = decision.shared_cost;
     record.est_rows = decision.est_rows;
     record.est_bytes = decision.est_bytes;
-    record.measured = decision.measured;
-    record.spooled = share;
-    record.cross_query = true;
+    record.shared = share;
     if (ctx_.trace() != nullptr) ctx_.trace()->RecordCostDecision(record);
     report->decisions.push_back(std::move(record));
     group_decisions = 1;
-    group_spooled = share ? 1 : 0;
+    group_shared = share ? 1 : 0;
     if (MetricsRegistry* r = options_.metrics) {
       r->Add(share ? mids_.decisions_share : mids_.decisions_solo, 1);
     }
@@ -421,7 +419,7 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
       m.session->Fulfill(std::move(result->results[i]), group->fuser.plan(),
                          sharing);
       FinishSession(m.session, sharing, rows, queue_wait_us, execute_us,
-                    group_decisions, group_spooled);
+                    group_decisions, group_shared);
     }
     return;
   }
@@ -473,14 +471,14 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
     m.session->SetTiming(queue_wait_us, execute_us);
     m.session->Fulfill(std::move(result->results[0]), plan, sharing);
     FinishSession(m.session, sharing, rows, queue_wait_us, execute_us,
-                  group_decisions, group_spooled);
+                  group_decisions, group_shared);
   }
 }
 
 void SessionManager::FinishSession(const SessionPtr& session,
                                    const SessionSharing& sharing, int64_t rows,
                                    int64_t queue_wait_us, int64_t execute_us,
-                                   int32_t decisions, int32_t spooled) {
+                                   int32_t decisions, int32_t shared) {
   bool is_shared = sharing.consumers > 1;
   if (MetricsRegistry* r = options_.metrics) {
     r->Add(is_shared ? mids_.shared_sessions : mids_.solo_sessions, 1);
@@ -508,7 +506,7 @@ void SessionManager::FinishSession(const SessionPtr& session,
   event.isolated_bytes_scanned = sharing.isolated_bytes_scanned;
   event.rows_produced = rows;
   event.cost_decisions = decisions;
-  event.cost_spooled = spooled;
+  event.cost_shared = shared;
 
   // Slow-query capture: anything whose end-to-end latency (queue + execute)
   // crosses the log's threshold gets its full profile written next to the

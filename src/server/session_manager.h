@@ -50,8 +50,8 @@ struct AdmissionWindow {
 struct ServerOptions {
   AdmissionWindow window;
 
-  /// Per-session optimization configuration (mode baseline/fused/spooling/
-  /// adaptive). Cross-query sharing is orthogonal to the within-plan mode:
+  /// Per-session optimization configuration (mode baseline/fused/
+  /// spooling). Cross-query sharing is orthogonal to the within-plan mode:
   /// plans are optimized first, then fused across sessions.
   OptimizerOptions optimizer;
 
@@ -85,7 +85,7 @@ struct ServerOptions {
   QueryLog* query_log = nullptr;
 
   /// Label recorded as `mode` in query-log events ("baseline", "fused",
-  /// "spooling", "adaptive"). Informational only.
+  /// "spooling"). Informational only.
   std::string mode_label;
 };
 
@@ -110,7 +110,7 @@ struct BatchReport {
   size_t solo_sessions = 0;
   int64_t bytes_scanned = 0;           // physical, whole batch
   int64_t isolated_bytes_scanned = 0;  // estimated isolated equivalent
-  std::vector<CostDecision> decisions;  // cross_query == true
+  std::vector<CostDecision> decisions;  // one per priced group
   std::vector<SessionAttribution> attributions;
 };
 
@@ -164,11 +164,11 @@ class SessionManager {
 
   /// Post-fulfillment telemetry for one successfully executed session:
   /// latency histograms and sharing counters into the registry, one query
-  /// log event, and the slow-query profile capture. `decisions`/`spooled`
+  /// log event, and the slow-query profile capture. `decisions`/`shared`
   /// describe the group's cost verdicts.
   void FinishSession(const SessionPtr& session, const SessionSharing& sharing,
                      int64_t rows, int64_t queue_wait_us, int64_t execute_us,
-                     int32_t decisions, int32_t spooled);
+                     int32_t decisions, int32_t shared);
 
   void CoordinatorLoop();
   void EnsureCoordinatorLocked();

@@ -1,12 +1,11 @@
 // The cost subsystem: plan fingerprints (determinism + sensitivity),
-// catalog-seeded cardinality estimates, the StatsFeedback measured overlay,
-// and the adaptive fuse-vs-spool decision end to end.
+// catalog-seeded cardinality estimates, and the server's share-vs-solo
+// decision from the cost model to profile JSON.
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
 
-#include "optimizer/spool_rule.h"
 #include "plan/spool.h"
 #include "test_util.h"
 
@@ -23,23 +22,13 @@ PlanBuilder Sales(PlanContext* ctx) {
       ctx, ss, {"ss_store_sk", "ss_item_sk", "ss_quantity", "ss_list_price"});
 }
 
-/// The duplicated-CTE fixture: filter + grouped aggregate over store_sales.
+/// The CTE fixture: filter + grouped aggregate over store_sales.
 PlanBuilder SalesCte(PlanContext* ctx) {
   PlanBuilder b = Sales(ctx);
   b.Filter(eb::Gt(b.Ref("ss_quantity"), eb::Int(50)));
   b.Aggregate({"ss_store_sk"},
               {{"t", AggFunc::kSum, b.Ref("ss_list_price"), nullptr, false}});
   return b;
-}
-
-/// Two instances of the CTE cross-joined: duplicates the Section IV fusion
-/// rules leave alone, so the spool pass is the only rewrite that can share
-/// them — exactly the adaptive decision's territory.
-PlanPtr DuplicatedCtePlan(PlanContext* ctx) {
-  PlanBuilder a = SalesCte(ctx);
-  PlanBuilder b = SalesCte(ctx);
-  a.CrossJoin(b);
-  return a.Build();
 }
 
 // --- fingerprints ----------------------------------------------------------
@@ -57,15 +46,15 @@ void ExpectSameIdentity(const PlanPtr& a, const PlanPtr& b, bool same) {
 TEST(PlanFingerprintTest, DeterministicAcrossIdRenumbering) {
   // Every TPC-DS query under every mode, built and optimized in two
   // contexts whose ColumnId ranges differ (the second burns ids first):
-  // fingerprints must agree anyway, else feedback from one run could never
-  // match the next run's plan. Across the whole sweep, equal fingerprints
+  // fingerprints must agree anyway, else the server could not recognize
+  // two sessions' separately bound plans as one computation. Across the
+  // whole sweep, equal fingerprints
   // must mean PlanEquivalent canonical forms and vice versa.
   const Catalog& catalog = SharedTpcds();
   const std::pair<const char*, OptimizerOptions> modes[] = {
       {"baseline", OptimizerOptions::Baseline()},
       {"fused", OptimizerOptions::Fused()},
       {"spooling", OptimizerOptions::Spooling()},
-      {"adaptive", OptimizerOptions::Adaptive(nullptr)},
   };
   std::vector<CanonicalPlan> sweep;
   for (const tpcds::TpcdsQuery& q : tpcds::Queries()) {
@@ -195,205 +184,64 @@ TEST(PlanFingerprintTest, SensitiveToPlanChanges) {
 
 TEST(CardinalityEstimatorTest, SeededFromCatalog) {
   PlanContext ctx;
-  CardinalityEstimator est;  // no feedback: catalog priors only
+  CardinalityEstimator est;
   TablePtr ss = Unwrap(SharedTpcds().GetTable("store_sales"));
 
   PlanPtr scan = Sales(&ctx).Build();
-  CardEstimate scan_est = est.Estimate(scan);
-  EXPECT_EQ(scan_est.rows, static_cast<double>(ss->num_rows()));
-  EXPECT_FALSE(scan_est.measured);
+  double scan_rows = est.Estimate(scan);
+  EXPECT_EQ(scan_rows, static_cast<double>(ss->num_rows()));
 
   PlanBuilder filtered = Sales(&ctx);
   filtered.Filter(eb::Gt(filtered.Ref("ss_quantity"), eb::Int(50)));
-  CardEstimate filter_est = est.Estimate(filtered.Build());
-  EXPECT_LT(filter_est.rows, scan_est.rows);
-  EXPECT_GT(filter_est.rows, 0.0);
+  double filter_rows = est.Estimate(filtered.Build());
+  EXPECT_LT(filter_rows, scan_rows);
+  EXPECT_GT(filter_rows, 0.0);
 
   PlanBuilder scalar = Sales(&ctx);
   scalar.Aggregate({}, {{"c", AggFunc::kCountStar, nullptr, nullptr, false}});
-  EXPECT_EQ(est.Estimate(scalar.Build()).rows, 1.0);
+  EXPECT_EQ(est.Estimate(scalar.Build()), 1.0);
 }
 
-TEST(CardinalityEstimatorTest, FeedbackOverlaysMeasurement) {
-  PlanContext ctx;
-  PlanPtr scan = Sales(&ctx).Build();
+// --- share vs solo -----------------------------------------------------------
 
-  StatsFeedback feedback;
-  feedback.Record(PlanFingerprint(scan), 12345);
-  CardinalityEstimator est(&feedback);
-  CardEstimate e = est.Estimate(scan);
-  EXPECT_EQ(e.rows, 12345.0);
-  EXPECT_TRUE(e.measured);
-  // A derived estimate over a measured child is flagged measured too.
-  PlanBuilder filtered = PlanBuilder::From(&ctx, scan);
-  filtered.Filter(eb::Gt(filtered.Ref("ss_quantity"), eb::Int(50)));
-  EXPECT_TRUE(est.Estimate(filtered.Build()).measured);
-}
-
-TEST(StatsFeedbackTest, HarvestRecordsExecutedCardinalities) {
-  PlanContext ctx;
-  PlanBuilder b = SalesCte(&ctx);
-  PlanPtr plan = b.Build();
-  QueryResult result = MustExecute(plan);
-  StatsFeedback feedback;
-  EXPECT_GT(feedback.Harvest(plan, result.operator_stats()), 0u);
-
-  // The root subtree's measured cardinality is the query's actual output.
-  auto measured = feedback.Lookup(PlanFingerprint(plan));
-  ASSERT_TRUE(measured.has_value());
-  EXPECT_EQ(*measured, result.num_rows());
-
-  // And the overlaid estimate now reports the measurement, replacing the
-  // sqrt-heuristic prior.
-  CardinalityEstimator est(&feedback);
-  CardEstimate e = est.Estimate(plan);
-  EXPECT_TRUE(e.measured);
-  EXPECT_EQ(e.rows, static_cast<double>(result.num_rows()));
-}
-
-// --- adaptive fuse-vs-spool ------------------------------------------------
-
-/// Records a forced cardinality for the fixture's *scan* subtree, the
-/// driver of the whole CTE's cost: small → re-execution is cheaper than
-/// the spool's fixed setup; large → materializing once wins.
-StatsFeedback ForcedScanFeedback(int64_t rows) {
-  PlanContext ctx;
-  StatsFeedback feedback;
-  feedback.Record(PlanFingerprint(Sales(&ctx).Build()), rows);
-  return feedback;
-}
-
-TEST(AdaptiveSpoolTest, SmallCardinalityFuses) {
-  PlanContext ctx;
-  PlanPtr plan = DuplicatedCtePlan(&ctx);
-  StatsFeedback feedback = ForcedScanFeedback(10);
-  CardinalityEstimator est(&feedback);
-  CostModel model(&est);
-
-  SpoolDecision d = model.DecideSpool(SalesCte(&ctx).Build(), 2);
-  EXPECT_FALSE(d.spool);
-  EXPECT_TRUE(d.measured);
-  EXPECT_LT(d.reexec_cost, d.spool_cost);
-
-  PlanPtr rewritten = Unwrap(SpoolCommonSubexpressions(plan, &ctx, &model));
-  EXPECT_EQ(CountOps(rewritten, OpKind::kSpool), 0);
-  EXPECT_TRUE(ResultsEquivalent(MustExecute(plan), MustExecute(rewritten)));
-}
-
-TEST(AdaptiveSpoolTest, LargeCardinalitySpools) {
-  PlanContext ctx;
-  PlanPtr plan = DuplicatedCtePlan(&ctx);
-  StatsFeedback feedback = ForcedScanFeedback(5'000'000);
-  CardinalityEstimator est(&feedback);
-  CostModel model(&est);
-
-  SpoolDecision d = model.DecideSpool(SalesCte(&ctx).Build(), 2);
-  EXPECT_TRUE(d.spool);
-  EXPECT_TRUE(d.measured);
-  EXPECT_LT(d.spool_cost, d.reexec_cost);
-
-  PlanPtr rewritten = Unwrap(SpoolCommonSubexpressions(plan, &ctx, &model));
-  EXPECT_EQ(CountOps(rewritten, OpKind::kSpool), 2);
-  EXPECT_TRUE(ResultsEquivalent(MustExecute(plan), MustExecute(rewritten)));
-}
-
-TEST(AdaptiveSpoolTest, StaticPolicyIgnoresCost) {
-  // The kAlways policy (null cost model) spools the duplicates regardless
-  // of how small they are — the behavior adaptive mode improves on.
-  PlanContext ctx;
-  PlanPtr plan = DuplicatedCtePlan(&ctx);
-  PlanPtr rewritten = Unwrap(SpoolCommonSubexpressions(plan, &ctx));
-  EXPECT_EQ(CountOps(rewritten, OpKind::kSpool), 2);
-}
-
-TEST(AdaptiveSpoolTest, EndToEndFeedbackLoop) {
-  // The full loop as run_query --mode=adaptive drives it: optimize against
-  // catalog priors, execute, harvest measured cardinalities, re-optimize —
-  // the second pass's cost decisions must be measurement-backed, and every
-  // configuration must return identical results.
-  PlanContext ctx;
-  PlanPtr plan = DuplicatedCtePlan(&ctx);
-
-  OptimizerTrace first_trace;
-  ctx.set_trace(&first_trace);
-  PlanPtr first = Unwrap(
-      Optimizer(OptimizerOptions::Adaptive(nullptr)).Optimize(plan, &ctx));
-  ctx.set_trace(nullptr);
-  ASSERT_FALSE(first_trace.cost_decisions().empty());
-  EXPECT_FALSE(first_trace.cost_decisions()[0].measured);
-
-  QueryResult first_result = MustExecute(first);
-  StatsFeedback feedback;
-  ASSERT_GT(feedback.Harvest(first, first_result.operator_stats()), 0u);
-
-  OptimizerTrace second_trace;
-  ctx.set_trace(&second_trace);
-  PlanPtr second = Unwrap(
-      Optimizer(OptimizerOptions::Adaptive(&feedback)).Optimize(plan, &ctx));
-  ctx.set_trace(nullptr);
-  ASSERT_FALSE(second_trace.cost_decisions().empty());
-  const CostDecision& d = second_trace.cost_decisions()[0];
-  EXPECT_TRUE(d.measured) << "second run must price measured cardinalities";
-  EXPECT_EQ(d.consumers, 2);
-  EXPECT_GT(d.reexec_cost_ns, 0.0);
-  EXPECT_GT(d.spool_cost_ns, 0.0);
-  // The estimate visibly changed between runs (priors vs measurement).
-  EXPECT_NE(first_trace.cost_decisions()[0].est_rows, d.est_rows);
-
-  // Whatever each pass decided, results are identical to the baseline.
-  QueryResult base = MustExecute(
-      Unwrap(Optimizer(OptimizerOptions::Baseline()).Optimize(plan, &ctx)));
-  EXPECT_TRUE(ResultsEquivalent(base, first_result));
-  EXPECT_TRUE(ResultsEquivalent(base, MustExecute(second)));
-}
-
-TEST(AdaptiveSpoolTest, CostDecisionsExportedInProfileJson) {
+TEST(CostModelTest, CostDecisionsExportedInProfileJson) {
   // The profile JSON is how decisions leave the process (run_query
-  // --profile); each CostDecision must appear in the trace's
+  // --profile); a shared batch's CostDecision must appear in the trace's
   // cost_decisions array with its fingerprint and verdict.
-  PlanContext ctx;
-  PlanPtr plan = DuplicatedCtePlan(&ctx);
+  Engine engine(SharedTpcds());
   OptimizerTrace trace;
-  ctx.set_trace(&trace);
-  PlanPtr optimized = Unwrap(
-      Optimizer(OptimizerOptions::Adaptive(nullptr)).Optimize(plan, &ctx));
-  ctx.set_trace(nullptr);
-  ASSERT_FALSE(trace.cost_decisions().empty());
+  ServerOptions options;
+  options.trace = &trace;
+  SessionManager& manager = *Unwrap(engine.StartServer(options));
+  std::vector<PreparedQuery> prepared;
+  std::vector<PlanPtr> plans;
+  for (int i = 0; i < 2; ++i) {
+    prepared.push_back(Unwrap(engine.Prepare(
+        [](const Catalog&, PlanContext* c) -> Result<PlanPtr> {
+          return SalesCte(c).Build();
+        })));
+    plans.push_back(prepared.back().plan());
+  }
+  std::vector<SessionPtr> sessions = manager.SubmitBatch(plans);
+  for (const SessionPtr& s : sessions) ASSERT_TRUE(s->Wait().ok());
+  engine.StopServer();
+  ASSERT_EQ(trace.cost_decisions().size(), 1u);
+  const CostDecision& d = trace.cost_decisions()[0];
+  EXPECT_TRUE(d.shared);
+  EXPECT_EQ(d.consumers, 2);
+  ASSERT_TRUE(sessions[0]->shared());
 
-  QueryResult result = MustExecute(optimized);
   QueryProfile profile =
-      MakeQueryProfile("cte", "adaptive", optimized, result, &trace);
+      MakeQueryProfile("cte", "fused", sessions[0]->executed_plan(),
+                       *sessions[0]->Wait(), &trace);
   std::string json = ProfileToJson(profile);
   EXPECT_NE(json.find("\"cost_decisions\":"), std::string::npos);
-  const CostDecision& d = trace.cost_decisions()[0];
   EXPECT_NE(json.find("\"fingerprint\":\"" +
                       FingerprintToString(d.fingerprint) + "\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"spooled\":"), std::string::npos);
-  EXPECT_NE(json.find("\"reexec_cost_ns\":"), std::string::npos);
-}
-
-TEST(AdaptiveSpoolTest, AdaptiveConfigMatchesBaselineOnTpcds) {
-  // Adaptive mode is a pure performance policy: every applicable TPC-DS
-  // query returns baseline-identical results under it, with and without
-  // feedback from a prior run.
-  const Catalog& catalog = SharedTpcds();
-  for (const tpcds::TpcdsQuery& q : tpcds::Queries()) {
-    if (!q.fusion_applicable) continue;
-    PlanContext ctx;
-    PlanPtr plan = Unwrap(q.build(catalog, &ctx));
-    QueryResult base = MustExecute(
-        Unwrap(Optimizer(OptimizerOptions::Baseline()).Optimize(plan, &ctx)));
-    PlanPtr first = Unwrap(
-        Optimizer(OptimizerOptions::Adaptive(nullptr)).Optimize(plan, &ctx));
-    QueryResult first_result = MustExecute(first);
-    EXPECT_TRUE(ResultsEquivalent(base, first_result)) << q.name;
-    StatsFeedback feedback;
-    feedback.Harvest(first, first_result.operator_stats());
-    PlanPtr second = Unwrap(
-        Optimizer(OptimizerOptions::Adaptive(&feedback)).Optimize(plan, &ctx));
-    EXPECT_TRUE(ResultsEquivalent(base, MustExecute(second))) << q.name;
-  }
+  EXPECT_NE(json.find("\"shared\":true"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"solo_cost_ns\":"), std::string::npos);
+  EXPECT_NE(json.find("\"shared_cost_ns\":"), std::string::npos);
 }
 
 }  // namespace

@@ -481,7 +481,12 @@ TEST(KeyIdentityTest, NegativeZeroIsZeroForEveryKeyedOperator) {
 /// acc(k, g, i, d, dt, s, b): `k` partitions the table so parallel runs
 /// split it; `g` is the grouping key; one argument column per type. A NULL
 /// lands on a row with probability `null_pct` percent in every argument
-/// column. Doubles are multiples of 0.25 (sums exact in any order).
+/// column. Doubles are multiples of 0.25 (sums exact in any order). Every
+/// 250th row (from row 10) holds 2^53 in `i` and a NaN in `d`, and every
+/// 250th from row 20 holds 2^53 + 1 and -0.0: ints that one double holds,
+/// a NaN that Value::Compare finds equal to every number, and a zero that
+/// equals 0.0. DISTINCT keeps the two ints apart, the NaN apart from every
+/// number, and -0.0 with 0.0.
 TablePtr AccumulatorTable(int null_pct, uint32_t seed) {
   TableBuilder tb("acc", {{"k", DataType::kInt64},
                           {"g", DataType::kInt64},
@@ -499,17 +504,24 @@ TablePtr AccumulatorTable(int null_pct, uint32_t seed) {
     return pick(100) < null_pct ? Value::Null(t) : std::move(v);
   };
   static const char* kStrings[] = {"", "a", "ab", "b", "zz", "m"};
+  const int64_t big = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   for (int64_t r = 0; r < 1500; ++r) {
-    EXPECT_TRUE(
-        tb.AppendRow(
-              {Value::Int64(r), Value::Int64(pick(9)),
-               null_or(DataType::kInt64, Value::Int64(pick(201) - 100)),
-               null_or(DataType::kFloat64,
-                       Value::Float64((pick(161) - 80) / 4.0)),
-               null_or(DataType::kDate, Value::Date(10000 + pick(400))),
-               null_or(DataType::kString, Value::String(kStrings[pick(6)])),
-               null_or(DataType::kBool, Value::Bool(pick(2) == 1))})
-            .ok());
+    std::vector<Value> row = {
+        Value::Int64(r), Value::Int64(pick(9)),
+        null_or(DataType::kInt64, Value::Int64(pick(201) - 100)),
+        null_or(DataType::kFloat64, Value::Float64((pick(161) - 80) / 4.0)),
+        null_or(DataType::kDate, Value::Date(10000 + pick(400))),
+        null_or(DataType::kString, Value::String(kStrings[pick(6)])),
+        null_or(DataType::kBool, Value::Bool(pick(2) == 1))};
+    if (r % 250 == 10) {
+      row[2] = Value::Int64(big);
+      row[3] = Value::Float64(nan);
+    } else if (r % 250 == 20) {
+      row[2] = Value::Int64(big + 1);
+      row[3] = Value::Float64(-0.0);
+    }
+    EXPECT_TRUE(tb.AppendRow(row).ok());
   }
   return Unwrap(tb.Build());
 }
@@ -551,8 +563,10 @@ TEST(AccumulatorTest, EveryFunctionAndTypeMatchesReference) {
                   std::move(specs));
       PlanPtr plan = b.Build();
       for (size_t chunk : {size_t{5}, size_t{4096}}) {
+        SCOPED_TRACE("serial, chunk " + std::to_string(chunk));
         ExpectMatchesReference(plan, MustExecute(plan, chunk));
       }
+      SCOPED_TRACE("4 threads");
       ExpectMatchesReference(
           plan,
           Unwrap(ExecutePlan(plan, {.chunk_size = 64, .parallelism = 4})));
@@ -659,6 +673,50 @@ TEST(AccumulatorTest, MinMaxOverNaNAndNegativeZeroKeepsTheFirstSeen) {
     std::vector<Value> row = ScalarRow(b.Build());
     EXPECT_EQ(Bits(row[0].double_value()), Bits(c.lo)) << c.values[0];
     EXPECT_EQ(Bits(row[1].double_value()), Bits(c.hi)) << c.values[0];
+  }
+}
+
+// The reference fails where the engine fails: SUM over two INT64_MAX rows
+// is an execution error in both.
+TEST(AccumulatorTest, IntSumOverflowFailsEngineAndReference) {
+  PlanContext ctx;
+  PlanBuilder b = PlanBuilder::Values(
+      &ctx, {"x"}, {DataType::kInt64},
+      {{Value::Int64(INT64_MAX)}, {Value::Int64(INT64_MAX)}});
+  b.Aggregate({}, {{"total", AggFunc::kSum, b.Ref("x"), nullptr, false}});
+  PlanPtr plan = b.Build();
+  Result<QueryResult> engine = ExecutePlan(plan, {});
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kExecutionError);
+  Result<std::vector<reference::Row>> reference = reference::Evaluate(plan);
+  ASSERT_FALSE(reference.ok());
+  EXPECT_EQ(reference.status().code(), StatusCode::kExecutionError);
+}
+
+// Parallel partials merge in table order, so ties keep the serial run's
+// first value. With a NULL first and a NaN last, dealing morsels to four
+// partials by stride would hand both to the first partial, whose NaN the
+// merge would then keep.
+TEST(AccumulatorTest, ParallelMinMaxKeepsTheSerialFirstSeen) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TableBuilder tb("ties", {{"k", DataType::kInt64}, {"x", DataType::kFloat64}});
+  ASSERT_TRUE(tb.PartitionBy("k", 1).ok());  // one row per morsel
+  const Value xs[] = {Value::Null(DataType::kFloat64), Value::Float64(1.0),
+                      Value::Float64(1.0), Value::Float64(1.0),
+                      Value::Float64(nan)};
+  for (int64_t k = 0; k < 5; ++k) {
+    ASSERT_TRUE(tb.AppendRow({Value::Int64(k), xs[k]}).ok());
+  }
+  PlanContext ctx;
+  PlanBuilder b = PlanBuilder::Scan(&ctx, Unwrap(tb.Build()), {"x"});
+  b.Aggregate({}, {{"lo", AggFunc::kMin, b.Ref("x"), nullptr, false},
+                   {"hi", AggFunc::kMax, b.Ref("x"), nullptr, false}});
+  PlanPtr plan = b.Build();
+  for (size_t threads : {1, 4}) {
+    QueryResult r = Unwrap(
+        ExecutePlan(plan, {.chunk_size = 1, .parallelism = threads}));
+    EXPECT_EQ(Bits(r.At(0, 0).double_value()), Bits(1.0)) << threads;
+    EXPECT_EQ(Bits(r.At(0, 1).double_value()), Bits(1.0)) << threads;
   }
 }
 

@@ -278,7 +278,7 @@ TEST(PipelineMicroTest, FusedChainShapesMatchReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Full TPC-DS sweep, all four optimizer modes.
+// Full TPC-DS sweep, all three optimizer modes.
 // ---------------------------------------------------------------------------
 
 class PipelineTpcdsTest : public ::testing::TestWithParam<std::string> {};
@@ -286,16 +286,14 @@ class PipelineTpcdsTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(PipelineTpcdsTest, SweepAllModes) {
   const Catalog& catalog = SharedTpcds();
   for (const std::string& mode :
-       {std::string("baseline"), std::string("fused"), std::string("spooling"),
-        std::string("adaptive")}) {
+       {std::string("baseline"), std::string("fused"),
+        std::string("spooling")}) {
     tpcds::TpcdsQuery q = Unwrap(tpcds::QueryByName(GetParam()));
     PlanContext ctx;
     PlanPtr plan = Unwrap(q.build(catalog, &ctx));
     OptimizerOptions opt = mode == "baseline" ? OptimizerOptions::Baseline()
                            : mode == "spooling"
                                ? OptimizerOptions::Spooling()
-                           : mode == "adaptive"
-                               ? OptimizerOptions::Adaptive(nullptr)
                                : OptimizerOptions::Fused();
     PlanPtr optimized = Unwrap(Optimizer(opt).Optimize(plan, &ctx));
     SCOPED_TRACE(GetParam() + " / " + mode);

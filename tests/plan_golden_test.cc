@@ -19,8 +19,7 @@ namespace {
 using testutil::SharedTpcds;
 using testutil::Unwrap;
 
-// Adaptive mode prices spools against catalog-prior cardinalities, which
-// depend on the data, so the golden pins one scale.
+// The catalog scale the golden was rendered at.
 constexpr double kGoldenScale = 0.01;
 
 struct Mode {
@@ -34,7 +33,6 @@ std::string RenderAllPlans() {
       {"baseline", OptimizerOptions::Baseline()},
       {"fused", OptimizerOptions::Fused()},
       {"spooling", OptimizerOptions::Spooling()},
-      {"adaptive", OptimizerOptions::Adaptive(nullptr)},
   };
   std::ostringstream out;
   for (const tpcds::TpcdsQuery& query : tpcds::Queries()) {

@@ -35,7 +35,6 @@ TEST(OperatorStatsTest, PreorderIdsMatchPlanAndRootRowsMatchResult) {
       {"baseline", OptimizerOptions::Baseline()},
       {"fused", OptimizerOptions::Fused()},
       {"spooling", OptimizerOptions::Spooling()},
-      {"adaptive", OptimizerOptions::Adaptive(nullptr)},
   };
   for (const tpcds::TpcdsQuery& q : tpcds::Queries()) {
     for (const auto& [mode, options] : modes) {

@@ -129,6 +129,29 @@ Value RowExpr::Eval(const Row& row) const {
 
 namespace {
 
+/// A strict weak order on non-NULL values of one type, with the engine's
+/// key identity (KeyTable): ints compare exactly, -0.0 equals 0.0, a NaN
+/// equals only a NaN (and sorts above every number), strings compare by
+/// bytes. Value::Compare is not such an order: it compares ints as doubles
+/// and lets a NaN equal every number.
+int KeyCompare(const Value& a, const Value& b) {
+  switch (PhysicalTypeOf(a.type())) {
+    case PhysicalType::kInt:
+      return (a.int_value() > b.int_value()) - (a.int_value() < b.int_value());
+    case PhysicalType::kDouble: {
+      double x = a.double_value();
+      double y = b.double_value();
+      bool x_nan = std::isnan(x);
+      bool y_nan = std::isnan(y);
+      if (x_nan || y_nan) return static_cast<int>(x_nan) - y_nan;
+      return (x > y) - (x < y);
+    }
+    case PhysicalType::kString:
+      return a.string_value().compare(b.string_value());
+  }
+  return 0;
+}
+
 /// One aggregate's accumulator: every non-NULL argument of the rows that
 /// pass the mask, folded at the end.
 class Accumulator {
@@ -141,15 +164,26 @@ class Accumulator {
     if (arg != nullptr && !arg->is_null()) values_.push_back(*arg);
   }
 
-  Value Finish() {
+  Result<Value> Finish() {
     if (distinct_) {
-      std::sort(values_.begin(), values_.end(),
-                [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-      values_.erase(std::unique(values_.begin(), values_.end(),
-                                [](const Value& a, const Value& b) {
-                                  return a.Compare(b) == 0;
-                                }),
-                    values_.end());
+      // Keep each value's first occurrence, in arrival order, as the
+      // engine's DISTINCT does: MIN/MAX keep the first of values that
+      // Value::Compare ties.
+      std::vector<size_t> order(values_.size());
+      std::iota(order.begin(), order.end(), 0);
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return KeyCompare(values_[a], values_[b]) < 0;
+      });
+      std::vector<bool> first(values_.size(), false);
+      for (size_t i = 0; i < order.size(); ++i) {
+        first[order[i]] =
+            i == 0 || KeyCompare(values_[order[i - 1]], values_[order[i]]) != 0;
+      }
+      std::vector<Value> distinct;
+      for (size_t i = 0; i < values_.size(); ++i) {
+        if (first[i]) distinct.push_back(std::move(values_[i]));
+      }
+      values_ = std::move(distinct);
     }
     switch (func_) {
       case AggFunc::kCountStar:
@@ -160,7 +194,12 @@ class Accumulator {
         if (values_.empty()) return Value::Null(out_type_);
         if (out_type_ == DataType::kFloat64) return Value::Float64(DoubleSum());
         int64_t sum = 0;
-        for (const Value& v : values_) sum += v.int_value();
+        for (const Value& v : values_) {
+          if (__builtin_add_overflow(sum, v.int_value(), &sum)) {
+            return Status::ExecutionError(
+                "reference: integer overflow in SUM");
+          }
+        }
         return Value::Int64(sum);
       }
       case AggFunc::kAvg:
@@ -221,8 +260,9 @@ Result<BoundItem> BindItem(AggFunc func, bool distinct, DataType out_type,
 }
 
 /// Folds `item` over the rows `members` of `input`.
-Value AggregateRows(const BoundItem& item, const std::vector<Row>& input,
-                    const std::vector<size_t>& members) {
+Result<Value> AggregateRows(const BoundItem& item,
+                            const std::vector<Row>& input,
+                            const std::vector<size_t>& members) {
   Accumulator acc(item.func, item.distinct, item.out_type);
   for (size_t r : members) {
     if (item.mask.has_value() && !IsTrue(item.mask->Eval(input[r]))) {
@@ -454,7 +494,9 @@ class Evaluator {
     for (const std::vector<size_t>& members : groups) {
       Row row = op.IsScalar() ? Row() : keys[members[0]];
       for (const BoundItem& item : items) {
-        row.push_back(AggregateRows(item, in.rows, members));
+        FUSIONDB_ASSIGN_OR_RETURN(Value v,
+                                  AggregateRows(item, in.rows, members));
+        row.push_back(std::move(v));
       }
       out.rows.push_back(std::move(row));
     }
@@ -484,7 +526,8 @@ class Evaluator {
     std::vector<Row> results(in.rows.size());
     for (const auto& [key, members] : partitions) {
       for (const BoundItem& item : items) {
-        Value v = AggregateRows(item, in.rows, members);
+        FUSIONDB_ASSIGN_OR_RETURN(Value v,
+                                  AggregateRows(item, in.rows, members));
         for (size_t r : members) results[r].push_back(v);
       }
     }
@@ -571,6 +614,7 @@ bool ValuesMatch(const Value& a, const Value& b) {
     double x = a.AsDouble();
     double y = b.AsDouble();
     if (x == y) return true;
+    if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
     return std::fabs(x - y) <=
            kDoubleTolerance * std::max(std::fabs(x), std::fabs(y));
   }
@@ -591,11 +635,14 @@ bool RowsMatch(const Row& a, const Row& b) {
 
 /// Multiset order: exact (non-double) columns first, doubles last, so rows
 /// whose doubles differ only within tolerance still line up by their keys.
+/// Two non-NULL doubles compare by KeyCompare, so a NaN sorts above every
+/// number instead of tying with it.
 bool CanonicalLess(const Row& a, const Row& b) {
   for (int pass = 0; pass < 2; ++pass) {
     for (size_t i = 0; i < a.size(); ++i) {
       if (IsDouble(a[i]) != (pass == 1)) continue;
-      int c = a[i].Compare(b[i]);
+      bool doubles = IsDouble(b[i]) && !a[i].is_null() && !b[i].is_null();
+      int c = doubles ? KeyCompare(a[i], b[i]) : a[i].Compare(b[i]);
       if (c != 0) return c < 0;
     }
   }

@@ -56,7 +56,6 @@ const std::vector<const tpcds::TpcdsQuery*>& FusionQueries() {
 OptimizerOptions ModeOptions(const std::string& mode) {
   if (mode == "baseline") return OptimizerOptions::Baseline();
   if (mode == "spooling") return OptimizerOptions::Spooling();
-  if (mode == "adaptive") return OptimizerOptions::Adaptive(nullptr);
   return OptimizerOptions::Fused();
 }
 
@@ -81,8 +80,7 @@ TEST(ServerTest, ByteIdenticalToIsolatedAcrossModes) {
   Engine engine(SharedTpcds());
   const tpcds::TpcdsQuery& query = *FusionQueries().front();
   constexpr int kClients = 4;
-  for (const std::string mode :
-       {"baseline", "fused", "spooling", "adaptive"}) {
+  for (const std::string mode : {"baseline", "fused", "spooling"}) {
     SCOPED_TRACE(mode);
     ServerOptions options;
     options.optimizer = ModeOptions(mode);
@@ -156,10 +154,9 @@ TEST(ServerTest, SharedGroupScansFewerBytesThanIsolated) {
   }
   EXPECT_EQ(attributed, report.bytes_scanned);
 
-  // The share-vs-solo pricing was recorded as a cross-query decision.
+  // The share-vs-solo pricing was recorded as a decision.
   ASSERT_EQ(report.decisions.size(), 1u);
-  EXPECT_TRUE(report.decisions[0].cross_query);
-  EXPECT_TRUE(report.decisions[0].spooled);  // spooled == shared
+  EXPECT_TRUE(report.decisions[0].shared);
   EXPECT_EQ(report.decisions[0].consumers, kClients);
 
   // Session-level sharing attribution matches, and the profile carries it.
@@ -383,15 +380,10 @@ TEST(ServerTest, TraceRecordsCrossQueryDecisions) {
            PreparePlans(&engine, query.build, 2, &prepared))) {
     ASSERT_TRUE(s->Wait().ok());
   }
-  bool found = false;
-  for (const CostDecision& d : trace.cost_decisions()) {
-    if (d.cross_query) {
-      found = true;
-      EXPECT_EQ(d.consumers, 2);
-    }
-  }
-  EXPECT_TRUE(found);
-  EXPECT_NE(trace.ToString().find("[cross-query]"), std::string::npos);
+  ASSERT_EQ(trace.cost_decisions().size(), 1u);
+  EXPECT_EQ(trace.cost_decisions()[0].consumers, 2);
+  EXPECT_NE(trace.ToString().find("cost decisions (share vs solo)"),
+            std::string::npos);
   engine.StopServer();
 }
 

@@ -4,8 +4,8 @@
 // Every query — replayed from tests/sql_fuzz_corpus.txt, then generated by
 // sql/random_query.h from a fixed seed — is bound once, evaluated by the
 // independent reference evaluator (tests/reference_eval.h) over the bound,
-// unoptimized plan, and then executed under all four optimizer modes
-// (baseline / fused / spooling / adaptive). The oracles:
+// unoptimized plan, and then executed under all three optimizer modes
+// (baseline / fused / spooling). The oracles:
 //
 //   * every mode's rows must match the reference under its comparison
 //     rules (multiset, ORDER BY key order, LIMIT ties, 1e-9 relative
@@ -124,16 +124,11 @@ std::optional<std::string> RunDifferential(const std::string& sql_text) {
     return "reference evaluation failed: " + expected.status().ToString();
   }
 
-  static const char* kModes[] = {"baseline", "fused", "spooling", "adaptive"};
+  static const char* kModes[] = {"baseline", "fused", "spooling"};
   std::vector<std::string> baseline_rows;
   int64_t baseline_bytes = 0;
   for (const char* mode : kModes) {
     QueryOptions options = Unwrap(QueryOptions::FromModeName(mode));
-    if (options.optimizer.feedback == nullptr) {
-      // Single-pass adaptive against whatever earlier modes harvested; the
-      // engine's two-pass loop is exercised separately in sql_test.
-      options.optimizer.feedback = engine.feedback();
-    }
     auto optimized = engine.Optimize(&query, options);
     if (!optimized.ok()) {
       return std::string("optimize failed (") + mode +
@@ -159,9 +154,6 @@ std::optional<std::string> RunDifferential(const std::string& sql_text) {
     if (std::string(mode) == "baseline") {
       baseline_rows = std::move(rows);
       baseline_bytes = bytes;
-      // Feed the measured cardinalities forward so this query's adaptive
-      // pass optimizes against real numbers, not just catalog priors.
-      engine.feedback()->Harvest(*optimized, result->operator_stats());
     } else {
       if (rows != baseline_rows) {
         return std::string("cross-mode divergence (baseline vs ") + mode +

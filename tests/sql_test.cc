@@ -215,7 +215,7 @@ TEST(EngineTest, ModesAgreeOnSqlQuery) {
   QueryResult baseline =
       Unwrap(engine.ExecuteSql(sql, QueryOptions::Baseline()));
   EXPECT_EQ(baseline.num_rows(), 3);
-  for (const char* mode : {"fused", "spooling", "adaptive"}) {
+  for (const char* mode : {"fused", "spooling"}) {
     QueryOptions options = Unwrap(QueryOptions::FromModeName(mode));
     QueryResult result = Unwrap(engine.ExecuteSql(sql, options));
     EXPECT_TRUE(ResultsEqualOrdered(baseline, result)) << mode;
@@ -223,9 +223,16 @@ TEST(EngineTest, ModesAgreeOnSqlQuery) {
 }
 
 TEST(EngineTest, FromModeNameRejectsUnknown) {
-  auto result = QueryOptions::FromModeName("turbo");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  for (const char* mode : {"turbo", "adaptive"}) {
+    SCOPED_TRACE(mode);
+    auto result = QueryOptions::FromModeName(mode);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(
+                  "(expected baseline, fused or spooling)"),
+              std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(EngineTest, PrepareReportsDiagnostics) {
@@ -236,21 +243,6 @@ TEST(EngineTest, PrepareReportsDiagnostics) {
   EXPECT_EQ(prepared.status().code(), StatusCode::kPlanError);
   ASSERT_FALSE(parse.diagnostics.empty());
   EXPECT_EQ(parse.diagnostics.front().offset, 7u);
-}
-
-TEST(EngineTest, AdaptiveTwoPassHarvestsFeedback) {
-  Engine engine(GoldenCatalog());
-  PreparedQuery query = Unwrap(engine.Prepare(
-      "SELECT s, COUNT(*) AS n FROM numbers WHERE k < 15 GROUP BY s "
-      "ORDER BY 1, 2"));
-  EXPECT_EQ(engine.feedback()->size(), 0u);
-  QueryResult adaptive =
-      Unwrap(engine.Execute(&query, QueryOptions::Adaptive()));
-  // The two-pass loop harvested the profiled first pass into the engine's
-  // feedback store.
-  EXPECT_GT(engine.feedback()->size(), 0u);
-  QueryResult fused = Unwrap(engine.Execute(&query, QueryOptions::Fused()));
-  EXPECT_TRUE(ResultsEqualOrdered(adaptive, fused));
 }
 
 TEST(EngineTest, PrepareFromPlanBuilder) {

@@ -134,37 +134,37 @@ TEST(TpcdsQueriesTest, Q23FusionCutsPeakHashMemory) {
 // reported before runtime filters existed (the same figures
 // `FUSIONDB_BENCH_SCALE=0.01 tpcds_overall` printed for baseline and fused).
 TEST(TpcdsScanBytesTest, StaticBytesPinnedAcrossModes) {
-  // Per query: baseline, fused, spooling, adaptive.
-  const std::map<std::string, std::array<int64_t, 4>> kStaticBytes = {
-      {"q01", {90869, 50015, 50015, 50015}},
-      {"q09", {2882275, 504273, 2882275, 504273}},
-      {"q23", {1177941, 746474, 746474, 746474}},
-      {"q28", {4429776, 738296, 4429776, 738296}},
-      {"q30", {57757, 39333, 39333, 39333}},
-      {"q65", {760156, 396863, 396863, 396863}},
-      {"q65v", {760156, 396863, 396863, 396863}},
-      {"q88", {1444264, 180533, 214553, 180533}},
-      {"q95", {265244, 219094, 219094, 219094}},
-      {"q03", {360634, 360634, 360634, 360634}},
-      {"q07", {928795, 928795, 928795, 928795}},
-      {"q19", {427947, 427947, 427947, 427947}},
-      {"q26", {320837, 320837, 320837, 320837}},
-      {"q42", {350067, 350067, 350067, 350067}},
-      {"q52", {357025, 357025, 357025, 357025}},
-      {"q55", {360634, 360634, 360634, 360634}},
-      {"q96", {170813, 170813, 170813, 170813}},
-      {"q99", {79916, 79916, 79916, 79916}},
+  // Per query: baseline, fused, spooling.
+  const std::map<std::string, std::array<int64_t, 3>> kStaticBytes = {
+      {"q01", {90869, 50015, 50015}},
+      {"q09", {2882275, 504273, 2882275}},
+      {"q23", {1177941, 746474, 746474}},
+      {"q28", {4429776, 738296, 4429776}},
+      {"q30", {57757, 39333, 39333}},
+      {"q65", {760156, 396863, 396863}},
+      {"q65v", {760156, 396863, 396863}},
+      {"q88", {1444264, 180533, 214553}},
+      {"q95", {265244, 219094, 219094}},
+      {"q03", {360634, 360634, 360634}},
+      {"q07", {928795, 928795, 928795}},
+      {"q19", {427947, 427947, 427947}},
+      {"q26", {320837, 320837, 320837}},
+      {"q42", {350067, 350067, 350067}},
+      {"q52", {357025, 357025, 357025}},
+      {"q55", {360634, 360634, 360634}},
+      {"q96", {170813, 170813, 170813}},
+      {"q99", {79916, 79916, 79916}},
   };
   const Catalog& catalog = SharedTpcds(0.01);
-  const OptimizerOptions modes[] = {
-      OptimizerOptions::Baseline(), OptimizerOptions::Fused(),
-      OptimizerOptions::Spooling(), OptimizerOptions::Adaptive(nullptr)};
+  const OptimizerOptions modes[] = {OptimizerOptions::Baseline(),
+                                     OptimizerOptions::Fused(),
+                                     OptimizerOptions::Spooling()};
   int64_t runtime_pruned = 0;
   ASSERT_EQ(kStaticBytes.size(), tpcds::Queries().size());
   for (const tpcds::TpcdsQuery& q : tpcds::Queries()) {
     auto pinned = kStaticBytes.find(q.name);
     ASSERT_NE(pinned, kStaticBytes.end()) << q.name;
-    for (size_t m = 0; m < 4; ++m) {
+    for (size_t m = 0; m < 3; ++m) {
       SCOPED_TRACE(q.name + " mode " + std::to_string(m));
       PlanContext ctx;
       PlanPtr plan = Unwrap(q.build(catalog, &ctx));

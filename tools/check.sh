@@ -9,10 +9,9 @@
 #   3. ThreadSanitizer over the `parallel`-labelled tests
 #   4. UndefinedBehaviorSanitizer over the full suite
 #   5. tools/lint.sh (banned patterns + clang-tidy when available)
-#   6. bench smoke: spool_vs_fusion + adaptive_vs_static at tiny scale,
-#      with tools/bench_diff.py gating adaptive against best-static;
-#      multi_client_throughput with bench_diff.py gating the sharing
-#      path's single-client latency against the solo path
+#   6. bench smoke: spool_vs_fusion at tiny scale; multi_client_throughput
+#      with tools/bench_diff.py gating the sharing path's single-client
+#      latency against the solo path
 #   7. service metrics: run_query --server with --metrics/--query-log and
 #      assert both outputs are non-empty well-formed JSON (the binary's own
 #      exit code already covers the counter-vs-attribution reconciliation);
@@ -21,7 +20,7 @@
 #   8. SQL front door: run_query --sql positive + malformed-SQL negative
 #      (caret diagnostic, exit 2), then the differential fuzz smoke — a
 #      second fixed seed beyond the one tier-1 already ran, >= 200
-#      generated queries, every one executed under all four optimizer
+#      generated queries, every one executed under all three optimizer
 #      modes and checked against the reference evaluator
 #
 # Usage: tools/check.sh [-j N]
@@ -79,25 +78,16 @@ ctest --test-dir build-ubsan --output-on-failure -j"$JOBS"
 echo "== [5/8] lint =="
 tools/lint.sh build
 
-echo "== [6/8] bench smoke + adaptive regression gate =="
-# Tiny scale, one repeat: this checks the benches run and that their
-# cross-config result-equivalence assertions hold, and gates adaptive
-# mode against the best static policy. Latency numbers at this scale are
-# noisy, hence the forgiving threshold.
-# spool_vs_fusion is smoke-only (one repeat; its assertions are about
-# result equivalence). adaptive_vs_static feeds the latency gate, so it
-# keeps 3 repeats — its gate reports carry best-of-N, which needs N > 1
-# to absorb scheduler noise.
+echo "== [6/8] bench smoke + sharing overhead gate =="
+# spool_vs_fusion is smoke-only: tiny scale, one repeat. It checks the
+# bench runs and that its cross-config result-equivalence assertions hold.
 (cd build/bench &&
-  FUSIONDB_BENCH_SCALE=0.01 FUSIONDB_BENCH_REPEATS=1 ./spool_vs_fusion &&
-  FUSIONDB_BENCH_SCALE=0.01 FUSIONDB_BENCH_REPEATS=3 ./adaptive_vs_static)
-python3 tools/bench_diff.py \
-  build/bench/BENCH_adaptive_vs_static.static.json \
-  build/bench/BENCH_adaptive_vs_static.adaptive.json --threshold 10
+  FUSIONDB_BENCH_SCALE=0.01 FUSIONDB_BENCH_REPEATS=1 ./spool_vs_fusion)
 # Cross-query fusion server: the sweep's sharing assertions (shared bytes <
 # isolated bytes, byte-identical results) run inside the bench; the diff
-# gates the session layer's single-client overhead. 5 repeats, best-of-N
-# in the gate reports; clients capped so the smoke stays fast.
+# gates the session layer's single-client overhead. Latency numbers at this
+# scale are noisy, hence the forgiving threshold. 5 repeats, best-of-N in
+# the gate reports; clients capped so the smoke stays fast.
 (cd build/bench &&
   FUSIONDB_BENCH_SCALE=0.01 FUSIONDB_BENCH_REPEATS=5 \
     FUSIONDB_BENCH_MAX_CLIENTS=16 ./multi_client_throughput)
@@ -120,20 +110,20 @@ python3 - "$METRICS_DIR" <<'EOF'
 import json, sys
 d = sys.argv[1]
 m = json.load(open(d + "/metrics.json"))
-assert m["schema_version"] == 1, m.get("schema_version")
+assert m["schema_version"] == 2, m.get("schema_version")
 assert m["counters"]["fusiondb_server_sessions_total"] == 8, m["counters"]
 assert m["histograms"]["fusiondb_server_queue_wait_us"]["count"] == 8
 assert m["histograms"]["fusiondb_server_execute_us"]["count"] == 8
 events = [json.loads(l) for l in open(d + "/query_log.jsonl")]
 assert len(events) == 8, len(events)
-assert all(e["schema_version"] == 1 for e in events)
+assert all(e["schema_version"] == 2 for e in events)
 print("metrics smoke: snapshot + %d query-log events OK" % len(events))
 EOF
 # Overhead gate: always-on recording must cost <= 2% on the whole-workload
 # bench. Same --total rationale as the semantic-verification gate. The two
 # configurations are run interleaved (off/on, three rounds) and compared on
 # per-query best-of-rounds, because single process-pairs drift by more than
-# the threshold on shared hardware (same discipline as the adaptive gate);
+# the threshold on shared hardware (same discipline as the sharing gate);
 # bench_diff.py --rounds merges each configuration's rounds into its
 # best-of-3 report before diffing.
 (cd build/bench &&
