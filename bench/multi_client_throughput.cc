@@ -127,7 +127,7 @@ int main() {
               "(max_batch=64 per admission batch)\n\n",
               sweep_query.name.c_str());
   std::printf("%-8s %-8s %12s %10s %16s %16s %8s\n", "clients", "config",
-              "wall ms", "q/s", "bytes scanned", "isolated est", "shared");
+              "wall ms", "q/s", "bytes scanned", "isolated", "shared");
   for (size_t n : levels) {
     for (bool sharing : {false, true}) {
       RoundResult round = RunRound(catalog, sweep_query, n, sharing);

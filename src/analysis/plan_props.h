@@ -19,9 +19,8 @@
 //
 // Consumers: the semantic verifier tier (analysis/semantic_verifier.h),
 // JoinOnKeys (optimizer/rules_join_keys.cc, which asserts its key
-// precondition from derived keys instead of re-deriving it), the cost
-// model's aggregation estimate (cost/cardinality.cc), and the --explain
-// property annotations (examples/run_query.cpp).
+// precondition from derived keys instead of re-deriving it), and the
+// --explain property annotations (examples/run_query.cpp).
 #ifndef FUSIONDB_ANALYSIS_PLAN_PROPS_H_
 #define FUSIONDB_ANALYSIS_PLAN_PROPS_H_
 

@@ -1,6 +1,9 @@
 #include "exec/executor.h"
 
+#include <set>
+
 #include "analysis/plan_verifier.h"
+#include "exec/morsel_source.h"
 #include "exec/operators_internal.h"
 #include "exec/pipeline.h"
 #include "obs/metrics.h"
@@ -183,6 +186,34 @@ Result<ExecOperatorPtr> BuildNode(const PlanPtr& plan, ExecContext* ctx,
 
 Result<ExecOperatorPtr> BuildExecutor(const PlanPtr& plan, ExecContext* ctx) {
   return BuildNode(plan, ctx, /*parent=*/-1);
+}
+
+namespace {
+
+void AddScanBytes(const LogicalOp& plan, std::set<int32_t>* spools,
+                  int64_t* bytes) {
+  if (plan.kind() == OpKind::kSpool &&
+      !spools->insert(Cast<SpoolOp>(plan).spool_id()).second) {
+    return;  // the first consumer materializes it; the others read back
+  }
+  if (plan.kind() == OpKind::kScan) {
+    const auto& scan = Cast<ScanOp>(plan);
+    internal::PruneSpec spec = internal::StaticPruneSpec(scan);
+    for (const Partition& p : scan.table()->partitions()) {
+      if (!spec.KeepsRange(p.min_key, p.max_key)) continue;
+      for (int c : scan.table_columns()) *bytes += p.column_bytes[c];
+    }
+  }
+  for (const PlanPtr& c : plan.children()) AddScanBytes(*c, spools, bytes);
+}
+
+}  // namespace
+
+int64_t ScanBytes(const PlanPtr& plan) {
+  std::set<int32_t> spools;
+  int64_t bytes = 0;
+  AddScanBytes(*plan, &spools, &bytes);
+  return bytes;
 }
 
 void RecordExecutionMetrics(MetricsRegistry* registry,

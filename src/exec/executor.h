@@ -18,6 +18,15 @@ namespace fusiondb {
 /// (exec/pipeline.h).
 Result<ExecOperatorPtr> BuildExecutor(const PlanPtr& plan, ExecContext* ctx);
 
+/// The bytes `plan`'s scans read under their own static pruning: for every
+/// scan, the bytes of its columns in each partition its pruning filter
+/// admits (morsel_source.h StaticPruneSpec), a spooled subtree counted once
+/// as the executor runs it once. It depends only on the plan and the
+/// catalog. A run that drains its scans reports it as
+/// ExecMetrics::StaticBytes(); its billed bytes_scanned is at most this,
+/// since runtime join filters only skip more.
+int64_t ScanBytes(const PlanPtr& plan);
+
 /// Records one completed execution into `registry` under the
 /// `fusiondb_exec_*` metric catalog (DESIGN.md §9.4). Per-table scan bytes
 /// and spool hit/build counters come from the stats slots, so they are only

@@ -84,31 +84,43 @@ void ApplyPruneConjunct(const ExprPtr& e, ColumnId part_col, PruneSpec* spec) {
   }
 }
 
+namespace {
+
+/// The output column of `op`'s table partitioning column, or
+/// kInvalidColumnId when the scan does not read it.
+ColumnId PartitionOutput(const ScanOp& op) {
+  int part_table_col = op.table()->partition_column();
+  if (part_table_col < 0) return kInvalidColumnId;
+  for (size_t i = 0; i < op.table_columns().size(); ++i) {
+    if (op.table_columns()[i] == part_table_col) return op.schema().column(i).id;
+  }
+  return kInvalidColumnId;
+}
+
+}  // namespace
+
+PruneSpec StaticPruneSpec(const ScanOp& op) {
+  PruneSpec spec;
+  ColumnId part_col = PartitionOutput(op);
+  if (op.pruning_filter() == nullptr || part_col == kInvalidColumnId) {
+    return spec;
+  }
+  std::vector<ExprPtr> conjuncts;
+  SplitConjuncts(op.pruning_filter(), &conjuncts);
+  for (const ExprPtr& c : conjuncts) ApplyPruneConjunct(c, part_col, &spec);
+  return spec;
+}
+
 MorselSource::MorselSource(const ScanOp& op, ExecContext* ctx, int32_t op_id)
     : table_(op.table()),
       table_columns_(op.table_columns()),
       ctx_(ctx),
-      op_id_(op_id) {
+      op_id_(op_id),
+      part_out_(PartitionOutput(op)),
+      prune_(StaticPruneSpec(op)) {
   types_.reserve(op.schema().num_columns());
   for (size_t i = 0; i < op.schema().num_columns(); ++i) {
     types_.push_back(op.schema().column(i).type);
-  }
-  // Locate the partitioning column among the scan's outputs, if selected.
-  int part_table_col = table_->partition_column();
-  if (part_table_col >= 0) {
-    for (size_t i = 0; i < table_columns_.size(); ++i) {
-      if (table_columns_[i] == part_table_col) {
-        part_out_ = op.schema().column(i).id;
-        break;
-      }
-    }
-  }
-  if (op.pruning_filter() != nullptr && part_out_ != kInvalidColumnId) {
-    std::vector<ExprPtr> conjuncts;
-    SplitConjuncts(op.pruning_filter(), &conjuncts);
-    for (const ExprPtr& c : conjuncts) {
-      ApplyPruneConjunct(c, part_out_, &prune_);
-    }
   }
   ctx_->AddScanSource(&op, this);
 }

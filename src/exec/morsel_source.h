@@ -53,6 +53,11 @@ struct PruneSpec {
 /// above the scan re-checks rows anyway).
 void ApplyPruneConjunct(const ExprPtr& e, ColumnId part_col, PruneSpec* spec);
 
+/// The partitions `op`'s own pruning filter admits. A scan source prunes
+/// by it and ScanBytes (exec/executor.h) counts by it, so the bytes the
+/// server decides sharing on and the bytes a run charges follow one rule.
+PruneSpec StaticPruneSpec(const ScanOp& op);
+
 class MorselSource {
  public:
   /// Scan source. `op_id` is the scan's stats slot (-1 when unprofiled);

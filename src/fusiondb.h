@@ -5,7 +5,6 @@
 //   - catalog/  : in-memory partitioned tables
 //   - plan/     : logical algebra + PlanBuilder + plan fingerprints
 //   - expr/     : scalar expressions
-//   - cost/     : cardinality estimates, share-vs-solo cost model
 //   - optimizer/: rule-based optimizer with the Section-IV fusion rules
 //   - fusion/   : the Fuse(P1, P2) primitive itself
 //   - exec/     : streaming executor + metrics + fan-out execution
@@ -21,7 +20,6 @@
 #include "analysis/semantic_ledger.h"
 #include "analysis/semantic_verifier.h"
 #include "catalog/catalog.h"
-#include "cost/cost_model.h"
 #include "engine/engine.h"
 #include "exec/executor.h"
 #include "exec/fanout.h"

@@ -141,12 +141,11 @@ std::string OptimizerTrace::ToString() const {
     for (const CostDecision& d : cost_decisions_) {
       char line[256];
       std::snprintf(line, sizeof(line),
-                    "  %-5s %s %s consumers=%d solo=%.0fns shared=%.0fns "
-                    "est_rows=%.0f est_bytes=%lld\n",
+                    "  %-5s %s %s consumers=%d solo=%lldB shared=%lldB\n",
                     d.shared ? "share" : "solo", d.anchor.c_str(),
                     FingerprintToString(d.fingerprint).c_str(), d.consumers,
-                    d.solo_cost_ns, d.shared_cost_ns, d.est_rows,
-                    static_cast<long long>(d.est_bytes));
+                    static_cast<long long>(d.solo_bytes),
+                    static_cast<long long>(d.shared_bytes));
       os << line;
     }
   }

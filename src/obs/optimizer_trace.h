@@ -61,18 +61,16 @@ struct FusionStep {
   std::string outcome;
 };
 
-/// One server share-vs-solo pricing of a candidate group (DESIGN.md §12):
-/// the fused plan, how many sessions it serves, the cost of running the
-/// members in isolation, the cost of one shared run plus per-session
-/// restoration, and whether the group was shared.
+/// One server share-vs-solo verdict for a candidate group (DESIGN.md
+/// §12.4): the fused plan, how many sessions it serves, the static scan
+/// bytes of its members run on their own and of one shared run, and
+/// whether the group was shared (shared_bytes < solo_bytes).
 struct CostDecision {
   std::string anchor;        // description of the fused plan's root
   uint64_t fingerprint = 0;  // plan fingerprint of the fused plan
   int consumers = 0;         // sessions the fused plan serves
-  double solo_cost_ns = 0;   // Σ isolated member costs
-  double shared_cost_ns = 0; // one fused run + per-session restoration
-  double est_rows = 0;       // estimated fused output rows
-  int64_t est_bytes = 0;     // estimated fused output bytes
+  int64_t solo_bytes = 0;    // Σ ScanBytes(member)
+  int64_t shared_bytes = 0;  // ScanBytes(fused plan)
   bool shared = false;       // true: one shared run; false: solo runs
 };
 
@@ -102,7 +100,7 @@ class OptimizerTrace {
   /// semantic tier calls this right after verifying the rewrite).
   void AnnotateLastFiring(std::string props);
 
-  /// Records one share-vs-solo pricing (src/server).
+  /// Records one share-vs-solo verdict (src/server).
   void RecordCostDecision(CostDecision decision);
 
   /// Accumulates semantic-tier work counters (plans verified, property

@@ -127,10 +127,8 @@ void WriteTrace(const OptimizerTrace& t, JsonWriter* w) {
     // numbers past 2^53 lose precision anyway).
     w->Field("fingerprint", FingerprintToString(d.fingerprint));
     w->Field("consumers", static_cast<int64_t>(d.consumers));
-    w->Field("solo_cost_ns", d.solo_cost_ns);
-    w->Field("shared_cost_ns", d.shared_cost_ns);
-    w->Field("est_rows", d.est_rows);
-    w->Field("est_bytes", d.est_bytes);
+    w->Field("solo_bytes", d.solo_bytes);
+    w->Field("shared_bytes", d.shared_bytes);
     w->Field("shared", d.shared);
     w->EndObject();
   }

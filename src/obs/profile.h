@@ -19,16 +19,18 @@ namespace fusiondb {
 /// When a session's query executed as part of a fused group, its metrics
 /// and operator stats describe the *shared* execution; this block records
 /// how that shared work divides across the group: the bytes the group paid
-/// once, this session's per-capita share, and what the same queries would
-/// have scanned run in isolation (exact for identical-member groups; an
-/// upper bound when the fused plan reads a column union).
+/// once, this session's per-capita share, and what this session's own plan
+/// reads run in isolation.
 struct SessionSharing {
   uint64_t session_id = 0;
   uint64_t group_fingerprint = 0;       // fused plan fingerprint
   int consumers = 0;                    // sessions sharing the execution
   int64_t shared_bytes_scanned = 0;     // paid once by the whole group
   int64_t attributed_bytes_scanned = 0; // this session's share
-  int64_t isolated_bytes_scanned = 0;   // estimate: consumers × shared
+  // This session alone: shared, the static scan bytes of its own optimized
+  // plan (ScanBytes, an upper bound on what it bills solo); solo, the
+  // bytes it billed.
+  int64_t isolated_bytes_scanned = 0;
 };
 
 struct QueryProfile {

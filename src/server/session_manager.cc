@@ -10,7 +10,7 @@
 #include <utility>
 
 #include "analysis/semantic_verifier.h"
-#include "cost/cost_model.h"
+#include "exec/executor.h"
 #include "fusion/fuse_across.h"
 #include "plan/plan_fingerprint.h"
 
@@ -304,7 +304,7 @@ void SessionManager::ProcessBatch(const std::vector<SessionPtr>& sessions) {
     }
   }
 
-  // 3. Price and execute each group, routing results to their sessions.
+  // 3. Decide and execute each group, routing results to their sessions.
   for (std::unique_ptr<Group>& group : groups) {
     ExecuteGroup(group.get(), &report);
   }
@@ -324,29 +324,26 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
   bool share = n >= 2;
   int32_t group_decisions = 0;
   int32_t group_shared = 0;
-  // The shared plan's identity, hashed once for the cost decision and
-  // every member's sharing record.
+  // The shared plan's identity, hashed once for the decision and every
+  // member's sharing record.
   uint64_t fingerprint = share ? PlanFingerprint(group->fuser.plan()) : 0;
 
-  // Share-vs-solo pricing (cross-query CostDecision). The decision is
-  // recorded even when use_cost_model forces sharing, so traces always
-  // show what the economics were.
+  // Share-vs-solo (DESIGN.md §12.4): share only when one run of the fused
+  // plan reads strictly fewer static scan bytes than the members would
+  // read on their own. Each member's bytes are also its isolated bytes.
+  std::vector<int64_t> member_bytes;
   if (share) {
-    CardinalityEstimator estimator;
-    CostModel model(&estimator);
-    ShareDecision decision =
-        model.DecideShare(group->fuser.plan(), group->fuser.members());
-    if (!options_.use_cost_model) decision.share = true;
-    share = decision.share;
-
     CostDecision record;
     record.anchor = OptimizerTrace::DescribeNode(*group->fuser.plan());
     record.fingerprint = fingerprint;
     record.consumers = static_cast<int>(n);
-    record.solo_cost_ns = decision.solo_cost;
-    record.shared_cost_ns = decision.shared_cost;
-    record.est_rows = decision.est_rows;
-    record.est_bytes = decision.est_bytes;
+    member_bytes.reserve(n);
+    for (const Group::Member& m : group->members) {
+      member_bytes.push_back(ScanBytes(group->fuser.members()[m.consumer]));
+      record.solo_bytes += member_bytes.back();
+    }
+    record.shared_bytes = ScanBytes(group->fuser.plan());
+    share = record.shared_bytes < record.solo_bytes;
     record.shared = share;
     if (ctx_.trace() != nullptr) ctx_.trace()->RecordCostDecision(record);
     report->decisions.push_back(std::move(record));
@@ -392,7 +389,6 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
     report->shared_groups++;
     report->shared_sessions += n;
     report->bytes_scanned += bytes;
-    report->isolated_bytes_scanned += static_cast<int64_t>(n) * bytes;
     if (MetricsRegistry* r = options_.metrics) {
       r->Add(mids_.shared_groups, 1);
       r->Add(mids_.bytes_scanned, bytes);
@@ -407,7 +403,8 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
       sharing.shared_bytes_scanned = bytes;
       sharing.attributed_bytes_scanned =
           share_each + (i == 0 ? bytes % static_cast<int64_t>(n) : 0);
-      sharing.isolated_bytes_scanned = static_cast<int64_t>(n) * bytes;
+      sharing.isolated_bytes_scanned = member_bytes[i];
+      report->isolated_bytes_scanned += member_bytes[i];
       report->attributions.push_back({sharing.session_id, fingerprint,
                                       sharing.consumers,
                                       sharing.attributed_bytes_scanned,
@@ -483,8 +480,7 @@ void SessionManager::FinishSession(const SessionPtr& session,
   if (MetricsRegistry* r = options_.metrics) {
     r->Add(is_shared ? mids_.shared_sessions : mids_.solo_sessions, 1);
     r->Add(mids_.attributed_bytes, sharing.attributed_bytes_scanned);
-    r->Add(mids_.isolated_bytes,
-           sharing.isolated_bytes_scanned / sharing.consumers);
+    r->Add(mids_.isolated_bytes, sharing.isolated_bytes_scanned);
     r->Record(mids_.queue_wait_us, queue_wait_us);
     r->Record(mids_.execute_us, execute_us);
     r->Record(mids_.session_bytes, sharing.attributed_bytes_scanned);

@@ -4,9 +4,9 @@
 // a small admission window, renumbers each plan into one shared id space,
 // optimizes it, and groups structurally compatible plans by fingerprint
 // signature. Each candidate group is folded through Fuse() across plans
-// (fusion/fuse_across.h); the cost model prices share-vs-solo per group
-// (cost_model.h ShareDecision, recorded as a cross-query CostDecision);
-// groups that share execute exactly once through the fan-out executor
+// (fusion/fuse_across.h); a group shares only when its fused plan's static
+// scan bytes are below the sum of its members' (exec/executor.h ScanBytes,
+// recorded as a CostDecision); groups that share execute exactly once through the fan-out executor
 // (exec/fanout.h) with each session's rows restored by its compensating
 // filter/projection and routed back to the owning session.
 //
@@ -62,10 +62,6 @@ struct ServerOptions {
   /// (the isolated baseline the benches compare against).
   bool enable_sharing = true;
 
-  /// Price share-vs-solo per candidate group. Off: every fusable group of
-  /// two or more sessions shares unconditionally.
-  bool use_cost_model = true;
-
   /// Optional trace (not owned; must outlive the manager). Receives the
   /// per-session optimizer phases and the cross-query CostDecisions.
   OptimizerTrace* trace = nullptr;
@@ -99,18 +95,18 @@ struct SessionAttribution {
 };
 
 /// What one admission batch did: how many sessions shared, the physical
-/// bytes the batch scanned, and the estimate of what the same queries
-/// would have scanned in isolation (exact for identical-member groups;
-/// for heterogeneous fused groups an upper bound, since an isolated member
-/// may read a subset of the fused plan's column union).
+/// bytes the batch scanned, and what its sessions would have scanned each
+/// on its own: a shared session counts the static scan bytes of its own
+/// optimized plan (ScanBytes, an upper bound on what it bills solo), a solo
+/// session the bytes it billed.
 struct BatchReport {
   size_t sessions = 0;
   size_t shared_groups = 0;    // fused groups of >= 2 that executed once
   size_t shared_sessions = 0;  // sessions served from those groups
   size_t solo_sessions = 0;
   int64_t bytes_scanned = 0;           // physical, whole batch
-  int64_t isolated_bytes_scanned = 0;  // estimated isolated equivalent
-  std::vector<CostDecision> decisions;  // one per priced group
+  int64_t isolated_bytes_scanned = 0;  // Σ sessions' isolated bytes
+  std::vector<CostDecision> decisions;  // one per group of >= 2 sessions
   std::vector<SessionAttribution> attributions;
 };
 
@@ -154,18 +150,19 @@ class SessionManager {
   struct Group;  // one cross-plan candidate group (session_manager.cc)
 
   /// Runs one admission batch end to end: renumber -> optimize -> group ->
-  /// price -> execute (fan-out or solo) -> fulfill sessions. Serialized by
+  /// decide -> execute (fan-out or solo) -> fulfill sessions. Serialized by
   /// batch_mu_; the master PlanContext is only touched here.
   void ProcessBatch(const std::vector<SessionPtr>& sessions);
 
-  /// Executes one group (shared when it has >= 2 members and won pricing,
-  /// otherwise each member solo) and fulfills its sessions.
+  /// Executes one group (shared when it has >= 2 members and its fused plan
+  /// reads fewer static scan bytes than they do, otherwise each member
+  /// solo) and fulfills its sessions.
   void ExecuteGroup(Group* group, BatchReport* report);
 
   /// Post-fulfillment telemetry for one successfully executed session:
   /// latency histograms and sharing counters into the registry, one query
   /// log event, and the slow-query profile capture. `decisions`/`shared`
-  /// describe the group's cost verdicts.
+  /// describe the group's share-vs-solo verdicts.
   void FinishSession(const SessionPtr& session, const SessionSharing& sharing,
                      int64_t rows, int64_t queue_wait_us, int64_t execute_us,
                      int32_t decisions, int32_t shared);

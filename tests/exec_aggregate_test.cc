@@ -473,6 +473,60 @@ TEST(KeyIdentityTest, NegativeZeroIsZeroForEveryKeyedOperator) {
   EXPECT_EQ(matches.num_rows(), 3);
 }
 
+// GROUP BY and window partitions key rows as KeyTable does: a NaN is a key
+// of its own, -0.0 and 0.0 are one key, and ints compare exactly (2^53 and
+// 2^53 + 1 are one double but two keys). The reference must group the same
+// way for the differential checks to mean anything.
+TEST(KeyIdentityTest, GroupAndPartitionKeysMatchReference) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t big = int64_t{1} << 53;
+  struct Case {
+    const char* name;
+    DataType type;
+    std::vector<Value> keys;
+    int64_t groups;
+  };
+  const Case cases[] = {
+      {"nan",
+       DataType::kFloat64,
+       {Value::Float64(nan), Value::Float64(1.0), Value::Float64(2.0)},
+       3},
+      {"signed zeros",
+       DataType::kFloat64,
+       {Value::Float64(-0.0), Value::Float64(0.0)},
+       1},
+      {"ints above 2^53",
+       DataType::kInt64,
+       {Value::Int64(big), Value::Int64(big + 1)},
+       2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::vector<Value>> rows;
+    for (size_t i = 0; i < c.keys.size(); ++i) {
+      rows.push_back({c.keys[i], Value::Int64(static_cast<int64_t>(i))});
+    }
+    PlanContext ctx;
+    auto values = [&] {
+      return PlanBuilder::Values(&ctx, {"k", "v"}, {c.type, DataType::kInt64},
+                                 rows);
+    };
+    PlanBuilder grouped = values();
+    grouped.Aggregate({"k"}, {{"n", AggFunc::kCountStar, nullptr, nullptr,
+                               false},
+                              {"s", AggFunc::kSum, grouped.Ref("v"), nullptr,
+                               false}});
+    QueryResult groups = MustExecute(grouped.Build());
+    EXPECT_EQ(groups.num_rows(), c.groups);
+    ExpectMatchesReference(grouped.Build(), groups);
+
+    PlanBuilder windowed = values();
+    windowed.Window({"k"},
+                    {{"n", AggFunc::kCountStar, nullptr, nullptr, false}});
+    ExpectMatchesReference(windowed.Build(), MustExecute(windowed.Build()));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Columnar accumulators: every (function, argument type) loop, its partial
 // merge and its finalize, against the reference evaluator.

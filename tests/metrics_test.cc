@@ -186,7 +186,7 @@ TEST(MetricsExportTest, JsonCarriesSchemaVersionAndValues) {
   registry.GaugeSet(registry.Gauge("b"), -2);
   registry.Record(registry.Histogram("c_us"), 100);
   std::string json = MetricsToJson(registry.Snapshot());
-  EXPECT_TRUE(Contains(json, "\"schema_version\":2")) << json;
+  EXPECT_TRUE(Contains(json, "\"schema_version\":3")) << json;
   EXPECT_TRUE(Contains(json, "\"a_total\":3")) << json;
   EXPECT_TRUE(Contains(json, "\"b\":-2")) << json;
   EXPECT_TRUE(Contains(json, "\"c_us\":{\"count\":1,\"sum\":100")) << json;
@@ -313,7 +313,7 @@ TEST(QueryLogTest, AppendsOneSchemaStampedLinePerEvent) {
   }
   std::string contents = ReadFile(path);
   EXPECT_EQ(std::count(contents.begin(), contents.end(), '\n'), 2);
-  EXPECT_TRUE(Contains(contents, "\"schema_version\":2")) << contents;
+  EXPECT_TRUE(Contains(contents, "\"schema_version\":3")) << contents;
   EXPECT_TRUE(Contains(contents, "\"session_id\":7")) << contents;
   EXPECT_TRUE(Contains(contents, "\"session_id\":8")) << contents;
   EXPECT_TRUE(Contains(contents, "\"mode\":\"fused\"")) << contents;
@@ -389,8 +389,7 @@ TEST(MetricsServerTest, CountersReconcileWithDeterministicBatch) {
   for (const SessionPtr& session : sessions) {
     FUSIONDB_ASSERT_OK(session->Wait().status());
     attributed += session->sharing().attributed_bytes_scanned;
-    isolated += session->sharing().isolated_bytes_scanned /
-                session->sharing().consumers;
+    isolated += session->sharing().isolated_bytes_scanned;
   }
   EXPECT_EQ(snap.Counter("fusiondb_server_attributed_bytes_total"),
             attributed);

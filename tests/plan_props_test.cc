@@ -2,9 +2,8 @@
 // derivation (keys, domains, row bounds), the expression-level implication
 // and monotonicity checkers, and the SemanticVerifier's translation
 // validation — every [semantic-*] tag has a hand-built plan that trips it
-// and a minimally different one that passes. Also covers the consumers:
-// JoinOnKeys firing from derived keys and the key-aware cardinality
-// estimate.
+// and a minimally different one that passes. Also covers a consumer:
+// JoinOnKeys firing from derived keys.
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -436,29 +435,6 @@ TEST(JoinOnKeysDerivedTest, CollapsesPrimaryKeySelfJoin) {
   EXPECT_EQ(CountTableScans(optimized, "item"), 1)
       << PlanToString(optimized);
   EXPECT_TRUE(ResultsEquivalent(baseline, MustExecute(optimized)));
-}
-
-TEST(CardinalityDerivedTest, KeyedGroupByEstimatesInputCardinality) {
-  PlanContext ctx;
-  TablePtr item = Unwrap(SharedTpcds().GetTable("item"));
-  double n = static_cast<double>(item->num_rows());
-
-  PlanBuilder keyed = Items(&ctx);
-  keyed.Aggregate({"i_item_sk"},
-                  {{"s", AggFunc::kSum, keyed.Ref("i_brand_id"), nullptr,
-                    false}});
-  CardinalityEstimator estimator;
-  EXPECT_DOUBLE_EQ(estimator.Estimate(keyed.Build()), n)
-      << "grouping by a key: distinct count == input cardinality";
-
-  PlanBuilder unkeyed = Items(&ctx);
-  unkeyed.Aggregate({"i_brand_id"},
-                    {{"s", AggFunc::kSum, unkeyed.Ref("i_item_sk"), nullptr,
-                      false}});
-  double estimate = estimator.Estimate(unkeyed.Build());
-  EXPECT_GE(estimate, 1.0);
-  EXPECT_LT(estimate, n / 2)
-      << "non-key grouping keeps the sqrt prior";
 }
 
 // --- end to end: every TPC-DS query under every mode, semantics on ----------

@@ -30,9 +30,49 @@ std::vector<DataType> TypesOf(const Schema& schema) {
 
 bool IsTrue(const Value& v) { return !v.is_null() && v.bool_value(); }
 
-/// Lexicographic order over Value::Compare (NULL first); NULLs are equal
-/// to each other, so they form one group.
-struct RowLess {
+/// A strict weak order on non-NULL values of one type, with the engine's
+/// key identity (KeyTable): ints compare exactly, -0.0 equals 0.0, a NaN
+/// equals only a NaN (and sorts above every number), strings compare by
+/// bytes. Value::Compare is not such an order: it compares ints as doubles
+/// and lets a NaN equal every number.
+int KeyCompare(const Value& a, const Value& b) {
+  switch (PhysicalTypeOf(a.type())) {
+    case PhysicalType::kInt:
+      return (a.int_value() > b.int_value()) - (a.int_value() < b.int_value());
+    case PhysicalType::kDouble: {
+      double x = a.double_value();
+      double y = b.double_value();
+      bool x_nan = std::isnan(x);
+      bool y_nan = std::isnan(y);
+      if (x_nan || y_nan) return static_cast<int>(x_nan) - y_nan;
+      return (x > y) - (x < y);
+    }
+    case PhysicalType::kString:
+      return a.string_value().compare(b.string_value());
+  }
+  return 0;
+}
+
+/// GROUP BY and window-partition keys: lexicographic over KeyCompare with
+/// NULL first, so rows group exactly as the engine's KeyTable keys them.
+/// NULLs are equal to each other, so they form one group.
+struct KeyRowLess {
+  bool operator()(const Row& a, const Row& b) const {
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].is_null() || b[i].is_null()) {
+        if (a[i].is_null() != b[i].is_null()) return a[i].is_null();
+        continue;
+      }
+      int c = KeyCompare(a[i], b[i]);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  }
+};
+
+/// Equi-join keys: lexicographic over Value::Compare, whose equality is
+/// SQL's `=`, so an int key matches an equal double key.
+struct JoinKeyLess {
   bool operator()(const Row& a, const Row& b) const {
     for (size_t i = 0; i < a.size(); ++i) {
       int c = a[i].Compare(b[i]);
@@ -128,29 +168,6 @@ Value RowExpr::Eval(const Row& row) const {
 }
 
 namespace {
-
-/// A strict weak order on non-NULL values of one type, with the engine's
-/// key identity (KeyTable): ints compare exactly, -0.0 equals 0.0, a NaN
-/// equals only a NaN (and sorts above every number), strings compare by
-/// bytes. Value::Compare is not such an order: it compares ints as doubles
-/// and lets a NaN equal every number.
-int KeyCompare(const Value& a, const Value& b) {
-  switch (PhysicalTypeOf(a.type())) {
-    case PhysicalType::kInt:
-      return (a.int_value() > b.int_value()) - (a.int_value() < b.int_value());
-    case PhysicalType::kDouble: {
-      double x = a.double_value();
-      double y = b.double_value();
-      bool x_nan = std::isnan(x);
-      bool y_nan = std::isnan(y);
-      if (x_nan || y_nan) return static_cast<int>(x_nan) - y_nan;
-      return (x > y) - (x < y);
-    }
-    case PhysicalType::kString:
-      return a.string_value().compare(b.string_value());
-  }
-  return 0;
-}
 
 /// One aggregate's accumulator: every non-NULL argument of the rows that
 /// pass the mask, folded at the end.
@@ -401,7 +418,7 @@ class Evaluator {
           residual, RowExpr::Resolve(CombineConjuncts(residual_parts), combined));
     }
 
-    std::map<Row, std::vector<size_t>, RowLess> index;
+    std::map<Row, std::vector<size_t>, JoinKeyLess> index;
     std::vector<size_t> all_right(right.rows.size());
     std::iota(all_right.begin(), all_right.end(), 0);
     if (!left_keys.empty()) {
@@ -478,11 +495,11 @@ class Evaluator {
     std::vector<Row> keys;
     for (const Row& row : in.rows) keys.push_back(Project(row, key_positions));
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return RowLess()(keys[a], keys[b]);
+      return KeyRowLess()(keys[a], keys[b]);
     });
     std::vector<std::vector<size_t>> groups;
     for (size_t i = 0; i < order.size(); ++i) {
-      if (i == 0 || RowLess()(keys[order[i - 1]], keys[order[i]])) {
+      if (i == 0 || KeyRowLess()(keys[order[i - 1]], keys[order[i]])) {
         groups.emplace_back();
       }
       groups.back().push_back(order[i]);
@@ -519,7 +536,7 @@ class Evaluator {
                                    w.arg, w.mask, input));
       items.push_back(std::move(item));
     }
-    std::map<Row, std::vector<size_t>, RowLess> partitions;
+    std::map<Row, std::vector<size_t>, KeyRowLess> partitions;
     for (size_t r = 0; r < in.rows.size(); ++r) {
       partitions[Project(in.rows[r], key_positions)].push_back(r);
     }

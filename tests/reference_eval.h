@@ -7,8 +7,10 @@
 // Filter above a scan re-checks its rows), expressions go through its own
 // interpreter (RowExpr, below) on the Value-level semantics of
 // expr/scalar_ops.h, joins match equi-conjuncts through a std::map on key
-// Values (nested loops otherwise), grouping is sort-based with its own
-// accumulators, and Window, Sort, Limit, UnionAll, Values, EnforceSingleRow
+// Values under SQL `=` (nested loops otherwise), grouping is sort-based with
+// its own accumulators, GROUP BY and window partitions key rows with the
+// engine's key identity (ints exact, -0.0 = 0.0, NaN equal only to NaN),
+// and Window, Sort, Limit, UnionAll, Values, EnforceSingleRow
 // and Spool (which evaluates its child) are written out directly. Apply is an error: plans must be decorrelated first.
 //
 // Comparison rules (Compare):

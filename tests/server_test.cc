@@ -2,7 +2,8 @@
 // fusiondb::Engine front door: N concurrent sessions over the engine's
 // server must return exactly what N isolated engine runs would — same
 // schema ids/names/types, same rows in the same order — while fused groups
-// scan strictly fewer bytes than their members would in isolation.
+// scan strictly fewer bytes than their members would in isolation, and a
+// fold that would read more runs its members solo.
 //
 // Batch composition is probed deterministically via SubmitBatch on the
 // SessionManager that StartServer returns; the admission-window path is
@@ -28,6 +29,17 @@ QueryResult IsolatedRun(Engine* engine, const Engine::PlanBuilder& build,
   options.optimizer = optimizer;
   PlanPtr optimized = Unwrap(engine->Optimize(&query, options));
   return Unwrap(engine->ExecuteOptimized(optimized, options));
+}
+
+/// Every session of a batch read exactly the static scan bytes of the plan
+/// it executed (the fused plan when shared): the figure the share-vs-solo
+/// verdict compares is what a run reads.
+void ExpectScanBytesPinned(const std::vector<SessionPtr>& sessions) {
+  for (const SessionPtr& s : sessions) {
+    ASSERT_TRUE(s->Wait().ok()) << s->Wait().status().ToString();
+    EXPECT_EQ(ScanBytes(s->executed_plan()),
+              s->Wait()->metrics().StaticBytes());
+  }
 }
 
 /// Byte-identical: schema (ids, names, types) and rows, order-sensitive.
@@ -99,6 +111,7 @@ TEST(ServerTest, ByteIdenticalToIsolatedAcrossModes) {
           IsolatedRun(&engine, query.build, options.optimizer);
       ExpectIdentical(*sessions[static_cast<size_t>(i)]->Wait(), isolated);
     }
+    ExpectScanBytesPinned(sessions);
     engine.StopServer();
   }
 }
@@ -120,6 +133,7 @@ TEST(ServerTest, SessionCountInvariance) {
       ExpectIdentical(*s->Wait(), isolated);
       EXPECT_EQ(s->shared(), n >= 2);
     }
+    ExpectScanBytesPinned(sessions);
     engine.StopServer();
   }
 }
@@ -140,10 +154,17 @@ TEST(ServerTest, SharedGroupScansFewerBytesThanIsolated) {
   EXPECT_EQ(report.shared_groups, 1u);
   EXPECT_EQ(report.shared_sessions, static_cast<size_t>(kClients));
   EXPECT_EQ(report.solo_sessions, 0u);
-  // One shared scan vs kClients isolated scans.
+  // One shared scan vs kClients isolated runs, each measured. A session's
+  // isolated bytes are its own plan's static bytes: what the isolated run
+  // reads before runtime join filters, at least what it bills.
+  QueryResult isolated =
+      IsolatedRun(&engine, query.build, OptimizerOptions::Fused());
   EXPECT_GT(report.bytes_scanned, 0);
-  EXPECT_LT(report.bytes_scanned, report.isolated_bytes_scanned);
-  EXPECT_EQ(report.isolated_bytes_scanned, kClients * report.bytes_scanned);
+  EXPECT_LT(report.bytes_scanned,
+            kClients * isolated.metrics().bytes_scanned);
+  EXPECT_EQ(report.isolated_bytes_scanned,
+            kClients * isolated.metrics().StaticBytes());
+  ExpectScanBytesPinned(sessions);
 
   // Per-session attribution splits the shared scan.
   ASSERT_EQ(report.attributions.size(), static_cast<size_t>(kClients));
@@ -164,6 +185,10 @@ TEST(ServerTest, SharedGroupScansFewerBytesThanIsolated) {
     EXPECT_TRUE(s->shared());
     EXPECT_EQ(s->sharing().consumers, kClients);
     EXPECT_EQ(s->sharing().shared_bytes_scanned, report.bytes_scanned);
+    EXPECT_EQ(s->sharing().isolated_bytes_scanned,
+              isolated.metrics().StaticBytes());
+    EXPECT_GE(s->sharing().isolated_bytes_scanned,
+              isolated.metrics().bytes_scanned);
   }
   QueryProfile profile =
       MakeSessionProfile(*sessions[0], query.name, "server-fused");
@@ -223,17 +248,57 @@ TEST(ServerTest, DifferentFiltersShareOneScan) {
       manager.SubmitBatch({q1.plan(), q2.plan()});
   for (const SessionPtr& s : sessions) ASSERT_TRUE(s->Wait().ok());
 
-  ExpectIdentical(*sessions[0]->Wait(),
-                  IsolatedRun(&engine, make_build(0, 50),
-                              OptimizerOptions::Fused()));
-  ExpectIdentical(*sessions[1]->Wait(),
-                  IsolatedRun(&engine, make_build(25, 80),
-                              OptimizerOptions::Fused()));
-  // Both were served from one fused scan.
+  QueryResult isolated1 =
+      IsolatedRun(&engine, make_build(0, 50), OptimizerOptions::Fused());
+  QueryResult isolated2 =
+      IsolatedRun(&engine, make_build(25, 80), OptimizerOptions::Fused());
+  ExpectIdentical(*sessions[0]->Wait(), isolated1);
+  ExpectIdentical(*sessions[1]->Wait(), isolated2);
+  // Both were served from one fused scan, cheaper than the two solo runs.
   EXPECT_TRUE(sessions[0]->shared());
   EXPECT_TRUE(sessions[1]->shared());
   EXPECT_LT(manager.total_bytes_scanned(),
-            manager.total_isolated_bytes_scanned());
+            isolated1.metrics().bytes_scanned +
+                isolated2.metrics().bytes_scanned);
+  ExpectScanBytesPinned(sessions);
+  engine.StopServer();
+}
+
+// Two disjoint date windows over one table. The fold's scan keeps no
+// partition pruning (the fused disjunction is not pushed into the scan), so
+// one shared run would read far more than the two solo runs together; the
+// group must run its members solo.
+TEST(ServerTest, DisjointDateWindowsRunSolo) {
+  Engine engine(SharedTpcds());
+  auto window = [](int lo, int hi) {
+    return "SELECT SUM(ss_list_price) AS total FROM store_sales "
+           "WHERE ss_quantity > 10 AND ss_sold_date_sk BETWEEN " +
+           std::to_string(lo) + " AND " + std::to_string(hi);
+  };
+  const std::string sql[] = {window(2451000, 2451060),
+                             window(2451500, 2451560)};
+  PreparedQuery q1 = Unwrap(engine.Prepare(sql[0]));
+  PreparedQuery q2 = Unwrap(engine.Prepare(sql[1]));
+  SessionManager& manager = *Unwrap(engine.StartServer());
+  std::vector<SessionPtr> sessions =
+      manager.SubmitBatch({q1.plan(), q2.plan()});
+  int64_t solo_bytes = 0;
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(sessions[i]->Wait().ok());
+    EXPECT_FALSE(sessions[i]->shared());
+    PreparedQuery solo = Unwrap(engine.Prepare(sql[i]));
+    QueryResult isolated = Unwrap(engine.Execute(&solo));
+    ExpectIdentical(*sessions[i]->Wait(), isolated);
+    solo_bytes += isolated.metrics().bytes_scanned;
+  }
+  BatchReport report = manager.last_batch_report();
+  EXPECT_EQ(report.shared_groups, 0u);
+  ASSERT_EQ(report.decisions.size(), 1u);
+  EXPECT_FALSE(report.decisions[0].shared);
+  EXPECT_GE(report.decisions[0].shared_bytes, report.decisions[0].solo_bytes);
+  EXPECT_LE(report.bytes_scanned, solo_bytes);
+  ExpectScanBytesPinned(sessions);
   engine.StopServer();
 }
 
@@ -275,9 +340,7 @@ TEST(ServerTest, NearEqualDoubleLiteralsAreNotOverlaid) {
   PreparedQuery q2 = Unwrap(engine.Prepare(above(1.0000001)));
   PreparedQuery w1 = Unwrap(engine.Prepare(window(true)));
   PreparedQuery w2 = Unwrap(engine.Prepare(window(false)));
-  ServerOptions options;
-  options.use_cost_model = false;  // share whatever folds
-  SessionManager& manager = *Unwrap(engine.StartServer(options));
+  SessionManager& manager = *Unwrap(engine.StartServer());
   std::vector<SessionPtr> sessions =
       manager.SubmitBatch({q1.plan(), q2.plan(), w1.plan(), w2.plan()});
   for (const SessionPtr& s : sessions) ASSERT_TRUE(s->Wait().ok());
@@ -298,6 +361,7 @@ TEST(ServerTest, NearEqualDoubleLiteralsAreNotOverlaid) {
   }
   EXPECT_EQ(sessions[2]->sharing().group_fingerprint,
             sessions[3]->sharing().group_fingerprint);
+  ExpectScanBytesPinned(sessions);
   engine.StopServer();
 }
 
@@ -376,10 +440,8 @@ TEST(ServerTest, TraceRecordsCrossQueryDecisions) {
   options.trace = &trace;
   SessionManager& manager = *Unwrap(engine.StartServer(options));
   std::vector<PreparedQuery> prepared;
-  for (const SessionPtr& s : manager.SubmitBatch(
-           PreparePlans(&engine, query.build, 2, &prepared))) {
-    ASSERT_TRUE(s->Wait().ok());
-  }
+  ExpectScanBytesPinned(manager.SubmitBatch(
+      PreparePlans(&engine, query.build, 2, &prepared)));
   ASSERT_EQ(trace.cost_decisions().size(), 1u);
   EXPECT_EQ(trace.cost_decisions()[0].consumers, 2);
   EXPECT_NE(trace.ToString().find("cost decisions (share vs solo)"),
@@ -405,12 +467,56 @@ TEST(ServerTest, SqlSessionMatchesIsolated) {
     clients.push_back(Unwrap(engine.Prepare(sql)));
     plans.push_back(clients.back().plan());
   }
-  for (const SessionPtr& s : manager.SubmitBatch(plans)) {
+  std::vector<SessionPtr> sessions = manager.SubmitBatch(plans);
+  for (const SessionPtr& s : sessions) {
     ASSERT_TRUE(s->Wait().ok()) << s->Wait().status().ToString();
     ASSERT_EQ(s->Wait()->num_rows(), isolated.num_rows());
     EXPECT_TRUE(ResultsEqualOrdered(*s->Wait(), isolated));
   }
+  ExpectScanBytesPinned(sessions);
   engine.StopServer();
+}
+
+// The profile JSON is how decisions leave the process (run_query
+// --profile): a shared batch's CostDecision appears in the trace's
+// cost_decisions array with its fingerprint, verdict and the two static
+// byte totals it compared.
+TEST(ServerTest, CostDecisionsExportedInProfileJson) {
+  Engine engine(SharedTpcds());
+  const tpcds::TpcdsQuery& query = *FusionQueries().front();
+  OptimizerTrace trace;
+  ServerOptions options;
+  options.trace = &trace;
+  SessionManager& manager = *Unwrap(engine.StartServer(options));
+  std::vector<PreparedQuery> prepared;
+  std::vector<SessionPtr> sessions =
+      manager.SubmitBatch(PreparePlans(&engine, query.build, 2, &prepared));
+  for (const SessionPtr& s : sessions) ASSERT_TRUE(s->Wait().ok());
+  engine.StopServer();
+  ASSERT_EQ(trace.cost_decisions().size(), 1u);
+  const CostDecision& d = trace.cost_decisions()[0];
+  EXPECT_TRUE(d.shared);
+  EXPECT_EQ(d.consumers, 2);
+  ASSERT_TRUE(sessions[0]->shared());
+  // Identical members: the fused plan is one member, read once.
+  EXPECT_EQ(d.shared_bytes, ScanBytes(sessions[0]->executed_plan()));
+  EXPECT_EQ(d.solo_bytes, 2 * d.shared_bytes);
+
+  QueryProfile profile =
+      MakeQueryProfile(query.name, "fused", sessions[0]->executed_plan(),
+                       *sessions[0]->Wait(), &trace);
+  std::string json = ProfileToJson(profile);
+  EXPECT_NE(json.find("\"cost_decisions\":"), std::string::npos);
+  EXPECT_NE(json.find("\"fingerprint\":\"" +
+                      FingerprintToString(d.fingerprint) + "\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"shared\":true"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"solo_bytes\":" + std::to_string(d.solo_bytes)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"shared_bytes\":" + std::to_string(d.shared_bytes)),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

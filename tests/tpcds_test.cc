@@ -132,7 +132,9 @@ TEST(TpcdsQueriesTest, Q23FusionCutsPeakHashMemory) {
 // static bytes the plans' own pruning admits: for every query and mode at
 // scale 0.01, ExecMetrics::StaticBytes equals the bytes_scanned the engine
 // reported before runtime filters existed (the same figures
-// `FUSIONDB_BENCH_SCALE=0.01 tpcds_overall` printed for baseline and fused).
+// `FUSIONDB_BENCH_SCALE=0.01 tpcds_overall` printed for baseline and fused),
+// and ScanBytes, which reads them off the plan without running it, agrees
+// (spooled subtrees counted once, as the executor runs them).
 TEST(TpcdsScanBytesTest, StaticBytesPinnedAcrossModes) {
   // Per query: baseline, fused, spooling.
   const std::map<std::string, std::array<int64_t, 3>> kStaticBytes = {
@@ -171,6 +173,7 @@ TEST(TpcdsScanBytesTest, StaticBytesPinnedAcrossModes) {
       PlanPtr optimized = Unwrap(Optimizer(modes[m]).Optimize(plan, &ctx));
       const ExecMetrics metrics = MustExecute(optimized).metrics();
       EXPECT_EQ(metrics.StaticBytes(), pinned->second[m]);
+      EXPECT_EQ(ScanBytes(optimized), metrics.StaticBytes());
       EXPECT_LE(metrics.bytes_scanned, metrics.StaticBytes());
       runtime_pruned += metrics.runtime_pruned_bytes;
     }

@@ -196,6 +196,17 @@ if grep -rnE --exclude=lint.sh 'AggState|AccumulateColumnRow' \
   note_failure 'aggregates accumulate through AggAccumulator (exec/agg_build.h); no boxed per-group state or per-row accumulate'
 fi
 
+# One share-vs-solo rule: a group of sessions shares only when its fused
+# plan's static scan bytes (exec/executor.h ScanBytes) are below the sum of
+# its members' (DESIGN.md §12.4). The guessed cost model it replaced
+# (textbook-selectivity row estimates priced in ns) accepted a fold reading
+# 12x its members' bytes, and its switch let tests bypass the verdict; keep
+# both from growing back.
+if grep -rnE 'CardinalityEstimator|CostModel|use_cost_model' \
+    src bench examples 2>/dev/null; then
+  note_failure 'cross-query sharing is decided by static scan bytes (ScanBytes); no cost model or switch around it'
+fi
+
 # --- Layer 2: clang-tidy (optional) ----------------------------------------
 
 if command -v clang-tidy >/dev/null 2>&1; then
