@@ -225,8 +225,8 @@ int main(int argc, char** argv) {
   }
 
   // Resolve what to run: arbitrary SQL (caret diagnostics, exit 2 on bad
-  // input) or a named TPC-DS plan constructor — both become the same
-  // PreparedQuery.
+  // input) or a named TPC-DS query, whose builder binds its own SQL text —
+  // both become the same PreparedQuery.
   tpcds::TpcdsQuery query;
   bool from_sql = !sql_text.empty();
   if (from_sql) {

@@ -11,10 +11,12 @@
 //                             engine.Execute(q, QueryOptions::Fused()));
 //
 // Prepare accepts either SQL text (parsed + bound by src/sql) or a plan
-// builder callback with the TpcdsQuery::build shape, so hand-built plans
-// and SQL share one execution path. Execute consolidates what used to be
-// scattered across call sites: mode selection (QueryOptions factories),
-// optimizer trace attachment, metrics wiring and final execution.
+// builder callback with the TpcdsQuery::build shape. The TPC-DS queries'
+// builders bind SQL text too (src/tpcds/queries.cc); a callback that
+// builds a plan directly (unit tests probing one operator) shares the
+// same execution path. Execute consolidates what used to be scattered
+// across call sites: mode selection (QueryOptions factories), optimizer
+// trace attachment, metrics wiring and final execution.
 //
 // The low-level entry points (Optimizer::Optimize, ExecutePlan,
 // SessionManager) remain public for unit tests and benches that need to
@@ -109,7 +111,8 @@ class Engine {
   Result<PreparedQuery> Prepare(const std::string& sql_text,
                                 sql::ParseResult* parse = nullptr);
 
-  /// Binds a hand-built plan through the same PreparedQuery surface.
+  /// Runs a plan-builder callback (a tpcds::TpcdsQuery::build, or a test's
+  /// own plan) into a PreparedQuery with a fresh PlanContext.
   Result<PreparedQuery> Prepare(const PlanBuilder& build);
 
   /// Optimizes the prepared plan under `options`.

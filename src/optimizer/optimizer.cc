@@ -1,6 +1,7 @@
 #include "optimizer/optimizer.h"
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -213,7 +214,7 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   static const UnionAllOnJoinRule union_on_join;
   static const UnionAllFuseRule union_fuse;
 
-  // Catch plan-construction bugs (plan_builder, hand-built plans) before
+  // Catch plan-construction bugs (binder, PlanBuilder plans) before
   // any rule runs: rule applications are only verified incrementally, so a
   // pre-existing violation would otherwise be misattributed to a rule.
   FUSIONDB_RETURN_IF_ERROR(VerifyPlanIfEnabled(plan, "initial plan"));
@@ -242,10 +243,43 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   }
   SemanticVerifier* semantic = semantic_holder.get();
 
+  // A whole-plan pass (column pruning, spooling) run as a traced phase of
+  // its own: one attempt, a firing when the plan changed, then both
+  // verification tiers against `stage`.
+  auto run_pass = [&](const char* phase_name, const char* pass_name,
+                      const char* stage,
+                      const std::function<Result<PlanPtr>(const PlanPtr&)>&
+                          pass) -> Status {
+    PhaseScope phase(obs_trace, phase_name);
+    int ops_before = obs_trace != nullptr ? CountAllOps(current) : 0;
+    PlanPtr before = current;
+    FUSIONDB_ASSIGN_OR_RETURN(current, pass(current));
+    bool fired = current != before;
+    if (obs_trace != nullptr) {
+      obs_trace->RecordRuleAttempt(pass_name, fired);
+      if (fired) {
+        obs_trace->RecordRuleFiring(pass_name, *before, ops_before,
+                                    CountAllOps(current));
+      }
+    }
+    ++counters.attempts;
+    if (fired) counters.AddFiring(pass_name);
+    FUSIONDB_RETURN_IF_ERROR(VerifyPlanIfEnabled(current, stage));
+    if (semantic != nullptr) {
+      FUSIONDB_RETURN_IF_ERROR(semantic->Verify(current, stage));
+    }
+    return Status::OK();
+  };
+  // Pruning starts from the query's own outputs (prune_columns.h).
+  auto prune = [&plan](const PlanPtr& p) {
+    return PruneColumns(p, plan->schema());
+  };
+
   // 1. Normalize.
   {
     PhaseScope phase(obs_trace, "normalize");
-    std::vector<const Rule*> rules{&simplify, &merge_filters, &merge_projects};
+    std::vector<const Rule*> rules{&simplify, &merge_filters, &merge_projects,
+                                   &filter_pushdown};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
@@ -255,6 +289,11 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
     std::vector<const Rule*> rules{&decorrelate, &merge_filters};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
+  // The SQL binder scans every table column; narrowing before the rule
+  // phases keeps each rewrite from rebuilding wide schemas. (Pruning stops
+  // at an Apply, so it runs after decorrelation.)
+  FUSIONDB_RETURN_IF_ERROR(
+      run_pass("prune", "PruneColumns", "column pruning", prune));
 
   // 3. Fusion rules (Section IV).
   {
@@ -292,49 +331,16 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
                                    &filter_pushdown, &push_into_scan};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
-  {
-    PhaseScope phase(obs_trace, "prune");
-    int ops_before = obs_trace != nullptr ? CountAllOps(current) : 0;
-    PlanPtr pre_prune = current;
-    FUSIONDB_ASSIGN_OR_RETURN(current, PruneColumns(current));
-    if (obs_trace != nullptr) {
-      bool fired = current != pre_prune;
-      obs_trace->RecordRuleAttempt("PruneColumns", fired);
-      if (fired) {
-        obs_trace->RecordRuleFiring("PruneColumns", *pre_prune, ops_before,
-                                    CountAllOps(current));
-      }
-    }
-    ++counters.attempts;
-    if (current != pre_prune) counters.AddFiring("PruneColumns");
-    FUSIONDB_RETURN_IF_ERROR(VerifyPlanIfEnabled(current, "column pruning"));
-    if (semantic != nullptr) {
-      FUSIONDB_RETURN_IF_ERROR(semantic->Verify(current, "column pruning"));
-    }
-  }
+  FUSIONDB_RETURN_IF_ERROR(
+      run_pass("prune", "PruneColumns", "column pruning", prune));
 
   // 7. Spooling (off by default): share duplicated subtrees through
   // materialization. Runs last so later rewrites cannot diverge the two
   // consumers of a shared spool child.
   if (options_.enable_spooling) {
-    PhaseScope phase(obs_trace, "spool");
-    int ops_before = obs_trace != nullptr ? CountAllOps(current) : 0;
-    PlanPtr pre_spool = current;
-    FUSIONDB_ASSIGN_OR_RETURN(current, SpoolCommonSubexpressions(current, ctx));
-    if (obs_trace != nullptr) {
-      bool fired = current != pre_spool;
-      obs_trace->RecordRuleAttempt("SpoolCommonSubexpressions", fired);
-      if (fired) {
-        obs_trace->RecordRuleFiring("SpoolCommonSubexpressions", *pre_spool,
-                                    ops_before, CountAllOps(current));
-      }
-    }
-    ++counters.attempts;
-    if (current != pre_spool) counters.AddFiring("SpoolCommonSubexpressions");
-    FUSIONDB_RETURN_IF_ERROR(VerifyPlanIfEnabled(current, "spooling"));
-    if (semantic != nullptr) {
-      FUSIONDB_RETURN_IF_ERROR(semantic->Verify(current, "spooling"));
-    }
+    FUSIONDB_RETURN_IF_ERROR(run_pass(
+        "spool", "SpoolCommonSubexpressions", "spooling",
+        [ctx](const PlanPtr& p) { return SpoolCommonSubexpressions(p, ctx); }));
   }
 
   // Schema stability contract: rewrites may leave superset schemas behind

@@ -203,14 +203,13 @@ Result<PlanPtr> Prune(const PlanPtr& plan, const ColumnSet& required) {
 
 }  // namespace
 
-Result<PlanPtr> PruneColumns(const PlanPtr& plan) {
+Result<PlanPtr> PruneColumns(const PlanPtr& plan, const Schema& outputs) {
   ColumnSet required;
-  for (const ColumnInfo& c : plan->schema().columns()) required.insert(c.id);
+  for (const ColumnInfo& c : outputs.columns()) required.insert(c.id);
   FUSIONDB_ASSIGN_OR_RETURN(PlanPtr pruned, Prune(plan, required));
-  // The root's schema must be stable for callers: pruning keeps required
-  // root columns by construction, but sorts/limits pass schemas through, so
-  // simply verify.
-  for (const ColumnInfo& c : plan->schema().columns()) {
+  // The output columns must survive: pruning keeps required columns by
+  // construction, but sorts/limits pass schemas through, so simply verify.
+  for (const ColumnInfo& c : outputs.columns()) {
     if (!pruned->schema().Contains(c.id)) {
       return Status::Internal("column pruning dropped root column " + c.name);
     }

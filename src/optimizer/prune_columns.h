@@ -11,10 +11,13 @@
 
 namespace fusiondb {
 
-/// Prunes `plan` so only its root schema's columns (and whatever internal
-/// operators need) are produced. Never drops a column another operator
-/// still references.
-Result<PlanPtr> PruneColumns(const PlanPtr& plan);
+/// Prunes `plan` so only the columns of `outputs` (and whatever internal
+/// operators need) are produced. `outputs` is the query's own output
+/// schema: a rewrite may leave a superset schema at the root (the
+/// optimizer narrows it afterwards), and its extra columns must not keep
+/// their scans wide. Never drops a column another operator still
+/// references.
+Result<PlanPtr> PruneColumns(const PlanPtr& plan, const Schema& outputs);
 
 }  // namespace fusiondb
 

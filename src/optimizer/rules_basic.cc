@@ -175,7 +175,6 @@ Result<PlanPtr> PushFilterIntoScanRule::Apply(const PlanPtr& plan,
 
 Result<PlanPtr> FilterPushdownRule::Apply(const PlanPtr& plan,
                                           PlanContext* ctx) const {
-  (void)ctx;
   if (plan->kind() != OpKind::kFilter) return plan;
   const auto& filter = Cast<FilterOp>(*plan);
   const PlanPtr& child = filter.child(0);
@@ -209,13 +208,21 @@ Result<PlanPtr> FilterPushdownRule::Apply(const PlanPtr& plan,
     }
   }
   if (to_left.empty() && to_right.empty()) return plan;
+  // Each pushed filter continues down its side's join tree in this same
+  // application; one step per firing would cost a whole-plan sweep per
+  // level of a SQL join chain.
   PlanPtr left = join.left();
   PlanPtr right = join.right();
   if (!to_left.empty()) {
-    left = std::make_shared<FilterOp>(left, CombineConjuncts(to_left));
+    FUSIONDB_ASSIGN_OR_RETURN(
+        left, Apply(std::make_shared<FilterOp>(left, CombineConjuncts(to_left)),
+                    ctx));
   }
   if (!to_right.empty()) {
-    right = std::make_shared<FilterOp>(right, CombineConjuncts(to_right));
+    FUSIONDB_ASSIGN_OR_RETURN(
+        right,
+        Apply(std::make_shared<FilterOp>(right, CombineConjuncts(to_right)),
+              ctx));
   }
   PlanPtr new_join =
       std::make_shared<JoinOp>(join.join_type(), left, right, join.condition());

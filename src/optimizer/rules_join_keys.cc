@@ -82,8 +82,11 @@ Result<PlanPtr> JoinOnKeysRule::Apply(const PlanPtr& plan,
           std::vector<ColumnId> m;
           m.reserve(kj.size());
           for (ColumnId k2 : kj) {
+            // The image must be input i's own column: a key column Fuse
+            // added from input j (k1 == k2) equates trivially and says
+            // nothing about how the join pairs the two inputs' rows.
             ColumnId k1 = ApplyMap(fused->mapping, k2);
-            if (fused->plan->schema().IndexOf(k1) < 0 ||
+            if (k1 == k2 || fused->plan->schema().IndexOf(k1) < 0 ||
                 !classes.Same(k1, k2)) {
               ok = false;
               break;

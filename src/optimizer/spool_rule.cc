@@ -2,38 +2,17 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "fusion/fuse.h"
+#include "plan/plan_fingerprint.h"
 #include "plan/plan_printer.h"
 #include "plan/spool.h"
 
 namespace fusiondb {
 
 namespace {
-
-/// Signature used to pre-filter candidate pairs: operator census plus the
-/// multiset of scanned tables. Only equal signatures are worth a Fuse call.
-std::string Signature(const PlanPtr& plan) {
-  std::string sig;
-  std::vector<std::string> tables;
-  std::function<void(const PlanPtr&)> walk = [&](const PlanPtr& p) {
-    sig += static_cast<char>('A' + static_cast<int>(p->kind()));
-    if (p->kind() == OpKind::kScan) {
-      tables.push_back(Cast<ScanOp>(*p).table()->name());
-    }
-    for (const PlanPtr& c : p->children()) walk(c);
-  };
-  walk(plan);
-  std::sort(tables.begin(), tables.end());
-  for (const std::string& t : tables) {
-    sig += '|';
-    sig += t;
-  }
-  return sig;
-}
 
 /// All nodes of the tree in pre-order.
 void CollectNodes(const PlanPtr& plan, std::vector<PlanPtr>* out) {
@@ -84,7 +63,7 @@ Result<PlanPtr> SpoolCommonSubexpressions(const PlanPtr& plan,
     for (const PlanPtr& n : nodes) {
       if (CountAllOps(n) < 2) continue;            // bare scans/values
       if (n->kind() == OpKind::kSpool) continue;   // already shared
-      groups[Signature(n)].push_back(n);
+      groups[PlanSignature(n)].push_back(n);
     }
 
     // Prefer the largest duplicated subtrees: spooling the whole CTE beats

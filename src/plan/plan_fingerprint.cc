@@ -1,5 +1,8 @@
 #include "plan/plan_fingerprint.h"
 
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "plan/multi_plan.h"
@@ -230,6 +233,39 @@ std::string FingerprintToString(uint64_t fingerprint) {
     out += kHex[(fingerprint >> shift) & 0xF];
   }
   return out;
+}
+
+namespace {
+
+void CollectSignature(const PlanPtr& plan, std::map<OpKind, int>* census,
+                      std::multiset<std::string>* tables) {
+  (*census)[plan->kind()]++;
+  if (plan->kind() == OpKind::kScan) {
+    tables->insert(Cast<ScanOp>(*plan).table()->name());
+  }
+  for (const PlanPtr& c : plan->children()) {
+    CollectSignature(c, census, tables);
+  }
+}
+
+}  // namespace
+
+std::string PlanSignature(const PlanPtr& plan) {
+  std::map<OpKind, int> census;
+  std::multiset<std::string> tables;
+  CollectSignature(plan, &census, &tables);
+  std::string sig;
+  for (const auto& [kind, count] : census) {
+    sig += OpKindName(kind);
+    sig += ':';
+    sig += std::to_string(count);
+    sig += ';';
+  }
+  for (const std::string& t : tables) {
+    sig += t;
+    sig += ',';
+  }
+  return sig;
 }
 
 }  // namespace fusiondb

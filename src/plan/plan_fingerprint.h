@@ -53,6 +53,13 @@ bool PlanEquivalent(const PlanPtr& a, const PlanPtr& b);
 /// Fingerprint rendered for traces/JSON ("fp:0123456789abcdef").
 std::string FingerprintToString(uint64_t fingerprint);
 
+/// A cheap pre-filter for Fuse candidates: the operator census (how many
+/// of each kind) plus the sorted multiset of scanned tables. Fuse maps
+/// each operator onto one of the same kind over the same tables, so plans
+/// with different signatures never fuse; equal signatures only make a
+/// pair worth a Fuse call, which decides.
+std::string PlanSignature(const PlanPtr& plan);
+
 }  // namespace fusiondb
 
 #endif  // FUSIONDB_PLAN_PLAN_FINGERPRINT_H_

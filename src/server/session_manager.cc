@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <utility>
 
@@ -15,43 +13,6 @@
 #include "plan/plan_fingerprint.h"
 
 namespace fusiondb {
-
-namespace {
-
-/// Cheap structural pre-filter for candidate grouping, in the spirit of the
-/// spool rule's Signature(): operator census plus the multiset of scanned
-/// tables. Plans with different signatures cannot fuse, so the quadratic
-/// TryAdd probing only runs within a signature bucket.
-void CollectSignature(const PlanPtr& plan, std::map<OpKind, int>* census,
-                      std::multiset<std::string>* tables) {
-  (*census)[plan->kind()]++;
-  if (plan->kind() == OpKind::kScan) {
-    tables->insert(Cast<ScanOp>(*plan).table()->name());
-  }
-  for (const PlanPtr& c : plan->children()) {
-    CollectSignature(c, census, tables);
-  }
-}
-
-std::string PlanSignature(const PlanPtr& plan) {
-  std::map<OpKind, int> census;
-  std::multiset<std::string> tables;
-  CollectSignature(plan, &census, &tables);
-  std::string sig;
-  for (const auto& [kind, count] : census) {
-    sig += OpKindName(kind);
-    sig += ':';
-    sig += std::to_string(count);
-    sig += ';';
-  }
-  for (const std::string& t : tables) {
-    sig += t;
-    sig += ',';
-  }
-  return sig;
-}
-
-}  // namespace
 
 /// One candidate group: the incremental cross-plan fuser plus which
 /// sessions it serves. `consumer` indexes into the fuser's consumer list.

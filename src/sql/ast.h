@@ -1,8 +1,10 @@
 // SQL parse tree. A deliberately small surface: exactly the dialect the
 // engine can execute (SELECT with expressions, WHERE, GROUP BY + the five
 // aggregate functions, HAVING, ORDER BY/LIMIT, INNER/LEFT joins, subqueries
-// in FROM, UNION ALL). Every node keeps the byte offset of its first token
-// so binder diagnostics can point at source positions.
+// in FROM, UNION ALL, and two subquery expressions: `expr IN (SELECT ...)`
+// and a scalar `(SELECT ...)`; the binder admits each only as a WHERE
+// conjunct). Every node keeps the byte offset of its first token so binder
+// diagnostics can point at source positions.
 #ifndef FUSIONDB_SQL_AST_H_
 #define FUSIONDB_SQL_AST_H_
 
@@ -32,9 +34,12 @@ enum class AstExprKind : uint8_t {
   kInList,     // children: [operand, item...]
   kCase,       // children: [when1, then1, ..., else]
   kFuncCall,   // aggregate call; children: [arg] (empty for COUNT(*))
+  kInSubquery,      // children: [operand]; `subquery` returns one column
+  kScalarSubquery,  // `subquery` returns one aggregate value
 };
 
 struct AstExpr;
+struct Statement;
 using AstExprPtr = std::unique_ptr<AstExpr>;
 
 struct AstExpr {
@@ -53,6 +58,9 @@ struct AstExpr {
   bool star = false;      // kFuncCall: COUNT(*)
 
   std::vector<AstExprPtr> children;
+  /// kInSubquery / kScalarSubquery: the parenthesized SELECT. Shared so
+  /// the parser's structural copies (BETWEEN desugaring) stay cheap.
+  std::shared_ptr<const Statement> subquery;
 };
 
 struct SelectItem {
@@ -61,8 +69,6 @@ struct SelectItem {
   bool star = false;
   size_t offset = 0;
 };
-
-struct Statement;
 
 /// One FROM entry: a base table or a parenthesized subquery, either with an
 /// optional alias.

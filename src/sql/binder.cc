@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "expr/expr_builder.h"
+#include "expr/simplifier.h"
 
 namespace fusiondb::sql {
 
@@ -113,6 +114,23 @@ class Binder {
 
   // --- FROM / joins --------------------------------------------------------
 
+  /// A subquery's pure-rename root projection (every item a pass-through
+  /// column ref) carries nothing the plan needs: the outer query references
+  /// columns by id and its own scope holds the output names. It does,
+  /// however, hide the subquery's shape from the fusion rules' pattern
+  /// matchers (a Project between a Join and an Aggregate defeats
+  /// GroupByJoinToWindow), so it is unwrapped.
+  static PlanPtr UnwrapRename(const PlanPtr& plan) {
+    if (plan->kind() != OpKind::kProject) return plan;
+    for (const NamedExpr& ne : Cast<ProjectOp>(*plan).exprs()) {
+      if (ne.expr->kind() != ExprKind::kColumnRef ||
+          ne.expr->column_id() != ne.id) {
+        return plan;
+      }
+    }
+    return plan->child(0);
+  }
+
   PlanPtr BindTableRef(const TableRef& ref, Scope* scope) {
     std::string alias = ref.alias.empty() ? ref.table : ref.alias;
     for (const ScopeColumn& c : scope->columns) {
@@ -128,25 +146,7 @@ class Binder {
       for (const ColumnInfo& c : plan->schema().columns()) {
         scope->columns.push_back({alias, c.name, c.id, c.type});
       }
-      // A pure-rename root projection (every item a pass-through column
-      // ref) carries nothing the plan needs: the outer query references
-      // columns by id and the scope rows above already hold the output
-      // names. It does, however, hide the subquery's shape from the fusion
-      // rules' pattern matchers (a Project between a Join and an Aggregate
-      // defeats GroupByJoinToWindow), so unwrap it.
-      if (plan->kind() == OpKind::kProject) {
-        const auto& project = static_cast<const ProjectOp&>(*plan);
-        bool pure_rename = true;
-        for (const NamedExpr& ne : project.exprs()) {
-          if (ne.expr->kind() != ExprKind::kColumnRef ||
-              ne.expr->column_id() != ne.id) {
-            pure_rename = false;
-            break;
-          }
-        }
-        if (pure_rename) plan = plan->child(0);
-      }
-      return plan;
+      return UnwrapRename(plan);
     }
     auto table = catalog_.GetTable(ref.table);
     if (!table.ok()) {
@@ -166,23 +166,40 @@ class Binder {
 
   // --- name resolution -----------------------------------------------------
 
-  const ScopeColumn* ResolveColumn(const Scope& scope,
+  /// The scope column `qualifier.name` names, without diagnostics: null
+  /// when there is none; `*ambiguous` is set when there is more than one.
+  static const ScopeColumn* Lookup(const Scope& scope,
                                    const std::string& qualifier,
-                                   const std::string& name, size_t offset) {
+                                   const std::string& name, bool* ambiguous,
+                                   bool* saw_qualifier = nullptr) {
     const ScopeColumn* found = nullptr;
-    bool saw_qualifier = false;
+    *ambiguous = false;
     for (const ScopeColumn& c : scope.columns) {
       if (!qualifier.empty()) {
         if (c.qualifier != qualifier) continue;
-        saw_qualifier = true;
+        if (saw_qualifier != nullptr) *saw_qualifier = true;
       }
       if (c.name != name) continue;
       if (found != nullptr) {
-        PlanError(offset, "[sql-ambiguous-column] column '" + name +
-                              "' is ambiguous; qualify it with a table alias");
+        *ambiguous = true;
         return nullptr;
       }
       found = &c;
+    }
+    return found;
+  }
+
+  const ScopeColumn* ResolveColumn(const Scope& scope,
+                                   const std::string& qualifier,
+                                   const std::string& name, size_t offset) {
+    bool ambiguous = false;
+    bool saw_qualifier = false;
+    const ScopeColumn* found =
+        Lookup(scope, qualifier, name, &ambiguous, &saw_qualifier);
+    if (ambiguous) {
+      PlanError(offset, "[sql-ambiguous-column] column '" + name +
+                            "' is ambiguous; qualify it with a table alias");
+      return nullptr;
     }
     if (found == nullptr) {
       if (!qualifier.empty() && !saw_qualifier) {
@@ -278,6 +295,12 @@ class Binder {
                                            : eb::Or(std::move(l), std::move(r));
       }
       case AstExprKind::kNot: {
+        if (e.children[0]->kind == AstExprKind::kInSubquery) {
+          // NOT IN over a subquery is an anti join that must also reject
+          // every row when the subquery yields a NULL; there is none.
+          return PlanError(e.offset, "[sql-subquery] NOT IN (subquery) is "
+                                     "not supported");
+        }
         ExprPtr c = BindBool(*e.children[0], scope, agg);
         if (c == nullptr) return nullptr;
         return eb::Not(std::move(c));
@@ -306,6 +329,20 @@ class Binder {
           children.push_back(std::move(item));
         }
         return Expr::MakeInList(std::move(children));
+      }
+      case AstExprKind::kInSubquery:
+        return PlanError(e.offset, "[sql-subquery] IN (subquery) is "
+                                   "supported only as a WHERE conjunct");
+      case AstExprKind::kScalarSubquery: {
+        // BindWhere binds each admitted scalar subquery to an Apply first.
+        auto it = scalar_subqueries_.find(&e);
+        if (it == scalar_subqueries_.end()) {
+          return PlanError(e.offset,
+                           "[sql-subquery] a scalar subquery is supported "
+                           "only as an operand of a comparison in a WHERE "
+                           "conjunct");
+        }
+        return eb::Col(it->second);
       }
       case AstExprKind::kCase: {
         // children: when1, then1, ..., whenN, thenN, else. The first
@@ -395,6 +432,214 @@ class Binder {
     return a == b || (IsNumeric(a) && IsNumeric(b));
   }
 
+  // --- WHERE and its subqueries --------------------------------------------
+
+  static bool HasSubquery(const AstExpr& e) {
+    if (e.kind == AstExprKind::kInSubquery ||
+        e.kind == AstExprKind::kScalarSubquery) {
+      return true;
+    }
+    for (const AstExprPtr& c : e.children) {
+      if (HasSubquery(*c)) return true;
+    }
+    return false;
+  }
+
+  static void SplitConjuncts(const AstExpr& e,
+                             std::vector<const AstExpr*>* out) {
+    if (e.kind == AstExprKind::kAnd) {
+      for (const AstExprPtr& c : e.children) SplitConjuncts(*c, out);
+      return;
+    }
+    out->push_back(&e);
+  }
+
+  /// The scalar subqueries reachable from `e` through arithmetic alone:
+  /// those propagate a NULL subquery value to the comparison above, which
+  /// then rejects the row (see BindScalarSubquery).
+  static void CollectScalarSubqueries(const AstExpr& e,
+                                      std::vector<const AstExpr*>* out) {
+    if (e.kind == AstExprKind::kScalarSubquery) {
+      out->push_back(&e);
+    } else if (e.kind == AstExprKind::kArith) {
+      for (const AstExprPtr& c : e.children) CollectScalarSubqueries(*c, out);
+    }
+  }
+
+  /// Binds WHERE over `plan` in three layers: the plain conjuncts as one
+  /// Filter, then each `x IN (SELECT ...)` conjunct as a semi join, then
+  /// each comparison over scalar subqueries as Applies plus a Filter. Any
+  /// other placement of a subquery is a diagnostic.
+  PlanPtr BindWhere(const AstExpr& where, const Scope& scope, PlanPtr plan) {
+    std::vector<const AstExpr*> conjuncts;
+    SplitConjuncts(where, &conjuncts);
+    std::vector<const AstExpr*> in_subqueries;
+    std::vector<const AstExpr*> comparisons;
+    ExprPtr plain;
+    for (const AstExpr* c : conjuncts) {
+      if (c->kind == AstExprKind::kInSubquery) {
+        in_subqueries.push_back(c);
+      } else if (c->kind == AstExprKind::kCompare && HasSubquery(*c)) {
+        comparisons.push_back(c);
+      } else {
+        ExprPtr bound = BindBool(*c, scope, nullptr);
+        if (bound == nullptr) return nullptr;
+        plain = plain == nullptr ? bound : eb::And(plain, bound);
+      }
+    }
+    if (plain != nullptr) plan = std::make_shared<FilterOp>(plan, plain);
+    for (const AstExpr* c : in_subqueries) {
+      plan = BindInSubquery(*c, scope, std::move(plan));
+      if (plan == nullptr) return nullptr;
+    }
+    ExprPtr compared;
+    for (const AstExpr* c : comparisons) {
+      std::vector<const AstExpr*> subqueries;
+      for (const AstExprPtr& side : c->children) {
+        CollectScalarSubqueries(*side, &subqueries);
+      }
+      for (const AstExpr* sub : subqueries) {
+        plan = BindScalarSubquery(*sub, scope, std::move(plan));
+        if (plan == nullptr) return nullptr;
+      }
+      ExprPtr bound = BindBool(*c, scope, nullptr);
+      if (bound == nullptr) return nullptr;
+      compared = compared == nullptr ? bound : eb::And(compared, bound);
+    }
+    if (compared != nullptr) plan = std::make_shared<FilterOp>(plan, compared);
+    return plan;
+  }
+
+  /// `operand IN (SELECT c ...)`: a semi join on operand = c. The subquery
+  /// is uncorrelated; it binds in a scope of its own.
+  PlanPtr BindInSubquery(const AstExpr& e, const Scope& scope, PlanPtr plan) {
+    ExprPtr operand = BindExpr(*e.children[0], scope, nullptr);
+    if (operand == nullptr) return nullptr;
+    PlanPtr sub = BindStatement(*e.subquery);
+    if (sub == nullptr) return nullptr;
+    if (sub->schema().num_columns() != 1) {
+      return PlanError(e.offset,
+                       "[sql-subquery] IN subquery must return one column, "
+                       "got " + std::to_string(sub->schema().num_columns()));
+    }
+    const ColumnInfo column = sub->schema().column(0);
+    sub = UnwrapRename(sub);
+    if (!Comparable(operand->type(), column.type)) {
+      return TypeError(e.offset,
+                       "[sql-type] cannot compare " +
+                           std::string(DataTypeName(operand->type())) +
+                           " with " + DataTypeName(column.type));
+    }
+    ExprPtr condition = eb::Eq(std::move(operand), eb::Col(column));
+    return std::make_shared<JoinOp>(JoinType::kSemi, plan, sub,
+                                    std::move(condition));
+  }
+
+  /// True when a column `e` references names no column of `inner` but one
+  /// of `outer`: a correlation.
+  static bool ReferencesOuter(const AstExpr& e, const Scope& inner,
+                              const Scope& outer) {
+    if (e.kind == AstExprKind::kColumn) {
+      bool ambiguous = false;
+      if (Lookup(inner, e.qualifier, e.name, &ambiguous) != nullptr ||
+          ambiguous) {
+        return false;
+      }
+      return Lookup(outer, e.qualifier, e.name, &ambiguous) != nullptr ||
+             ambiguous;
+    }
+    for (const AstExprPtr& c : e.children) {
+      if (ReferencesOuter(*c, inner, outer)) return true;
+    }
+    return false;
+  }
+
+  /// A scalar subquery `(SELECT agg(x) FROM ... WHERE ...)` over `outer`:
+  /// an Apply of the scalar aggregate, whose WHERE conjuncts of the form
+  /// `inner_column = outer_column` become the correlation pairs. The
+  /// decorrelation rule turns the Apply into an inner join on those pairs,
+  /// which drops the outer rows whose group is empty. That is sound only
+  /// when such a row's comparison is not true either: the subquery's value
+  /// is NULL there (SUM, AVG, MIN, MAX; COUNT would be 0, so a correlated
+  /// COUNT is refused) and it reaches the comparison through arithmetic
+  /// alone (CollectScalarSubqueries).
+  PlanPtr BindScalarSubquery(const AstExpr& e, const Scope& outer,
+                             PlanPtr plan) {
+    const Statement& stmt = *e.subquery;
+    if (stmt.selects.size() != 1 || !stmt.order_by.empty() ||
+        stmt.limit >= 0) {
+      return PlanError(e.offset, "[sql-subquery] a scalar subquery must be "
+                                 "one SELECT without ORDER BY or LIMIT");
+    }
+    const SelectCore& core = *stmt.selects[0];
+    if (core.items.size() != 1 || core.items[0].star ||
+        core.items[0].expr->kind != AstExprKind::kFuncCall ||
+        !core.group_by.empty() || core.having != nullptr) {
+      return PlanError(e.offset, "[sql-subquery] a scalar subquery must "
+                                 "select one aggregate call, without GROUP "
+                                 "BY or HAVING");
+    }
+    Scope scope;
+    PlanPtr input = BindFrom(core, &scope);
+    if (input == nullptr) return nullptr;
+    std::vector<std::pair<ColumnId, ColumnId>> correlation;
+    std::vector<const AstExpr*> conjuncts;
+    if (core.where != nullptr) SplitConjuncts(*core.where, &conjuncts);
+    ExprPtr plain;
+    for (const AstExpr* c : conjuncts) {
+      if (!ReferencesOuter(*c, scope, outer)) {
+        ExprPtr bound = BindBool(*c, scope, nullptr);
+        if (bound == nullptr) return nullptr;
+        plain = plain == nullptr ? bound : eb::And(plain, bound);
+        continue;
+      }
+      const ScopeColumn* inner_col = nullptr;
+      const ScopeColumn* outer_col = nullptr;
+      if (c->kind == AstExprKind::kCompare &&
+          c->compare_op == CompareOp::kEq &&
+          c->children[0]->kind == AstExprKind::kColumn &&
+          c->children[1]->kind == AstExprKind::kColumn) {
+        for (const AstExprPtr& side : c->children) {
+          bool is_outer = ReferencesOuter(*side, scope, outer);
+          const ScopeColumn* col =
+              ResolveColumn(is_outer ? outer : scope, side->qualifier,
+                            side->name, side->offset);
+          if (col == nullptr) return nullptr;
+          (is_outer ? outer_col : inner_col) = col;
+        }
+      }
+      if (inner_col == nullptr || outer_col == nullptr) {
+        return PlanError(c->offset,
+                         "[sql-correlated] a correlated predicate must be a "
+                         "WHERE conjunct equating an inner column with an "
+                         "outer one");
+      }
+      if (!Comparable(inner_col->type, outer_col->type)) {
+        return TypeError(c->offset,
+                         "[sql-type] cannot compare " +
+                             std::string(DataTypeName(inner_col->type)) +
+                             " with " + DataTypeName(outer_col->type));
+      }
+      correlation.emplace_back(outer_col->id, inner_col->id);
+    }
+    const SelectItem& item = core.items[0];
+    if (!correlation.empty() && item.expr->name == "COUNT") {
+      return PlanError(item.offset, "[sql-subquery] a correlated COUNT "
+                                    "subquery is not supported");
+    }
+    if (plain != nullptr) input = std::make_shared<FilterOp>(input, plain);
+    AggContext agg;
+    std::vector<AggregateItem> items;
+    if (!CollectAggregates(*item.expr, scope, &agg, &items, item.alias)) {
+      return nullptr;
+    }
+    auto aggregate = std::make_shared<AggregateOp>(
+        input, std::vector<ColumnId>{}, std::move(items));
+    scalar_subqueries_[&e] = aggregate->schema().column(0);
+    return std::make_shared<ApplyOp>(std::move(plan), std::move(aggregate),
+                                     std::move(correlation));
+  }
+
   // --- aggregation ---------------------------------------------------------
 
   static bool HasAggregate(const AstExpr& e) {
@@ -407,9 +652,10 @@ class Binder {
 
   /// Collects each distinct aggregate call under `e` into `agg->calls`,
   /// binding arguments against the pre-aggregation scope.
+  /// A call that is a whole SELECT item is named after the item's `alias`.
   bool CollectAggregates(const AstExpr& e, const Scope& scope,
-                         AggContext* agg,
-                         std::vector<AggregateItem>* items) {
+                         AggContext* agg, std::vector<AggregateItem>* items,
+                         const std::string& alias = "") {
     if (e.kind != AstExprKind::kFuncCall) {
       for (const AstExprPtr& c : e.children) {
         if (!CollectAggregates(*c, scope, agg, items)) return false;
@@ -454,7 +700,7 @@ class Binder {
     if (agg->calls.count(key) > 0) return true;  // deduplicated
     AggregateItem item;
     item.id = ctx_->NextId();
-    item.name = Lower(e.name);
+    item.name = alias.empty() ? Lower(e.name) : alias;
     item.func = func;
     item.arg = arg;
     item.distinct = e.distinct;
@@ -466,24 +712,31 @@ class Binder {
 
   // --- SELECT core ---------------------------------------------------------
 
+  /// FROM and its joins, left-deep. `JOIN ... ON TRUE` is a cross join.
+  PlanPtr BindFrom(const SelectCore& core, Scope* scope) {
+    PlanPtr plan = BindTableRef(core.from, scope);
+    if (plan == nullptr) return nullptr;
+    for (const JoinClause& join : core.joins) {
+      PlanPtr right = BindTableRef(join.ref, scope);
+      if (right == nullptr) return nullptr;
+      ExprPtr condition = BindBool(*join.condition, *scope, nullptr);
+      if (condition == nullptr) return nullptr;
+      JoinType type = join.type == JoinType::kInner && IsTrueLiteral(condition)
+                          ? JoinType::kCross
+                          : join.type;
+      plan = std::make_shared<JoinOp>(type, plan, right, std::move(condition));
+    }
+    return plan;
+  }
+
   PlanPtr BindSelectCore(const SelectCore& core) {
     Scope scope;
-    PlanPtr plan = BindTableRef(core.from, &scope);
+    PlanPtr plan = BindFrom(core, &scope);
     if (plan == nullptr) return nullptr;
 
-    for (const JoinClause& join : core.joins) {
-      PlanPtr right = BindTableRef(join.ref, &scope);
-      if (right == nullptr) return nullptr;
-      ExprPtr condition = BindBool(*join.condition, scope, nullptr);
-      if (condition == nullptr) return nullptr;
-      plan = std::make_shared<JoinOp>(join.type, plan, right,
-                                      std::move(condition));
-    }
-
     if (core.where != nullptr) {
-      ExprPtr predicate = BindBool(*core.where, scope, nullptr);
-      if (predicate == nullptr) return nullptr;
-      plan = std::make_shared<FilterOp>(plan, std::move(predicate));
+      plan = BindWhere(*core.where, scope, std::move(plan));
+      if (plan == nullptr) return nullptr;
     }
 
     bool aggregated = !core.group_by.empty() ||
@@ -506,7 +759,9 @@ class Binder {
       std::vector<AggregateItem> items;
       for (const SelectItem& item : core.items) {
         if (item.star) continue;  // checked during projection binding
-        if (!CollectAggregates(*item.expr, scope, &agg, &items)) return nullptr;
+        if (!CollectAggregates(*item.expr, scope, &agg, &items, item.alias)) {
+          return nullptr;
+        }
       }
       if (core.having != nullptr &&
           !CollectAggregates(*core.having, scope, &agg, &items)) {
@@ -572,6 +827,16 @@ class Binder {
       }
       emit(std::move(bound), std::move(name));
     }
+    // A select list that passes the input through in order, under the
+    // same names, needs no projection.
+    const Schema& input = plan->schema();
+    bool passthrough = exprs.size() == input.num_columns();
+    for (size_t i = 0; passthrough && i < exprs.size(); ++i) {
+      passthrough = exprs[i].expr->kind() == ExprKind::kColumnRef &&
+                    exprs[i].id == input.column(i).id &&
+                    exprs[i].name == input.column(i).name;
+    }
+    if (passthrough) return plan;
     return std::make_shared<ProjectOp>(plan, std::move(exprs));
   }
 
@@ -649,6 +914,8 @@ class Binder {
   PlanContext* ctx_;
   std::vector<SqlDiagnostic>* diag_;
   bool failed_ = false;
+  /// Each scalar subquery BindWhere admitted -> its Apply's output column.
+  std::unordered_map<const AstExpr*, ColumnInfo> scalar_subqueries_;
 };
 
 }  // namespace

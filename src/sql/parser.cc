@@ -341,6 +341,13 @@ class Parser {
           e->kind = AstExprKind::kInList;
           e->offset = offset;
           e->children.push_back(std::move(l));
+          if (AtKeyword("SELECT")) {
+            e->kind = AstExprKind::kInSubquery;
+            e->subquery = ParseQuery();
+            if (e->subquery == nullptr) return nullptr;
+            if (!Expect(TokenKind::kRParen)) return nullptr;
+            return negated ? Negate(not_offset, std::move(e)) : std::move(e);
+          }
           do {
             auto item = ParseExpr();
             if (item == nullptr) return nullptr;
@@ -382,6 +389,7 @@ class Parser {
     c->arith_op = e.arith_op;
     c->distinct = e.distinct;
     c->star = e.star;
+    c->subquery = e.subquery;
     for (const AstExprPtr& child : e.children) {
       c->children.push_back(CloneExpr(*child));
     }
@@ -477,7 +485,16 @@ class Parser {
       return e;
     }
     if (t.kind == TokenKind::kLParen) {
-      Advance();
+      size_t offset = Advance().offset;
+      if (AtKeyword("SELECT")) {
+        auto e = std::make_unique<AstExpr>();
+        e->kind = AstExprKind::kScalarSubquery;
+        e->offset = offset;
+        e->subquery = ParseQuery();
+        if (e->subquery == nullptr) return nullptr;
+        if (!Expect(TokenKind::kRParen)) return nullptr;
+        return e;
+      }
       auto e = ParseExpr();
       if (e == nullptr) return nullptr;
       if (!Expect(TokenKind::kRParen)) return nullptr;

@@ -27,8 +27,9 @@ struct TpcdsOptions {
 /// Populates `catalog` with the full table set. Deterministic per options.
 Status BuildTpcdsCatalog(const TpcdsOptions& options, Catalog* catalog);
 
-/// One benchmark query: a named logical-plan builder plus the paper's
-/// classification of whether the fusion rules change its plan.
+/// One benchmark query: a named builder, which binds the query's SQL text
+/// (queries.cc), plus the paper's classification of whether the fusion
+/// rules change its plan.
 struct TpcdsQuery {
   std::string name;
   /// Paper section that studies it ("" for filler workload queries).

@@ -178,7 +178,8 @@ TEST(PruneColumnsTest, NarrowsScansToUsage) {
   PlanBuilder b = Sales(&ctx);  // 5 columns
   b.Filter(eb::Gt(b.Ref("ss_quantity"), eb::Int(50)));
   b.Select({"ss_item_sk"});
-  PlanPtr pruned = Unwrap(PruneColumns(b.Build()));
+  PlanPtr built = b.Build();
+  PlanPtr pruned = Unwrap(PruneColumns(built, built->schema()));
   std::function<const ScanOp*(const PlanPtr&)> find_scan =
       [&](const PlanPtr& p) -> const ScanOp* {
     if (p->kind() == OpKind::kScan) return &Cast<ScanOp>(*p);
@@ -201,7 +202,8 @@ TEST(PruneColumnsTest, CountStarKeepsNarrowestColumn) {
   PlanContext ctx;
   PlanBuilder b = Sales(&ctx);
   b.Aggregate({}, {{"n", AggFunc::kCountStar, nullptr, nullptr, false}});
-  PlanPtr pruned = Unwrap(PruneColumns(b.Build()));
+  PlanPtr built = b.Build();
+  PlanPtr pruned = Unwrap(PruneColumns(built, built->schema()));
   QueryResult r = MustExecute(pruned);
   QueryResult expected = MustExecute(b.Build());
   EXPECT_TRUE(ResultsEquivalent(r, expected));

@@ -1,6 +1,7 @@
 // SQL front end: golden parser/binder snapshots per grammar production,
 // binder diagnostics with exact source positions, Engine facade behavior,
-// and the TPC-DS round trip (SQL text vs hand-built constructors).
+// and the two subquery forms (IN as a semi join, a correlated scalar
+// aggregate as a decorrelated Apply).
 #include <string>
 #include <vector>
 
@@ -63,15 +64,16 @@ const GoldenCase kGolden[] = {
      "  Filter ((#2 > 3) AND NOT (#3 = 's0'))"
      "  -> [k#1:int64, v#2:float64, s#3:string]\n"
      "    Scan(numbers)  -> [k#1:int64, v#2:float64, s#3:string]\n"},
+    // Each aggregate is named after its SELECT alias, so a select list
+    // that passes the aggregate's output through in order binds without a
+    // projection.
     {"group_having",
      "SELECT s, COUNT(*) AS n, SUM(v) AS sv FROM numbers GROUP BY s "
      "HAVING COUNT(*) > 2",
-     "Project [s#3:=#3, n#4:=#4, sv#5:=#5]"
+     "Filter (#4 > 2)  -> [s#3:string, n#4:int64, sv#5:float64]\n"
+     "  Aggregate group=[#3] aggs=[n#4:=count(*), sv#5:=sum(#2)]"
      "  -> [s#3:string, n#4:int64, sv#5:float64]\n"
-     "  Filter (#4 > 2)  -> [s#3:string, count#4:int64, sum#5:float64]\n"
-     "    Aggregate group=[#3] aggs=[count#4:=count(*), sum#5:=sum(#2)]"
-     "  -> [s#3:string, count#4:int64, sum#5:float64]\n"
-     "      Scan(numbers)  -> [k#1:int64, v#2:float64, s#3:string]\n"},
+     "    Scan(numbers)  -> [k#1:int64, v#2:float64, s#3:string]\n"},
     {"order_limit", "SELECT k FROM numbers ORDER BY k DESC LIMIT 3",
      "Limit 3  -> [k#1:int64]\n"
      "  Sort  -> [k#1:int64]\n"
@@ -119,10 +121,34 @@ const GoldenCase kGolden[] = {
      "  -> [k#1:int64, v#2:float64, s#3:string]\n"
      "    Scan(numbers)  -> [k#1:int64, v#2:float64, s#3:string]\n"},
     {"count_distinct", "SELECT COUNT(DISTINCT s) AS ds FROM numbers",
-     "Project [ds#4:=#4]  -> [ds#4:int64]\n"
-     "  Aggregate group=[] aggs=[count#4:=count distinct(#3)]"
-     "  -> [count#4:int64]\n"
-     "    Scan(numbers)  -> [k#1:int64, v#2:float64, s#3:string]\n"},
+     "Aggregate group=[] aggs=[ds#4:=count distinct(#3)]  -> [ds#4:int64]\n"
+     "  Scan(numbers)  -> [k#1:int64, v#2:float64, s#3:string]\n"},
+    // A WHERE conjunct `x IN (SELECT c ...)` is a semi join on x = c, bound
+    // above the plain conjuncts; the subquery's rename-only projection is
+    // unwrapped as in FROM.
+    {"in_subquery",
+     "SELECT k FROM numbers WHERE k IN (SELECT p_k FROM pairs WHERE p_id < 5) "
+     "AND s = 's1'",
+     "Project [k#1:=#1]  -> [k#1:int64]\n"
+     "  Join(Semi) on (#1 = #5)  -> [k#1:int64, v#2:float64, s#3:string]\n"
+     "    Filter (#3 = 's1')  -> [k#1:int64, v#2:float64, s#3:string]\n"
+     "      Scan(numbers)  -> [k#1:int64, v#2:float64, s#3:string]\n"
+     "    Filter (#4 < 5)  -> [p_id#4:int64, p_k#5:int64]\n"
+     "      Scan(pairs)  -> [p_id#4:int64, p_k#5:int64]\n"},
+    // A correlated scalar aggregate compared in a WHERE conjunct is an Apply
+    // whose correlation pairs are the equality conjuncts on outer columns.
+    {"correlated_scalar",
+     "SELECT n.k FROM numbers n WHERE n.v > 2 * "
+     "(SELECT AVG(m.v) AS av FROM numbers m WHERE m.s = n.s AND m.k > 3)",
+     "Project [k#1:=#1]  -> [k#1:int64]\n"
+     "  Filter (#2 > (2 * #7))"
+     "  -> [k#1:int64, v#2:float64, s#3:string, av#7:float64]\n"
+     "    Apply corr=[#3=#6]"
+     "  -> [k#1:int64, v#2:float64, s#3:string, av#7:float64]\n"
+     "      Scan(numbers)  -> [k#1:int64, v#2:float64, s#3:string]\n"
+     "      Aggregate group=[] aggs=[av#7:=avg(#5)]  -> [av#7:float64]\n"
+     "        Filter (#4 > 3)  -> [k#4:int64, v#5:float64, s#6:string]\n"
+     "          Scan(numbers)  -> [k#4:int64, v#5:float64, s#6:string]\n"},
 };
 
 TEST(SqlGoldenTest, PlanSnapshots) {
@@ -175,6 +201,40 @@ const ErrorCase kErrors[] = {
      StatusCode::kPlanError, "[sql-union-arity]", 32},
     {"SELECT k FROM numbers UNION ALL SELECT s FROM numbers",
      StatusCode::kTypeError, "[sql-union-type]", 32},
+    // Subqueries: the inner-join decorrelation is sound only under a
+    // NULL-rejecting comparison, so a scalar subquery anywhere but as an
+    // operand of a WHERE conjunct's comparison is refused, as is a
+    // correlated COUNT (0, not NULL, on an empty group).
+    {"SELECT (SELECT AVG(m.v) FROM numbers m WHERE m.s = n.s) FROM numbers n",
+     StatusCode::kPlanError, "[sql-subquery]", 7},
+    {"SELECT k FROM numbers n WHERE k < 2 OR "
+     "v > (SELECT AVG(m.v) FROM numbers m WHERE m.s = n.s)",
+     StatusCode::kPlanError, "[sql-subquery]", 43},
+    {"SELECT k FROM numbers n WHERE "
+     "CASE WHEN k > 1 THEN (SELECT AVG(m.v) FROM numbers m WHERE m.s = n.s) "
+     "ELSE 0.0 END > v",
+     StatusCode::kPlanError, "[sql-subquery]", 51},
+    {"SELECT n.k FROM numbers n JOIN pairs p ON n.k = p.p_k "
+     "AND p.p_id > (SELECT AVG(m.v) FROM numbers m WHERE m.s = n.s)",
+     StatusCode::kPlanError, "[sql-subquery]", 67},
+    {"SELECT s FROM numbers n GROUP BY s "
+     "HAVING COUNT(*) > (SELECT AVG(m.v) FROM numbers m WHERE m.s = n.s)",
+     StatusCode::kPlanError, "[sql-subquery]", 53},
+    {"SELECT k FROM numbers n WHERE "
+     "k > (SELECT COUNT(*) FROM numbers m WHERE m.s = n.s)",
+     StatusCode::kPlanError, "[sql-subquery]", 42},
+    {"SELECT k FROM numbers n WHERE "
+     "v > (SELECT AVG(m.v) FROM numbers m WHERE m.k < n.k)",
+     StatusCode::kPlanError, "[sql-correlated]", 76},
+    {"SELECT k FROM numbers n WHERE "
+     "v > (SELECT AVG(m.v) FROM numbers m GROUP BY m.s)",
+     StatusCode::kPlanError, "[sql-subquery]", 34},
+    {"SELECT k FROM numbers WHERE k IN (SELECT p_id, p_k FROM pairs)",
+     StatusCode::kPlanError, "[sql-subquery]", 30},
+    {"SELECT k FROM numbers WHERE k NOT IN (SELECT p_k FROM pairs)",
+     StatusCode::kPlanError, "[sql-subquery]", 30},
+    {"SELECT k FROM numbers WHERE k < 3 OR k IN (SELECT p_k FROM pairs)",
+     StatusCode::kPlanError, "[sql-subquery]", 39},
 };
 
 TEST(SqlDiagnosticsTest, ErrorTaxonomyAndPositions) {
@@ -253,59 +313,53 @@ TEST(EngineTest, PrepareFromPlanBuilder) {
   EXPECT_GE(result.num_rows(), 0);
 }
 
-// --- TPC-DS round trip: SQL text == hand-built constructors ------------------
+// --- subqueries: results -----------------------------------------------------
 
-struct RoundTripCase {
-  const char* name;
-  const char* sql;
-};
+/// Rows of `sql` in `mode`, rendered and sorted.
+std::vector<std::string> SortedRows(Engine* engine, const std::string& sql,
+                                    const char* mode) {
+  QueryOptions options = Unwrap(QueryOptions::FromModeName(mode));
+  return Unwrap(engine->ExecuteSql(sql, options)).RenderRows(true);
+}
 
-const RoundTripCase kRoundTrips[] = {
-    {"q03",
-     "SELECT d.d_year, i.i_brand_id, i.i_brand, "
-     "SUM(ss.ss_ext_sales_price) AS sum_agg "
-     "FROM store_sales ss "
-     "JOIN date_dim d ON ss.ss_sold_date_sk = d.d_date_sk "
-     "JOIN item i ON ss.ss_item_sk = i.i_item_sk "
-     "WHERE d.d_moy = 11 AND i.i_manufact_id <= 50 "
-     "GROUP BY d.d_year, i.i_brand_id, i.i_brand "
-     "ORDER BY d_year, sum_agg DESC, i_brand_id LIMIT 100"},
-    {"q07",
-     "SELECT i.i_item_id, AVG(ss.ss_quantity) AS agg1, "
-     "AVG(ss.ss_list_price) AS agg2, AVG(ss.ss_coupon_amt) AS agg3, "
-     "AVG(ss.ss_sales_price) AS agg4 "
-     "FROM store_sales ss "
-     "JOIN date_dim d ON ss.ss_sold_date_sk = d.d_date_sk "
-     "JOIN household_demographics hd ON ss.ss_hdemo_sk = hd.hd_demo_sk "
-     "JOIN item i ON ss.ss_item_sk = i.i_item_sk "
-     "WHERE d.d_year = 2000 AND hd.hd_dep_count = 3 "
-     "GROUP BY i.i_item_id ORDER BY i_item_id LIMIT 100"},
-    {"q26",
-     "SELECT i.i_item_id, AVG(cs.cs_quantity) AS agg1, "
-     "AVG(cs.cs_list_price) AS agg2, AVG(cs.cs_sales_price) AS agg3 "
-     "FROM catalog_sales cs "
-     "JOIN date_dim d ON cs.cs_sold_date_sk = d.d_date_sk "
-     "JOIN item i ON cs.cs_item_sk = i.i_item_sk "
-     "WHERE d.d_year = 2000 "
-     "GROUP BY i.i_item_id ORDER BY i_item_id LIMIT 100"},
-};
+TEST(SqlSubqueryTest, InSubqueryMatchesReference) {
+  Engine engine(GoldenCatalog());
+  const std::string sql =
+      "SELECT k, s FROM numbers WHERE k IN (SELECT p_k FROM pairs "
+      "WHERE p_id < 8) AND v IS NOT NULL";
+  PreparedQuery query = Unwrap(engine.Prepare(sql));
+  EXPECT_EQ(CountOps(query.plan(), OpKind::kJoin), 1);
+  reference::Expected expected =
+      Unwrap(reference::EvaluateExpected(query.plan()));
+  for (const char* mode : {"baseline", "fused", "spooling"}) {
+    QueryOptions options = Unwrap(QueryOptions::FromModeName(mode));
+    QueryResult result = Unwrap(engine.Execute(&query, options));
+    EXPECT_EQ(reference::Compare(expected, testutil::RowsOf(result)), "")
+        << mode;
+    EXPECT_GT(result.num_rows(), 0) << mode;
+  }
+}
 
-TEST(SqlRoundTripTest, TpcdsSqlMatchesHandBuiltPlans) {
-  Engine engine(SharedTpcds());
-  for (const RoundTripCase& c : kRoundTrips) {
-    tpcds::TpcdsQuery reference = Unwrap(tpcds::QueryByName(c.name));
-    PreparedQuery hand = Unwrap(engine.Prepare(reference.build));
-    QueryResult hand_result =
-        Unwrap(engine.Execute(&hand, QueryOptions::Fused()));
-    PreparedQuery from_sql = Unwrap(engine.Prepare(c.sql));
-    QueryResult sql_result =
-        Unwrap(engine.Execute(&from_sql, QueryOptions::Fused()));
-    ASSERT_EQ(hand_result.num_rows(), sql_result.num_rows()) << c.name;
-    // Byte-identical rendered rows; both queries totally order their output
-    // (the shared sort keys are unique), so compare them sorted to stay
-    // independent of tie order inside the executor.
-    EXPECT_EQ(hand_result.RenderRows(true), sql_result.RenderRows(true))
-        << c.name;
+TEST(SqlSubqueryTest, CorrelatedComparisonDecorrelates) {
+  Engine engine(GoldenCatalog());
+  // Each row against its own group's average: the correlated form and the
+  // hand-decorrelated join must agree row for row. Group s0 holds the rows
+  // with v NULL (k % 7 == 0); they compare NULL and drop in both forms.
+  const std::string correlated =
+      "SELECT n.k FROM numbers n WHERE n.v > "
+      "(SELECT AVG(m.v) AS av FROM numbers m WHERE m.s = n.s)";
+  const std::string joined =
+      "SELECT n.k FROM numbers n JOIN (SELECT m.s, AVG(m.v) AS av "
+      "FROM numbers m GROUP BY m.s) a ON n.s = a.s WHERE n.v > a.av";
+  PreparedQuery query = Unwrap(engine.Prepare(correlated));
+  EXPECT_EQ(CountOps(query.plan(), OpKind::kApply), 1);
+  PlanPtr optimized =
+      Unwrap(engine.Optimize(&query, QueryOptions::Baseline()));
+  EXPECT_EQ(CountOps(optimized, OpKind::kApply), 0);
+  for (const char* mode : {"baseline", "fused", "spooling"}) {
+    std::vector<std::string> rows = SortedRows(&engine, correlated, mode);
+    EXPECT_EQ(rows, SortedRows(&engine, joined, mode)) << mode;
+    EXPECT_GT(rows.size(), 0u) << mode;
   }
 }
 

@@ -207,6 +207,14 @@ if grep -rnE 'CardinalityEstimator|CostModel|use_cost_model' \
   note_failure 'cross-query sharing is decided by static scan bytes (ScanBytes); no cost model or switch around it'
 fi
 
+# The benchmark queries are SQL text bound by the front end (src/sql), the
+# door users and the fuzzer go through, so the suite times parse and bind
+# and exercises the plans that door produces. Hand-built PlanBuilder
+# constructors for them were deleted; keep them from growing back.
+if grep -rnE 'PlanBuilder|expr_builder\.h' src/tpcds 2>/dev/null; then
+  note_failure 'src/tpcds writes its queries as SQL text (sql::BindSql); no PlanBuilder or expression-builder plans'
+fi
+
 # --- Layer 2: clang-tidy (optional) ----------------------------------------
 
 if command -v clang-tidy >/dev/null 2>&1; then
