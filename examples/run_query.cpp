@@ -370,8 +370,10 @@ int main(int argc, char** argv) {
     std::printf("sessions served shared: %d/%d\n", shared, clients);
     std::printf("%-28s %14lld\n", "bytes scanned (server)",
                 static_cast<long long>(manager.total_bytes_scanned()));
-    std::printf("%-28s %14lld\n", "bytes scanned (isolated)",
-                static_cast<long long>(manager.total_isolated_bytes_scanned()));
+    std::printf("%-28s %14lld\n", "static bytes (server)",
+                static_cast<long long>(manager.total_static_bytes()));
+    std::printf("%-28s %14lld\n", "static bytes (isolated)",
+                static_cast<long long>(manager.total_isolated_static_bytes()));
     std::printf("%-28s %14lld\n", "bytes scanned (1 client)",
                 static_cast<long long>(isolated.metrics().bytes_scanned));
     std::printf("\nfirst rows:\n%s",

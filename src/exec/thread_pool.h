@@ -1,11 +1,17 @@
-// Fixed-size worker pool used by the morsel-driven parallel executor.
+// Fixed-size worker pool with a blocking ParallelFor. It has two owners:
 //
-// The pool is intra-query: ExecContext owns one instance when the query
-// runs with parallelism > 1, and operators use ParallelFor to fan work out
-// over it. Only the query's driver thread (the one pulling Next() through
-// the operator tree) starts parallel regions, and every region blocks until
-// all of its morsels complete, so at most one region is active per pool at
-// any time — operators never observe each other's tasks.
+//   - Intra-query: ExecContext owns one instance when the query runs with
+//     parallelism > 1, and operators use ParallelFor to fan morsels out over
+//     it. Only the query's driver thread (the one pulling Next() through the
+//     operator tree) starts parallel regions.
+//   - Across queries: SessionManager (server/session_manager.h) owns one
+//     for its lifetime and runs a batch's independent executions over it,
+//     the batch's coordinating thread taking part. An execution with
+//     parallelism > 1 nests its own ExecContext pool inside that region.
+//
+// Each owner starts regions from one thread at a time, and every region
+// blocks until all of its indexes complete, so at most one region is
+// active per pool at any time — tasks never observe another region's.
 #ifndef FUSIONDB_EXEC_THREAD_POOL_H_
 #define FUSIONDB_EXEC_THREAD_POOL_H_
 

@@ -50,7 +50,7 @@ namespace fusiondb {
 /// (`WriteProfileJson`), query-log JSONL lines, and metrics snapshots — so
 /// downstream tooling can evolve. Bump on any incompatible field change and
 /// document the bump in DESIGN.md §9.
-inline constexpr int64_t kTelemetrySchemaVersion = 3;
+inline constexpr int64_t kTelemetrySchemaVersion = 4;
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 

@@ -203,7 +203,10 @@ std::string ProfileToJson(const QueryProfile& profile) {
     w.Field("shared_bytes_scanned", profile.sharing.shared_bytes_scanned);
     w.Field("attributed_bytes_scanned",
             profile.sharing.attributed_bytes_scanned);
-    w.Field("isolated_bytes_scanned", profile.sharing.isolated_bytes_scanned);
+    w.Field("isolated_static_bytes", profile.sharing.isolated_static_bytes);
+    w.Field("queue_wait_us", profile.sharing.queue_wait_us);
+    w.Field("plan_us", profile.sharing.plan_us);
+    w.Field("execute_us", profile.sharing.execute_us);
     w.EndObject();
   }
   if (profile.trace != nullptr) {

@@ -18,19 +18,28 @@ namespace fusiondb {
 /// Cross-query sharing attribution for one session's profile (src/server).
 /// When a session's query executed as part of a fused group, its metrics
 /// and operator stats describe the *shared* execution; this block records
-/// how that shared work divides across the group: the bytes the group paid
-/// once, this session's per-capita share, and what this session's own plan
-/// reads run in isolation.
+/// how that shared work divides across the group and how long the session
+/// waited. Each byte field is named for its kind: `*_bytes_scanned` are
+/// billed bytes (what the execution decoded, after runtime join filters),
+/// `*_static_bytes` are the bytes a plan's own pruning admits (ScanBytes,
+/// exec/executor.h), comparable only with each other.
 struct SessionSharing {
   uint64_t session_id = 0;
-  uint64_t group_fingerprint = 0;       // fused plan fingerprint
+  uint64_t group_fingerprint = 0;       // executed plan's fingerprint
   int consumers = 0;                    // sessions sharing the execution
-  int64_t shared_bytes_scanned = 0;     // paid once by the whole group
-  int64_t attributed_bytes_scanned = 0; // this session's share
-  // This session alone: shared, the static scan bytes of its own optimized
-  // plan (ScanBytes, an upper bound on what it bills solo); solo, the
-  // bytes it billed.
-  int64_t isolated_bytes_scanned = 0;
+  int64_t shared_bytes_scanned = 0;     // billed once for the whole group
+  int64_t attributed_bytes_scanned = 0; // this session's share of it
+  // Static scan bytes of this session's own optimized plan: what it would
+  // read alone before runtime join filters, shared or solo alike.
+  int64_t isolated_static_bytes = 0;
+  // Server latency breakdown, in microseconds. queue_wait_us runs from
+  // submission to the start of the session's execution; plan_us is the
+  // part of it its batch spent planning (renumber, optimize, fold,
+  // share-vs-solo verdicts), so queue_wait_us - plan_us is time spent
+  // waiting for the admission window, an earlier batch or a free worker.
+  int64_t queue_wait_us = 0;
+  int64_t plan_us = 0;
+  int64_t execute_us = 0;  // the execution's wall time
 };
 
 struct QueryProfile {

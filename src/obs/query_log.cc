@@ -38,10 +38,11 @@ Status QueryLog::Append(const QueryLogEvent& event) {
   w.Field("shared", event.shared);
   w.Field("consumers", static_cast<int64_t>(event.consumers));
   w.Field("queue_wait_us", event.queue_wait_us);
+  w.Field("plan_us", event.plan_us);
   w.Field("execute_us", event.execute_us);
   w.Field("bytes_scanned", event.bytes_scanned);
   w.Field("shared_bytes_scanned", event.shared_bytes_scanned);
-  w.Field("isolated_bytes_scanned", event.isolated_bytes_scanned);
+  w.Field("isolated_static_bytes", event.isolated_static_bytes);
   w.Field("rows_produced", event.rows_produced);
   w.Field("cost_decisions", static_cast<int64_t>(event.cost_decisions));
   w.Field("cost_shared", static_cast<int64_t>(event.cost_shared));

@@ -27,11 +27,12 @@ struct QueryLogEvent {
   std::string group_fingerprint;  // hex group fingerprint when shared
   bool shared = false;            // served from a shared group execution
   int32_t consumers = 0;          // sessions in the group (1 when solo)
-  int64_t queue_wait_us = 0;      // submit -> group execution start
-  int64_t execute_us = 0;         // group execution wall time
-  int64_t bytes_scanned = 0;      // attributed bytes (this session's share)
-  int64_t shared_bytes_scanned = 0;    // the group's physical bytes
-  int64_t isolated_bytes_scanned = 0;  // what a solo run would have paid
+  int64_t queue_wait_us = 0;      // submit -> execution start
+  int64_t plan_us = 0;            // ... of which batch planning
+  int64_t execute_us = 0;         // execution wall time
+  int64_t bytes_scanned = 0;      // attributed billed bytes (its share)
+  int64_t shared_bytes_scanned = 0;   // the execution's billed bytes
+  int64_t isolated_static_bytes = 0;  // own plan's static scan bytes
   int64_t rows_produced = 0;
   int32_t cost_decisions = 0;  // share-vs-solo verdicts taken for this batch
   int32_t cost_shared = 0;     // ... of which chose to share

@@ -69,16 +69,21 @@ class QuerySession {
   /// `consumers == 1` for solo runs.
   const SessionSharing& sharing() const { return sharing_; }
 
-  /// Latency breakdown (service telemetry, DESIGN.md §9.5): time spent in
-  /// the admission queue before the session's group started executing, and
-  /// the group execution's wall time. Valid after Wait() returns.
+  /// Latency breakdown (service telemetry, DESIGN.md §9.5), valid after
+  /// Wait() returns: time from submission to the start of the session's
+  /// execution, the part of it the batch spent planning, and the
+  /// execution's wall time (SessionSharing documents each).
   int64_t queue_wait_us() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return queue_wait_us_;
+    return sharing_.queue_wait_us;
+  }
+  int64_t plan_us() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sharing_.plan_us;
   }
   int64_t execute_us() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return execute_us_;
+    return sharing_.execute_us;
   }
 
   /// NowNanos() at submission (set at construction; immutable).
@@ -89,14 +94,6 @@ class QuerySession {
 
   QuerySession(uint64_t id, PlanPtr plan)
       : id_(id), plan_(std::move(plan)), submitted_ns_(NowNanos()) {}
-
-  /// Called by the SessionManager before Fulfill (same thread), so the
-  /// fields are published to waiters by Fulfill's lock/notify.
-  void SetTiming(int64_t queue_wait_us, int64_t execute_us) {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_wait_us_ = queue_wait_us;
-    execute_us_ = execute_us;
-  }
 
   void Fulfill(Result<QueryResult> result, PlanPtr executed_plan,
                SessionSharing sharing) {
@@ -120,8 +117,6 @@ class QuerySession {
   Result<QueryResult> result_{Status::ExecutionError("session pending")};
   PlanPtr executed_plan_;
   SessionSharing sharing_;
-  int64_t queue_wait_us_ = 0;
-  int64_t execute_us_ = 0;
 };
 
 using SessionPtr = std::shared_ptr<QuerySession>;

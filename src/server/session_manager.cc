@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -28,8 +29,38 @@ struct SessionManager::Group {
   std::vector<Member> members;
 };
 
+/// One ExecuteFanOut run scheduled by the decide step: a shared group's
+/// fused plan with one consumer per member, or one member's own plan run
+/// solo through a single passthrough consumer. The run step reads only
+/// this, so concurrent executions share no planning state.
+struct SessionManager::Execution {
+  PlanPtr plan;
+  uint64_t fingerprint = 0;  // PlanFingerprint(plan)
+  int64_t static_bytes = 0;  // ScanBytes(plan)
+  int32_t decisions = 0;     // the group's share-vs-solo verdicts
+  int32_t shared = 0;        // ... of which chose to share
+  // Aligned: each session, its own plan's static bytes, its consumer.
+  std::vector<SessionPtr> sessions;
+  std::vector<int64_t> isolated_static_bytes;
+  std::vector<FanOutConsumer> consumers;
+};
+
+namespace {
+
+/// Workers for a batch's executions: one per core, divided by each
+/// execution's own morsel workers (ExecOptions::parallelism, 0 == every
+/// core) so that the two levels together do not oversubscribe the cores.
+size_t ExecutionWorkers(const ExecOptions& exec) {
+  size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  size_t per_query = exec.parallelism == 0 ? cores : exec.parallelism;
+  return std::max<size_t>(1, cores / per_query);
+}
+
+}  // namespace
+
 SessionManager::SessionManager(ServerOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      pool_(ExecutionWorkers(options_.exec) - 1) {
   if (options_.window.max_batch < 1) options_.window.max_batch = 1;
   ctx_.set_trace(options_.trace);
   if (SemanticVerificationEnabled()) ctx_.set_semantics(&ledger_);
@@ -46,10 +77,13 @@ SessionManager::SessionManager(ServerOptions options)
     mids_.bytes_scanned = r->Counter("fusiondb_server_bytes_scanned_total");
     mids_.attributed_bytes =
         r->Counter("fusiondb_server_attributed_bytes_total");
-    mids_.isolated_bytes = r->Counter("fusiondb_server_isolated_bytes_total");
+    mids_.static_bytes = r->Counter("fusiondb_server_static_bytes_total");
+    mids_.isolated_static_bytes =
+        r->Counter("fusiondb_server_isolated_static_bytes_total");
     mids_.queue_depth = r->Gauge("fusiondb_server_queue_depth");
     mids_.batch_sessions = r->Histogram("fusiondb_server_batch_sessions");
     mids_.queue_wait_us = r->Histogram("fusiondb_server_queue_wait_us");
+    mids_.plan_us = r->Histogram("fusiondb_server_plan_us");
     mids_.execute_us = r->Histogram("fusiondb_server_execute_us");
     mids_.session_bytes =
         r->Histogram("fusiondb_server_session_bytes_scanned");
@@ -161,6 +195,7 @@ void SessionManager::CoordinatorLoop() {
 
 void SessionManager::ProcessBatch(const std::vector<SessionPtr>& sessions) {
   std::lock_guard<std::mutex> lock(batch_mu_);
+  int64_t batch_start_ns = NowNanos();
   BatchReport report;
   report.sessions = sessions.size();
   if (MetricsRegistry* r = options_.metrics) {
@@ -255,7 +290,7 @@ void SessionManager::ProcessBatch(const std::vector<SessionPtr>& sessions) {
         for (const Group::Member& m : group->members) {
           m.session->Fulfill(st, nullptr, {});
         }
-        group->members.clear();  // ExecuteGroup skips an emptied group
+        group->members.clear();  // DecideGroup skips an emptied group
       }
     }
     if (ctx_.trace() != nullptr) {
@@ -265,128 +300,120 @@ void SessionManager::ProcessBatch(const std::vector<SessionPtr>& sessions) {
     }
   }
 
-  // 3. Decide and execute each group, routing results to their sessions.
+  // 3. Decide every group here, in group order, so the trace needs no lock
+  //    and the report's decisions keep their order.
+  std::vector<Execution> executions;
   for (std::unique_ptr<Group>& group : groups) {
-    ExecuteGroup(group.get(), &report);
+    DecideGroup(group.get(), &report, &executions);
+  }
+  int64_t plan_us = (NowNanos() - batch_start_ns) / 1000;
+
+  // 4. Run the executions concurrently, this thread included. The body
+  //    always returns OK: ParallelFor stops claiming after a failure, so a
+  //    failed execution fulfills its own sessions with the error instead.
+  //    Each writes its own slice of the report; merging the slices in
+  //    execution order keeps the attributions' order deterministic.
+  std::vector<BatchReport> parts(executions.size());
+  pool_.ParallelFor(executions.size(), [&](size_t, size_t i) {
+    RunExecution(&executions[i], plan_us, &parts[i]);
+    return Status::OK();
+  });
+  for (BatchReport& part : parts) {
+    report.shared_groups += part.shared_groups;
+    report.shared_sessions += part.shared_sessions;
+    report.solo_sessions += part.solo_sessions;
+    report.bytes_scanned += part.bytes_scanned;
+    report.static_bytes += part.static_bytes;
+    report.isolated_static_bytes += part.isolated_static_bytes;
+    report.attributions.insert(report.attributions.end(),
+                               part.attributions.begin(),
+                               part.attributions.end());
   }
 
   {
     std::lock_guard<std::mutex> report_lock(report_mu_);
     total_queries_ += static_cast<int64_t>(report.sessions);
     total_bytes_scanned_ += report.bytes_scanned;
-    total_isolated_bytes_ += report.isolated_bytes_scanned;
+    total_static_bytes_ += report.static_bytes;
+    total_isolated_static_bytes_ += report.isolated_static_bytes;
     total_shared_sessions_ += static_cast<int64_t>(report.shared_sessions);
     last_report_ = std::move(report);
   }
 }
 
-void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
+void SessionManager::DecideGroup(Group* group, BatchReport* report,
+                                 std::vector<Execution>* out) {
   size_t n = group->members.size();
-  bool share = n >= 2;
-  int32_t group_decisions = 0;
-  int32_t group_shared = 0;
-  // The shared plan's identity, hashed once for the decision and every
-  // member's sharing record.
-  uint64_t fingerprint = share ? PlanFingerprint(group->fuser.plan()) : 0;
+  if (n == 0) return;  // failed the semantic tier; already fulfilled
+  // Each member's own static scan bytes: its isolated figure, and its part
+  // of the verdict's solo side.
+  std::vector<int64_t> member_bytes;
+  member_bytes.reserve(n);
+  for (const Group::Member& m : group->members) {
+    member_bytes.push_back(ScanBytes(group->fuser.members()[m.consumer]));
+  }
 
   // Share-vs-solo (DESIGN.md §12.4): share only when one run of the fused
   // plan reads strictly fewer static scan bytes than the members would
-  // read on their own. Each member's bytes are also its isolated bytes.
-  std::vector<int64_t> member_bytes;
-  if (share) {
+  // read on their own.
+  int32_t decisions = 0;
+  int32_t shared = 0;
+  if (n >= 2) {
     CostDecision record;
     record.anchor = OptimizerTrace::DescribeNode(*group->fuser.plan());
-    record.fingerprint = fingerprint;
+    record.fingerprint = PlanFingerprint(group->fuser.plan());
     record.consumers = static_cast<int>(n);
-    member_bytes.reserve(n);
-    for (const Group::Member& m : group->members) {
-      member_bytes.push_back(ScanBytes(group->fuser.members()[m.consumer]));
-      record.solo_bytes += member_bytes.back();
-    }
+    for (int64_t bytes : member_bytes) record.solo_bytes += bytes;
     record.shared_bytes = ScanBytes(group->fuser.plan());
-    share = record.shared_bytes < record.solo_bytes;
-    record.shared = share;
+    record.shared = record.shared_bytes < record.solo_bytes;
     if (ctx_.trace() != nullptr) ctx_.trace()->RecordCostDecision(record);
-    report->decisions.push_back(std::move(record));
-    group_decisions = 1;
-    group_shared = share ? 1 : 0;
     if (MetricsRegistry* r = options_.metrics) {
-      r->Add(share ? mids_.decisions_share : mids_.decisions_solo, 1);
+      r->Add(record.shared ? mids_.decisions_share : mids_.decisions_solo, 1);
     }
-  }
-
-  if (share) {
-    // One shared execution: each session's consumer applies its
-    // compensating filter over the fused output and reads its original
-    // output columns through renumber-then-fusion mappings. Output ids and
-    // names are the session's own, so the result schema is byte-identical
-    // to an isolated run of the submitted plan.
-    std::vector<FanOutConsumer> consumers;
-    consumers.reserve(n);
-    for (const Group::Member& m : group->members) {
-      const CrossConsumer& cc = group->fuser.consumer(m.consumer);
-      FanOutConsumer fc;
-      fc.filter = cc.filter;
-      const Schema& original = m.session->plan()->schema();
-      fc.columns.reserve(original.num_columns());
-      for (const ColumnInfo& c : original.columns()) {
-        ColumnId fused = ApplyMap(cc.mapping, ApplyMap(m.renumber, c.id));
-        fc.columns.push_back(
-            {c.id, c.name, Expr::MakeColumnRef(fused, c.type)});
-      }
-      consumers.push_back(std::move(fc));
-    }
-    int64_t exec_start_ns = NowNanos();
-    Result<FanOutResult> result =
-        ExecuteFanOut(group->fuser.plan(), consumers, options_.exec);
-    if (!result.ok()) {
+    decisions = 1;
+    shared = record.shared ? 1 : 0;
+    if (record.shared) {
+      // One shared execution: each session's consumer applies its
+      // compensating filter over the fused output and reads its original
+      // output columns through renumber-then-fusion mappings. Output ids
+      // and names are the session's own, so the result schema is
+      // byte-identical to an isolated run of the submitted plan.
+      Execution e;
+      e.plan = group->fuser.plan();
+      e.fingerprint = record.fingerprint;
+      e.static_bytes = record.shared_bytes;
+      e.decisions = decisions;
+      e.shared = shared;
+      e.sessions.reserve(n);
+      e.consumers.reserve(n);
       for (const Group::Member& m : group->members) {
-        m.session->Fulfill(result.status(), nullptr, {});
+        const CrossConsumer& cc = group->fuser.consumer(m.consumer);
+        FanOutConsumer fc;
+        fc.filter = cc.filter;
+        const Schema& original = m.session->plan()->schema();
+        fc.columns.reserve(original.num_columns());
+        for (const ColumnInfo& c : original.columns()) {
+          ColumnId fused = ApplyMap(cc.mapping, ApplyMap(m.renumber, c.id));
+          fc.columns.push_back(
+              {c.id, c.name, Expr::MakeColumnRef(fused, c.type)});
+        }
+        e.sessions.push_back(m.session);
+        e.consumers.push_back(std::move(fc));
       }
+      e.isolated_static_bytes = std::move(member_bytes);
+      out->push_back(std::move(e));
+      report->decisions.push_back(std::move(record));
       return;
     }
-    int64_t bytes = result->metrics.bytes_scanned;
-    int64_t execute_us = (NowNanos() - exec_start_ns) / 1000;
-    report->shared_groups++;
-    report->shared_sessions += n;
-    report->bytes_scanned += bytes;
-    if (MetricsRegistry* r = options_.metrics) {
-      r->Add(mids_.shared_groups, 1);
-      r->Add(mids_.bytes_scanned, bytes);
-    }
-    int64_t share_each = bytes / static_cast<int64_t>(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Group::Member& m = group->members[i];
-      SessionSharing sharing;
-      sharing.session_id = m.session->id();
-      sharing.group_fingerprint = fingerprint;
-      sharing.consumers = static_cast<int>(n);
-      sharing.shared_bytes_scanned = bytes;
-      sharing.attributed_bytes_scanned =
-          share_each + (i == 0 ? bytes % static_cast<int64_t>(n) : 0);
-      sharing.isolated_bytes_scanned = member_bytes[i];
-      report->isolated_bytes_scanned += member_bytes[i];
-      report->attributions.push_back({sharing.session_id, fingerprint,
-                                      sharing.consumers,
-                                      sharing.attributed_bytes_scanned,
-                                      result->results[i].num_rows()});
-      int64_t rows = result->results[i].num_rows();
-      int64_t queue_wait_us =
-          (exec_start_ns - m.session->submitted_ns()) / 1000;
-      m.session->SetTiming(queue_wait_us, execute_us);
-      m.session->Fulfill(std::move(result->results[i]), group->fuser.plan(),
-                         sharing);
-      FinishSession(m.session, sharing, rows, queue_wait_us, execute_us,
-                    group_decisions, group_shared);
-    }
-    return;
+    report->decisions.push_back(std::move(record));
   }
 
   // Solo: each member executes its own optimized plan — still through the
   // fan-out path (single passthrough consumer relabelled with the
   // session's original output ids), so shared and isolated execution
   // cannot diverge.
-  for (const Group::Member& m : group->members) {
+  for (size_t i = 0; i < n; ++i) {
+    const Group::Member& m = group->members[i];
     const PlanPtr& plan = group->fuser.members()[m.consumer];
     FanOutConsumer fc;
     const Schema& original = m.session->plan()->schema();
@@ -399,51 +426,83 @@ void SessionManager::ExecuteGroup(Group* group, BatchReport* report) {
            Expr::MakeColumnRef(renumbered,
                                type.ok() ? *type : c.type)});
     }
-    int64_t exec_start_ns = NowNanos();
-    Result<FanOutResult> result =
-        ExecuteFanOut(plan, {std::move(fc)}, options_.exec);
-    if (!result.ok()) {
-      m.session->Fulfill(result.status(), nullptr, {});
-      continue;
+    Execution e;
+    e.plan = plan;
+    e.fingerprint = PlanFingerprint(plan);
+    e.static_bytes = member_bytes[i];
+    e.decisions = decisions;
+    e.shared = shared;
+    e.sessions = {m.session};
+    e.isolated_static_bytes = {member_bytes[i]};
+    e.consumers.push_back(std::move(fc));
+    out->push_back(std::move(e));
+  }
+}
+
+void SessionManager::RunExecution(Execution* execution, int64_t plan_us,
+                                  BatchReport* part) {
+  Execution& e = *execution;
+  int64_t exec_start_ns = NowNanos();
+  Result<FanOutResult> result =
+      ExecuteFanOut(e.plan, e.consumers, options_.exec);
+  if (!result.ok()) {
+    for (const SessionPtr& session : e.sessions) {
+      session->Fulfill(result.status(), nullptr, {});
     }
-    int64_t bytes = result->metrics.bytes_scanned;
-    int64_t execute_us = (NowNanos() - exec_start_ns) / 1000;
-    report->solo_sessions++;
-    report->bytes_scanned += bytes;
-    report->isolated_bytes_scanned += bytes;
-    if (MetricsRegistry* r = options_.metrics) {
-      r->Add(mids_.bytes_scanned, bytes);
-    }
+    return;
+  }
+  int64_t execute_us = (NowNanos() - exec_start_ns) / 1000;
+  size_t n = e.sessions.size();
+  int64_t bytes = result->metrics.bytes_scanned;
+  if (n > 1) {
+    part->shared_groups = 1;
+    part->shared_sessions = n;
+  } else {
+    part->solo_sessions = 1;
+  }
+  part->bytes_scanned = bytes;
+  part->static_bytes = e.static_bytes;
+  if (MetricsRegistry* r = options_.metrics) {
+    if (n > 1) r->Add(mids_.shared_groups, 1);
+    r->Add(mids_.bytes_scanned, bytes);
+    r->Add(mids_.static_bytes, e.static_bytes);
+  }
+  // The billed bytes split evenly, the remainder to the first session.
+  int64_t share_each = bytes / static_cast<int64_t>(n);
+  for (size_t i = 0; i < n; ++i) {
+    const SessionPtr& session = e.sessions[i];
     SessionSharing sharing;
-    sharing.session_id = m.session->id();
-    sharing.group_fingerprint = PlanFingerprint(plan);
-    sharing.consumers = 1;
+    sharing.session_id = session->id();
+    sharing.group_fingerprint = e.fingerprint;
+    sharing.consumers = static_cast<int>(n);
     sharing.shared_bytes_scanned = bytes;
-    sharing.attributed_bytes_scanned = bytes;
-    sharing.isolated_bytes_scanned = bytes;
-    int64_t rows = result->results[0].num_rows();
-    report->attributions.push_back({sharing.session_id,
-                                    sharing.group_fingerprint, 1, bytes,
-                                    rows});
-    int64_t queue_wait_us = (exec_start_ns - m.session->submitted_ns()) / 1000;
-    m.session->SetTiming(queue_wait_us, execute_us);
-    m.session->Fulfill(std::move(result->results[0]), plan, sharing);
-    FinishSession(m.session, sharing, rows, queue_wait_us, execute_us,
-                  group_decisions, group_shared);
+    sharing.attributed_bytes_scanned =
+        share_each + (i == 0 ? bytes % static_cast<int64_t>(n) : 0);
+    sharing.isolated_static_bytes = e.isolated_static_bytes[i];
+    sharing.queue_wait_us = (exec_start_ns - session->submitted_ns()) / 1000;
+    sharing.plan_us = plan_us;
+    sharing.execute_us = execute_us;
+    int64_t rows = result->results[i].num_rows();
+    part->isolated_static_bytes += sharing.isolated_static_bytes;
+    part->attributions.push_back({sharing.session_id, e.fingerprint,
+                                  sharing.consumers,
+                                  sharing.attributed_bytes_scanned, rows});
+    session->Fulfill(std::move(result->results[i]), e.plan, sharing);
+    FinishSession(session, sharing, rows, e.decisions, e.shared);
   }
 }
 
 void SessionManager::FinishSession(const SessionPtr& session,
                                    const SessionSharing& sharing, int64_t rows,
-                                   int64_t queue_wait_us, int64_t execute_us,
                                    int32_t decisions, int32_t shared) {
   bool is_shared = sharing.consumers > 1;
   if (MetricsRegistry* r = options_.metrics) {
     r->Add(is_shared ? mids_.shared_sessions : mids_.solo_sessions, 1);
     r->Add(mids_.attributed_bytes, sharing.attributed_bytes_scanned);
-    r->Add(mids_.isolated_bytes, sharing.isolated_bytes_scanned);
-    r->Record(mids_.queue_wait_us, queue_wait_us);
-    r->Record(mids_.execute_us, execute_us);
+    r->Add(mids_.isolated_static_bytes, sharing.isolated_static_bytes);
+    r->Record(mids_.queue_wait_us, sharing.queue_wait_us);
+    r->Record(mids_.plan_us, sharing.plan_us);
+    r->Record(mids_.execute_us, sharing.execute_us);
     r->Record(mids_.session_bytes, sharing.attributed_bytes_scanned);
   }
   QueryLog* log = options_.query_log;
@@ -456,11 +515,12 @@ void SessionManager::FinishSession(const SessionPtr& session,
   if (is_shared) event.group_fingerprint = event.fingerprint;
   event.shared = is_shared;
   event.consumers = sharing.consumers;
-  event.queue_wait_us = queue_wait_us;
-  event.execute_us = execute_us;
+  event.queue_wait_us = sharing.queue_wait_us;
+  event.plan_us = sharing.plan_us;
+  event.execute_us = sharing.execute_us;
   event.bytes_scanned = sharing.attributed_bytes_scanned;
   event.shared_bytes_scanned = sharing.shared_bytes_scanned;
-  event.isolated_bytes_scanned = sharing.isolated_bytes_scanned;
+  event.isolated_static_bytes = sharing.isolated_static_bytes;
   event.rows_produced = rows;
   event.cost_decisions = decisions;
   event.cost_shared = shared;
@@ -468,7 +528,7 @@ void SessionManager::FinishSession(const SessionPtr& session,
   // Slow-query capture: anything whose end-to-end latency (queue + execute)
   // crosses the log's threshold gets its full profile written next to the
   // log. Telemetry failures never fail the query — count and report them.
-  if (log->IsSlow(queue_wait_us + execute_us)) {
+  if (log->IsSlow(sharing.queue_wait_us + sharing.execute_us)) {
     event.slow = true;
     if (MetricsRegistry* r = options_.metrics) {
       r->Add(mids_.slow_queries, 1);
@@ -512,9 +572,14 @@ int64_t SessionManager::total_bytes_scanned() const {
   return total_bytes_scanned_;
 }
 
-int64_t SessionManager::total_isolated_bytes_scanned() const {
+int64_t SessionManager::total_static_bytes() const {
   std::lock_guard<std::mutex> lock(report_mu_);
-  return total_isolated_bytes_;
+  return total_static_bytes_;
+}
+
+int64_t SessionManager::total_isolated_static_bytes() const {
+  std::lock_guard<std::mutex> lock(report_mu_);
+  return total_isolated_static_bytes_;
 }
 
 int64_t SessionManager::total_shared_sessions() const {

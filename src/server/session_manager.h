@@ -10,6 +10,10 @@
 // (exec/fanout.h) with each session's rows restored by its compensating
 // filter/projection and routed back to the owning session.
 //
+// Plan surgery (renumber, optimize, group, fold, verdicts) runs on one
+// coordinating thread; the batch's executions then run concurrently on a
+// worker pool the manager owns, with that thread as one of the workers.
+//
 // All execution inside the server goes through ExecuteFanOut — including
 // solo queries, which run as a single passthrough consumer — so shared and
 // isolated paths cannot drift (tools/lint.sh bans ExecutePlan here).
@@ -30,6 +34,7 @@
 
 #include "analysis/semantic_ledger.h"
 #include "exec/fanout.h"
+#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/optimizer_trace.h"
 #include "obs/query_log.h"
@@ -68,9 +73,9 @@ struct ServerOptions {
 
   /// Optional service metrics registry (not owned; must outlive the
   /// manager). When set, the manager records the `fusiondb_server_*`
-  /// catalog (DESIGN.md §9.4) — queue-wait/execute latency histograms,
-  /// batch occupancy, shared-vs-solo session counts, shared/attributed/
-  /// isolated bytes — and wires the registry into the optimizer context
+  /// catalog (DESIGN.md §9.4) — queue-wait/plan/execute latency
+  /// histograms, batch occupancy, shared-vs-solo session counts, billed
+  /// and static bytes — and wires the registry into the optimizer context
   /// and, unless `exec.metrics` is already set, into batch execution.
   MetricsRegistry* metrics = nullptr;
 
@@ -94,18 +99,20 @@ struct SessionAttribution {
   int64_t rows = 0;
 };
 
-/// What one admission batch did: how many sessions shared, the physical
-/// bytes the batch scanned, and what its sessions would have scanned each
-/// on its own: a shared session counts the static scan bytes of its own
-/// optimized plan (ScanBytes, an upper bound on what it bills solo), a solo
-/// session the bytes it billed.
+/// What one admission batch did: how many sessions shared and the bytes
+/// it read, each kind compared only with its own kind. Billed bytes are
+/// what the executions decoded; static bytes are what plans' own pruning
+/// admits (ScanBytes). The saving from sharing is `isolated_static_bytes -
+/// static_bytes`, the figures the share-vs-solo verdicts compare.
+/// Counters cover the sessions that executed; `sessions` counts all.
 struct BatchReport {
   size_t sessions = 0;
   size_t shared_groups = 0;    // fused groups of >= 2 that executed once
   size_t shared_sessions = 0;  // sessions served from those groups
   size_t solo_sessions = 0;
-  int64_t bytes_scanned = 0;           // physical, whole batch
-  int64_t isolated_bytes_scanned = 0;  // Σ sessions' isolated bytes
+  int64_t bytes_scanned = 0;          // billed, whole batch
+  int64_t static_bytes = 0;           // Σ executed plans' static bytes
+  int64_t isolated_static_bytes = 0;  // Σ sessions' own plans' static bytes
   std::vector<CostDecision> decisions;  // one per group of >= 2 sessions
   std::vector<SessionAttribution> attributions;
 };
@@ -126,9 +133,11 @@ class SessionManager {
   /// (Returns a copy; hold the SessionPtr from Submit to avoid it.)
   Result<QueryResult> ExecuteSync(PlanPtr plan);
 
-  /// Processes `plans` synchronously on the calling thread as admission
-  /// batches of at most `window.max_batch` (arrival order preserved), with
-  /// no timing dependence. Returns the (already fulfilled) sessions.
+  /// Processes `plans` synchronously as admission batches of at most
+  /// `window.max_batch` (arrival order preserved), with no timing
+  /// dependence: the calling thread plans each batch and runs its
+  /// executions together with the manager's worker pool. Returns the
+  /// (already fulfilled) sessions.
   std::vector<SessionPtr> SubmitBatch(const std::vector<PlanPtr>& plans);
 
   /// Stops the coordinator after draining already-submitted queries.
@@ -141,31 +150,41 @@ class SessionManager {
   /// Cumulative across all batches since construction.
   int64_t total_queries() const;
   int64_t total_bytes_scanned() const;
-  int64_t total_isolated_bytes_scanned() const;
+  int64_t total_static_bytes() const;
+  int64_t total_isolated_static_bytes() const;
   int64_t total_shared_sessions() const;
 
   const ServerOptions& options() const { return options_; }
 
  private:
-  struct Group;  // one cross-plan candidate group (session_manager.cc)
+  struct Group;      // one cross-plan candidate group (session_manager.cc)
+  struct Execution;  // one decided ExecuteFanOut run (session_manager.cc)
 
   /// Runs one admission batch end to end: renumber -> optimize -> group ->
-  /// decide -> execute (fan-out or solo) -> fulfill sessions. Serialized by
-  /// batch_mu_; the master PlanContext is only touched here.
+  /// decide, all on the calling thread, then the executions concurrently
+  /// on pool_ -> fulfill sessions. Serialized by batch_mu_; the master
+  /// PlanContext and the trace are only touched by the serial steps.
   void ProcessBatch(const std::vector<SessionPtr>& sessions);
 
-  /// Executes one group (shared when it has >= 2 members and its fused plan
-  /// reads fewer static scan bytes than they do, otherwise each member
-  /// solo) and fulfills its sessions.
-  void ExecuteGroup(Group* group, BatchReport* report);
+  /// The serial decide step for one group: the share-vs-solo verdict
+  /// (shared when it has >= 2 members and its fused plan reads fewer static
+  /// scan bytes than they do), recorded in the trace, metrics and `report`,
+  /// and the executions it implies (one shared, or one per member) appended
+  /// to `out`.
+  void DecideGroup(Group* group, BatchReport* report,
+                   std::vector<Execution>* out);
+
+  /// The concurrent run step: executes one decided execution and fulfills
+  /// its sessions (with the error, when it fails). Writes only `part`, the
+  /// execution's own slice of the batch report.
+  void RunExecution(Execution* execution, int64_t plan_us, BatchReport* part);
 
   /// Post-fulfillment telemetry for one successfully executed session:
   /// latency histograms and sharing counters into the registry, one query
   /// log event, and the slow-query profile capture. `decisions`/`shared`
   /// describe the group's share-vs-solo verdicts.
   void FinishSession(const SessionPtr& session, const SessionSharing& sharing,
-                     int64_t rows, int64_t queue_wait_us, int64_t execute_us,
-                     int32_t decisions, int32_t shared);
+                     int64_t rows, int32_t decisions, int32_t shared);
 
   void CoordinatorLoop();
   void EnsureCoordinatorLocked();
@@ -177,15 +196,21 @@ class SessionManager {
   /// (recording through an invalid id is a no-op).
   struct ServerMetricIds {
     MetricId batches, sessions, shared_groups, shared_sessions, solo_sessions;
-    MetricId bytes_scanned, attributed_bytes, isolated_bytes;
+    MetricId bytes_scanned, attributed_bytes;        // billed
+    MetricId static_bytes, isolated_static_bytes;    // static (ScanBytes)
     MetricId queue_depth;                 // gauge
     MetricId batch_sessions;              // histogram: admission occupancy
-    MetricId queue_wait_us, execute_us;   // histograms, microseconds
+    MetricId queue_wait_us, plan_us, execute_us;  // histograms, microseconds
     MetricId session_bytes;               // histogram: attributed bytes
     MetricId decisions_share, decisions_solo;
     MetricId slow_queries, telemetry_errors;
   };
   ServerMetricIds mids_;
+
+  // Runs a batch's executions; ProcessBatch's thread is one more worker.
+  // Sized by ExecutionWorkers (session_manager.cc); used only under
+  // batch_mu_, so at most one region is active at a time.
+  ThreadPool pool_;
 
   std::mutex batch_mu_;  // serializes ProcessBatch (and thus ctx_)
   PlanContext ctx_;      // master id space; guarded by batch_mu_
@@ -207,7 +232,8 @@ class SessionManager {
   BatchReport last_report_;
   int64_t total_queries_ = 0;
   int64_t total_bytes_scanned_ = 0;
-  int64_t total_isolated_bytes_ = 0;
+  int64_t total_static_bytes_ = 0;
+  int64_t total_isolated_static_bytes_ = 0;
   int64_t total_shared_sessions_ = 0;
 };
 

@@ -186,7 +186,7 @@ TEST(MetricsExportTest, JsonCarriesSchemaVersionAndValues) {
   registry.GaugeSet(registry.Gauge("b"), -2);
   registry.Record(registry.Histogram("c_us"), 100);
   std::string json = MetricsToJson(registry.Snapshot());
-  EXPECT_TRUE(Contains(json, "\"schema_version\":3")) << json;
+  EXPECT_TRUE(Contains(json, "\"schema_version\":4")) << json;
   EXPECT_TRUE(Contains(json, "\"a_total\":3")) << json;
   EXPECT_TRUE(Contains(json, "\"b\":-2")) << json;
   EXPECT_TRUE(Contains(json, "\"c_us\":{\"count\":1,\"sum\":100")) << json;
@@ -313,10 +313,12 @@ TEST(QueryLogTest, AppendsOneSchemaStampedLinePerEvent) {
   }
   std::string contents = ReadFile(path);
   EXPECT_EQ(std::count(contents.begin(), contents.end(), '\n'), 2);
-  EXPECT_TRUE(Contains(contents, "\"schema_version\":3")) << contents;
+  EXPECT_TRUE(Contains(contents, "\"schema_version\":4")) << contents;
   EXPECT_TRUE(Contains(contents, "\"session_id\":7")) << contents;
   EXPECT_TRUE(Contains(contents, "\"session_id\":8")) << contents;
   EXPECT_TRUE(Contains(contents, "\"mode\":\"fused\"")) << contents;
+  EXPECT_TRUE(Contains(contents, "\"plan_us\":0")) << contents;
+  EXPECT_TRUE(Contains(contents, "\"isolated_static_bytes\":0")) << contents;
   std::remove(path.c_str());
 }
 
@@ -389,28 +391,37 @@ TEST(MetricsServerTest, CountersReconcileWithDeterministicBatch) {
   for (const SessionPtr& session : sessions) {
     FUSIONDB_ASSERT_OK(session->Wait().status());
     attributed += session->sharing().attributed_bytes_scanned;
-    isolated += session->sharing().isolated_bytes_scanned;
+    isolated += session->sharing().isolated_static_bytes;
   }
   EXPECT_EQ(snap.Counter("fusiondb_server_attributed_bytes_total"),
             attributed);
   EXPECT_EQ(attributed, report.bytes_scanned);
-  EXPECT_EQ(snap.Counter("fusiondb_server_isolated_bytes_total"), isolated);
-  EXPECT_EQ(isolated, report.isolated_bytes_scanned);
+  EXPECT_EQ(snap.Counter("fusiondb_server_isolated_static_bytes_total"),
+            isolated);
+  EXPECT_EQ(isolated, report.isolated_static_bytes);
+  EXPECT_EQ(snap.Counter("fusiondb_server_static_bytes_total"),
+            report.static_bytes);
 
-  // Latency histograms: one observation per session in both series.
+  // Latency histograms: one observation per session in every series.
   const HistogramSnapshot* queue_wait =
       snap.Histogram("fusiondb_server_queue_wait_us");
+  const HistogramSnapshot* plan = snap.Histogram("fusiondb_server_plan_us");
   const HistogramSnapshot* execute =
       snap.Histogram("fusiondb_server_execute_us");
   ASSERT_NE(queue_wait, nullptr);
+  ASSERT_NE(plan, nullptr);
   ASSERT_NE(execute, nullptr);
   EXPECT_EQ(queue_wait->count, kClients);
+  EXPECT_EQ(plan->count, kClients);
   EXPECT_EQ(execute->count, kClients);
+  EXPECT_GT(plan->max, 0);
   EXPECT_GT(execute->max, 0);
 
-  // Per-session timing accessors carry the same series.
+  // Per-session timing accessors carry the same series; planning is part
+  // of the wait before execution.
   for (const SessionPtr& session : sessions) {
-    EXPECT_GE(session->queue_wait_us(), 0);
+    EXPECT_GT(session->plan_us(), 0);
+    EXPECT_GE(session->queue_wait_us(), session->plan_us());
     EXPECT_GT(session->execute_us(), 0);
   }
 

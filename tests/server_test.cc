@@ -10,6 +10,10 @@
 // exercised through Engine::Submit in the concurrency test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "test_util.h"
@@ -154,16 +158,19 @@ TEST(ServerTest, SharedGroupScansFewerBytesThanIsolated) {
   EXPECT_EQ(report.shared_groups, 1u);
   EXPECT_EQ(report.shared_sessions, static_cast<size_t>(kClients));
   EXPECT_EQ(report.solo_sessions, 0u);
-  // One shared scan vs kClients isolated runs, each measured. A session's
-  // isolated bytes are its own plan's static bytes: what the isolated run
-  // reads before runtime join filters, at least what it bills.
+  // One shared scan vs kClients isolated runs, each kind of bytes against
+  // its own kind: billed against the isolated runs' billed bytes, static
+  // against their static bytes. A session's isolated static bytes are its
+  // own plan's: what the isolated run reads before runtime join filters.
   QueryResult isolated =
       IsolatedRun(&engine, query.build, OptimizerOptions::Fused());
   EXPECT_GT(report.bytes_scanned, 0);
   EXPECT_LT(report.bytes_scanned,
             kClients * isolated.metrics().bytes_scanned);
-  EXPECT_EQ(report.isolated_bytes_scanned,
+  EXPECT_EQ(report.isolated_static_bytes,
             kClients * isolated.metrics().StaticBytes());
+  EXPECT_EQ(report.static_bytes, ScanBytes(sessions[0]->executed_plan()));
+  EXPECT_LT(report.static_bytes, report.isolated_static_bytes);
   ExpectScanBytesPinned(sessions);
 
   // Per-session attribution splits the shared scan.
@@ -185,9 +192,9 @@ TEST(ServerTest, SharedGroupScansFewerBytesThanIsolated) {
     EXPECT_TRUE(s->shared());
     EXPECT_EQ(s->sharing().consumers, kClients);
     EXPECT_EQ(s->sharing().shared_bytes_scanned, report.bytes_scanned);
-    EXPECT_EQ(s->sharing().isolated_bytes_scanned,
+    EXPECT_EQ(s->sharing().isolated_static_bytes,
               isolated.metrics().StaticBytes());
-    EXPECT_GE(s->sharing().isolated_bytes_scanned,
+    EXPECT_GE(s->sharing().isolated_static_bytes,
               isolated.metrics().bytes_scanned);
   }
   QueryProfile profile =
@@ -195,6 +202,14 @@ TEST(ServerTest, SharedGroupScansFewerBytesThanIsolated) {
   std::string json = ProfileToJson(profile);
   EXPECT_NE(json.find("\"sharing\""), std::string::npos);
   EXPECT_NE(json.find("\"consumers\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"isolated_static_bytes\":" +
+                      std::to_string(isolated.metrics().StaticBytes())),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"plan_us\":" +
+                      std::to_string(sessions[0]->plan_us())),
+            std::string::npos)
+      << json;
   engine.StopServer();
 }
 
@@ -210,15 +225,19 @@ TEST(ServerTest, BatchOfOneNeverShares) {
   std::vector<SessionPtr> sessions = manager.SubmitBatch(
       PreparePlans(&engine, query.build, kClients, &prepared));
   int64_t solo_bytes = 0;
+  int64_t solo_static = 0;
   for (const SessionPtr& s : sessions) {
     ASSERT_TRUE(s->Wait().ok());
     EXPECT_FALSE(s->shared());
     EXPECT_EQ(s->sharing().consumers, 1);
     solo_bytes += s->sharing().shared_bytes_scanned;
+    solo_static += ScanBytes(s->executed_plan());
   }
-  // No sharing: total bytes == sum of per-session bytes == isolated.
+  // No sharing: billed bytes == sum of per-session billed bytes, and the
+  // static bytes executed == the sessions' own static bytes.
   EXPECT_EQ(manager.total_bytes_scanned(), solo_bytes);
-  EXPECT_EQ(manager.total_isolated_bytes_scanned(), solo_bytes);
+  EXPECT_EQ(manager.total_static_bytes(), solo_static);
+  EXPECT_EQ(manager.total_isolated_static_bytes(), solo_static);
   EXPECT_EQ(manager.total_shared_sessions(), 0);
   engine.StopServer();
 }
@@ -517,6 +536,198 @@ TEST(ServerTest, CostDecisionsExportedInProfileJson) {
   EXPECT_NE(json.find("\"shared_bytes\":" + std::to_string(d.shared_bytes)),
             std::string::npos)
       << json;
+}
+
+/// Two batch reports are identical: counts, byte totals, and every decision
+/// and attribution, in order.
+void ExpectSameReport(const BatchReport& got, const BatchReport& want) {
+  EXPECT_EQ(got.sessions, want.sessions);
+  EXPECT_EQ(got.shared_groups, want.shared_groups);
+  EXPECT_EQ(got.shared_sessions, want.shared_sessions);
+  EXPECT_EQ(got.solo_sessions, want.solo_sessions);
+  EXPECT_EQ(got.bytes_scanned, want.bytes_scanned);
+  EXPECT_EQ(got.static_bytes, want.static_bytes);
+  EXPECT_EQ(got.isolated_static_bytes, want.isolated_static_bytes);
+  ASSERT_EQ(got.decisions.size(), want.decisions.size());
+  for (size_t i = 0; i < want.decisions.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got.decisions[i].anchor, want.decisions[i].anchor);
+    EXPECT_EQ(got.decisions[i].fingerprint, want.decisions[i].fingerprint);
+    EXPECT_EQ(got.decisions[i].consumers, want.decisions[i].consumers);
+    EXPECT_EQ(got.decisions[i].solo_bytes, want.decisions[i].solo_bytes);
+    EXPECT_EQ(got.decisions[i].shared_bytes, want.decisions[i].shared_bytes);
+    EXPECT_EQ(got.decisions[i].shared, want.decisions[i].shared);
+  }
+  ASSERT_EQ(got.attributions.size(), want.attributions.size());
+  for (size_t i = 0; i < want.attributions.size(); ++i) {
+    SCOPED_TRACE(i);
+    const SessionAttribution& g = got.attributions[i];
+    const SessionAttribution& w = want.attributions[i];
+    EXPECT_EQ(g.session_id, w.session_id);
+    EXPECT_EQ(g.group_fingerprint, w.group_fingerprint);
+    EXPECT_EQ(g.consumers, w.consumers);
+    EXPECT_EQ(g.attributed_bytes_scanned, w.attributed_bytes_scanned);
+    EXPECT_EQ(g.rows, w.rows);
+  }
+}
+
+// A batch's executions run concurrently on the server's pool. One group
+// failing at execution (an int64 SUM that overflows) fails exactly its own
+// sessions: every other session still gets its isolated result, and the
+// report, the metrics counters and the query log account for the same
+// sessions. The failing group comes first and is followed by more
+// executions than a 4-core pool has workers, so a failure that stopped the
+// pool claiming work would leave later sessions unfulfilled.
+TEST(ServerTest, FailedGroupFailsOnlyItsOwnSessions) {
+  TableBuilder nums("nums", {{"big", DataType::kInt64}});
+  TableBuilder other("other",
+                     {{"k", DataType::kInt64}, {"v", DataType::kInt64}});
+  for (int64_t i = 0; i < 3; ++i) {
+    FUSIONDB_ASSERT_OK(nums.AppendRow({Value::Int64(int64_t{4} << 60)}));
+  }
+  for (int64_t i = 0; i < 40; ++i) {
+    FUSIONDB_ASSERT_OK(
+        other.AppendRow({Value::Int64(i % 7), Value::Int64(i)}));
+  }
+  Catalog catalog;
+  FUSIONDB_ASSERT_OK(catalog.RegisterTable(Unwrap(nums.Build())));
+  FUSIONDB_ASSERT_OK(catalog.RegisterTable(Unwrap(other.Build())));
+  Engine engine(std::move(catalog));
+
+  const std::string overflow = "SELECT SUM(big) AS s FROM nums";
+  const std::vector<std::string> sql = {
+      overflow,
+      overflow,
+      "SELECT k, v FROM other WHERE v > 10",
+      "SELECT k, v FROM other WHERE v > 20",
+      "SELECT k, SUM(v) AS s FROM other GROUP BY k ORDER BY k",
+      "SELECT COUNT(*) AS c FROM other WHERE v < 30",
+      "SELECT v FROM other ORDER BY v DESC LIMIT 5",
+      "SELECT k, MAX(v) AS m FROM other GROUP BY k ORDER BY k LIMIT 3",
+  };
+  std::string log_path = testing::TempDir() + "server_test_failure.jsonl";
+  std::remove(log_path.c_str());
+  MetricsRegistry registry;
+  std::unique_ptr<QueryLog> log = Unwrap(QueryLog::Open(log_path, 0));
+  ServerOptions options;
+  options.metrics = &registry;
+  options.query_log = log.get();
+  SessionManager& manager = *Unwrap(engine.StartServer(options));
+
+  std::vector<PreparedQuery> prepared;
+  std::vector<PlanPtr> plans;
+  for (const std::string& text : sql) {
+    prepared.push_back(Unwrap(engine.Prepare(text)));
+    plans.push_back(prepared.back().plan());
+  }
+  std::vector<SessionPtr> sessions = manager.SubmitBatch(plans);
+  BatchReport report = manager.last_batch_report();
+
+  for (size_t i = 0; i < sessions.size(); ++i) {
+    SCOPED_TRACE(sql[i]);
+    ASSERT_TRUE(sessions[i]->done());
+    if (sql[i] == overflow) {
+      ASSERT_FALSE(sessions[i]->Wait().ok());
+      EXPECT_NE(sessions[i]->Wait().status().message().find("overflow"),
+                std::string::npos)
+          << sessions[i]->Wait().status().ToString();
+      continue;
+    }
+    ASSERT_TRUE(sessions[i]->Wait().ok())
+        << sessions[i]->Wait().status().ToString();
+    PreparedQuery solo = Unwrap(engine.Prepare(sql[i]));
+    ExpectIdentical(*sessions[i]->Wait(), Unwrap(engine.Execute(&solo)));
+  }
+
+  // Reconcile: 8 sessions submitted, 2 failed, 6 served.
+  constexpr int64_t kServed = 6;
+  EXPECT_EQ(report.sessions, sql.size());
+  EXPECT_EQ(report.shared_sessions + report.solo_sessions,
+            static_cast<size_t>(kServed));
+  EXPECT_GE(report.shared_groups, 1u);
+  EXPECT_GE(report.solo_sessions, 1u);
+  EXPECT_EQ(report.attributions.size(), static_cast<size_t>(kServed));
+  int64_t attributed = 0;
+  for (const SessionAttribution& a : report.attributions) {
+    attributed += a.attributed_bytes_scanned;
+  }
+  EXPECT_EQ(attributed, report.bytes_scanned);
+  MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.Counter("fusiondb_server_sessions_total"),
+            static_cast<int64_t>(sql.size()));
+  EXPECT_EQ(snap.Counter("fusiondb_server_shared_sessions_total"),
+            static_cast<int64_t>(report.shared_sessions));
+  EXPECT_EQ(snap.Counter("fusiondb_server_solo_sessions_total"),
+            static_cast<int64_t>(report.solo_sessions));
+  EXPECT_EQ(snap.Counter("fusiondb_server_bytes_scanned_total"),
+            report.bytes_scanned);
+  EXPECT_EQ(snap.Counter("fusiondb_server_static_bytes_total"),
+            report.static_bytes);
+  EXPECT_EQ(snap.Counter("fusiondb_server_isolated_static_bytes_total"),
+            report.isolated_static_bytes);
+  EXPECT_EQ(log->events(), kServed);
+  std::ifstream in(log_path);
+  std::string contents((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  EXPECT_EQ(std::count(contents.begin(), contents.end(), '\n'), kServed);
+  for (const SessionAttribution& a : report.attributions) {
+    EXPECT_NE(contents.find("\"session_id\":" + std::to_string(a.session_id) +
+                            ","),
+              std::string::npos)
+        << contents;
+  }
+  engine.StopServer();
+  std::remove(log_path.c_str());
+}
+
+// Concurrency does not leak into what a batch reports: the same
+// multi-group batch on two fresh servers gives identical reports —
+// decisions and attributions in the same order — and with morsel-parallel
+// executions nested inside the pool's (exec.parallelism 2 and 4) every
+// session still equals its isolated run and the report is unchanged.
+TEST(ServerTest, ConcurrentGroupsAreDeterministic) {
+  Engine engine(SharedTpcds());
+  std::vector<tpcds::TpcdsQuery> batch;
+  for (const char* name :
+       {"q01", "q09", "q01", "q65", "q09", "q88", "q65", "q03"}) {
+    batch.push_back(Unwrap(tpcds::QueryByName(name)));
+  }
+  auto run = [&](size_t parallelism, std::vector<SessionPtr>* sessions) {
+    ServerOptions options;
+    options.exec.parallelism = parallelism;
+    SessionManager& manager = *Unwrap(engine.StartServer(options));
+    std::vector<PreparedQuery> prepared;
+    std::vector<PlanPtr> plans;
+    for (const tpcds::TpcdsQuery& q : batch) {
+      prepared.push_back(Unwrap(engine.Prepare(q.build)));
+      plans.push_back(prepared.back().plan());
+    }
+    *sessions = manager.SubmitBatch(plans);
+    BatchReport report = manager.last_batch_report();
+    engine.StopServer();
+    return report;
+  };
+
+  std::vector<SessionPtr> first, second;
+  BatchReport want = run(1, &first);
+  ASSERT_EQ(want.attributions.size(), batch.size());
+  EXPECT_EQ(want.shared_groups, 3u);  // q01, q09 and q65 pairs
+  EXPECT_EQ(want.solo_sessions, 2u);  // q88 and q03
+  ExpectSameReport(run(1, &second), want);
+
+  for (size_t parallelism : {2, 4}) {
+    SCOPED_TRACE(parallelism);
+    std::vector<SessionPtr> sessions;
+    ExpectSameReport(run(parallelism, &sessions), want);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      SCOPED_TRACE(batch[i].name);
+      ASSERT_TRUE(sessions[i]->Wait().ok())
+          << sessions[i]->Wait().status().ToString();
+      ExpectIdentical(*sessions[i]->Wait(),
+                      IsolatedRun(&engine, batch[i].build,
+                                  OptimizerOptions::Fused()));
+    }
+  }
 }
 
 }  // namespace

@@ -83,8 +83,9 @@ echo "== [6/8] bench smoke + sharing overhead gate =="
 # bench runs and that its cross-config result-equivalence assertions hold.
 (cd build/bench &&
   FUSIONDB_BENCH_SCALE=0.01 FUSIONDB_BENCH_REPEATS=1 ./spool_vs_fusion)
-# Cross-query fusion server: the sweep's sharing assertions (shared bytes <
-# isolated bytes, byte-identical results) run inside the bench; the diff
+# Cross-query fusion server: the sweep's sharing assertions (billed bytes
+# below the solo round's billed bytes, static bytes below the sessions' own
+# static bytes, byte-identical results) run inside the bench; the diff
 # gates the session layer's single-client overhead. Latency numbers at this
 # scale are noisy, hence the forgiving threshold. 5 repeats, best-of-N in
 # the gate reports; clients capped so the smoke stays fast.
@@ -110,13 +111,15 @@ python3 - "$METRICS_DIR" <<'EOF'
 import json, sys
 d = sys.argv[1]
 m = json.load(open(d + "/metrics.json"))
-assert m["schema_version"] == 3, m.get("schema_version")
+assert m["schema_version"] == 4, m.get("schema_version")
 assert m["counters"]["fusiondb_server_sessions_total"] == 8, m["counters"]
 assert m["histograms"]["fusiondb_server_queue_wait_us"]["count"] == 8
+assert m["histograms"]["fusiondb_server_plan_us"]["count"] == 8
 assert m["histograms"]["fusiondb_server_execute_us"]["count"] == 8
 events = [json.loads(l) for l in open(d + "/query_log.jsonl")]
 assert len(events) == 8, len(events)
-assert all(e["schema_version"] == 3 for e in events)
+assert all(e["schema_version"] == 4 for e in events)
+assert all(e["queue_wait_us"] >= e["plan_us"] for e in events)
 print("metrics smoke: snapshot + %d query-log events OK" % len(events))
 EOF
 # Overhead gate: always-on recording must cost <= 2% on the whole-workload

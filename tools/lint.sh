@@ -125,6 +125,17 @@ if grep -rn --include='*.cc' --include='*.h' 'ExecutePlan(' src/server \
   note_failure 'src/server must execute through ExecuteFanOut (exec/fanout.h), not ExecutePlan'
 fi
 
+# All server concurrency goes through one pool: a batch's executions run on
+# the SessionManager's ThreadPool (exec/thread_pool.h) and the only thread
+# the server starts itself is session_manager.cc's admission coordinator.
+# A std::thread (or std::async) anywhere else in src/server would run work
+# the pool's sizing against the cores does not see.
+if grep -rnE --include='*.cc' --include='*.h' 'std::(j?thread|async)\b' \
+    src/server 2>/dev/null \
+    | grep -vE '^src/server/session_manager\.(cc|h):[0-9]+:.*(coordinator|hardware_concurrency)'; then
+  note_failure 'src/server starts no threads besides the coordinator; run work on the SessionManager pool (exec/thread_pool.h)'
+fi
+
 # Semantic facts (candidate keys, uniqueness) have one derivation authority:
 # analysis/plan_props.h. A rewrite rule reaching for Table::primary_key() or
 # growing its own structural key scan re-creates the ad-hoc re-derivation
