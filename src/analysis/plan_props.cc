@@ -381,74 +381,6 @@ bool Implies(const ExprPtr& premise, const ExprPtr& conclusion,
   return true;
 }
 
-namespace {
-
-/// An atom over at most one column whose truth over [min,max] of that
-/// column is decidable. `*col` receives the referenced column
-/// (kInvalidColumnId for constants).
-bool MonotoneAtom(const Expr& e, ColumnId* col) {
-  switch (e.kind()) {
-    case ExprKind::kLiteral:
-      *col = kInvalidColumnId;
-      return e.type() == DataType::kBool;
-    case ExprKind::kColumnRef:
-      *col = e.column_id();
-      return e.type() == DataType::kBool;
-    case ExprKind::kIsNull:
-      if (e.child(0)->kind() != ExprKind::kColumnRef) return false;
-      *col = e.child(0)->column_id();
-      return true;
-    case ExprKind::kNot:
-      return MonotoneAtom(*e.child(0), col);
-    case ExprKind::kCompare: {
-      ColumnId c;
-      CompareOp op;
-      Value lit;
-      if (!AsColLitCompare(e, &c, &op, &lit)) return false;
-      *col = c;
-      return true;
-    }
-    case ExprKind::kInList: {
-      if (e.child(0)->kind() != ExprKind::kColumnRef) return false;
-      for (size_t i = 1; i < e.children().size(); ++i) {
-        if (e.child(i)->kind() != ExprKind::kLiteral) return false;
-      }
-      *col = e.child(0)->column_id();
-      return true;
-    }
-    case ExprKind::kAnd:
-    case ExprKind::kOr: {
-      ColumnId common = kInvalidColumnId;
-      for (const ExprPtr& child : e.children()) {
-        ColumnId c = kInvalidColumnId;
-        if (!MonotoneAtom(*child, &c)) return false;
-        if (c == kInvalidColumnId) continue;
-        if (common == kInvalidColumnId) common = c;
-        if (c != common) return false;
-      }
-      *col = common;
-      return true;
-    }
-    case ExprKind::kArith:
-    case ExprKind::kCase:
-      return false;
-  }
-  return false;
-}
-
-}  // namespace
-
-bool IsMonotone(const ExprPtr& filter) {
-  if (filter == nullptr) return true;
-  std::vector<ExprPtr> conjuncts;
-  SplitConjuncts(filter, &conjuncts);
-  for (const ExprPtr& c : conjuncts) {
-    ColumnId col = kInvalidColumnId;
-    if (!MonotoneAtom(*c, &col)) return false;
-  }
-  return true;
-}
-
 std::vector<ExprPtr> DropImpliedConjuncts(const std::vector<ExprPtr>& conjuncts,
                                           const DomainMap& ambient) {
   std::vector<ExprPtr> kept;
@@ -543,9 +475,7 @@ PlanProps DeriveScan(const ScanOp& scan) {
   PlanProps p;
   const Table& table = *scan.table();
   int64_t n = table.num_rows();
-  bool pruned =
-      scan.pruning_filter() != nullptr && !IsTrueLiteral(scan.pruning_filter());
-  p.rows = {pruned ? 0 : n, n};
+  p.rows = {n, n};
   const std::vector<int>& pk = table.primary_key();
   if (!pk.empty()) {
     std::vector<ColumnId> key;

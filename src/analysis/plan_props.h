@@ -11,11 +11,9 @@
 //   - row-count bounds seeded from catalog cardinalities.
 //
 // The same interval lattice powers an expression-level implication checker
-// (Implies(F, G): every row satisfying F also satisfies G) and a
-// monotonicity test (IsMonotone(F): F is decidable per partition from the
-// partition column's min/max alone — the property partition pruning relies
-// on). Everything here is conservative: "don't know" degrades to the lattice
-// top (nullable, unbounded, no keys), never to a wrong claim.
+// (Implies(F, G): every row satisfying F also satisfies G). Everything here
+// is conservative: "don't know" degrades to the lattice top (nullable,
+// unbounded, no keys), never to a wrong claim.
 //
 // Consumers: the semantic verifier tier (analysis/semantic_verifier.h),
 // JoinOnKeys (optimizer/rules_join_keys.cc, which asserts its key
@@ -123,13 +121,6 @@ void TightenDomains(const ExprPtr& conjunct, DomainMap* domains);
 /// i.e. only `ambient` may do the proving.
 bool Implies(const ExprPtr& premise, const ExprPtr& conclusion,
              const DomainMap* ambient = nullptr);
-
-/// True when `filter` is a conjunction of single-column atoms (column vs
-/// literal comparisons, IN over literals, IS [NOT] NULL, boolean column
-/// refs, single-column ORs of those) — i.e. its truth over a partition is
-/// decidable from per-column min/max, so partition pruning with it can
-/// only drop partitions containing no satisfying row.
-bool IsMonotone(const ExprPtr& filter);
 
 /// Returns `conjuncts` minus those already implied by `ambient` alone
 /// (e.g. IS NOT NULL on a column the domain proves non-NULL, or a range

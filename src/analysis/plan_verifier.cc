@@ -235,10 +235,6 @@ class VerifierImpl {
                 DataTypeName(table_cols[static_cast<size_t>(tc)].type)));
       }
     }
-    if (scan.pruning_filter() != nullptr) {
-      return ExprTypeChecker(scan.schema())
-          .CheckBoolean(scan.pruning_filter(), "pruning-filter");
-    }
     return Status::OK();
   }
 

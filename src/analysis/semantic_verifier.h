@@ -2,15 +2,10 @@
 //
 // The structural tier (plan_verifier.h) checks that a plan is well-formed;
 // this tier checks that the optimizer's *rewrites* were justified. It walks
-// a plan proving, from independently derived properties (plan_props.h):
-//   - every scan's pruning filter is monotone in the partition column
-//     ([semantic-pruning-nonmonotone]) and implied by the filters enforced
-//     above it ([semantic-pruning-unimplied]) — the contract that lets the
-//     executor skip partitions and fusion drop pruning filters from shared
-//     scans,
-//   - EnforceSingleRow subtrees can actually produce a single row
-//     ([semantic-single-row-impossible]),
-// and discharges the obligations rewrite rules record in the SemanticLedger:
+// a plan proving, from independently derived properties (plan_props.h),
+// that EnforceSingleRow subtrees can actually produce a single row
+// ([semantic-single-row-impossible]), and discharges the obligations
+// rewrite rules record in the SemanticLedger:
 //   - key claims ([semantic-key-obligation], e.g. JoinOnKeys' precondition),
 //   - filter implications ([semantic-filter-implication], e.g. compensating
 //     conjuncts dropped because the shared subtree's domain implies them),
@@ -25,7 +20,7 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/plan_props.h"
@@ -46,8 +41,8 @@ bool SemanticVerificationEnabled();
 class SemanticVerifier {
  public:
   /// Walks `plan` and checks every node-local semantic invariant
-  /// (pruning monotonicity/implication, single-row feasibility). `context`
-  /// names the producing step and is woven into violation messages.
+  /// (single-row feasibility). `context` names the producing step and is
+  /// woven into violation messages.
   Status Verify(const PlanPtr& plan, std::string_view context = {});
 
   /// Drains `ledger` (null is a no-op) and re-proves every recorded
@@ -69,14 +64,10 @@ class SemanticVerifier {
   int64_t obligations_checked() const { return obligations_checked_; }
 
  private:
-  Status WalkTree(const PlanPtr& node, const std::vector<ExprPtr>& enforced,
-                  bool is_root);
-  Status CheckScan(const PlanPtr& node, const std::vector<ExprPtr>& enforced,
-                   bool is_root);
+  Status WalkTree(const PlanPtr& node);
 
   PropertyDerivation props_;
-  // node -> hashes of enforced-filter contexts it was verified under
-  std::unordered_map<const LogicalOp*, std::vector<uint64_t>> walked_;
+  std::unordered_set<const LogicalOp*> walked_;  // nodes already verified
   std::vector<PlanPtr> keepalive_;
   int64_t plans_verified_ = 0;
   int64_t obligations_checked_ = 0;

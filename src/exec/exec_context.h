@@ -104,10 +104,11 @@ struct SpoolBuffer {
 class ExecContext {
  public:
   /// Installs the run's options — the single entry point through which
-  /// every execution (ExecutePlan, ExecuteFanOut, tests) configures the
-  /// context, so operators never re-read individual knobs from ad-hoc
-  /// setters. Resolves parallelism 0 to the hardware concurrency and builds
-  /// the worker pool. Must be called before BuildExecutor.
+  /// every execution (ExecuteFanOut, which ExecutePlan calls, and tests)
+  /// configures the context, so operators never re-read individual knobs
+  /// from ad-hoc setters. Resolves parallelism 0 to the hardware
+  /// concurrency and builds the worker pool. Must be called before
+  /// BuildExecutor.
   void Init(const ExecOptions& options) {
     options_ = options;
     if (options_.parallelism == 0) {
@@ -184,7 +185,7 @@ class ExecContext {
   }
 
   /// Metrics snapshot with the tracked memory peak folded in; what
-  /// ExecutePlan hands to QueryResult after the operator tree is torn down.
+  /// ExecuteFanOut hands to QueryResult after the operator tree is torn down.
   /// Taking it while a parallel region is still open would observe a torn
   /// total — regions bracket themselves so this can assert.
   ExecMetrics FinalMetrics() const {

@@ -1,8 +1,9 @@
 #include "exec/executor.h"
 
 #include <set>
+#include <utility>
 
-#include "analysis/plan_verifier.h"
+#include "exec/fanout.h"
 #include "exec/morsel_source.h"
 #include "exec/operators_internal.h"
 #include "exec/pipeline.h"
@@ -190,21 +191,28 @@ Result<ExecOperatorPtr> BuildExecutor(const PlanPtr& plan, ExecContext* ctx) {
 
 namespace {
 
-void AddScanBytes(const LogicalOp& plan, std::set<int32_t>* spools,
-                  int64_t* bytes) {
+/// `pruning` is the predicate of `plan`'s parent when that parent is a
+/// Filter, the only predicate a scan prunes by (StaticPruneSpec).
+void AddScanBytes(const LogicalOp& plan, const ExprPtr& pruning,
+                  std::set<int32_t>* spools, int64_t* bytes) {
   if (plan.kind() == OpKind::kSpool &&
       !spools->insert(Cast<SpoolOp>(plan).spool_id()).second) {
     return;  // the first consumer materializes it; the others read back
   }
   if (plan.kind() == OpKind::kScan) {
     const auto& scan = Cast<ScanOp>(plan);
-    internal::PruneSpec spec = internal::StaticPruneSpec(scan);
+    internal::PruneSpec spec = internal::StaticPruneSpec(scan, pruning);
     for (const Partition& p : scan.table()->partitions()) {
       if (!spec.KeepsRange(p.min_key, p.max_key)) continue;
       for (int c : scan.table_columns()) *bytes += p.column_bytes[c];
     }
   }
-  for (const PlanPtr& c : plan.children()) AddScanBytes(*c, spools, bytes);
+  const ExprPtr child_pruning = plan.kind() == OpKind::kFilter
+                                    ? Cast<FilterOp>(plan).predicate()
+                                    : nullptr;
+  for (const PlanPtr& c : plan.children()) {
+    AddScanBytes(*c, child_pruning, spools, bytes);
+  }
 }
 
 }  // namespace
@@ -212,7 +220,7 @@ void AddScanBytes(const LogicalOp& plan, std::set<int32_t>* spools,
 int64_t ScanBytes(const PlanPtr& plan) {
   std::set<int32_t> spools;
   int64_t bytes = 0;
-  AddScanBytes(*plan, &spools, &bytes);
+  AddScanBytes(*plan, nullptr, &spools, &bytes);
   return bytes;
 }
 
@@ -271,36 +279,14 @@ void RecordExecutionMetrics(MetricsRegistry* registry,
 
 Result<QueryResult> ExecutePlan(const PlanPtr& plan,
                                 const ExecOptions& options) {
-  // Static checks first: a malformed plan is reported with the violated
-  // invariant and the offending subplan instead of whichever binding error
-  // the operator tree happens to hit first. (ApplyOp is structurally valid
-  // pre-decorrelation, so it passes here and BuildExecutor rejects it.)
-  FUSIONDB_RETURN_IF_ERROR(VerifyPlanIfEnabled(plan, "pre-execution"));
-  ExecContext ctx;
-  ctx.Init(options);
-  int64_t start = NowNanos();
-  std::vector<Chunk> chunks;
-  {
-    // Scope the operator tree so destructors release accounted memory
-    // before metrics are snapshotted (peak is preserved).
-    FUSIONDB_ASSIGN_OR_RETURN(ExecOperatorPtr root, BuildExecutor(plan, &ctx));
-    while (true) {
-      FUSIONDB_ASSIGN_OR_RETURN(std::optional<Chunk> chunk, root->Next());
-      if (!chunk.has_value()) break;
-      if (chunk->num_rows() == 0) continue;
-      ctx.metrics().rows_produced += static_cast<int64_t>(chunk->num_rows());
-      chunks.push_back(std::move(*chunk));
-    }
-  }
-  double wall_ms = static_cast<double>(NowNanos() - start) * 1e-6;
-  ExecMetrics final_metrics = ctx.FinalMetrics();
-  std::vector<OperatorStats> op_stats = ctx.FinalOperatorStats();
-  RecordExecutionMetrics(options.metrics, final_metrics, op_stats,
-                         ctx.pipelines(), static_cast<int64_t>(chunks.size()),
-                         wall_ms);
-  return QueryResult(plan->schema(), std::move(chunks),
-                     std::move(final_metrics), wall_ms, std::move(op_stats),
-                     ctx.pipelines());
+  if (plan == nullptr) return Status::PlanError("null plan");
+  // One passthrough consumer: the fan-out drain loop with nothing to
+  // restore, which hands each chunk over without a copy.
+  FUSIONDB_ASSIGN_OR_RETURN(
+      FanOutResult out,
+      ExecuteFanOut(plan, {FanOutConsumer::Passthrough(plan->schema())},
+                    options));
+  return std::move(out.results[0]);
 }
 
 }  // namespace fusiondb

@@ -18,11 +18,11 @@ namespace fusiondb {
 /// (exec/pipeline.h).
 Result<ExecOperatorPtr> BuildExecutor(const PlanPtr& plan, ExecContext* ctx);
 
-/// The bytes `plan`'s scans read under their own static pruning: for every
-/// scan, the bytes of its columns in each partition its pruning filter
-/// admits (morsel_source.h StaticPruneSpec), a spooled subtree counted once
-/// as the executor runs it once. It depends only on the plan and the
-/// catalog. A run that drains its scans reports it as
+/// The bytes `plan`'s scans read under their static pruning: for every
+/// scan, the bytes of its columns in each partition the Filter directly
+/// above it admits (morsel_source.h StaticPruneSpec), a spooled subtree
+/// counted once as the executor runs it once. It depends only on the plan
+/// and the catalog. A run that drains its scans reports it as
 /// ExecMetrics::StaticBytes(); its billed bytes_scanned is at most this,
 /// since runtime join filters only skip more.
 int64_t ScanBytes(const PlanPtr& plan);

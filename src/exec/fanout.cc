@@ -87,7 +87,7 @@ Result<FanOutResult> ExecuteFanOut(const PlanPtr& plan,
   int64_t chunks_produced = 0;
   {
     // Scope the operator tree so destructors release accounted memory
-    // before metrics are snapshotted (as in ExecutePlan).
+    // before metrics are snapshotted (peak is preserved).
     FUSIONDB_ASSIGN_OR_RETURN(ExecOperatorPtr exec_root,
                               BuildExecutor(plan, &ctx));
     while (true) {
@@ -99,8 +99,8 @@ Result<FanOutResult> ExecuteFanOut(const PlanPtr& plan,
       for (size_t i = 0; i < bound.size(); ++i) {
         BoundConsumer& b = bound[i];
         if (b.passthrough) {
-          // Sole consumer: steal the chunk (the solo fast path costs no
-          // more than ExecutePlan). Otherwise each passthrough copies.
+          // Last consumer: steal the chunk (a solo run, ExecutePlan
+          // included, copies nothing). Otherwise each passthrough copies.
           b.rows += static_cast<int64_t>(chunk->num_rows());
           b.chunks.push_back(i + 1 == bound.size() ? std::move(*chunk)
                                                    : *chunk);

@@ -13,14 +13,14 @@
 // in a plan: the shared stream is already in memory, and binding the
 // compensations once against the root schema avoids N plan builds.
 //
-// Threading: all Next() pulls happen on the calling (driver) thread, as in
-// ExecutePlan — parallelism lives inside operators — so fan-out adds no
-// cross-thread communication and is TSan-clean by construction.
+// Threading: all Next() pulls happen on the calling (driver) thread —
+// parallelism lives inside operators — so fan-out adds no cross-thread
+// communication and is TSan-clean by construction.
 //
-// A single consumer with no filter and an identity column list makes
-// ExecuteFanOut equivalent to ExecutePlan (modulo output column ids/names,
-// which the consumer chooses); src/server routes *all* execution through
-// this entry point so shared and solo queries take one code path.
+// This is the engine's only drain loop: ExecutePlan is ExecuteFanOut with
+// one FanOutConsumer::Passthrough consumer, and src/server routes *all*
+// execution through this entry point, so shared and solo queries take one
+// code path.
 #ifndef FUSIONDB_EXEC_FANOUT_H_
 #define FUSIONDB_EXEC_FANOUT_H_
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <iterator>
 #include <optional>
+#include <utility>
 
 #include "expr/simplifier.h"
 
@@ -99,25 +100,24 @@ ColumnId PartitionOutput(const ScanOp& op) {
 
 }  // namespace
 
-PruneSpec StaticPruneSpec(const ScanOp& op) {
+PruneSpec StaticPruneSpec(const ScanOp& op, const ExprPtr& predicate) {
   PruneSpec spec;
   ColumnId part_col = PartitionOutput(op);
-  if (op.pruning_filter() == nullptr || part_col == kInvalidColumnId) {
-    return spec;
-  }
+  if (predicate == nullptr || part_col == kInvalidColumnId) return spec;
   std::vector<ExprPtr> conjuncts;
-  SplitConjuncts(op.pruning_filter(), &conjuncts);
+  SplitConjuncts(predicate, &conjuncts);
   for (const ExprPtr& c : conjuncts) ApplyPruneConjunct(c, part_col, &spec);
   return spec;
 }
 
-MorselSource::MorselSource(const ScanOp& op, ExecContext* ctx, int32_t op_id)
+MorselSource::MorselSource(const ScanOp& op, PruneSpec prune, ExecContext* ctx,
+                           int32_t op_id)
     : table_(op.table()),
       table_columns_(op.table_columns()),
       ctx_(ctx),
       op_id_(op_id),
       part_out_(PartitionOutput(op)),
-      prune_(StaticPruneSpec(op)) {
+      prune_(std::move(prune)) {
   types_.reserve(op.schema().num_columns());
   for (size_t i = 0; i < op.schema().num_columns(); ++i) {
     types_.push_back(op.schema().column(i).type);

@@ -22,10 +22,10 @@ namespace fusiondb::internal {
 
 /// Constraints over the partitioning column: a [lo, hi] interval
 /// intersection plus an optional set of points, sorted and distinct. A
-/// scan's static spec comes from its pruning filter (= and IN conjuncts
-/// give points); its runtime spec from the hash joins above it, each of
-/// which keeps only the partitions holding one of its build keys. A point
-/// set with no points keeps nothing.
+/// scan's static spec comes from the Filter directly above it (= and IN
+/// conjuncts give points); its runtime spec from the hash joins above it,
+/// each of which keeps only the partitions holding one of its build keys.
+/// A point set with no points keeps nothing.
 struct PruneSpec {
   int64_t lo = std::numeric_limits<int64_t>::min();
   int64_t hi = std::numeric_limits<int64_t>::max();
@@ -53,19 +53,25 @@ struct PruneSpec {
 /// above the scan re-checks rows anyway).
 void ApplyPruneConjunct(const ExprPtr& e, ColumnId part_col, PruneSpec* spec);
 
-/// The partitions `op`'s own pruning filter admits. A scan source prunes
-/// by it and ScanBytes (exec/executor.h) counts by it, so the bytes the
-/// server decides sharing on and the bytes a run charges follow one rule.
-PruneSpec StaticPruneSpec(const ScanOp& op);
+/// The partitions of `op`'s table that `predicate` may keep: the predicate
+/// of the Filter whose child `op` is, or nullptr (keep all) for a scan with
+/// no Filter directly above. Only that Filter sees every row the scan
+/// emits, so no other predicate may prune it. CompilePipeline prunes a scan
+/// source by it and ScanBytes (exec/executor.h) counts by it, so the bytes
+/// the server decides sharing on and the bytes a run charges follow one
+/// rule.
+PruneSpec StaticPruneSpec(const ScanOp& op, const ExprPtr& predicate);
 
 class MorselSource {
  public:
-  /// Scan source. `op_id` is the scan's stats slot (-1 when unprofiled);
-  /// decoded and pruned bytes are attributed to it. The source registers
+  /// Scan source reading the partitions `prune` keeps (StaticPruneSpec).
+  /// `op_id` is the scan's stats slot (-1 when unprofiled); decoded and
+  /// pruned bytes are attributed to it. The source registers
   /// itself with `ctx` under `op`, so a hash join above it can find it and
   /// narrow its runtime spec (ExecContext::scan_sources); it must therefore
   /// stay at one address, and sources are neither copied nor moved.
-  MorselSource(const ScanOp& op, ExecContext* ctx, int32_t op_id);
+  MorselSource(const ScanOp& op, PruneSpec prune, ExecContext* ctx,
+               int32_t op_id);
 
   /// Child source: the morsels are the output chunks of `child`, the
   /// already-built operator below the pipeline's chain.
@@ -126,7 +132,7 @@ class MorselSource {
   int32_t op_id_ = -1;
   std::vector<DataType> types_;
   ColumnId part_out_ = kInvalidColumnId;
-  PruneSpec prune_;    // from the scan's pruning filter
+  PruneSpec prune_;    // from the Filter directly above the scan
   PruneSpec runtime_;  // from the build keys of hash joins above the scan
   // Serial iteration state.
   size_t partition_ = 0;

@@ -481,15 +481,22 @@ Result<ExecOperatorPtr> CompilePipeline(const PlanPtr& plan, ExecContext* ctx,
                          std::move(spec), plan->schema(), ctx, root_op_id));
   }
   // A scan source keeps its own slot for decoded-bytes attribution; a bare
-  // scan is the root itself.
+  // scan is the root itself. It prunes by the chain's lowest Filter only
+  // when that Filter reads the scan directly.
   int32_t scan_slot = root_op_id;
   if (ctx->profile_enabled() && !chain.empty()) {
     scan_slot = ctx->RegisterOperator(OpKindName(OpKind::kScan),
                                       NodeDetail(*source), parent);
     ctx->op_stats(scan_slot)->pipeline = pipe_index;
   }
+  const bool filtered =
+      !chain.empty() && chain.back()->kind() == OpKind::kFilter;
+  const ExprPtr pruning =
+      filtered ? Cast<FilterOp>(*chain.back()).predicate() : nullptr;
+  const ScanOp& scan_op = Cast<ScanOp>(*source);
   return ExecOperatorPtr(new PipelineExec(
-      std::make_unique<MorselSource>(Cast<ScanOp>(*source), ctx, scan_slot),
+      std::make_unique<MorselSource>(
+          scan_op, StaticPruneSpec(scan_op, pruning), ctx, scan_slot),
       std::move(spec), plan->schema(), ctx, root_op_id));
 }
 

@@ -163,8 +163,6 @@ std::optional<FuseResult> Fuser::FuseScan(const ScanOp& s1, const ScanOp& s2) {
       mapping[id2] = id2;
     }
   }
-  // Pruning filters are derived from enclosing Filters; the fused scan
-  // starts clean and a later pushdown pass re-derives pruning.
   PlanPtr fused = std::make_shared<ScanOp>(s1.table(), std::move(table_columns),
                                            Schema(std::move(cols)));
   return FuseResult{std::move(fused), std::move(mapping), TrueExpr(),

@@ -140,9 +140,8 @@ Result<PlanPtr> SweepOnce(const PlanPtr& plan,
         if (semantic != nullptr) {
           // Translation validation: re-prove the facts the rule claimed
           // (ledger obligations), then re-check the rewritten subtree's own
-          // semantic contracts (pruning monotonicity/implication, single-row
-          // feasibility). Only the touched subtree is walked; unchanged
-          // subtrees hit the verifier's memo.
+          // semantic contract (single-row feasibility). Only the touched
+          // subtree is walked; unchanged subtrees hit the verifier's memo.
           Status st = semantic->CheckObligations(ctx->semantics(),
                                                  rule->name());
           if (st.ok()) st = semantic->Verify(next, rule->name());
@@ -204,7 +203,6 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   static const SimplifyExpressionsRule simplify;
   static const MergeFiltersRule merge_filters;
   static const MergeProjectsRule merge_projects;
-  static const PushFilterIntoScanRule push_into_scan;
   static const FilterPushdownRule filter_pushdown;
   static const DecorrelateScalarAggRule decorrelate;
   static const SemiJoinToDistinctJoinRule semi_to_distinct;
@@ -324,11 +322,12 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
 
-  // 6. Cleanup: simplify, push filters toward (and into) scans, prune.
+  // 6. Cleanup: simplify, push filters down onto their scans (which prune
+  // by the Filter directly above them), prune columns.
   {
     PhaseScope phase(obs_trace, "cleanup");
     std::vector<const Rule*> rules{&simplify, &merge_filters, &merge_projects,
-                                   &filter_pushdown, &push_into_scan};
+                                   &filter_pushdown};
     FUSIONDB_ASSIGN_OR_RETURN(current, RunPhase(current, rules, ctx, semantic, &counters));
   }
   FUSIONDB_RETURN_IF_ERROR(
@@ -366,10 +365,8 @@ Result<PlanPtr> Optimizer::Optimize(const PlanPtr& plan,
   // schema-narrowing projection built just above.
   FUSIONDB_RETURN_IF_ERROR(VerifyPlanIfEnabled(current, "optimized plan"));
   if (semantic != nullptr) {
-    // Full-plan re-verification with fresh context: rules verify subtrees
-    // incrementally, but filter/scan relationships crossing rewrite
-    // boundaries (e.g. a pruning filter whose enforcing Filter was merged
-    // away two phases later) only show at the root.
+    // Full-plan re-verification: rules verify subtrees incrementally, and
+    // this also covers the schema-narrowing projection built just above.
     Status st = semantic->CheckObligations(ctx->semantics(), "optimized plan");
     if (st.ok()) st = semantic->Verify(current, "optimized plan");
     FUSIONDB_RETURN_IF_ERROR(st);

@@ -6,7 +6,8 @@
 //   3. fuse           — Section IV rules (toggleable, for A/B benchmarks)
 //   4. distinct       — semi-join -> distinct-join, distinct pushdown (V.D)
 //   5. fuse again     — rules enabled by phase 4 (Q95's JoinOnKeys)
-//   6. cleanup        — simplify, pushdown, partition pruning, column pruning
+//   6. cleanup        — simplify, filter pushdown, column pruning (a scan
+//                       prunes partitions by the Filter directly above it)
 //   7. spool          — share identical subtrees through spools (off unless
 //                       enable_spooling)
 //

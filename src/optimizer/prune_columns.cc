@@ -30,12 +30,10 @@ Result<PlanPtr> Prune(const PlanPtr& plan, const ColumnSet& required) {
   switch (plan->kind()) {
     case OpKind::kScan: {
       const auto& scan = Cast<ScanOp>(*plan);
-      ColumnSet needed = required;
-      AddExprColumns(scan.pruning_filter(), &needed);
       std::vector<int> table_columns;
       std::vector<ColumnInfo> cols;
       for (size_t i = 0; i < scan.schema().num_columns(); ++i) {
-        if (needed.count(scan.schema().column(i).id) == 0) continue;
+        if (required.count(scan.schema().column(i).id) == 0) continue;
         table_columns.push_back(scan.table_columns()[i]);
         cols.push_back(scan.schema().column(i));
       }
@@ -57,8 +55,7 @@ Result<PlanPtr> Prune(const PlanPtr& plan, const ColumnSet& required) {
       if (cols.size() == scan.schema().num_columns()) return plan;
       return std::static_pointer_cast<const LogicalOp>(
           std::make_shared<ScanOp>(scan.table(), std::move(table_columns),
-                                   Schema(std::move(cols)),
-                                   scan.pruning_filter()));
+                                   Schema(std::move(cols))));
     }
     case OpKind::kFilter: {
       const auto& filter = Cast<FilterOp>(*plan);

@@ -2,7 +2,7 @@
 //
 // Substrate rules (pre-existing engine machinery the paper builds on):
 //   SimplifyExpressionsRule, MergeFiltersRule, MergeProjectsRule,
-//   PushFilterIntoScanRule, FilterPushdownRule,
+//   FilterPushdownRule,
 //   DecorrelateScalarAggRule        ([20]-style decorrelation; enables Q01)
 //   SemiJoinToDistinctJoinRule      (semi-join -> join over distinct)
 //   PushDistinctBelowJoinRule       (distinct pushed below a key-aligned join)
@@ -45,16 +45,6 @@ class MergeFiltersRule final : public Rule {
 class MergeProjectsRule final : public Rule {
  public:
   std::string_view name() const override { return "MergeProjects"; }
-  Result<PlanPtr> Apply(const PlanPtr& plan, PlanContext* ctx) const override;
-};
-
-/// Filter over Scan: hand the predicate to the scan for partition pruning
-/// (the filter stays; the scan only uses it to skip partitions).
-///   before: σ_{date BETWEEN ...}(Scan_T)
-///   after:  σ_{date BETWEEN ...}(Scan_T[prune: date BETWEEN ...])
-class PushFilterIntoScanRule final : public Rule {
- public:
-  std::string_view name() const override { return "PushFilterIntoScan"; }
   Result<PlanPtr> Apply(const PlanPtr& plan, PlanContext* ctx) const override;
 };
 

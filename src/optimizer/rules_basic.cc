@@ -1,5 +1,5 @@
-// Substrate rules: expression simplification, filter/project normalization,
-// partition-pruning handoff and filter pushdown.
+// Substrate rules: expression simplification, filter/project normalization
+// and filter pushdown.
 #include <unordered_map>
 
 #include "expr/simplifier.h"
@@ -154,23 +154,6 @@ Result<PlanPtr> MergeProjectsRule::Apply(const PlanPtr& plan,
   }
   return std::static_pointer_cast<const LogicalOp>(
       std::make_shared<ProjectOp>(inner.child(0), std::move(merged)));
-}
-
-Result<PlanPtr> PushFilterIntoScanRule::Apply(const PlanPtr& plan,
-                                              PlanContext* ctx) const {
-  (void)ctx;
-  if (plan->kind() != OpKind::kFilter) return plan;
-  const auto& filter = Cast<FilterOp>(*plan);
-  if (filter.child(0)->kind() != OpKind::kScan) return plan;
-  const auto& scan = Cast<ScanOp>(*filter.child(0));
-  if (scan.pruning_filter() != nullptr &&
-      ExprEquivalent(scan.pruning_filter(), filter.predicate())) {
-    return plan;  // already handed over
-  }
-  PlanPtr new_scan = std::make_shared<ScanOp>(
-      scan.table(), scan.table_columns(), scan.schema(), filter.predicate());
-  return std::static_pointer_cast<const LogicalOp>(
-      std::make_shared<FilterOp>(new_scan, filter.predicate()));
 }
 
 Result<PlanPtr> FilterPushdownRule::Apply(const PlanPtr& plan,

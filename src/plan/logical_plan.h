@@ -96,20 +96,17 @@ const T* CastPtr(const PlanPtr& op) {
 // ---------------------------------------------------------------------------
 
 /// Scan of a catalog table. Reads `table_columns[i]` of the table as output
-/// column i of `schema` (fresh ids). `pruning_filter`, when set by the
-/// optimizer, restricts which partitions are read (it is a conjunction over
-/// this scan's columns that is *also* enforced by a Filter above, so the
-/// scan may use it solely for partition pruning).
+/// column i of `schema` (fresh ids). The executor prunes the scan's
+/// partitions by the predicate of the Filter directly above it, if any
+/// (exec/morsel_source.h StaticPruneSpec).
 class ScanOp final : public LogicalOp {
  public:
   static constexpr OpKind kKind = OpKind::kScan;
 
-  ScanOp(TablePtr table, std::vector<int> table_columns, Schema schema,
-         ExprPtr pruning_filter = nullptr)
+  ScanOp(TablePtr table, std::vector<int> table_columns, Schema schema)
       : LogicalOp(kKind, {}, std::move(schema)),
         table_(std::move(table)),
-        table_columns_(std::move(table_columns)),
-        pruning_filter_(std::move(pruning_filter)) {
+        table_columns_(std::move(table_columns)) {
     FUSIONDB_CHECK(table_columns_.size() == this->schema().num_columns(),
                    "scan schema/column mismatch");
   }
@@ -120,18 +117,15 @@ class ScanOp final : public LogicalOp {
 
   const TablePtr& table() const { return table_; }
   const std::vector<int>& table_columns() const { return table_columns_; }
-  const ExprPtr& pruning_filter() const { return pruning_filter_; }
 
   PlanPtr CloneWithChildren(std::vector<PlanPtr> children) const override {
     FUSIONDB_CHECK(children.empty(), "scan has no children");
-    return std::make_shared<ScanOp>(table_, table_columns_, schema(),
-                                    pruning_filter_);
+    return std::make_shared<ScanOp>(table_, table_columns_, schema());
   }
 
  private:
   TablePtr table_;
   std::vector<int> table_columns_;
-  ExprPtr pruning_filter_;
 };
 
 /// Row filter; output schema equals the child's.

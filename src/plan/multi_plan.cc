@@ -25,8 +25,8 @@ struct RenumberState {
   }
 };
 
-/// ApplyMap for nullable operator parameters (pruning filters, aggregate
-/// args and masks use nullptr for "absent"/"TRUE").
+/// ApplyMap for nullable operator parameters (aggregate args and masks use
+/// nullptr for "absent"/"TRUE").
 ExprPtr MapExpr(const ColumnMap& m, const ExprPtr& expr) {
   return expr == nullptr ? nullptr : ApplyMap(m, expr);
 }
@@ -59,12 +59,8 @@ PlanPtr RenumberNode(const PlanPtr& plan, RenumberState* st) {
   switch (plan->kind()) {
     case OpKind::kScan: {
       const auto& scan = Cast<ScanOp>(*plan);
-      Schema schema(FreshColumns(scan.schema(), st));
-      // The pruning filter references the scan's own output columns, so it
-      // is remapped after those ids are minted.
       out = std::make_shared<ScanOp>(scan.table(), scan.table_columns(),
-                                     std::move(schema),
-                                     MapExpr(st->map, scan.pruning_filter()));
+                                     Schema(FreshColumns(scan.schema(), st)));
       break;
     }
     case OpKind::kValues: {

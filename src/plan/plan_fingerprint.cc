@@ -40,7 +40,6 @@ void ListFields(const LogicalOp& op, OpFields* f) {
       for (const ColumnInfo& c : scan.schema().columns()) {
         f->columns.push_back(c.id);
       }
-      f->exprs.push_back(scan.pruning_filter());
       break;
     }
     case OpKind::kFilter:

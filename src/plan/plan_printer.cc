@@ -23,9 +23,6 @@ void PrintNode(const PlanPtr& plan, int indent, std::ostream& os,
     case OpKind::kScan: {
       const auto& scan = Cast<ScanOp>(*plan);
       os << "(" << scan.table()->name() << ")";
-      if (scan.pruning_filter() != nullptr) {
-        os << " prune: " << scan.pruning_filter()->ToString();
-      }
       break;
     }
     case OpKind::kFilter:

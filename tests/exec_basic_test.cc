@@ -52,31 +52,57 @@ TEST(ScanExecTest, NarrowScanReadsFewerBytes) {
 TEST(ScanExecTest, PartitionPruningByRange) {
   PlanContext ctx;
   PlanBuilder b = PlanBuilder::Scan(&ctx, NumbersTable(), {"k", "v"});
-  ExprPtr pred = eb::Between(b.Ref("k"), eb::Int(25), eb::Int(44));
-  PlanPtr pruned = std::make_shared<FilterOp>(
-      std::make_shared<ScanOp>(Cast<ScanOp>(*b.Build()).table(),
-                               Cast<ScanOp>(*b.Build()).table_columns(),
-                               b.schema(), pred),
-      pred);
-  QueryResult r = MustExecute(pruned);
+  b.Filter(eb::Between(b.Ref("k"), eb::Int(25), eb::Int(44)));
+  QueryResult r = MustExecute(b.Build());
   EXPECT_EQ(r.num_rows(), 20);
   // k in [25, 44] spans partitions [20,29], [30,39] and [40,49].
   EXPECT_EQ(r.metrics().partitions_scanned, 3);
   EXPECT_EQ(r.metrics().partitions_pruned, 7);
+  EXPECT_EQ(ScanBytes(b.Build()), r.metrics().StaticBytes());
 }
 
 TEST(ScanExecTest, PartitionPruningByInList) {
   PlanContext ctx;
   PlanBuilder b = PlanBuilder::Scan(&ctx, NumbersTable(), {"k"});
-  ExprPtr pred = eb::In(b.Ref("k"), {eb::Int(5), eb::Int(95)});
-  PlanPtr pruned = std::make_shared<FilterOp>(
-      std::make_shared<ScanOp>(Cast<ScanOp>(*b.Build()).table(),
-                               Cast<ScanOp>(*b.Build()).table_columns(),
-                               b.schema(), pred),
-      pred);
-  QueryResult r = MustExecute(pruned);
+  b.Filter(eb::In(b.Ref("k"), {eb::Int(5), eb::Int(95)}));
+  QueryResult r = MustExecute(b.Build());
   EXPECT_EQ(r.num_rows(), 2);
   EXPECT_EQ(r.metrics().partitions_scanned, 2);
+}
+
+// A scan prunes only by the column-vs-literal conjuncts of the Filter
+// directly above it. Other conjuncts on the partition column prune nothing,
+// and a Filter that a Project or a Join separates from the scan prunes
+// neither the run nor ScanBytes, the figure the server decides sharing on.
+TEST(ScanExecTest, PrunesOnlyByColumnLiteralConjunctsDirectlyAbove) {
+  PlanContext ctx;
+  TablePtr numbers = NumbersTable();
+  auto expect_unpruned = [](const PlanPtr& plan) {
+    SCOPED_TRACE(PlanToString(plan));
+    QueryResult r = MustExecute(plan);
+    EXPECT_EQ(r.metrics().partitions_pruned, 0);
+    EXPECT_EQ(ScanBytes(plan), r.metrics().bytes_scanned);
+    testutil::ExpectMatchesReference(plan, r);
+  };
+
+  PlanBuilder opaque = PlanBuilder::Scan(&ctx, numbers, {"k", "v"});
+  ExprPtr k = opaque.Ref("k");
+  opaque.Filter(eb::And(eb::Eq(k, k), eb::Gt(eb::Add(k, eb::Int(1)),
+                                             eb::Int(5))));
+  expect_unpruned(opaque.Build());
+
+  PlanBuilder projected = PlanBuilder::Scan(&ctx, numbers, {"k", "v"});
+  projected.Select({"k"});
+  projected.Filter(eb::Lt(projected.Ref("k"), eb::Int(20)));
+  expect_unpruned(projected.Build());
+
+  PlanBuilder joined = PlanBuilder::Scan(&ctx, numbers, {"k", "s"});
+  PlanBuilder names = PlanBuilder::Values(
+      &ctx, {"name"}, {DataType::kString},
+      {{Value::String("s0")}, {Value::String("s2")}});
+  joined.JoinOn(JoinType::kInner, names, {{"s", "name"}});
+  joined.Filter(eb::Lt(joined.Ref("k"), eb::Int(20)));
+  expect_unpruned(joined.Build());
 }
 
 TEST(ScanExecTest, ChunkSizeDoesNotChangeResults) {

@@ -408,7 +408,7 @@ int64_t FactBytesOutside(const std::vector<std::string>& columns,
 }
 
 /// The bytes a plan over fact's `columns` and dim's two columns reads
-/// with static pruning alone (neither scan has a pruning filter).
+/// with static pruning alone (neither scan has a Filter directly above it).
 int64_t StaticFactDimBytes(const std::vector<std::string>& columns,
                            const TablePtr& dim) {
   std::vector<int> indexes;

@@ -150,8 +150,7 @@ TEST(ParallelExec, PartitionPruningUnaffectedByParallelism) {
       CompareOp::kLt, scan.Ref("ss_sold_date_sk"),
       Expr::MakeLiteral(Value::Int64(2451000)));
   scan.Filter(pred);
-  PlanPtr plan = Unwrap(
-      Optimizer(OptimizerOptions::Baseline()).Optimize(scan.Build(), &ctx));
+  const PlanPtr& plan = scan.Build();
   QueryResult serial = Unwrap(ExecutePlan(plan, {.chunk_size = 1024}));
   QueryResult parallel = Unwrap(ExecutePlan(plan, {.chunk_size = 1024, .parallelism = 8}));
   ASSERT_GT(serial.metrics().partitions_pruned, 0)

@@ -1,6 +1,6 @@
 // The semantic analysis tier (DESIGN.md §8): per-operator property
 // derivation (keys, domains, row bounds), the expression-level implication
-// and monotonicity checkers, and the SemanticVerifier's translation
+// checker, and the SemanticVerifier's translation
 // validation — every [semantic-*] tag has a hand-built plan that trips it
 // and a minimally different one that passes. Also covers a consumer:
 // JoinOnKeys firing from derived keys.
@@ -23,15 +23,6 @@ PlanBuilder Items(PlanContext* ctx) {
 PlanBuilder Sales(PlanContext* ctx) {
   TablePtr ss = Unwrap(SharedTpcds().GetTable("store_sales"));
   return PlanBuilder::Scan(ctx, ss, {"ss_sold_date_sk", "ss_item_sk"});
-}
-
-/// Rebuilds `scan` (which must be a bare ScanOp) with the given pruning
-/// filter attached — the shape the optimizer's pruning rewrite produces,
-/// here hand-built so tests can attach unjustified filters.
-PlanPtr WithPruning(const PlanPtr& scan, ExprPtr pruning) {
-  const auto& s = Cast<ScanOp>(*scan);
-  return std::make_shared<ScanOp>(s.table(), s.table_columns(), s.schema(),
-                                  std::move(pruning));
 }
 
 /// Asserts `st` failed with the given [semantic-*] tag in its message.
@@ -242,22 +233,6 @@ TEST(PlanPropsTest, ImpliesUsesAmbientDomains) {
   EXPECT_FALSE(Implies(nullptr, eb::Le(x, eb::Int(5)), &ambient));
 }
 
-TEST(PlanPropsTest, MonotonicityRecognizesPrunableShapes) {
-  ExprPtr x = eb::Col(1, DataType::kInt64);
-  ExprPtr y = eb::Col(2, DataType::kInt64);
-  EXPECT_TRUE(IsMonotone(nullptr));
-  EXPECT_TRUE(IsMonotone(eb::Gt(x, eb::Int(5))));
-  EXPECT_TRUE(IsMonotone(eb::Between(x, eb::Int(1), eb::Int(9))));
-  EXPECT_TRUE(IsMonotone(eb::In(x, {eb::Int(1), eb::Int(2)})));
-  EXPECT_TRUE(IsMonotone(eb::IsNotNull(x)));
-  // Conjuncts over different columns are fine (checked independently) ...
-  EXPECT_TRUE(IsMonotone(eb::And(eb::Gt(x, eb::Int(5)), eb::Lt(y, eb::Int(3)))));
-  // ... but a disjunction across columns is not decidable per column, and
-  // arithmetic breaks the min/max argument entirely.
-  EXPECT_FALSE(IsMonotone(eb::Or(eb::Gt(x, eb::Int(5)), eb::Lt(y, eb::Int(3)))));
-  EXPECT_FALSE(IsMonotone(eb::Gt(eb::Add(x, eb::Int(1)), eb::Int(5))));
-}
-
 TEST(PlanPropsTest, TightenAndDropImpliedConjuncts) {
   ExprPtr x = eb::Col(1, DataType::kInt64);
   ExprPtr y = eb::Col(2, DataType::kInt64);
@@ -299,42 +274,6 @@ TEST(SemanticVerifierTest, AcceptsValidPlans) {
   SemanticVerifier v;
   FUSIONDB_EXPECT_OK(v.Verify(b.Build(), "test"));
   EXPECT_EQ(v.plans_verified(), 1);
-}
-
-TEST(SemanticVerifierTest, RejectsNonMonotonePruningFilter) {
-  PlanContext ctx;
-  PlanPtr scan = Sales(&ctx).Build();
-  // x = x on the partition column is not a column-vs-literal atom, so its
-  // truth over a partition is not decidable from the partition min/max.
-  ExprPtr date = eb::Col(scan->schema().column(0));
-  PlanPtr bad = WithPruning(scan, eb::Eq(date, date));
-  SemanticVerifier v;
-  ExpectTag(v.Verify(bad, "test"), "semantic-pruning-nonmonotone");
-
-  // The monotone form on the same column passes.
-  PlanPtr good = std::make_shared<FilterOp>(
-      WithPruning(scan, eb::Gt(date, eb::Int(0))), eb::Gt(date, eb::Int(0)));
-  FUSIONDB_EXPECT_OK(SemanticVerifier().Verify(good, "test"));
-}
-
-TEST(SemanticVerifierTest, RejectsUnenforcedPruningFilter) {
-  PlanContext ctx;
-  PlanBuilder b = Items(&ctx);
-  ExprPtr brand = b.Ref("i_brand_id");
-  ExprPtr item_sk = b.Ref("i_item_sk");
-  PlanPtr scan = b.Build();
-  // A non-root scan claims pruning on i_brand_id > 5, but nothing above
-  // enforces it: executing this plan would silently drop rows.
-  PlanPtr pruned = WithPruning(scan, eb::Gt(brand, eb::Int(5)));
-  PlanPtr bad =
-      std::make_shared<FilterOp>(pruned, eb::Gt(item_sk, eb::Int(0)));
-  SemanticVerifier v;
-  ExpectTag(v.Verify(bad, "test"), "semantic-pruning-unimplied");
-
-  // With the matching Filter above, the same pruning filter verifies.
-  PlanPtr good =
-      std::make_shared<FilterOp>(pruned, eb::Gt(brand, eb::Int(5)));
-  FUSIONDB_EXPECT_OK(SemanticVerifier().Verify(good, "test"));
 }
 
 TEST(SemanticVerifierTest, RejectsImpossibleEnforceSingleRow) {

@@ -3,8 +3,8 @@
 //
 // It evaluates a plan one row at a time over boxed Values and shares no
 // code with src/exec or the vectorized expression evaluator: scans decode
-// every partition with DecodeColumn (ignoring the pruning filter — the
-// Filter above a scan re-checks its rows), expressions go through its own
+// every partition with DecodeColumn (pruning none: partition pruning only
+// skips rows the Filter above a scan drops anyway), expressions go through its own
 // interpreter (RowExpr, below) on the Value-level semantics of
 // expr/scalar_ops.h, joins match equi-conjuncts through a std::map on key
 // Values under SQL `=` (nested loops otherwise), grouping is sort-based with

@@ -1,6 +1,6 @@
-// Substrate rules: simplification/merging, filter pushdown & partition
-// pruning handoff, decorrelation, semi-join -> distinct join, distinct
-// pushdown, and column pruning.
+// Substrate rules: simplification/merging, filter pushdown (which lands a
+// filter on the scan it prunes), decorrelation, semi-join -> distinct
+// join, distinct pushdown, and column pruning.
 #include <gtest/gtest.h>
 
 #include "optimizer/prune_columns.h"
@@ -59,20 +59,19 @@ TEST(MergeProjectsTest, InlinesDefinitions) {
   EXPECT_TRUE(ResultsEquivalent(r, expected));
 }
 
-TEST(PushFilterIntoScanTest, HandsPredicateForPruning) {
+// Partition pruning needs no rewrite: the optimized plan keeps the filter
+// on the partition column directly on its scan, which prunes by it.
+TEST(PartitionPruningTest, OptimizedFilterOnPartitionColumnPrunes) {
   PlanContext ctx;
   PlanBuilder b = Sales(&ctx);
   b.Filter(eb::Gt(b.Ref("ss_sold_date_sk"), eb::Int(2452000)));
-  PushFilterIntoScanRule rule;
-  PlanPtr pushed = Unwrap(rule.Apply(b.Build(), &ctx));
-  ASSERT_EQ(pushed->kind(), OpKind::kFilter);
-  const auto& scan = Cast<ScanOp>(*pushed->child(0));
-  ASSERT_NE(scan.pruning_filter(), nullptr);
-  // Idempotent.
-  EXPECT_EQ(Unwrap(rule.Apply(pushed, &ctx)), pushed);
-  // And pruning actually skips partitions at execution.
-  QueryResult pruned = MustExecute(pushed);
+  PlanPtr optimized = Unwrap(
+      Optimizer(OptimizerOptions::Baseline()).Optimize(b.Build(), &ctx));
+  ASSERT_EQ(optimized->kind(), OpKind::kFilter);
+  ASSERT_EQ(optimized->child(0)->kind(), OpKind::kScan);
+  QueryResult pruned = MustExecute(optimized);
   EXPECT_GT(pruned.metrics().partitions_pruned, 0);
+  EXPECT_TRUE(ResultsEquivalent(pruned, MustExecute(b.Build())));
 }
 
 TEST(FilterPushdownTest, SplitsAcrossInnerJoin) {

@@ -283,10 +283,43 @@ TEST(ServerTest, DifferentFiltersShareOneScan) {
   engine.StopServer();
 }
 
-// Two disjoint date windows over one table. The fold's scan keeps no
-// partition pruning (the fused disjunction is not pushed into the scan), so
-// one shared run would read far more than the two solo runs together; the
-// group must run its members solo.
+// Two different aggregates over one date window of the partitioned fact
+// table. The fold keeps the shared window as the Filter directly on the
+// fused scan, which prunes by it, so one shared run reads less than the two
+// solo runs together and both sessions share it.
+TEST(ServerTest, EqualPartitionWindowsShareAndPrune) {
+  Engine engine(SharedTpcds());
+  const std::string where =
+      " FROM store_sales WHERE ss_sold_date_sk BETWEEN 2451000 AND 2451060";
+  const std::string sql[] = {
+      "SELECT SUM(ss_net_profit) AS profit" + where,
+      "SELECT COUNT(*) AS n, SUM(ss_quantity) AS quantity" + where};
+  PreparedQuery q1 = Unwrap(engine.Prepare(sql[0]));
+  PreparedQuery q2 = Unwrap(engine.Prepare(sql[1]));
+  SessionManager& manager = *Unwrap(engine.StartServer());
+  std::vector<SessionPtr> sessions =
+      manager.SubmitBatch({q1.plan(), q2.plan()});
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(sessions[i]->Wait().ok());
+    EXPECT_TRUE(sessions[i]->shared());
+    PreparedQuery solo = Unwrap(engine.Prepare(sql[i]));
+    ExpectIdentical(*sessions[i]->Wait(), Unwrap(engine.Execute(&solo)));
+  }
+  BatchReport report = manager.last_batch_report();
+  EXPECT_EQ(report.shared_groups, 1u);
+  ASSERT_EQ(report.decisions.size(), 1u);
+  EXPECT_TRUE(report.decisions[0].shared);
+  EXPECT_LT(report.decisions[0].shared_bytes, report.decisions[0].solo_bytes);
+  ExpectScanBytesPinned(sessions);
+  engine.StopServer();
+}
+
+// Two disjoint date windows over one table. A scan prunes only by
+// column-vs-literal conjuncts of the Filter directly above it, and the fold
+// puts an OR of the two windows there, so the shared scan reads every
+// partition: one shared run would read far more than the two solo runs
+// together, and the group must run its members solo.
 TEST(ServerTest, DisjointDateWindowsRunSolo) {
   Engine engine(SharedTpcds());
   auto window = [](int lo, int hi) {

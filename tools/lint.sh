@@ -226,6 +226,16 @@ if grep -rnE 'PlanBuilder|expr_builder\.h' src/tpcds 2>/dev/null; then
   note_failure 'src/tpcds writes its queries as SQL text (sql::BindSql); no PlanBuilder or expression-builder plans'
 fi
 
+# One pruning rule: a scan prunes its partitions by the predicate of the
+# Filter directly above it (exec/morsel_source.h StaticPruneSpec), in the
+# run and in ScanBytes alike. The copy of that predicate stored on the scan,
+# the rule that wrote it and the semantic checks that re-proved it were
+# deleted; the copy was lost whenever fusion rebuilt a scan, so folds did
+# not prune. Keep it from growing back.
+if grep -rnE 'pruning_filter|PushFilterIntoScan' src tests 2>/dev/null; then
+  note_failure 'a scan prunes by the Filter directly above it (StaticPruneSpec); no pruning predicate stored on ScanOp'
+fi
+
 # --- Layer 2: clang-tidy (optional) ----------------------------------------
 
 if command -v clang-tidy >/dev/null 2>&1; then
