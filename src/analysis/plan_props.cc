@@ -194,35 +194,25 @@ void TightenDomains(const ExprPtr& conjunct, DomainMap* domains) {
       return;
     }
     case ExprKind::kOr: {
-      // Single-column OR: the hull of what the branches establish.
-      ColumnId common = kInvalidColumnId;
-      std::vector<ColumnId> cols;
-      for (const ExprPtr& branch : e.children()) {
-        cols.clear();
-        CollectColumns(branch, &cols);
-        std::sort(cols.begin(), cols.end());
-        cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-        if (cols.size() != 1) return;
-        if (common == kInvalidColumnId) common = cols[0];
-        if (cols[0] != common) return;
-      }
-      if (common == kInvalidColumnId) return;
-      ColumnDomain hull;
-      bool first = true;
-      DomainMap tmp;
-      for (const ExprPtr& branch : e.children()) {
-        tmp.clear();
-        TightenDomains(branch, &tmp);
-        auto it = tmp.find(common);
-        if (it == tmp.end()) return;  // branch establishes nothing
-        if (first) {
-          hull = it->second;
-          first = false;
-        } else {
-          HullInto(&hull, it->second);
+      // Every row satisfies some branch, so each column that every branch
+      // constrains lies in the hull of what the branches establish.
+      DomainMap hull;
+      TightenDomains(e.child(0), &hull);
+      DomainMap branch_domains;
+      for (size_t i = 1; i < e.children().size() && !hull.empty(); ++i) {
+        branch_domains.clear();
+        TightenDomains(e.child(i), &branch_domains);
+        for (auto it = hull.begin(); it != hull.end();) {
+          auto found = branch_domains.find(it->first);
+          if (found == branch_domains.end()) {
+            it = hull.erase(it);
+            continue;
+          }
+          HullInto(&it->second, found->second);
+          ++it;
         }
       }
-      if (!first) IntersectInto(&(*domains)[common], hull);
+      for (const auto& [col, d] : hull) IntersectInto(&(*domains)[col], d);
       return;
     }
     case ExprKind::kLiteral:
@@ -234,6 +224,25 @@ void TightenDomains(const ExprPtr& conjunct, DomainMap* domains) {
 }
 
 namespace {
+
+/// True when no row can satisfy `d`: the column is proven non-NULL and
+/// its bounds admit no value.
+bool IsEmpty(const ColumnDomain& d) {
+  if (d.nullable || !d.lo.has || !d.hi.has ||
+      !SameClass(d.lo.value, d.hi.value)) {
+    return false;
+  }
+  int c = d.lo.value.Compare(d.hi.value);
+  return c > 0 || (c == 0 && (d.lo.strict || d.hi.strict));
+}
+
+/// `col cmp NULL` (either side), which is never TRUE.
+bool ComparesWithNull(const Expr& e) {
+  ColumnId col;
+  CompareOp op;
+  Value lit;
+  return AsColLitCompare(e, &col, &op, &lit) && lit.is_null();
+}
 
 const ColumnDomain* FindDomain(const DomainMap& region, ColumnId col) {
   auto it = region.find(col);
@@ -356,6 +365,26 @@ bool RegionSatisfies(const Expr& e, const DomainMap& region) {
 }
 
 }  // namespace
+
+bool IsContradiction(const ExprPtr& raw) {
+  ExprPtr expr = Simplify(raw);
+  if (expr->IsLiteralBool(false) || expr->IsLiteralNull()) return true;
+  std::vector<ExprPtr> conjuncts;
+  SplitConjuncts(expr, &conjuncts);
+  std::unordered_set<ExprPtr, ExprHash, ExprEq> negated;
+  for (const ExprPtr& c : conjuncts) {
+    if (c->kind() == ExprKind::kNot) negated.insert(c->child(0));
+  }
+  DomainMap domains;
+  for (const ExprPtr& c : conjuncts) {
+    if (negated.count(c) > 0 || ComparesWithNull(*c)) return true;
+    TightenDomains(c, &domains);
+  }
+  for (const auto& [col, d] : domains) {
+    if (IsEmpty(d)) return true;
+  }
+  return false;
+}
 
 bool Implies(const ExprPtr& premise, const ExprPtr& conclusion,
              const DomainMap* ambient) {

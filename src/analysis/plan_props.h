@@ -10,10 +10,12 @@
 //     filters, join conditions and literal projections,
 //   - row-count bounds seeded from catalog cardinalities.
 //
-// The same interval lattice powers an expression-level implication checker
-// (Implies(F, G): every row satisfying F also satisfies G). Everything here
-// is conservative: "don't know" degrades to the lattice top (nullable,
-// unbounded, no keys), never to a wrong claim.
+// The same interval lattice is the engine's only one: it powers the
+// expression-level implication checker (Implies(F, G): every row satisfying
+// F also satisfies G), contradiction detection (IsContradiction, the IV.D
+// UnionAll shortcut) and a scan's partition pruning (exec/morsel_source.h
+// StaticPruneSpec). Everything here is conservative: "don't know" degrades
+// to the lattice top (nullable, unbounded, no keys), never to a wrong claim.
 //
 // Consumers: the semantic verifier tier (analysis/semantic_verifier.h),
 // JoinOnKeys (optimizer/rules_join_keys.cc, which asserts its key
@@ -110,9 +112,17 @@ class PropertyDerivation {
 /// Narrows `domains` with the facts a TRUE `conjunct` establishes:
 /// comparisons against literals tighten intervals and prove non-NULLness,
 /// column equalities intersect both sides, IS NOT NULL clears nullability,
-/// single-column ORs contribute the hull of their branches. Unrecognized
-/// shapes tighten nothing.
+/// an OR contributes, for each column every branch constrains, the hull of
+/// the branches' domains. Unrecognized shapes tighten nothing.
 void TightenDomains(const ExprPtr& conjunct, DomainMap* domains);
+
+/// True when the (boolean) expression can be proven never TRUE for any row.
+/// Conservative: false means "unknown". Recognizes literal FALSE/NULL,
+/// p AND NOT p, a conjunct comparing a column with NULL, and conjuncts that
+/// leave some column's domain empty under TightenDomains (x BETWEEN 1 AND
+/// 20 AND x BETWEEN 21 AND 40, conflicting equalities, s < 'a' AND s > 'b').
+/// The UnionAll rule's shortcut (IV.D) detects `L AND R == FALSE` with it.
+bool IsContradiction(const ExprPtr& expr);
 
 /// True when every row satisfying `premise` (under the facts in `ambient`,
 /// typically the derived domains of the plan the rows flow through) also

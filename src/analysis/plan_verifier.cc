@@ -15,12 +15,7 @@ namespace fusiondb {
 bool PlanVerificationEnabled() {
   static const bool enabled = [] {
     const char* env = std::getenv("FUSIONDB_VERIFY_PLANS");
-    if (env != nullptr) return env[0] != '0';
-#ifdef FUSIONDB_VERIFY_PLANS_DEFAULT
-    return FUSIONDB_VERIFY_PLANS_DEFAULT != 0;
-#else
-    return true;
-#endif
+    return env == nullptr || env[0] != '0';
   }();
   return enabled;
 }

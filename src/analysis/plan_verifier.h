@@ -26,11 +26,9 @@
 
 namespace fusiondb {
 
-/// Whether plan verification is active. The FUSIONDB_VERIFY_PLANS
-/// environment variable ("0" disables, anything else enables) overrides the
-/// compile-time default (FUSIONDB_VERIFY_PLANS_DEFAULT, ON in standard
-/// builds; see the top-level CMakeLists option). Benchmarks that want to
-/// exclude verification overhead export FUSIONDB_VERIFY_PLANS=0.
+/// Whether plan verification is active: on unless the FUSIONDB_VERIFY_PLANS
+/// environment variable is "0". Benchmarks that want to exclude
+/// verification overhead export FUSIONDB_VERIFY_PLANS=0.
 bool PlanVerificationEnabled();
 
 class PlanVerifier {

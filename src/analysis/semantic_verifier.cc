@@ -11,12 +11,7 @@ namespace fusiondb {
 bool SemanticVerificationEnabled() {
   static const bool enabled = [] {
     const char* env = std::getenv("FUSIONDB_VERIFY_SEMANTICS");
-    if (env != nullptr) return env[0] != '0';
-#ifdef FUSIONDB_VERIFY_SEMANTICS_DEFAULT
-    return FUSIONDB_VERIFY_SEMANTICS_DEFAULT != 0;
-#else
-    return false;
-#endif
+    return env != nullptr && env[0] != '0';
   }();
   return enabled;
 }

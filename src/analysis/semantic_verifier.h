@@ -31,11 +31,10 @@
 
 namespace fusiondb {
 
-/// Whether semantic verification is active. The FUSIONDB_VERIFY_SEMANTICS
-/// environment variable ("0" disables, anything else enables) overrides the
-/// compile-time default (FUSIONDB_VERIFY_SEMANTICS_DEFAULT, OFF in standard
-/// builds — the tier re-proves rewrites, so it costs more than the
-/// structural tier and is aimed at CI/debugging).
+/// Whether semantic verification is active: off unless the
+/// FUSIONDB_VERIFY_SEMANTICS environment variable is set to anything but
+/// "0" (the tier re-proves rewrites, so it costs more than the structural
+/// tier and is aimed at CI/debugging).
 bool SemanticVerificationEnabled();
 
 class SemanticVerifier {

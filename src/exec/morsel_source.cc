@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <utility>
 
+#include "analysis/plan_props.h"
 #include "expr/simplifier.h"
 
 namespace fusiondb::internal {
@@ -23,69 +25,11 @@ void PruneSpec::KeepOnly(const std::vector<int64_t>& keys) {
   points = std::move(both);
 }
 
-void ApplyPruneConjunct(const ExprPtr& e, ColumnId part_col, PruneSpec* spec) {
-  if (e->kind() == ExprKind::kInList &&
-      e->child(0)->kind() == ExprKind::kColumnRef &&
-      e->child(0)->column_id() == part_col) {
-    std::vector<int64_t> points;
-    for (size_t i = 1; i < e->children().size(); ++i) {
-      if (e->child(i)->kind() != ExprKind::kLiteral) return;
-      const Value& v = e->child(i)->literal();
-      if (v.is_null() || PhysicalTypeOf(v.type()) != PhysicalType::kInt) return;
-      points.push_back(v.int_value());
-    }
-    // Several IN conjuncts keep the union of their points: a superset of
-    // what the filter above the scan admits, so never wrong.
-    spec->has_points = true;
-    spec->points.insert(spec->points.end(), points.begin(), points.end());
-    std::sort(spec->points.begin(), spec->points.end());
-    spec->points.erase(std::unique(spec->points.begin(), spec->points.end()),
-                       spec->points.end());
-    return;
-  }
-  if (e->kind() != ExprKind::kCompare) return;
-  const Expr* col = nullptr;
-  const Expr* lit = nullptr;
-  CompareOp op = e->compare_op();
-  if (e->child(0)->kind() == ExprKind::kColumnRef &&
-      e->child(1)->kind() == ExprKind::kLiteral) {
-    col = e->child(0).get();
-    lit = e->child(1).get();
-  } else if (e->child(1)->kind() == ExprKind::kColumnRef &&
-             e->child(0)->kind() == ExprKind::kLiteral) {
-    col = e->child(1).get();
-    lit = e->child(0).get();
-    op = FlipCompare(op);
-  } else {
-    return;
-  }
-  if (col->column_id() != part_col) return;
-  const Value& v = lit->literal();
-  if (v.is_null() || PhysicalTypeOf(v.type()) != PhysicalType::kInt) return;
-  int64_t x = v.int_value();
-  switch (op) {
-    case CompareOp::kEq:
-      spec->lo = std::max(spec->lo, x);
-      spec->hi = std::min(spec->hi, x);
-      break;
-    case CompareOp::kLt:
-      spec->hi = std::min(spec->hi, x - 1);
-      break;
-    case CompareOp::kLe:
-      spec->hi = std::min(spec->hi, x);
-      break;
-    case CompareOp::kGt:
-      spec->lo = std::max(spec->lo, x + 1);
-      break;
-    case CompareOp::kGe:
-      spec->lo = std::max(spec->lo, x);
-      break;
-    case CompareOp::kNe:
-      break;
-  }
-}
-
 namespace {
+
+bool IsIntClass(const Value& v) {
+  return !v.is_null() && PhysicalTypeOf(v.type()) == PhysicalType::kInt;
+}
 
 /// The output column of `op`'s table partitioning column, or
 /// kInvalidColumnId when the scan does not read it.
@@ -104,9 +48,48 @@ PruneSpec StaticPruneSpec(const ScanOp& op, const ExprPtr& predicate) {
   PruneSpec spec;
   ColumnId part_col = PartitionOutput(op);
   if (predicate == nullptr || part_col == kInvalidColumnId) return spec;
+  // The interval: the partition column's domain, int-class bounds only, a
+  // strict bound closed by one (saturating, which keeps a superset).
+  DomainMap domains;
+  TightenDomains(predicate, &domains);
+  auto it = domains.find(part_col);
+  if (it != domains.end()) {
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    const ValueBound& lo = it->second.lo;
+    const ValueBound& hi = it->second.hi;
+    if (lo.has && IsIntClass(lo.value)) {
+      int64_t v = lo.value.int_value();
+      spec.lo = lo.strict && v < kMax ? v + 1 : v;
+    }
+    if (hi.has && IsIntClass(hi.value)) {
+      int64_t v = hi.value.int_value();
+      spec.hi = hi.strict && v > kMin ? v - 1 : v;
+    }
+  }
+  // The points: several IN conjuncts keep the union of their points, a
+  // superset of what the filter admits, so never wrong.
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(predicate, &conjuncts);
-  for (const ExprPtr& c : conjuncts) ApplyPruneConjunct(c, part_col, &spec);
+  for (const ExprPtr& e : conjuncts) {
+    if (e->kind() != ExprKind::kInList ||
+        e->child(0)->kind() != ExprKind::kColumnRef ||
+        e->child(0)->column_id() != part_col ||
+        !std::all_of(e->children().begin() + 1, e->children().end(),
+                     [](const ExprPtr& item) {
+                       return item->kind() == ExprKind::kLiteral &&
+                              IsIntClass(item->literal());
+                     })) {
+      continue;
+    }
+    spec.has_points = true;
+    for (size_t i = 1; i < e->children().size(); ++i) {
+      spec.points.push_back(e->child(i)->literal().int_value());
+    }
+  }
+  std::sort(spec.points.begin(), spec.points.end());
+  spec.points.erase(std::unique(spec.points.begin(), spec.points.end()),
+                    spec.points.end());
   return spec;
 }
 

@@ -22,10 +22,11 @@ namespace fusiondb::internal {
 
 /// Constraints over the partitioning column: a [lo, hi] interval
 /// intersection plus an optional set of points, sorted and distinct. A
-/// scan's static spec comes from the Filter directly above it (= and IN
-/// conjuncts give points); its runtime spec from the hash joins above it,
-/// each of which keeps only the partitions holding one of its build keys.
-/// A point set with no points keeps nothing.
+/// scan's static spec comes from the Filter directly above it (the
+/// column's interval under TightenDomains; IN conjuncts give points); its
+/// runtime spec from the hash joins above it, each of which keeps only the
+/// partitions holding one of its build keys. A point set with no points
+/// keeps nothing.
 struct PruneSpec {
   int64_t lo = std::numeric_limits<int64_t>::min();
   int64_t hi = std::numeric_limits<int64_t>::max();
@@ -47,11 +48,6 @@ struct PruneSpec {
   /// the points already held, or installs them as the point set.
   void KeepOnly(const std::vector<int64_t>& keys);
 };
-
-/// Folds one conjunct into the prune spec when it constrains `part_col`.
-/// Unrecognized shapes are ignored (pruning is best-effort and the filter
-/// above the scan re-checks rows anyway).
-void ApplyPruneConjunct(const ExprPtr& e, ColumnId part_col, PruneSpec* spec);
 
 /// The partitions of `op`'s table that `predicate` may keep: the predicate
 /// of the Filter whose child `op` is, or nullptr (keep all) for a scan with

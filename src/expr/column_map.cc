@@ -30,31 +30,7 @@ ExprPtr ApplyMap(const ColumnMap& m, const ExprPtr& expr) {
     changed |= (nc != c);
     new_children.push_back(std::move(nc));
   }
-  if (!changed) return expr;
-  switch (expr->kind()) {
-    case ExprKind::kCompare:
-      return Expr::MakeCompare(expr->compare_op(), new_children[0],
-                               new_children[1]);
-    case ExprKind::kArith:
-      return Expr::MakeArith(expr->arith_op(), new_children[0], new_children[1],
-                             expr->type());
-    case ExprKind::kAnd:
-      return Expr::MakeAnd(std::move(new_children));
-    case ExprKind::kOr:
-      return Expr::MakeOr(std::move(new_children));
-    case ExprKind::kNot:
-      return Expr::MakeNot(new_children[0]);
-    case ExprKind::kIsNull:
-      return Expr::MakeIsNull(new_children[0]);
-    case ExprKind::kCase:
-      return Expr::MakeCase(std::move(new_children), expr->type());
-    case ExprKind::kInList:
-      return Expr::MakeInList(std::move(new_children));
-    case ExprKind::kColumnRef:
-    case ExprKind::kLiteral:
-      return expr;  // leaves; handled before recursion
-  }
-  return expr;
+  return changed ? Expr::WithChildren(expr, std::move(new_children)) : expr;
 }
 
 ExprPtr SubstituteColumns(const ColumnDefs& defs, const ExprPtr& expr) {
@@ -85,31 +61,7 @@ ExprPtr SubstituteColumns(const ColumnDefs& defs, const ExprPtr& expr) {
     changed |= (nc != c);
     new_children.push_back(std::move(nc));
   }
-  if (!changed) return expr;
-  switch (expr->kind()) {
-    case ExprKind::kCompare:
-      return Expr::MakeCompare(expr->compare_op(), new_children[0],
-                               new_children[1]);
-    case ExprKind::kArith:
-      return Expr::MakeArith(expr->arith_op(), new_children[0], new_children[1],
-                             expr->type());
-    case ExprKind::kAnd:
-      return Expr::MakeAnd(std::move(new_children));
-    case ExprKind::kOr:
-      return Expr::MakeOr(std::move(new_children));
-    case ExprKind::kNot:
-      return Expr::MakeNot(new_children[0]);
-    case ExprKind::kIsNull:
-      return Expr::MakeIsNull(new_children[0]);
-    case ExprKind::kCase:
-      return Expr::MakeCase(std::move(new_children), expr->type());
-    case ExprKind::kInList:
-      return Expr::MakeInList(std::move(new_children));
-    case ExprKind::kColumnRef:
-    case ExprKind::kLiteral:
-      return expr;  // leaves; handled before recursion
-  }
-  return expr;
+  return changed ? Expr::WithChildren(expr, std::move(new_children)) : expr;
 }
 
 bool MergeMaps(ColumnMap* base, const ColumnMap& extra) {

@@ -173,6 +173,31 @@ ExprPtr Expr::MakeInList(std::vector<ExprPtr> children) {
   return Seal(std::move(e));
 }
 
+ExprPtr Expr::WithChildren(const ExprPtr& e, std::vector<ExprPtr> children) {
+  switch (e->kind()) {
+    case ExprKind::kCompare:
+      return MakeCompare(e->compare_op(), children[0], children[1]);
+    case ExprKind::kArith:
+      return MakeArith(e->arith_op(), children[0], children[1], e->type());
+    case ExprKind::kAnd:
+      return MakeAnd(std::move(children));
+    case ExprKind::kOr:
+      return MakeOr(std::move(children));
+    case ExprKind::kNot:
+      return MakeNot(children[0]);
+    case ExprKind::kIsNull:
+      return MakeIsNull(children[0]);
+    case ExprKind::kCase:
+      return MakeCase(std::move(children), e->type());
+    case ExprKind::kInList:
+      return MakeInList(std::move(children));
+    case ExprKind::kColumnRef:
+    case ExprKind::kLiteral:
+      return e;
+  }
+  return e;
+}
+
 namespace {
 
 // --- Structural hash --------------------------------------------------------

@@ -100,6 +100,10 @@ class Expr {
   static ExprPtr MakeCase(std::vector<ExprPtr> children, DataType type);
   static ExprPtr MakeInList(std::vector<ExprPtr> children);
 
+  /// A node of `e`'s kind, type and operator over `children` (as many as
+  /// `e` has). Leaves have no children and come back as they are.
+  static ExprPtr WithChildren(const ExprPtr& e, std::vector<ExprPtr> children);
+
  private:
   static std::shared_ptr<Expr> New(ExprKind kind, DataType type) {
     return std::make_shared<Expr>(Key{}, kind, type);

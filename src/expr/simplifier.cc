@@ -1,8 +1,6 @@
 #include "expr/simplifier.h"
 
 #include <algorithm>
-#include <limits>
-#include <map>
 #include <optional>
 
 #include "expr/scalar_ops.h"
@@ -15,32 +13,6 @@ bool IsFalseLiteral(const ExprPtr& e) { return e->IsLiteralBool(false); }
 
 ExprPtr TrueLit() { return Expr::MakeLiteral(Value::Bool(true)); }
 ExprPtr FalseLit() { return Expr::MakeLiteral(Value::Bool(false)); }
-
-/// Rebuilds a node with new children (same shape).
-ExprPtr Rebuild(const ExprPtr& e, std::vector<ExprPtr> children) {
-  switch (e->kind()) {
-    case ExprKind::kCompare:
-      return Expr::MakeCompare(e->compare_op(), children[0], children[1]);
-    case ExprKind::kArith:
-      return Expr::MakeArith(e->arith_op(), children[0], children[1], e->type());
-    case ExprKind::kAnd:
-      return Expr::MakeAnd(std::move(children));
-    case ExprKind::kOr:
-      return Expr::MakeOr(std::move(children));
-    case ExprKind::kNot:
-      return Expr::MakeNot(children[0]);
-    case ExprKind::kIsNull:
-      return Expr::MakeIsNull(children[0]);
-    case ExprKind::kCase:
-      return Expr::MakeCase(std::move(children), e->type());
-    case ExprKind::kInList:
-      return Expr::MakeInList(std::move(children));
-    case ExprKind::kColumnRef:
-    case ExprKind::kLiteral:
-      return e;  // leaves have no children to rebuild
-  }
-  return e;
-}
 
 /// Folds a node whose children are all literals, using the scalar kernels.
 std::optional<Value> TryFold(const ExprPtr& e) {
@@ -224,7 +196,7 @@ ExprPtr SimplifyNode(const ExprPtr& expr) {
     changed |= (sc != c);
     children.push_back(std::move(sc));
   }
-  ExprPtr node = changed ? Rebuild(expr, children) : expr;
+  ExprPtr node = changed ? Expr::WithChildren(expr, std::move(children)) : expr;
 
   switch (node->kind()) {
     case ExprKind::kAnd:
@@ -383,147 +355,6 @@ ExprPtr Simplify(const ExprPtr& expr) {
   // re-simplify (every optimizer sweep, every fold) return at once.
   out->MarkSimplified();
   return out;
-}
-
-namespace {
-
-/// A closed-ish numeric interval with optional equality pin, per column.
-struct Range {
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-  bool lo_open = false;
-  bool hi_open = false;
-  // Pinned string equality (string columns): first value seen.
-  bool has_string_eq = false;
-  std::string string_eq;
-  bool contradiction = false;
-
-  void IntersectLo(double v, bool open) {
-    if (v > lo || (v == lo && open && !lo_open)) {
-      lo = v;
-      lo_open = open;
-    }
-  }
-  void IntersectHi(double v, bool open) {
-    if (v < hi || (v == hi && open && !hi_open)) {
-      hi = v;
-      hi_open = open;
-    }
-  }
-  bool Empty() const {
-    if (contradiction) return true;
-    if (lo > hi) return true;
-    if (lo == hi && (lo_open || hi_open)) return true;
-    return false;
-  }
-};
-
-/// Applies conjunct `e` to per-column ranges when it has the shape
-/// (col cmp literal) or (literal cmp col).
-void ApplyConjunct(const ExprPtr& e, std::map<ColumnId, Range>* ranges) {
-  if (e->kind() != ExprKind::kCompare) return;
-  const ExprPtr* col = nullptr;
-  const ExprPtr* lit = nullptr;
-  CompareOp op = e->compare_op();
-  if (e->child(0)->kind() == ExprKind::kColumnRef &&
-      e->child(1)->kind() == ExprKind::kLiteral) {
-    col = &e->child(0);
-    lit = &e->child(1);
-  } else if (e->child(1)->kind() == ExprKind::kColumnRef &&
-             e->child(0)->kind() == ExprKind::kLiteral) {
-    col = &e->child(1);
-    lit = &e->child(0);
-    // Flip the operator: lit op col  ==  col flipped(op) lit.
-    switch (op) {
-      case CompareOp::kLt:
-        op = CompareOp::kGt;
-        break;
-      case CompareOp::kLe:
-        op = CompareOp::kGe;
-        break;
-      case CompareOp::kGt:
-        op = CompareOp::kLt;
-        break;
-      case CompareOp::kGe:
-        op = CompareOp::kLe;
-        break;
-      case CompareOp::kEq:
-      case CompareOp::kNe:
-        break;  // symmetric; no flip needed
-    }
-  } else {
-    return;
-  }
-  const Value& v = (*lit)->literal();
-  if (v.is_null()) {
-    // col cmp NULL is never TRUE: whole conjunction is contradictory.
-    (*ranges)[(*col)->column_id()].contradiction = true;
-    return;
-  }
-  Range& r = (*ranges)[(*col)->column_id()];
-  if (v.type() == DataType::kString) {
-    if (op == CompareOp::kEq) {
-      if (r.has_string_eq && r.string_eq != v.string_value()) {
-        r.contradiction = true;
-      } else {
-        r.has_string_eq = true;
-        r.string_eq = v.string_value();
-      }
-    }
-    return;
-  }
-  if (v.type() == DataType::kBool) return;
-  double d = v.AsDouble();
-  switch (op) {
-    case CompareOp::kEq:
-      r.IntersectLo(d, false);
-      r.IntersectHi(d, false);
-      break;
-    case CompareOp::kLt:
-      r.IntersectHi(d, true);
-      break;
-    case CompareOp::kLe:
-      r.IntersectHi(d, false);
-      break;
-    case CompareOp::kGt:
-      r.IntersectLo(d, true);
-      break;
-    case CompareOp::kGe:
-      r.IntersectLo(d, false);
-      break;
-    case CompareOp::kNe:
-      break;
-  }
-}
-
-}  // namespace
-
-bool IsContradiction(const ExprPtr& raw) {
-  ExprPtr expr = Simplify(raw);
-  if (expr->IsLiteralBool(false) || expr->IsLiteralNull()) return true;
-  std::vector<ExprPtr> conjuncts;
-  SplitConjuncts(expr, &conjuncts);
-  // p AND NOT p.
-  std::vector<ExprPtr> positive, negative;
-  for (const ExprPtr& c : conjuncts) {
-    if (c->kind() == ExprKind::kNot) {
-      negative.push_back(c->child(0));
-    } else {
-      positive.push_back(c);
-    }
-  }
-  for (const ExprPtr& p : positive) {
-    for (const ExprPtr& n : negative) {
-      if (ExprEquivalent(p, n)) return true;
-    }
-  }
-  // Per-column range analysis.
-  std::map<ColumnId, Range> ranges;
-  for (const ExprPtr& c : conjuncts) ApplyConjunct(c, &ranges);
-  for (const auto& [col, r] : ranges) {
-    if (r.Empty()) return true;
-  }
-  return false;
 }
 
 }  // namespace fusiondb

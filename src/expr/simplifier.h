@@ -1,8 +1,9 @@
 // Expression simplification: constant folding, AND/OR flattening and
-// deduplication, boolean identities, and a per-column range analysis that
-// detects contradictions. The paper relies on simplification twice: to
-// collapse `C1 OR M(C2)` when both filters are equivalent (III.B), and to
-// detect `L AND R == FALSE` in the UnionAll rule's shortcut (IV.D).
+// deduplication, absorption and boolean identities. The paper relies on it
+// to collapse `C1 OR M(C2)` when both filters are equivalent (III.B).
+// Interval reasoning over conjuncts (contradiction, implication, partition
+// pruning) lives in one place, the column-domain lattice of
+// analysis/plan_props.h.
 #ifndef FUSIONDB_EXPR_SIMPLIFIER_H_
 #define FUSIONDB_EXPR_SIMPLIFIER_H_
 
@@ -12,13 +13,6 @@ namespace fusiondb {
 
 /// Returns a simplified, semantically equivalent expression. Idempotent.
 ExprPtr Simplify(const ExprPtr& expr);
-
-/// True when the (already boolean) expression can be proven to never be
-/// TRUE for any row. Conservative: false means "unknown".
-/// Recognizes: literal FALSE/NULL, conjuncts with empty per-column ranges
-/// (e.g. x BETWEEN 1 AND 20 AND x BETWEEN 21 AND 40), conflicting
-/// equalities, and p AND NOT p.
-bool IsContradiction(const ExprPtr& expr);
 
 /// True when the expression is literally TRUE.
 inline bool IsTrueLiteral(const ExprPtr& expr) {

@@ -130,7 +130,8 @@ class UnionAllOnJoinRule final : public Rule {
 
 /// Section IV.D: UnionAll over fusable branches becomes a cross join of the
 /// fused plan with a constant tag table (or, when the compensating filters
-/// are contradictory, a CASE projection with no tag table).
+/// are contradictory, a CASE projection with no tag table). The union stays
+/// when the rewrite would read more static bytes (ScanBytes) than it does.
 ///   before: P1 ∪ P2                          with Fuse(P1,P2) defined
 ///   after:  π_{CASE tag...}(σ_{(tag=1∧L)∨(tag=2∧R)}(P × Values[(1),(2)]))
 ///   L∧R≡⊥:  π_{CASE L...}(P)                 (no tag table needed)

@@ -1,7 +1,6 @@
 // Substrate rules: expression simplification, filter/project normalization
 // and filter pushdown.
-#include <unordered_map>
-
+#include "expr/column_map.h"
 #include "expr/simplifier.h"
 #include "optimizer/rules.h"
 
@@ -100,57 +99,16 @@ Result<PlanPtr> MergeProjectsRule::Apply(const PlanPtr& plan,
   const auto& outer = Cast<ProjectOp>(*plan);
   if (outer.child(0)->kind() != OpKind::kProject) return plan;
   const auto& inner = Cast<ProjectOp>(*outer.child(0));
-  // Inline inner assignments into outer expressions via substitution.
-  std::unordered_map<ColumnId, ExprPtr> defs;
+  // Inline inner assignments into outer expressions: an outer expression
+  // references only the inner projection's output columns.
+  ColumnDefs defs;
   for (const NamedExpr& e : inner.exprs()) defs[e.id] = e.expr;
-  // Substitution: rebuild outer exprs replacing refs with inner defs.
-  struct Subst {
-    const std::unordered_map<ColumnId, ExprPtr>& defs;
-    ExprPtr operator()(const ExprPtr& e) const {
-      if (e->kind() == ExprKind::kColumnRef) {
-        auto it = defs.find(e->column_id());
-        return it == defs.end() ? e : it->second;
-      }
-      if (e->children().empty()) return e;
-      std::vector<ExprPtr> children;
-      children.reserve(e->children().size());
-      bool changed = false;
-      for (const ExprPtr& c : e->children()) {
-        ExprPtr nc = (*this)(c);
-        changed |= (nc != c);
-        children.push_back(std::move(nc));
-      }
-      if (!changed) return e;
-      switch (e->kind()) {
-        case ExprKind::kCompare:
-          return Expr::MakeCompare(e->compare_op(), children[0], children[1]);
-        case ExprKind::kArith:
-          return Expr::MakeArith(e->arith_op(), children[0], children[1],
-                                 e->type());
-        case ExprKind::kAnd:
-          return Expr::MakeAnd(std::move(children));
-        case ExprKind::kOr:
-          return Expr::MakeOr(std::move(children));
-        case ExprKind::kNot:
-          return Expr::MakeNot(children[0]);
-        case ExprKind::kIsNull:
-          return Expr::MakeIsNull(children[0]);
-        case ExprKind::kCase:
-          return Expr::MakeCase(std::move(children), e->type());
-        case ExprKind::kInList:
-          return Expr::MakeInList(std::move(children));
-        case ExprKind::kColumnRef:
-        case ExprKind::kLiteral:
-          return e;  // leaves; handled before recursion
-      }
-      return e;
-    }
-  };
-  Subst subst{defs};
   std::vector<NamedExpr> merged;
   merged.reserve(outer.exprs().size());
   for (const NamedExpr& e : outer.exprs()) {
-    merged.push_back({e.id, e.name, subst(e.expr)});
+    ExprPtr inlined = SubstituteColumns(defs, e.expr);
+    if (inlined == nullptr) return plan;
+    merged.push_back({e.id, e.name, std::move(inlined)});
   }
   return std::static_pointer_cast<const LogicalOp>(
       std::make_shared<ProjectOp>(inner.child(0), std::move(merged)));

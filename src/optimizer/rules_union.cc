@@ -1,6 +1,8 @@
 // Sections IV.C (UnionAllOnJoin) and IV.D (UnionAll fusion).
 #include <optional>
 
+#include "analysis/plan_props.h"
+#include "exec/executor.h"
 #include "expr/expr_builder.h"
 #include "expr/simplifier.h"
 #include "fusion/fuse.h"
@@ -241,9 +243,10 @@ Result<PlanPtr> UnionAllOnJoinRule::Apply(const PlanPtr& plan,
   return RestoreSchema(new_join, u.schema(), ColumnMap());
 }
 
-Result<PlanPtr> UnionAllFuseRule::Apply(const PlanPtr& plan,
-                                        PlanContext* ctx) const {
-  if (plan->kind() != OpKind::kUnionAll) return plan;
+namespace {
+
+/// The IV.D rewrite of `plan`, or `plan` itself when it does not apply.
+PlanPtr FuseUnionAll(const PlanPtr& plan, PlanContext* ctx) {
   const auto& u = Cast<UnionAllOp>(*plan);
   size_t n = u.num_children();
   if (n < 2) return plan;
@@ -343,6 +346,19 @@ Result<PlanPtr> UnionAllFuseRule::Apply(const PlanPtr& plan,
   }
   return std::static_pointer_cast<const LogicalOp>(
       std::make_shared<ProjectOp>(filtered, std::move(outs)));
+}
+
+}  // namespace
+
+Result<PlanPtr> UnionAllFuseRule::Apply(const PlanPtr& plan,
+                                        PlanContext* ctx) const {
+  if (plan->kind() != OpKind::kUnionAll) return plan;
+  PlanPtr fused = FuseUnionAll(plan, ctx);
+  // A branch's pruning Filter becomes a compensating condition above the
+  // fused scan, which then reads its columns over every partition: keep
+  // the union when the rewrite reads more static bytes than it does.
+  if (fused != plan && ScanBytes(fused) > ScanBytes(plan)) return plan;
+  return fused;
 }
 
 }  // namespace fusiondb

@@ -70,11 +70,12 @@ TEST(ScanExecTest, PartitionPruningByInList) {
   EXPECT_EQ(r.metrics().partitions_scanned, 2);
 }
 
-// A scan prunes only by the column-vs-literal conjuncts of the Filter
-// directly above it. Other conjuncts on the partition column prune nothing,
-// and a Filter that a Project or a Join separates from the scan prunes
-// neither the run nor ScanBytes, the figure the server decides sharing on.
-TEST(ScanExecTest, PrunesOnlyByColumnLiteralConjunctsDirectlyAbove) {
+// A scan prunes only by the Filter directly above it, through the
+// partition column's interval (an OR of windows prunes to their hull) and
+// IN points. Other conjuncts on the partition column prune nothing, and a
+// Filter that a Project or a Join separates from the scan prunes neither
+// the run nor ScanBytes, the figure the server decides sharing on.
+TEST(ScanExecTest, PrunesByTheFilterDirectlyAbove) {
   PlanContext ctx;
   TablePtr numbers = NumbersTable();
   auto expect_unpruned = [](const PlanPtr& plan) {
@@ -103,6 +104,33 @@ TEST(ScanExecTest, PrunesOnlyByColumnLiteralConjunctsDirectlyAbove) {
   joined.JoinOn(JoinType::kInner, names, {{"s", "name"}});
   joined.Filter(eb::Lt(joined.Ref("k"), eb::Int(20)));
   expect_unpruned(joined.Build());
+
+  auto expect_pruned = [](const PlanPtr& plan, int64_t rows,
+                          int64_t partitions_scanned) {
+    SCOPED_TRACE(PlanToString(plan));
+    QueryResult r = MustExecute(plan);
+    EXPECT_EQ(r.num_rows(), rows);
+    EXPECT_EQ(r.metrics().partitions_scanned, partitions_scanned);
+    EXPECT_EQ(r.metrics().partitions_pruned, 10 - partitions_scanned);
+    EXPECT_EQ(ScanBytes(plan), r.metrics().StaticBytes());
+    testutil::ExpectMatchesReference(plan, r);
+  };
+
+  // Overlapping windows: the hull [12, 37] is their union, partitions
+  // [10,19], [20,29] and [30,39].
+  PlanBuilder overlapping = PlanBuilder::Scan(&ctx, numbers, {"k", "v"});
+  ExprPtr ok = overlapping.Ref("k");
+  overlapping.Filter(eb::Or(eb::Between(ok, eb::Int(12), eb::Int(25)),
+                            eb::Between(ok, eb::Int(20), eb::Int(37))));
+  expect_pruned(overlapping.Build(), 26, 3);
+
+  // Disjoint windows: the hull [5, 64] keeps the seven partitions from
+  // [0,9] to [60,69], a superset of the two the windows touch.
+  PlanBuilder disjoint = PlanBuilder::Scan(&ctx, numbers, {"k", "v"});
+  ExprPtr dk = disjoint.Ref("k");
+  disjoint.Filter(eb::Or(eb::Between(dk, eb::Int(5), eb::Int(8)),
+                         eb::Between(dk, eb::Int(61), eb::Int(64))));
+  expect_pruned(disjoint.Build(), 8, 7);
 }
 
 TEST(ScanExecTest, ChunkSizeDoesNotChangeResults) {

@@ -1,4 +1,4 @@
-// Simplification, absorption, contradiction detection, structural identity
+// Simplification, absorption, structural identity
 // and column remapping — the expression machinery the fusion rules depend on.
 #include <gtest/gtest.h>
 
@@ -159,41 +159,6 @@ TEST(SimplifyTest, CaseArmPruning) {
   ExprPtr s = Simplify(e);
   ASSERT_EQ(s->kind(), ExprKind::kLiteral);
   EXPECT_EQ(s->literal(), Value::Int64(2));
-}
-
-TEST(ContradictionTest, DisjointRanges) {
-  // The IV.D shortcut case: BETWEEN buckets that cannot overlap.
-  ExprPtr both = And(Between(C(1), Int(1), Int(20)),
-                     Between(C(1), Int(21), Int(40)));
-  EXPECT_TRUE(IsContradiction(both));
-  ExprPtr overlap = And(Between(C(1), Int(1), Int(20)),
-                        Between(C(1), Int(15), Int(40)));
-  EXPECT_FALSE(IsContradiction(overlap));
-}
-
-TEST(ContradictionTest, ConflictingEqualities) {
-  EXPECT_TRUE(IsContradiction(And(Eq(C(1), Int(3)), Eq(C(1), Int(4)))));
-  EXPECT_FALSE(IsContradiction(And(Eq(C(1), Int(3)), Eq(C(2), Int(4)))));
-  ExprPtr s = Col(9, DataType::kString);
-  EXPECT_TRUE(IsContradiction(And(Eq(s, Str("a")), Eq(s, Str("b")))));
-  EXPECT_FALSE(IsContradiction(And(Eq(s, Str("a")), Eq(s, Str("a")))));
-}
-
-TEST(ContradictionTest, NegatedConjunct) {
-  ExprPtr p = Gt(C(1), Int(5));
-  EXPECT_TRUE(IsContradiction(And(p, Not(p))));
-}
-
-TEST(ContradictionTest, EqualityOutsideRange) {
-  EXPECT_TRUE(IsContradiction(And(Eq(C(1), Int(100)), Lt(C(1), Int(10)))));
-  EXPECT_TRUE(IsContradiction(And(Gt(C(1), Int(5)), Lt(C(1), Int(5)))));
-  EXPECT_FALSE(IsContradiction(And(Ge(C(1), Int(5)), Le(C(1), Int(5)))));
-}
-
-TEST(ContradictionTest, ConservativeOnOpaquePredicates) {
-  // Unprovable contradictions must return false, never a wrong true.
-  EXPECT_FALSE(IsContradiction(Gt(C(1), C(2))));
-  EXPECT_FALSE(IsContradiction(And(Gt(C(1), C(2)), Lt(C(1), C(2)))));
 }
 
 TEST(StructuralIdentityTest, CommutativityAndOrientation) {

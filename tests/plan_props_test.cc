@@ -1,6 +1,6 @@
 // The semantic analysis tier (DESIGN.md §8): per-operator property
 // derivation (keys, domains, row bounds), the expression-level implication
-// checker, and the SemanticVerifier's translation
+// checker, contradiction detection, and the SemanticVerifier's translation
 // validation — every [semantic-*] tag has a hand-built plan that trips it
 // and a minimally different one that passes. Also covers a consumer:
 // JoinOnKeys firing from derived keys.
@@ -255,6 +255,35 @@ TEST(PlanPropsTest, TightenAndDropImpliedConjuncts) {
   EXPECT_EQ(kept[0].get(), conjuncts[2].get()) << "order/identity preserved";
 }
 
+TEST(PlanPropsTest, OrHullsEveryColumnAllBranchesConstrain) {
+  ExprPtr x = eb::Col(1, DataType::kInt64);
+  ExprPtr y = eb::Col(2, DataType::kInt64);
+  ExprPtr z = eb::Col(3, DataType::kInt64);
+  // (x in [1,5] AND y = 2 AND z > 0) OR (x in [3,9] AND y = 7): every row
+  // satisfies a branch, so x in [1,9] and y in [2,7]; z is constrained by
+  // one branch only and stays unknown.
+  DomainMap domains;
+  TightenDomains(
+      eb::Or(eb::And({eb::Between(x, eb::Int(1), eb::Int(5)),
+                      eb::Eq(y, eb::Int(2)), eb::Gt(z, eb::Int(0))}),
+             eb::And(eb::Between(x, eb::Int(3), eb::Int(9)),
+                     eb::Eq(y, eb::Int(7)))),
+      &domains);
+  ASSERT_EQ(domains.count(1), 1u);
+  ASSERT_EQ(domains.count(2), 1u);
+  EXPECT_EQ(domains.count(3), 0u);
+  EXPECT_FALSE(domains[1].nullable);
+  EXPECT_EQ(domains[1].lo.value, Value::Int64(1));
+  EXPECT_EQ(domains[1].hi.value, Value::Int64(9));
+  EXPECT_EQ(domains[2].lo.value, Value::Int64(2));
+  EXPECT_EQ(domains[2].hi.value, Value::Int64(7));
+  // A branch that constrains no common column leaves nothing.
+  domains.clear();
+  TightenDomains(eb::Or(eb::Eq(x, eb::Int(1)), eb::Eq(y, eb::Int(2))),
+                 &domains);
+  EXPECT_TRUE(domains.empty());
+}
+
 TEST(PlanPropsTest, PropsToStringMentionsKeysAndRows) {
   PlanContext ctx;
   PropertyDerivation d;
@@ -262,6 +291,65 @@ TEST(PlanPropsTest, PropsToStringMentionsKeysAndRows) {
   EXPECT_NE(s.find("keys="), std::string::npos) << s;
   EXPECT_NE(s.find("rows="), std::string::npos) << s;
 }
+
+// --- contradiction detection (the IV.D UnionAll shortcut) -----------------
+
+namespace contradiction {
+
+using namespace eb;  // NOLINT
+
+ExprPtr C(ColumnId id) { return Col(id, DataType::kInt64); }
+
+TEST(ContradictionTest, DisjointRanges) {
+  // The IV.D shortcut case: BETWEEN buckets that cannot overlap.
+  ExprPtr both = And(Between(C(1), Int(1), Int(20)),
+                     Between(C(1), Int(21), Int(40)));
+  EXPECT_TRUE(IsContradiction(both));
+  ExprPtr overlap = And(Between(C(1), Int(1), Int(20)),
+                        Between(C(1), Int(15), Int(40)));
+  EXPECT_FALSE(IsContradiction(overlap));
+}
+
+TEST(ContradictionTest, ConflictingEqualities) {
+  EXPECT_TRUE(IsContradiction(And(Eq(C(1), Int(3)), Eq(C(1), Int(4)))));
+  EXPECT_FALSE(IsContradiction(And(Eq(C(1), Int(3)), Eq(C(2), Int(4)))));
+  ExprPtr s = Col(9, DataType::kString);
+  EXPECT_TRUE(IsContradiction(And(Eq(s, Str("a")), Eq(s, Str("b")))));
+  EXPECT_FALSE(IsContradiction(And(Eq(s, Str("a")), Eq(s, Str("a")))));
+}
+
+TEST(ContradictionTest, NegatedConjunct) {
+  ExprPtr p = Gt(C(1), Int(5));
+  EXPECT_TRUE(IsContradiction(And(p, Not(p))));
+}
+
+TEST(ContradictionTest, EqualityOutsideRange) {
+  EXPECT_TRUE(IsContradiction(And(Eq(C(1), Int(100)), Lt(C(1), Int(10)))));
+  EXPECT_TRUE(IsContradiction(And(Gt(C(1), Int(5)), Lt(C(1), Int(5)))));
+  EXPECT_FALSE(IsContradiction(And(Ge(C(1), Int(5)), Le(C(1), Int(5)))));
+}
+
+TEST(ContradictionTest, ConservativeOnOpaquePredicates) {
+  // Unprovable contradictions must return false, never a wrong true.
+  EXPECT_FALSE(IsContradiction(Gt(C(1), C(2))));
+  EXPECT_FALSE(IsContradiction(And(Gt(C(1), C(2)), Lt(C(1), C(2)))));
+}
+
+TEST(ContradictionTest, ComparisonWithNull) {
+  // col = NULL is never TRUE, whatever the other conjuncts say.
+  EXPECT_TRUE(IsContradiction(
+      And(Eq(C(1), NullOf(DataType::kInt64)), Gt(C(2), Int(0)))));
+  EXPECT_TRUE(IsContradiction(
+      And(Gt(C(2), Int(0)), Lt(NullOf(DataType::kInt64), C(1)))));
+}
+
+TEST(ContradictionTest, DisjointStringRanges) {
+  ExprPtr s = Col(9, DataType::kString);
+  EXPECT_TRUE(IsContradiction(And(Lt(s, Str("a")), Gt(s, Str("b")))));
+  EXPECT_FALSE(IsContradiction(And(Gt(s, Str("a")), Lt(s, Str("b")))));
+}
+
+}  // namespace contradiction
 
 // --- semantic verifier: one negative test per tag ---------------------------
 

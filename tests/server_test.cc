@@ -315,20 +315,53 @@ TEST(ServerTest, EqualPartitionWindowsShareAndPrune) {
   engine.StopServer();
 }
 
-// Two disjoint date windows over one table. A scan prunes only by
-// column-vs-literal conjuncts of the Filter directly above it, and the fold
-// puts an OR of the two windows there, so the shared scan reads every
-// partition: one shared run would read far more than the two solo runs
-// together, and the group must run its members solo.
+/// A quantity-filtered sum over one `ss_sold_date_sk` window of the
+/// partitioned fact table.
+std::string DateWindowSql(int lo, int hi) {
+  return "SELECT SUM(ss_list_price) AS total FROM store_sales "
+         "WHERE ss_quantity > 10 AND ss_sold_date_sk BETWEEN " +
+         std::to_string(lo) + " AND " + std::to_string(hi);
+}
+
+// Two overlapping date windows over one table. The fold puts an OR of the
+// windows, each conjoined with the quantity test, in the Filter directly
+// above the fused scan, which prunes to the hull of the windows: here their
+// union. One shared run reads less than the two solo runs together, and
+// both sessions share it.
+TEST(ServerTest, OverlappingDateWindowsShareAndPruneToTheirHull) {
+  Engine engine(SharedTpcds());
+  const std::string sql[] = {DateWindowSql(2451000, 2451060),
+                             DateWindowSql(2451030, 2451090)};
+  PreparedQuery q1 = Unwrap(engine.Prepare(sql[0]));
+  PreparedQuery q2 = Unwrap(engine.Prepare(sql[1]));
+  SessionManager& manager = *Unwrap(engine.StartServer());
+  std::vector<SessionPtr> sessions =
+      manager.SubmitBatch({q1.plan(), q2.plan()});
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(sessions[i]->Wait().ok());
+    EXPECT_TRUE(sessions[i]->shared());
+    PreparedQuery solo = Unwrap(engine.Prepare(sql[i]));
+    ExpectIdentical(*sessions[i]->Wait(), Unwrap(engine.Execute(&solo)));
+  }
+  BatchReport report = manager.last_batch_report();
+  EXPECT_EQ(report.shared_groups, 1u);
+  ASSERT_EQ(report.decisions.size(), 1u);
+  EXPECT_TRUE(report.decisions[0].shared);
+  EXPECT_LT(report.decisions[0].shared_bytes, report.decisions[0].solo_bytes);
+  ExpectScanBytesPinned(sessions);
+  engine.StopServer();
+}
+
+// Two disjoint date windows over one table. The fold puts an OR of the two
+// windows in the Filter directly above the fused scan, which prunes to
+// their hull: every partition between the windows too. One shared run
+// would read more than the two solo runs together, and the group must run
+// its members solo.
 TEST(ServerTest, DisjointDateWindowsRunSolo) {
   Engine engine(SharedTpcds());
-  auto window = [](int lo, int hi) {
-    return "SELECT SUM(ss_list_price) AS total FROM store_sales "
-           "WHERE ss_quantity > 10 AND ss_sold_date_sk BETWEEN " +
-           std::to_string(lo) + " AND " + std::to_string(hi);
-  };
-  const std::string sql[] = {window(2451000, 2451060),
-                             window(2451500, 2451560)};
+  const std::string sql[] = {DateWindowSql(2451000, 2451060),
+                             DateWindowSql(2451500, 2451560)};
   PreparedQuery q1 = Unwrap(engine.Prepare(sql[0]));
   PreparedQuery q2 = Unwrap(engine.Prepare(sql[1]));
   SessionManager& manager = *Unwrap(engine.StartServer());

@@ -236,6 +236,16 @@ if grep -rnE 'pruning_filter|PushFilterIntoScan' src tests 2>/dev/null; then
   note_failure 'a scan prunes by the Filter directly above it (StaticPruneSpec); no pruning predicate stored on ScanOp'
 fi
 
+# One interval analysis: contradiction detection, implication and partition
+# pruning all read the column-domain lattice (analysis/plan_props.h
+# TightenDomains). The simplifier's per-column ranges behind IsContradiction
+# and the pruning-only conjunct parser were deleted; keep a second lattice
+# from growing back.
+if grep -rnE 'ApplyPruneConjunct' src tests 2>/dev/null ||
+   grep -rnE '^bool IsContradiction\(' src/expr 2>/dev/null; then
+  note_failure 'interval reasoning reads TightenDomains (analysis/plan_props.h); no second conjunct-to-interval analysis'
+fi
+
 # --- Layer 2: clang-tidy (optional) ----------------------------------------
 
 if command -v clang-tidy >/dev/null 2>&1; then
